@@ -19,7 +19,7 @@ from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
                          build_integrator, build_metric, build_nu, load_config,
                          t_span_of)
-from .forces import catalogue_listing
+from .forces import catalogue_listing, flat_from_covariant
 from .normality import probe_points, residual_sweep
 from .closedform import CycloidParams, cycloid, gravity_shift
 from .dynamics import integrate
@@ -94,7 +94,7 @@ def cmd_simulate(args) -> int:
         "outputs": ["trajectory.csv"],
         "integrator": {"method": icfg.method, "abs_tol": icfg.abs_tol,
                        "rel_tol": icfg.rel_tol,
-                       "accepted_nodes": int(len(traj._sol.ts))},
+                       "accepted_nodes": traj.accepted_nodes},
     }
     if args.check_oracle:
         res = _oracle_error(cfg, traj)
@@ -126,11 +126,14 @@ def cmd_shift(args) -> int:
     cfg = load_config(args.config)
     field, _ = build_field(cfg.get("field"))
     metric = build_metric(cfg.get("metric"))
+    if metric is not None:
+        # nu is solved for the flat field, whose B makes phi'(0, s) vanish
+        field = flat_from_covariant(field, metric)
     curve = build_curve(cfg.get("curve"))
     nu = build_nu(cfg.get("nu"), curve, field)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
-    grid = normal_shift(curve, field, metric, nu, (t0, t1),
+    grid = normal_shift(curve, field, None, nu, (t0, t1),
                         n_s=int(cfg.get("n_s", 64)), n_t=int(cfg.get("n_t", 100)),
                         cfg=icfg)
     report = normality_report(grid, phi_tol=cfg.get("phi_tol"))
@@ -279,7 +282,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NormShiftError as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"numeric failure: {type(exc).__name__}: {exc}{notes}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -1,8 +1,11 @@
 """Phase-flow integration and deviation (variation-vector) equations.
 
-The flow is r' = v, v' = F(r, v) - Gamma(r) v v, the connection term being
-zero for the Euclidean metric.  The variation vector tau of a one-parameter
-family of trajectories satisfies the linearized equations
+The flow is r' = v, v' = F(r, v).  The covariant flow of F in a conformal
+metric g = exp(-2f) I traces the same trajectories as the flat flow of
+flat_from_covariant(F, g), so every entry point that takes a metric
+converts the field once and integrates the flat flow.  The variation vector
+tau of a one-parameter family of trajectories satisfies the linearized
+equations
 
     tau''_k = sum_i dF_k/dr^i tau_i + sum_i dF_k/dv^i tau'_i,
 
@@ -22,8 +25,10 @@ import numpy as np
 
 from . import numdiff, odesolve
 from .errors import StepFailure
-from .forces import ForceField, ab_decompose
-from .geometry import ConformalMetric, christoffel, frame
+from .forces import ForceField, ab_decompose, flat_from_covariant
+from .geometry import ConformalMetric, frame
+# Never called here; perfbench/tracing.py patches this binding by name.
+from .geometry import christoffel  # noqa: F401
 from .normality import ab_gradients
 
 
@@ -99,6 +104,11 @@ class Trajectory:
     def velocities(self) -> np.ndarray:
         return self._ys[:, 2:4]
 
+    @property
+    def accepted_nodes(self) -> int:
+        """Number of nodes the integrator accepted, both ends included."""
+        return len(self._sol.ts)
+
     def state_at(self, t: float) -> PhaseState:
         y = self._sol(t)
         return PhaseState(y[:2], y[2:4])
@@ -120,18 +130,13 @@ class Trajectory:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _flow_rhs(field: ForceField, metric: ConformalMetric | None):
-    if metric is None:
-        def rhs(t, y):
-            return np.concatenate([y[2:4], field.force(y[:2], y[2:4])])
-        return rhs
+def _flat(field: ForceField, metric: ConformalMetric | None) -> ForceField:
+    return field if metric is None else flat_from_covariant(field, metric)
 
+
+def _flow_rhs(field: ForceField):
     def rhs(t, y):
-        r, v = y[:2], y[2:4]
-        gamma = christoffel(metric, r)
-        acc = field.force(r, v) - np.einsum("kij,i,j->k", gamma, v, v)
-        return np.concatenate([v, acc])
-
+        return np.concatenate([y[2:4], field.force(y[:2], y[2:4])])
     return rhs
 
 
@@ -149,16 +154,18 @@ def integrate(field: ForceField, metric: ConformalMetric | None,
               t_eval=None, exact_nodes: bool = False) -> Trajectory:
     """Integrate the phase flow over t_span (which may run backward).
 
-    Requested output times are sampled from the dense interpolant; with
-    ``exact_nodes`` the stepper lands on each of them instead (useful when a
-    test differentiates the output with a stencil finer than a step).
+    Under a metric the covariant flow is integrated as the flat flow of
+    ``flat_from_covariant(field, metric)``.  Requested output times are
+    sampled from the dense interpolant; with ``exact_nodes`` the stepper
+    lands on each of them instead (useful when a test differentiates the
+    output with a stencil finer than a step).
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
     stops = list(np.asarray(t_eval, float)) if (t_eval is not None and exact_nodes) else None
-    sol = _run(_flow_rhs(field, metric), t0, init.packed(), t1, cfg, stops)
+    sol = _run(_flow_rhs(_flat(field, metric)), t0, init.packed(), t1, cfg, stops)
     if not np.all(np.isfinite(sol.ys)):
         raise StepFailure("trajectory left the finite domain")
     times = sol.ts if t_eval is None else np.asarray(t_eval, float)
@@ -191,9 +198,17 @@ def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
     return acc
 
 
-def _combined_solution(field: ForceField, init: PhaseState, tau0, tau_dot0,
-                       t_span, cfg: IntegratorConfig):
-    """One integration of the 8-dimensional system (r, v, tau, tau')."""
+def integrate_deviation(field: ForceField, init: PhaseState, tau0, tau_dot0, times,
+                        cfg: IntegratorConfig | None = None,
+                        ) -> tuple[list[PhaseState], list[DeviationState]]:
+    """States and deviations of the flat flow of ``field`` at the given times.
+
+    One integration of the 8-dimensional system (r, v, tau, tau') runs from
+    ``init``, tau0, tau_dot0 at times[0] to times[-1]; both are sampled from
+    its dense output, and the first sample is the initial data exactly.
+    """
+    cfg = cfg or IntegratorConfig()
+    times = np.asarray(times, float)
 
     def rhs(t, y):
         r, v, tau, tau_dot = y[:2], y[2:4], y[4:6], y[6:8]
@@ -202,18 +217,16 @@ def _combined_solution(field: ForceField, init: PhaseState, tau0, tau_dot0,
 
     y0 = np.concatenate([init.packed(),
                          np.asarray(tau0, float), np.asarray(tau_dot0, float)])
-    return _run(rhs, float(t_span[0]), y0, float(t_span[1]), cfg, None), y0
-
-
-def _deviations_from_samples(times, sol, y0) -> list[DeviationState]:
-    out = []
+    sol = _run(rhs, times[0], y0, times[-1], cfg, None)
+    states, devs = [], []
     for t in times:
         y = sol(t) if t != times[0] else y0
         fr = frame(y[2:4])
         tau = y[4:6]
-        out.append(DeviationState(tau=tau.copy(), tau_dot=y[6:8].copy(),
-                                  phi=float(tau @ fr.N), psi=float(tau @ fr.M)))
-    return out
+        states.append(PhaseState(y[:2], y[2:4]))
+        devs.append(DeviationState(tau=tau.copy(), tau_dot=y[6:8].copy(),
+                                   phi=float(tau @ fr.N), psi=float(tau @ fr.M)))
+    return states, devs
 
 
 def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
@@ -222,14 +235,12 @@ def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
 
     The combined 8-dimensional system (r, v, tau, tau') is re-integrated from
     the base initial state; results are reported at the base output times.
-    Euclidean metric only.
+    Under the base's metric, tau is the variation of the flat flow of
+    ``flat_from_covariant(field, base.metric)``.
     """
-    if base.metric is not None:
-        raise ValueError("variational equations are implemented for the flat metric only")
-    cfg = cfg or IntegratorConfig()
-    t0, t1 = float(base.times[0]), float(base.times[-1])
-    sol, y0 = _combined_solution(field, base.initial, tau0, tau_dot0, (t0, t1), cfg)
-    return _deviations_from_samples(base.times, sol, y0)
+    _, devs = integrate_deviation(_flat(field, base.metric), base.initial,
+                                  tau0, tau_dot0, base.times, cfg)
+    return devs
 
 
 def phi_psi_initial_from_tau(field: ForceField, init: PhaseState,
@@ -261,12 +272,13 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
     psi'' = (b3 - 2B/v) phi' + (b4 + A/v) psi' + (2AB/v^2 - b3 A/v) phi
             + (b2 - b3 B/v + B^2/v^2) psi
 
-    (a_i = alpha_i, b_i = beta_i).  The base flow is integrated alongside as
-    one combined system.  Returns (phi, psi) sampled at the base times.
+    (a_i = alpha_i, b_i = beta_i), for the flat field
+    ``flat_from_covariant(field, base.metric)`` under the base's metric.  The
+    base flow is integrated alongside as one combined system.  Returns
+    (phi, psi) sampled at the base times.
     """
-    if base.metric is not None:
-        raise ValueError("phi/psi equations are implemented for the flat metric only")
     cfg = cfg or IntegratorConfig()
+    field = _flat(field, base.metric)
 
     def rhs(t, y):
         r, v = y[:2], y[2:4]

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidParams, UnknownCatalogueEntry
 from .forces import (ForceField, Profile, ScalarFieldA, catalogue,
                      cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
-                     speed_profile_ansatz, _metric_from_params, _profile_from_params)
+                     speed_profile_ansatz, metric_from_params, profile_from_params)
 from .geometry import ConformalMetric
 from .dynamics import IntegratorConfig, PhaseState
 from .shift import (Curve, circle_arc, constant_nu, line_segment, segment_on_axis,
@@ -45,13 +45,13 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
     kind = spec.get("kind")
     try:
         if kind == "speed_profile":
-            return speed_profile_ansatz(_profile_from_params(spec.get("profile")))
+            return speed_profile_ansatz(profile_from_params(spec.get("profile")))
         if kind == "cos_profile":
-            return cos_profile_ansatz(_profile_from_params(spec.get("profile")))
+            return cos_profile_ansatz(profile_from_params(spec.get("profile")))
         if kind == "disc_invariant":
             return disc_invariant_ansatz(float(spec.get("R", 0.0)),
-                                         _profile_from_params(spec.get("profile"),
-                                                              default=Profile.constant(1.0)))
+                                         profile_from_params(spec.get("profile"),
+                                                             default=Profile.constant(1.0)))
         if kind == "angular_monomial":
             # A = c v^p theta: a deliberate non-solution for residual demos
             c = float(spec.get("coef", 1.0))
@@ -79,10 +79,12 @@ def build_field(spec) -> tuple[ForceField, ScalarFieldA | None]:
 
 
 def build_metric(spec) -> ConformalMetric | None:
-    if spec in (None, {}, "euclidean", "zero"):
+    """The config's conformal metric, or None for the Euclidean one."""
+    if spec in (None, "euclidean", "zero") or (
+            isinstance(spec, dict) and spec.get("kind") in (None, "zero", "euclidean")):
         return None
     try:
-        return _metric_from_params(spec)
+        return metric_from_params(spec)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
 

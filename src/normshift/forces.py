@@ -82,7 +82,7 @@ class ForceField:
                 rp[i] = t
                 return self.force(rp, v)
 
-            col = _richardson_vec(f_of_ri, r[i])
+            col = numdiff.richardson(f_of_ri, r[i])
             jac[i, :] = col
         return jac
 
@@ -98,16 +98,9 @@ class ForceField:
                 vp[i] = t
                 return self.force(r, vp)
 
-            col = _richardson_vec(f_of_vi, v[i])
+            col = numdiff.richardson(f_of_vi, v[i])
             jac[i, :] = col
         return jac
-
-
-def _richardson_vec(f: Callable[[float], np.ndarray], x: float) -> np.ndarray:
-    h = numdiff._step(x, numdiff.H1_RICH)
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + h / 2) - f(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 @dataclass(frozen=True)
@@ -128,10 +121,6 @@ def ab_decompose(field: ForceField, r, v) -> ABDecomposition:
 # ---------------------------------------------------------------------------
 # Scalar generator A(x, y, v, theta) and the ansatz F = A N - A_theta M.
 # ---------------------------------------------------------------------------
-
-_PARTIAL_NAMES = ("a_x", "a_y", "a_v", "a_theta", "a_theta_theta",
-                  "a_theta_v", "a_theta_x", "a_theta_y")
-
 
 class ScalarFieldA:
     """Scalar generator A(x, y, v, theta) with the partials the residual needs.
@@ -157,9 +146,6 @@ class ScalarFieldA:
 
     def __call__(self, x, y, v, theta) -> float:
         return float(self.fn(x, y, v, theta))
-
-    def has_analytic_partials(self) -> bool:
-        return all(self._analytic[name] is not None for name in _PARTIAL_NAMES)
 
     def _get(self, name: str):
         fn = self._analytic[name]
@@ -570,7 +556,8 @@ def disc_invariant_field(radius: float, profile: Profile) -> ForceField:
 # Catalogue: string-addressable entries with JSON-style parameter objects.
 # ---------------------------------------------------------------------------
 
-def _profile_from_params(p, default=None) -> Profile:
+def profile_from_params(p, default=None) -> Profile:
+    """Profile from a number, a {"kind": "constant" | "poly"} spec, or a Profile."""
     if p is None:
         if default is not None:
             return default
@@ -589,7 +576,8 @@ def _profile_from_params(p, default=None) -> Profile:
     raise InvalidParams(f"cannot build a profile from {type(p).__name__}")
 
 
-def _metric_from_params(p) -> ConformalMetric:
+def metric_from_params(p) -> ConformalMetric:
+    """Conformal factor from a {"kind": ...} spec; no kind means f = 0."""
     if isinstance(p, ConformalMetric):
         return p
     if p is None or p == {} or p.get("kind") in (None, "zero", "euclidean"):
@@ -622,22 +610,22 @@ def _build_oscillator(params: dict) -> ForceField:
 
 
 def _build_anisotropic(params: dict) -> ForceField:
-    prof = _profile_from_params(params.get("profile"))
+    prof = profile_from_params(params.get("profile"))
     return anisotropic_field(prof, m=params.get("m", (1.0, 0.0)))
 
 
 def _build_marked_point(params: dict) -> ForceField:
-    prof = _profile_from_params(params.get("profile"))
+    prof = profile_from_params(params.get("profile"))
     return marked_point_field(prof, center=params.get("center", (0.0, 0.0)))
 
 
 def _build_geodesic(params: dict) -> ForceField:
-    return geodesic_field(_metric_from_params(params.get("f")))
+    return geodesic_field(metric_from_params(params.get("f")))
 
 
 def _build_metrizable(params: dict) -> ForceField:
-    metric = _metric_from_params(params.get("f"))
-    prof = _profile_from_params(params.get("H"), default=Profile.constant(0.0))
+    metric = metric_from_params(params.get("f"))
+    prof = profile_from_params(params.get("H"), default=Profile.constant(0.0))
     return metrizable_field(metric, prof)
 
 
@@ -645,8 +633,8 @@ def _build_mdtype(params: dict) -> ForceField:
     if isinstance(params.get("W"), MDTypeParams):
         md = params["W"]
     else:
-        metric = _metric_from_params(params.get("f"))
-        prof = _profile_from_params(params.get("h"), default=Profile.constant(0.0))
+        metric = metric_from_params(params.get("f"))
+        prof = profile_from_params(params.get("h"), default=Profile.constant(0.0))
         md = MDTypeParams.from_conformal(metric, prof)
     field = mdtype_field(md)
     for x, y, v in ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7)):
@@ -657,7 +645,7 @@ def _build_mdtype(params: dict) -> ForceField:
 
 def _build_disc_invariant(params: dict) -> ForceField:
     radius = float(params.get("R", 0.0))
-    prof = _profile_from_params(params.get("profile"), default=Profile.constant(1.0))
+    prof = profile_from_params(params.get("profile"), default=Profile.constant(1.0))
     return disc_invariant_field(radius, prof)
 
 

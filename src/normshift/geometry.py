@@ -36,12 +36,11 @@ class ConformalMetric:
     """Conformal factor f(x, y) of the metric g = exp(-2f) * identity.
 
     ``grad_f`` returns (df/dx, df/dy); if omitted, central differences of
-    ``f`` are used.  ``hess_f`` is optional and unused by the core operations.
+    ``f`` are used.
     """
 
     f: Callable[[float, float], float]
     grad_f: Callable[[float, float], tuple[float, float]] | None = None
-    hess_f: Callable[[float, float], np.ndarray] | None = None
 
     def value(self, point) -> float:
         x, y = _as_vec(point)

@@ -30,7 +30,10 @@ def central(f: Callable[[float], float], x: float, h: float | None = None) -> fl
 
 
 def richardson(f: Callable[[float], float], x: float, h: float | None = None) -> float:
-    """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4)."""
+    """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4).
+
+    ``f`` may return an array; the derivative is then taken componentwise.
+    """
     if h is None:
         h = _step(x, H1_RICH)
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)

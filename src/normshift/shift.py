@@ -19,11 +19,13 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import dynamics, odesolve
+from . import odesolve
 from .errors import NuBlowup, SingularCurve
-from .forces import ForceField, ab_decompose
+from .forces import ForceField, ab_decompose, flat_from_covariant
 from .geometry import ConformalMetric, frame
-from .dynamics import DeviationState, IntegratorConfig, PhaseState, integrate
+from .dynamics import IntegratorConfig, PhaseState, integrate_deviation
+# Never called here; perfbench/tracing.py patches this binding by name.
+from .dynamics import integrate  # noqa: F401
 
 _REGULARITY_EPS = 1e-12
 
@@ -173,18 +175,6 @@ class NuSolution:
         return self._deriv(s)
 
 
-def _nu_rhs(curve: Curve, field: ForceField):
-    def rhs_scalar(s: float, nu: float) -> float:
-        _, n, _ = frenet(curve, s)
-        v = nu * n
-        fr = frame(v)
-        b = ab_decompose(field, curve.point(s), v).B
-        tangent_component = float(curve.velocity(s) @ fr.M)
-        return -tangent_component * b / nu
-
-    return rhs_scalar
-
-
 def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
              s_range=None, *, nu_floor_ratio: float = 1e-3,
              abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> NuSolution:
@@ -199,8 +189,13 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     lo, hi = curve.s_range if s_range is None else (float(s_range[0]), float(s_range[1]))
     if not (lo <= s0 <= hi):
         raise ValueError(f"s0={s0} outside [{lo}, {hi}]")
-    rhs_scalar = _nu_rhs(curve, field)
     floor = abs(nu0) * nu_floor_ratio
+
+    def rhs_scalar(s: float, nu: float) -> float:
+        _, n, _ = frenet(curve, s)
+        v = nu * n
+        b = ab_decompose(field, curve.point(s), v).B
+        return -float(curve.velocity(s) @ frame(v).M) * b / nu
 
     def rhs(s, y):
         return np.array([rhs_scalar(s, float(y[0]))])
@@ -222,7 +217,7 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
         for a, b in zip(grid[:-1], grid[1:]):
             try:
                 sol = odesolve.solve_dopri(rhs, a, y, b, abs_tol=abs_tol,
-                                           rel_tol=rel_tol)
+                                           rel_tol=rel_tol, first_step=b - a)
             except Exception:
                 truncated = True
                 break
@@ -296,12 +291,16 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
                  s_range=None) -> ShiftGrid:
     """Populate the (t, s) grid of the shift launched from the curve.
 
-    ``nu`` is either a NuSolution or any callable s -> speed.  Deviations use
-    tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu' taken from the
-    initial-speed ODE when available (differentiating a NuSolution) and from
-    central differences otherwise.
+    Under a metric the shift is that of ``flat_from_covariant(field,
+    metric)``: the same trajectories, and a conformal metric keeps the angle
+    between dr/ds and v, so phi vanishes on the same nodes.  ``nu`` is either
+    a NuSolution (solved for the flat field) or any callable s -> speed.
+    Deviations use tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu' from
+    the initial-speed ODE for a NuSolution and otherwise from a central
+    difference of ``nu`` clipped to the shifted range, one-sided at its ends.
     """
-    cfg = cfg or IntegratorConfig()
+    if metric is not None:
+        field = flat_from_covariant(field, metric)
     lo, hi = curve.s_range if s_range is None else (float(s_range[0]), float(s_range[1]))
     if isinstance(nu, NuSolution):
         lo = max(lo, nu.s_lo)
@@ -315,7 +314,6 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
     tau = np.zeros((n_t, n_s, 2))
     nu_vals = np.zeros(n_s)
 
-    rhs_scalar = _nu_rhs(curve, field)
     for j, s in enumerate(s_nodes):
         tangent, n, k = frenet(curve, s)
         nu_s = nu(s)
@@ -324,31 +322,19 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
             dnu = nu.deriv(s)
         else:
             h = 1e-6 * max(1.0, abs(s))
-            if s - h < lo or s + h > hi:
-                dnu = rhs_scalar(s, nu_s) if abs(nu_s) > 1e-12 else 0.0
-            else:
-                dnu = (nu(s + h) - nu(s - h)) / (2 * h)
+            a, b = (max(lo, s - h), min(hi, s + h)) if hi > lo else (s - h, s + h)
+            dnu = (nu(b) - nu(a)) / (b - a)
         speed_param = float(np.hypot(*curve.velocity(s)))
         n_prime = -k * speed_param * tangent
         init = PhaseState(curve.point(s), nu_s * n)
         tau0 = curve.velocity(s)
         tau_dot0 = dnu * n + nu_s * n_prime
         try:
-            if metric is None:
-                # one combined integration yields the trajectory and deviations
-                sol, y0 = dynamics._combined_solution(field, init, tau0, tau_dot0,
-                                                      t_span, cfg)
-                samples = np.array([sol(t) if t != t_nodes[0] else y0
-                                    for t in t_nodes])
-                states_j = [PhaseState(y[:2], y[2:4]) for y in samples]
-                devs = dynamics._deviations_from_samples(t_nodes, sol, y0)
-            else:
-                base = integrate(field, metric, init, t_span, cfg, t_eval=t_nodes)
-                states_j = base.states
-                devs = _deviation_by_differencing(curve, field, metric, nu, s,
-                                                  t_span, t_nodes, cfg)
+            states_j, devs = integrate_deviation(field, init, tau0, tau_dot0,
+                                                 t_nodes, cfg)
         except Exception as exc:
-            raise type(exc)(f"{exc} (at s={s:.6g})") from exc
+            exc.add_note(f"at s={s:.6g}")
+            raise
         for i in range(n_t):
             n_cols[i][j] = states_j[i]
             phi[i, j] = devs[i].phi
@@ -356,27 +342,6 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
             tau[i, j] = devs[i].tau
     return ShiftGrid(s_nodes=s_nodes, t_nodes=t_nodes, states=n_cols,
                      nu=nu_vals, phi=phi, psi=psi, tau=tau)
-
-
-def _deviation_by_differencing(curve, field, metric, nu, s, t_span, t_nodes, cfg,
-                               delta: float = 1e-5):
-    """Deviation data for the metric case: central differences of two
-    neighboring shifted trajectories in s."""
-    trajs = []
-    for ss in (s + delta, s - delta):
-        _, n, _ = frenet(curve, ss)
-        init = PhaseState(curve.point(ss), nu(ss) * n)
-        trajs.append(integrate(field, metric, init, t_span, cfg, t_eval=t_nodes))
-    out = []
-    for i in range(len(t_nodes)):
-        plus, minus = trajs[0].states[i], trajs[1].states[i]
-        tau = (plus.r - minus.r) / (2 * delta)
-        tau_dot = (plus.v - minus.v) / (2 * delta)
-        mid_v = (plus.v + minus.v) / 2.0
-        fr = frame(mid_v)
-        out.append(DeviationState(tau=tau, tau_dot=tau_dot,
-                                  phi=float(tau @ fr.N), psi=float(tau @ fr.M)))
-    return out
 
 
 @dataclass

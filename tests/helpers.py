@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from normshift.forces import MDTypeParams, Profile, ScalarFieldA
-from normshift.geometry import ConformalMetric
+from normshift.geometry import ConformalMetric, christoffel
+from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
 _SPEED_BASIS = [
@@ -71,6 +72,23 @@ def random_metric(rng, scale=0.3) -> ConformalMetric:
         f=lambda x, y: a * math.sin(x) + b * math.cos(y) + 0.1 * c * x * y,
         grad_f=lambda x, y: (a * math.cos(x) + 0.1 * c * y,
                              -b * math.sin(y) + 0.1 * c * x))
+
+
+def christoffel_flow_positions(field, metric, init, t_eval) -> np.ndarray:
+    """Reference covariant flow r'' = F - Gamma v v from the Christoffel components.
+
+    The package integrates covariant flows as flat flows of the transported
+    field; this integrates the connection term directly, as an independent
+    check of that transport.
+    """
+
+    def rhs(t, y):
+        v = y[2:4]
+        gamma_vv = np.einsum("kij,i,j->k", christoffel(metric, y[:2]), v, v)
+        return np.concatenate([v, field.force(y[:2], v) - gamma_vv])
+
+    sol = solve_dopri(rhs, t_eval[0], init.packed(), t_eval[-1])
+    return sol.sample(t_eval)[:, :2]
 
 
 def perturbed_mdtype(rng) -> MDTypeParams:

@@ -174,6 +174,50 @@ def test_shift_mdtype_spline_normal(tmp_path):
     assert report["verdict"] == "normal"
 
 
+def test_shift_zero_metric_is_the_flat_shift(tmp_path):
+    spec = {
+        "field": {"catalogue": "metrizable",
+                  "params": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
+                             "H": {"kind": "poly", "coeffs": [0.1, 0.2]}}},
+        "curve": {"kind": "spline", "points": [[-1, 0], [0, 0.4], [1, -0.2]]},
+        "nu": {"kind": "solve", "s0": 0.5, "nu0": 1.0},
+        "t_span": [0.0, 0.5],
+        "n_s": 6, "n_t": 7,
+    }
+    reports = []
+    for name, metric in (("omitted", None), ("zero", {"kind": "zero"})):
+        payload = dict(spec) if metric is None else {**spec, "metric": metric}
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        assert run(["shift", "--config", cfg, "--out", tmp_path / name]) == 0
+        reports.append((tmp_path / name / "normality_report.json").read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] == "normal"
+
+
+def test_shift_metric_nu_solve_off_level_line(tmp_path):
+    # geodesics launched normally at constant metric speed shift normally
+    # (Gauss lemma), so the solved nu is nu0 exp(f(r(s)) - f(r(s0)))
+    cfg = write_config(tmp_path, "offlevel.json", {
+        "field": {"ansatz": {"kind": "speed_profile",
+                             "profile": {"kind": "constant", "value": 0.0}}},
+        "metric": {"kind": "sin_cos", "amplitude": 0.3},
+        "curve": {"kind": "segment", "p0": [-0.8, 0.1], "p1": [0.8, 0.1]},
+        "nu": {"kind": "solve", "s0": 0.8, "nu0": 1.2},
+        "t_span": [0.0, 0.75],
+        "n_s": 9, "n_t": 11,
+    })
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "m"]) == 0
+    report = json.loads((tmp_path / "m" / "normality_report.json").read_text())
+    assert report["verdict"] == "normal"
+
+    def f(s):
+        return 0.3 * math.sin(-0.8 + s) * math.cos(0.1)
+
+    s_nodes = np.linspace(0.0, 1.6, 9)
+    expected = [1.2 * math.exp(f(s) - f(0.8)) for s in s_nodes]
+    assert np.max(np.abs(np.array(report["nu_per_s_node"]) - expected)) < 1e-8
+
+
 def test_check_mdtype_sweep(tmp_path, capsys):
     cfg = write_config(tmp_path, "check.json", {
         "field": {"catalogue": "mdtype",

@@ -185,6 +185,23 @@ def test_phi_psi_matches_variational_projection():
         assert psi[i] == pytest.approx(devs[i].psi, abs=1e-6)
 
 
+def test_deviations_along_a_metric_base():
+    # under a metric both deviation integrators take the transported flat field
+    rng = np.random.default_rng(21)
+    m = random_metric(rng)
+    fc = covariant_from_flat(from_scalar_ansatz(random_ansatz(rng)), m)
+    init = PhaseState((0.3, -0.2), (0.9, 0.6))
+    base = integrate(fc, m, init, (0, 1), t_eval=np.linspace(0, 1, 11))
+    tau0, taud0 = np.array([0.4, -0.3]), np.array([0.1, 0.5])
+    devs = integrate_variational(fc, base, tau0, taud0)
+    p0, pd0, q0, qd0 = phi_psi_initial_from_tau(flat_from_covariant(fc, m), init,
+                                                tau0, taud0)
+    phi, psi = integrate_phi_psi(fc, base, p0, pd0, q0, qd0)
+    for i in range(len(base.times)):
+        assert phi[i] == pytest.approx(devs[i].phi, abs=1e-6)
+        assert psi[i] == pytest.approx(devs[i].psi, abs=1e-6)
+
+
 def test_phi_stays_zero_on_normality_field():
     # zero initial data for phi on a field satisfying the weak equations
     f = anisotropic_field(Profile.polynomial([0.6, 0.2]))

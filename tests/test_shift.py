@@ -5,8 +5,10 @@ import pytest
 
 from helpers import perturbed_mdtype, random_spline_points
 
+from normshift.dynamics import IntegratorConfig, PhaseState, integrate
 from normshift.errors import NuBlowup, SingularCurve
-from normshift.forces import (ForceField, Profile, gravity_field, mdtype_field,
+from normshift.forces import (ForceField, Profile, catalogue, flat_from_covariant,
+                              gravity_field, mdtype_field, metric_from_params,
                               oscillator_field, speed_profile_ansatz,
                               from_scalar_ansatz)
 from normshift.geometry import frame
@@ -243,12 +245,44 @@ def test_shift_grid_csv(tmp_path):
     assert len(lines) == 1 + 3 * 4
 
 
-def test_conformal_metric_shift_uses_differencing():
-    from normshift.geometry import ConformalMetric
-    m = ConformalMetric(f=lambda x, y: 0.1 * x, grad_f=lambda x, y: (0.1, 0.0))
-    seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), m, constant_nu(1.0), (0, 0.3),
-                        n_s=5, n_t=5)
-    assert np.all(np.isfinite(grid.phi))
-    # the covariant trajectories bend; phi is populated and finite
-    assert grid.phi.shape == (5, 5)
+def differenced_phi(field, metric, curve, nu, s, t_nodes, cfg, delta=1e-5):
+    """phi at (t_nodes, s) from two trajectories launched at s +- delta."""
+    trajs = []
+    for ss in (s + delta, s - delta):
+        _, n, _ = frenet(curve, ss)
+        init = PhaseState(curve.point(ss), nu(ss) * n)
+        trajs.append(integrate(field, metric, init, (t_nodes[0], t_nodes[-1]), cfg,
+                               t_eval=t_nodes))
+    tau = (trajs[0].positions() - trajs[1].positions()) / (2 * delta)
+    mid_v = (trajs[0].velocities() + trajs[1].velocities()) / 2
+    return np.array([tau[i] @ frame(mid_v[i]).N for i in range(len(t_nodes))])
+
+
+def geodesic_shift_off_level_line():
+    """Zero force under sin_cos(0.2) from the x axis, not a level line of f."""
+    field = catalogue("metrizable", {"f": {"kind": "zero"}, "H": 0.0})
+    metric = metric_from_params({"kind": "sin_cos", "amplitude": 0.2})
+    return field, metric, segment_on_axis(normal="right"), constant_nu(1.0)
+
+
+def test_metric_shift_matches_differenced_trajectories():
+    field, metric, seg, nu = geodesic_shift_off_level_line()
+    tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    grid = normal_shift(seg, field, metric, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
+    for j, s in enumerate(grid.s_nodes):
+        ref = differenced_phi(field, metric, seg, nu, s, grid.t_nodes, tight)
+        assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7, s
+    assert not normality_report(grid).normal
+
+
+def test_endpoint_phi_of_plain_callable_nu():
+    # nu' at the end nodes comes from nu itself, not from the initial-speed
+    # ODE, which would force phi to zero there
+    field, metric, seg, nu = geodesic_shift_off_level_line()
+    flat = flat_from_covariant(field, metric)
+    tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    grid = normal_shift(seg, flat, None, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
+    for j in (0, -1):
+        ref = differenced_phi(flat, None, seg, nu, grid.s_nodes[j], grid.t_nodes, tight)
+        assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7
+    assert grid.phi[-1, 0] == pytest.approx(-0.1168, abs=1e-4)
