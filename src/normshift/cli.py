@@ -18,7 +18,7 @@ from . import __version__
 from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
                          build_integrator, build_metric, build_nu, load_config,
-                         t_span_of)
+                         positive_int, probe_spec, t_span_of)
 from .forces import catalogue_listing, flat_from_covariant
 from .normality import probe_points, residual_sweep
 from .closedform import CycloidParams, cycloid, gravity_shift
@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
     init = build_init(cfg)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
-    n_t = int(cfg.get("n_t", 100))
+    n_t = positive_int(cfg, "n_t", 100)
     t_eval = np.linspace(t0, t1, n_t)
     traj = integrate(field, metric, init, (t0, t1), icfg, t_eval=t_eval)
 
@@ -134,8 +134,8 @@ def cmd_shift(args) -> int:
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
     grid = normal_shift(curve, field, None, nu, (t0, t1),
-                        n_s=int(cfg.get("n_s", 64)), n_t=int(cfg.get("n_t", 100)),
-                        cfg=icfg)
+                        n_s=positive_int(cfg, "n_s", 64),
+                        n_t=positive_int(cfg, "n_t", 100), cfg=icfg)
     report = normality_report(grid, phi_tol=cfg.get("phi_tol"))
 
     out = Path(args.out)
@@ -145,6 +145,8 @@ def cmd_shift(args) -> int:
     if isinstance(nu, NuSolution):
         payload["nu_truncated"] = nu.truncated
         payload["nu_interval"] = [nu.s_lo, nu.s_hi]
+        if nu.truncated:
+            payload["nu_stop_reason"] = nu.stop_reason
     _write_json(out / "normality_report.json", payload)
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
              "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
@@ -167,17 +169,8 @@ def cmd_shift(args) -> int:
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     field, ansatz = build_field(cfg.get("field"))
-    probes_cfg = cfg.get("probes", {})
-    count = int(probes_cfg.get("count", 100))
-    seed = args.seed if args.seed is not None else int(probes_cfg.get("seed", 0))
-    probes = probe_points(count, seed=seed)
-    if "box" in probes_cfg:
-        box = probes_cfg["box"]
-        rng = np.random.default_rng(seed)
-        probes[:, 0] = rng.uniform(box["x"][0], box["x"][1], count)
-        probes[:, 1] = rng.uniform(box["y"][0], box["y"][1], count)
-        probes[:, 2] = rng.uniform(box["v"][0], box["v"][1], count)
-        probes[:, 3] = rng.uniform(box["theta"][0], box["theta"][1], count)
+    count, seed, box = probe_spec(cfg, args.seed)
+    probes = probe_points(count, seed=seed, box=box)
     include_complex = bool(cfg.get("include_complex", False))
     report = residual_sweep(probes, field=field, ansatz=ansatz,
                             include_complex=include_complex)

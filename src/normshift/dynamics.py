@@ -185,16 +185,12 @@ def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
     acc = np.zeros(2)
     nt = float(np.hypot(tau[0], tau[1]))
     if nt > 0.0:
-        h = numdiff.H1_RICH * max(1.0, float(np.hypot(r[0], r[1]))) / nt
-        d1 = (field.force(r + h * tau, v) - field.force(r - h * tau, v)) / (2 * h)
-        d2 = (field.force(r + h / 2 * tau, v) - field.force(r - h / 2 * tau, v)) / h
-        acc += (4.0 * d2 - d1) / 3.0
+        h = numdiff.richardson_step(float(np.hypot(r[0], r[1]))) / nt
+        acc += numdiff.richardson(lambda t: field.force(r + t * tau, v), 0.0, h)
     nd = float(np.hypot(tau_dot[0], tau_dot[1]))
     if nd > 0.0:
-        h = numdiff.H1_RICH * max(1.0, float(np.hypot(v[0], v[1]))) / nd
-        d1 = (field.force(r, v + h * tau_dot) - field.force(r, v - h * tau_dot)) / (2 * h)
-        d2 = (field.force(r, v + h / 2 * tau_dot) - field.force(r, v - h / 2 * tau_dot)) / h
-        acc += (4.0 * d2 - d1) / 3.0
+        h = numdiff.richardson_step(float(np.hypot(v[0], v[1]))) / nd
+        acc += numdiff.richardson(lambda t: field.force(r, v + t * tau_dot), 0.0, h)
     return acc
 
 

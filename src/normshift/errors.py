@@ -33,6 +33,10 @@ class MissingPartial(NormShiftError):
     """A required partial derivative is unavailable and fallback is disabled."""
 
 
+class FormulationMismatch(NormShiftError):
+    """Two formulations of the same residual disagree beyond their tolerance."""
+
+
 class SingularDenominator(NormShiftError):
     """Closed-form expression evaluated where its denominator vanishes."""
 

@@ -138,13 +138,15 @@ def build_nu(spec, curve: Curve, field: ForceField):
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
     tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("'tolerances' must be an object")
     method = cfg.get("integrator", "dopri-adaptive")
     try:
         return IntegratorConfig(method=method, step=cfg.get("step"),
                                 abs_tol=float(tol.get("abs", 1e-10)),
                                 rel_tol=float(tol.get("rel", 1e-10)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad integrator spec: {exc}") from exc
 
 
 def build_init(cfg: dict) -> PhaseState:
@@ -157,9 +159,38 @@ def build_init(cfg: dict) -> PhaseState:
         raise ConfigError(str(exc)) from exc
 
 
+def positive_int(cfg: dict, key: str, default: int) -> int:
+    """cfg[key] (default if absent), which must be an integer of at least 1."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
+def probe_spec(cfg: dict, seed: int | None = None) -> tuple[int, int, dict | None]:
+    """(count, seed, box) of the config's "probes" object; ``seed`` overrides
+    its seed.  A box maps x, y, v and theta to finite [lo, hi] pairs."""
+    probes = cfg.get("probes", {})
+    if not isinstance(probes, dict):
+        raise ConfigError("'probes' must be an object")
+    seed = probes.get("seed", 0) if seed is None else seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"probe seed must be a non-negative integer, got {seed!r}")
+    box = probes.get("box")
+    if box is not None and not (isinstance(box, dict) and all(
+            _finite_pair(box.get(k)) for k in ("x", "y", "v", "theta"))):
+        raise ConfigError("'probes.box' must map x, y, v and theta to finite [lo, hi] pairs")
+    return positive_int(probes, "count", 100), seed, box
+
+
+def _finite_pair(p) -> bool:
+    return (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in p))
+
+
 def t_span_of(cfg: dict) -> tuple[float, float]:
     span = cfg.get("t_span")
-    if (not isinstance(span, (list, tuple)) or len(span) != 2
-            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in span)):
+    if not _finite_pair(span):
         raise ConfigError("'t_span' must be a finite [t0, t1] pair")
     return float(span[0]), float(span[1])

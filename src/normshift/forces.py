@@ -71,35 +71,25 @@ class ForceField:
         return np.asarray(self.fn(np.asarray(r, float), np.asarray(v, float)), dtype=float)
 
     def jac_spatial(self, r, v) -> np.ndarray:
-        r = np.asarray(r, float)
-        v = np.asarray(v, float)
-        if self.spatial_jacobian is not None:
-            return np.asarray(self.spatial_jacobian(r, v), dtype=float)
-        jac = np.zeros((2, 2))
-        for i in range(2):
-            def f_of_ri(t: float, i=i) -> np.ndarray:
-                rp = r.copy()
-                rp[i] = t
-                return self.force(rp, v)
-
-            col = numdiff.richardson(f_of_ri, r[i])
-            jac[i, :] = col
-        return jac
+        return self._jacobian(self.spatial_jacobian, r, v, 0)
 
     def jac_velocity(self, r, v) -> np.ndarray:
-        r = np.asarray(r, float)
-        v = np.asarray(v, float)
-        if self.velocity_jacobian is not None:
-            return np.asarray(self.velocity_jacobian(r, v), dtype=float)
+        return self._jacobian(self.velocity_jacobian, r, v, 1)
+
+    def _jacobian(self, analytic, r, v, wrt: int) -> np.ndarray:
+        """Jacobian with respect to r (wrt=0) or v (wrt=1), one row per component."""
+        rv = [np.asarray(r, float), np.asarray(v, float)]
+        if analytic is not None:
+            return np.asarray(analytic(*rv), dtype=float)
         jac = np.zeros((2, 2))
         for i in range(2):
-            def f_of_vi(t: float, i=i) -> np.ndarray:
-                vp = v.copy()
-                vp[i] = t
-                return self.force(r, vp)
+            def f_of(t: float, i=i) -> np.ndarray:
+                moved = list(rv)
+                moved[wrt] = rv[wrt].copy()
+                moved[wrt][i] = t
+                return self.force(*moved)
 
-            col = numdiff.richardson(f_of_vi, v[i])
-            jac[i, :] = col
+            jac[i, :] = numdiff.richardson(f_of, rv[wrt][i])
         return jac
 
 
@@ -122,84 +112,74 @@ def ab_decompose(field: ForceField, r, v) -> ABDecomposition:
 # Scalar generator A(x, y, v, theta) and the ansatz F = A N - A_theta M.
 # ---------------------------------------------------------------------------
 
+# Partial name -> (numdiff stencil, indices into (x, y, v, theta) it perturbs).
+# Mixed partials perturb theta first: the order fixes the rounding of the result.
+_PARTIALS = {
+    "a_x": ("richardson", (0,)),
+    "a_y": ("richardson", (1,)),
+    "a_v": ("richardson", (2,)),
+    "a_theta": ("richardson", (3,)),
+    "a_theta_theta": ("richardson2", (3,)),
+    "a_theta_v": ("richardson_mixed", (3, 2)),
+    "a_theta_x": ("richardson_mixed", (3, 0)),
+    "a_theta_y": ("richardson_mixed", (3, 1)),
+}
+
+
+def _along(fn, args: tuple, axes: tuple[int, ...]):
+    """fn of the arguments at ``axes``, the others held at ``args``; and
+    the values of those arguments in ``args``."""
+    moved = list(args)
+    if len(axes) == 1:
+        def f(t):
+            moved[axes[0]] = t
+            return fn(*moved)
+        return f, (args[axes[0]],)
+
+    def f2(t, u):
+        moved[axes[0]], moved[axes[1]] = t, u
+        return fn(*moved)
+    return f2, (args[axes[0]], args[axes[1]])
+
+
 class ScalarFieldA:
     """Scalar generator A(x, y, v, theta) with the partials the residual needs.
 
-    theta is measured against the fixed direction (1, 0).  Analytic partial
-    closures may be supplied with the same signature as ``fn``; missing ones
-    fall back to Richardson-extrapolated central differences of ``fn``
-    (plain first-order steps for first partials, wider steps for the
-    second-order ones).
+    theta is measured against the fixed direction (1, 0).  Each partial in
+    ``_PARTIALS`` is a member called as ``a.a_x(x, y, v, theta)`` and is
+    resolved once, in ``__init__``: to the analytic closure passed under its
+    name (same signature as ``fn``) if there is one; otherwise to the table's
+    Richardson stencil of ``fn`` (wider steps for the second-order ones), or,
+    with ``allow_fd=False``, to a stub that raises MissingPartial.
     """
 
-    def __init__(self, fn, *, a_x=None, a_y=None, a_v=None, a_theta=None,
-                 a_theta_theta=None, a_theta_v=None, a_theta_x=None,
-                 a_theta_y=None, allow_fd: bool = True, label: str = ""):
+    def __init__(self, fn, *, allow_fd: bool = True, label: str = "", **partials):
+        unknown = sorted(partials.keys() - _PARTIALS.keys())
+        if unknown:
+            raise TypeError(f"unknown partials {unknown}")
         self.fn = fn
         self.label = label
         self.allow_fd = allow_fd
-        self._analytic = {
-            "a_x": a_x, "a_y": a_y, "a_v": a_v, "a_theta": a_theta,
-            "a_theta_theta": a_theta_theta, "a_theta_v": a_theta_v,
-            "a_theta_x": a_theta_x, "a_theta_y": a_theta_y,
-        }
+        for name, (stencil, axes) in _PARTIALS.items():
+            setattr(self, name, self._resolve(name, partials.get(name), stencil, axes))
+
+    def _resolve(self, name: str, analytic, stencil: str, axes: tuple[int, ...]):
+        if analytic is not None:
+            return lambda x, y, v, theta: float(analytic(x, y, v, theta))
+        if not self.allow_fd:
+            def missing(x, y, v, theta):
+                raise MissingPartial(f"partial {name} not supplied and fallback disabled")
+            return missing
+        fn = self.fn
+
+        def fallback(x, y, v, theta):
+            f, at = _along(fn, (x, y, v, theta), axes)
+            # looked up per call, so a patched numdiff stencil is the one used
+            return getattr(numdiff, stencil)(f, *at)
+        return fallback
 
     def __call__(self, x, y, v, theta) -> float:
         return float(self.fn(x, y, v, theta))
-
-    def _get(self, name: str):
-        fn = self._analytic[name]
-        if fn is None and not self.allow_fd:
-            raise MissingPartial(f"partial {name} not supplied and fallback disabled")
-        return fn
-
-    def a_x(self, x, y, v, theta) -> float:
-        fn = self._get("a_x")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson(lambda t: self.fn(t, y, v, theta), x)
-
-    def a_y(self, x, y, v, theta) -> float:
-        fn = self._get("a_y")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson(lambda t: self.fn(x, t, v, theta), y)
-
-    def a_v(self, x, y, v, theta) -> float:
-        fn = self._get("a_v")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson(lambda t: self.fn(x, y, t, theta), v)
-
-    def a_theta(self, x, y, v, theta) -> float:
-        fn = self._get("a_theta")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson(lambda t: self.fn(x, y, v, t), theta)
-
-    def a_theta_theta(self, x, y, v, theta) -> float:
-        fn = self._get("a_theta_theta")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson2(lambda t: self.fn(x, y, v, t), theta)
-
-    def a_theta_v(self, x, y, v, theta) -> float:
-        fn = self._get("a_theta_v")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson_mixed(lambda t, u: self.fn(x, y, u, t), theta, v)
-
-    def a_theta_x(self, x, y, v, theta) -> float:
-        fn = self._get("a_theta_x")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson_mixed(lambda t, u: self.fn(u, y, v, t), theta, x)
-
-    def a_theta_y(self, x, y, v, theta) -> float:
-        fn = self._get("a_theta_y")
-        if fn is not None:
-            return float(fn(x, y, v, theta))
-        return numdiff.richardson_mixed(lambda t, u: self.fn(x, u, v, t), theta, y)
 
     def cartesian(self, x, y, v1, v2) -> float:
         """A evaluated with the velocity in Cartesian components."""
@@ -548,8 +528,7 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
 
 
 def disc_invariant_field(radius: float, profile: Profile) -> ForceField:
-    f = from_scalar_ansatz(disc_invariant_ansatz(radius, profile), claims_normality=True)
-    return ForceField(fn=f.fn, claims_normality=True, label="disc_invariant")
+    return from_scalar_ansatz(disc_invariant_ansatz(radius, profile), claims_normality=True)
 
 
 # ---------------------------------------------------------------------------

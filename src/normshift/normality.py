@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff, odesolve
-from .errors import DegenerateVelocity, SingularDenominator
+from .errors import DegenerateVelocity, FormulationMismatch, SingularDenominator
 from .forces import ForceField, ScalarFieldA, ab_decompose
 from .geometry import frame
 
@@ -84,7 +84,7 @@ def weak_residuals(field: ForceField, r, v, *, cross_validate: bool = True,
         c1, c2 = weak_residuals_cartesian(field, r, v)
         scale = 1.0 + abs(r1) + abs(r2)
         if abs(r1 - c1) > cross_tol * scale or abs(r2 - c2) > cross_tol * scale:
-            raise ArithmeticError(
+            raise FormulationMismatch(
                 f"weak-residual formulations disagree: ({r1:.3e},{r2:.3e}) vs "
                 f"({c1:.3e},{c2:.3e})")
     return r1, r2
@@ -339,15 +339,16 @@ def symmetry_reduced_ansatz(profile: Callable[[float, float], float],
 # Probe sets and residual sweeps.
 # ---------------------------------------------------------------------------
 
-def probe_points(n: int, seed: int = 0) -> np.ndarray:
-    """Deterministic probes (x, y, v, theta) in the standard box
+def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
+    """Deterministic probes (x, y, v, theta), drawn in that order from one
+    generator, uniform in ``box`` (name -> (lo, hi)); the default box is
     x, y in [-2, 2], v in [0.5, 3], theta in (-pi, pi]."""
+    box = box or {"x": (-2.0, 2.0), "y": (-2.0, 2.0), "v": (0.5, 3.0),
+                  "theta": (-math.pi, math.pi)}
     rng = np.random.default_rng(seed)
     pts = np.empty((n, 4))
-    pts[:, 0] = rng.uniform(-2.0, 2.0, n)
-    pts[:, 1] = rng.uniform(-2.0, 2.0, n)
-    pts[:, 2] = rng.uniform(0.5, 3.0, n)
-    pts[:, 3] = rng.uniform(-math.pi, math.pi, n)
+    for col, name in enumerate(("x", "y", "v", "theta")):
+        pts[:, col] = rng.uniform(box[name][0], box[name][1], n)
     return pts
 
 

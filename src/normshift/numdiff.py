@@ -22,6 +22,11 @@ def _step(x: float, base: float) -> float:
     return base * max(1.0, abs(x))
 
 
+def richardson_step(x: float) -> float:
+    """The step ``richardson`` takes at x when none is given."""
+    return _step(x, H1_RICH)
+
+
 def central(f: Callable[[float], float], x: float, h: float | None = None) -> float:
     """First derivative by the two-point central stencil, O(h^2)."""
     if h is None:
@@ -35,7 +40,7 @@ def richardson(f: Callable[[float], float], x: float, h: float | None = None) ->
     ``f`` may return an array; the derivative is then taken componentwise.
     """
     if h is None:
-        h = _step(x, H1_RICH)
+        h = richardson_step(x)
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + h / 2) - f(x - h / 2)) / h
     return (4.0 * d2 - d1) / 3.0

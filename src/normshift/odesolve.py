@@ -77,6 +77,26 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
+def _start(rhs, t0: float, y0, t1: float, t_stops):
+    """Initial node, marching direction and stop list shared by both steppers.
+
+    Returns ([t0], [y0], [rhs(t0, y0)], direction, stops): the requested stops
+    strictly inside the span in marching order, then t1; none for a zero span.
+    """
+    y = np.asarray(y0, dtype=float).copy()
+    t = float(t0)
+    f = np.asarray(rhs(t, y), float)
+    span = float(t1) - t
+    direction = 1.0 if span > 0 else -1.0
+    stops = []
+    if span != 0.0:
+        stops = sorted((float(s) for s in (t_stops if t_stops is not None else ())
+                        if (s - t0) * direction > 1e-15 and (t1 - s) * direction > 1e-15),
+                       key=lambda s: s * direction)
+        stops.append(float(t1))
+    return [t], [y], [f], direction, stops
+
+
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10,
@@ -84,69 +104,48 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t_stops=None,
                 first_step: float | None = None) -> OdeSolution:
     """Adaptive 5(4) integration from t0 to t1 (either direction)."""
-    y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
-    span = float(t1) - t
-    if span == 0.0:
-        f = np.asarray(rhs(t, y), float)
-        return OdeSolution(np.array([t]), np.array([y]), np.array([f]))
-    direction = 1.0 if span > 0 else -1.0
-
-    stops = []
-    if t_stops is not None:
-        stops = sorted((float(s) for s in t_stops
-                        if (s - t0) * direction > 1e-15 and (t1 - s) * direction > 1e-15),
-                       key=lambda s: s * direction)
-    stops.append(float(t1))
-
-    f = np.asarray(rhs(t, y), float)
-    h = abs(span) / 100.0 if first_step is None else abs(first_step)
-    h = min(h, abs(span))
-
-    ts = [t]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
+    t, y, f = ts[0], ys[0], fs[0]
+    span = abs(float(t1) - t)
+    h = span / 100.0 if first_step is None else abs(first_step)
+    h = min(h, span)
     k = np.zeros((7, y.size))
 
-    stop_idx = 0
     steps = 0
-    while stop_idx < len(stops):
-        target = stops[stop_idx]
-        if (target - t) * direction <= 1e-15 * max(1.0, abs(t)):
-            stop_idx += 1
-            continue
-        if steps >= max_steps:
-            raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}")
-        steps += 1
+    for target in stops:
+        while (target - t) * direction > 1e-15 * max(1.0, abs(t)):
+            if steps >= max_steps:
+                raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}")
+            steps += 1
 
-        h = min(h, abs(target - t))
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepFailure(f"step size underflow at t={t:.6g}")
-        hs = direction * h
+            h = min(h, abs(target - t))
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepFailure(f"step size underflow at t={t:.6g}")
+            hs = direction * h
 
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + hs * (_A[i][:i] @ k[:i])
-            k[i] = rhs(t + _C[i] * hs, yi)
-        y_new = y + hs * (_B5 @ k)
-        err = hs * (_E @ k)
-        if not np.all(np.isfinite(y_new)):
-            h *= 0.25
-            continue
-        norm = _error_norm(err, y, y_new, abs_tol, rel_tol)
+            k[0] = f
+            for i in range(1, 7):
+                yi = y + hs * (_A[i][:i] @ k[:i])
+                k[i] = rhs(t + _C[i] * hs, yi)
+            y_new = y + hs * (_B5 @ k)
+            err = hs * (_E @ k)
+            if not np.all(np.isfinite(y_new)):
+                h *= 0.25
+                continue
+            norm = _error_norm(err, y, y_new, abs_tol, rel_tol)
 
-        if norm <= 1.0:
-            t_new = t + hs
-            f_new = k[6].copy()  # FSAL: last stage is rhs at (t_new, y_new)
-            t, y, f = t_new, y_new, f_new
-            ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
-            factor = _MAX_FACTOR if norm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-            h *= factor
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+            if norm <= 1.0:
+                t_new = t + hs
+                f_new = k[6].copy()  # FSAL: last stage is rhs at (t_new, y_new)
+                t, y, f = t_new, y_new, f_new
+                ts.append(t)
+                ys.append(y.copy())
+                fs.append(f.copy())
+                factor = _MAX_FACTOR if norm == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+                h *= factor
+            else:
+                h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
     return OdeSolution(np.array(ts), np.array(ys), np.array(fs))
 
@@ -158,24 +157,8 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
     """Classic fixed-step RK4; the step is shrunk per segment to hit stop times."""
     if step <= 0:
         raise ValueError("rk4 step must be positive")
-    y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
-    span = float(t1) - t
-    f = np.asarray(rhs(t, y), float)
-    if span == 0.0:
-        return OdeSolution(np.array([t]), np.array([y]), np.array([f]))
-    direction = 1.0 if span > 0 else -1.0
-
-    stops = []
-    if t_stops is not None:
-        stops = sorted((float(s) for s in t_stops
-                        if (s - t0) * direction > 1e-15 and (t1 - s) * direction > 1e-15),
-                       key=lambda s: s * direction)
-    stops.append(float(t1))
-
-    ts = [t]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ts, ys, fs, _, stops = _start(rhs, t0, y0, t1, t_stops)
+    t, y, f = ts[0], ys[0], fs[0]
     total = 0
     for target in stops:
         seg = target - t

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import odesolve
-from .errors import NuBlowup, SingularCurve
+from .errors import NormShiftError, NuBlowup, SingularCurve
 from .forces import ForceField, ab_decompose, flat_from_covariant
 from .geometry import ConformalMetric, frame
 from .dynamics import IntegratorConfig, PhaseState, integrate_deviation
@@ -154,8 +154,9 @@ class NuSolution:
     """Initial-speed profile nu(s) on the reached sub-interval.
 
     ``truncated`` marks that integration stopped before covering the full
-    requested range (nu approached zero or the ODE blew up); queries outside
-    the reached interval raise NuBlowup.
+    requested range (nu approached zero or the ODE blew up), and
+    ``stop_reason`` says where and why; queries outside the reached interval
+    raise NuBlowup.
     """
 
     s_lo: float
@@ -163,6 +164,7 @@ class NuSolution:
     truncated: bool
     _eval: Callable[[float], float]
     _deriv: Callable[[float], float]
+    stop_reason: str | None = None
 
     def __call__(self, s: float) -> float:
         if not (self.s_lo - 1e-12 <= s <= self.s_hi + 1e-12):
@@ -182,7 +184,8 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
 
     Integration proceeds from s0 toward both endpoints and stops early if
     |nu| falls below ``nu_floor_ratio * |nu0|`` (the right side is singular
-    at nu = 0); in that case the returned profile is marked truncated.
+    at nu = 0) or a sub-step fails with a package error or a float overflow
+    or zero division; in that case the returned profile is marked truncated.
     """
     if nu0 == 0.0:
         raise ValueError("nu0 must be nonzero")
@@ -201,7 +204,7 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
         return np.array([rhs_scalar(s, float(y[0]))])
 
     branches = {}
-    truncated = False
+    reasons = []
     reached = [s0, s0]
     for idx, target in enumerate((lo, hi)):
         if target == s0:
@@ -218,11 +221,10 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
             try:
                 sol = odesolve.solve_dopri(rhs, a, y, b, abs_tol=abs_tol,
                                            rel_tol=rel_tol, first_step=b - a)
-            except Exception:
-                truncated = True
-                break
-            if not np.all(np.isfinite(sol.ys)) or np.min(np.abs(sol.ys)) < floor:
-                truncated = True
+                if not np.all(np.isfinite(sol.ys)) or np.min(np.abs(sol.ys)) < floor:
+                    raise NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
+            except (NormShiftError, ArithmeticError) as exc:
+                reasons.append(f"on [{a:.6g}, {b:.6g}]: {type(exc).__name__}: {exc}")
                 break
             ts_all.append(sol.ts[1:])
             ys_all.append(sol.ys[1:])
@@ -248,8 +250,9 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     def derivative(s: float) -> float:
         return rhs_scalar(s, evaluate(s))
 
-    return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=truncated,
-                      _eval=evaluate, _deriv=derivative)
+    return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons),
+                      _eval=evaluate, _deriv=derivative,
+                      stop_reason="; ".join(reasons) or None)
 
 
 def constant_nu(value: float) -> Callable[[float], float]:

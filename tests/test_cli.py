@@ -289,3 +289,66 @@ def test_csv_seventeen_significant_digits(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "d"]) == 0
     rows = list(csv.DictReader(open(tmp_path / "d" / "trajectory.csv")))
     assert float(rows[0]["x"]) == 1.0 / 3.0
+
+
+_BASE = {
+    "shift": {"field": {"catalogue": "gravity"},
+              "curve": {"kind": "segment_on_axis", "normal": "right"},
+              "nu": 1.0, "t_span": [0.0, 1.0], "n_s": 3, "n_t": 4},
+    "simulate": {"field": {"catalogue": "gravity"},
+                 "init": {"r": [0.0, 0.0], "v": [1.0, 1.0]}, "t_span": [0.0, 1.0]},
+    "check": {"field": {"catalogue": "gravity"}, "probes": {"count": 5, "seed": 1}},
+}
+_BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
+
+
+@pytest.mark.parametrize("command, change", [
+    pytest.param("shift", {"n_t": "x"}, id="n_t-string"),
+    pytest.param("shift", {"n_s": [4]}, id="n_s-list"),
+    pytest.param("shift", {"n_s": 0}, id="n_s-zero"),
+    pytest.param("shift", {"tolerances": [1e-8, 1e-8]}, id="tolerances-list"),
+    pytest.param("simulate", {"n_t": 2.5}, id="simulate-n_t-float"),
+    pytest.param("simulate", {"tolerances": "tight"}, id="simulate-tolerances-string"),
+    pytest.param("check", {"probes": [5]}, id="probes-list"),
+    pytest.param("check", {"probes": {"count": "many"}}, id="count-string"),
+    pytest.param("check", {"probes": {"count": 0}}, id="count-zero"),
+    pytest.param("check", {"probes": {"seed": -1}}, id="seed-negative"),
+    pytest.param("check", {"probes": {"box": {k: _BOX[k] for k in ("x", "v", "theta")}}},
+                 id="box-without-y"),
+    pytest.param("check", {"probes": {"box": {**_BOX, "v": [0.5]}}}, id="box-short-pair"),
+    pytest.param("check", {"probes": {"box": {**_BOX, "theta": ["a", 1]}}},
+                 id="box-non-number"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, command, change):
+    cfg = write_config(tmp_path, "bad.json", {**_BASE[command], **change})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    from normshift import normality
+    monkeypatch.setattr(normality, "weak_residuals_cartesian", lambda field, r, v: (1.0, 1.0))
+    cfg = write_config(tmp_path, "mismatch.json", _BASE["check"])
+    assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numeric failure: FormulationMismatch" in capsys.readouterr().err
+
+
+def test_shift_reports_why_nu_solve_stopped(tmp_path):
+    # F = -m with m = (1, 0), launched down the y axis: M = m and B = -1, so
+    # nu nu' = 1 and nu^2 = nu0^2 + 2 s, which reaches zero at s = -nu0^2 / 2
+    reports = {}
+    for nu0 in (0.5, 2.0):
+        cfg = write_config(tmp_path, f"nu{nu0}.json", {
+            "field": {"catalogue": "anisotropic", "params": {"profile": 1.0}},
+            "curve": {"kind": "segment_on_axis", "normal": "right"},
+            "nu": {"kind": "solve", "s0": 0.0, "nu0": nu0},
+            "t_span": [0.0, 0.2], "n_s": 5, "n_t": 3,
+        })
+        assert run(["shift", "--config", cfg, "--out", tmp_path / str(nu0)]) == 0
+        reports[nu0] = json.loads((tmp_path / str(nu0) / "normality_report.json").read_text())
+    truncated, full = reports[0.5], reports[2.0]
+    assert truncated["nu_truncated"] is True
+    assert -0.125 < truncated["nu_interval"][0] < -0.1
+    assert "fell below" in truncated["nu_stop_reason"]
+    assert full["nu_truncated"] is False
+    assert "nu_stop_reason" not in full

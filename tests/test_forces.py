@@ -300,6 +300,11 @@ def test_missing_partial_when_fallback_disabled():
     full.a_theta(0, 0, 1, 0)  # analytic closures work with fallback disabled
 
 
+def test_unknown_partial_name_is_rejected():
+    with pytest.raises(TypeError, match="a_thetta"):
+        ScalarFieldA(lambda x, y, v, t: v, a_thetta=lambda x, y, v, t: 0.0)
+
+
 def test_catalogue_listing_is_stable():
     rows = catalogue_listing()
     names = [r["name"] for r in rows]

@@ -45,3 +45,40 @@ def test_checker_flags_both_forms():
         "2: from .forces import _metric_from_params",
         "4: dynamics._combined_solution",
     ]
+
+
+STEP_CONSTANTS = {"H1_PLAIN", "H1_RICH", "H2_RICH"}
+
+
+def stencil_step_reads(tree: ast.Module) -> list[str]:
+    """`numdiff.H*` (under any alias) and `from .numdiff import H*`, as 'line: text'.
+
+    The step sizes are numdiff's decision; other modules call its stencils.
+    """
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level >= 1:
+            for alias in node.names:
+                if node.module is None and alias.name == "numdiff":
+                    aliases.add(alias.asname or alias.name)
+                if node.module == "numdiff" and alias.name in STEP_CONSTANTS:
+                    found.append(f"{node.lineno}: from .numdiff import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in STEP_CONSTANTS
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "numdiff.py"),
+                         ids=lambda p: p.name)
+def test_only_numdiff_reads_stencil_steps(path):
+    assert stencil_step_reads(ast.parse(path.read_text())) == []
+
+
+def test_step_checker_flags_both_forms():
+    tree = ast.parse("from . import numdiff as nd, odesolve\n"
+                     "from .numdiff import H2_RICH, richardson\n"
+                     "h = nd.H1_RICH * odesolve.H1_PLAIN + nd.richardson_step(1.0)\n")
+    assert stencil_step_reads(tree) == ["2: from .numdiff import H2_RICH", "3: nd.H1_RICH"]

@@ -282,6 +282,15 @@ def test_probe_points_deterministic_and_in_box():
     assert np.all(a[:, 3] > -math.pi) and np.all(a[:, 3] <= math.pi)
 
 
+def test_probe_points_draw_order_with_and_without_box():
+    box = {"x": [-0.5, 0.5], "y": [1, 2], "v": (0.7, 0.9), "theta": [0.0, 1.0]}
+    for given, bounds in ((None, [(-2, 2), (-2, 2), (0.5, 3), (-math.pi, math.pi)]),
+                          (box, [box[k] for k in ("x", "y", "v", "theta")])):
+        rng = np.random.default_rng(21)
+        want = np.column_stack([rng.uniform(lo, hi, 30) for lo, hi in bounds])
+        assert np.array_equal(probe_points(30, seed=21, box=given), want)
+
+
 def test_residual_sweep_report():
     rng = np.random.default_rng(14)
     a = cos_profile_ansatz(Profile.constant(1.0))

@@ -86,6 +86,29 @@ def test_solve_nu_truncates_before_zero_crossing():
         nu(0.5)
 
 
+def test_solve_nu_stop_reason_and_propagated_errors():
+    seg = segment_on_axis(0.0, 1.0, normal="right")
+    nu = solve_nu(seg, magnetic_field(1.0), 0.0, 0.5)
+    assert nu.stop_reason.startswith("on [") and "fell below" in nu.stop_reason
+    assert solve_nu(seg, gravity_field(), 0.0, 1.0).stop_reason is None
+
+    def broken(exc):
+        def fn(r, v):
+            if r[0] > 0.5:
+                raise exc("boom")
+            return np.zeros(2)
+        return ForceField(fn=fn)
+
+    # float overflow and zero division still truncate, with the reason kept
+    for exc in (OverflowError, ZeroDivisionError):
+        nu = solve_nu(seg, broken(exc), 0.0, 1.0)
+        assert nu.truncated and 0.4 < nu.s_hi <= 0.5
+        assert f"{exc.__name__}: boom" in nu.stop_reason
+    # a programming error in the field is not a truncation
+    with pytest.raises(TypeError, match="boom"):
+        solve_nu(seg, broken(TypeError), 0.0, 1.0)
+
+
 def test_solve_nu_validates_inputs():
     seg = segment_on_axis()
     with pytest.raises(ValueError):
