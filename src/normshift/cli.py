@@ -18,12 +18,13 @@ from . import __version__
 from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
                          build_integrator, build_metric, build_nu, load_config,
-                         positive_int, probe_spec, t_span_of)
+                         number, positive_int, probe_spec, t_span_of)
 from .forces import catalogue_listing, flat_from_covariant
 from .normality import probe_points, residual_sweep
 from .closedform import CycloidParams, cycloid, gravity_shift
 from .dynamics import integrate
 from .shift import NuSolution, normal_shift, normality_report
+from .tables import write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,34 +46,32 @@ def _manifest(args, cfg: dict, extra: dict) -> dict:
     }
 
 
-def _oracle_error(cfg: dict, traj) -> tuple[str, float] | None:
-    """Largest position error against the closed form named in the config."""
+def _oracle_error(cfg: dict, traj) -> tuple[str, float, float]:
+    """Oracle kind, largest position error against its closed form, and tolerance."""
     spec = cfg.get("oracle")
     if not spec:
-        return None
+        raise ConfigError("--check-oracle requires an 'oracle' entry in the config")
+    if not isinstance(spec, dict):
+        raise ConfigError("'oracle' must be an object")
     kind = spec.get("kind")
+    tol = number(spec, "tol", 1e-6)
+    ts = traj.times
     if kind in ("gravity_constant_nu", "gravity_linear_nu"):
         variant = kind.removeprefix("gravity_")
-        s = float(spec.get("s", traj.positions()[0][0]))
-        err = max(float(np.max(np.abs(traj.positions()[i] - gravity_shift(s, t, variant))))
-                  for i, t in enumerate(traj.times))
-        return kind, err
-    if kind == "cycloid":
-        p = CycloidParams(x0=float(spec["x0"]), y0=float(spec["y0"]),
-                          theta0=float(spec["theta0"]), v0=float(spec["v0"]),
-                          a0=float(spec["a0"]))
-        err = 0.0
-        for i, t in enumerate(traj.times):
-            st = cycloid(p, t)
-            err = max(err, float(np.max(np.abs(traj.positions()[i] - st.r))))
-        return kind, err
-    if kind == "zero_field":
-        r0 = traj.positions()[0]
-        v0 = traj.velocities()[0]
-        err = max(float(np.max(np.abs(traj.positions()[i] - (r0 + t * v0))))
-                  for i, t in enumerate(traj.times))
-        return kind, err
-    raise ConfigError(f"unknown oracle kind {kind!r}")
+        s = number(spec, "s", float(traj.positions()[0, 0]))
+        expected = np.array([gravity_shift(s, t, variant) for t in ts])
+    elif kind == "cycloid":
+        try:
+            p = CycloidParams(**{key: number(spec, key)
+                                 for key in ("x0", "y0", "theta0", "v0", "a0")})
+        except ValueError as exc:
+            raise ConfigError(f"bad cycloid oracle: {exc}") from exc
+        expected = np.array([cycloid(p, t).r for t in ts])
+    elif kind == "zero_field":
+        expected = traj.positions()[0] + ts[:, None] * traj.velocities()[0]
+    else:
+        raise ConfigError(f"unknown oracle kind {kind!r}")
+    return kind, float(np.max(np.abs(traj.positions() - expected))), tol
 
 
 def cmd_simulate(args) -> int:
@@ -97,11 +96,7 @@ def cmd_simulate(args) -> int:
                        "accepted_nodes": traj.accepted_nodes},
     }
     if args.check_oracle:
-        res = _oracle_error(cfg, traj)
-        if res is None:
-            raise ConfigError("--check-oracle requires an 'oracle' entry in the config")
-        kind, err = res
-        tol = float(cfg["oracle"].get("tol", 1e-6))
+        kind, err, tol = _oracle_error(cfg, traj)
         extra["oracle"] = {"kind": kind, "max_error": err, "tol": tol,
                            "passed": err <= tol}
         if err > tol:
@@ -109,9 +104,7 @@ def cmd_simulate(args) -> int:
             print(f"oracle mismatch: {err:.3e} > {tol:.1e}", file=sys.stderr)
             return EXIT_NUMERIC
     if args.emit_plotdata:
-        with open(out / "plot_xy.dat", "w") as fh:
-            for r in traj.positions():
-                fh.write(f"{r[0]:.17g} {r[1]:.17g}\n")
+        write_table(out / "plot_xy.dat", traj.positions(), sep=" ")
         extra["outputs"].append("plot_xy.dat")
     extra["outputs"].append("manifest.json")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
@@ -136,7 +129,7 @@ def cmd_shift(args) -> int:
     grid = normal_shift(curve, field, None, nu, (t0, t1),
                         n_s=positive_int(cfg, "n_s", 64),
                         n_t=positive_int(cfg, "n_t", 100), cfg=icfg)
-    report = normality_report(grid, phi_tol=cfg.get("phi_tol"))
+    report = normality_report(grid, phi_tol=number(cfg, "phi_tol", None))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,12 +144,8 @@ def cmd_shift(args) -> int:
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
              "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
     if args.emit_plotdata:
-        with open(out / "plot_fronts.dat", "w") as fh:
-            for i in range(len(grid.t_nodes)):
-                for j in range(len(grid.s_nodes)):
-                    r = grid.states[i][j].r
-                    fh.write(f"{r[0]:.17g} {r[1]:.17g}\n")
-                fh.write("\n")
+        write_table(out / "plot_fronts.dat", grid.r.reshape(-1, 2), sep=" ",
+                    block=len(grid.s_nodes))
         extra["outputs"].append("plot_fronts.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:
@@ -178,35 +167,23 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "residuals.csv"
-    with open(csv_path, "w") as fh:
-        cols = ["x", "y", "v", "theta"]
-        if report.r1 is not None:
-            cols += ["r1", "r2"]
-        if report.r_reduced is not None:
-            cols += ["r_reduced"]
-        if report.r_complex is not None:
-            cols += ["re_rc", "im_rc"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(count):
-            row = list(report.probes[i])
-            if report.r1 is not None:
-                row += [report.r1[i], report.r2[i]]
-            if report.r_reduced is not None:
-                row += [report.r_reduced[i]]
-            if report.r_complex is not None:
-                row += [report.r_complex[i].real, report.r_complex[i].imag]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    cols = {"x": report.probes[:, 0], "y": report.probes[:, 1],
+            "v": report.probes[:, 2], "theta": report.probes[:, 3]}
+    if report.r1 is not None:
+        cols.update(r1=report.r1, r2=report.r2)
+    if report.r_reduced is not None:
+        cols.update(r_reduced=report.r_reduced)
+    if report.r_complex is not None:
+        cols.update(re_rc=report.r_complex.real, im_rc=report.r_complex.imag)
+    write_table(csv_path, np.column_stack(list(cols.values())), header=",".join(cols))
     summary = report.summary()
     _write_json(out / "residual_summary.json", summary)
     extra = {"outputs": ["residuals.csv", "residual_summary.json", "manifest.json"],
              "summary": summary}
     if args.emit_plotdata:
-        with open(out / "plot_residuals.dat", "w") as fh:
-            key = "r1" if report.r1 is not None else "r_reduced"
-            vals = report.r1 if report.r1 is not None else report.r_reduced
-            for i in range(count):
-                fh.write(f"{report.probes[i,2]:.17g} {report.probes[i,3]:.17g} "
-                         f"{abs(vals[i]):.17g}\n")
+        vals = report.r1 if report.r1 is not None else report.r_reduced
+        write_table(out / "plot_residuals.dat",
+                    np.column_stack([report.probes[:, 2:4], np.abs(vals)]), sep=" ")
         extra["outputs"].append("plot_residuals.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:

@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from .errors import OutOfInterval, SingularQuadrature
 from .forces import Profile
 from .dynamics import PhaseState
+from .tables import write_table
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -206,10 +207,8 @@ class QuadratureTable:
                           v * np.array([math.cos(heading), math.sin(heading)]))
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("theta,v,rho,t,gamma\n")
-            for row in zip(self.theta, self.v, self.rho, self.t, self.gamma):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_table(path, np.column_stack([self.theta, self.v, self.rho, self.t, self.gamma]),
+                    header="theta,v,rho,t,gamma")
 
 
 def marked_point_quadrature(profile: Profile, init, theta_end: float,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .geometry import ConformalMetric, frame
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .geometry import christoffel  # noqa: F401
 from .normality import ab_gradients
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,9 @@ class Trajectory:
     def initial(self) -> PhaseState:
         return PhaseState(self._ys[0, :2], self._ys[0, 2:4])
 
-    def write_csv(self, path, deviations: Sequence[DeviationState] | None = None):
-        header = "t,x,y,vx,vy"
-        if deviations is not None:
-            header += ",phi,psi"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self._ys[i, :4]]
-                if deviations is not None:
-                    row += [deviations[i].phi, deviations[i].psi]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    def write_csv(self, path):
+        write_table(path, np.column_stack([self.times, self._ys[:, :4]]),
+                    header="t,x,y,vx,vy")
 
 
 def _flat(field: ForceField, metric: ConformalMetric | None) -> ForceField:
@@ -194,14 +186,25 @@ def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
     return acc
 
 
+def _sample(sol: odesolve.OdeSolution, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Dense output at ``times``, where a time equal to times[0] gives y0 itself
+    (the interpolant can turn a -0.0 of the initial data into +0.0)."""
+    ys = sol.sample(times)
+    ys[times == times[0]] = y0
+    if not np.all(np.isfinite(ys)):
+        raise StepFailure("solution left the finite domain")
+    return ys
+
+
 def integrate_deviation(field: ForceField, init: PhaseState, tau0, tau_dot0, times,
                         cfg: IntegratorConfig | None = None,
-                        ) -> tuple[list[PhaseState], list[DeviationState]]:
-    """States and deviations of the flat flow of ``field`` at the given times.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples (r, v, tau, tau') of the flat flow of ``field`` and its variation.
 
-    One integration of the 8-dimensional system (r, v, tau, tau') runs from
-    ``init``, tau0, tau_dot0 at times[0] to times[-1]; both are sampled from
-    its dense output, and the first sample is the initial data exactly.
+    One integration of the 8-dimensional system runs from ``init``, tau0,
+    tau_dot0 at times[0] to times[-1].  Returns the samples at the given
+    times, shape (n, 8), whose first row is the initial data exactly, and the
+    frame components phi = <tau, N>, psi = <tau, M> per row.
     """
     cfg = cfg or IntegratorConfig()
     times = np.asarray(times, float)
@@ -213,16 +216,12 @@ def integrate_deviation(field: ForceField, init: PhaseState, tau0, tau_dot0, tim
 
     y0 = np.concatenate([init.packed(),
                          np.asarray(tau0, float), np.asarray(tau_dot0, float)])
-    sol = _run(rhs, times[0], y0, times[-1], cfg, None)
-    states, devs = [], []
-    for t in times:
-        y = sol(t) if t != times[0] else y0
+    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times, y0)
+    phi, psi = np.empty(len(ys)), np.empty(len(ys))
+    for i, y in enumerate(ys):
         fr = frame(y[2:4])
-        tau = y[4:6]
-        states.append(PhaseState(y[:2], y[2:4]))
-        devs.append(DeviationState(tau=tau.copy(), tau_dot=y[6:8].copy(),
-                                   phi=float(tau @ fr.N), psi=float(tau @ fr.M)))
-    return states, devs
+        phi[i], psi[i] = y[4:6] @ fr.N, y[4:6] @ fr.M
+    return ys, phi, psi
 
 
 def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
@@ -234,9 +233,10 @@ def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
     Under the base's metric, tau is the variation of the flat flow of
     ``flat_from_covariant(field, base.metric)``.
     """
-    _, devs = integrate_deviation(_flat(field, base.metric), base.initial,
-                                  tau0, tau_dot0, base.times, cfg)
-    return devs
+    ys, phi, psi = integrate_deviation(_flat(field, base.metric), base.initial,
+                                       tau0, tau_dot0, base.times, cfg)
+    return [DeviationState(tau=y[4:6], tau_dot=y[6:8], phi=float(a), psi=float(b))
+            for y, a, b in zip(ys, phi, psi)]
 
 
 def phi_psi_initial_from_tau(field: ForceField, init: PhaseState,
@@ -297,8 +297,7 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
 
     t0, t1 = float(base.times[0]), float(base.times[-1])
     y0 = np.concatenate([base.initial.packed(), [phi0, phi_dot0, psi0, psi_dot0]])
-    sol = _run(rhs, t0, y0, t1, cfg, None)
-    samples = np.array([sol(t) if t != t0 else y0 for t in base.times])
+    samples = _sample(_run(rhs, t0, y0, t1, cfg, None), base.times, y0)
     return samples[:, 4], samples[:, 6]
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import InvalidParams, UnknownCatalogueEntry
 from .forces import (ForceField, Profile, ScalarFieldA, catalogue,
                      cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
-                     speed_profile_ansatz, metric_from_params, profile_from_params)
+                     speed_profile_ansatz, metric_from_params, profile_from_params,
+                     real_number)
 from .geometry import ConformalMetric
 from .dynamics import IntegratorConfig, PhaseState
 from .shift import (Curve, circle_arc, constant_nu, line_segment, segment_on_axis,
@@ -25,6 +26,27 @@ from .shift import (Curve, circle_arc, constant_nu, line_segment, segment_on_axi
 
 class ConfigError(ValueError):
     """Configuration file is missing, malformed, or inconsistent."""
+
+
+_REQUIRED = object()
+
+
+def number(spec: dict, key: str, default=_REQUIRED):
+    """spec[key] as a float, ``default`` if absent or null; ConfigError unless
+    it is a finite real number, or if it is absent without a default."""
+    value = spec.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing '{key}'")
+        return default
+    return _real(value, f"'{key}'")
+
+
+def _real(value, name: str) -> float:
+    try:
+        return real_number(value, name)
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> dict:
@@ -42,6 +64,8 @@ def load_config(path) -> dict:
 
 
 def build_ansatz(spec: dict) -> ScalarFieldA:
+    if not isinstance(spec, dict):
+        raise ConfigError("'field.ansatz' must be an object")
     kind = spec.get("kind")
     try:
         if kind == "speed_profile":
@@ -49,13 +73,13 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
         if kind == "cos_profile":
             return cos_profile_ansatz(profile_from_params(spec.get("profile")))
         if kind == "disc_invariant":
-            return disc_invariant_ansatz(float(spec.get("R", 0.0)),
+            return disc_invariant_ansatz(number(spec, "R", 0.0),
                                          profile_from_params(spec.get("profile"),
                                                              default=Profile.constant(1.0)))
         if kind == "angular_monomial":
             # A = c v^p theta: a deliberate non-solution for residual demos
-            c = float(spec.get("coef", 1.0))
-            p = float(spec.get("power", 2.0))
+            c = number(spec, "coef", 1.0)
+            p = number(spec, "power", 2.0)
             return ScalarFieldA(lambda x, y, v, t: c * v**p * t,
                                 label="angular-monomial")
     except InvalidParams as exc:
@@ -96,16 +120,15 @@ def build_curve(spec) -> Curve:
     normal = spec.get("normal", "left")
     try:
         if kind == "segment_on_axis":
-            return segment_on_axis(float(spec.get("s_min", -1.0)),
-                                   float(spec.get("s_max", 1.0)),
+            return segment_on_axis(number(spec, "s_min", -1.0), number(spec, "s_max", 1.0),
                                    normal=spec.get("normal", "right"))
         if kind == "tilted_line":
-            return tilted_line(float(spec.get("s_min", -1.0)),
-                               float(spec.get("s_max", 1.0)), normal=normal)
+            return tilted_line(number(spec, "s_min", -1.0), number(spec, "s_max", 1.0),
+                               normal=normal)
         if kind == "segment":
             return line_segment(spec["p0"], spec["p1"], normal=normal)
         if kind == "circle":
-            return circle_arc(spec.get("center", (0.0, 0.0)), float(spec["radius"]),
+            return circle_arc(spec.get("center", (0.0, 0.0)), number(spec, "radius"),
                               spec.get("s_range", (0.0, math.pi)), normal=normal)
         if kind == "spline":
             return spline_through(spec["points"], normal=normal)
@@ -117,21 +140,22 @@ def build_curve(spec) -> Curve:
 def build_nu(spec, curve: Curve, field: ForceField):
     if spec is None:
         spec = {"kind": "solve", "s0": 0.5 * sum(curve.s_range), "nu0": 1.0}
-    if isinstance(spec, (int, float)):
-        return constant_nu(float(spec))
     if not isinstance(spec, dict):
-        raise ConfigError("'nu' must be a number or an object")
+        return constant_nu(_real(spec, "'nu' (a number or an object)"))
     kind = spec.get("kind", "solve")
     if kind == "constant":
-        return constant_nu(float(spec.get("value", 1.0)))
+        return constant_nu(number(spec, "value", 1.0))
     if kind == "affine":
-        a0, a1 = float(spec.get("a0", 1.0)), float(spec.get("a1", 0.0))
+        a0, a1 = number(spec, "a0", 1.0), number(spec, "a1", 0.0)
         return lambda s: a0 + a1 * s
     if kind == "solve":
-        s0 = float(spec.get("s0", 0.5 * sum(curve.s_range)))
-        nu0 = float(spec.get("nu0", 1.0))
+        s0 = number(spec, "s0", 0.5 * sum(curve.s_range))
+        nu0 = number(spec, "nu0", 1.0)
         if nu0 == 0.0:
             raise ConfigError("nu0 must be nonzero")
+        lo, hi = curve.s_range
+        if not lo <= s0 <= hi:
+            raise ConfigError(f"nu s0={s0} outside the curve's range [{lo}, {hi}]")
         return solve_nu(curve, field, s0, nu0)
     raise ConfigError(f"unknown nu kind {kind!r}")
 
@@ -142,9 +166,9 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError("'tolerances' must be an object")
     method = cfg.get("integrator", "dopri-adaptive")
     try:
-        return IntegratorConfig(method=method, step=cfg.get("step"),
-                                abs_tol=float(tol.get("abs", 1e-10)),
-                                rel_tol=float(tol.get("rel", 1e-10)))
+        return IntegratorConfig(method=method, step=number(cfg, "step", None),
+                                abs_tol=number(tol, "abs", 1e-10),
+                                rel_tol=number(tol, "rel", 1e-10))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator spec: {exc}") from exc
 

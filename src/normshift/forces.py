@@ -9,6 +9,7 @@ used by all built-in fields that admit the normal shift of curves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -535,6 +536,32 @@ def disc_invariant_field(radius: float, profile: Profile) -> ForceField:
 # Catalogue: string-addressable entries with JSON-style parameter objects.
 # ---------------------------------------------------------------------------
 
+def real_number(value, name: str) -> float:
+    """``value`` as a float; InvalidParams unless it is a finite real number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InvalidParams(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _number(p: dict, key: str, default: float | None = None) -> float:
+    value = p.get(key, default)
+    if value is None:
+        raise InvalidParams(f"missing parameter {key!r}")
+    return real_number(value, repr(key))
+
+
+def _pair(p: dict, key: str, default) -> np.ndarray:
+    value = p.get(key, default)
+    try:
+        vec = np.asarray(value, float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (2,) or not np.all(np.isfinite(vec)):
+        raise InvalidParams(f"{key!r} must be a finite [x, y] pair, got {value!r}")
+    return vec
+
+
 def profile_from_params(p, default=None) -> Profile:
     """Profile from a number, a {"kind": "constant" | "poly"} spec, or a Profile."""
     if p is None:
@@ -543,14 +570,18 @@ def profile_from_params(p, default=None) -> Profile:
         raise InvalidParams("missing profile parameter")
     if isinstance(p, Profile):
         return p
-    if isinstance(p, (int, float)):
-        return Profile.constant(float(p))
+    if isinstance(p, numbers.Real) and not isinstance(p, bool):
+        return Profile.constant(real_number(p, "profile"))
     if isinstance(p, dict):
         kind = p.get("kind")
         if kind == "constant":
-            return Profile.constant(float(p["value"]))
+            return Profile.constant(_number(p, "value"))
         if kind == "poly":
-            return Profile.polynomial(p["coeffs"])
+            coeffs = p.get("coeffs")
+            if not isinstance(coeffs, (list, tuple, np.ndarray)):
+                raise InvalidParams(f"'coeffs' must be a list of numbers, got {coeffs!r}")
+            return Profile.polynomial([real_number(c, "profile coefficient")
+                                       for c in coeffs])
         raise InvalidParams(f"unknown profile kind {kind!r}")
     raise InvalidParams(f"cannot build a profile from {type(p).__name__}")
 
@@ -559,43 +590,45 @@ def metric_from_params(p) -> ConformalMetric:
     """Conformal factor from a {"kind": ...} spec; no kind means f = 0."""
     if isinstance(p, ConformalMetric):
         return p
-    if p is None or p == {} or p.get("kind") in (None, "zero", "euclidean"):
+    if p is None:
         return ConformalMetric.euclidean()
+    if not isinstance(p, dict):
+        raise InvalidParams(f"a metric must be an object, got {p!r}")
     kind = p.get("kind")
+    if kind in (None, "zero", "euclidean"):
+        return ConformalMetric.euclidean()
     if kind == "constant":
-        return ConformalMetric.constant(float(p["value"]))
+        return ConformalMetric.constant(_number(p, "value"))
     if kind == "sin_cos":
-        amp = float(p.get("amplitude", 1.0))
+        amp = _number(p, "amplitude", 1.0)
         return ConformalMetric(
             f=lambda x, y: amp * math.sin(x) * math.cos(y),
             grad_f=lambda x, y: (amp * math.cos(x) * math.cos(y),
                                  -amp * math.sin(x) * math.sin(y)),
         )
     if kind == "linear":
-        ax, ay = float(p.get("ax", 1.0)), float(p.get("ay", 0.0))
+        ax, ay = _number(p, "ax", 1.0), _number(p, "ay", 0.0)
         return ConformalMetric(f=lambda x, y: ax * x + ay * y,
                                grad_f=lambda x, y: (ax, ay))
     raise InvalidParams(f"unknown metric kind {kind!r}")
 
 
 def _build_gravity(params: dict) -> ForceField:
-    return gravity_field(float(params.get("magnitude", 1.0)))
+    return gravity_field(_number(params, "magnitude", 1.0))
 
 
 def _build_oscillator(params: dict) -> ForceField:
-    if "omega" not in params:
-        raise InvalidParams("oscillator requires parameter 'omega'")
-    return oscillator_field(float(params["omega"]))
+    return oscillator_field(_number(params, "omega"))
 
 
 def _build_anisotropic(params: dict) -> ForceField:
     prof = profile_from_params(params.get("profile"))
-    return anisotropic_field(prof, m=params.get("m", (1.0, 0.0)))
+    return anisotropic_field(prof, m=_pair(params, "m", (1.0, 0.0)))
 
 
 def _build_marked_point(params: dict) -> ForceField:
     prof = profile_from_params(params.get("profile"))
-    return marked_point_field(prof, center=params.get("center", (0.0, 0.0)))
+    return marked_point_field(prof, center=_pair(params, "center", (0.0, 0.0)))
 
 
 def _build_geodesic(params: dict) -> ForceField:
@@ -623,7 +656,7 @@ def _build_mdtype(params: dict) -> ForceField:
 
 
 def _build_disc_invariant(params: dict) -> ForceField:
-    radius = float(params.get("R", 0.0))
+    radius = _number(params, "R", 0.0)
     prof = profile_from_params(params.get("profile"), default=Profile.constant(1.0))
     return disc_invariant_field(radius, prof)
 
@@ -683,9 +716,11 @@ CATALOGUE = {
 
 def catalogue(name: str, params: dict | None = None) -> ForceField:
     """Build a built-in force field by name with a JSON-style parameter dict."""
-    entry = CATALOGUE.get(name)
+    entry = CATALOGUE.get(name) if isinstance(name, str) else None
     if entry is None:
         raise UnknownCatalogueEntry(f"no catalogue field named {name!r}")
+    if params is not None and not isinstance(params, dict):
+        raise InvalidParams(f"catalogue params must be an object, got {params!r}")
     return entry["build"](dict(params or {}))
 
 

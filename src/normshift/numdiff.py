@@ -22,6 +22,11 @@ def _step(x: float, base: float) -> float:
     return base * max(1.0, abs(x))
 
 
+def central_step(x: float) -> float:
+    """The step ``central`` takes at x when none is given."""
+    return _step(x, H1_PLAIN)
+
+
 def richardson_step(x: float) -> float:
     """The step ``richardson`` takes at x when none is given."""
     return _step(x, H1_RICH)
@@ -30,7 +35,7 @@ def richardson_step(x: float) -> float:
 def central(f: Callable[[float], float], x: float, h: float | None = None) -> float:
     """First derivative by the two-point central stencil, O(h^2)."""
     if h is None:
-        h = _step(x, H1_PLAIN)
+        h = central_step(x)
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 

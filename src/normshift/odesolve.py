@@ -45,30 +45,36 @@ class OdeSolution:
     fs: np.ndarray
 
     def __call__(self, t: float) -> np.ndarray:
-        ts = self.ts
-        ascending = ts[-1] >= ts[0]
-        lo, hi = (ts[0], ts[-1]) if ascending else (ts[-1], ts[0])
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
-        grid = ts if ascending else ts[::-1]
-        k = int(np.searchsorted(grid, t, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 2)
-        if not ascending:
-            k = len(ts) - 2 - k
-        ta, tb = self.ts[k], self.ts[k + 1]
-        if tb == ta:
-            return self.ys[k].copy()
-        s = (t - ta) / (tb - ta)
-        h = tb - ta
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * self.ys[k] + h10 * h * self.fs[k]
-                + h01 * self.ys[k + 1] + h11 * h * self.fs[k + 1])
+        return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
-        return np.array([self(t) for t in np.asarray(ts, float)])
+        """Dense output at every time in ``ts``, shape (len(ts), dim)."""
+        t = np.asarray(ts, float)
+        nodes = self.ts
+        lo, hi = sorted((nodes[0], nodes[-1]))
+        outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
+        if np.any(outside):
+            raise ValueError(f"t={t[outside][0]} outside the integrated interval [{lo}, {hi}]")
+        if len(nodes) == 1:
+            return np.repeat(self.ys, len(t), axis=0)
+        ascending = nodes[-1] >= nodes[0]
+        k = np.searchsorted(nodes if ascending else nodes[::-1], t, side="right") - 1
+        k = np.clip(k, 0, len(nodes) - 2)
+        if not ascending:
+            k = len(nodes) - 2 - k
+        ta, h = nodes[k], nodes[k + 1] - nodes[k]
+        s = ((t - ta) / np.where(h == 0, 1.0, h))[:, None]
+        h = h[:, None]
+        # float_power is C pow, as ** on a scalar is; ** 2 on an array squares
+        h00 = (1 + 2 * s) * np.float_power(1 - s, 2.0)
+        h10 = s * np.float_power(1 - s, 2.0)
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        out = (h00 * self.ys[k] + h10 * h * self.fs[k]
+               + h01 * self.ys[k + 1] + h11 * h * self.fs[k + 1])
+        repeated = h[:, 0] == 0  # a zero-length step returns its first node
+        out[repeated] = self.ys[k[repeated]]
+        return out
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,

@@ -19,11 +19,12 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import odesolve
+from . import numdiff, odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve
 from .forces import ForceField, ab_decompose, flat_from_covariant
 from .geometry import ConformalMetric, frame
 from .dynamics import IntegratorConfig, PhaseState, integrate_deviation
+from .tables import write_table
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .dynamics import integrate  # noqa: F401
 
@@ -261,15 +262,20 @@ def constant_nu(value: float) -> Callable[[float], float]:
 
 @dataclass
 class ShiftGrid:
-    """States, deviation data and nu over the (t, s) grid of a shift."""
+    """States, deviation data and nu over the (t, s) grid of a shift.
+
+    Index [i, j] is the node (t_nodes[i], s_nodes[j]); column j is the
+    trajectory launched from s_nodes[j].
+    """
 
     s_nodes: np.ndarray
     t_nodes: np.ndarray
-    states: list[list[PhaseState]]        # states[i][j] at (t_i, s_j)
+    r: np.ndarray                         # shape (n_t, n_s, 2)
+    v: np.ndarray                         # shape (n_t, n_s, 2)
+    tau: np.ndarray                       # shape (n_t, n_s, 2)
     nu: np.ndarray                        # nu per s-node
     phi: np.ndarray                       # shape (n_t, n_s)
     psi: np.ndarray
-    tau: np.ndarray                       # shape (n_t, n_s, 2)
 
     def max_abs_phi(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -278,14 +284,12 @@ class ShiftGrid:
         return float(np.max(np.hypot(self.tau[..., 0], self.tau[..., 1])))
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,s,x,y,vx,vy,phi,psi,nu\n")
-            for i, t in enumerate(self.t_nodes):
-                for j, s in enumerate(self.s_nodes):
-                    st = self.states[i][j]
-                    row = [t, s, st.r[0], st.r[1], st.v[0], st.v[1],
-                           self.phi[i, j], self.psi[i, j], self.nu[j]]
-                    fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        n_t, n_s = self.phi.shape
+        write_table(path, np.column_stack([
+            np.repeat(self.t_nodes, n_s), np.tile(self.s_nodes, n_t),
+            self.r.reshape(-1, 2), self.v.reshape(-1, 2),
+            self.phi.ravel(), self.psi.ravel(), np.tile(self.nu, n_t)]),
+            header="t,s,x,y,vx,vy,phi,psi,nu")
 
 
 def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None,
@@ -311,11 +315,10 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
 
-    n_cols: list[list[PhaseState]] = [[None] * n_s for _ in range(n_t)]
-    phi = np.zeros((n_t, n_s))
-    psi = np.zeros((n_t, n_s))
-    tau = np.zeros((n_t, n_s, 2))
-    nu_vals = np.zeros(n_s)
+    samples = np.empty((n_t, n_s, 8))     # (r, v, tau, tau') per node
+    phi = np.empty((n_t, n_s))
+    psi = np.empty((n_t, n_s))
+    nu_vals = np.empty(n_s)
 
     for j, s in enumerate(s_nodes):
         tangent, n, k = frenet(curve, s)
@@ -324,7 +327,7 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
         if isinstance(nu, NuSolution):
             dnu = nu.deriv(s)
         else:
-            h = 1e-6 * max(1.0, abs(s))
+            h = numdiff.central_step(s)
             a, b = (max(lo, s - h), min(hi, s + h)) if hi > lo else (s - h, s + h)
             dnu = (nu(b) - nu(a)) / (b - a)
         speed_param = float(np.hypot(*curve.velocity(s)))
@@ -333,18 +336,14 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
         tau0 = curve.velocity(s)
         tau_dot0 = dnu * n + nu_s * n_prime
         try:
-            states_j, devs = integrate_deviation(field, init, tau0, tau_dot0,
-                                                 t_nodes, cfg)
+            samples[:, j], phi[:, j], psi[:, j] = integrate_deviation(
+                field, init, tau0, tau_dot0, t_nodes, cfg)
         except Exception as exc:
             exc.add_note(f"at s={s:.6g}")
             raise
-        for i in range(n_t):
-            n_cols[i][j] = states_j[i]
-            phi[i, j] = devs[i].phi
-            psi[i, j] = devs[i].psi
-            tau[i, j] = devs[i].tau
-    return ShiftGrid(s_nodes=s_nodes, t_nodes=t_nodes, states=n_cols,
-                     nu=nu_vals, phi=phi, psi=psi, tau=tau)
+    return ShiftGrid(s_nodes=s_nodes, t_nodes=t_nodes, r=samples[..., 0:2],
+                     v=samples[..., 2:4], tau=samples[..., 4:6], nu=nu_vals,
+                     phi=phi, psi=psi)
 
 
 @dataclass
@@ -380,16 +379,16 @@ def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> Normality
     tol = phi_tol if phi_tol is not None else 1e-6 * (1.0 + max_tau)
     max_phi = grid.max_abs_phi()
 
+    # dot and asin node by node: NumPy's dot (FMA) and arcsin differ in the
+    # last bits
     worst = 0.0
-    for i in range(len(grid.t_nodes)):
-        for j in range(len(grid.s_nodes)):
-            tau = grid.tau[i, j]
-            v = grid.states[i][j].v
-            nt, nv = np.hypot(*tau), np.hypot(*v)
-            if nt < 1e-14 or nv < 1e-14:
-                continue
-            cosang = abs(float(tau @ v)) / (nt * nv)
-            worst = max(worst, math.degrees(abs(math.asin(min(1.0, cosang)))))
+    taus, vs = grid.tau.reshape(-1, 2), grid.v.reshape(-1, 2)
+    nts, nvs = np.hypot(*taus.T).tolist(), np.hypot(*vs.T).tolist()
+    for tau, v, nt, nv in zip(taus, vs, nts, nvs):
+        if nt < 1e-14 or nv < 1e-14:
+            continue
+        cosang = abs(float(tau @ v)) / (nt * nv)
+        worst = max(worst, math.degrees(abs(math.asin(min(1.0, cosang)))))
     return NormalityReport(max_abs_phi=max_phi, max_angle_dev_deg=worst,
                            max_tau_norm=max_tau, phi_tol=tol,
                            normal=max_phi < tol, nu=[float(x) for x in grid.nu])

@@ -56,7 +56,7 @@ def test_criterion_1_gravity_normal_shift():
         for i, t in enumerate(grid.t_nodes):
             for j, s in enumerate(grid.s_nodes):
                 worst = max(worst, float(np.max(
-                    np.abs(grid.states[i][j].r - gravity_shift(s, t)))))
+                    np.abs(grid.r[i, j] - gravity_shift(s, t)))))
         assert worst < 1e-8, f"front error {worst:.3e}"
         assert grid.max_abs_phi() < 1e-8
         assert normality_report(grid).normal

@@ -318,10 +318,39 @@ _BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
     pytest.param("check", {"probes": {"box": {**_BOX, "v": [0.5]}}}, id="box-short-pair"),
     pytest.param("check", {"probes": {"box": {**_BOX, "theta": ["a", 1]}}},
                  id="box-non-number"),
+    pytest.param("shift", {"nu": {"kind": "constant", "value": "x"}}, id="nu-value-string"),
+    pytest.param("shift", {"nu": {"kind": "solve", "s0": "x"}}, id="nu-s0-string"),
+    pytest.param("shift", {"nu": {"kind": "solve", "nu0": "x"}}, id="nu0-string"),
+    pytest.param("shift", {"nu": {"kind": "affine", "a0": "x"}}, id="nu-a0-string"),
+    pytest.param("shift", {"nu": {"kind": "solve", "s0": 5.0}}, id="nu-s0-off-curve"),
+    pytest.param("shift", {"phi_tol": "x"}, id="phi_tol-string"),
+    pytest.param("simulate --check-oracle",
+                 {"oracle": {"kind": "gravity_constant_nu", "tol": "x"}}, id="oracle-tol-string"),
+    pytest.param("simulate --check-oracle", {"oracle": ["gravity_constant_nu"]},
+                 id="oracle-list"),
+    pytest.param("simulate --check-oracle",
+                 {"oracle": {"kind": "cycloid", "y0": 0, "theta0": 1.0, "v0": 1, "a0": 1}},
+                 id="cycloid-oracle-without-x0"),
+    pytest.param("shift", {"metric": "foo"}, id="metric-string"),
+    pytest.param("simulate", {"metric": {"kind": "sin_cos", "amplitude": "x"}},
+                 id="metric-amplitude-string"),
+    pytest.param("simulate", {"field": {"catalogue": ["gravity"]}}, id="catalogue-name-list"),
+    pytest.param("simulate", {"field": {"catalogue": "gravity", "params": [1.0]}},
+                 id="catalogue-params-list"),
+    pytest.param("simulate", {"field": {"catalogue": "oscillator", "params": {"omega": "x"}}},
+                 id="omega-string"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": {"kind": "constant", "value": "x"}}}}, id="profile-value-string"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": {"kind": "poly", "coeffs": "x"}}}}, id="profile-coeffs-string"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": 1.0, "m": "x"}}}, id="anisotropic-m-string"),
+    pytest.param("check", {"field": {"ansatz": "cos_profile"}}, id="ansatz-string"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, change):
+    command, *flags = command.split()
     cfg = write_config(tmp_path, "bad.json", {**_BASE[command], **change})
-    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", *flags]) == 2
     assert "config error" in capsys.readouterr().err
 
 

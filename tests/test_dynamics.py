@@ -5,13 +5,15 @@ import pytest
 
 from helpers import random_ansatz, random_metric
 
+from normshift import odesolve
+
 from normshift.errors import DegenerateVelocity, StepFailure
 from normshift.forces import (ForceField, Profile, anisotropic_field,
                               covariant_from_flat, flat_from_covariant,
                               from_scalar_ansatz, gravity_field, oscillator_field,
                               speed_profile_ansatz)
 from normshift.geometry import frame
-from normshift.dynamics import (DeviationState, IntegratorConfig, PhaseState,
+from normshift.dynamics import (IntegratorConfig, PhaseState,
                                 integrate, integrate_phi_psi,
                                 integrate_variational, phi_psi_initial_from_tau,
                                 speed_derivative)
@@ -255,6 +257,54 @@ def test_trajectory_csv_format(tmp_path):
     # 17 significant digits round-trip
     x = float(lines[1].split(",")[1])
     assert x == 1 / 3
-    devs = [DeviationState(np.zeros(2), np.zeros(2), 0.5, 1.5)] * 5
-    tr.write_csv(path, deviations=devs)
-    assert path.read_text().splitlines()[0] == "t,x,y,vx,vy,phi,psi"
+
+
+def _hermite_reference(sol, t):
+    """Dense output at one time, with the scalar Hermite formula."""
+    ts = sol.ts
+    ascending = ts[-1] >= ts[0]
+    grid = ts if ascending else ts[::-1]
+    k = int(np.searchsorted(grid, t, side="right")) - 1
+    k = min(max(k, 0), len(ts) - 2)
+    if not ascending:
+        k = len(ts) - 2 - k
+    ta, tb = ts[k], ts[k + 1]
+    if tb == ta:
+        return sol.ys[k].copy()
+    s = (t - ta) / (tb - ta)
+    h = tb - ta
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return (h00 * sol.ys[k] + h10 * h * sol.fs[k]
+            + h01 * sol.ys[k + 1] + h11 * h * sol.fs[k + 1])
+
+
+def _pendulum(t, y):
+    return np.array([y[1], -math.sin(y[0]) + 0.1 * math.cos(t)])
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "zero-span", "rk4-repeated-node"])
+def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
+    y0 = [0.7, -0.0]
+    if case == "forward":
+        sol = odesolve.solve_dopri(_pendulum, 0.0, y0, 3.0, abs_tol=1e-8, rel_tol=1e-8)
+    elif case == "backward":
+        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, -2.5, abs_tol=1e-8, rel_tol=1e-8)
+    elif case == "zero-span":
+        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, 0.5)
+        assert len(sol.ts) == 1
+    else:
+        sol = odesolve.solve_rk4(_pendulum, 0.0, y0, 1.0, step=0.1, t_stops=[0.45, 0.45])
+        assert np.any(np.diff(sol.ts) == 0.0)
+    lo, hi = sorted((sol.ts[0], sol.ts[-1]))
+    between = np.linspace(lo, hi, 1001)
+    for times in (between, between[::-1], sol.ts):
+        sampled = odesolve.OdeSolution.sample(sol, times)
+        reference = np.array([_hermite_reference(sol, t) for t in times])
+        assert sampled.shape == (len(times), 2)
+        assert sampled.tobytes() == reference.tobytes()
+        assert sol(times[1 % len(times)]).tobytes() == reference[1 % len(times)].tobytes()
+    with pytest.raises(ValueError, match="outside the integrated interval"):
+        sol.sample([lo, hi + 1e-6])

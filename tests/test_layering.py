@@ -82,3 +82,9 @@ def test_step_checker_flags_both_forms():
                      "from .numdiff import H2_RICH, richardson\n"
                      "h = nd.H1_RICH * odesolve.H1_PLAIN + nd.richardson_step(1.0)\n")
     assert stencil_step_reads(tree) == ["2: from .numdiff import H2_RICH", "3: nd.H1_RICH"]
+
+
+def test_only_the_table_writer_formats_seventeen_digits():
+    # one writer owns the "17 significant digits" contract of every output file
+    holders = sorted(p.name for p in SRC.glob("*.py") if ".17g" in p.read_text())
+    assert holders == ["tables.py"]

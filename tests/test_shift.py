@@ -123,10 +123,23 @@ def test_gravity_shift_constant_nu_matches_closed_form():
                         n_s=9, n_t=11)
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
-            assert np.max(np.abs(grid.states[i][j].r - gravity_shift(s, t))) < 1e-8
+            assert np.max(np.abs(grid.r[i, j] - gravity_shift(s, t))) < 1e-8
     assert grid.max_abs_phi() < 1e-8
     rep = normality_report(grid)
     assert rep.normal
+
+
+def test_grid_first_row_is_the_launch_data_bit_for_bit():
+    # the left normal of (s, 0) is (-0.0, 1.0): the -0.0 of vx must survive
+    seg = segment_on_axis(normal="left")
+    grid = normal_shift(seg, gravity_field(), None, constant_nu(1.0), (0, 0.5),
+                        n_s=5, n_t=4)
+    assert np.all(np.signbit(grid.v[0, :, 0]))
+    for j, s in enumerate(grid.s_nodes):
+        _, n, _ = frenet(seg, s)
+        assert grid.r[0, j].tobytes() == seg.point(s).tobytes()
+        assert grid.v[0, j].tobytes() == (1.0 * n).tobytes()
+        assert grid.tau[0, j].tobytes() == seg.velocity(s).tobytes()
 
 
 def test_gravity_shift_linear_nu_not_normal():
@@ -136,7 +149,7 @@ def test_gravity_shift_linear_nu_not_normal():
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
             ref = gravity_shift(s, t, "linear_nu")
-            assert np.max(np.abs(grid.states[i][j].r - ref)) < 1e-8
+            assert np.max(np.abs(grid.r[i, j] - ref)) < 1e-8
     assert np.max(np.abs(grid.phi[-1, :])) > 1e-2
     assert not normality_report(grid).normal
 
@@ -156,10 +169,9 @@ def test_grid_initial_slice_invariants():
     nu = solve_nu(seg, gravity_field(), 0.0, 1.0)
     grid = normal_shift(seg, gravity_field(), None, nu, (0, 1), n_s=7, n_t=5)
     for j, s in enumerate(grid.s_nodes):
-        st = grid.states[0][j]
         _, n, _ = frenet(seg, s)
-        assert np.allclose(st.r, seg.point(s), atol=1e-14)
-        assert np.allclose(st.v, grid.nu[j] * n, atol=1e-12)
+        assert np.allclose(grid.r[0, j], seg.point(s), atol=1e-14)
+        assert np.allclose(grid.v[0, j], grid.nu[j] * n, atol=1e-12)
         # phi(0, s) vanishes by construction
         assert grid.phi[0, j] == pytest.approx(0.0, abs=1e-14)
 
