@@ -25,7 +25,7 @@ import numpy as np
 from . import numdiff, odesolve
 from .errors import StepFailure
 from .forces import ForceField, ab_decompose, flat_from_covariant
-from .geometry import ConformalMetric, frame
+from .geometry import ConformalMetric, dot, frame
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .geometry import christoffel  # noqa: F401
 from .normality import ab_gradients
@@ -164,64 +164,82 @@ def integrate(field: ForceField, metric: ConformalMetric | None,
     return Trajectory(times, sol, metric=metric)
 
 
+def _contract(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J^T x row by row: sum_i J[..., i, j] x[..., i]."""
+    return jac[..., 0, :] * x[..., 0, None] + jac[..., 1, :] * x[..., 1, None]
+
+
 def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
     """Right side of the linearized equations, tau'' = J_r^T tau + J_v^T tau'.
 
     With analytic Jacobians they are contracted directly; otherwise the two
     directional derivatives are Richardson-extrapolated central differences
-    of the force along tau and tau_dot.
+    of the force along tau (moving r) and tau_dot (moving v), whose eight
+    points for every row go to the field in one stacked call.  The step
+    along a direction d from a point p is richardson_step(|p|) / |d|; a zero
+    direction contributes zero.
     """
     if field.spatial_jacobian is not None and field.velocity_jacobian is not None:
-        return field.jac_spatial(r, v).T @ tau + field.jac_velocity(r, v).T @ tau_dot
+        return (_contract(field.jac_spatial(r, v), tau)
+                + _contract(field.jac_velocity(r, v), tau_dot))
 
-    acc = np.zeros(2)
-    nt = float(np.hypot(tau[0], tau[1]))
-    if nt > 0.0:
-        h = numdiff.richardson_step(float(np.hypot(r[0], r[1]))) / nt
-        acc += numdiff.richardson(lambda t: field.force(r + t * tau, v), 0.0, h)
-    nd = float(np.hypot(tau_dot[0], tau_dot[1]))
-    if nd > 0.0:
-        h = numdiff.richardson_step(float(np.hypot(v[0], v[1]))) / nd
-        acc += numdiff.richardson(lambda t: field.force(r, v + t * tau_dot), 0.0, h)
-    return acc
+    base, along = np.stack([r, v]), np.stack([tau, tau_dot])
+    length = np.hypot(along[..., 0], along[..., 1])
+    h = numdiff.richardson_step(np.hypot(base[..., 0], base[..., 1])) / np.where(
+        length > 0.0, length, 1.0)
+
+    def force_at(t: np.ndarray) -> np.ndarray:
+        # t: (4, 2, ...); [k, 0] moves r along tau, [k, 1] moves v along tau_dot
+        moved = base + t[..., None] * along
+        held = np.broadcast_to(base, moved.shape)
+        return field.force(np.stack([moved[:, 0], held[:, 0]], axis=1),
+                           np.stack([held[:, 1], moved[:, 1]], axis=1))
+
+    d = numdiff.richardson_stacked(force_at, np.zeros(length.shape), h)
+    return d[0] + d[1]
 
 
 def _sample(sol: odesolve.OdeSolution, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Dense output at ``times``, where a time equal to times[0] gives y0 itself
-    (the interpolant can turn a -0.0 of the initial data into +0.0)."""
+    (the interpolant can turn a -0.0 of the initial data into +0.0).  A
+    non-finite sample raises StepFailure naming the rows of a stacked state
+    that have one."""
     ys = sol.sample(times)
     ys[times == times[0]] = y0
     if not np.all(np.isfinite(ys)):
-        raise StepFailure("solution left the finite domain")
+        rows = odesolve.nonfinite_rows(np.where(np.isfinite(ys).all(axis=0), y0, np.nan))
+        raise StepFailure("solution left the finite domain", rows=rows)
     return ys
 
 
-def integrate_deviation(field: ForceField, init: PhaseState, tau0, tau_dot0, times,
+def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
                         cfg: IntegratorConfig | None = None,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples (r, v, tau, tau') of the flat flow of ``field`` and its variation.
 
-    One integration of the 8-dimensional system runs from ``init``, tau0,
-    tau_dot0 at times[0] to times[-1].  Returns the samples at the given
-    times, shape (n, 8), whose first row is the initial data exactly, and the
-    frame components phi = <tau, N>, psi = <tau, M> per row.
+    The launch data r0, v0, tau0, tau_dot0 at times[0] have shape (..., 2);
+    leading axes stack independent launches, and all of them are integrated
+    as one (..., 8) system to times[-1] on shared steps.  Returns the samples
+    at the given times, shape (len(times), ..., 8), whose first row is the
+    launch data exactly, and the frame components phi = <tau, N> and
+    psi = <tau, M>, shape (len(times), ...).
     """
     cfg = cfg or IntegratorConfig()
     times = np.asarray(times, float)
 
     def rhs(t, y):
-        r, v, tau, tau_dot = y[:2], y[2:4], y[4:6], y[6:8]
+        r, v, tau, tau_dot = y[..., 0:2], y[..., 2:4], y[..., 4:6], y[..., 6:8]
         return np.concatenate([v, field.force(r, v), tau_dot,
-                               _tau_acceleration(field, r, v, tau, tau_dot)])
+                               _tau_acceleration(field, r, v, tau, tau_dot)], axis=-1)
 
-    y0 = np.concatenate([init.packed(),
-                         np.asarray(tau0, float), np.asarray(tau_dot0, float)])
+    y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)
+                                              for a in (r0, v0, tau0, tau_dot0))), axis=-1)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("launch data has non-finite coordinates")
     ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times, y0)
-    phi, psi = np.empty(len(ys)), np.empty(len(ys))
-    for i, y in enumerate(ys):
-        fr = frame(y[2:4])
-        phi[i], psi[i] = y[4:6] @ fr.N, y[4:6] @ fr.M
-    return ys, phi, psi
+    fr = frame(ys[..., 2:4])
+    tau = ys[..., 4:6]
+    return ys, dot(tau, fr.N), dot(tau, fr.M)
 
 
 def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
@@ -233,7 +251,8 @@ def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
     Under the base's metric, tau is the variation of the flat flow of
     ``flat_from_covariant(field, base.metric)``.
     """
-    ys, phi, psi = integrate_deviation(_flat(field, base.metric), base.initial,
+    init = base.initial
+    ys, phi, psi = integrate_deviation(_flat(field, base.metric), init.r, init.v,
                                        tau0, tau_dot0, base.times, cfg)
     return [DeviationState(tau=y[4:6], tau_dot=y[6:8], phi=float(a), psi=float(b))
             for y, a, b in zip(ys, phi, psi)]

@@ -10,7 +10,15 @@ class DegenerateVelocity(NormShiftError):
 
 
 class StepFailure(NormShiftError):
-    """Adaptive integrator could not proceed (step underflow or step budget)."""
+    """Adaptive integrator could not proceed (step underflow or step budget).
+
+    ``rows`` lists the rows of a stacked state (counted over its leading
+    axes) that went non-finite, when the failure is known to come from them.
+    """
+
+    def __init__(self, message: str = "", rows=()):
+        super().__init__(message)
+        self.rows = tuple(int(i) for i in rows)
 
 
 class SingularCurve(NormShiftError):

@@ -80,7 +80,7 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
             # A = c v^p theta: a deliberate non-solution for residual demos
             c = number(spec, "coef", 1.0)
             p = number(spec, "power", 2.0)
-            return ScalarFieldA(lambda x, y, v, t: c * v**p * t,
+            return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t,
                                 label="angular-monomial")
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc

@@ -4,6 +4,11 @@ A force field F(r, v) is expanded in the velocity frame as
 F = A * N + B * M.  The scalar ansatz builds F from a single generator
 A(x, y, v, theta) via F = A * N - A_theta * M, which is the parameterization
 used by all built-in fields that admit the normal shift of curves.
+
+Every evaluator works row by row on stacked arguments: a field takes r and v
+of shape (..., 2) and returns (..., 2), its Jacobians (..., 2, 2); profiles,
+generators and their partials take arrays of any one shape and return that
+shape.  A single point is the (2,) case (scalars for generators).
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ import numpy as np
 
 from . import numdiff
 from .errors import DegenerateVelocity, InvalidParams, MissingPartial, UnknownCatalogueEntry
-from .geometry import ConformalMetric, christoffel, frame, polar_from_cartesian
+from .geometry import (ConformalMetric, christoffel, dot, elementwise, frame,
+                       polar_from_cartesian)
+
+# _EYE[i, c]: component c of the i-th stencil point is the moved one.
+_EYE = np.eye(2, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -27,13 +36,13 @@ class Profile:
     fn: Callable[[float], float]
     deriv: Callable[[float], float] | None = None
 
-    def __call__(self, x: float) -> float:
-        return float(self.fn(x))
+    def __call__(self, x):
+        return elementwise(self.fn(x), x)
 
-    def d(self, x: float) -> float:
+    def d(self, x):
         if self.deriv is not None:
-            return float(self.deriv(x))
-        return numdiff.richardson(self.fn, x)
+            return elementwise(self.deriv(x), x)
+        return elementwise(numdiff.richardson(self.fn, x), x)
 
     @staticmethod
     def constant(c: float) -> "Profile":
@@ -44,22 +53,23 @@ class Profile:
         c = [float(a) for a in coeffs]
         dc = [i * c[i] for i in range(1, len(c))]
 
-        def fn(x: float) -> float:
-            return sum(a * x**i for i, a in enumerate(c))
+        def horner(coeffs, x):
+            out = coeffs[-1] if coeffs else 0.0
+            for a in reversed(coeffs[:-1]):
+                out = out * x + a
+            return out
 
-        def deriv(x: float) -> float:
-            return sum(a * x**i for i, a in enumerate(dc))
-
-        return Profile(fn=fn, deriv=deriv)
+        return Profile(fn=lambda x: horner(c, x), deriv=lambda x: horner(dc, x))
 
 
 @dataclass(frozen=True)
 class ForceField:
     """Evaluator F(r, v) with optional analytic Jacobians.
 
-    Jacobian convention: spatial_jacobian(r, v)[i, j] = dF_j / dr^i and
-    velocity_jacobian(r, v)[i, j] = dF_j / dv^i.  When absent, Jacobians are
-    computed by Richardson-extrapolated central differences.
+    Jacobian convention: spatial_jacobian(r, v)[..., i, j] = dF_j / dr^i and
+    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  When absent, Jacobians
+    are computed by Richardson-extrapolated central differences, with the
+    stencil points of all rows in one call of the field.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -82,16 +92,15 @@ class ForceField:
         rv = [np.asarray(r, float), np.asarray(v, float)]
         if analytic is not None:
             return np.asarray(analytic(*rv), dtype=float)
-        jac = np.zeros((2, 2))
-        for i in range(2):
-            def f_of(t: float, i=i) -> np.ndarray:
-                moved = list(rv)
-                moved[wrt] = rv[wrt].copy()
-                moved[wrt][i] = t
-                return self.force(*moved)
+        x, fixed = rv[wrt], rv[1 - wrt]
 
-            jac[i, :] = numdiff.richardson(f_of, rv[wrt][i])
-        return jac
+        def f_at(t: np.ndarray) -> np.ndarray:
+            # t: (4, ..., 2) stencil values; point [k, ..., i] moves component i
+            moved = np.where(_EYE, t[..., :, None], x[..., None, :])
+            held = np.broadcast_to(fixed[..., None, :], moved.shape)
+            return self.force(*((moved, held) if wrt == 0 else (held, moved)))
+
+        return numdiff.richardson_stacked(f_at, x)
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,9 @@ class ScalarFieldA:
     resolved once, in ``__init__``: to the analytic closure passed under its
     name (same signature as ``fn``) if there is one; otherwise to the table's
     Richardson stencil of ``fn`` (wider steps for the second-order ones), or,
-    with ``allow_fd=False``, to a stub that raises MissingPartial.
+    with ``allow_fd=False``, to a stub that raises MissingPartial.  ``fn`` and
+    the closures work elementwise on arrays; the generator and its partials
+    return one value per point even where a closure returns a constant.
     """
 
     def __init__(self, fn, *, allow_fd: bool = True, label: str = "", **partials):
@@ -166,7 +177,7 @@ class ScalarFieldA:
 
     def _resolve(self, name: str, analytic, stencil: str, axes: tuple[int, ...]):
         if analytic is not None:
-            return lambda x, y, v, theta: float(analytic(x, y, v, theta))
+            return lambda x, y, v, theta: elementwise(analytic(x, y, v, theta), x, y, v, theta)
         if not self.allow_fd:
             def missing(x, y, v, theta):
                 raise MissingPartial(f"partial {name} not supplied and fallback disabled")
@@ -176,18 +187,18 @@ class ScalarFieldA:
         def fallback(x, y, v, theta):
             f, at = _along(fn, (x, y, v, theta), axes)
             # looked up per call, so a patched numdiff stencil is the one used
-            return getattr(numdiff, stencil)(f, *at)
+            return elementwise(getattr(numdiff, stencil)(f, *at), x, y, v, theta)
         return fallback
 
-    def __call__(self, x, y, v, theta) -> float:
-        return float(self.fn(x, y, v, theta))
+    def __call__(self, x, y, v, theta):
+        return elementwise(self.fn(x, y, v, theta), x, y, v, theta)
 
-    def cartesian(self, x, y, v1, v2) -> float:
+    def cartesian(self, x, y, v1, v2):
         """A evaluated with the velocity in Cartesian components."""
-        speed = math.hypot(v1, v2)
-        if speed < 1e-300:
+        speed = np.hypot(v1, v2)
+        if np.count_nonzero(speed < 1e-300):
             raise DegenerateVelocity("scalar generator undefined at v = 0")
-        return float(self.fn(x, y, speed, math.atan2(v2, v1)))
+        return self(x, y, speed, np.arctan2(v2, v1))
 
 
 def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
@@ -204,12 +215,12 @@ def cos_profile_ansatz(profile: Profile) -> ScalarFieldA:
     """Generator A = a(v) cos(theta) of the homogeneous anisotropic family."""
     zero = lambda x, y, v, t: 0.0
     return ScalarFieldA(
-        lambda x, y, v, t: profile(v) * math.cos(t),
+        lambda x, y, v, t: profile(v) * np.cos(t),
         a_x=zero, a_y=zero,
-        a_v=lambda x, y, v, t: profile.d(v) * math.cos(t),
-        a_theta=lambda x, y, v, t: -profile(v) * math.sin(t),
-        a_theta_theta=lambda x, y, v, t: -profile(v) * math.cos(t),
-        a_theta_v=lambda x, y, v, t: -profile.d(v) * math.sin(t),
+        a_v=lambda x, y, v, t: profile.d(v) * np.cos(t),
+        a_theta=lambda x, y, v, t: -profile(v) * np.sin(t),
+        a_theta_theta=lambda x, y, v, t: -profile(v) * np.cos(t),
+        a_theta_v=lambda x, y, v, t: -profile.d(v) * np.sin(t),
         a_theta_x=zero, a_theta_y=zero, label="cos-profile")
 
 
@@ -224,9 +235,10 @@ def from_scalar_ansatz(a: ScalarFieldA, *, claims_normality: bool = False) -> Fo
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         p = polar_from_cartesian(v)
         fr = frame(v)
-        a_val = a(r[0], r[1], p.v, p.theta)
-        b_val = -a.a_theta(r[0], r[1], p.v, p.theta)
-        return a_val * fr.N + b_val * fr.M
+        x, y = r[..., 0], r[..., 1]
+        a_val = a(x, y, p.v, p.theta)
+        b_val = -a.a_theta(x, y, p.v, p.theta)
+        return a_val[..., None] * fr.N + b_val[..., None] * fr.M
 
     return ForceField(fn=fn, claims_normality=claims_normality,
                       label=a.label or "scalar-ansatz")
@@ -260,7 +272,7 @@ def complex_force(a: ScalarFieldA, z: complex, w: complex) -> complex:
 def _gamma_vv(metric: ConformalMetric, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Quadratic connection term (Gamma v v)^k = sum_ij gamma[k,i,j] v^i v^j."""
     gamma = christoffel(metric, r)
-    return np.einsum("kij,i,j->k", gamma, v, v)
+    return np.einsum("...kij,...i,...j->...k", gamma, v, v)
 
 
 def conformal_transport(a_prime: ScalarFieldA, metric: ConformalMetric,
@@ -273,13 +285,13 @@ def conformal_transport(a_prime: ScalarFieldA, metric: ConformalMetric,
     the returned field use the finite-difference fallback.
     """
 
-    def fn(x: float, y: float, v: float, theta: float) -> float:
-        r = np.array([x, y])
-        vvec = np.array([v * math.cos(theta), v * math.sin(theta)])
-        ef = math.exp(-metric.value(r))
-        gvv = _gamma_vv(metric, r, vvec)
-        n_cov = ef * np.array([math.cos(theta), math.sin(theta)])
-        term = float(gvv @ n_cov)
+    def fn(x, y, v, theta):
+        x, y, v, theta = np.broadcast_arrays(x, y, v, theta)
+        r = np.stack([x, y], axis=-1)
+        unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        ef = np.exp(-metric.value(r))
+        gvv = _gamma_vv(metric, r, v[..., None] * unit)
+        term = dot(gvv, ef[..., None] * unit)
         if inverse:
             return (a_prime(x, y, v, theta) - term) / ef
         return a_prime(x, y, v, theta) * ef + term
@@ -300,7 +312,7 @@ def flat_from_covariant(field: ForceField, metric: ConformalMetric) -> ForceFiel
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = metric.gradient(r)
-        return field.force(r, v) - (float(v @ v) * g - 2.0 * float(g @ v) * v)
+        return field.force(r, v) - (dot(v, v)[..., None] * g - 2.0 * dot(g, v)[..., None] * v)
 
     return ForceField(fn=fn, claims_normality=field.claims_normality,
                       label=(field.label or "field") + "-flat")
@@ -342,23 +354,23 @@ class MDTypeParams:
         """W = v exp(-f(x, y)): the metrizable sub-family."""
 
         def w(x, y, v):
-            return v * math.exp(-f.f(x, y))
+            return v * np.exp(-f.f(x, y))
 
         def w_v(x, y, v):
-            return math.exp(-f.f(x, y))
+            return np.exp(-f.f(x, y))
 
         def grad_w(x, y, v):
-            g = f.gradient((x, y))
-            e = math.exp(-f.f(x, y))
-            return (-v * e * g[0], -v * e * g[1])
+            fx, fy = f.partials(x, y)
+            e = np.exp(-f.f(x, y))
+            return (-v * e * fx, -v * e * fy)
 
         def w_vv(x, y, v):
             return 0.0
 
         def grad_w_v(x, y, v):
-            g = f.gradient((x, y))
-            e = math.exp(-f.f(x, y))
-            return (-e * g[0], -e * g[1])
+            fx, fy = f.partials(x, y)
+            e = np.exp(-f.f(x, y))
+            return (-e * fx, -e * fy)
 
         return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h,
                             w_vv=w_vv, grad_w_v=grad_w_v)
@@ -369,24 +381,35 @@ def mdtype_field(params: MDTypeParams, *, label: str = "mdtype") -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
-        speed = float(np.hypot(v[0], v[1]))
-        x, y = float(r[0]), float(r[1])
-        wv = params.w_v(x, y, speed)
-        if abs(wv) < 1e-12:
-            raise InvalidParams(f"W_v vanishes at ({x:.3g}, {y:.3g}, v={speed:.3g})")
-        gw = np.array(params.grad_w(x, y, speed))
-        wval = params.w(x, y, speed)
-        return (params.h(wval) * fr.N - speed * (2.0 * float(gw @ fr.N) * fr.N - gw)) / wv
+        speed = np.hypot(v[..., 0], v[..., 1])
+        x, y = r[..., 0], r[..., 1]
+        wv = elementwise(params.w_v(x, y, speed), speed)
+        vanishing = np.abs(wv) < 1e-12
+        if np.count_nonzero(vanishing):
+            bx, by, bv = (np.broadcast_to(a, wv.shape)[vanishing][0] for a in (x, y, speed))
+            raise InvalidParams(f"W_v vanishes at ({bx:.3g}, {by:.3g}, v={bv:.3g})")
+        gw = np.empty(fr.N.shape)
+        gw[..., 0], gw[..., 1] = params.grad_w(x, y, speed)
+        h = params.h(params.w(x, y, speed))[..., None]
+        along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
+        return (h * fr.N - speed[..., None] * along) / wv[..., None]
 
     return ForceField(fn=fn, claims_normality=True, label=label)
+
+
+def _per_point(value: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A constant vector or matrix repeated for every point of r."""
+    out = np.empty(np.shape(r)[:-1] + value.shape)
+    out[...] = value
+    return out
 
 
 def gravity_field(magnitude: float = 1.0) -> ForceField:
     const = np.array([0.0, -float(magnitude)])
     zero = np.zeros((2, 2))
-    return ForceField(fn=lambda r, v: const.copy(),
-                      spatial_jacobian=lambda r, v: zero.copy(),
-                      velocity_jacobian=lambda r, v: zero.copy(),
+    return ForceField(fn=lambda r, v: _per_point(const, r),
+                      spatial_jacobian=lambda r, v: _per_point(zero, r),
+                      velocity_jacobian=lambda r, v: _per_point(zero, r),
                       claims_normality=False, label="gravity")
 
 
@@ -394,9 +417,15 @@ def oscillator_field(omega: float) -> ForceField:
     om2 = float(omega) ** 2
     jr = np.array([[0.0, 0.0], [0.0, -om2]])
     zero = np.zeros((2, 2))
-    return ForceField(fn=lambda r, v: np.array([0.0, -om2 * r[1]]),
-                      spatial_jacobian=lambda r, v: jr.copy(),
-                      velocity_jacobian=lambda r, v: zero.copy(),
+
+    def fn(r, v):
+        out = np.zeros(np.shape(r))
+        out[..., 1] = -om2 * r[..., 1]
+        return out
+
+    return ForceField(fn=fn,
+                      spatial_jacobian=lambda r, v: _per_point(jr, r),
+                      velocity_jacobian=lambda r, v: _per_point(zero, r),
                       claims_normality=False, label="oscillator")
 
 
@@ -410,7 +439,8 @@ def anisotropic_field(profile: Profile, m=(1.0, 0.0)) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
-        return profile(float(np.hypot(v[0], v[1]))) * (2.0 * float(fr.N @ mv) * fr.N - mv)
+        a = profile(np.hypot(v[..., 0], v[..., 1]))
+        return a[..., None] * (2.0 * dot(fr.N, mv)[..., None] * fr.N - mv)
 
     return ForceField(fn=fn, claims_normality=True, label="anisotropic")
 
@@ -421,11 +451,12 @@ def marked_point_field(profile: Profile, center=(0.0, 0.0)) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         rr = np.asarray(r, float) - c
-        rho2 = float(rr @ rr)
-        if rho2 < 1e-24:
+        rho2 = dot(rr, rr)
+        if np.count_nonzero(rho2 < 1e-24):
             raise InvalidParams("marked-point field is singular at its center")
         fr = frame(v)
-        return profile(float(np.hypot(v[0], v[1]))) * (2.0 * float(fr.N @ rr) * fr.N - rr) / rho2
+        a = profile(np.hypot(v[..., 0], v[..., 1]))
+        return a[..., None] * (2.0 * dot(fr.N, rr)[..., None] * fr.N - rr) / rho2[..., None]
 
     return ForceField(fn=fn, claims_normality=True, label="marked_point")
 
@@ -438,8 +469,7 @@ def geodesic_field(metric: ConformalMetric) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = metric.gradient(r)
-        v2 = float(v @ v)
-        return -v2 * g + 2.0 * float(g @ v) * v
+        return -dot(v, v)[..., None] * g + 2.0 * dot(g, v)[..., None] * v
 
     return ForceField(fn=fn, claims_normality=True, label="geodesic")
 
@@ -453,10 +483,11 @@ def metrizable_field(metric: ConformalMetric, h: Profile) -> ForceField:
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
         g = metric.gradient(r)
-        speed = float(np.hypot(v[0], v[1]))
+        speed = np.hypot(v[..., 0], v[..., 1])
         v2 = speed * speed
-        ef = math.exp(metric.value(r))
-        return -v2 * g + 2.0 * float(g @ v) * v + fr.N * h(speed / ef) * ef
+        ef = np.exp(metric.value(r))
+        return (-v2[..., None] * g + 2.0 * dot(g, v)[..., None] * v
+                + fr.N * h(speed / ef)[..., None] * ef[..., None])
 
     return ForceField(fn=fn, claims_normality=True, label="metrizable")
 
@@ -473,53 +504,53 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
     r2 = float(radius) ** 2
     margin = 1e-6 * r2
 
-    def q_of(x: float, y: float) -> float:
+    def q_of(x, y):
         q = r2 - x * x - y * y
-        if q <= margin:
+        if np.count_nonzero(q <= margin):
             raise InvalidParams("evaluation point too close to the disc boundary")
         return q
 
     def fn(x, y, v, th):
         q = q_of(x, y)
-        return -2.0 * v * v * (x * math.cos(th) + y * math.sin(th)) / q + v * profile(v / q)
+        return -2.0 * v * v * (x * np.cos(th) + y * np.sin(th)) / q + v * profile(v / q)
 
     def a_theta(x, y, v, th):
         q = q_of(x, y)
-        return -2.0 * v * v * (-x * math.sin(th) + y * math.cos(th)) / q
+        return -2.0 * v * v * (-x * np.sin(th) + y * np.cos(th)) / q
 
     def a_theta_theta(x, y, v, th):
         q = q_of(x, y)
-        return 2.0 * v * v * (x * math.cos(th) + y * math.sin(th)) / q
+        return 2.0 * v * v * (x * np.cos(th) + y * np.sin(th)) / q
 
     def a_theta_v(x, y, v, th):
         q = q_of(x, y)
-        return -4.0 * v * (-x * math.sin(th) + y * math.cos(th)) / q
+        return -4.0 * v * (-x * np.sin(th) + y * np.cos(th)) / q
 
     def a_theta_x(x, y, v, th):
         q = q_of(x, y)
-        core = -x * math.sin(th) + y * math.cos(th)
-        return 2.0 * v * v * math.sin(th) / q - 4.0 * x * v * v * core / (q * q)
+        core = -x * np.sin(th) + y * np.cos(th)
+        return 2.0 * v * v * np.sin(th) / q - 4.0 * x * v * v * core / (q * q)
 
     def a_theta_y(x, y, v, th):
         q = q_of(x, y)
-        core = -x * math.sin(th) + y * math.cos(th)
-        return -2.0 * v * v * math.cos(th) / q - 4.0 * y * v * v * core / (q * q)
+        core = -x * np.sin(th) + y * np.cos(th)
+        return -2.0 * v * v * np.cos(th) / q - 4.0 * y * v * v * core / (q * q)
 
     def a_x(x, y, v, th):
         q = q_of(x, y)
-        core = x * math.cos(th) + y * math.sin(th)
-        return (-2.0 * v * v * math.cos(th) / q - 4.0 * x * v * v * core / (q * q)
+        core = x * np.cos(th) + y * np.sin(th)
+        return (-2.0 * v * v * np.cos(th) / q - 4.0 * x * v * v * core / (q * q)
                 + 2.0 * x * v * v * profile.d(v / q) / (q * q))
 
     def a_y(x, y, v, th):
         q = q_of(x, y)
-        core = x * math.cos(th) + y * math.sin(th)
-        return (-2.0 * v * v * math.sin(th) / q - 4.0 * y * v * v * core / (q * q)
+        core = x * np.cos(th) + y * np.sin(th)
+        return (-2.0 * v * v * np.sin(th) / q - 4.0 * y * v * v * core / (q * q)
                 + 2.0 * y * v * v * profile.d(v / q) / (q * q))
 
     def a_v(x, y, v, th):
         q = q_of(x, y)
-        core = x * math.cos(th) + y * math.sin(th)
+        core = x * np.cos(th) + y * np.sin(th)
         return -4.0 * v * core / q + profile(v / q) + v * profile.d(v / q) / q
 
     return ScalarFieldA(fn, a_x=a_x, a_y=a_y, a_v=a_v, a_theta=a_theta,
@@ -602,9 +633,9 @@ def metric_from_params(p) -> ConformalMetric:
     if kind == "sin_cos":
         amp = _number(p, "amplitude", 1.0)
         return ConformalMetric(
-            f=lambda x, y: amp * math.sin(x) * math.cos(y),
-            grad_f=lambda x, y: (amp * math.cos(x) * math.cos(y),
-                                 -amp * math.sin(x) * math.sin(y)),
+            f=lambda x, y: amp * np.sin(x) * np.cos(y),
+            grad_f=lambda x, y: (amp * np.cos(x) * np.cos(y),
+                                 -amp * np.sin(x) * np.sin(y)),
         )
     if kind == "linear":
         ax, ay = _number(p, "ax", 1.0), _number(p, "ay", 0.0)

@@ -5,6 +5,10 @@ Christoffel symbols, the orthonormal frame (N, M) attached to a velocity
 vector, the orthogonal projector onto the normal line, and polar velocity
 coordinates referenced to the fixed direction m = (1, 0).
 
+Points and vectors are arrays whose last axis holds the two components; any
+leading axes stack independent points, and every function works row by row
+on them.  A single point is the (2,) case of the same code.
+
 All operations are pure functions; evaluators carry no mutable state and may
 be called concurrently.
 """
@@ -23,12 +27,39 @@ from . import numdiff
 # Frames are undefined at rest points; speeds below this are rejected.
 V_MIN = 1e-9
 
+# M = (-N_y, N_x) is N reversed and multiplied by this.
+_ROTATE = np.array([-1.0, 1.0])
 
-def _as_vec(v) -> np.ndarray:
+
+def _as_points(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {a.shape}")
+    if a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError(f"expected 2-vectors along the last axis, got shape {a.shape}")
     return a
+
+
+def dot(a, b):
+    """Planar dot product over the last axis, row by row."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def elementwise(value, *args):
+    """``value`` as floats of the broadcast shape of ``args``.
+
+    A closure that returns one constant for stacked arguments still gives one
+    value per point; for scalar arguments the result is a NumPy scalar.
+    """
+    out = np.asarray(value, dtype=float)
+    for a in args:
+        if (a.shape if isinstance(a, np.ndarray | np.generic) else np.shape(a)) != out.shape:
+            return np.full(np.broadcast(*args).shape, out)[()]
+    return out[()]
+
+
+def _check_speed(speed) -> None:
+    low = speed < V_MIN
+    if np.count_nonzero(low):
+        raise DegenerateVelocity(f"speed {np.min(speed[low]):.3e} below v_min={V_MIN:.0e}")
 
 
 @dataclass(frozen=True)
@@ -42,18 +73,25 @@ class ConformalMetric:
     f: Callable[[float, float], float]
     grad_f: Callable[[float, float], tuple[float, float]] | None = None
 
-    def value(self, point) -> float:
-        x, y = _as_vec(point)
-        return float(self.f(x, y))
+    def value(self, point):
+        """f at each point, shape point.shape[:-1]."""
+        p = _as_points(point)
+        x, y = p[..., 0], p[..., 1]
+        return elementwise(self.f(x, y), x)
 
     def gradient(self, point) -> np.ndarray:
-        x, y = _as_vec(point)
+        """(df/dx, df/dy) at each point, the shape of ``point``."""
+        p = _as_points(point)
+        out = np.empty(p.shape)
+        out[..., 0], out[..., 1] = self.partials(p[..., 0], p[..., 1])
+        return out
+
+    def partials(self, x, y):
+        """df/dx and df/dy at coordinates x, y (arrays of one shape, or numbers)."""
         if self.grad_f is not None:
-            gx, gy = self.grad_f(x, y)
-            return np.array([gx, gy], dtype=float)
-        fx = numdiff.central(lambda t: self.f(t, y), x)
-        fy = numdiff.central(lambda t: self.f(x, t), y)
-        return np.array([fx, fy])
+            return self.grad_f(x, y)
+        return (numdiff.central(lambda t: self.f(t, y), x),
+                numdiff.central(lambda t: self.f(x, t), y))
 
     @staticmethod
     def euclidean() -> "ConformalMetric":
@@ -81,45 +119,40 @@ class PolarVelocity:
 
 
 def christoffel(metric: ConformalMetric, point) -> np.ndarray:
-    """Connection components of a conformal metric, shape (2, 2, 2).
+    """Connection components of a conformal metric, shape (..., 2, 2, 2).
 
     gamma[k, i, j] = f_k delta_ij - f_i delta_kj - f_j delta_ik, where f_k is
     the k-th partial of the conformal factor.  Symmetric in (i, j).
     """
-    g = metric.gradient(point)
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                gamma[k, i, j] = g[k] * (i == j) - g[i] * (k == j) - g[j] * (i == k)
-    return gamma
+    g = metric.gradient(point)[..., :, None, None]
+    e = np.eye(2)
+    return (g * e - np.swapaxes(g, -3, -2) * e[:, None, :]
+            - np.swapaxes(g, -3, -1) * e[:, :, None])
 
 
 def frame(v) -> Frame:
-    """Unit vector along v and its +90 degree rotation."""
-    v = _as_vec(v)
-    speed = float(np.hypot(v[0], v[1]))
-    if speed < V_MIN:
-        raise DegenerateVelocity(f"speed {speed:.3e} below v_min={V_MIN:.0e}")
-    n = v / speed
-    m = np.array([-n[1], n[0]])
-    return Frame(N=n, M=m)
+    """Unit vector along v and its +90 degree rotation, row by row."""
+    v = _as_points(v)
+    speed = np.hypot(v[..., 0], v[..., 1])
+    _check_speed(speed)
+    n = v / speed[..., None]
+    return Frame(N=n, M=n[..., ::-1] * _ROTATE)
 
 
 def projector(v) -> np.ndarray:
     """Orthogonal projector onto the line perpendicular to v: P = I - N N^T."""
-    fr = frame(v)
-    return np.eye(2) - np.outer(fr.N, fr.N)
+    n = frame(v).N
+    return np.eye(2) - n[..., :, None] * n[..., None, :]
 
 
 def polar_from_cartesian(v) -> PolarVelocity:
-    v = _as_vec(v)
-    speed = float(np.hypot(v[0], v[1]))
-    if speed < V_MIN:
-        raise DegenerateVelocity(f"speed {speed:.3e} below v_min={V_MIN:.0e}")
-    theta = math.atan2(v[1], v[0])
-    if theta <= -math.pi:
-        theta += 2.0 * math.pi
+    """Speed and angle of each velocity; NumPy scalars for a single one."""
+    v = _as_points(v)
+    speed = np.hypot(v[..., 0], v[..., 1])
+    _check_speed(speed)
+    theta = np.arctan2(v[..., 1], v[..., 0])
+    if np.count_nonzero(theta <= -np.pi):  # atan2(-0.0, x < 0) is -pi
+        theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)[()]
     return PolarVelocity(v=speed, theta=theta)
 
 
@@ -129,5 +162,5 @@ def cartesian_from_polar(p: PolarVelocity) -> np.ndarray:
 
 def conformal_speed(metric: ConformalMetric, point, v) -> float:
     """Length of v in the metric: exp(-f) times the Euclidean length."""
-    v = _as_vec(v)
-    return math.exp(-metric.value(point)) * float(np.hypot(v[0], v[1]))
+    v = _as_points(v)
+    return np.exp(-metric.value(point)) * np.hypot(v[..., 0], v[..., 1])

@@ -147,29 +147,31 @@ def complex_residual(a: ScalarFieldA, z: complex, w: complex) -> complex:
 
     All Wirtinger derivatives are finite differences of A in Cartesian
     position/velocity components, independent of the polar partial closures.
+    Each group of stencils (first, pure second and mixed derivatives) goes
+    to A in one stacked call.
     """
     speed = abs(w)
     if speed < 1e-300:
         raise DegenerateVelocity("complex residual undefined at w = 0")
-    x, y = z.real, z.imag
-    v1, v2 = w.real, w.imag
     wb = w.conjugate()
+    p = np.array([z.real, z.imag, w.real, w.imag])  # (x, y, v1, v2)
+    moved = np.eye(4, dtype=bool)
 
-    def ac(xx, yy, u1, u2):
-        return a.cartesian(xx, yy, u1, u2)
+    def ac(q):
+        return a.cartesian(q[..., 0], q[..., 1], q[..., 2], q[..., 3])
 
-    a0 = ac(x, y, v1, v2)
-    a_v1 = numdiff.richardson(lambda t: ac(x, y, t, v2), v1)
-    a_v2 = numdiff.richardson(lambda t: ac(x, y, v1, t), v2)
-    a_x = numdiff.richardson(lambda t: ac(t, y, v1, v2), x)
-    a_y = numdiff.richardson(lambda t: ac(x, t, v1, v2), y)
-    a_v1v1 = numdiff.richardson2(lambda t: ac(x, y, t, v2), v1)
-    a_v2v2 = numdiff.richardson2(lambda t: ac(x, y, v1, t), v2)
-    a_v1v2 = numdiff.richardson_mixed(lambda t, u: ac(x, y, t, u), v1, v2)
-    a_xv1 = numdiff.richardson_mixed(lambda t, u: ac(t, y, u, v2), x, v1)
-    a_xv2 = numdiff.richardson_mixed(lambda t, u: ac(t, y, v1, u), x, v2)
-    a_yv1 = numdiff.richardson_mixed(lambda t, u: ac(x, t, u, v2), y, v1)
-    a_yv2 = numdiff.richardson_mixed(lambda t, u: ac(x, t, v1, u), y, v2)
+    def one_axis(axes):
+        # stencil values t[..., j] replace argument axes[j] of p
+        return lambda t: ac(np.where(moved[axes], t[..., None], p))
+
+    a0 = float(ac(p))
+    a_x, a_y, a_v1, a_v2 = numdiff.richardson_stacked(one_axis([0, 1, 2, 3]), p).tolist()
+    a_v1v1, a_v2v2 = numdiff.richardson2_stacked(one_axis([2, 3]), p[2:]).tolist()
+    first, second = [2, 0, 0, 1, 1], [3, 2, 3, 2, 3]
+    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = numdiff.richardson_mixed_stacked(
+        lambda t, u: ac(np.where(moved[first], t[..., None],
+                                 np.where(moved[second], u[..., None], p))),
+        p[first], p[second]).tolist()
 
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wb = 0.5 * (a_v1 + 1j * a_v2)
@@ -324,13 +326,14 @@ def symmetry_reduced_residual(profile: VelocityAngleField, v: float, theta: floa
 def symmetry_reduced_ansatz(profile: Callable[[float, float], float],
                             *, label: str = "rotation-invariant") -> ScalarFieldA:
     """Full generator A(x, y, v, theta) = a(v, theta - gamma) / rho built from
-    a two-variable profile, where (rho, gamma) are polar coordinates of (x, y)."""
+    a two-variable profile, where (rho, gamma) are polar coordinates of (x, y).
+    Elementwise on arrays when the profile is."""
 
     def fn(x, y, v, theta):
-        rho = math.hypot(x, y)
-        if rho < 1e-12:
+        rho = np.hypot(x, y)
+        if np.count_nonzero(rho < 1e-12):
             raise SingularDenominator("rotation-invariant generator singular at the origin")
-        return profile(v, theta - math.atan2(y, x)) / rho
+        return profile(v, theta - np.arctan2(y, x)) / rho
 
     return ScalarFieldA(fn, label=label)
 

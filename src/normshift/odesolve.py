@@ -4,6 +4,11 @@ Both methods march through an optional sorted list of stop times so that the
 solution is exact (to integrator accuracy) at requested output nodes; between
 accepted steps a cubic Hermite interpolant provides dense output.  Time may
 run backward (t1 < t0).
+
+The state may be stacked, shape (..., d): independent systems advanced
+together on shared steps.  The adaptive error norm is the RMS over the last
+axis, then the maximum over the leading ones, so every accepted step passes
+each row's own test; for a 1-D state it is the plain RMS.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ _MAX_FACTOR = 5.0
 
 @dataclass
 class OdeSolution:
-    """Accepted nodes (ts, ys) plus derivatives (fs) for Hermite dense output."""
+    """Accepted nodes (ts, ys) plus derivatives (fs) for Hermite dense output.
+
+    ys and fs have shape (len(ts),) + the state's shape.
+    """
 
     ts: np.ndarray
     ys: np.ndarray
@@ -48,7 +56,7 @@ class OdeSolution:
         return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
-        """Dense output at every time in ``ts``, shape (len(ts), dim)."""
+        """Dense output at every time in ``ts``, shape (len(ts),) + state shape."""
         t = np.asarray(ts, float)
         nodes = self.ts
         lo, hi = sorted((nodes[0], nodes[-1]))
@@ -63,8 +71,10 @@ class OdeSolution:
         if not ascending:
             k = len(nodes) - 2 - k
         ta, h = nodes[k], nodes[k + 1] - nodes[k]
-        s = ((t - ta) / np.where(h == 0, 1.0, h))[:, None]
-        h = h[:, None]
+        # one time per row, broadcast over the state's axes
+        expand = (slice(None),) + (None,) * (self.ys.ndim - 1)
+        s = ((t - ta) / np.where(h == 0, 1.0, h))[expand]
+        h = h[expand]
         # float_power is C pow, as ** on a scalar is; ** 2 on an array squares
         h00 = (1 + 2 * s) * np.float_power(1 - s, 2.0)
         h10 = s * np.float_power(1 - s, 2.0)
@@ -72,26 +82,44 @@ class OdeSolution:
         h11 = s * s * (s - 1)
         out = (h00 * self.ys[k] + h10 * h * self.fs[k]
                + h01 * self.ys[k + 1] + h11 * h * self.fs[k + 1])
-        repeated = h[:, 0] == 0  # a zero-length step returns its first node
+        repeated = h.ravel() == 0  # a zero-length step returns its first node
         out[repeated] = self.ys[k[repeated]]
         return out
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                abs_tol: float, rel_tol: float) -> float:
+                abs_tol: float, rel_tol: float, width: int) -> float:
+    """RMS of the scaled error over rows of ``width`` components, the worst row."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    rows = (err / scale).reshape(-1, width)
+    return float(np.max(np.sqrt(np.mean(rows ** 2, axis=-1))))
+
+
+def nonfinite_rows(y: np.ndarray) -> list[int]:
+    """Rows of a stacked state (..., d), counted over its leading axes, that
+    have a non-finite component; none for a 1-D state."""
+    if y.ndim < 2:
+        return []
+    return np.flatnonzero(~np.all(np.isfinite(y), axis=-1).ravel()).tolist()
 
 
 def _start(rhs, t0: float, y0, t1: float, t_stops):
     """Initial node, marching direction and stop list shared by both steppers.
 
-    Returns ([t0], [y0], [rhs(t0, y0)], direction, stops): the requested stops
-    strictly inside the span in marching order, then t1; none for a zero span.
+    The steppers work on the state flattened to one axis.  Returns (shape,
+    flat_rhs, [t0], [y0], [rhs(t0, y0)], direction, stops): the state's shape,
+    the right side on flat states, and the requested stops strictly inside
+    the span in marching order, then t1; none for a zero span.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+
+    def flat_rhs(t, y):
+        return np.asarray(rhs(t, y.reshape(shape)), float).ravel()
+
     t = float(t0)
-    f = np.asarray(rhs(t, y), float)
+    f = flat_rhs(t, y)
     span = float(t1) - t
     direction = 1.0 if span > 0 else -1.0
     stops = []
@@ -100,7 +128,12 @@ def _start(rhs, t0: float, y0, t1: float, t_stops):
                         if (s - t0) * direction > 1e-15 and (t1 - s) * direction > 1e-15),
                        key=lambda s: s * direction)
         stops.append(float(t1))
-    return [t], [y], [f], direction, stops
+    return shape, flat_rhs, [t], [y], [f], direction, stops
+
+
+def _solution(ts, ys, fs, shape) -> OdeSolution:
+    return OdeSolution(np.array(ts), np.array(ys).reshape((-1,) + shape),
+                       np.array(fs).reshape((-1,) + shape))
 
 
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -109,15 +142,21 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 max_steps: int = 2_000_000,
                 t_stops=None,
                 first_step: float | None = None) -> OdeSolution:
-    """Adaptive 5(4) integration from t0 to t1 (either direction)."""
-    ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
+    """Adaptive 5(4) integration from t0 to t1 (either direction).
+
+    A StepFailure from a step-size underflow names the rows of a stacked
+    state that made the last attempted step non-finite, if any did.
+    """
+    shape, rhs, ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
     t, y, f = ts[0], ys[0], fs[0]
     span = abs(float(t1) - t)
     h = span / 100.0 if first_step is None else abs(first_step)
     h = min(h, span)
     k = np.zeros((7, y.size))
+    width = shape[-1] if shape else 1
 
     steps = 0
+    bad_rows: list[int] = []
     for target in stops:
         while (target - t) * direction > 1e-15 * max(1.0, abs(t)):
             if steps >= max_steps:
@@ -126,7 +165,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
 
             h = min(h, abs(target - t))
             if h < 1e-14 * max(1.0, abs(t)):
-                raise StepFailure(f"step size underflow at t={t:.6g}")
+                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows)
             hs = direction * h
 
             k[0] = f
@@ -136,11 +175,13 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
             y_new = y + hs * (_B5 @ k)
             err = hs * (_E @ k)
             if not np.all(np.isfinite(y_new)):
+                bad_rows = nonfinite_rows(y_new.reshape(shape))
                 h *= 0.25
                 continue
-            norm = _error_norm(err, y, y_new, abs_tol, rel_tol)
+            norm = _error_norm(err, y, y_new, abs_tol, rel_tol, width)
 
             if norm <= 1.0:
+                bad_rows = []
                 t_new = t + hs
                 f_new = k[6].copy()  # FSAL: last stage is rhs at (t_new, y_new)
                 t, y, f = t_new, y_new, f_new
@@ -153,7 +194,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
             else:
                 h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
-    return OdeSolution(np.array(ts), np.array(ys), np.array(fs))
+    return _solution(ts, ys, fs, shape)
 
 
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -163,7 +204,7 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
     """Classic fixed-step RK4; the step is shrunk per segment to hit stop times."""
     if step <= 0:
         raise ValueError("rk4 step must be positive")
-    ts, ys, fs, _, stops = _start(rhs, t0, y0, t1, t_stops)
+    shape, rhs, ts, ys, fs, _, stops = _start(rhs, t0, y0, t1, t_stops)
     t, y, f = ts[0], ys[0], fs[0]
     total = 0
     for target in stops:
@@ -175,16 +216,16 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
             if total > max_steps:
                 raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}")
             k1 = f
-            k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1), float)
-            k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), float)
-            k4 = np.asarray(rhs(t + h, y + h * k3), float)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t = t + h
-            f = np.asarray(rhs(t, y), float)
+            f = rhs(t, y)
             ts.append(t)
             ys.append(y.copy())
             fs.append(f.copy())
         t = target  # kill accumulated round-off at segment boundaries
         ts[-1] = t
 
-    return OdeSolution(np.array(ts), np.array(ys), np.array(fs))
+    return _solution(ts, ys, fs, shape)

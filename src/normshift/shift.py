@@ -20,10 +20,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import numdiff, odesolve
-from .errors import NormShiftError, NuBlowup, SingularCurve
+from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField, ab_decompose, flat_from_covariant
 from .geometry import ConformalMetric, frame
-from .dynamics import IntegratorConfig, PhaseState, integrate_deviation
+from .dynamics import IntegratorConfig, integrate_deviation
 from .tables import write_table
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .dynamics import integrate  # noqa: F401
@@ -137,7 +137,14 @@ def frenet(curve: Curve, s: float) -> tuple[np.ndarray, np.ndarray, float]:
     The curvature sign follows the chosen normal: k = <dT/ds, n>/|r'|, so the
     Frenet relations read T' = |r'| k n and n' = -|r'| k T.
     """
-    d = curve.velocity(s)
+    tangent, n, speed = _unit_frame(curve, s, curve.velocity(s))
+    dd = curve.acceleration(s)
+    k = float(dd @ n) / speed**2
+    return tangent, n, k
+
+
+def _unit_frame(curve: Curve, s: float, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit tangent, the chosen unit normal and |r'| from r'(s) = d."""
     speed = float(np.hypot(d[0], d[1]))
     if speed < _REGULARITY_EPS:
         raise SingularCurve(f"|r'({s})| = {speed:.3e}; curve not regular")
@@ -145,37 +152,58 @@ def frenet(curve: Curve, s: float) -> tuple[np.ndarray, np.ndarray, float]:
     n = np.array([-tangent[1], tangent[0]])
     if curve.normal == "right":
         n = -n
-    dd = curve.acceleration(s)
-    k = float(dd @ n) / speed**2
-    return tangent, n, k
+    return tangent, n, speed
 
 
 @dataclass
 class NuSolution:
     """Initial-speed profile nu(s) on the reached sub-interval.
 
-    ``truncated`` marks that integration stopped before covering the full
-    requested range (nu approached zero or the ODE blew up), and
-    ``stop_reason`` says where and why; queries outside the reached interval
-    raise NuBlowup.
+    ``branches`` maps 0 and 1 to the solutions from s0 toward the lower and
+    the upper end (a branch is absent where s0 is that end), and ``rate`` is
+    the right side d nu/ds at (s, nu).  ``truncated`` marks that integration
+    stopped before covering the full requested range (nu approached zero or
+    the ODE blew up), and ``stop_reason`` says where and why; queries outside
+    the reached interval raise NuBlowup.
     """
 
     s_lo: float
     s_hi: float
     truncated: bool
-    _eval: Callable[[float], float]
-    _deriv: Callable[[float], float]
+    s0: float
+    nu0: float
+    branches: dict[int, odesolve.OdeSolution]
+    rate: Callable[[float, float], float]
     stop_reason: str | None = None
 
     def __call__(self, s: float) -> float:
-        if not (self.s_lo - 1e-12 <= s <= self.s_hi + 1e-12):
-            raise NuBlowup(f"nu(s) only reached [{self.s_lo:.6g}, {self.s_hi:.6g}]; "
-                           f"queried s={s:.6g}")
-        return self._eval(s)
+        return float(self.values([s])[0])
 
     def deriv(self, s: float) -> float:
-        self(s)
-        return self._deriv(s)
+        return self.rate(s, self(s))
+
+    def values(self, s) -> np.ndarray:
+        """nu at every s, from one dense-output sample per branch; nu0 at s0."""
+        s = np.asarray(s, float)
+        outside = ~((self.s_lo - 1e-12 <= s) & (s <= self.s_hi + 1e-12))
+        if np.any(outside):
+            raise NuBlowup(f"nu(s) only reached [{self.s_lo:.6g}, {self.s_hi:.6g}]; "
+                           f"queried s={s[outside][0]:.6g}")
+        nu = np.full(s.shape, float(self.nu0))
+        at_s0 = s == self.s0
+        if len(self.branches) == 2:
+            at_s0 |= np.abs(s - self.s0) < 1e-15
+        for idx, branch in self.branches.items():
+            pick = ~at_s0 & ((s < self.s0) if idx == 0 else (s > self.s0))
+            if np.any(pick):
+                nu[pick] = branch.sample(s[pick])[:, 0]
+        return nu
+
+    def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """nu and nu' at every s; nu' is the right side at (s, nu(s))."""
+        nu = self.values(s)
+        return nu, np.array([self.rate(a, b) for a, b in
+                             zip(np.asarray(s, float).tolist(), nu.tolist())])
 
 
 def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
@@ -196,10 +224,11 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     floor = abs(nu0) * nu_floor_ratio
 
     def rhs_scalar(s: float, nu: float) -> float:
-        _, n, _ = frenet(curve, s)
+        d = curve.velocity(s)
+        _, n, _ = _unit_frame(curve, s, d)
         v = nu * n
         b = ab_decompose(field, curve.point(s), v).B
-        return -float(curve.velocity(s) @ frame(v).M) * b / nu
+        return -float(d @ frame(v).M) * b / nu
 
     def rhs(s, y):
         return np.array([rhs_scalar(s, float(y[0]))])
@@ -239,20 +268,8 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
 
     s_lo = min(reached[0], s0) if 0 in branches else s0
     s_hi = max(reached[1], s0) if 1 in branches else s0
-
-    def evaluate(s: float) -> float:
-        if s == s0 or (0 in branches and 1 in branches and abs(s - s0) < 1e-15):
-            return float(nu0)
-        branch = branches.get(0 if s < s0 else 1)
-        if branch is None:
-            return float(nu0)
-        return float(branch(s)[0])
-
-    def derivative(s: float) -> float:
-        return rhs_scalar(s, evaluate(s))
-
-    return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons),
-                      _eval=evaluate, _deriv=derivative,
+    return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons), s0=s0, nu0=nu0,
+                      branches=branches, rate=rhs_scalar,
                       stop_reason="; ".join(reasons) or None)
 
 
@@ -305,6 +322,9 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
     Deviations use tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu' from
     the initial-speed ODE for a NuSolution and otherwise from a central
     difference of ``nu`` clipped to the shifted range, one-sided at its ends.
+    All s-nodes are integrated as one stacked system; an error from it gets
+    a note naming the s-nodes whose rows went non-finite, when known, and
+    otherwise the shifted s-range.
     """
     if metric is not None:
         field = flat_from_covariant(field, metric)
@@ -315,32 +335,30 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
 
-    samples = np.empty((n_t, n_s, 8))     # (r, v, tau, tau') per node
-    phi = np.empty((n_t, n_s))
-    psi = np.empty((n_t, n_s))
-    nu_vals = np.empty(n_s)
+    if isinstance(nu, NuSolution):
+        nu_vals, dnu = nu.sample(s_nodes)
+    else:
+        nu_vals = np.array([nu(s) for s in s_nodes], dtype=float)
+        h = numdiff.central_step(s_nodes)
+        a, b = s_nodes - h, s_nodes + h
+        if hi > lo:
+            a, b = np.maximum(lo, a), np.minimum(hi, b)
+        dnu = np.array([(nu(y) - nu(x)) / (y - x) for x, y in zip(a.tolist(), b.tolist())])
 
+    # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
+    launch = np.empty((4, n_s, 2))
     for j, s in enumerate(s_nodes):
         tangent, n, k = frenet(curve, s)
-        nu_s = nu(s)
-        nu_vals[j] = nu_s
-        if isinstance(nu, NuSolution):
-            dnu = nu.deriv(s)
-        else:
-            h = numdiff.central_step(s)
-            a, b = (max(lo, s - h), min(hi, s + h)) if hi > lo else (s - h, s + h)
-            dnu = (nu(b) - nu(a)) / (b - a)
-        speed_param = float(np.hypot(*curve.velocity(s)))
-        n_prime = -k * speed_param * tangent
-        init = PhaseState(curve.point(s), nu_s * n)
-        tau0 = curve.velocity(s)
-        tau_dot0 = dnu * n + nu_s * n_prime
-        try:
-            samples[:, j], phi[:, j], psi[:, j] = integrate_deviation(
-                field, init, tau0, tau_dot0, t_nodes, cfg)
-        except Exception as exc:
-            exc.add_note(f"at s={s:.6g}")
-            raise
+        d = curve.velocity(s)
+        n_prime = -k * float(np.hypot(*d)) * tangent
+        launch[:, j] = (curve.point(s), nu_vals[j] * n, d, dnu[j] * n + nu_vals[j] * n_prime)
+    try:
+        samples, phi, psi = integrate_deviation(field, *launch, t_nodes, cfg)
+    except Exception as exc:
+        rows = list(exc.rows) if isinstance(exc, StepFailure) else []
+        exc.add_note(f"at s={', '.join(f'{s:.6g}' for s in s_nodes[rows])}" if rows
+                     else f"at s in [{lo:.6g}, {hi:.6g}]")
+        raise
     return ShiftGrid(s_nodes=s_nodes, t_nodes=t_nodes, r=samples[..., 0:2],
                      v=samples[..., 2:4], tau=samples[..., 4:6], nu=nu_vals,
                      phi=phi, psi=psi)

@@ -2,10 +2,9 @@
 
 Random fields are built from small closed families with hand-coded
 derivatives so that residual checks run in the analytic-partials regime;
-finite-difference fallbacks are exercised separately.
+finite-difference fallbacks are exercised separately.  Every closure is
+elementwise NumPy, so the fields take stacked points like the built-in ones.
 """
-
-import math
 
 import numpy as np
 
@@ -18,22 +17,22 @@ _SPEED_BASIS = [
     (lambda v: 1.0, lambda v: 0.0),
     (lambda v: v, lambda v: 1.0),
     (lambda v: v * v, lambda v: 2.0 * v),
-    (lambda v: math.sin(v), lambda v: math.cos(v)),
+    (lambda v: np.sin(v), lambda v: np.cos(v)),
 ]
 
 # (g, dg, ddg) for angle factors
 _ANGLE_BASIS = [
     (lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
-    (lambda t: math.cos(t), lambda t: -math.sin(t), lambda t: -math.cos(t)),
-    (lambda t: math.sin(t), lambda t: math.cos(t), lambda t: -math.sin(t)),
-    (lambda t: math.cos(2 * t), lambda t: -2 * math.sin(2 * t), lambda t: -4 * math.cos(2 * t)),
+    (lambda t: np.cos(t), lambda t: -np.sin(t), lambda t: -np.cos(t)),
+    (lambda t: np.sin(t), lambda t: np.cos(t), lambda t: -np.sin(t)),
+    (lambda t: np.cos(2 * t), lambda t: -2 * np.sin(2 * t), lambda t: -4 * np.cos(2 * t)),
 ]
 
 # (h, hx, hy) for position factors
 _XY_BASIS = [
     (lambda x, y: 1.0, lambda x, y: 0.0, lambda x, y: 0.0),
-    (lambda x, y: math.sin(x), lambda x, y: math.cos(x), lambda x, y: 0.0),
-    (lambda x, y: math.cos(y), lambda x, y: 0.0, lambda x, y: -math.sin(y)),
+    (lambda x, y: np.sin(x), lambda x, y: np.cos(x), lambda x, y: 0.0),
+    (lambda x, y: np.cos(y), lambda x, y: 0.0, lambda x, y: -np.sin(y)),
     (lambda x, y: 0.25 * x * y, lambda x, y: 0.25 * y, lambda x, y: 0.25 * x),
 ]
 
@@ -69,9 +68,9 @@ def random_ansatz(rng, n_terms=3, label="random-ansatz") -> ScalarFieldA:
 def random_metric(rng, scale=0.3) -> ConformalMetric:
     a, b, c = rng.uniform(-scale, scale, 3)
     return ConformalMetric(
-        f=lambda x, y: a * math.sin(x) + b * math.cos(y) + 0.1 * c * x * y,
-        grad_f=lambda x, y: (a * math.cos(x) + 0.1 * c * y,
-                             -b * math.sin(y) + 0.1 * c * x))
+        f=lambda x, y: a * np.sin(x) + b * np.cos(y) + 0.1 * c * x * y,
+        grad_f=lambda x, y: (a * np.cos(x) + 0.1 * c * y,
+                             -b * np.sin(y) + 0.1 * c * x))
 
 
 def christoffel_flow_positions(field, metric, init, t_eval) -> np.ndarray:
@@ -99,37 +98,37 @@ def perturbed_mdtype(rng) -> MDTypeParams:
     h = Profile.polynomial(rng.uniform(-0.5, 0.5, 3))
 
     def g(x, y):
-        return p * math.sin(x) + q * math.cos(y)
+        return p * np.sin(x) + q * np.cos(y)
 
     def gx(x, y):
-        return p * math.cos(x)
+        return p * np.cos(x)
 
     def gy(x, y):
-        return -q * math.sin(y)
+        return -q * np.sin(y)
 
     def ef(x, y):
-        return math.exp(-m.f(x, y))
+        return np.exp(-m.f(x, y))
 
     def w(x, y, v):
-        return v * ef(x, y) + eps * g(x, y) * math.sin(v)
+        return v * ef(x, y) + eps * g(x, y) * np.sin(v)
 
     def w_v(x, y, v):
-        return ef(x, y) + eps * g(x, y) * math.cos(v)
+        return ef(x, y) + eps * g(x, y) * np.cos(v)
 
     def w_vv(x, y, v):
-        return -eps * g(x, y) * math.sin(v)
+        return -eps * g(x, y) * np.sin(v)
 
     def grad_w(x, y, v):
-        fx, fy = m.gradient((x, y))
+        fx, fy = np.moveaxis(m.gradient(np.stack([x, y], axis=-1)), -1, 0)
         e = ef(x, y)
-        return (-v * e * fx + eps * gx(x, y) * math.sin(v),
-                -v * e * fy + eps * gy(x, y) * math.sin(v))
+        return (-v * e * fx + eps * gx(x, y) * np.sin(v),
+                -v * e * fy + eps * gy(x, y) * np.sin(v))
 
     def grad_w_v(x, y, v):
-        fx, fy = m.gradient((x, y))
+        fx, fy = np.moveaxis(m.gradient(np.stack([x, y], axis=-1)), -1, 0)
         e = ef(x, y)
-        return (-e * fx + eps * gx(x, y) * math.cos(v),
-                -e * fy + eps * gy(x, y) * math.cos(v))
+        return (-e * fx + eps * gx(x, y) * np.cos(v),
+                -e * fy + eps * gy(x, y) * np.cos(v))
 
     return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h,
                         w_vv=w_vv, grad_w_v=grad_w_v)

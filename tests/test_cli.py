@@ -381,3 +381,21 @@ def test_shift_reports_why_nu_solve_stopped(tmp_path):
     assert "fell below" in truncated["nu_stop_reason"]
     assert full["nu_truncated"] is False
     assert "nu_stop_reason" not in full
+
+
+@pytest.mark.parametrize("field, y0, error", [
+    ({"catalogue": "disc_invariant", "params": {"R": 1.0, "profile": 2.0}}, 0.6,
+     "InvalidParams: evaluation point too close to the disc boundary"),
+    ({"catalogue": "marked_point", "params": {"profile": 0.5, "center": [0.0, 1.0]}}, 0.0,
+     "DegenerateVelocity"),
+], ids=["disc-boundary", "marked-point-center"])
+def test_shift_into_a_singularity_exits_3_naming_the_s_range(tmp_path, capsys, field, y0, error):
+    # the fronts run into the disc's boundary circle or onto the marked point
+    cfg = write_config(tmp_path, "cfg.json", {
+        "field": field,
+        "curve": {"kind": "segment", "p0": [-0.3, y0], "p1": [0.3, y0], "normal": "left"},
+        "nu": {"kind": "constant", "value": 1.0}, "t_span": [0, 2], "n_s": 7, "n_t": 5})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {error}")
+    assert err.rstrip().endswith("(at s in [0, 0.6])")

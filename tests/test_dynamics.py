@@ -20,10 +20,10 @@ from normshift.dynamics import (IntegratorConfig, PhaseState,
 
 
 def zero_field() -> ForceField:
-    z = np.zeros((2, 2))
-    return ForceField(fn=lambda r, v: np.zeros(2),
-                      spatial_jacobian=lambda r, v: z.copy(),
-                      velocity_jacobian=lambda r, v: z.copy(), label="zero")
+    return ForceField(fn=lambda r, v: np.zeros_like(r),
+                      spatial_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
+                      velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
+                      label="zero")
 
 
 def test_phase_state_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import perturbed_mdtype, random_ansatz, random_metric
 
@@ -12,8 +13,11 @@ from normshift.forces import (MDTypeParams, Profile, ScalarFieldA, ab_decompose,
                               covariant_from_flat, disc_invariant_ansatz,
                               flat_from_covariant, from_scalar_ansatz, geodesic_field,
                               gravity_field, marked_point_field, mdtype_field,
-                              metrizable_field, oscillator_field, speed_profile_ansatz)
+                              metric_from_params, metrizable_field, oscillator_field,
+                              speed_profile_ansatz)
+from normshift.experiment import build_ansatz
 from normshift.geometry import ConformalMetric, christoffel, frame, polar_from_cartesian
+from normshift.normality import symmetry_reduced_ansatz
 from normshift import numdiff
 
 
@@ -311,3 +315,115 @@ def test_catalogue_listing_is_stable():
     assert names == sorted(names)
     for required in ("gravity", "oscillator", "mdtype", "disc_invariant"):
         assert required in names
+
+
+# ---------------------------------------------------------------------------
+# The field contract: r and v of shape (..., 2) are evaluated row by row.
+# ---------------------------------------------------------------------------
+
+SIN_COS = {"kind": "sin_cos", "amplitude": 0.25}
+POLY = {"kind": "poly", "coeffs": [0.4, 0.3, -0.1]}
+CATALOGUE_PARAMS = {
+    "gravity": {"magnitude": 1.5},
+    "oscillator": {"omega": 1.3},
+    "anisotropic": {"profile": POLY, "m": [0.6, 0.8]},
+    "marked_point": {"profile": POLY, "center": [3.0, -3.0]},
+    "geodesic": {"f": SIN_COS},
+    "metrizable": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.3}, "H": POLY},
+    "mdtype": {"f": SIN_COS, "h": POLY},
+    "disc_invariant": {"R": 4.0, "profile": POLY},
+}
+ANSATZ_SPECS = {
+    "speed_profile": {"kind": "speed_profile", "profile": POLY},
+    "cos_profile": {"kind": "cos_profile", "profile": POLY},
+    "disc_invariant": {"kind": "disc_invariant", "R": 4.0, "profile": POLY},
+    "angular_monomial": {"kind": "angular_monomial", "coef": 1.5, "power": 2.0},
+}
+
+
+def contract_fields() -> dict:
+    """Every built-in way of making a field, one instance each."""
+    metric = metric_from_params(SIN_COS)
+    fd_metric = ConformalMetric(f=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
+    mdtype = catalogue("mdtype", CATALOGUE_PARAMS["mdtype"])
+    fields = {f"catalogue/{name}": catalogue(name, params)
+              for name, params in CATALOGUE_PARAMS.items()}
+    fields.update({f"ansatz/{kind}": from_scalar_ansatz(build_ansatz(spec))
+                   for kind, spec in ANSATZ_SPECS.items()})
+    fields.update({
+        "flat_from_covariant": flat_from_covariant(mdtype, metric),
+        "covariant_from_flat": covariant_from_flat(mdtype, fd_metric),
+        "conformal_transport": from_scalar_ansatz(conformal_transport(
+            build_ansatz(ANSATZ_SPECS["cos_profile"]), metric)),
+        "symmetry_reduced_ansatz": from_scalar_ansatz(symmetry_reduced_ansatz(
+            lambda v, t: 1.0 + 0.3 * v + 0.5 * v * np.cos(t))),
+        "helpers/random_ansatz": from_scalar_ansatz(random_ansatz(np.random.default_rng(3))),
+        "helpers/perturbed_mdtype": mdtype_field(perturbed_mdtype(np.random.default_rng(4))),
+    })
+    return fields
+
+
+CONTRACT_FIELDS = contract_fields()
+
+
+def stacked_points(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n positions in an annulus around the origin (inside every field's
+    domain) and n velocities of speed 0.5 to 2."""
+    rng = np.random.default_rng(seed)
+    rho, gam = rng.uniform(0.5, 1.5, n), rng.uniform(-np.pi, np.pi, n)
+    speed, ang = rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n)
+    return (np.column_stack([rho * np.cos(gam), rho * np.sin(gam)]),
+            np.column_stack([speed * np.cos(ang), speed * np.sin(ang)]))
+
+
+def assert_rows(stacked: np.ndarray, rows: list[np.ndarray]):
+    assert stacked.shape == (len(rows),) + rows[0].shape
+    np.testing.assert_allclose(stacked, np.array(rows), rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FIELDS))
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_stacked_force_and_jacobians_equal_row_by_row(name, n, seed):
+    field = CONTRACT_FIELDS[name]
+    R, V = stacked_points(n, seed)
+    assert_rows(field.force(R, V), [field.force(r, v) for r, v in zip(R, V)])
+    # analytic Jacobians where the field has them, else the stacked FD stencil
+    assert_rows(field.jac_spatial(R, V), [field.jac_spatial(r, v) for r, v in zip(R, V)])
+    assert_rows(field.jac_velocity(R, V), [field.jac_velocity(r, v) for r, v in zip(R, V)])
+    # any leading shape, not only (n, 2)
+    grid = field.force(R.reshape(n, 1, 2), V.reshape(n, 1, 2))
+    assert grid.shape == (n, 1, 2)
+
+
+def test_contract_covers_every_catalogue_entry():
+    from normshift.forces import CATALOGUE
+    assert sorted(CATALOGUE_PARAMS) == sorted(CATALOGUE)
+
+
+def test_fd_jacobian_matches_the_per_component_stencil():
+    # the stacked stencil has the points and arithmetic of numdiff.richardson
+    field = CONTRACT_FIELDS["catalogue/mdtype"]
+    r, v = np.array([0.4, -0.7]), np.array([1.1, 0.3])
+    for wrt, jac in ((0, field.jac_spatial), (1, field.jac_velocity)):
+        expected = np.empty((2, 2))
+        for i in range(2):
+            def moved(t, i=i):
+                rv = [r.copy(), v.copy()]
+                rv[wrt][i] = t
+                return field.force(*rv)
+            expected[i] = numdiff.richardson(moved, (r, v)[wrt][i])
+        assert jac(r, v).tobytes() == expected.tobytes()
+
+
+def test_degenerate_rows_raise_the_single_point_errors():
+    field = CONTRACT_FIELDS["catalogue/mdtype"]
+    R = np.array([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(DegenerateVelocity):
+        field.force(R, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    marked = catalogue("marked_point", {"profile": POLY})
+    with pytest.raises(InvalidParams, match="singular at its center"):
+        marked.force(np.array([[0.5, 0.5], [0.0, 0.0]]), np.ones((2, 2)))
+    disc = CONTRACT_FIELDS["catalogue/disc_invariant"]
+    with pytest.raises(InvalidParams, match="disc boundary"):
+        disc.force(np.array([[0.5, 0.5], [4.0, 0.0]]), np.ones((2, 2)))

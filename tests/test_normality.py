@@ -38,7 +38,7 @@ def scalar_closures(field):
 
 def test_ab_gradients_zero_field():
     from normshift.forces import ForceField
-    z = ForceField(fn=lambda r, v: np.zeros(2))
+    z = ForceField(fn=lambda r, v: np.zeros_like(r))
     g = ab_gradients(z, np.zeros(2), np.array([1.0, 0.5]))
     for name in ("alpha1", "alpha2", "alpha3", "alpha4",
                  "beta1", "beta2", "beta3", "beta4"):
@@ -94,7 +94,7 @@ def test_mdtype_gradient_coefficients_closed_form():
 
 def test_weak_residuals_zero_field():
     from normshift.forces import ForceField
-    z = ForceField(fn=lambda r, v: np.zeros(2))
+    z = ForceField(fn=lambda r, v: np.zeros_like(r))
     r1, r2 = weak_residuals(z, np.zeros(2), np.array([1.0, -0.5]))
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 

@@ -6,7 +6,7 @@ import pytest
 from helpers import perturbed_mdtype, random_spline_points
 
 from normshift.dynamics import IntegratorConfig, PhaseState, integrate
-from normshift.errors import NuBlowup, SingularCurve
+from normshift.errors import InvalidParams, NuBlowup, SingularCurve, StepFailure
 from normshift.forces import (ForceField, Profile, catalogue, flat_from_covariant,
                               gravity_field, mdtype_field, metric_from_params,
                               oscillator_field, speed_profile_ansatz,
@@ -94,9 +94,9 @@ def test_solve_nu_stop_reason_and_propagated_errors():
 
     def broken(exc):
         def fn(r, v):
-            if r[0] > 0.5:
+            if np.any(r[..., 0] > 0.5):
                 raise exc("boom")
-            return np.zeros(2)
+            return np.zeros_like(r)
         return ForceField(fn=fn)
 
     # float overflow and zero division still truncate, with the reason kept
@@ -155,9 +155,9 @@ def test_gravity_shift_linear_nu_not_normal():
 
 
 def test_zero_field_shift_is_classical_parallel_transport():
-    z = ForceField(fn=lambda r, v: np.zeros(2),
-                   spatial_jacobian=lambda r, v: np.zeros((2, 2)),
-                   velocity_jacobian=lambda r, v: np.zeros((2, 2)))
+    z = ForceField(fn=lambda r, v: np.zeros_like(r),
+                   spatial_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
+                   velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)))
     rng = np.random.default_rng(0)
     curve = spline_through(random_spline_points(rng))
     grid = normal_shift(curve, z, None, constant_nu(1.0), (0, 0.4), n_s=10, n_t=9)
@@ -321,3 +321,130 @@ def test_endpoint_phi_of_plain_callable_nu():
         ref = differenced_phi(flat, None, seg, nu, grid.s_nodes[j], grid.t_nodes, tight)
         assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7
     assert grid.phi[-1, 0] == pytest.approx(-0.1168, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# One stacked integration per shift.
+# ---------------------------------------------------------------------------
+
+def mdtype_on_spline():
+    field = catalogue("mdtype", {"f": {"kind": "sin_cos", "amplitude": 0.2},
+                                 "h": {"kind": "poly", "coeffs": [0.1, 0.2]}})
+    return field, spline_through([[-1.0, 0.1], [-0.2, 0.35], [0.5, -0.2], [1.0, 0.1]])
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name; returns the list whose length is the count."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(),
+                                 IntegratorConfig(method="rk4-fixed", step=0.02)],
+                         ids=["dopri", "rk4"])
+def test_normal_shift_is_one_solve_for_all_s_nodes(monkeypatch, cfg):
+    from normshift import odesolve
+    field, curve = mdtype_on_spline()
+    solver = "solve_dopri" if cfg.method == "dopri-adaptive" else "solve_rk4"
+    calls = count_calls(monkeypatch, odesolve, solver)
+    grid = normal_shift(curve, field, None, constant_nu(1.0), (0, 0.3),
+                        n_s=16, n_t=7, cfg=cfg)
+    assert len(calls) == 1
+    assert grid.r.shape == (7, 16, 2)
+
+
+def launch_column(curve, nu, s):
+    """Launch data (r, v, tau, tau') of the trajectory from s, as normal_shift builds it."""
+    tangent, n, k = frenet(curve, s)
+    (nu_s,), (dnu,) = nu.sample([s])
+    d = curve.velocity(s)
+    return curve.point(s), nu_s * n, d, dnu * n + nu_s * (-k * math.hypot(*d) * tangent)
+
+
+def test_block_matches_separate_single_column_runs():
+    from normshift.dynamics import integrate_deviation
+    field, curve = mdtype_on_spline()
+    nu = solve_nu(curve, field, 0.5, 1.1)
+    tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    grid = normal_shift(curve, field, None, nu, (0, 0.5), n_s=16, n_t=6, cfg=tight)
+    # the steps differ, so samples between steps differ by the dense output's
+    # error (1.3e-9 at most here, with |tau| up to 4)
+    for j, s in enumerate(grid.s_nodes):  # end nodes included
+        ys, phi, psi = integrate_deviation(field, *launch_column(curve, nu, s),
+                                           grid.t_nodes, tight)
+        assert ys.shape == (6, 8) and phi.shape == (6,)
+        assert ys[0].tobytes() == np.concatenate(
+            [grid.r[0, j], grid.v[0, j], grid.tau[0, j], ys[0, 6:]]).tobytes()
+        for block, column in ((grid.r, ys[:, 0:2]), (grid.v, ys[:, 2:4]),
+                              (grid.tau, ys[:, 4:6]), (grid.phi, phi), (grid.psi, psi)):
+            assert np.max(np.abs(block[:, j] - column)) < 1e-8, s
+
+
+def test_force_calls_per_right_side_do_not_grow_with_n_s(monkeypatch):
+    # counted, not timed: a loop over rows inside the right side would make
+    # the calls per right side grow with n_s
+    from normshift import odesolve
+    field, curve = mdtype_on_spline()
+    forces = count_calls(monkeypatch, ForceField, "force")
+    solve = odesolve.solve_dopri
+    rhs_calls = []
+
+    def counting_solve(rhs, *args, **kwargs):
+        def counted(t, y):
+            rhs_calls.append(1)
+            return rhs(t, y)
+        return solve(counted, *args, **kwargs)
+
+    monkeypatch.setattr(odesolve, "solve_dopri", counting_solve)
+    per_rhs = []
+    for n_s in (4, 32):
+        forces.clear()
+        rhs_calls.clear()
+        normal_shift(curve, field, None, constant_nu(1.0), (0, 0.3), n_s=n_s, n_t=5)
+        assert len(forces) % len(rhs_calls) == 0
+        per_rhs.append(len(forces) // len(rhs_calls))
+    assert per_rhs[0] == per_rhs[1] <= 9
+
+
+def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
+    from normshift.odesolve import OdeSolution
+    field, curve = mdtype_on_spline()
+    nu = solve_nu(curve, field, 0.5, 1.1)
+    s = np.linspace(nu.s_lo, nu.s_hi, 33)  # s0 = 0.5 is node 16
+    values, rates = nu.sample(s)
+    assert values[16] == 1.1
+    assert values.tobytes() == np.array([nu(x) for x in s]).tobytes()
+    assert rates.tobytes() == np.array([nu.deriv(x) for x in s]).tobytes()
+    # normal_shift samples each branch once instead of one dense call per query
+    dense = count_calls(monkeypatch, OdeSolution, "__call__")
+    samples = count_calls(monkeypatch, OdeSolution, "sample")
+    grid = normal_shift(curve, field, None, nu, (0, 0.2), n_s=33, n_t=3)
+    assert grid.nu.tobytes() == values.tobytes()
+    assert dense == []
+    assert len(samples) == 3  # one per nu branch, one for the grid
+
+
+def test_non_finite_columns_are_named_in_the_error_note():
+    # the force is infinite right of x = 0.6, so the columns from there cannot start
+    field = ForceField(fn=lambda r, v: np.where(r[..., :1] > 0.6, np.inf, 1.0) * v)
+    grid_s = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(StepFailure) as info, np.errstate(invalid="ignore"):
+        normal_shift(segment_on_axis(0.0, 1.0), field, None, constant_nu(1.0),
+                     (0, 0.5), n_s=5, n_t=3)
+    assert info.value.rows == (3, 4)
+    assert info.value.__notes__ == [f"at s={grid_s[3]:.6g}, {grid_s[4]:.6g}"]
+
+
+def test_field_errors_in_the_block_name_the_shifted_range():
+    marked = catalogue("marked_point", {"profile": 1.0, "center": [0.5, 0.0]})
+    with pytest.raises(InvalidParams) as info:
+        normal_shift(segment_on_axis(0.0, 1.0), marked, None, constant_nu(1.0),
+                     (0, 0.5), n_s=5, n_t=3)
+    assert info.value.__notes__ == ["at s in [0, 1]"]
