@@ -59,14 +59,14 @@ def _oracle_error(cfg: dict, traj) -> tuple[str, float, float]:
     if kind in ("gravity_constant_nu", "gravity_linear_nu"):
         variant = kind.removeprefix("gravity_")
         s = number(spec, "s", float(traj.positions()[0, 0]))
-        expected = np.array([gravity_shift(s, t, variant) for t in ts])
+        expected = gravity_shift(s, ts, variant)
     elif kind == "cycloid":
         try:
             p = CycloidParams(**{key: number(spec, key)
                                  for key in ("x0", "y0", "theta0", "v0", "a0")})
         except ValueError as exc:
             raise ConfigError(f"bad cycloid oracle: {exc}") from exc
-        expected = np.array([cycloid(p, t).r for t in ts])
+        expected = cycloid(p, ts).r
     elif kind == "zero_field":
         expected = traj.positions()[0] + ts[:, None] * traj.velocities()[0]
     else:

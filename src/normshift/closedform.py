@@ -52,19 +52,19 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 # Gravity shift fronts.
 # ---------------------------------------------------------------------------
 
-def gravity_shift(s: float, t: float, variant: str = "constant_nu") -> np.ndarray:
-    """Shifted position of the horizontal segment under unit downward gravity.
+def gravity_shift(s: float, t, variant: str = "constant_nu") -> np.ndarray:
+    """Shifted position of the horizontal segment under unit downward gravity,
+    shape (..., 2) for t of any shape.
 
     constant_nu: r = (s, -t^2/2 - t).  linear_nu uses nu(s) = (3 - s)/4,
     giving r = (s, -t^2/2 - nu(s) t); the front tilts and the shift is not
     normal.
     """
-    if variant == "constant_nu":
-        return np.array([s, -0.5 * t * t - t])
-    if variant == "linear_nu":
-        nu = (3.0 - s) / 4.0
-        return np.array([s, -0.5 * t * t - nu * t])
-    raise ValueError(f"unknown variant {variant!r}")
+    nu = {"constant_nu": 1.0, "linear_nu": (3.0 - s) / 4.0}.get(variant)
+    if nu is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    t = np.asarray(t, float)
+    return np.stack([np.full_like(t, s), -0.5 * t * t - nu * t], axis=-1)
 
 
 def oscillator_phi(nu: Profile, omega: float, s: float, t: float) -> float:
@@ -113,8 +113,9 @@ class CycloidParams:
         return (-self.theta0 / self.omega, (math.pi - self.theta0) / self.omega)
 
 
-def cycloid(params: CycloidParams, t: float) -> PhaseState:
-    """Exact trajectory point of the constant anisotropic field.
+def cycloid(params: CycloidParams, t) -> PhaseState:
+    """Exact trajectory points of the constant anisotropic field at the
+    times t (any shape; a number gives one point).
 
     theta(t) = theta0 + w t, v(t) = (a0/w) sin(theta),
     x = x0 - a0/(4 w^2) (cos 2theta - cos 2theta0),
@@ -122,15 +123,17 @@ def cycloid(params: CycloidParams, t: float) -> PhaseState:
     """
     w = params.omega
     lo, hi = params.t_interval
-    if not (lo - 1e-12 <= t <= hi + 1e-12):
-        raise OutOfInterval(f"t={t:.6g} outside [{lo:.6g}, {hi:.6g}]")
+    t = np.asarray(t, float)
+    if not np.all((lo - 1e-12 <= t) & (t <= hi + 1e-12)):
+        raise OutOfInterval(f"t in [{np.min(t):.6g}, {np.max(t):.6g}] leaves "
+                            f"[{lo:.6g}, {hi:.6g}]")
     theta = params.theta0 + w * t
-    v = params.a0 / w * math.sin(theta)
-    x = params.x0 - params.a0 / (4 * w * w) * (math.cos(2 * theta) - math.cos(2 * params.theta0))
+    v = params.a0 / w * np.sin(theta)
+    x = params.x0 - params.a0 / (4 * w * w) * (np.cos(2 * theta) - math.cos(2 * params.theta0))
     y = (params.y0 + params.a0 * t / (2 * w)
-         - params.a0 / (4 * w * w) * (math.sin(2 * theta) - math.sin(2 * params.theta0)))
-    return PhaseState(np.array([x, y]),
-                      np.array([v * math.cos(theta), v * math.sin(theta)]))
+         - params.a0 / (4 * w * w) * (np.sin(2 * theta) - math.sin(2 * params.theta0)))
+    return PhaseState(np.stack([x, y], axis=-1),
+                      np.stack([v * np.cos(theta), v * np.sin(theta)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,6 @@ class QuadratureTable:
 
     def rho_at(self, theta: float) -> float:
         return float(self._rho_spl(theta))
-
-    def gamma_at(self, theta: float) -> float:
-        return float(self._gamma_spl(theta))
 
     def theta_at(self, t: float) -> float:
         """Invert the monotone map t(theta) by bisection on the grid segment."""

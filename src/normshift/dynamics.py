@@ -34,19 +34,22 @@ from .tables import write_table
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Point of the phase space: position r and velocity v."""
+    """Points of the phase space: positions r and velocities v, (..., 2) each."""
 
     r: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, float).reshape(2))
-        object.__setattr__(self, "v", np.asarray(self.v, float).reshape(2))
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.v))):
+        r, v = np.asarray(self.r, float), np.asarray(self.v, float)
+        if r.shape[-1:] != (2,) or r.shape != v.shape:
+            raise ValueError(f"r and v must have one shape (..., 2), got {r.shape}, {v.shape}")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise ValueError("phase state has non-finite coordinates")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "v", v)
 
     def packed(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v])
+        return np.concatenate([self.r, self.v], axis=-1)
 
 
 @dataclass
@@ -266,14 +269,14 @@ def phi_psi_initial_from_tau(field: ForceField, init: PhaseState,
     frame itself rotates at rate B/|v| along the flow.
     """
     fr = frame(init.v)
-    speed = float(np.hypot(init.v[0], init.v[1]))
+    speed = np.hypot(init.v[..., 0], init.v[..., 1])
     b = ab_decompose(field, init.r, init.v).B
     tau0 = np.asarray(tau0, float)
     tau_dot0 = np.asarray(tau_dot0, float)
-    phi0 = float(tau0 @ fr.N)
-    psi0 = float(tau0 @ fr.M)
-    phi_dot0 = float(tau_dot0 @ fr.N) + b / speed * psi0
-    psi_dot0 = float(tau_dot0 @ fr.M) - b / speed * phi0
+    phi0 = np.vecdot(tau0, fr.N)
+    psi0 = np.vecdot(tau0, fr.M)
+    phi_dot0 = np.vecdot(tau_dot0, fr.N) + b / speed * psi0
+    psi_dot0 = np.vecdot(tau_dot0, fr.M) - b / speed * phi0
     return phi0, phi_dot0, psi0, psi_dot0
 
 
@@ -298,10 +301,9 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
     def rhs(t, y):
         r, v = y[:2], y[2:4]
         phi, phi_dot, psi, psi_dot = y[4], y[5], y[6], y[7]
-        ab = ab_decompose(field, r, v)
         g = ab_gradients(field, r, v)
-        speed = float(np.hypot(v[0], v[1]))
-        a, b = ab.A, ab.B
+        speed = np.hypot(v[0], v[1])
+        a, b = g.A, g.B
         phi_acc = (g.alpha3 * phi_dot
                    + (g.alpha1 + g.alpha4 * b / speed) * phi
                    + (g.alpha4 + b / speed) * psi_dot

@@ -178,8 +178,8 @@ def build_init(cfg: dict) -> PhaseState:
     if not isinstance(init, dict) or "r" not in init or "v" not in init:
         raise ConfigError("'init' must carry 'r' and 'v' 2-vectors")
     try:
-        return PhaseState(np.asarray(init["r"], float), np.asarray(init["v"], float))
-    except ValueError as exc:
+        return PhaseState(*(np.asarray(init[k], float).reshape(2) for k in ("r", "v")))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DegenerateVelocity, InvalidParams, MissingPartial, UnknownCatalogueEntry
-from .geometry import (ConformalMetric, christoffel, dot, elementwise, frame,
-                       polar_from_cartesian)
+from .geometry import ConformalMetric, christoffel, dot, elementwise, frame, polar_frame
 
 # _EYE[i, c]: component c of the i-th stencil point is the moved one.
 _EYE = np.eye(2, dtype=bool)
@@ -105,17 +104,17 @@ class ForceField:
 
 @dataclass(frozen=True)
 class ABDecomposition:
-    """Components of the force along N (A) and along M (B)."""
+    """Components of the force along N (A) and along M (B), one per point."""
 
-    A: float
-    B: float
+    A: np.ndarray
+    B: np.ndarray
 
 
 def ab_decompose(field: ForceField, r, v) -> ABDecomposition:
     """Project F(r, v) on the velocity frame: A = <F, N>, B = <F, M>."""
     fr = frame(v)
     f = field.force(r, v)
-    return ABDecomposition(A=float(f @ fr.N), B=float(f @ fr.M))
+    return ABDecomposition(A=np.vecdot(f, fr.N), B=np.vecdot(f, fr.M))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +232,7 @@ def from_scalar_ansatz(a: ScalarFieldA, *, claims_normality: bool = False) -> Fo
     """
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = polar_from_cartesian(v)
-        fr = frame(v)
+        p, fr = polar_frame(v)
         x, y = r[..., 0], r[..., 1]
         a_val = a(x, y, p.v, p.theta)
         b_val = -a.a_theta(x, y, p.v, p.theta)

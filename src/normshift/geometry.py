@@ -56,10 +56,12 @@ def elementwise(value, *args):
     return out[()]
 
 
-def _check_speed(speed) -> None:
+def _speed(v: np.ndarray) -> np.ndarray:
+    speed = np.hypot(v[..., 0], v[..., 1])
     low = speed < V_MIN
     if np.count_nonzero(low):
         raise DegenerateVelocity(f"speed {np.min(speed[low]):.3e} below v_min={V_MIN:.0e}")
+    return speed
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,10 @@ def christoffel(metric: ConformalMetric, point) -> np.ndarray:
 def frame(v) -> Frame:
     """Unit vector along v and its +90 degree rotation, row by row."""
     v = _as_points(v)
-    speed = np.hypot(v[..., 0], v[..., 1])
-    _check_speed(speed)
+    return _frame(v, _speed(v))
+
+
+def _frame(v: np.ndarray, speed: np.ndarray) -> Frame:
     n = v / speed[..., None]
     return Frame(N=n, M=n[..., ::-1] * _ROTATE)
 
@@ -147,13 +151,18 @@ def projector(v) -> np.ndarray:
 
 def polar_from_cartesian(v) -> PolarVelocity:
     """Speed and angle of each velocity; NumPy scalars for a single one."""
+    return polar_frame(v)[0]
+
+
+def polar_frame(v) -> tuple[PolarVelocity, Frame]:
+    """``polar_from_cartesian(v)`` and ``frame(v)`` from one speed and one
+    rest-point check."""
     v = _as_points(v)
-    speed = np.hypot(v[..., 0], v[..., 1])
-    _check_speed(speed)
+    speed = _speed(v)
     theta = np.arctan2(v[..., 1], v[..., 0])
     if np.count_nonzero(theta <= -np.pi):  # atan2(-0.0, x < 0) is -pi
         theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)[()]
-    return PolarVelocity(v=speed, theta=theta)
+    return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
 
 
 def cartesian_from_polar(p: PolarVelocity) -> np.ndarray:

@@ -22,106 +22,117 @@ import numpy as np
 
 from . import numdiff, odesolve
 from .errors import DegenerateVelocity, FormulationMismatch, SingularDenominator
-from .forces import ForceField, ScalarFieldA, ab_decompose
+from .forces import ForceField, ScalarFieldA
 from .geometry import frame
 
 
 @dataclass(frozen=True)
 class ABGradients:
-    """Frame components of grad A, grad_v A, grad B, grad_v B."""
+    """A = <F, N>, B = <F, M> and the frame components of grad A, grad_v A,
+    grad B, grad_v B, one per point."""
 
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-    beta1: float
-    beta2: float
-    beta3: float
-    beta4: float
+    A: np.ndarray
+    B: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    alpha3: np.ndarray
+    alpha4: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
+    beta3: np.ndarray
+    beta4: np.ndarray
+
+
+def _evaluate(field: ForceField, r, v):
+    """F, J_r, J_v, the frame and the speed at (..., 2) r, v, for both assemblies."""
+    v = np.asarray(v, float)
+    fr = frame(v)
+    return (field.force(r, v), field.jac_spatial(r, v), field.jac_velocity(r, v),
+            fr, np.hypot(v[..., 0], v[..., 1]))
 
 
 def ab_gradients(field: ForceField, r, v) -> ABGradients:
-    """Gradient components assembled from the force Jacobians.
+    """Gradient components assembled from the force Jacobians at (..., 2) r, v.
 
     grad A = J_r^T N, grad_v A = J_v^T N + (B/v) M, and similarly for B with
     grad_v B = J_v^T M - (A/v) M; the extra terms come from differentiating
     the frame itself.
     """
-    r = np.asarray(r, float)
-    v = np.asarray(v, float)
-    fr = frame(v)
-    speed = float(np.hypot(v[0], v[1]))
-    ab = ab_decompose(field, r, v)
-    jr = field.jac_spatial(r, v)
-    jv = field.jac_velocity(r, v)
-    grad_a = jr @ fr.N
-    grad_b = jr @ fr.M
-    gradv_a = jv @ fr.N + (ab.B / speed) * fr.M
-    gradv_b = jv @ fr.M - (ab.A / speed) * fr.M
+    return _gradients(*_evaluate(field, r, v))
+
+
+def _gradients(f, jr, jv, fr, speed) -> ABGradients:
+    n, m = fr.N, fr.M
+    a, b = np.vecdot(f, n), np.vecdot(f, m)
+    grad_a, grad_b = np.matvec(jr, n), np.matvec(jr, m)
+    gradv_a = np.matvec(jv, n) + (b / speed)[..., None] * m
+    gradv_b = np.matvec(jv, m) - (a / speed)[..., None] * m
     return ABGradients(
-        alpha1=float(grad_a @ fr.N), alpha2=float(grad_a @ fr.M),
-        alpha3=float(gradv_a @ fr.N), alpha4=float(gradv_a @ fr.M),
-        beta1=float(grad_b @ fr.N), beta2=float(grad_b @ fr.M),
-        beta3=float(gradv_b @ fr.N), beta4=float(gradv_b @ fr.M),
+        A=a, B=b,
+        alpha1=np.vecdot(grad_a, n), alpha2=np.vecdot(grad_a, m),
+        alpha3=np.vecdot(gradv_a, n), alpha4=np.vecdot(gradv_a, m),
+        beta1=np.vecdot(grad_b, n), beta2=np.vecdot(grad_b, m),
+        beta3=np.vecdot(gradv_b, n), beta4=np.vecdot(gradv_b, m),
     )
 
 
-def weak_residuals(field: ForceField, r, v, *, cross_validate: bool = True,
-                   cross_tol: float = 1e-4) -> tuple[float, float]:
-    """Residuals (r1, r2) of the two weak normality equations at (r, v).
+def weak_residuals(field: ForceField, r, v, *, cross_validate: bool = True):
+    """Residuals (r1, r2) of the two weak normality equations at (..., 2) r, v.
 
-    Computed from the alpha/beta coefficients; with ``cross_validate`` the
-    same residuals are recomputed directly from the Cartesian form (raw force
-    Jacobians contracted with the frame) and the two paths must agree.
+    Computed from the alpha/beta coefficients.  With ``cross_validate`` the
+    Cartesian assembly recomputes them from the same evaluation of the force
+    and its Jacobians, and the two assemblies must agree at every point.
     """
-    ab = ab_decompose(field, r, v)
-    g = ab_gradients(field, r, v)
-    speed = float(np.hypot(*np.asarray(v, float)))
-    r1 = g.alpha4 + ab.B / speed
-    r2 = (ab.B * ab.A / speed**2 - g.beta1 - g.beta3 * ab.A / speed
-          - g.beta4 * ab.B / speed - g.alpha2 + g.alpha3 * ab.B / speed)
+    sample = _evaluate(field, r, v)
+    g = _gradients(*sample)
+    a, b, speed = g.A, g.B, sample[-1]
+    r1 = g.alpha4 + b / speed
+    r2 = (b * a / speed**2 - g.beta1 - g.beta3 * a / speed
+          - g.beta4 * b / speed - g.alpha2 + g.alpha3 * b / speed)
     if cross_validate:
-        c1, c2 = weak_residuals_cartesian(field, r, v)
-        scale = 1.0 + abs(r1) + abs(r2)
-        if abs(r1 - c1) > cross_tol * scale or abs(r2 - c2) > cross_tol * scale:
+        c1, c2 = _weak_cartesian(*sample)
+        tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
+        bad = (np.abs(r1 - c1) > tol) | (np.abs(r2 - c2) > tol)
+        if np.count_nonzero(bad):
+            p1, p2, q1, q2 = (np.broadcast_to(x, bad.shape)[bad][0] for x in (r1, r2, c1, c2))
             raise FormulationMismatch(
-                f"weak-residual formulations disagree: ({r1:.3e},{r2:.3e}) vs "
-                f"({c1:.3e},{c2:.3e})")
+                f"weak-residual formulations disagree at {np.count_nonzero(bad)} of "
+                f"{bad.size} points, first ({p1:.3e},{p2:.3e}) vs ({q1:.3e},{q2:.3e})")
     return r1, r2
 
 
-def weak_residuals_cartesian(field: ForceField, r, v) -> tuple[float, float]:
+def weak_residuals_cartesian(field: ForceField, r, v):
     """The same residuals assembled term by term from raw force Jacobians."""
-    r = np.asarray(r, float)
-    v = np.asarray(v, float)
-    fr = frame(v)
-    speed = float(np.hypot(v[0], v[1]))
-    f = field.force(r, v)
-    jr = field.jac_spatial(r, v)   # jr[i, j] = dF_j/dr^i
-    jv = field.jac_velocity(r, v)  # jv[i, j] = dF_j/dv^i
+    return _weak_cartesian(*_evaluate(field, r, v))
+
+
+def _weak_cartesian(f, jr, jv, fr, speed):
+    n, m = fr.N, fr.M
 
     # r1 = sum_i (F_i/v + d/dv^i <F, N>) M^i
-    dn = (np.eye(2) - np.outer(fr.N, fr.N)) / speed  # dN^j/dv^i
-    grad_fn = jv @ fr.N + dn @ f
-    r1 = float((f / speed + grad_fn) @ fr.M)
+    dn = (np.eye(2) - n[..., :, None] * n[..., None, :]) / speed[..., None, None]  # dN^j/dv^i
+    r1 = np.vecdot(f / speed[..., None] + np.matvec(jv, n) + np.matvec(dn, f), m)
 
     # r2 assembled from its five Cartesian pieces.
-    ba = float(f @ fr.N) * float(f @ fr.M) / speed**2
-    sym = -float(fr.M @ (jr + jr.T) @ fr.N)
-    t12 = ba - float(fr.M @ jv.T @ fr.M) * float(f @ fr.M) / speed
-    t13 = -float(fr.M @ jv.T @ fr.N) * float(f @ fr.N) / speed
-    t14 = float(fr.N @ jv.T @ fr.N) * float(f @ fr.M) / speed
-    r2 = ba + sym + t12 + t13 + t14
-    return r1, r2
+    f_n, f_m = np.vecdot(f, n), np.vecdot(f, m)
+    jv_t = np.swapaxes(jv, -1, -2)
+    ba = f_n * f_m / speed**2
+    sym = -np.vecdot(np.vecmat(m, jr + np.swapaxes(jr, -1, -2)), n)
+    t12 = ba - np.vecdot(np.vecmat(m, jv_t), m) * f_m / speed
+    t13 = -np.vecdot(np.vecmat(m, jv_t), n) * f_n / speed
+    t14 = np.vecdot(np.vecmat(n, jv_t), n) * f_m / speed
+    return r1, ba + sym + t12 + t13 + t14
 
 
-def reduced_residual(a: ScalarFieldA, x: float, y: float, v: float, theta: float) -> float:
+def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     """Residual of the reduced normality equation in polar velocity form.
 
     (A_y - A_tx) cos t - (A_x + A_ty) sin t + A A_t / v^2
-    + A_t A_tt / v^2 + A_t A_v / v - A A_tv / v,  t = theta.
+    + A_t A_tt / v^2 + A_t A_v / v - A A_tv / v,  t = theta,
+
+    elementwise in x, y, v and theta (arrays of one shape, or numbers).
     """
-    if v < 1e-300:
+    if np.count_nonzero(np.asarray(v) < 1e-300):
         raise DegenerateVelocity("reduced residual undefined at v = 0")
     a0 = a(x, y, v, theta)
     at = a.a_theta(x, y, v, theta)
@@ -132,12 +143,13 @@ def reduced_residual(a: ScalarFieldA, x: float, y: float, v: float, theta: float
     ax = a.a_x(x, y, v, theta)
     ay = a.a_y(x, y, v, theta)
     av = a.a_v(x, y, v, theta)
-    return ((ay - atx) * math.cos(theta) - (ax + aty) * math.sin(theta)
+    return ((ay - atx) * np.cos(theta) - (ax + aty) * np.sin(theta)
             + a0 * at / v**2 + at * att / v**2 + at * av / v - a0 * atv / v)
 
 
-def complex_residual(a: ScalarFieldA, z: complex, w: complex) -> complex:
-    """Residual of the normality equation in complex form.
+def complex_residual(a: ScalarFieldA, z, w):
+    """Residual of the normality equation in complex form, one per point of
+    the complex arrays (or numbers) z and w.
 
     With D+_w = w d_w + wbar d_wbar, D-_w = w d_w - wbar d_wbar and the
     analogous z-operators weighted by (w, wbar):
@@ -148,13 +160,14 @@ def complex_residual(a: ScalarFieldA, z: complex, w: complex) -> complex:
     All Wirtinger derivatives are finite differences of A in Cartesian
     position/velocity components, independent of the polar partial closures.
     Each group of stencils (first, pure second and mixed derivatives) goes
-    to A in one stacked call.
+    to A in one stacked call for all points.
     """
-    speed = abs(w)
-    if speed < 1e-300:
-        raise DegenerateVelocity("complex residual undefined at w = 0")
+    z = np.asarray(z, complex)
+    w = np.asarray(w, complex)
+    speed = np.abs(w)  # A.cartesian raises DegenerateVelocity where it is 0
     wb = w.conjugate()
-    p = np.array([z.real, z.imag, w.real, w.imag])  # (x, y, v1, v2)
+    p = np.stack([z.real, z.imag, w.real, w.imag], axis=-1)  # (x, y, v1, v2)
+    held = p[..., None, :]  # a group's column j moves one argument of its point
     moved = np.eye(4, dtype=bool)
 
     def ac(q):
@@ -162,16 +175,19 @@ def complex_residual(a: ScalarFieldA, z: complex, w: complex) -> complex:
 
     def one_axis(axes):
         # stencil values t[..., j] replace argument axes[j] of p
-        return lambda t: ac(np.where(moved[axes], t[..., None], p))
+        return lambda t: ac(np.where(moved[axes], t[..., None], held))
 
-    a0 = float(ac(p))
-    a_x, a_y, a_v1, a_v2 = numdiff.richardson_stacked(one_axis([0, 1, 2, 3]), p).tolist()
-    a_v1v1, a_v2v2 = numdiff.richardson2_stacked(one_axis([2, 3]), p[2:]).tolist()
+    def per_column(d):
+        return np.moveaxis(d, -1, 0)
+
+    a0 = ac(p)
+    a_x, a_y, a_v1, a_v2 = per_column(numdiff.richardson_stacked(one_axis([0, 1, 2, 3]), p))
+    a_v1v1, a_v2v2 = per_column(numdiff.richardson2_stacked(one_axis([2, 3]), p[..., 2:]))
     first, second = [2, 0, 0, 1, 1], [3, 2, 3, 2, 3]
-    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = numdiff.richardson_mixed_stacked(
+    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = per_column(numdiff.richardson_mixed_stacked(
         lambda t, u: ac(np.where(moved[first], t[..., None],
-                                 np.where(moved[second], u[..., None], p))),
-        p[first], p[second]).tolist()
+                                 np.where(moved[second], u[..., None], held))),
+        p[..., first], p[..., second]))
 
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wb = 0.5 * (a_v1 + 1j * a_v2)
@@ -262,14 +278,7 @@ def b_closed_form(v: float, theta: float, u: float = 1.0) -> float:
     b = (v^2 sin 2t + 2 v u cos t + v sqrt(v^2 + 4 u v sin t + 2 u^2))
         / (4 u v sin t + 2 u^2 - v^2 cos 2t).
     """
-    den = 4.0 * u * v * math.sin(theta) + 2.0 * u * u - v * v * math.cos(2.0 * theta)
-    if abs(den) < 1e-12:
-        raise SingularDenominator(f"denominator vanishes at (v={v}, theta={theta})")
-    rad = v * v + 4.0 * u * v * math.sin(theta) + 2.0 * u * u
-    if rad < 0.0:
-        raise SingularDenominator(f"negative radicand at (v={v}, theta={theta})")
-    num = v * v * math.sin(2.0 * theta) + 2.0 * v * u * math.cos(theta) + v * math.sqrt(rad)
-    return num / den
+    return b_closed_form_field(u).fn(v, theta)
 
 
 def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
@@ -349,10 +358,7 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
     box = box or {"x": (-2.0, 2.0), "y": (-2.0, 2.0), "v": (0.5, 3.0),
                   "theta": (-math.pi, math.pi)}
     rng = np.random.default_rng(seed)
-    pts = np.empty((n, 4))
-    for col, name in enumerate(("x", "y", "v", "theta")):
-        pts[:, col] = rng.uniform(box[name][0], box[name][1], n)
-    return pts
+    return np.column_stack([rng.uniform(*box[name], n) for name in ("x", "y", "v", "theta")])
 
 
 @dataclass
@@ -378,30 +384,19 @@ class ResidualReport:
 
 def residual_sweep(probes: np.ndarray, *, field: ForceField | None = None,
                    ansatz: ScalarFieldA | None = None,
-                   include_complex: bool = False,
-                   cross_validate: bool = True) -> ResidualReport:
-    """Evaluate the available residuals at every probe."""
+                   include_complex: bool = False) -> ResidualReport:
+    """Evaluate the available residuals at every probe, one call per formulation."""
     if field is None and ansatz is None:
         raise ValueError("need a force field or a scalar generator")
-    n = len(probes)
-    report = ResidualReport(probes=np.asarray(probes, float))
+    probes = np.asarray(probes, float)
+    x, y, v, th = np.moveaxis(probes, -1, 0)
+    vel = np.stack([v * np.cos(th), v * np.sin(th)], axis=-1)
+    report = ResidualReport(probes=probes)
     if field is not None:
-        report.r1 = np.empty(n)
-        report.r2 = np.empty(n)
+        report.r1, report.r2 = weak_residuals(field, probes[..., :2], vel)
     if ansatz is not None:
-        report.r_reduced = np.empty(n)
+        report.r_reduced = reduced_residual(ansatz, x, y, v, th)
         if include_complex:
-            report.r_complex = np.empty(n, dtype=complex)
-    for i, (x, y, v, th) in enumerate(probes):
-        if field is not None:
-            pos = np.array([x, y])
-            vel = np.array([v * math.cos(th), v * math.sin(th)])
-            r1, r2 = weak_residuals(field, pos, vel, cross_validate=cross_validate)
-            report.r1[i] = r1
-            report.r2[i] = r2
-        if ansatz is not None:
-            report.r_reduced[i] = reduced_residual(ansatz, x, y, v, th)
-            if include_complex:
-                report.r_complex[i] = complex_residual(
-                    ansatz, complex(x, y), complex(v * math.cos(th), v * math.sin(th)))
+            report.r_complex = complex_residual(ansatz, x + 1j * y,
+                                                vel[..., 0] + 1j * vel[..., 1])
     return report

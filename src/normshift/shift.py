@@ -397,16 +397,11 @@ def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> Normality
     tol = phi_tol if phi_tol is not None else 1e-6 * (1.0 + max_tau)
     max_phi = grid.max_abs_phi()
 
-    # dot and asin node by node: NumPy's dot (FMA) and arcsin differ in the
-    # last bits
-    worst = 0.0
-    taus, vs = grid.tau.reshape(-1, 2), grid.v.reshape(-1, 2)
-    nts, nvs = np.hypot(*taus.T).tolist(), np.hypot(*vs.T).tolist()
-    for tau, v, nt, nv in zip(taus, vs, nts, nvs):
-        if nt < 1e-14 or nv < 1e-14:
-            continue
-        cosang = abs(float(tau @ v)) / (nt * nv)
-        worst = max(worst, math.degrees(abs(math.asin(min(1.0, cosang)))))
+    n_tau = np.hypot(grid.tau[..., 0], grid.tau[..., 1])
+    n_v = np.hypot(grid.v[..., 0], grid.v[..., 1])
+    kept = (n_tau >= 1e-14) & (n_v >= 1e-14)
+    cosang = np.abs(np.vecdot(grid.tau, grid.v)[kept]) / (n_tau * n_v)[kept]
+    worst = float(np.degrees(np.max(np.arcsin(np.minimum(1.0, cosang)), initial=0.0)))
     return NormalityReport(max_abs_phi=max_phi, max_angle_dev_deg=worst,
                            max_tau_norm=max_tau, phi_tol=tol,
                            normal=max_phi < tol, nu=[float(x) for x in grid.nu])

@@ -354,9 +354,28 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r, code", [
+    pytest.param([0.5, 0.0], 0, id="pair"),
+    pytest.param([[0.5, 0.0]], 0, id="row"),
+    pytest.param([[0.5], [0.0]], 0, id="column"),
+    pytest.param([True, False], 0, id="booleans"),
+    pytest.param({"x": 0.5}, 2, id="object"),
+    pytest.param([0.5, 0.0, 1.0], 2, id="three-numbers"),
+    pytest.param([[0.5, 0.0], [1.0, 1.0]], 2, id="two-points"),
+    pytest.param("ab", 2, id="string"),
+    pytest.param(None, 2, id="null"),
+    pytest.param([1e400, 0.0], 2, id="infinite"),
+])
+def test_init_takes_one_point_of_two_numbers(tmp_path, r, code):
+    cfg = write_config(tmp_path, "init.json", {**_BASE["simulate"],
+                                               "init": {"r": r, "v": [1.0, 1.0]}})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == code
+
+
 def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     from normshift import normality
-    monkeypatch.setattr(normality, "weak_residuals_cartesian", lambda field, r, v: (1.0, 1.0))
+    # the Cartesian assembly of one evaluation of the field disagrees
+    monkeypatch.setattr(normality, "_weak_cartesian", lambda *sample: (1.0, 1.0))
     cfg = write_config(tmp_path, "mismatch.json", _BASE["check"])
     assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numeric failure: FormulationMismatch" in capsys.readouterr().err

@@ -100,6 +100,35 @@ def test_cycloid_periodicity_structure():
         p.a0 * math.pi / (2 * p.omega**2), abs=1e-12)
 
 
+def test_oracles_on_an_array_of_t_equal_the_per_t_calls():
+    p = CycloidParams(x0=0.3, y0=-0.1, theta0=1.1, v0=0.9, a0=1.4)
+    lo, hi = p.t_interval
+    ts = np.linspace(lo, hi, 41)
+    states = cycloid(p, ts)
+    assert states.r.shape == states.v.shape == (41, 2)
+    assert states.r.tobytes() == np.array([cycloid(p, t).r for t in ts]).tobytes()
+    assert states.v.tobytes() == np.array([cycloid(p, t).v for t in ts]).tobytes()
+    grid = cycloid(p, ts.reshape(41, 1))
+    assert grid.r.shape == (41, 1, 2)
+    for variant in ("constant_nu", "linear_nu"):
+        front = gravity_shift(0.4, ts, variant)
+        assert front.shape == (41, 2)
+        assert front.tobytes() == np.array([gravity_shift(0.4, t, variant) for t in ts]).tobytes()
+    # one time outside the interval is enough
+    with pytest.raises(OutOfInterval):
+        cycloid(p, np.append(ts, hi + 0.1))
+
+
+def test_phase_state_holds_stacked_points():
+    st = PhaseState(np.zeros((3, 2)), np.ones((3, 2)))
+    assert st.packed().shape == (3, 4)
+    for r, v in (((0, 0, 0), (1, 0, 0)), (np.zeros((3, 2)), (1, 0)), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            PhaseState(r, v)
+    with pytest.raises(ValueError):
+        PhaseState(np.zeros((3, 2)), [[1, 0], [1, 0], [np.inf, 0]])
+
+
 def test_cycloid_matches_integration():
     p = CycloidParams(x0=0.0, y0=0.0, theta0=math.pi / 3, v0=1.0, a0=1.0)
     lo, hi = p.t_interval

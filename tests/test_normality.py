@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import perturbed_mdtype, random_ansatz
 
 from normshift.errors import DegenerateVelocity, SingularDenominator
-from normshift.forces import (Profile, ScalarFieldA, cos_profile_ansatz,
+from normshift.experiment import build_field
+from normshift.forces import (ForceField, Profile, ScalarFieldA, cos_profile_ansatz,
                               disc_invariant_ansatz, from_scalar_ansatz,
                               gravity_field, mdtype_field, speed_profile_ansatz)
 from normshift.geometry import frame
@@ -302,3 +304,74 @@ def test_residual_sweep_report():
     assert summary["r2"]["max"] < 1e-5
     assert summary["r_reduced"]["max"] < 1e-9
     assert summary["r_complex"]["max"] < 1e-7
+
+
+# The field kinds of the benchmark's residual sweeps: four generators, and
+# the mdtype and oscillator catalogue fields.
+_POLY = {"kind": "poly", "coeffs": [0.6, 0.2, -0.05]}
+SWEEP_FIELDS = {
+    "cos_profile": {"ansatz": {"kind": "cos_profile", "profile": _POLY}},
+    "speed_profile": {"ansatz": {"kind": "speed_profile", "profile": _POLY}},
+    "disc_invariant": {"ansatz": {"kind": "disc_invariant", "R": 3.0, "profile": _POLY}},
+    "angular_monomial": {"ansatz": {"kind": "angular_monomial", "coef": 1.2, "power": 2.3}},
+    "mdtype": {"catalogue": "mdtype",
+               "params": {"f": {"kind": "sin_cos", "amplitude": 0.2}, "h": _POLY}},
+    "oscillator": {"catalogue": "oscillator", "params": {"omega": 1.3}},
+}
+SWEEP_BOX = {"x": (-1.3, 1.3), "y": (-1.3, 1.3), "v": (0.4, 3.0), "theta": (-3.1, 3.1)}
+
+
+def assert_probe_by_probe(stacked, rows):
+    rows = np.array(rows)
+    assert np.shape(stacked) == rows.shape
+    # measured: equal bits for the weak and reduced residuals, 5.3e-15 for
+    # the complex one (its single-probe call evaluates A at 0-d arrays)
+    assert np.all(np.abs(stacked - rows) <= 1e-13 * (1.0 + np.abs(rows)))
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_FIELDS))
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_stacked_residuals_equal_probe_by_probe(kind, n, seed):
+    field, a = build_field(SWEEP_FIELDS[kind])
+    probes = probe_points(n, seed=seed, box=SWEEP_BOX)
+    x, y, v, th = probes.T
+    R, V = probes[:, :2], np.column_stack([v * np.cos(th), v * np.sin(th)])
+    r1, r2 = weak_residuals(field, R, V)
+    rows = [weak_residuals(field, r, vel) for r, vel in zip(R, V)]
+    assert_probe_by_probe(r1, [row[0] for row in rows])
+    assert_probe_by_probe(r2, [row[1] for row in rows])
+    if a is None:
+        return
+    assert_probe_by_probe(reduced_residual(a, x, y, v, th),
+                          [reduced_residual(a, *probe) for probe in probes])
+    z, w = x + 1j * y, V[:, 0] + 1j * V[:, 1]
+    assert_probe_by_probe(complex_residual(a, z, w),
+                          [complex_residual(a, zz, ww) for zz, ww in zip(z, w)])
+
+
+@pytest.mark.parametrize("kind, calls", [("mdtype", 3), ("angular_monomial", 3),
+                                         ("oscillator", 1)])
+def test_field_calls_per_sweep_do_not_grow_with_the_probe_count(monkeypatch, kind, calls):
+    # one force call, and one stacked stencil call per finite-difference Jacobian
+    field, a = build_field(SWEEP_FIELDS[kind])
+    counted = []
+    force = ForceField.force
+    monkeypatch.setattr(ForceField, "force",
+                        lambda self, r, v: counted.append(len(r)) or force(self, r, v))
+    for n in (10, 500):
+        counted.clear()
+        residual_sweep(probe_points(n, seed=n, box=SWEEP_BOX), field=field, ansatz=a,
+                       include_complex=a is not None)
+        assert len(counted) == calls, n
+
+
+def test_stacked_residuals_reject_a_rest_point_in_any_row():
+    a = cos_profile_ansatz(Profile.constant(1.0))
+    zeros, speeds = np.zeros(3), np.array([1.0, 0.0, 2.0])
+    with pytest.raises(DegenerateVelocity):
+        reduced_residual(a, zeros, zeros, speeds, zeros)
+    with pytest.raises(DegenerateVelocity):
+        complex_residual(a, zeros + 0j, speeds + 0j)
+    with pytest.raises(DegenerateVelocity):
+        weak_residuals(from_scalar_ansatz(a), np.zeros((3, 2)), np.column_stack([speeds, zeros]))
