@@ -123,11 +123,11 @@ def cmd_shift(args) -> int:
         # nu is solved for the flat field, whose B makes phi'(0, s) vanish
         field = flat_from_covariant(field, metric)
     curve = build_curve(cfg.get("curve"))
-    nu = build_nu(cfg.get("nu"), curve, field)
+    n_s = positive_int(cfg, "n_s", 64)
+    nu = build_nu(cfg.get("nu"), curve, field, n_s)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
-    grid = normal_shift(curve, field, None, nu, (t0, t1),
-                        n_s=positive_int(cfg, "n_s", 64),
+    grid = normal_shift(curve, field, None, nu, (t0, t1), n_s=n_s,
                         n_t=positive_int(cfg, "n_t", 100), cfg=icfg)
     report = normality_report(grid, phi_tol=number(cfg, "phi_tol", None))
 

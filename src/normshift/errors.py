@@ -14,11 +14,14 @@ class StepFailure(NormShiftError):
 
     ``rows`` lists the rows of a stacked state (counted over its leading
     axes) that went non-finite, when the failure is known to come from them.
+    ``solution`` is the ``odesolve.OdeSolution`` of the steps accepted
+    before the failure, when the integrator raised it.
     """
 
-    def __init__(self, message: str = "", rows=()):
+    def __init__(self, message: str = "", rows=(), solution=None):
         super().__init__(message)
         self.rows = tuple(int(i) for i in rows)
+        self.solution = solution
 
 
 class SingularCurve(NormShiftError):

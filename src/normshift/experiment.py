@@ -137,7 +137,8 @@ def build_curve(spec) -> Curve:
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
-def build_nu(spec, curve: Curve, field: ForceField):
+def build_nu(spec, curve: Curve, field: ForceField, n_s: int):
+    """The config's nu; a solved one stops at the n_s s-nodes of the shift."""
     if spec is None:
         spec = {"kind": "solve", "s0": 0.5 * sum(curve.s_range), "nu0": 1.0}
     if not isinstance(spec, dict):
@@ -156,7 +157,7 @@ def build_nu(spec, curve: Curve, field: ForceField):
         lo, hi = curve.s_range
         if not lo <= s0 <= hi:
             raise ConfigError(f"nu s0={s0} outside the curve's range [{lo}, {hi}]")
-        return solve_nu(curve, field, s0, nu0)
+        return solve_nu(curve, field, s0, nu0, s_stops=np.linspace(lo, hi, n_s))
     raise ConfigError(f"unknown nu kind {kind!r}")
 
 

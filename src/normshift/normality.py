@@ -361,6 +361,12 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
     return np.column_stack([rng.uniform(*box[name], n) for name in ("x", "y", "v", "theta")])
 
 
+# Probes per block of a residual sweep.  Every stencil point of a block's
+# probes is held at once (about 3.5 kB per probe for the complex residual),
+# so this bounds a sweep's peak memory.
+PROBE_BLOCK = 4096
+
+
 @dataclass
 class ResidualReport:
     """Residual values over a probe set plus max/mean norms."""
@@ -385,18 +391,27 @@ class ResidualReport:
 def residual_sweep(probes: np.ndarray, *, field: ForceField | None = None,
                    ansatz: ScalarFieldA | None = None,
                    include_complex: bool = False) -> ResidualReport:
-    """Evaluate the available residuals at every probe, one call per formulation."""
+    """Evaluate the available residuals at every probe (rows of an (n, 4)
+    array), one call per formulation for each block of ``PROBE_BLOCK``
+    probes, so the memory a sweep holds does not grow with n."""
     if field is None and ansatz is None:
         raise ValueError("need a force field or a scalar generator")
     probes = np.asarray(probes, float)
+    blocks = [_residuals(probes[i:i + PROBE_BLOCK], field, ansatz, include_complex)
+              for i in range(0, len(probes), PROBE_BLOCK)]
+    return ResidualReport(probes, *(None if parts[0] is None else np.concatenate(parts)
+                                    for parts in zip(*blocks)))
+
+
+def _residuals(probes: np.ndarray, field, ansatz, include_complex: bool) -> tuple:
+    """(r1, r2, r_reduced, r_complex) at the probes; None where not asked for."""
     x, y, v, th = np.moveaxis(probes, -1, 0)
     vel = np.stack([v * np.cos(th), v * np.sin(th)], axis=-1)
-    report = ResidualReport(probes=probes)
+    r1 = r2 = r_reduced = r_complex = None
     if field is not None:
-        report.r1, report.r2 = weak_residuals(field, probes[..., :2], vel)
+        r1, r2 = weak_residuals(field, probes[..., :2], vel)
     if ansatz is not None:
-        report.r_reduced = reduced_residual(ansatz, x, y, v, th)
+        r_reduced = reduced_residual(ansatz, x, y, v, th)
         if include_complex:
-            report.r_complex = complex_residual(ansatz, x + 1j * y,
-                                                vel[..., 0] + 1j * vel[..., 1])
-    return report
+            r_complex = complex_residual(ansatz, x + 1j * y, vel[..., 0] + 1j * vel[..., 1])
+    return r1, r2, r_reduced, r_complex

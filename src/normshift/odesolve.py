@@ -13,6 +13,7 @@ each row's own test; for a 1-D state it is the plain RMS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,9 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Steps below this times max(1, |t|) are an underflow; a stop that would
+# force a shorter step is dropped.
+_MIN_STEP = 1e-14
 
 
 @dataclass
@@ -109,7 +113,10 @@ def _start(rhs, t0: float, y0, t1: float, t_stops):
     The steppers work on the state flattened to one axis.  Returns (shape,
     flat_rhs, [t0], [y0], [rhs(t0, y0)], direction, stops): the state's shape,
     the right side on flat states, and the requested stops strictly inside
-    the span in marching order, then t1; none for a zero span.
+    the span in marching order, then t1; none for a zero span.  A stop that
+    would force a nonzero step below the underflow threshold, after the stop
+    before it (or t0) or before t1, is dropped; a repeated stop is kept, and
+    is a zero-length step for RK4 and no step for Dormand-Prince.
     """
     y = np.array(y0, dtype=float)
     shape = y.shape
@@ -124,9 +131,14 @@ def _start(rhs, t0: float, y0, t1: float, t_stops):
     direction = 1.0 if span > 0 else -1.0
     stops = []
     if span != 0.0:
-        stops = sorted((float(s) for s in (t_stops if t_stops is not None else ())
-                        if (s - t0) * direction > 1e-15 and (t1 - s) * direction > 1e-15),
-                       key=lambda s: s * direction)
+        last = t
+        for s in sorted((float(s) for s in (t_stops if t_stops is not None else ())
+                         if (s - t) * direction > 0 and (t1 - s) * direction > 0),
+                        key=lambda s: s * direction):
+            if s == last or ((s - last) * direction >= _MIN_STEP * max(1.0, abs(last))
+                             and (t1 - s) * direction >= _MIN_STEP * max(1.0, abs(s))):
+                stops.append(s)
+                last = s
         stops.append(float(t1))
     return shape, flat_rhs, [t], [y], [f], direction, stops
 
@@ -144,8 +156,10 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 first_step: float | None = None) -> OdeSolution:
     """Adaptive 5(4) integration from t0 to t1 (either direction).
 
-    A StepFailure from a step-size underflow names the rows of a stacked
-    state that made the last attempted step non-finite, if any did.
+    Every stop is an accepted node: a step clipped to reach one ends on it
+    exactly.  A StepFailure carries the accepted prefix as its ``solution``;
+    one from a step-size underflow also names the rows of a stacked state
+    that made the last attempted step non-finite, if any did.
     """
     shape, rhs, ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
     t, y, f = ts[0], ys[0], fs[0]
@@ -158,14 +172,18 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     steps = 0
     bad_rows: list[int] = []
     for target in stops:
-        while (target - t) * direction > 1e-15 * max(1.0, abs(t)):
+        while (target - t) * direction > 0:
             if steps >= max_steps:
-                raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}")
+                raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}",
+                                  solution=_solution(ts, ys, fs, shape))
             steps += 1
 
-            h = min(h, abs(target - t))
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows)
+            remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
+            if h > remaining - tiny:
+                h = remaining  # end on the stop rather than leave a sliver before it
+            if h < tiny:
+                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
+                                  solution=_solution(ts, ys, fs, shape))
             hs = direction * h
 
             k[0] = f
@@ -174,15 +192,16 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 k[i] = rhs(t + _C[i] * hs, yi)
             y_new = y + hs * (_B5 @ k)
             err = hs * (_E @ k)
-            if not np.all(np.isfinite(y_new)):
-                bad_rows = nonfinite_rows(y_new.reshape(shape))
+            norm = (_error_norm(err, y, y_new, abs_tol, rel_tol, width)
+                    if np.all(np.isfinite(y_new)) else math.inf)
+            if not math.isfinite(norm):  # the last stage enters only the error
+                bad_rows = nonfinite_rows((y_new + err).reshape(shape))
                 h *= 0.25
                 continue
-            norm = _error_norm(err, y, y_new, abs_tol, rel_tol, width)
 
             if norm <= 1.0:
                 bad_rows = []
-                t_new = t + hs
+                t_new = target if h == remaining else t + hs
                 f_new = k[6].copy()  # FSAL: last stage is rhs at (t_new, y_new)
                 t, y, f = t_new, y_new, f_new
                 ts.append(t)

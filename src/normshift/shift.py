@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from . import numdiff, odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
-from .forces import ForceField, ab_decompose, flat_from_covariant
+from .forces import ForceField, flat_from_covariant
 from .geometry import ConformalMetric, frame
 from .dynamics import IntegratorConfig, integrate_deviation
 from .tables import write_table
@@ -30,33 +30,58 @@ from .dynamics import integrate  # noqa: F401
 
 _REGULARITY_EPS = 1e-12
 
+# The chosen normal is the tangent reversed and multiplied by this ("left").
+_ROTATE = np.array([-1.0, 1.0])
+
+# A solve_nu branch that runs into the floor on |nu| (or goes non-finite)
+# ends on the last of this many equally spaced checkpoints of its span that
+# it passed, so a shift does not launch from the sliver next to nu = 0.
+_NU_CHECKPOINTS = 64
+
 
 @dataclass(frozen=True)
 class Curve:
     """Regular parametric curve with first and second derivative evaluators.
 
+    ``r``, ``dr`` and ``ddr`` map s to a point or vector; ``point``,
+    ``velocity`` and ``acceleration`` evaluate them at a number or an array
+    of s and return shape ``np.shape(s) + (2,)``, so an evaluator that
+    returns one constant vector still gives one row per s.
+
     ``normal`` selects which unit normal the shift launches along: "left" is
-    the tangent rotated by +90 degrees, "right" by -90 degrees.
+    the tangent rotated by +90 degrees, "right" by -90 degrees.  ``breaks``
+    are the s where a derivative of r may jump (a spline's knots); solve_nu
+    stops there, since an adaptive step across one is much less accurate
+    than its error estimate says.
     """
 
-    r: Callable[[float], np.ndarray]
-    dr: Callable[[float], np.ndarray]
-    ddr: Callable[[float], np.ndarray]
+    r: Callable
+    dr: Callable
+    ddr: Callable
     s_range: tuple[float, float]
     normal: str = "left"
+    breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.normal not in ("left", "right"):
             raise ValueError("normal must be 'left' or 'right'")
 
-    def point(self, s: float) -> np.ndarray:
-        return np.asarray(self.r(s), float)
+    def point(self, s) -> np.ndarray:
+        return _rows(self.r, s)
 
-    def velocity(self, s: float) -> np.ndarray:
-        return np.asarray(self.dr(s), float)
+    def velocity(self, s) -> np.ndarray:
+        return _rows(self.dr, s)
 
-    def acceleration(self, s: float) -> np.ndarray:
-        return np.asarray(self.ddr(s), float)
+    def acceleration(self, s) -> np.ndarray:
+        return _rows(self.ddr, s)
+
+
+def _rows(fn, s) -> np.ndarray:
+    s = np.asarray(s, float)
+    out = np.asarray(fn(s), float)
+    if out.shape != s.shape + (2,):
+        out = np.array(np.broadcast_to(out, s.shape + (2,)))
+    return out
 
 
 def line_segment(p0, p1, *, normal: str = "left") -> Curve:
@@ -67,18 +92,16 @@ def line_segment(p0, p1, *, normal: str = "left") -> Curve:
     if length < _REGULARITY_EPS:
         raise SingularCurve("degenerate segment")
     direction = (p1 - p0) / length
-    return Curve(r=lambda s: p0 + s * direction,
-                 dr=lambda s: direction.copy(),
-                 ddr=lambda s: np.zeros(2),
+    return Curve(r=lambda s: p0 + s[..., None] * direction,
+                 dr=lambda s: direction, ddr=lambda s: np.zeros(2),
                  s_range=(0.0, length), normal=normal)
 
 
 def segment_on_axis(s_min: float = -1.0, s_max: float = 1.0, *,
                     normal: str = "right") -> Curve:
     """The horizontal segment r(s) = (s, 0); the right normal points down."""
-    return Curve(r=lambda s: np.array([s, 0.0]),
-                 dr=lambda s: np.array([1.0, 0.0]),
-                 ddr=lambda s: np.zeros(2),
+    return Curve(r=lambda s: np.stack([s, np.zeros_like(s)], axis=-1),
+                 dr=lambda s: np.array([1.0, 0.0]), ddr=lambda s: np.zeros(2),
                  s_range=(float(s_min), float(s_max)), normal=normal)
 
 
@@ -86,7 +109,7 @@ def tilted_line(s_min: float = -1.0, s_max: float = 1.0, *,
                 normal: str = "left") -> Curve:
     """The 45-degree line r(s) = s/sqrt(2) (1, 1), arclength parameterized."""
     d = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return Curve(r=lambda s: s * d, dr=lambda s: d.copy(),
+    return Curve(r=lambda s: s[..., None] * d, dr=lambda s: d,
                  ddr=lambda s: np.zeros(2),
                  s_range=(float(s_min), float(s_max)), normal=normal)
 
@@ -99,59 +122,55 @@ def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
     if radius <= 0:
         raise SingularCurve("circle radius must be positive")
 
-    def r(s):
+    def unit(s):
         a = s / radius
-        return c + radius * np.array([math.cos(a), math.sin(a)])
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
 
-    def dr(s):
-        a = s / radius
-        return np.array([-math.sin(a), math.cos(a)])
-
-    def ddr(s):
-        a = s / radius
-        return -np.array([math.cos(a), math.sin(a)]) / radius
-
-    return Curve(r=r, dr=dr, ddr=ddr, s_range=(float(s_range[0]), float(s_range[1])),
-                 normal=normal)
+    return Curve(r=lambda s: c + radius * unit(s),
+                 dr=lambda s: unit(s)[..., ::-1] * _ROTATE,
+                 ddr=lambda s: -unit(s) / radius,
+                 s_range=(float(s_range[0]), float(s_range[1])), normal=normal)
 
 
 def spline_through(points, *, normal: str = "left") -> Curve:
-    """Natural cubic spline through the given points, s in [0, 1]."""
+    """Cubic spline (not-a-knot ends) through the given points, s in [0, 1].
+
+    One piecewise cubic over both coordinates and its two derivatives, so
+    each of r, r' and r'' is one evaluation.  Its coefficients are those of
+    each coordinate's own spline: for three points scipy fits a parabola
+    with a dense solve, which rounds differently for two columns at once.
+    """
     pts = np.asarray(points, float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise SingularCurve("need at least three planar points")
-    s_nodes = np.linspace(0.0, 1.0, len(pts))
-    sx = CubicSpline(s_nodes, pts[:, 0])
-    sy = CubicSpline(s_nodes, pts[:, 1])
-    dx, dy = sx.derivative(), sy.derivative()
-    ddx, ddy = sx.derivative(2), sy.derivative(2)
-    return Curve(r=lambda s: np.array([float(sx(s)), float(sy(s))]),
-                 dr=lambda s: np.array([float(dx(s)), float(dy(s))]),
-                 ddr=lambda s: np.array([float(ddx(s)), float(ddy(s))]),
-                 s_range=(0.0, 1.0), normal=normal)
+    knots = np.linspace(0.0, 1.0, len(pts))
+    spline = PPoly(np.stack([CubicSpline(knots, p).c for p in pts.T], axis=-1), knots)
+    return Curve(r=spline, dr=spline.derivative(), ddr=spline.derivative(2),
+                 s_range=(0.0, 1.0), normal=normal, breaks=tuple(knots[1:-1].tolist()))
 
 
-def frenet(curve: Curve, s: float) -> tuple[np.ndarray, np.ndarray, float]:
+def frenet(curve: Curve, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit tangent, the chosen unit normal, and the signed curvature at s.
 
-    The curvature sign follows the chosen normal: k = <dT/ds, n>/|r'|, so the
-    Frenet relations read T' = |r'| k n and n' = -|r'| k T.
+    s may be a number or an array; tangent and normal have shape
+    ``np.shape(s) + (2,)``.  The curvature sign follows the chosen normal:
+    k = <dT/ds, n>/|r'|, so the Frenet relations read T' = |r'| k n and
+    n' = -|r'| k T.
     """
     tangent, n, speed = _unit_frame(curve, s, curve.velocity(s))
-    dd = curve.acceleration(s)
-    k = float(dd @ n) / speed**2
+    k = np.vecdot(curve.acceleration(s), n) / speed**2
     return tangent, n, k
 
 
-def _unit_frame(curve: Curve, s: float, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unit tangent, the chosen unit normal and |r'| from r'(s) = d."""
-    speed = float(np.hypot(d[0], d[1]))
-    if speed < _REGULARITY_EPS:
-        raise SingularCurve(f"|r'({s})| = {speed:.3e}; curve not regular")
-    tangent = d / speed
-    n = np.array([-tangent[1], tangent[0]])
-    if curve.normal == "right":
-        n = -n
+def _unit_frame(curve: Curve, s, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit tangent, the chosen unit normal and |r'| from r'(s) = d, row by row."""
+    speed = np.hypot(d[..., 0], d[..., 1])
+    low = speed < _REGULARITY_EPS
+    if np.any(low):
+        raise SingularCurve(f"|r'({np.asarray(s, float)[low][0]})| = "
+                            f"{np.min(speed[low]):.3e}; curve not regular")
+    tangent = d / speed[..., None]
+    n = tangent[..., ::-1] * (_ROTATE if curve.normal == "left" else -_ROTATE)
     return tangent, n, speed
 
 
@@ -159,12 +178,16 @@ def _unit_frame(curve: Curve, s: float, d: np.ndarray) -> tuple[np.ndarray, np.n
 class NuSolution:
     """Initial-speed profile nu(s) on the reached sub-interval.
 
-    ``branches`` maps 0 and 1 to the solutions from s0 toward the lower and
-    the upper end (a branch is absent where s0 is that end), and ``rate`` is
-    the right side d nu/ds at (s, nu).  ``truncated`` marks that integration
-    stopped before covering the full requested range (nu approached zero or
-    the ODE blew up), and ``stop_reason`` says where and why; queries outside
-    the reached interval raise NuBlowup.
+    Both branches, from s0 toward the lower end and toward the upper end,
+    are one integration in sigma in [0, 1], with s = s0 + sigma (end - s0)
+    per branch.  ``branches`` maps 0 (lower) and 1 (upper) to the solution
+    of that branch in sigma, shape (n, 1); a branch is absent where s0 is
+    that end.  ``ends`` are the requested ends, ``rate`` is the right side
+    d nu/ds at arrays of (s, nu).  ``truncated`` marks that a branch stopped
+    before its end (nu approached zero, went non-finite, or the right side
+    raised a package error or a float overflow or zero division), and
+    ``stop_reason`` says, per stopped branch, its span, where it stopped and
+    why; queries outside the reached interval [s_lo, s_hi] raise NuBlowup.
     """
 
     s_lo: float
@@ -172,15 +195,16 @@ class NuSolution:
     truncated: bool
     s0: float
     nu0: float
+    ends: tuple[float, float]
     branches: dict[int, odesolve.OdeSolution]
-    rate: Callable[[float, float], float]
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stop_reason: str | None = None
 
     def __call__(self, s: float) -> float:
         return float(self.values([s])[0])
 
     def deriv(self, s: float) -> float:
-        return self.rate(s, self(s))
+        return float(self.sample([s])[1][0])
 
     def values(self, s) -> np.ndarray:
         """nu at every s, from one dense-output sample per branch; nu0 at s0."""
@@ -196,25 +220,52 @@ class NuSolution:
         for idx, branch in self.branches.items():
             pick = ~at_s0 & ((s < self.s0) if idx == 0 else (s > self.s0))
             if np.any(pick):
-                nu[pick] = branch.sample(s[pick])[:, 0]
+                sigma = (s[pick] - self.s0) / (self.ends[idx] - self.s0)
+                nu[pick] = branch.sample(np.minimum(sigma, branch.ts[-1]))[:, 0]
         return nu
 
     def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
         """nu and nu' at every s; nu' is the right side at (s, nu(s))."""
         nu = self.values(s)
-        return nu, np.array([self.rate(a, b) for a, b in
-                             zip(np.asarray(s, float).tolist(), nu.tolist())])
+        return nu, self.rate(np.asarray(s, float), nu)
+
+
+def _nu_rate(curve: Curve, field: ForceField):
+    """The right side d nu/ds = -<r'(s), M> B(r(s), nu n(s)) / nu of the
+    initial-speed ODE, at arrays of s and nu of one shape."""
+
+    def rate(s, nu):
+        d = curve.velocity(s)
+        _, n, _ = _unit_frame(curve, s, d)
+        v = nu[..., None] * n
+        m = frame(v).M
+        return -np.vecdot(d, m) * np.vecdot(field.force(curve.point(s), v), m) / nu
+
+    return rate
 
 
 def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
-             s_range=None, *, nu_floor_ratio: float = 1e-3,
+             s_range=None, *, s_stops=None, nu_floor_ratio: float = 1e-3,
              abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> NuSolution:
     """Solve the initial-speed ODE with nu(s0) = nu0 over s_range.
 
-    Integration proceeds from s0 toward both endpoints and stops early if
-    |nu| falls below ``nu_floor_ratio * |nu0|`` (the right side is singular
-    at nu = 0) or a sub-step fails with a package error or a float overflow
-    or zero division; in that case the returned profile is marked truncated.
+    One adaptive solve integrates both branches, s0 toward each end, as a
+    stacked (m, 1) state in sigma in [0, 1], s = s0 + sigma (end - s0).
+    Each s in ``s_stops`` (the s-nodes a shift will sample) and each of the
+    curve's breaks is an accepted node of its branch, so nu at an s-node
+    needs no interpolation and no step straddles a break.
+
+    A branch stops early, and the profile is marked truncated, where |nu|
+    would fall below ``nu_floor_ratio * |nu0|`` (the right side is singular
+    at nu = 0), where it goes non-finite, or where its right side raises a
+    package error, a float overflow or a zero division.  Such a row is NaN
+    in the right side, the step size shrinks toward the failure until it
+    underflows, and the row is frozen at its last accepted node while the
+    other branch goes on in a fresh solve from there.  A row stopped by the
+    floor or a non-finite value then ends on the last of ``_NU_CHECKPOINTS``
+    checkpoints of its span that it passed.  ``stop_reason`` names each
+    stopped branch's span, the s it ends at and the error.  Any other
+    exception propagates.
     """
     if nu0 == 0.0:
         raise ValueError("nu0 must be nonzero")
@@ -222,55 +273,76 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     if not (lo <= s0 <= hi):
         raise ValueError(f"s0={s0} outside [{lo}, {hi}]")
     floor = abs(nu0) * nu_floor_ratio
+    rate = _nu_rate(curve, field)
+    ends = (lo, hi)
+    active = [idx for idx in (0, 1) if ends[idx] != s0]
+    s_stops = np.concatenate([np.asarray(s_stops if s_stops is not None else (), float),
+                              curve.breaks])
+    stops = [sigma for idx in active for sigma in (s_stops - s0) / (ends[idx] - s0)
+             if 0.0 < sigma < 1.0]
+    failures: dict[int, Exception] = {}
+    blowup = NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
 
-    def rhs_scalar(s: float, nu: float) -> float:
-        d = curve.velocity(s)
-        _, n, _ = _unit_frame(curve, s, d)
-        v = nu * n
-        b = ab_decompose(field, curve.point(s), v).B
-        return -float(d @ frame(v).M) * b / nu
+    def rhs(sigma, y):
+        """d nu/d sigma of the active rows (``width`` is set per solve below);
+        NaN in a row that cannot go on, whose cause goes to ``failures``."""
+        s, nu = s0 + sigma * width, y[:, 0]
+        out = np.full(nu.shape, np.nan)
+        ok = np.abs(nu) >= floor
+        # a NaN row comes from an earlier stage, whose cause is already kept
+        for row in np.flatnonzero(~ok & np.isfinite(nu)):
+            failures[row] = blowup
+        try:
+            out[ok] = rate(s[ok], nu[ok]) * width[ok]
+        except (NormShiftError, ArithmeticError):
+            for row in np.flatnonzero(ok):
+                try:
+                    out[row] = rate(s[row:row + 1], nu[row:row + 1])[0] * width[row]
+                except (NormShiftError, ArithmeticError) as exc:
+                    failures[row] = exc
+        return out[:, None]
 
-    def rhs(s, y):
-        return np.array([rhs_scalar(s, float(y[0]))])
+    parts = {idx: [] for idx in active}
+    reach = {idx: 0.0 for idx in (0, 1)}  # sigma each branch reached
+    reasons = {}
+    sigma, y = 0.0, np.full((len(active), 1), float(nu0))
+    while active:
+        width = np.array([ends[idx] - s0 for idx in active])
+        failures.clear()
+        try:
+            sol = odesolve.solve_dopri(rhs, sigma, y, 1.0, abs_tol=abs_tol,
+                                       rel_tol=rel_tol, t_stops=stops)
+            causes = {}
+        except StepFailure as exc:
+            sol = exc.solution
+            causes = ({row: failures.get(row, blowup) for row in exc.rows} if exc.rows
+                      else dict.fromkeys(range(len(active)), exc))
+        for row, idx in enumerate(active):
+            first = 1 if parts[idx] else 0  # a restart repeats the node it starts from
+            parts[idx].append((sol.ts[first:], sol.ys[first:, row], sol.fs[first:, row]))
+            if not causes:
+                reach[idx] = 1.0
+            elif row in causes:
+                reach[idx] = float(sol.ts[-1])
+                if causes[row] is blowup:
+                    reach[idx] = math.floor(reach[idx] * _NU_CHECKPOINTS) / _NU_CHECKPOINTS
+                reasons[idx] = (f"on [{s0:.6g}, {ends[idx]:.6g}], stopped at "
+                                f"s={_s_at(s0, ends[idx], reach[idx]):.6g}: "
+                                f"{type(causes[row]).__name__}: {causes[row]}")
+        keep = [row for row in range(len(active)) if causes and row not in causes]
+        sigma, y, active = float(sol.ts[-1]), sol.ys[-1][keep], [active[row] for row in keep]
 
-    branches = {}
-    reasons = []
-    reached = [s0, s0]
-    for idx, target in enumerate((lo, hi)):
-        if target == s0:
-            continue
-        # march in fixed sub-steps so an approach to nu = 0 is caught early
-        n_sub = 64
-        grid = np.linspace(s0, target, n_sub + 1)
-        ts_all = [np.array([s0])]
-        ys_all = [np.array([[nu0]])]
-        fs_all = [np.array([rhs(s0, [nu0])])]
-        y = np.array([float(nu0)])
-        stop = s0
-        for a, b in zip(grid[:-1], grid[1:]):
-            try:
-                sol = odesolve.solve_dopri(rhs, a, y, b, abs_tol=abs_tol,
-                                           rel_tol=rel_tol, first_step=b - a)
-                if not np.all(np.isfinite(sol.ys)) or np.min(np.abs(sol.ys)) < floor:
-                    raise NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
-            except (NormShiftError, ArithmeticError) as exc:
-                reasons.append(f"on [{a:.6g}, {b:.6g}]: {type(exc).__name__}: {exc}")
-                break
-            ts_all.append(sol.ts[1:])
-            ys_all.append(sol.ys[1:])
-            fs_all.append(sol.fs[1:])
-            y = sol.ys[-1]
-            stop = b
-        branches[idx] = odesolve.OdeSolution(np.concatenate(ts_all),
-                                             np.vstack(ys_all),
-                                             np.vstack(fs_all))
-        reached[idx] = stop
-
-    s_lo = min(reached[0], s0) if 0 in branches else s0
-    s_hi = max(reached[1], s0) if 1 in branches else s0
+    branches = {idx: odesolve.OdeSolution(*(np.concatenate(a) for a in zip(*p)))
+                for idx, p in parts.items()}
+    s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
     return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons), s0=s0, nu0=nu0,
-                      branches=branches, rate=rhs_scalar,
-                      stop_reason="; ".join(reasons) or None)
+                      ends=ends, branches=branches, rate=rate,
+                      stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)
+
+
+def _s_at(s0: float, end: float, sigma: float) -> float:
+    """s = s0 + sigma (end - s0), exactly ``end`` at sigma = 1."""
+    return end if sigma == 1.0 else s0 + sigma * (end - s0)
 
 
 def constant_nu(value: float) -> Callable[[float], float]:
@@ -346,12 +418,11 @@ def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None
         dnu = np.array([(nu(y) - nu(x)) / (y - x) for x, y in zip(a.tolist(), b.tolist())])
 
     # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
-    launch = np.empty((4, n_s, 2))
-    for j, s in enumerate(s_nodes):
-        tangent, n, k = frenet(curve, s)
-        d = curve.velocity(s)
-        n_prime = -k * float(np.hypot(*d)) * tangent
-        launch[:, j] = (curve.point(s), nu_vals[j] * n, d, dnu[j] * n + nu_vals[j] * n_prime)
+    tangent, n, k = frenet(curve, s_nodes)
+    d = curve.velocity(s_nodes)
+    n_prime = (-k * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent
+    launch = (curve.point(s_nodes), nu_vals[:, None] * n, d,
+              dnu[:, None] * n + nu_vals[:, None] * n_prime)
     try:
         samples, phi, psi = integrate_deviation(field, *launch, t_nodes, cfg)
     except Exception as exc:

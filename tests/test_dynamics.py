@@ -285,6 +285,38 @@ def _pendulum(t, y):
     return np.array([y[1], -math.sin(y[0]) + 0.1 * math.cos(t)])
 
 
+@pytest.mark.parametrize("gap", [5e-16, 5e-15, 2e-14])
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+def test_close_stops_do_not_underflow_the_step(gap, where):
+    # stops closer than the underflow step to each other, or to an end of the
+    # span, once forced a step below it
+    stops = {0.0: [gap], 0.5: [0.5, 0.5 + gap], 1.0: [1.0 - gap]}[where]
+    sol = odesolve.solve_dopri(lambda t, y: -y, 0.0, [1.0], 1.0, t_stops=stops)
+    assert sol.ts[-1] == 1.0
+    assert sol.ys[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+    if where == 0.5:
+        assert 0.5 in sol.ts
+
+
+def test_stops_are_accepted_nodes_exactly():
+    stops = np.linspace(0.0, 3.0, 31)[1:-1]
+    sol = odesolve.solve_dopri(_pendulum, 0.0, [0.7, 0.0], 3.0, t_stops=stops)
+    assert np.all(np.isin(stops, sol.ts))
+    assert odesolve.OdeSolution.sample(sol, stops).tobytes() == sol.ys[np.isin(sol.ts, stops)].tobytes()
+
+
+def test_step_failure_carries_the_accepted_prefix():
+    def rhs(t, y):
+        return -y if t < 0.5 else np.full_like(y, np.nan)
+    with pytest.raises(StepFailure, match="underflow") as info:
+        odesolve.solve_dopri(rhs, 0.0, [[1.0], [2.0]], 1.0)
+    sol = info.value.solution
+    assert info.value.rows == (0, 1)
+    assert sol.ys.shape == (len(sol.ts), 2, 1)
+    assert 0.5 - 1e-13 < sol.ts[-1] <= 0.5
+    assert sol.ys[-1, 1, 0] == pytest.approx(2.0 * math.exp(-sol.ts[-1]), rel=1e-9)
+
+
 @pytest.mark.parametrize("case", ["forward", "backward", "zero-span", "rk4-repeated-node"])
 def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
     y0 = [0.7, -0.0]

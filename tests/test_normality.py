@@ -375,3 +375,29 @@ def test_stacked_residuals_reject_a_rest_point_in_any_row():
         complex_residual(a, zeros + 0j, speeds + 0j)
     with pytest.raises(DegenerateVelocity):
         weak_residuals(from_scalar_ansatz(a), np.zeros((3, 2)), np.column_stack([speeds, zeros]))
+
+
+def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
+    import tracemalloc
+    from normshift import normality
+    field, a = build_field(SWEEP_FIELDS["cos_profile"])
+    # three blocks, the last one partial
+    probes = probe_points(2 * normality.PROBE_BLOCK + 100, seed=4)
+    report = residual_sweep(probes, field=field, ansatz=a, include_complex=True)
+    x, y, v, th = probes.T
+    vel = np.column_stack([v * np.cos(th), v * np.sin(th)])
+    r1, r2 = weak_residuals(field, probes[:, :2], vel)
+    for got, want in ((report.r1, r1), (report.r2, r2),
+                      (report.r_reduced, reduced_residual(a, x, y, v, th)),
+                      (report.r_complex, complex_residual(a, x + 1j * y, vel[:, 0] + 1j * vel[:, 1]))):
+        assert got.tobytes() == want.tobytes()
+
+    peaks = []
+    for n in (normality.PROBE_BLOCK, 40_000):
+        tracemalloc.start()
+        try:
+            residual_sweep(probe_points(n, seed=5), field=field, ansatz=a, include_complex=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

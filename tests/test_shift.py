@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import perturbed_mdtype, random_spline_points
 
@@ -13,7 +14,7 @@ from normshift.forces import (ForceField, Profile, catalogue, flat_from_covarian
                               from_scalar_ansatz)
 from normshift.geometry import frame
 from normshift.closedform import gravity_shift
-from normshift.shift import (Curve, circle_arc, constant_nu, frenet,
+from normshift.shift import (Curve, circle_arc, constant_nu, frenet, line_segment,
                              normal_shift, normality_report,
                              segment_on_axis, solve_nu, spline_through, tilted_line)
 
@@ -448,3 +449,136 @@ def test_field_errors_in_the_block_name_the_shifted_range():
         normal_shift(segment_on_axis(0.0, 1.0), marked, None, constant_nu(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.__notes__ == ["at s in [0, 1]"]
+
+
+# ---------------------------------------------------------------------------
+# Curves at arrays of s, and one stacked solve for both branches of nu.
+# ---------------------------------------------------------------------------
+
+CURVES = {
+    "line_segment": lambda: line_segment((0.2, -0.1), (1.1, 0.7)),
+    "segment_on_axis": lambda: segment_on_axis(-0.7, 1.3),
+    "tilted_line": lambda: tilted_line(normal="right"),
+    "circle_arc": lambda: circle_arc((0.3, -0.2), 1.4, (0.1, 2.9), normal="right"),
+    "spline_through": lambda: spline_through(random_spline_points(np.random.default_rng(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_curves_take_arrays_of_s(name):
+    curve = CURVES[name]()
+    s = np.linspace(*curve.s_range, 13)
+    for method in ("point", "velocity", "acceleration"):
+        evaluate = getattr(curve, method)
+        assert evaluate(s).shape == (13, 2)
+        assert evaluate(s).tobytes() == np.array([evaluate(x) for x in s.tolist()]).tobytes()
+        assert evaluate(s.reshape(13, 1)).shape == (13, 1, 2)
+    stacked = frenet(curve, s)
+    for got, rows in zip(stacked, zip(*(frenet(curve, x) for x in s.tolist()))):
+        assert got.tobytes() == np.array(rows).tobytes()
+
+
+def test_one_spline_matches_two_coordinate_splines_to_one_ulp():
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(11)
+    s = np.linspace(0.0, 1.0, 101)
+    for n in (3, 4, 5, 8):
+        pts = random_spline_points(rng, n=n)
+        curve = spline_through(pts)
+        knots = np.linspace(0.0, 1.0, n)
+        sx, sy = CubicSpline(knots, pts[:, 0]), CubicSpline(knots, pts[:, 1])
+        for order, method in enumerate(("point", "velocity", "acceleration")):
+            # the two-spline form evaluated derivative splines, as the curve does
+            two = np.column_stack([sx.derivative(order)(s) if order else sx(s),
+                                   sy.derivative(order)(s) if order else sy(s)])
+            # measured: equal bits for every n
+            assert np.all(np.abs(getattr(curve, method)(s) - two) <= np.spacing(np.abs(two)))
+
+
+# fields that claim normality, with parameters that keep nu healthy on the
+# curves below
+NU_FIELDS = {
+    "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
+    "marked_point": {"profile": {"kind": "poly", "coeffs": [0.9, 0.2]}, "center": [4.0, 4.0]},
+    "metrizable": {"f": {"kind": "sin_cos", "amplitude": 0.25},
+                   "H": {"kind": "poly", "coeffs": [0.1, 0.2]}},
+    "mdtype": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
+               "h": {"kind": "poly", "coeffs": [0.2, 0.1]}},
+    "disc_invariant": {"R": 4.0, "profile": {"kind": "poly", "coeffs": [1.0, 0.2]}},
+}
+
+
+def reference_nu(curve, field, s0, nu0, nodes):
+    """nu at the nodes from scipy's DOP853, with the right side written out."""
+    from scipy.integrate import solve_ivp
+    from normshift.forces import ab_decompose
+
+    def rhs(s, y):
+        tangent, n, _ = frenet(curve, s)
+        v = y[0] * n
+        b = ab_decompose(field, curve.point(s), v).B
+        return [-float(curve.velocity(s) @ frame(v).M) * b / y[0]]
+
+    out = np.full(len(nodes), float(nu0))
+    for side in (nodes < s0, nodes > s0):
+        if np.any(side):
+            ends = nodes[side]
+            end = ends[0] if ends[0] < s0 else ends[-1]
+            sol = solve_ivp(rhs, (s0, end), [nu0], method="DOP853", rtol=1e-13,
+                            atol=1e-14, dense_output=True)
+            out[side] = sol.sol(ends)[0]
+    return out
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(sorted(NU_FIELDS)), arc=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), where=st.floats(0.0, 1.0),
+       nu0=st.floats(0.8, 1.2), n_s=st.integers(2, 40))
+def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where, nu0, n_s):
+    rng = np.random.default_rng(seed)
+    field = catalogue(name, NU_FIELDS[name])
+    curve = (circle_arc(rng.uniform(-0.3, 0.3, 2), rng.uniform(1.2, 1.6), (0.2, 2.2))
+             if arc else spline_through(random_spline_points(rng)))
+    lo, hi = curve.s_range
+    s0 = lo + where * (hi - lo)
+    nodes = np.linspace(lo, hi, n_s)
+    nu = solve_nu(curve, field, s0, nu0, s_stops=nodes)
+    assume(not nu.truncated)
+    values, _ = nu.sample(nodes)
+    assert np.max(np.abs(values - reference_nu(curve, field, s0, nu0, nodes))) < 1e-10
+
+
+def test_solve_nu_is_one_solve_stopping_at_the_s_nodes(monkeypatch):
+    from normshift import odesolve
+    field, curve = mdtype_on_spline()
+    calls = count_calls(monkeypatch, odesolve, "solve_dopri")
+    nodes = np.linspace(0.0, 1.0, 32)
+    nu = solve_nu(curve, field, 0.5, 1.1, s_stops=nodes)
+    assert len(calls) == 1 and not nu.truncated
+    for idx, branch in nu.branches.items():
+        side = nodes[nodes < 0.5] if idx == 0 else nodes[nodes > 0.5]
+        sigma = (side - 0.5) / (nu.ends[idx] - 0.5)
+        # a stop of one branch within 1e-14 of one of the other's is merged into it
+        assert np.all(np.min(np.abs(branch.ts[:, None] - sigma), axis=0) <= 1e-14)
+        assert branch.ts[-1] == 1.0
+
+
+def test_one_branch_truncates_while_the_other_reaches_its_end():
+    seg = segment_on_axis(-1.0, 1.0, normal="right")
+    # nu^2 = nu0^2 - 2 b0 s: the upper branch runs into zero at s = 0.125
+    nodes = np.linspace(-1.0, 1.0, 33)
+    nu = solve_nu(seg, magnetic_field(1.0), 0.0, 0.5, s_stops=nodes)
+    assert nu.truncated and nu.s_lo == -1.0 and 0.1 < nu.s_hi < 0.125
+    assert nu.stop_reason.startswith("on [0, 1], stopped at") and ";" not in nu.stop_reason
+    s = nodes[nodes <= nu.s_hi]
+    assert np.max(np.abs(nu.values(s) - np.sqrt(0.25 - 2.0 * s))) < 1e-9
+
+    def fn(r, v):
+        if np.any(r[..., 0] > 0.5):
+            raise OverflowError("boom")
+        return np.zeros_like(r)
+
+    nu = solve_nu(seg, ForceField(fn=fn), 0.0, 1.0, s_stops=np.linspace(-1.0, 1.0, 9))
+    assert nu.truncated and nu.s_lo == -1.0 and 0.5 - 1e-13 < nu.s_hi <= 0.5
+    assert nu.stop_reason.startswith("on [0, 1]") and "OverflowError: boom" in nu.stop_reason
+    assert np.all(nu.values(np.linspace(-1.0, nu.s_hi, 9)) == 1.0)
