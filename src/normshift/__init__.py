@@ -7,12 +7,12 @@ normal-shift construction), normality (residual evaluators), closedform
 (analytic oracles), cli (command-line front end).
 """
 
-from .errors import (DegenerateVelocity, InvalidParams, MissingPartial, NuBlowup,
+from .errors import (DegenerateVelocity, InvalidParams, NuBlowup,
                      OutOfInterval, SingularCurve, SingularDenominator,
                      SingularQuadrature, StepFailure, UnknownCatalogueEntry)
 
 __all__ = [
-    "DegenerateVelocity", "InvalidParams", "MissingPartial", "NuBlowup",
+    "DegenerateVelocity", "InvalidParams", "NuBlowup",
     "OutOfInterval", "SingularCurve", "SingularDenominator",
     "SingularQuadrature", "StepFailure", "UnknownCatalogueEntry",
 ]

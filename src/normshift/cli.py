@@ -74,16 +74,24 @@ def _oracle_error(cfg: dict, traj) -> tuple[str, float, float]:
     return kind, float(np.max(np.abs(traj.positions() - expected))), tol
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _flat_field(cfg: dict):
+    """The config's field as a flat field: under the config's metric g, the
+    flat field flat_from_covariant(F, g), whose flow is the covariant flow of
+    F in g; without one, F itself.  The only place a metric is resolved."""
     field, _ = build_field(cfg.get("field"))
     metric = build_metric(cfg.get("metric"))
+    return field if metric is None else flat_from_covariant(field, metric)
+
+
+def cmd_simulate(args) -> int:
+    cfg = load_config(args.config)
+    field = _flat_field(cfg)
     init = build_init(cfg)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
     n_t = positive_int(cfg, "n_t", 100)
     t_eval = np.linspace(t0, t1, n_t)
-    traj = integrate(field, metric, init, (t0, t1), icfg, t_eval=t_eval)
+    traj = integrate(field, init, (t0, t1), icfg, t_eval=t_eval)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,17 +125,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_shift(args) -> int:
     cfg = load_config(args.config)
-    field, _ = build_field(cfg.get("field"))
-    metric = build_metric(cfg.get("metric"))
-    if metric is not None:
-        # nu is solved for the flat field, whose B makes phi'(0, s) vanish
-        field = flat_from_covariant(field, metric)
+    # nu is solved for the flat field, whose B makes phi'(0, s) vanish
+    field = _flat_field(cfg)
     curve = build_curve(cfg.get("curve"))
     n_s = positive_int(cfg, "n_s", 64)
     nu = build_nu(cfg.get("nu"), curve, field, n_s)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
-    grid = normal_shift(curve, field, None, nu, (t0, t1), n_s=n_s,
+    grid = normal_shift(curve, field, nu, (t0, t1), n_s=n_s,
                         n_t=positive_int(cfg, "n_t", 100), cfg=icfg)
     report = normality_report(grid, phi_tol=number(cfg, "phi_tol", None))
 

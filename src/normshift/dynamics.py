@@ -1,11 +1,10 @@
 """Phase-flow integration and deviation (variation-vector) equations.
 
-The flow is r' = v, v' = F(r, v).  The covariant flow of F in a conformal
-metric g = exp(-2f) I traces the same trajectories as the flat flow of
-flat_from_covariant(F, g), so every entry point that takes a metric
-converts the field once and integrates the flat flow.  The variation vector
-tau of a one-parameter family of trajectories satisfies the linearized
-equations
+The flow is r' = v, v' = F(r, v) of a flat field F.  A covariant flow in a
+conformal metric g = exp(-2f) I is the flat flow of flat_from_covariant(F, g);
+the CLI converts the field once per run, so nothing here takes a metric.
+The variation vector tau of a one-parameter family of trajectories satisfies
+the linearized equations
 
     tau''_k = sum_i dF_k/dr^i tau_i + sum_i dF_k/dv^i tau'_i,
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import numdiff, odesolve
 from .errors import StepFailure
-from .forces import ForceField, ab_decompose, flat_from_covariant
-from .geometry import ConformalMetric, dot, frame
+from .forces import ForceField, ab_decompose
+from .geometry import dot, frame
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .geometry import christoffel  # noqa: F401
 from .normality import ab_gradients
@@ -71,31 +70,15 @@ class IntegratorConfig:
             raise ValueError("rk4-fixed requires a positive step")
 
 
-@dataclass(frozen=True)
-class DeviationState:
-    """Variation vector tau, its rate, and frame components phi, psi."""
-
-    tau: np.ndarray
-    tau_dot: np.ndarray
-    phi: float
-    psi: float
-
-
 class Trajectory:
-    """Integrated trajectory: output nodes plus a dense-output interpolant.
+    """Integrated trajectory: the dense-output interpolant (cubic Hermite on
+    the accepted steps) and the states it gives at the output times, where
+    the state at the initial time is the initial state itself."""
 
-    The interpolant is cubic Hermite on the accepted steps and reproduces the
-    stored states at the nodes exactly.
-    """
-
-    def __init__(self, times: np.ndarray, sol: odesolve.OdeSolution,
-                 metric: ConformalMetric | None = None):
+    def __init__(self, times: np.ndarray, sol: odesolve.OdeSolution):
         self.times = np.asarray(times, float)
         self._sol = sol
-        self.metric = metric
-        ys = sol.sample(self.times) if len(self.times) != len(sol.ts) or \
-            not np.allclose(self.times, sol.ts) else sol.ys
-        self._ys = np.asarray(ys)
+        self._ys = _sample(sol, self.times)
 
     @property
     def states(self) -> list[PhaseState]:
@@ -125,10 +108,6 @@ class Trajectory:
                     header="t,x,y,vx,vy")
 
 
-def _flat(field: ForceField, metric: ConformalMetric | None) -> ForceField:
-    return field if metric is None else flat_from_covariant(field, metric)
-
-
 def _flow_rhs(field: ForceField):
     def rhs(t, y):
         return np.concatenate([y[2:4], field.force(y[:2], y[2:4])])
@@ -144,27 +123,25 @@ def _run(rhs, t0, y0, t1, cfg: IntegratorConfig, t_stops):
                                 t_stops=t_stops)
 
 
-def integrate(field: ForceField, metric: ConformalMetric | None,
-              init: PhaseState, t_span, cfg: IntegratorConfig | None = None,
+def integrate(field: ForceField, init: PhaseState, t_span,
+              cfg: IntegratorConfig | None = None,
               t_eval=None, exact_nodes: bool = False) -> Trajectory:
     """Integrate the phase flow over t_span (which may run backward).
 
-    Under a metric the covariant flow is integrated as the flat flow of
-    ``flat_from_covariant(field, metric)``.  Requested output times are
-    sampled from the dense interpolant; with ``exact_nodes`` the stepper
-    lands on each of them instead (useful when a test differentiates the
-    output with a stencil finer than a step).
+    Requested output times are sampled from the dense interpolant; with
+    ``exact_nodes`` the stepper lands on each of them as well (useful when a
+    test differentiates the output with a stencil finer than a step).
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
     stops = list(np.asarray(t_eval, float)) if (t_eval is not None and exact_nodes) else None
-    sol = _run(_flow_rhs(_flat(field, metric)), t0, init.packed(), t1, cfg, stops)
+    sol = _run(_flow_rhs(field), t0, init.packed(), t1, cfg, stops)
     if not np.all(np.isfinite(sol.ys)):
         raise StepFailure("trajectory left the finite domain")
     times = sol.ts if t_eval is None else np.asarray(t_eval, float)
-    return Trajectory(times, sol, metric=metric)
+    return Trajectory(times, sol)
 
 
 def _contract(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -202,13 +179,14 @@ def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
     return d[0] + d[1]
 
 
-def _sample(sol: odesolve.OdeSolution, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Dense output at ``times``, where a time equal to times[0] gives y0 itself
-    (the interpolant can turn a -0.0 of the initial data into +0.0).  A
-    non-finite sample raises StepFailure naming the rows of a stacked state
-    that have one."""
+def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
+    """Dense output at ``times``, where a time equal to the initial time gives
+    the initial state itself (the interpolant can turn a -0.0 of it into
+    +0.0).  A non-finite sample raises StepFailure naming the rows of a
+    stacked state that have one."""
     ys = sol.sample(times)
-    ys[times == times[0]] = y0
+    y0 = sol.ys[0]
+    ys[times == sol.ts[0]] = y0
     if not np.all(np.isfinite(ys)):
         rows = odesolve.nonfinite_rows(np.where(np.isfinite(ys).all(axis=0), y0, np.nan))
         raise StepFailure("solution left the finite domain", rows=rows)
@@ -239,26 +217,10 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)
     if not np.all(np.isfinite(y0)):
         raise ValueError("launch data has non-finite coordinates")
-    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times, y0)
+    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times)
     fr = frame(ys[..., 2:4])
     tau = ys[..., 4:6]
     return ys, dot(tau, fr.N), dot(tau, fr.M)
-
-
-def integrate_variational(field: ForceField, base: Trajectory, tau0, tau_dot0,
-                          cfg: IntegratorConfig | None = None) -> list[DeviationState]:
-    """Integrate the variation vector along the base trajectory.
-
-    The combined 8-dimensional system (r, v, tau, tau') is re-integrated from
-    the base initial state; results are reported at the base output times.
-    Under the base's metric, tau is the variation of the flat flow of
-    ``flat_from_covariant(field, base.metric)``.
-    """
-    init = base.initial
-    ys, phi, psi = integrate_deviation(_flat(field, base.metric), init.r, init.v,
-                                       tau0, tau_dot0, base.times, cfg)
-    return [DeviationState(tau=y[4:6], tau_dot=y[6:8], phi=float(a), psi=float(b))
-            for y, a, b in zip(ys, phi, psi)]
 
 
 def phi_psi_initial_from_tau(field: ForceField, init: PhaseState,
@@ -290,13 +252,10 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
     psi'' = (b3 - 2B/v) phi' + (b4 + A/v) psi' + (2AB/v^2 - b3 A/v) phi
             + (b2 - b3 B/v + B^2/v^2) psi
 
-    (a_i = alpha_i, b_i = beta_i), for the flat field
-    ``flat_from_covariant(field, base.metric)`` under the base's metric.  The
-    base flow is integrated alongside as one combined system.  Returns
-    (phi, psi) sampled at the base times.
+    (a_i = alpha_i, b_i = beta_i).  The base flow is integrated alongside as
+    one combined system.  Returns (phi, psi) sampled at the base times.
     """
     cfg = cfg or IntegratorConfig()
-    field = _flat(field, base.metric)
 
     def rhs(t, y):
         r, v = y[:2], y[2:4]
@@ -318,7 +277,7 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
 
     t0, t1 = float(base.times[0]), float(base.times[-1])
     y0 = np.concatenate([base.initial.packed(), [phi0, phi_dot0, psi0, psi_dot0]])
-    samples = _sample(_run(rhs, t0, y0, t1, cfg, None), base.times, y0)
+    samples = _sample(_run(rhs, t0, y0, t1, cfg, None), base.times)
     return samples[:, 4], samples[:, 6]
 
 

@@ -40,10 +40,6 @@ class InvalidParams(NormShiftError):
     """Catalogue parameters violate a family precondition."""
 
 
-class MissingPartial(NormShiftError):
-    """A required partial derivative is unavailable and fallback is disabled."""
-
-
 class FormulationMismatch(NormShiftError):
     """Two formulations of the same residual disagree beyond their tolerance."""
 

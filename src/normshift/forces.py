@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateVelocity, InvalidParams, MissingPartial, UnknownCatalogueEntry
+from .errors import DegenerateVelocity, InvalidParams, UnknownCatalogueEntry
 from .geometry import ConformalMetric, christoffel, dot, elementwise, frame, polar_frame
 
 # _EYE[i, c]: component c of the i-th stencil point is the moved one.
@@ -157,30 +157,25 @@ class ScalarFieldA:
     theta is measured against the fixed direction (1, 0).  Each partial in
     ``_PARTIALS`` is a member called as ``a.a_x(x, y, v, theta)`` and is
     resolved once, in ``__init__``: to the analytic closure passed under its
-    name (same signature as ``fn``) if there is one; otherwise to the table's
-    Richardson stencil of ``fn`` (wider steps for the second-order ones), or,
-    with ``allow_fd=False``, to a stub that raises MissingPartial.  ``fn`` and
-    the closures work elementwise on arrays; the generator and its partials
-    return one value per point even where a closure returns a constant.
+    name (same signature as ``fn``) if there is one, otherwise to the table's
+    Richardson stencil of ``fn`` (wider steps for the second-order ones).
+    ``fn`` and the closures work elementwise on arrays; the generator and its
+    partials return one value per point even where a closure returns a
+    constant.
     """
 
-    def __init__(self, fn, *, allow_fd: bool = True, label: str = "", **partials):
+    def __init__(self, fn, *, label: str = "", **partials):
         unknown = sorted(partials.keys() - _PARTIALS.keys())
         if unknown:
             raise TypeError(f"unknown partials {unknown}")
         self.fn = fn
         self.label = label
-        self.allow_fd = allow_fd
         for name, (stencil, axes) in _PARTIALS.items():
-            setattr(self, name, self._resolve(name, partials.get(name), stencil, axes))
+            setattr(self, name, self._resolve(partials.get(name), stencil, axes))
 
-    def _resolve(self, name: str, analytic, stencil: str, axes: tuple[int, ...]):
+    def _resolve(self, analytic, stencil: str, axes: tuple[int, ...]):
         if analytic is not None:
             return lambda x, y, v, theta: elementwise(analytic(x, y, v, theta), x, y, v, theta)
-        if not self.allow_fd:
-            def missing(x, y, v, theta):
-                raise MissingPartial(f"partial {name} not supplied and fallback disabled")
-            return missing
         fn = self.fn
 
         def fallback(x, y, v, theta):

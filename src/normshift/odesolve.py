@@ -152,8 +152,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10,
                 max_steps: int = 2_000_000,
-                t_stops=None,
-                first_step: float | None = None) -> OdeSolution:
+                t_stops=None) -> OdeSolution:
     """Adaptive 5(4) integration from t0 to t1 (either direction).
 
     Every stop is an accepted node: a step clipped to reach one ends on it
@@ -164,8 +163,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     shape, rhs, ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
     t, y, f = ts[0], ys[0], fs[0]
     span = abs(float(t1) - t)
-    h = span / 100.0 if first_step is None else abs(first_step)
-    h = min(h, span)
+    h = span / 100.0
     k = np.zeros((7, y.size))
     width = shape[-1] if shape else 1
 
@@ -179,6 +177,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
             steps += 1
 
             remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
+            proposed = h
             if h > remaining - tiny:
                 h = remaining  # end on the stop rather than leave a sliver before it
             if h < tiny:
@@ -209,7 +208,8 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 fs.append(f.copy())
                 factor = _MAX_FACTOR if norm == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                h *= factor
+                # a step clipped to a stop says nothing of the step size allowed
+                h = h * factor if h == proposed else max(h * factor, proposed)
             else:
                 h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 

@@ -8,6 +8,10 @@ construction and phi'(0, s) = 0 is equivalent to the initial-speed ODE
     d nu / ds = -<r'(s), M> B(r(s), nu n(s)) / nu,
 
 which reduces to the classical form -B/nu for an arclength parameterization.
+
+Fields here are flat: the shift under a conformal metric g is that of
+flat_from_covariant(F, g), with the same trajectories and, as g keeps angles,
+the same nodes where phi vanishes.  The CLI converts the field once per run.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from . import numdiff, odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
-from .forces import ForceField, flat_from_covariant
-from .geometry import ConformalMetric, frame
+from .forces import ForceField
+from .geometry import frame
 from .dynamics import IntegratorConfig, integrate_deviation
 from .tables import write_table
 # Never called here; perfbench/tracing.py patches this binding by name.
@@ -37,6 +41,9 @@ _ROTATE = np.array([-1.0, 1.0])
 # ends on the last of this many equally spaced checkpoints of its span that
 # it passed, so a shift does not launch from the sliver next to nu = 0.
 _NU_CHECKPOINTS = 64
+# solve_nu's floor on |nu / nu0|, and its absolute and relative tolerance.
+_NU_FLOOR_RATIO = 1e-3
+_NU_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,9 +252,8 @@ def _nu_rate(curve: Curve, field: ForceField):
 
 
 def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
-             s_range=None, *, s_stops=None, nu_floor_ratio: float = 1e-3,
-             abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> NuSolution:
-    """Solve the initial-speed ODE with nu(s0) = nu0 over s_range.
+             *, s_stops=None) -> NuSolution:
+    """Solve the initial-speed ODE with nu(s0) = nu0 over the curve's s_range.
 
     One adaptive solve integrates both branches, s0 toward each end, as a
     stacked (m, 1) state in sigma in [0, 1], s = s0 + sigma (end - s0).
@@ -256,7 +262,7 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     needs no interpolation and no step straddles a break.
 
     A branch stops early, and the profile is marked truncated, where |nu|
-    would fall below ``nu_floor_ratio * |nu0|`` (the right side is singular
+    would fall below ``_NU_FLOOR_RATIO * |nu0|`` (the right side is singular
     at nu = 0), where it goes non-finite, or where its right side raises a
     package error, a float overflow or a zero division.  Such a row is NaN
     in the right side, the step size shrinks toward the failure until it
@@ -269,10 +275,10 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     """
     if nu0 == 0.0:
         raise ValueError("nu0 must be nonzero")
-    lo, hi = curve.s_range if s_range is None else (float(s_range[0]), float(s_range[1]))
+    lo, hi = curve.s_range
     if not (lo <= s0 <= hi):
         raise ValueError(f"s0={s0} outside [{lo}, {hi}]")
-    floor = abs(nu0) * nu_floor_ratio
+    floor = abs(nu0) * _NU_FLOOR_RATIO
     rate = _nu_rate(curve, field)
     ends = (lo, hi)
     active = [idx for idx in (0, 1) if ends[idx] != s0]
@@ -310,8 +316,8 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
         width = np.array([ends[idx] - s0 for idx in active])
         failures.clear()
         try:
-            sol = odesolve.solve_dopri(rhs, sigma, y, 1.0, abs_tol=abs_tol,
-                                       rel_tol=rel_tol, t_stops=stops)
+            sol = odesolve.solve_dopri(rhs, sigma, y, 1.0, abs_tol=_NU_TOL,
+                                       rel_tol=_NU_TOL, t_stops=stops)
             causes = {}
         except StepFailure as exc:
             sol = exc.solution
@@ -381,25 +387,21 @@ class ShiftGrid:
             header="t,s,x,y,vx,vy,phi,psi,nu")
 
 
-def normal_shift(curve: Curve, field: ForceField, metric: ConformalMetric | None,
-                 nu, t_span, n_s: int = 64, n_t: int = 100,
+def normal_shift(curve: Curve, field: ForceField, nu, t_span,
+                 n_s: int = 64, n_t: int = 100,
                  cfg: IntegratorConfig | None = None,
                  s_range=None) -> ShiftGrid:
-    """Populate the (t, s) grid of the shift launched from the curve.
+    """Populate the (t, s) grid of the shift of the curve by a flat field.
 
-    Under a metric the shift is that of ``flat_from_covariant(field,
-    metric)``: the same trajectories, and a conformal metric keeps the angle
-    between dr/ds and v, so phi vanishes on the same nodes.  ``nu`` is either
-    a NuSolution (solved for the flat field) or any callable s -> speed.
-    Deviations use tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu' from
-    the initial-speed ODE for a NuSolution and otherwise from a central
-    difference of ``nu`` clipped to the shifted range, one-sided at its ends.
+    ``nu`` is either a NuSolution (solved for the same field) or any callable
+    s -> speed.  Deviations use tau(0) = r'(s) and tau'(0) = nu' n + nu n',
+    with nu' from the initial-speed ODE for a NuSolution and otherwise from a
+    central difference of ``nu`` clipped to the shifted range, one-sided at
+    its ends.
     All s-nodes are integrated as one stacked system; an error from it gets
     a note naming the s-nodes whose rows went non-finite, when known, and
     otherwise the shifted s-range.
     """
-    if metric is not None:
-        field = flat_from_covariant(field, metric)
     lo, hi = curve.s_range if s_range is None else (float(s_range[0]), float(s_range[1]))
     if isinstance(nu, NuSolution):
         lo = max(lo, nu.s_lo)

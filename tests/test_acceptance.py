@@ -21,7 +21,7 @@ from normshift.forces import (Profile, ScalarFieldA, anisotropic_field,
                               mdtype_field, oscillator_field, speed_profile_ansatz)
 from normshift.geometry import ConformalMetric, V_MIN, frame, projector
 from normshift.dynamics import (IntegratorConfig, PhaseState, integrate,
-                                integrate_variational, speed_derivative)
+                                integrate_deviation, speed_derivative)
 from normshift.normality import (b_closed_form, complex_residual, first_integrals,
                                  characteristic_flow, probe_points, reduced_residual,
                                  reduction_b_residual, VelocityAngleField,
@@ -50,7 +50,7 @@ def test_criterion_1_gravity_normal_shift():
     with criterion(1, "gravity shift with unit speed is normal and matches the "
                       "closed front", 1.0):
         seg = segment_on_axis(-1.0, 1.0, normal="right")
-        grid = normal_shift(seg, gravity_field(), None, constant_nu(1.0), (0, 1),
+        grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 1),
                             n_s=64, n_t=100)
         worst = 0.0
         for i, t in enumerate(grid.t_nodes):
@@ -65,7 +65,7 @@ def test_criterion_1_gravity_normal_shift():
 def test_criterion_2_gravity_linear_speed_not_normal():
     with criterion(2, "gravity shift with linear speed profile is not normal", 1.0):
         seg = segment_on_axis(-1.0, 1.0, normal="right")
-        grid = normal_shift(seg, gravity_field(), None,
+        grid = normal_shift(seg, gravity_field(),
                             lambda s: (3.0 - s) / 4.0, (0, 1), n_s=64, n_t=100)
         assert np.max(np.abs(grid.phi[-1, :])) > 1e-2
         assert not normality_report(grid).normal
@@ -79,7 +79,7 @@ def test_criterion_3_oscillator_impossibility():
         tl = tilted_line()
         for nu0 in (0.5, 1.0, 2.0):
             nu = solve_nu(tl, f, 0.0, nu0)
-            grid = normal_shift(tl, f, None, nu, (0, 1), n_s=16, n_t=21)
+            grid = normal_shift(tl, f, nu, (0, 1), n_s=16, n_t=21)
             assert grid.max_abs_phi() > 1e-3, f"nu0={nu0}"
             assert not normality_report(grid).normal
 
@@ -88,13 +88,14 @@ def test_criterion_3_oscillator_impossibility():
         _, n, _ = frenet(tl, s0)
         t_eval = np.linspace(0, 1, 41)
         tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-        base = integrate(f, None, PhaseState(tl.point(s0), nu_c * n), (0, 1),
+        base = integrate(f, PhaseState(tl.point(s0), nu_c * n), (0, 1),
                          t_eval=t_eval, cfg=tight)
-        devs = integrate_variational(f, base, tl.velocity(s0), np.zeros(2), tight)
+        _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.velocity(s0),
+                                        np.zeros(2), base.times, tight)
         prof = Profile.constant(nu_c)
         for i, t in enumerate(t_eval):
             speed = float(np.hypot(*base.states[i].v))
-            assert 2.0 * speed * devs[i].phi == pytest.approx(
+            assert 2.0 * speed * phi[i] == pytest.approx(
                 oscillator_phi(prof, om, s0, t), abs=1e-8)
 
 
@@ -119,7 +120,7 @@ def test_criterion_4_mdtype_fields_at_desk_scale():
 
             curve = spline_through(random_spline_points(rng))
             nu = solve_nu(curve, field, 0.5, 1.0)
-            grid = normal_shift(curve, field, None, nu, (0, 0.5), n_s=12, n_t=21)
+            grid = normal_shift(curve, field, nu, (0, 0.5), n_s=12, n_t=21)
             assert grid.max_abs_phi() < 1e-6, f"trial {trial}"
 
 
@@ -136,7 +137,7 @@ def test_criterion_5_cycloid_reproduction():
             init = cycloid(p, 0.0)
             for t_end in (0.93 * hi, 0.93 * lo):
                 ts = np.linspace(0, t_end, 12)
-                tr = integrate(field, None, init, (0, t_end), t_eval=ts)
+                tr = integrate(field, init, (0, t_end), t_eval=ts)
                 for i, t in enumerate(ts):
                     st = cycloid(p, t)
                     assert np.max(np.abs(tr.positions()[i] - st.r)) < 1e-6
@@ -155,7 +156,7 @@ def test_criterion_6_marked_point_quadrature():
                           (v0 * math.cos(heading), v0 * math.sin(heading)))
         field = marked_point_field(prof)
         ts = np.linspace(0, 0.98 * T, 30)
-        tr = integrate(field, None, init, (0, 0.98 * T), t_eval=ts)
+        tr = integrate(field, init, (0, 0.98 * T), t_eval=ts)
         for i, t in enumerate(ts):
             st = table.state_at(t)
             assert np.max(np.abs(tr.positions()[i] - st.r)) < 1e-5
@@ -214,7 +215,7 @@ def test_criterion_8_conformal_equivalence():
         for _ in range(10):
             init = PhaseState(rng.uniform(-1.5, 1.5, 2), rng.uniform(0.6, 1.6, 2))
             cov = christoffel_flow_positions(cov_field, metric, init, t_eval)
-            flat = integrate(flat_field, None, init, (0, 1), t_eval=t_eval)
+            flat = integrate(flat_field, init, (0, 1), t_eval=t_eval)
             assert np.max(np.abs(cov - flat.positions())) < 1e-8
 
 
@@ -262,18 +263,19 @@ def test_criterion_10_structural_invariants():
         # tau = phi N + psi M along a deviation integration
         tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
         field = anisotropic_field(Profile.constant(0.8))
-        base = integrate(field, None, PhaseState((0, 0), (1.0, 0.4)), (0, 1),
+        base = integrate(field, PhaseState((0, 0), (1.0, 0.4)), (0, 1),
                          t_eval=np.linspace(0, 1, 11), cfg=tight)
-        devs = integrate_variational(field, base, [0.2, 0.5], [-0.1, 0.3], tight)
+        ys, phi, psi = integrate_deviation(field, base.initial.r, base.initial.v,
+                                           [0.2, 0.5], [-0.1, 0.3], base.times, tight)
         for i in range(11):
             fr = frame(base.states[i].v)
-            rebuilt = devs[i].phi * fr.N + devs[i].psi * fr.M
-            assert np.max(np.abs(rebuilt - devs[i].tau)) < 1e-10
+            rebuilt = phi[i] * fr.N + psi[i] * fr.M
+            assert np.max(np.abs(rebuilt - ys[i, 4:6])) < 1e-10
 
         # d|v|/dt = A by finite differences at integration nodes
         h = 1e-5
         stencil = sorted({0.0, 1.0} | {t + k * h for t in (0.3, 0.6) for k in (-1, 1)})
-        tr = integrate(field, None, PhaseState((0, 0), (0.9, 0.8)), (0, 1),
+        tr = integrate(field, PhaseState((0, 0), (0.9, 0.8)), (0, 1),
                        t_eval=stencil, exact_nodes=True)
         speeds = {t: float(np.hypot(*tr.states[i].v)) for i, t in enumerate(tr.times)}
         for t in (0.3, 0.6):
@@ -287,9 +289,9 @@ def test_criterion_10_structural_invariants():
         mag = magnetic_field(0.1)
         nu = solve_nu(circ, mag, 1.3, 1.0)
         dt = 0.01
-        fwd = normal_shift(circ, mag, None, nu, (0, 2 * dt), n_s=5, n_t=3,
+        fwd = normal_shift(circ, mag, nu, (0, 2 * dt), n_s=5, n_t=3,
                            s_range=(0.8, 1.8))
-        bwd = normal_shift(circ, mag, None, nu, (0, -2 * dt), n_s=5, n_t=3,
+        bwd = normal_shift(circ, mag, nu, (0, -2 * dt), n_s=5, n_t=3,
                            s_range=(0.8, 1.8))
         for j, s in enumerate(fwd.s_nodes):
             _, _, k = frenet(circ, s)
@@ -299,20 +301,22 @@ def test_criterion_10_structural_invariants():
 
         # linearity of the variational flow
         osc = oscillator_field(1.2)
-        base = integrate(osc, None, PhaseState((0.2, 0.1), (0.5, 1.0)), (0, 1.5),
+        base = integrate(osc, PhaseState((0.2, 0.1), (0.5, 1.0)), (0, 1.5),
                          t_eval=np.linspace(0, 1.5, 7), cfg=tight)
-        a = integrate_variational(osc, base, [1.0, 0.0], [0.0, 0.3], tight)
-        b = integrate_variational(osc, base, [0.0, -0.5], [0.7, 0.0], tight)
-        combo = integrate_variational(osc, base, [2.0, -1.5], [2.1, 0.6], tight)
+        r0, v0 = base.initial.r, base.initial.v
+        a, _, _ = integrate_deviation(osc, r0, v0, [1.0, 0.0], [0.0, 0.3], base.times, tight)
+        b, _, _ = integrate_deviation(osc, r0, v0, [0.0, -0.5], [0.7, 0.0], base.times, tight)
+        combo, _, _ = integrate_deviation(osc, r0, v0, [2.0, -1.5], [2.1, 0.6],
+                                          base.times, tight)
         for i in range(7):
-            assert np.max(np.abs(2 * a[i].tau + 3 * b[i].tau - combo[i].tau)) < 1e-9
+            assert np.max(np.abs(2 * a[i, 4:6] + 3 * b[i, 4:6] - combo[i, 4:6])) < 1e-9
 
         # fixed-step integrator shows fourth-order error decay on a closed form
         exact = math.sin(2.0)
 
         def endpoint_error(step):
             cfg = IntegratorConfig(method="rk4-fixed", step=step)
-            t = integrate(oscillator_field(1.0), None, PhaseState((0, 0), (0, 1)),
+            t = integrate(oscillator_field(1.0), PhaseState((0, 0), (0, 1)),
                           (0, 2), cfg)
             return abs(t.positions()[-1][1] - exact)
 

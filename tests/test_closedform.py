@@ -39,7 +39,7 @@ def test_oscillator_phi_values():
 
 def test_oscillator_phi_matches_variational_deviation():
     from normshift.forces import oscillator_field
-    from normshift.dynamics import integrate_variational
+    from normshift.dynamics import integrate_deviation
     from normshift.shift import frenet, tilted_line
 
     om, s0, nu_c = 1.3, 0.7, 1.0
@@ -48,14 +48,15 @@ def test_oscillator_phi_matches_variational_deviation():
     f = oscillator_field(om)
     t_eval = np.linspace(0, 1, 21)
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    base = integrate(f, None, PhaseState(tl.point(s0), nu_c * n), (0, 1),
+    base = integrate(f, PhaseState(tl.point(s0), nu_c * n), (0, 1),
                      t_eval=t_eval, cfg=cfg)
-    devs = integrate_variational(f, base, tl.velocity(s0), np.zeros(2), cfg)
+    _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.velocity(s0),
+                                    np.zeros(2), base.times, cfg)
     prof = Profile.constant(nu_c)
     for i, t in enumerate(t_eval):
         speed = float(np.hypot(*base.states[i].v))
         # the closed form carries the 2 <dr/ds, dr/dt> normalization
-        assert 2.0 * speed * devs[i].phi == pytest.approx(
+        assert 2.0 * speed * phi[i] == pytest.approx(
             oscillator_phi(prof, om, s0, t), abs=1e-8)
 
 
@@ -135,7 +136,7 @@ def test_cycloid_matches_integration():
     f = anisotropic_field(Profile.constant(p.a0))
     init = cycloid(p, 0.0)
     ts = np.linspace(0, 0.9 * hi, 15)
-    tr = integrate(f, None, init, (0, 0.9 * hi), t_eval=ts)
+    tr = integrate(f, init, (0, 0.9 * hi), t_eval=ts)
     for i, t in enumerate(ts):
         st = cycloid(p, t)
         assert np.max(np.abs(tr.positions()[i] - st.r)) < 1e-6
@@ -156,7 +157,7 @@ def test_marked_point_quadrature_against_integration():
                       (v0 * math.cos(heading), v0 * math.sin(heading)))
     f = marked_point_field(prof)
     ts = np.linspace(0, 0.98 * T, 25)
-    tr = integrate(f, None, init, (0, 0.98 * T), t_eval=ts)
+    tr = integrate(f, init, (0, 0.98 * T), t_eval=ts)
     for i, t in enumerate(ts):
         st = table.state_at(t)
         assert np.max(np.abs(tr.positions()[i] - st.r)) < 1e-5

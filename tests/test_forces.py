@@ -295,15 +295,6 @@ def test_mixed_partial_symmetry_of_fd_fallback():
     assert bare.a_theta_x(x, y, v, t) == pytest.approx(tx, abs=1e-5)
 
 
-def test_missing_partial_when_fallback_disabled():
-    from normshift.errors import MissingPartial
-    a = ScalarFieldA(lambda x, y, v, t: v, allow_fd=False)
-    with pytest.raises(MissingPartial):
-        a.a_theta(0, 0, 1, 0)
-    full = speed_profile_ansatz(Profile.constant(1.0))
-    full.a_theta(0, 0, 1, 0)  # analytic closures work with fallback disabled
-
-
 def test_unknown_partial_name_is_rejected():
     with pytest.raises(TypeError, match="a_thetta"):
         ScalarFieldA(lambda x, y, v, t: v, a_thetta=lambda x, y, v, t: 0.0)

@@ -1,4 +1,5 @@
-"""No module of the package reaches into another module's private names."""
+"""Layering rules: no module reaches into another module's private names, and
+each decision (stencil steps, output digits, the metric) has one owner."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,44 @@ def test_only_the_table_writer_formats_seventeen_digits():
     # one writer owns the "17 significant digits" contract of every output file
     holders = sorted(p.name for p in SRC.glob("*.py") if ".17g" in p.read_text())
     assert holders == ["tables.py"]
+
+
+def called_names(tree: ast.Module) -> set[str]:
+    """Names called as `f(...)` or `m.f(...)`."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def public_metric_parameters(tree: ast.Module) -> list[str]:
+    """Parameters named like 'metric' of the module's public functions and of
+    the methods of its public classes, as 'function: parameter'."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not _private(node.name):
+            functions.append(node)
+        elif isinstance(node, ast.ClassDef) and not _private(node.name):
+            functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [f"{f.name}: {a.arg}" for f in functions
+            for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+            if "metric" in a.arg]
+
+
+def test_only_the_cli_flattens_a_covariant_field():
+    # a metric is resolved once per run; the numerical layers see flat fields
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     if "flat_from_covariant" in called_names(ast.parse(p.read_text())))
+    assert callers == ["cli.py"]
+
+
+@pytest.mark.parametrize("name", ["dynamics.py", "shift.py"])
+def test_numerical_layers_take_no_metric(name):
+    assert public_metric_parameters(ast.parse((SRC / name).read_text())) == []
+
+
+def test_metric_checker_flags_functions_and_methods():
+    tree = ast.parse("def run(field, metric=None): pass\n"
+                     "def _helper(metric): pass\n"
+                     "class Path:\n"
+                     "    def __init__(self, times, *, base_metric): pass\n")
+    assert public_metric_parameters(tree) == ["run: metric", "__init__: base_metric"]

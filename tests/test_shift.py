@@ -120,7 +120,7 @@ def test_solve_nu_validates_inputs():
 
 def test_gravity_shift_constant_nu_matches_closed_form():
     seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), None, constant_nu(1.0), (0, 1),
+    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 1),
                         n_s=9, n_t=11)
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
@@ -133,7 +133,7 @@ def test_gravity_shift_constant_nu_matches_closed_form():
 def test_grid_first_row_is_the_launch_data_bit_for_bit():
     # the left normal of (s, 0) is (-0.0, 1.0): the -0.0 of vx must survive
     seg = segment_on_axis(normal="left")
-    grid = normal_shift(seg, gravity_field(), None, constant_nu(1.0), (0, 0.5),
+    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 0.5),
                         n_s=5, n_t=4)
     assert np.all(np.signbit(grid.v[0, :, 0]))
     for j, s in enumerate(grid.s_nodes):
@@ -145,7 +145,7 @@ def test_grid_first_row_is_the_launch_data_bit_for_bit():
 
 def test_gravity_shift_linear_nu_not_normal():
     seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), None,
+    grid = normal_shift(seg, gravity_field(),
                         lambda s: (3.0 - s) / 4.0, (0, 1), n_s=9, n_t=11)
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
@@ -161,14 +161,14 @@ def test_zero_field_shift_is_classical_parallel_transport():
                    velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)))
     rng = np.random.default_rng(0)
     curve = spline_through(random_spline_points(rng))
-    grid = normal_shift(curve, z, None, constant_nu(1.0), (0, 0.4), n_s=10, n_t=9)
+    grid = normal_shift(curve, z, constant_nu(1.0), (0, 0.4), n_s=10, n_t=9)
     assert grid.max_abs_phi() < 1e-9
 
 
 def test_grid_initial_slice_invariants():
     seg = segment_on_axis(normal="right")
     nu = solve_nu(seg, gravity_field(), 0.0, 1.0)
-    grid = normal_shift(seg, gravity_field(), None, nu, (0, 1), n_s=7, n_t=5)
+    grid = normal_shift(seg, gravity_field(), nu, (0, 1), n_s=7, n_t=5)
     for j, s in enumerate(grid.s_nodes):
         _, n, _ = frenet(seg, s)
         assert np.allclose(grid.r[0, j], seg.point(s), atol=1e-14)
@@ -191,9 +191,9 @@ def test_initial_psi_and_its_rate():
     nu = solve_nu(circ, f, s0, 1.0)
     dt = 0.01
     # the curve sits at the first time node, so straddle t = 0 with two grids
-    fwd = normal_shift(circ, f, None, nu, (0, 2 * dt), n_s=9, n_t=3,
+    fwd = normal_shift(circ, f, nu, (0, 2 * dt), n_s=9, n_t=3,
                        s_range=(0.6, 2.0))
-    bwd = normal_shift(circ, f, None, nu, (0, -2 * dt), n_s=9, n_t=3,
+    bwd = normal_shift(circ, f, nu, (0, -2 * dt), n_s=9, n_t=3,
                        s_range=(0.6, 2.0))
     j0 = 4  # middle s-node equals s0 for the odd uniform grid
     assert fwd.s_nodes[j0] == pytest.approx(s0)
@@ -222,7 +222,7 @@ def test_mdtype_shift_is_normal_on_random_splines():
         field = mdtype_field(perturbed_mdtype(rng))
         curve = spline_through(random_spline_points(rng))
         nu = solve_nu(curve, field, 0.5, 1.0)
-        grid = normal_shift(curve, field, None, nu, (0, 0.5), n_s=10, n_t=11)
+        grid = normal_shift(curve, field, nu, (0, 0.5), n_s=10, n_t=11)
         bound = 1e-6 * (1.0 + grid.max_tau_norm())
         assert grid.max_abs_phi() <= bound
         assert normality_report(grid).normal
@@ -253,7 +253,7 @@ def test_every_normality_claiming_family_shifts_normally():
             # shift only the marked healthy part of the curve
             pad = 0.1 * (nu.s_hi - nu.s_lo)
             s_range = (nu.s_lo + pad, nu.s_hi - pad)
-        grid = normal_shift(curve, field, None, nu, (0, 0.5), n_s=8, n_t=9,
+        grid = normal_shift(curve, field, nu, (0, 0.5), n_s=8, n_t=9,
                             s_range=s_range)
         bound = 1e-6 * (1.0 + grid.max_tau_norm())
         assert grid.max_abs_phi() <= bound, name
@@ -265,14 +265,14 @@ def test_oscillator_tilted_line_never_normal():
     f = oscillator_field(1.0)
     for nu0 in (0.5, 1.0, 2.0):
         nu = solve_nu(tl, f, 0.0, nu0)
-        grid = normal_shift(tl, f, None, nu, (0, 1), n_s=9, n_t=11)
+        grid = normal_shift(tl, f, nu, (0, 1), n_s=9, n_t=11)
         assert grid.max_abs_phi() > 1e-3
         assert not normality_report(grid).normal
 
 
 def test_shift_grid_csv(tmp_path):
     seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), None, constant_nu(1.0), (0, 0.5),
+    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 0.5),
                         n_s=3, n_t=4)
     path = tmp_path / "grid.csv"
     grid.write_csv(path)
@@ -281,14 +281,13 @@ def test_shift_grid_csv(tmp_path):
     assert len(lines) == 1 + 3 * 4
 
 
-def differenced_phi(field, metric, curve, nu, s, t_nodes, cfg, delta=1e-5):
+def differenced_phi(field, curve, nu, s, t_nodes, cfg, delta=1e-5):
     """phi at (t_nodes, s) from two trajectories launched at s +- delta."""
     trajs = []
     for ss in (s + delta, s - delta):
         _, n, _ = frenet(curve, ss)
         init = PhaseState(curve.point(ss), nu(ss) * n)
-        trajs.append(integrate(field, metric, init, (t_nodes[0], t_nodes[-1]), cfg,
-                               t_eval=t_nodes))
+        trajs.append(integrate(field, init, (t_nodes[0], t_nodes[-1]), cfg, t_eval=t_nodes))
     tau = (trajs[0].positions() - trajs[1].positions()) / (2 * delta)
     mid_v = (trajs[0].velocities() + trajs[1].velocities()) / 2
     return np.array([tau[i] @ frame(mid_v[i]).N for i in range(len(t_nodes))])
@@ -303,10 +302,11 @@ def geodesic_shift_off_level_line():
 
 def test_metric_shift_matches_differenced_trajectories():
     field, metric, seg, nu = geodesic_shift_off_level_line()
+    flat = flat_from_covariant(field, metric)
     tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    grid = normal_shift(seg, field, metric, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
+    grid = normal_shift(seg, flat, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
     for j, s in enumerate(grid.s_nodes):
-        ref = differenced_phi(field, metric, seg, nu, s, grid.t_nodes, tight)
+        ref = differenced_phi(flat, seg, nu, s, grid.t_nodes, tight)
         assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7, s
     assert not normality_report(grid).normal
 
@@ -317,9 +317,9 @@ def test_endpoint_phi_of_plain_callable_nu():
     field, metric, seg, nu = geodesic_shift_off_level_line()
     flat = flat_from_covariant(field, metric)
     tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    grid = normal_shift(seg, flat, None, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
+    grid = normal_shift(seg, flat, nu, (0, 1), n_s=5, n_t=5, cfg=tight)
     for j in (0, -1):
-        ref = differenced_phi(flat, None, seg, nu, grid.s_nodes[j], grid.t_nodes, tight)
+        ref = differenced_phi(flat, seg, nu, grid.s_nodes[j], grid.t_nodes, tight)
         assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7
     assert grid.phi[-1, 0] == pytest.approx(-0.1168, abs=1e-4)
 
@@ -355,7 +355,7 @@ def test_normal_shift_is_one_solve_for_all_s_nodes(monkeypatch, cfg):
     field, curve = mdtype_on_spline()
     solver = "solve_dopri" if cfg.method == "dopri-adaptive" else "solve_rk4"
     calls = count_calls(monkeypatch, odesolve, solver)
-    grid = normal_shift(curve, field, None, constant_nu(1.0), (0, 0.3),
+    grid = normal_shift(curve, field, constant_nu(1.0), (0, 0.3),
                         n_s=16, n_t=7, cfg=cfg)
     assert len(calls) == 1
     assert grid.r.shape == (7, 16, 2)
@@ -374,7 +374,7 @@ def test_block_matches_separate_single_column_runs():
     field, curve = mdtype_on_spline()
     nu = solve_nu(curve, field, 0.5, 1.1)
     tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    grid = normal_shift(curve, field, None, nu, (0, 0.5), n_s=16, n_t=6, cfg=tight)
+    grid = normal_shift(curve, field, nu, (0, 0.5), n_s=16, n_t=6, cfg=tight)
     # the steps differ, so samples between steps differ by the dense output's
     # error (1.3e-9 at most here, with |tau| up to 4)
     for j, s in enumerate(grid.s_nodes):  # end nodes included
@@ -408,7 +408,7 @@ def test_force_calls_per_right_side_do_not_grow_with_n_s(monkeypatch):
     for n_s in (4, 32):
         forces.clear()
         rhs_calls.clear()
-        normal_shift(curve, field, None, constant_nu(1.0), (0, 0.3), n_s=n_s, n_t=5)
+        normal_shift(curve, field, constant_nu(1.0), (0, 0.3), n_s=n_s, n_t=5)
         assert len(forces) % len(rhs_calls) == 0
         per_rhs.append(len(forces) // len(rhs_calls))
     assert per_rhs[0] == per_rhs[1] <= 9
@@ -426,7 +426,7 @@ def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
     # normal_shift samples each branch once instead of one dense call per query
     dense = count_calls(monkeypatch, OdeSolution, "__call__")
     samples = count_calls(monkeypatch, OdeSolution, "sample")
-    grid = normal_shift(curve, field, None, nu, (0, 0.2), n_s=33, n_t=3)
+    grid = normal_shift(curve, field, nu, (0, 0.2), n_s=33, n_t=3)
     assert grid.nu.tobytes() == values.tobytes()
     assert dense == []
     assert len(samples) == 3  # one per nu branch, one for the grid
@@ -437,7 +437,7 @@ def test_non_finite_columns_are_named_in_the_error_note():
     field = ForceField(fn=lambda r, v: np.where(r[..., :1] > 0.6, np.inf, 1.0) * v)
     grid_s = np.linspace(0.0, 1.0, 5)
     with pytest.raises(StepFailure) as info, np.errstate(invalid="ignore"):
-        normal_shift(segment_on_axis(0.0, 1.0), field, None, constant_nu(1.0),
+        normal_shift(segment_on_axis(0.0, 1.0), field, constant_nu(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.rows == (3, 4)
     assert info.value.__notes__ == [f"at s={grid_s[3]:.6g}, {grid_s[4]:.6g}"]
@@ -446,7 +446,7 @@ def test_non_finite_columns_are_named_in_the_error_note():
 def test_field_errors_in_the_block_name_the_shifted_range():
     marked = catalogue("marked_point", {"profile": 1.0, "center": [0.5, 0.0]})
     with pytest.raises(InvalidParams) as info:
-        normal_shift(segment_on_axis(0.0, 1.0), marked, None, constant_nu(1.0),
+        normal_shift(segment_on_axis(0.0, 1.0), marked, constant_nu(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.__notes__ == ["at s in [0, 1]"]
 
