@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trajectory.csv"
-    traj.write_csv(csv_path)
+    xy = traj.write_csv(csv_path)
     extra = {
         "outputs": ["trajectory.csv"],
         "integrator": {"method": icfg.method, "abs_tol": icfg.abs_tol,
@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
             print(f"oracle mismatch: {err:.3e} > {tol:.1e}", file=sys.stderr)
             return EXIT_NUMERIC
     if args.emit_plotdata:
-        write_table(out / "plot_xy.dat", traj.positions(), sep=" ")
+        write_table(out / "plot_xy.dat", xy, sep=" ")
         extra["outputs"].append("plot_xy.dat")
     extra["outputs"].append("manifest.json")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
@@ -149,7 +149,7 @@ def cmd_shift(args) -> int:
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
              "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
     if args.emit_plotdata:
-        write_table(out / "plot_fronts.dat", grid.r.reshape(-1, 2), sep=" ",
+        write_table(out / "plot_fronts.dat", grid.r.reshape(-1, 2).T, sep=" ",
                     block=len(grid.s_nodes))
         extra["outputs"].append("plot_fronts.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
@@ -180,7 +180,7 @@ def cmd_check(args) -> int:
         cols.update(r_reduced=report.r_reduced)
     if report.r_complex is not None:
         cols.update(re_rc=report.r_complex.real, im_rc=report.r_complex.imag)
-    write_table(csv_path, np.column_stack(list(cols.values())), header=",".join(cols))
+    write_table(csv_path, cols.values(), header=",".join(cols))
     summary = report.summary()
     _write_json(out / "residual_summary.json", summary)
     extra = {"outputs": ["residuals.csv", "residual_summary.json", "manifest.json"],
@@ -188,7 +188,7 @@ def cmd_check(args) -> int:
     if args.emit_plotdata:
         vals = report.r1 if report.r1 is not None else report.r_reduced
         write_table(out / "plot_residuals.dat",
-                    np.column_stack([report.probes[:, 2:4], np.abs(vals)]), sep=" ")
+                    [*report.probes[:, 2:4].T, np.abs(vals)], sep=" ")
         extra["outputs"].append("plot_residuals.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:

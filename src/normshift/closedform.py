@@ -207,7 +207,7 @@ class QuadratureTable:
                           v * np.array([math.cos(heading), math.sin(heading)]))
 
     def write_csv(self, path):
-        write_table(path, np.column_stack([self.theta, self.v, self.rho, self.t, self.gamma]),
+        write_table(path, [self.theta, self.v, self.rho, self.t, self.gamma],
                     header="theta,v,rho,t,gamma")
 
 

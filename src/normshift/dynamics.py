@@ -28,7 +28,7 @@ from .geometry import dot, frame
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .geometry import christoffel  # noqa: F401
 from .normality import ab_gradients
-from .tables import write_table
+from .tables import formatted, write_table
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,12 @@ class Trajectory:
         return PhaseState(self._ys[0, :2], self._ys[0, 2:4])
 
     def write_csv(self, path):
-        write_table(path, np.column_stack([self.times, self._ys[:, :4]]),
+        """Write t, x, y, vx, vy per output time.  Returns the text of x and
+        y, for a plot file that repeats them."""
+        x, y = formatted(self._ys[:, 0]), formatted(self._ys[:, 1])
+        write_table(path, [self.times, x, y, self._ys[:, 2], self._ys[:, 3]],
                     header="t,x,y,vx,vy")
+        return x, y
 
 
 def _flow_rhs(field: ForceField):

@@ -28,7 +28,7 @@ from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField
 from .geometry import frame
 from .dynamics import IntegratorConfig, integrate_deviation
-from .tables import write_table
+from .tables import formatted, write_table
 # Never called here; perfbench/tracing.py patches this binding by name.
 from .dynamics import integrate  # noqa: F401
 
@@ -380,10 +380,10 @@ class ShiftGrid:
 
     def write_csv(self, path):
         n_t, n_s = self.phi.shape
-        write_table(path, np.column_stack([
-            np.repeat(self.t_nodes, n_s), np.tile(self.s_nodes, n_t),
-            self.r.reshape(-1, 2), self.v.reshape(-1, 2),
-            self.phi.ravel(), self.psi.ravel(), np.tile(self.nu, n_t)]),
+        write_table(path, [
+            np.repeat(formatted(self.t_nodes), n_s), np.tile(formatted(self.s_nodes), n_t),
+            *self.r.reshape(-1, 2).T, *self.v.reshape(-1, 2).T,
+            self.phi.ravel(), self.psi.ravel(), np.tile(formatted(self.nu), n_t)],
             header="t,s,x,y,vx,vy,phi,psi,nu")
 
 

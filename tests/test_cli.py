@@ -62,7 +62,7 @@ def test_simulate_gravity_with_oracle(tmp_path):
     })
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o",
                 "--check-oracle"]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "o" / "trajectory.csv")))
+    rows = list(csv.DictReader((tmp_path / "o" / "trajectory.csv").read_text().splitlines()))
     assert len(rows) == 11
     assert float(rows[-1]["y"]) == pytest.approx(-1.5, abs=1e-10)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -80,7 +80,7 @@ def test_simulate_zero_field_straight_rows(tmp_path):
     })
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "z",
                 "--check-oracle"]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "z" / "trajectory.csv")))
+    rows = list(csv.DictReader((tmp_path / "z" / "trajectory.csv").read_text().splitlines()))
     for row in rows:
         t = float(row["t"])
         assert float(row["x"]) == pytest.approx(0.5 * t, abs=1e-12)
@@ -127,7 +127,7 @@ def test_shift_gravity_constant_nu_normal(tmp_path):
     report = json.loads((tmp_path / "s" / "normality_report.json").read_text())
     assert report["verdict"] == "normal"
     assert report["max_abs_phi"] < 1e-8
-    rows = list(csv.DictReader(open(tmp_path / "s" / "shift_grid.csv")))
+    rows = list(csv.DictReader((tmp_path / "s" / "shift_grid.csv").read_text().splitlines()))
     assert len(rows) == 9 * 11
 
 
@@ -287,7 +287,7 @@ def test_csv_seventeen_significant_digits(tmp_path):
         "t_span": [0.0, 1.0], "n_t": 3,
     })
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "d"]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "d" / "trajectory.csv")))
+    rows = list(csv.DictReader((tmp_path / "d" / "trajectory.csv").read_text().splitlines()))
     assert float(rows[0]["x"]) == 1.0 / 3.0
 
 

@@ -1,5 +1,6 @@
 """Layering rules: no module reaches into another module's private names, and
-each decision (stencil steps, output digits, the metric) has one owner."""
+each decision (stencil steps, output digits, the metric) has one owner.  Also
+one hygiene rule for the tests themselves: every file they open is closed."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "normshift"
+TESTS = Path(__file__).resolve().parent
 
 
 def _private(name: str) -> bool:
@@ -130,3 +132,28 @@ def test_metric_checker_flags_functions_and_methods():
                      "class Path:\n"
                      "    def __init__(self, times, *, base_metric): pass\n")
     assert public_metric_parameters(tree) == ["run: metric", "__init__: base_metric"]
+
+
+def unmanaged_opens(tree: ast.Module) -> list[str]:
+    """Calls `open(...)` and `x.open(...)` that are not a `with` item, as
+    'line: text'; such a file is closed only when it is garbage-collected."""
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+    calls = sorted((node for node in ast.walk(tree) if isinstance(node, ast.Call)),
+                   key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in managed
+            and "open" == (node.func.id if isinstance(node.func, ast.Name)
+                           else getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_tests_open_files_only_in_with(path):
+    assert unmanaged_opens(ast.parse(path.read_text())) == []
+
+
+def test_open_checker_flags_both_forms():
+    tree = ast.parse("with open(p) as fh, q.open('w') as out:\n"
+                     "    rows = list(csv.DictReader(open(p)))\n"
+                     "text = p.open().read()\n"
+                     "lines = p.read_text().splitlines()\n")
+    assert unmanaged_opens(tree) == ["2: open(p)", "3: p.open()"]
