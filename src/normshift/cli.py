@@ -24,7 +24,7 @@ from .normality import probe_points, residual_sweep
 from .closedform import CycloidParams, cycloid, gravity_shift
 from .dynamics import integrate
 from .shift import NuSolution, normal_shift, normality_report
-from .tables import write_table
+from .tables import formatted, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,7 +138,7 @@ def cmd_shift(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid.write_csv(out / "shift_grid.csv")
+    xy = grid.write_csv(out / "shift_grid.csv")
     payload = report.to_dict()
     if isinstance(nu, NuSolution):
         payload["nu_truncated"] = nu.truncated
@@ -149,8 +149,7 @@ def cmd_shift(args) -> int:
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
              "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
     if args.emit_plotdata:
-        write_table(out / "plot_fronts.dat", grid.r.reshape(-1, 2).T, sep=" ",
-                    block=len(grid.s_nodes))
+        write_table(out / "plot_fronts.dat", xy, sep=" ", block=len(grid.s_nodes))
         extra["outputs"].append("plot_fronts.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:
@@ -172,8 +171,10 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "residuals.csv"
-    cols = {"x": report.probes[:, 0], "y": report.probes[:, 1],
-            "v": report.probes[:, 2], "theta": report.probes[:, 3]}
+    v, theta = report.probes[:, 2], report.probes[:, 3]
+    if args.emit_plotdata:  # formatted once, for this table and the plot file
+        v, theta = formatted(v), formatted(theta)
+    cols = {"x": report.probes[:, 0], "y": report.probes[:, 1], "v": v, "theta": theta}
     if report.r1 is not None:
         cols.update(r1=report.r1, r2=report.r2)
     if report.r_reduced is not None:
@@ -187,8 +188,7 @@ def cmd_check(args) -> int:
              "summary": summary}
     if args.emit_plotdata:
         vals = report.r1 if report.r1 is not None else report.r_reduced
-        write_table(out / "plot_residuals.dat",
-                    [*report.probes[:, 2:4].T, np.abs(vals)], sep=" ")
+        write_table(out / "plot_residuals.dat", [v, theta, np.abs(vals)], sep=" ")
         extra["outputs"].append("plot_residuals.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:

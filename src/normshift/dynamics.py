@@ -153,34 +153,39 @@ def _contract(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
     return jac[..., 0, :] * x[..., 0, None] + jac[..., 1, :] * x[..., 1, None]
 
 
-def _tau_acceleration(field: ForceField, r, v, tau, tau_dot) -> np.ndarray:
-    """Right side of the linearized equations, tau'' = J_r^T tau + J_v^T tau'.
+def _accelerations(field: ForceField, r, v, tau, tau_dot) -> tuple[np.ndarray, np.ndarray]:
+    """The force F(r, v) and the right side of the linearized equations,
+    tau'' = J_r^T tau + J_v^T tau'.
 
     With analytic Jacobians they are contracted directly; otherwise the two
     directional derivatives are Richardson-extrapolated central differences
-    of the force along tau (moving r) and tau_dot (moving v), whose eight
-    points for every row go to the field in one stacked call.  The step
-    along a direction d from a point p is richardson_step(|p|) / |d|; a zero
-    direction contributes zero.
+    of the force along tau (moving r) and tau_dot (moving v), with the steps
+    of ``_step_along``.  Their eight points for every row and the base point
+    (r, v) go to the field in one stacked call.
     """
     if field.spatial_jacobian is not None and field.velocity_jacobian is not None:
-        return (_contract(field.jac_spatial(r, v), tau)
-                + _contract(field.jac_velocity(r, v), tau_dot))
+        return field.force(r, v), (_contract(field.jac_spatial(r, v), tau)
+                                   + _contract(field.jac_velocity(r, v), tau_dot))
 
-    base, along = np.stack([r, v]), np.stack([tau, tau_dot])
-    length = np.hypot(along[..., 0], along[..., 1])
-    h = numdiff.richardson_step(np.hypot(base[..., 0], base[..., 1])) / np.where(
+    # points 0-3 move r along tau, 4-7 move v along tau_dot, 8 is (r, v)
+    h_r, h_v = _step_along(r, tau), _step_along(v, tau_dot)
+    rs, vs = np.empty((2, 9) + r.shape)
+    rs[:4] = r + numdiff.richardson_points(0.0, h_r)[..., None] * tau
+    rs[4:] = r
+    vs[:4] = v
+    vs[4:8] = v + numdiff.richardson_points(0.0, h_v)[..., None] * tau_dot
+    vs[8] = v
+    f = field.force(rs, vs)
+    return f[8], (numdiff.richardson_extrapolated(h_r, f[:4])
+                  + numdiff.richardson_extrapolated(h_v, f[4:8]))
+
+
+def _step_along(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The step richardson_step(|p|) / |d| along d from p, row by row; along
+    a zero d, richardson_step(|p|), whose points are all p."""
+    length = np.hypot(d[..., 0], d[..., 1])
+    return numdiff.richardson_step(np.hypot(p[..., 0], p[..., 1])) / np.where(
         length > 0.0, length, 1.0)
-
-    def force_at(t: np.ndarray) -> np.ndarray:
-        # t: (4, 2, ...); [k, 0] moves r along tau, [k, 1] moves v along tau_dot
-        moved = base + t[..., None] * along
-        held = np.broadcast_to(base, moved.shape)
-        return field.force(np.stack([moved[:, 0], held[:, 0]], axis=1),
-                           np.stack([held[:, 1], moved[:, 1]], axis=1))
-
-    d = numdiff.richardson_stacked(force_at, np.zeros(length.shape), h)
-    return d[0] + d[1]
 
 
 def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
@@ -214,8 +219,8 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
 
     def rhs(t, y):
         r, v, tau, tau_dot = y[..., 0:2], y[..., 2:4], y[..., 4:6], y[..., 6:8]
-        return np.concatenate([v, field.force(r, v), tau_dot,
-                               _tau_acceleration(field, r, v, tau, tau_dot)], axis=-1)
+        f, tau_acc = _accelerations(field, r, v, tau, tau_dot)
+        return np.concatenate([v, f, tau_dot, tau_acc], axis=-1)
 
     y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)

@@ -57,7 +57,11 @@ def elementwise(value, *args):
 
 
 def _speed(v: np.ndarray) -> np.ndarray:
-    speed = np.hypot(v[..., 0], v[..., 1])
+    return checked_speed(np.hypot(v[..., 0], v[..., 1]))
+
+
+def checked_speed(speed: np.ndarray) -> np.ndarray:
+    """``speed`` itself; DegenerateVelocity if any of it is below V_MIN."""
     low = speed < V_MIN
     if np.count_nonzero(low):
         raise DegenerateVelocity(f"speed {np.min(speed[low]):.3e} below v_min={V_MIN:.0e}")

@@ -66,8 +66,21 @@ def richardson_stacked(f, x, h=None):
     """``richardson`` with one call of f on its four points."""
     x = np.asarray(x, float)
     h = richardson_step(x) if h is None else np.asarray(h, float)
+    return richardson_extrapolated(h, f(richardson_points(x, h)))
+
+
+def richardson_points(x, h: np.ndarray) -> np.ndarray:
+    """The four points of ``richardson_stacked``'s stencil at x with steps h,
+    stacked on a new leading axis, for a caller that evaluates them together
+    with points of its own."""
     # x + h * (1, -1, 1/2, -1/2) is x + h, x - h, x + h/2, x - h/2 exactly
-    values = np.asarray(f(x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h))
+    return x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h
+
+
+def richardson_extrapolated(h: np.ndarray, values) -> np.ndarray:
+    """The first derivative from the values of f at ``richardson_points(x, h)``,
+    stacked as the points are; trailing axes that f added are kept."""
+    values = np.asarray(values)
     return _first(_trailing(h, values), *values)
 
 

@@ -8,6 +8,12 @@ construction and phi'(0, s) = 0 is equivalent to the initial-speed ODE
     d nu / ds = -<r'(s), M> B(r(s), nu n(s)) / nu,
 
 which reduces to the classical form -B/nu for an arclength parameterization.
+The frame of v = nu n has M = +-r'/|r'|, as n is perpendicular to r', so
+<r', M> B = <r', M> <F, M> = <F, r'> and the ODE is the work-energy balance
+
+    d nu / ds = -<F(r(s), nu n(s)), r'(s)> / nu,  i.e.  d(nu^2/2)/ds = -<F, r'>,
+
+which needs no velocity frame.
 
 Fields here are flat: the shift under a conformal metric g is that of
 flat_from_covariant(F, g), with the same trajectories and, as g keeps angles,
@@ -26,11 +32,12 @@ from scipy.interpolate import CubicSpline, PPoly
 from . import numdiff, odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField
-from .geometry import frame
+from .geometry import checked_speed
 from .dynamics import IntegratorConfig, integrate_deviation
 from .tables import formatted, write_table
-# Never called here; perfbench/tracing.py patches this binding by name.
+# Never called here; perfbench/tracing.py patches these bindings by name.
 from .dynamics import integrate  # noqa: F401
+from .geometry import frame  # noqa: F401
 
 _REGULARITY_EPS = 1e-12
 
@@ -239,14 +246,16 @@ class NuSolution:
 
 def _nu_rate(curve: Curve, field: ForceField):
     """The right side d nu/ds = -<r'(s), M> B(r(s), nu n(s)) / nu of the
-    initial-speed ODE, at arrays of s and nu of one shape."""
+    initial-speed ODE, at arrays of s and nu of one shape, in its work-energy
+    form -<F(r(s), nu n(s)), r'(s)> / nu: M = +-r'/|r'| because n is
+    perpendicular to r', so <r', M> B = <F, r'>.  |nu| below geometry.V_MIN
+    is a rest point, where B is undefined, and raises DegenerateVelocity."""
 
     def rate(s, nu):
         d = curve.velocity(s)
         _, n, _ = _unit_frame(curve, s, d)
-        v = nu[..., None] * n
-        m = frame(v).M
-        return -np.vecdot(d, m) * np.vecdot(field.force(curve.point(s), v), m) / nu
+        checked_speed(np.abs(nu))
+        return -np.vecdot(field.force(curve.point(s), nu[..., None] * n), d) / nu
 
     return rate
 
@@ -284,28 +293,35 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     active = [idx for idx in (0, 1) if ends[idx] != s0]
     s_stops = np.concatenate([np.asarray(s_stops if s_stops is not None else (), float),
                               curve.breaks])
-    stops = [sigma for idx in active for sigma in (s_stops - s0) / (ends[idx] - s0)
-             if 0.0 < sigma < 1.0]
+    stops = []
+    for idx in active:
+        # divide only the stops inside the branch: their quotients are at most 1
+        inside = s_stops[(min(s0, ends[idx]) < s_stops) & (s_stops < max(s0, ends[idx]))]
+        stops += [sigma for sigma in (inside - s0) / (ends[idx] - s0) if 0.0 < sigma < 1.0]
     failures: dict[int, Exception] = {}
     blowup = NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
 
     def rhs(sigma, y):
-        """d nu/d sigma of the active rows (``width`` is set per solve below);
-        NaN in a row that cannot go on, whose cause goes to ``failures``."""
+        """d nu/d sigma of the active rows (``width`` is set per solve below),
+        all rows in one call; row by row only if one is below the floor or
+        the call raised, with NaN in a row that cannot go on, whose cause
+        goes to ``failures``."""
         s, nu = s0 + sigma * width, y[:, 0]
-        out = np.full(nu.shape, np.nan)
         ok = np.abs(nu) >= floor
+        if ok.all():
+            try:
+                return (rate(s, nu) * width)[:, None]
+            except (NormShiftError, ArithmeticError):
+                pass
+        out = np.full(nu.shape, np.nan)
         # a NaN row comes from an earlier stage, whose cause is already kept
         for row in np.flatnonzero(~ok & np.isfinite(nu)):
             failures[row] = blowup
-        try:
-            out[ok] = rate(s[ok], nu[ok]) * width[ok]
-        except (NormShiftError, ArithmeticError):
-            for row in np.flatnonzero(ok):
-                try:
-                    out[row] = rate(s[row:row + 1], nu[row:row + 1])[0] * width[row]
-                except (NormShiftError, ArithmeticError) as exc:
-                    failures[row] = exc
+        for row in np.flatnonzero(ok):
+            try:
+                out[row] = rate(s[row:row + 1], nu[row:row + 1])[0] * width[row]
+            except (NormShiftError, ArithmeticError) as exc:
+                failures[row] = exc
         return out[:, None]
 
     parts = {idx: [] for idx in active}
@@ -379,12 +395,16 @@ class ShiftGrid:
         return float(np.max(np.hypot(self.tau[..., 0], self.tau[..., 1])))
 
     def write_csv(self, path):
+        """Write one row per node, t-major.  Returns the text of x and y, for
+        a plot file that repeats them."""
         n_t, n_s = self.phi.shape
+        x, y = formatted(self.r[..., 0].ravel()), formatted(self.r[..., 1].ravel())
         write_table(path, [
             np.repeat(formatted(self.t_nodes), n_s), np.tile(formatted(self.s_nodes), n_t),
-            *self.r.reshape(-1, 2).T, *self.v.reshape(-1, 2).T,
+            x, y, *self.v.reshape(-1, 2).T,
             self.phi.ravel(), self.psi.ravel(), np.tile(formatted(self.nu), n_t)],
             header="t,s,x,y,vx,vy,phi,psi,nu")
+        return x, y
 
 
 def normal_shift(curve: Curve, field: ForceField, nu, t_span,

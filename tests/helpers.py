@@ -10,6 +10,7 @@ import numpy as np
 
 from normshift.forces import MDTypeParams, Profile, ScalarFieldA
 from normshift.geometry import ConformalMetric, christoffel
+from normshift.numdiff import richardson_step
 from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
@@ -141,3 +142,29 @@ def random_spline_points(rng, n=5, box=1.2) -> np.ndarray:
         steps = np.diff(pts, axis=0)
         if np.min(np.hypot(steps[:, 0], steps[:, 1])) > 0.3:
             return pts
+
+
+def two_call_deviation_rhs(field):
+    """Right side of the flow and its variation, y = (r, v, tau, tau'), as the
+    package computed it for a field without analytic Jacobians before the
+    base point joined the stencil: one call of the field at (r, v), and one
+    at the eight points of the Richardson stencils along tau (moving r) and
+    tau' (moving v), extrapolated from steps h and h/2."""
+
+    def rhs(t, y):
+        r, v, tau, tau_dot = y[..., 0:2], y[..., 2:4], y[..., 4:6], y[..., 6:8]
+        base, along = np.stack([r, v]), np.stack([tau, tau_dot])
+        length = np.hypot(along[..., 0], along[..., 1])
+        h = richardson_step(np.hypot(base[..., 0], base[..., 1])) / np.where(
+            length > 0.0, length, 1.0)
+        steps = np.zeros(length.shape) + np.array([1.0, -1.0, 0.5, -0.5]).reshape(
+            (4,) + (1,) * h.ndim) * h
+        moved = base + steps[..., None] * along
+        held = np.broadcast_to(base, moved.shape)
+        fp, fm, fhp, fhm = field.force(np.stack([moved[:, 0], held[:, 0]], axis=1),
+                                       np.stack([held[:, 1], moved[:, 1]], axis=1))
+        h = h[..., None]
+        d = (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
+        return np.concatenate([v, field.force(r, v), tau_dot, d[0] + d[1]], axis=-1)
+
+    return rhs
