@@ -17,11 +17,12 @@ import numpy as np
 from . import __version__
 from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
-                         build_integrator, build_metric, build_nu, load_config,
-                         number, positive_int, probe_spec, t_span_of)
-from .forces import catalogue_listing, flat_from_covariant
+                         build_integrator, build_metric, build_nu, build_oracle,
+                         catalogue_listing, flag, load_config, number, positive_int,
+                         probe_spec, t_span_of)
+from .forces import flat_from_covariant
 from .normality import probe_points, residual_sweep
-from .closedform import CycloidParams, cycloid, gravity_shift
+from .closedform import cycloid, gravity_shift
 from .dynamics import integrate
 from .shift import NuSolution, normal_shift, normality_report
 from .tables import formatted, write_table
@@ -46,32 +47,18 @@ def _manifest(args, cfg: dict, extra: dict) -> dict:
     }
 
 
-def _oracle_error(cfg: dict, traj) -> tuple[str, float, float]:
-    """Oracle kind, largest position error against its closed form, and tolerance."""
-    spec = cfg.get("oracle")
-    if not spec:
-        raise ConfigError("--check-oracle requires an 'oracle' entry in the config")
-    if not isinstance(spec, dict):
-        raise ConfigError("'oracle' must be an object")
-    kind = spec.get("kind")
-    tol = number(spec, "tol", 1e-6)
+def _oracle_error(oracle, traj) -> float:
+    """Largest position error of ``traj`` against the closed form of
+    ``oracle``, a ``build_oracle`` result."""
+    kind, _, data = oracle
     ts = traj.times
-    if kind in ("gravity_constant_nu", "gravity_linear_nu"):
-        variant = kind.removeprefix("gravity_")
-        s = number(spec, "s", float(traj.positions()[0, 0]))
-        expected = gravity_shift(s, ts, variant)
-    elif kind == "cycloid":
-        try:
-            p = CycloidParams(**{key: number(spec, key)
-                                 for key in ("x0", "y0", "theta0", "v0", "a0")})
-        except ValueError as exc:
-            raise ConfigError(f"bad cycloid oracle: {exc}") from exc
-        expected = cycloid(p, ts).r
+    if kind == "cycloid":
+        expected = cycloid(data, ts).r
     elif kind == "zero_field":
         expected = traj.positions()[0] + ts[:, None] * traj.velocities()[0]
     else:
-        raise ConfigError(f"unknown oracle kind {kind!r}")
-    return kind, float(np.max(np.abs(traj.positions() - expected))), tol
+        expected = gravity_shift(data, ts, kind.removeprefix("gravity_"))
+    return float(np.max(np.abs(traj.positions() - expected)))
 
 
 def _flat_field(cfg: dict):
@@ -90,6 +77,7 @@ def cmd_simulate(args) -> int:
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
     n_t = positive_int(cfg, "n_t", 100)
+    oracle = build_oracle(cfg.get("oracle"), init) if args.check_oracle else None
     t_eval = np.linspace(t0, t1, n_t)
     traj = integrate(field, init, (t0, t1), icfg, t_eval=t_eval)
 
@@ -103,8 +91,9 @@ def cmd_simulate(args) -> int:
                        "rel_tol": icfg.rel_tol,
                        "accepted_nodes": traj.accepted_nodes},
     }
-    if args.check_oracle:
-        kind, err, tol = _oracle_error(cfg, traj)
+    if oracle is not None:
+        kind, tol, _ = oracle
+        err = _oracle_error(oracle, traj)
         extra["oracle"] = {"kind": kind, "max_error": err, "tol": tol,
                            "passed": err <= tol}
         if err > tol:
@@ -128,13 +117,14 @@ def cmd_shift(args) -> int:
     # nu is solved for the flat field, whose B makes phi'(0, s) vanish
     field = _flat_field(cfg)
     curve = build_curve(cfg.get("curve"))
-    n_s = positive_int(cfg, "n_s", 64)
-    nu = build_nu(cfg.get("nu"), curve, field, n_s)
+    n_s, n_t = positive_int(cfg, "n_s", 64), positive_int(cfg, "n_t", 100)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
-    grid = normal_shift(curve, field, nu, (t0, t1), n_s=n_s,
-                        n_t=positive_int(cfg, "n_t", 100), cfg=icfg)
-    report = normality_report(grid, phi_tol=number(cfg, "phi_tol", None))
+    phi_tol = number(cfg, "phi_tol", None, positive=True)
+    # a solved nu is the run's first numerical step, so it is built last
+    nu = build_nu(cfg.get("nu"), curve, field, n_s)
+    grid = normal_shift(curve, field, nu, (t0, t1), n_s=n_s, n_t=n_t, cfg=icfg)
+    report = normality_report(grid, phi_tol=phi_tol)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,9 +154,8 @@ def cmd_check(args) -> int:
     field, ansatz = build_field(cfg.get("field"))
     count, seed, box = probe_spec(cfg, args.seed)
     probes = probe_points(count, seed=seed, box=box)
-    include_complex = bool(cfg.get("include_complex", False))
     report = residual_sweep(probes, field=field, ansatz=ansatz,
-                            include_complex=include_complex)
+                            include_complex=flag(cfg, "include_complex", False))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

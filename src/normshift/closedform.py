@@ -113,7 +113,7 @@ class CycloidParams:
         return (-self.theta0 / self.omega, (math.pi - self.theta0) / self.omega)
 
 
-def cycloid(params: CycloidParams, t) -> PhaseState:
+def cycloid(p: CycloidParams, t) -> PhaseState:
     """Exact trajectory points of the constant anisotropic field at the
     times t (any shape; a number gives one point).
 
@@ -121,17 +121,17 @@ def cycloid(params: CycloidParams, t) -> PhaseState:
     x = x0 - a0/(4 w^2) (cos 2theta - cos 2theta0),
     y = y0 + a0 t/(2w) - a0/(4 w^2) (sin 2theta - sin 2theta0).
     """
-    w = params.omega
-    lo, hi = params.t_interval
+    w = p.omega
+    lo, hi = p.t_interval
     t = np.asarray(t, float)
     if not np.all((lo - 1e-12 <= t) & (t <= hi + 1e-12)):
         raise OutOfInterval(f"t in [{np.min(t):.6g}, {np.max(t):.6g}] leaves "
                             f"[{lo:.6g}, {hi:.6g}]")
-    theta = params.theta0 + w * t
-    v = params.a0 / w * np.sin(theta)
-    x = params.x0 - params.a0 / (4 * w * w) * (np.cos(2 * theta) - math.cos(2 * params.theta0))
-    y = (params.y0 + params.a0 * t / (2 * w)
-         - params.a0 / (4 * w * w) * (np.sin(2 * theta) - math.sin(2 * params.theta0)))
+    theta = p.theta0 + w * t
+    v = p.a0 / w * np.sin(theta)
+    x = p.x0 - p.a0 / (4 * w * w) * (np.cos(2 * theta) - math.cos(2 * p.theta0))
+    y = (p.y0 + p.a0 * t / (2 * w)
+         - p.a0 / (4 * w * w) * (np.sin(2 * theta) - math.sin(2 * p.theta0)))
     return PhaseState(np.stack([x, y], axis=-1),
                       np.stack([v * np.cos(theta), v * np.sin(theta)], axis=-1))
 

@@ -225,7 +225,7 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
     y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)
     if not np.all(np.isfinite(y0)):
-        raise ValueError("launch data has non-finite coordinates")
+        raise StepFailure("launch data has non-finite coordinates")
     ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times)
     fr = frame(ys[..., 2:4])
     tau = ys[..., 4:6]
@@ -289,7 +289,3 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
     samples = _sample(_run(rhs, t0, y0, t1, cfg, None), base.times)
     return samples[:, 4], samples[:, 6]
 
-
-def speed_derivative(field: ForceField, state: PhaseState) -> float:
-    """Rate of change of the speed along the flow: d|v|/dt = A = <F, N>."""
-    return ab_decompose(field, state.r, state.v).A

@@ -32,12 +32,9 @@ class NuBlowup(NormShiftError):
     """Initial-speed ODE left its domain; solution only covers a sub-interval."""
 
 
-class UnknownCatalogueEntry(NormShiftError):
-    """No built-in force field of that name."""
-
-
 class InvalidParams(NormShiftError):
-    """Catalogue parameters violate a family precondition."""
+    """Parameters violate a field's precondition, or a field is evaluated
+    outside its domain."""
 
 
 class FormulationMismatch(NormShiftError):

@@ -9,19 +9,20 @@ Every evaluator works row by row on stacked arguments: a field takes r and v
 of shape (..., 2) and returns (..., 2), its Jacobians (..., 2, 2); profiles,
 generators and their partials take arrays of any one shape and return that
 shape.  A single point is the (2,) case (scalars for generators).
+
+Everything here takes typed arguments; ``experiment`` reads the JSON specs,
+the catalogue of named fields among them.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateVelocity, InvalidParams, UnknownCatalogueEntry
+from .errors import DegenerateVelocity, InvalidParams
 from .geometry import ConformalMetric, christoffel, dot, elementwise, frame, polar_frame
 
 # _EYE[i, c]: component c of the i-th stencil point is the moved one.
@@ -369,21 +370,21 @@ class MDTypeParams:
                             w_vv=w_vv, grad_w_v=grad_w_v)
 
 
-def mdtype_field(params: MDTypeParams, *, label: str = "mdtype") -> ForceField:
+def mdtype_field(md: MDTypeParams, *, label: str = "mdtype") -> ForceField:
     """Multidimensional-type field F = h(W) N / W_v - |v| (2<gW,N>N - gW)/W_v."""
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
         speed = np.hypot(v[..., 0], v[..., 1])
         x, y = r[..., 0], r[..., 1]
-        wv = elementwise(params.w_v(x, y, speed), speed)
+        wv = elementwise(md.w_v(x, y, speed), speed)
         vanishing = np.abs(wv) < 1e-12
         if np.count_nonzero(vanishing):
             bx, by, bv = (np.broadcast_to(a, wv.shape)[vanishing][0] for a in (x, y, speed))
             raise InvalidParams(f"W_v vanishes at ({bx:.3g}, {by:.3g}, v={bv:.3g})")
         gw = np.empty(fr.N.shape)
-        gw[..., 0], gw[..., 1] = params.grad_w(x, y, speed)
-        h = params.h(params.w(x, y, speed))[..., None]
+        gw[..., 0], gw[..., 1] = md.grad_w(x, y, speed)
+        h = md.h(md.w(x, y, speed))[..., None]
         along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
         return (h * fr.N - speed[..., None] * along) / wv[..., None]
 
@@ -550,213 +551,3 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
                         a_theta_theta=a_theta_theta, a_theta_v=a_theta_v,
                         a_theta_x=a_theta_x, a_theta_y=a_theta_y,
                         label="disc_invariant")
-
-
-def disc_invariant_field(radius: float, profile: Profile) -> ForceField:
-    return from_scalar_ansatz(disc_invariant_ansatz(radius, profile), claims_normality=True)
-
-
-# ---------------------------------------------------------------------------
-# Catalogue: string-addressable entries with JSON-style parameter objects.
-# ---------------------------------------------------------------------------
-
-def real_number(value, name: str) -> float:
-    """``value`` as a float; InvalidParams unless it is a finite real number."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise InvalidParams(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _number(p: dict, key: str, default: float | None = None) -> float:
-    value = p.get(key, default)
-    if value is None:
-        raise InvalidParams(f"missing parameter {key!r}")
-    return real_number(value, repr(key))
-
-
-def _pair(p: dict, key: str, default) -> np.ndarray:
-    value = p.get(key, default)
-    try:
-        vec = np.asarray(value, float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.shape != (2,) or not np.all(np.isfinite(vec)):
-        raise InvalidParams(f"{key!r} must be a finite [x, y] pair, got {value!r}")
-    return vec
-
-
-def profile_from_params(p, default=None) -> Profile:
-    """Profile from a number, a {"kind": "constant" | "poly"} spec, or a Profile."""
-    if p is None:
-        if default is not None:
-            return default
-        raise InvalidParams("missing profile parameter")
-    if isinstance(p, Profile):
-        return p
-    if isinstance(p, numbers.Real) and not isinstance(p, bool):
-        return Profile.constant(real_number(p, "profile"))
-    if isinstance(p, dict):
-        kind = p.get("kind")
-        if kind == "constant":
-            return Profile.constant(_number(p, "value"))
-        if kind == "poly":
-            coeffs = p.get("coeffs")
-            if not isinstance(coeffs, (list, tuple, np.ndarray)):
-                raise InvalidParams(f"'coeffs' must be a list of numbers, got {coeffs!r}")
-            return Profile.polynomial([real_number(c, "profile coefficient")
-                                       for c in coeffs])
-        raise InvalidParams(f"unknown profile kind {kind!r}")
-    raise InvalidParams(f"cannot build a profile from {type(p).__name__}")
-
-
-def metric_from_params(p) -> ConformalMetric:
-    """Conformal factor from a {"kind": ...} spec; no kind means f = 0."""
-    if isinstance(p, ConformalMetric):
-        return p
-    if p is None:
-        return ConformalMetric.euclidean()
-    if not isinstance(p, dict):
-        raise InvalidParams(f"a metric must be an object, got {p!r}")
-    kind = p.get("kind")
-    if kind in (None, "zero", "euclidean"):
-        return ConformalMetric.euclidean()
-    if kind == "constant":
-        return ConformalMetric.constant(_number(p, "value"))
-    if kind == "sin_cos":
-        amp = _number(p, "amplitude", 1.0)
-        return ConformalMetric(
-            f=lambda x, y: amp * np.sin(x) * np.cos(y),
-            grad_f=lambda x, y: (amp * np.cos(x) * np.cos(y),
-                                 -amp * np.sin(x) * np.sin(y)),
-        )
-    if kind == "linear":
-        ax, ay = _number(p, "ax", 1.0), _number(p, "ay", 0.0)
-        return ConformalMetric(f=lambda x, y: ax * x + ay * y,
-                               grad_f=lambda x, y: (ax, ay))
-    raise InvalidParams(f"unknown metric kind {kind!r}")
-
-
-def _build_gravity(params: dict) -> ForceField:
-    return gravity_field(_number(params, "magnitude", 1.0))
-
-
-def _build_oscillator(params: dict) -> ForceField:
-    return oscillator_field(_number(params, "omega"))
-
-
-def _build_anisotropic(params: dict) -> ForceField:
-    prof = profile_from_params(params.get("profile"))
-    return anisotropic_field(prof, m=_pair(params, "m", (1.0, 0.0)))
-
-
-def _build_marked_point(params: dict) -> ForceField:
-    prof = profile_from_params(params.get("profile"))
-    return marked_point_field(prof, center=_pair(params, "center", (0.0, 0.0)))
-
-
-def _build_geodesic(params: dict) -> ForceField:
-    return geodesic_field(metric_from_params(params.get("f")))
-
-
-def _build_metrizable(params: dict) -> ForceField:
-    metric = metric_from_params(params.get("f"))
-    prof = profile_from_params(params.get("H"), default=Profile.constant(0.0))
-    return metrizable_field(metric, prof)
-
-
-def _build_mdtype(params: dict) -> ForceField:
-    if isinstance(params.get("W"), MDTypeParams):
-        md = params["W"]
-    else:
-        metric = metric_from_params(params.get("f"))
-        prof = profile_from_params(params.get("h"), default=Profile.constant(0.0))
-        md = MDTypeParams.from_conformal(metric, prof)
-    field = mdtype_field(md)
-    for x, y, v in ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7)):
-        if abs(md.w_v(x, y, v)) < 1e-12:
-            raise InvalidParams("W_v vanishes at a probe point")
-    return field
-
-
-def _build_disc_invariant(params: dict) -> ForceField:
-    radius = _number(params, "R", 0.0)
-    prof = profile_from_params(params.get("profile"), default=Profile.constant(1.0))
-    return disc_invariant_field(radius, prof)
-
-
-CATALOGUE = {
-    "gravity": {
-        "build": _build_gravity,
-        "claims_normality": False,
-        "params": {"magnitude": "optional, default 1.0"},
-        "description": "Homogeneous downward field F = (0, -magnitude).",
-    },
-    "oscillator": {
-        "build": _build_oscillator,
-        "claims_normality": False,
-        "params": {"omega": "required frequency"},
-        "description": "Harmonic restoring force F = (0, -omega^2 y).",
-    },
-    "anisotropic": {
-        "build": _build_anisotropic,
-        "claims_normality": True,
-        "params": {"profile": "A(v) profile", "m": "optional unit direction, default (1,0)"},
-        "description": "Homogeneous field F = A(|v|)(2<N,m>N - m); force at angle 2*theta to m.",
-    },
-    "marked_point": {
-        "build": _build_marked_point,
-        "claims_normality": True,
-        "params": {"profile": "A(v) profile", "center": "optional, default origin"},
-        "description": "Field F = A(|v|)(2<N,r>N - r)/|r|^2 with a marked center.",
-    },
-    "geodesic": {
-        "build": _build_geodesic,
-        "claims_normality": True,
-        "params": {"f": "conformal factor spec"},
-        "description": "Geodesic flow of g = exp(-2f) delta as a flat-space field.",
-    },
-    "metrizable": {
-        "build": _build_metrizable,
-        "claims_normality": True,
-        "params": {"f": "conformal factor spec", "H": "speed profile"},
-        "description": "Geodesic field plus tangential drive H(|v| exp(-f)) exp(f).",
-    },
-    "mdtype": {
-        "build": _build_mdtype,
-        "claims_normality": True,
-        "params": {"f": "conformal factor spec", "h": "profile applied to W",
-                   "W": "alternatively, programmatic MDTypeParams"},
-        "description": "Multidimensional-type field built from W(x,y,v) with W_v != 0.",
-    },
-    "disc_invariant": {
-        "build": _build_disc_invariant,
-        "claims_normality": True,
-        "params": {"R": "disc radius", "profile": "f(u) profile"},
-        "description": "Scalar-ansatz field from the disc-invariant generator, |r| < R.",
-    },
-}
-
-
-def catalogue(name: str, params: dict | None = None) -> ForceField:
-    """Build a built-in force field by name with a JSON-style parameter dict."""
-    entry = CATALOGUE.get(name) if isinstance(name, str) else None
-    if entry is None:
-        raise UnknownCatalogueEntry(f"no catalogue field named {name!r}")
-    if params is not None and not isinstance(params, dict):
-        raise InvalidParams(f"catalogue params must be an object, got {params!r}")
-    return entry["build"](dict(params or {}))
-
-
-def catalogue_listing() -> list[dict]:
-    """Stable machine-readable description of the built-in fields."""
-    rows = []
-    for name in sorted(CATALOGUE):
-        entry = CATALOGUE[name]
-        rows.append({
-            "name": name,
-            "claims_normality": entry["claims_normality"],
-            "params": entry["params"],
-            "description": entry["description"],
-        })
-    return rows

@@ -15,7 +15,6 @@ be called concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,12 +167,3 @@ def polar_frame(v) -> tuple[PolarVelocity, Frame]:
         theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)[()]
     return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
 
-
-def cartesian_from_polar(p: PolarVelocity) -> np.ndarray:
-    return np.array([p.v * math.cos(p.theta), p.v * math.sin(p.theta)])
-
-
-def conformal_speed(metric: ConformalMetric, point, v) -> float:
-    """Length of v in the metric: exp(-f) times the Euclidean length."""
-    v = _as_points(v)
-    return np.exp(-metric.value(point)) * np.hypot(v[..., 0], v[..., 1])

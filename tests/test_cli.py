@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -50,6 +51,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
     missing = tmp_path / "not_there.json"
     assert run(["simulate", "--config", missing, "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="directory"),
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b'{"n_t": ' + b"1" * 5000 + b"}", id="integer-too-long"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_simulate_gravity_with_oracle(tmp_path):
@@ -346,6 +363,52 @@ _BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
     pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
         "profile": 1.0, "m": "x"}}}, id="anisotropic-m-string"),
     pytest.param("check", {"field": {"ansatz": "cos_profile"}}, id="ansatz-string"),
+    pytest.param("check", {"include_complex": "no"}, id="include_complex-string"),
+    pytest.param("check", {"include_complex": 1}, id="include_complex-number"),
+    pytest.param("check", {"probes": {"box": {**_BOX, "x": [1, -1]}}}, id="box-reversed"),
+    pytest.param("shift", {"phi_tol": 0}, id="phi_tol-zero"),
+    pytest.param("simulate --check-oracle",
+                 {"oracle": {"kind": "gravity_constant_nu", "tol": -1}}, id="oracle-tol-negative"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": 1.0, "m": [True, False]}}}, id="anisotropic-m-booleans"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": 1.0, "m": ["1", "0"]}}}, id="anisotropic-m-strings"),
+    pytest.param("simulate", {"field": {"catalogue": "anisotropic", "params": {
+        "profile": 1.0, "m": [0, 0]}}}, id="anisotropic-m-zero"),
+    pytest.param("simulate", {"field": {"catalogue": "disc_invariant", "params": {"R": -1}}},
+                 id="disc-radius-negative"),
+    pytest.param("simulate", {"field": {"catalogue": "oscillator",
+                                        "params": {"omega": 10**400}}}, id="omega-huge-integer"),
+    pytest.param("shift", {"curve": {"kind": "segment", "p0": [0, 0], "p1": [1e400, 0]}},
+                 id="segment-p1-infinite"),
+    pytest.param("shift", {"curve": {"kind": "segment", "p0": {"x": 0}, "p1": [1, 0]}},
+                 id="segment-p0-object"),
+    pytest.param("shift", {"curve": {"kind": "segment", "p0": [False, 0], "p1": [1, 0]}},
+                 id="segment-p0-boolean"),
+    pytest.param("shift", {"curve": {"kind": "segment", "p0": [1, 0], "p1": [1, 0]}},
+                 id="segment-degenerate"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "center": [1e400, 0]}},
+                 id="circle-center-infinite"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "center": {"x": 0}}},
+                 id="circle-center-object"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "s_range": [0, 1e400]}},
+                 id="circle-s_range-infinite"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "s_range": None}},
+                 id="circle-s_range-null"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "s_range": [0, 1, 2]}},
+                 id="circle-s_range-three-numbers"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 0}}, id="circle-radius-zero"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": -1}},
+                 id="circle-radius-negative"),
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "normal": "up"}},
+                 id="curve-normal-unknown"),
+    pytest.param("shift", {"curve": {"kind": "spline", "points": {"a": 1}}},
+                 id="spline-points-object"),
+    pytest.param("shift", {"curve": {"kind": "spline", "points": [[0, 0], [1, 1]]}},
+                 id="spline-two-points"),
+    pytest.param("check", {"field": {"ansatz": {"kind": "disc_invariant", "R": 1e300}}},
+                 id="disc-radius-overflows"),
+    pytest.param("shift", {"t_span": [1e308, -1e308]}, id="t_span-overflows"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     command, *flags = command.split()
@@ -358,7 +421,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     pytest.param([0.5, 0.0], 0, id="pair"),
     pytest.param([[0.5, 0.0]], 0, id="row"),
     pytest.param([[0.5], [0.0]], 0, id="column"),
-    pytest.param([True, False], 0, id="booleans"),
+    pytest.param([True, False], 2, id="booleans"),
+    pytest.param(["0", "0"], 2, id="strings"),
     pytest.param({"x": 0.5}, 2, id="object"),
     pytest.param([0.5, 0.0, 1.0], 2, id="three-numbers"),
     pytest.param([[0.5, 0.0], [1.0, 1.0]], 2, id="two-points"),
@@ -372,6 +436,72 @@ def test_init_takes_one_point_of_two_numbers(tmp_path, r, code):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
+# Small valid configs: each run is short (n_t and n_s at most 5, t_span at
+# most 0.2), so that no replaced value can make one allocate or step much.
+_FUZZ_BASE = {
+    "simulate --check-oracle": {
+        "field": {"catalogue": "anisotropic",
+                  "params": {"profile": {"kind": "poly", "coeffs": [1.0, 0.0]}, "m": [1.0, 0.0]}},
+        "metric": {"kind": "constant", "value": 0.5},
+        "init": {"r": [0.0, 0.0], "v": [0.5, 0.5]},
+        "t_span": [0.0, 0.2], "n_t": 5,
+        "integrator": "dopri-adaptive", "tolerances": {"abs": 1e-8, "rel": 1e-8},
+        "oracle": {"kind": "cycloid", "x0": 0.0, "y0": 0.0, "theta0": math.pi / 4,
+                   "v0": math.sqrt(0.5), "a0": 1.0, "tol": 1e-6},
+    },
+    "shift": {
+        "field": {"catalogue": "gravity", "params": {"magnitude": 1.0}},
+        "curve": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0, "s_range": [0.0, 0.2],
+                  "normal": "left"},
+        "nu": {"kind": "solve", "s0": 0.1, "nu0": 1.0},
+        "t_span": [0.0, 0.2], "n_s": 3, "n_t": 3, "phi_tol": 1e-6,
+        "tolerances": {"abs": 1e-8, "rel": 1e-8},
+    },
+    "check": {
+        "field": {"ansatz": {"kind": "disc_invariant", "R": 2.0,
+                             "profile": {"kind": "poly", "coeffs": [1.0, 0.3]}}},
+        "probes": {"count": 5, "seed": 1, "box": {"x": [-0.5, 0.5], "y": [-0.5, 0.5],
+                                                 "v": [0.5, 2.0], "theta": [-3.0, 3.0]}},
+        "include_complex": True,
+    },
+}
+_FUZZ_POOL = [None, True, "x", {}, [], -1, 0, [1e400, 0], [[0, 0]]]
+
+
+def key_paths(node, prefix=()):
+    """The path of every object member and list entry below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+def test_any_value_anywhere_exits_0_2_or_3(tmp_path, command):
+    base = _FUZZ_BASE[command]
+    command, *flags = command.split()
+    argv = [command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "o", *flags]
+    write_config(tmp_path, "cfg.json", base)
+    assert run(argv) == 0
+    broken = []
+    for path in key_paths(base):
+        for value in _FUZZ_POOL:
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            write_config(tmp_path, "cfg.json", cfg)
+            try:
+                code = run(argv)
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                broken.append(f"{'.'.join(map(str, path))} = {value!r}: {code}")
+    assert broken == []
+
+
 def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     from normshift import normality
     # the Cartesian assembly of one evaluation of the field disagrees
@@ -379,6 +509,15 @@ def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "mismatch.json", _BASE["check"])
     assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numeric failure: FormulationMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy warns as nu overflows
+def test_nonfinite_launch_data_exits_3(tmp_path, capsys):
+    # finite a0 and a1, but nu(1) = a0 + a1 overflows
+    cfg = write_config(tmp_path, "cfg.json", {**_BASE["shift"],
+                                              "nu": {"kind": "affine", "a0": 1e308, "a1": 1e308}})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numeric failure: StepFailure: launch data" in capsys.readouterr().err
 
 
 def test_shift_reports_why_nu_solve_stopped(tmp_path):

@@ -8,15 +8,14 @@ from helpers import christoffel_flow_positions, random_ansatz, random_metric
 from normshift import odesolve
 
 from normshift.errors import DegenerateVelocity, StepFailure
-from normshift.forces import (ForceField, Profile, anisotropic_field,
+from normshift.forces import (ForceField, Profile, ab_decompose, anisotropic_field,
                               covariant_from_flat, flat_from_covariant,
                               from_scalar_ansatz, gravity_field, oscillator_field,
                               speed_profile_ansatz)
 from normshift.geometry import frame
 from normshift.dynamics import (IntegratorConfig, PhaseState,
                                 integrate, integrate_deviation, integrate_phi_psi,
-                                phi_psi_initial_from_tau,
-                                speed_derivative)
+                                phi_psi_initial_from_tau)
 
 
 def zero_field() -> ForceField:
@@ -227,6 +226,10 @@ def test_phi_stays_zero_on_normality_field():
 
 
 def test_speed_derivative():
+    # d|v|/dt = A = <F, N>
+    def speed_derivative(field, state):
+        return ab_decompose(field, state.r, state.v).A
+
     assert speed_derivative(zero_field(), PhaseState((0, 0), (1, 1))) == 0
     assert speed_derivative(gravity_field(), PhaseState((0, 0), (0, -1))) == pytest.approx(1.0)
     f = anisotropic_field(Profile.constant(1.0))

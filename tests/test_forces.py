@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import perturbed_mdtype, random_ansatz, random_metric
 
-from normshift.errors import DegenerateVelocity, InvalidParams, UnknownCatalogueEntry
+from normshift.errors import DegenerateVelocity, InvalidParams
 from normshift.forces import (MDTypeParams, Profile, ScalarFieldA, ab_decompose,
-                              anisotropic_field, catalogue, catalogue_listing,
+                              anisotropic_field,
                               complex_force, conformal_transport, cos_profile_ansatz,
                               covariant_from_flat, disc_invariant_ansatz,
                               flat_from_covariant, from_scalar_ansatz, geodesic_field,
                               gravity_field, marked_point_field, mdtype_field,
-                              metric_from_params, metrizable_field, oscillator_field,
+                              metrizable_field, oscillator_field,
                               speed_profile_ansatz)
-from normshift.experiment import build_ansatz
+from normshift.experiment import (ConfigError, build_ansatz, build_metric, catalogue,
+                                  catalogue_listing)
 from normshift.geometry import ConformalMetric, christoffel, frame, polar_from_cartesian
 from normshift.normality import symmetry_reduced_ansatz
 from normshift import numdiff
@@ -242,17 +243,13 @@ def test_mdtype_ab_closed_forms():
 
 
 def test_catalogue_errors():
-    with pytest.raises(UnknownCatalogueEntry):
+    with pytest.raises(ConfigError):
         catalogue("does_not_exist")
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError):
         catalogue("oscillator", {})
-    # W_v vanishing at a probe point
-    bad = MDTypeParams(w=lambda x, y, v: 0.5 * (v - 1.0) ** 2,
-                       w_v=lambda x, y, v: v - 1.0,
-                       grad_w=lambda x, y, v: (0.0, 0.0),
-                       h=Profile.constant(0.0))
-    with pytest.raises(InvalidParams):
-        catalogue("mdtype", {"W": bad})
+    # W_v = exp(-f) is about 2e-20 at the probe point (1, -1)
+    with pytest.raises(ConfigError, match="W_v vanishes"):
+        catalogue("mdtype", {"f": {"kind": "sin_cos", "amplitude": 100}})
 
 
 def test_disc_invariant_domain_guard():
@@ -334,7 +331,7 @@ ANSATZ_SPECS = {
 
 def contract_fields() -> dict:
     """Every built-in way of making a field, one instance each."""
-    metric = metric_from_params(SIN_COS)
+    metric = build_metric(SIN_COS)
     fd_metric = ConformalMetric(f=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
     mdtype = catalogue("mdtype", CATALOGUE_PARAMS["mdtype"])
     fields = {f"catalogue/{name}": catalogue(name, params)
@@ -388,7 +385,7 @@ def test_stacked_force_and_jacobians_equal_row_by_row(name, n, seed):
 
 
 def test_contract_covers_every_catalogue_entry():
-    from normshift.forces import CATALOGUE
+    from normshift.experiment import CATALOGUE
     assert sorted(CATALOGUE_PARAMS) == sorted(CATALOGUE)
 
 

@@ -1,6 +1,7 @@
 """Layering rules: no module reaches into another module's private names, and
-each decision (stencil steps, output digits, the metric) has one owner.  Also
-one hygiene rule for the tests themselves: every file they open is closed."""
+each decision (stencil steps, output digits, the metric, the config schema)
+has one owner.  Also one hygiene rule for the tests themselves: every file
+they open is closed."""
 
 import ast
 from pathlib import Path
@@ -132,6 +133,41 @@ def test_metric_checker_flags_functions_and_methods():
                      "class Path:\n"
                      "    def __init__(self, times, *, base_metric): pass\n")
     assert public_metric_parameters(tree) == ["run: metric", "__init__: base_metric"]
+
+
+def config_reading(tree: ast.Module) -> list[str]:
+    """`raise ConfigError` (under any module prefix) and functions, lambdas
+    included, with a parameter named `spec` or `params`, as 'line: text'."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError":
+                found.append((node.lineno, f"raise {ast.unparse(node.exc)}"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [(node.lineno, f"{getattr(node, 'name', 'lambda')}({arg.arg})")
+                      for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if arg is not None and arg.arg in ("spec", "params")]
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "experiment.py"),
+                         ids=lambda p: p.name)
+def test_only_experiment_reads_the_config(path):
+    # experiment turns specs into typed arguments and reports malformed ones
+    assert config_reading(ast.parse(path.read_text())) == []
+
+
+def test_config_checker_flags_raises_and_parameters():
+    tree = ast.parse("def build(spec): raise ConfigError('bad')\n"
+                     "f = lambda *params: errors.ConfigError\n"
+                     "def run(field, *, spec_file):\n"
+                     "    raise experiment.ConfigError\n"
+                     "try: pass\n"
+                     "except ConfigError: raise\n")
+    assert config_reading(tree) == ["1: build(spec)", "1: raise ConfigError('bad')",
+                                    "2: lambda(params)", "4: raise experiment.ConfigError"]
 
 
 def unmanaged_opens(tree: ast.Module) -> list[str]:

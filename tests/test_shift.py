@@ -9,8 +9,9 @@ from helpers import perturbed_mdtype, random_spline_points
 
 from normshift.dynamics import IntegratorConfig, PhaseState, integrate
 from normshift.errors import InvalidParams, NuBlowup, SingularCurve, StepFailure
-from normshift.forces import (CATALOGUE, ForceField, Profile, catalogue, flat_from_covariant,
-                              gravity_field, mdtype_field, metric_from_params,
+from normshift.experiment import CATALOGUE, build_metric, catalogue
+from normshift.forces import (ForceField, Profile, flat_from_covariant,
+                              gravity_field, mdtype_field,
                               oscillator_field, speed_profile_ansatz,
                               from_scalar_ansatz)
 from normshift.geometry import frame
@@ -230,7 +231,7 @@ def test_mdtype_shift_is_normal_on_random_splines():
 
 
 def test_every_normality_claiming_family_shifts_normally():
-    from normshift.forces import catalogue, CATALOGUE
+    from normshift.experiment import catalogue, CATALOGUE
     rng = np.random.default_rng(7)
     params = {
         "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
@@ -297,7 +298,7 @@ def differenced_phi(field, curve, nu, s, t_nodes, cfg, delta=1e-5):
 def geodesic_shift_off_level_line():
     """Zero force under sin_cos(0.2) from the x axis, not a level line of f."""
     field = catalogue("metrizable", {"f": {"kind": "zero"}, "H": 0.0})
-    metric = metric_from_params({"kind": "sin_cos", "amplitude": 0.2})
+    metric = build_metric({"kind": "sin_cos", "amplitude": 0.2})
     return field, metric, segment_on_axis(normal="right"), constant_nu(1.0)
 
 
