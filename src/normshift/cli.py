@@ -18,8 +18,8 @@ from . import __version__
 from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
                          build_integrator, build_metric, build_nu, build_oracle,
-                         catalogue_listing, flag, load_config, number, positive_int,
-                         probe_spec, t_span_of)
+                         catalogue_listing, flag, grid_counts, load_config, number,
+                         positive_int, probe_spec, t_span_of)
 from .forces import flat_from_covariant
 from .normality import probe_points, residual_sweep
 from .closedform import cycloid, gravity_shift
@@ -117,12 +117,12 @@ def cmd_shift(args) -> int:
     # nu is solved for the flat field, whose B makes phi'(0, s) vanish
     field = _flat_field(cfg)
     curve = build_curve(cfg.get("curve"))
-    n_s, n_t = positive_int(cfg, "n_s", 64), positive_int(cfg, "n_t", 100)
+    n_s, n_t = grid_counts(cfg)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
     phi_tol = number(cfg, "phi_tol", None, positive=True)
     # a solved nu is the run's first numerical step, so it is built last
-    nu = build_nu(cfg.get("nu"), curve, field, n_s)
+    nu = build_nu(cfg.get("nu"), curve, field)
     grid = normal_shift(curve, field, nu, (t0, t1), n_s=n_s, n_t=n_t, cfg=icfg)
     report = normality_report(grid, phi_tol=phi_tol)
 

@@ -10,6 +10,7 @@ stated tolerances is a test failure, not a tolerance to be widened.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -92,7 +93,9 @@ def oscillator_phi(nu: Profile, omega: float, s: float, t: float) -> float:
 @dataclass(frozen=True)
 class CycloidParams:
     """Start data of a cycloid trajectory: angle theta0 in (0, pi), speed
-    v0 > 0, constant force magnitude a0 > 0; omega = a0 sin(theta0) / v0."""
+    v0 > 0, constant force magnitude a0 > 0; omega = a0 sin(theta0) / v0,
+    whose 4 omega^2 must be a positive normal float, and 10 a0 / (4 omega^2)
+    finite."""
 
     x0: float
     y0: float
@@ -106,7 +109,16 @@ class CycloidParams:
             raise ValueError("theta0 must lie in (0, pi)")
         if self.v0 <= 0 or self.a0 <= 0:
             raise ValueError("v0 and a0 must be positive")
-        object.__setattr__(self, "omega", self.a0 * math.sin(self.theta0) / self.v0)
+        omega = self.a0 * math.sin(self.theta0) / self.v0
+        # the closed form divides by 4 omega^2, and its points lie within
+        # 2 R of x0 and (2 pi + 2) R of y0, R = a0 / (4 omega^2)
+        if not sys.float_info.min <= 4.0 * omega * omega < math.inf:
+            raise ValueError(f"omega = a0 sin(theta0) / v0 = {omega!r}: 4 omega^2 "
+                             f"is not a positive normal float")
+        if not math.isfinite(10.0 * self.a0 / (4.0 * omega * omega)):
+            raise ValueError(f"the cycloid's size a0 / (4 omega^2), omega = {omega!r}, "
+                             f"overflows")
+        object.__setattr__(self, "omega", omega)
 
     @property
     def t_interval(self) -> tuple[float, float]:

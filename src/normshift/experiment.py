@@ -113,12 +113,31 @@ def array(spec: dict, key: str, shape: tuple[int, ...] | None,
     return arr
 
 
+# The largest count a config may give (n_t, n_s, probes.count), and the
+# largest shift grid n_s * n_t.  A run's arrays sized by its counts take
+# about 180 bytes per output time of simulate, 240 per probe of check and
+# 220 per grid node of shift, so at this ceiling each stays under about
+# 1 GB (the README has the arithmetic).
+MAX_COUNT = 4_000_000
+
+
 def positive_int(cfg: dict, key: str, default: int) -> int:
-    """cfg[key] (default if absent), which must be an integer of at least 1."""
+    """cfg[key] (default if absent), which must be an integer from 1 to
+    MAX_COUNT."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_COUNT:
+        raise ConfigError(f"'{key}' must be an integer from 1 to {MAX_COUNT}, got {value!r}")
     return value
+
+
+def grid_counts(cfg: dict) -> tuple[int, int]:
+    """(n_s, n_t) of a shift, each a ``positive_int``, with at most MAX_COUNT
+    nodes n_s * n_t."""
+    n_s, n_t = positive_int(cfg, "n_s", 64), positive_int(cfg, "n_t", 100)
+    if n_s * n_t > MAX_COUNT:
+        raise ConfigError(f"a shift grid has at most {MAX_COUNT} nodes, got "
+                          f"n_s * n_t = {n_s} * {n_t} = {n_s * n_t}")
+    return n_s, n_t
 
 
 def flag(cfg: dict, key: str, default: bool) -> bool:
@@ -343,9 +362,10 @@ def build_curve(spec) -> Curve:
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
-def build_nu(spec, curve: Curve, field: ForceField, n_s: int):
-    """The config's nu; a solved one stops at the n_s s-nodes of the shift.
-    The solve is part of the run, so its errors are not config errors."""
+def build_nu(spec, curve: Curve, field: ForceField):
+    """The config's nu: a constant, an affine function of s, or the solution
+    of the initial-speed ODE.  The solve is part of the run, so its errors
+    are not config errors."""
     if spec is None:
         spec = {}
     if not isinstance(spec, dict):
@@ -364,7 +384,7 @@ def build_nu(spec, curve: Curve, field: ForceField, n_s: int):
         lo, hi = curve.s_range
         if not lo <= s0 <= hi:
             raise ConfigError(f"nu s0={s0} outside the curve's range [{lo}, {hi}]")
-        return solve_nu(curve, field, s0, nu0, s_stops=np.linspace(lo, hi, n_s))
+        return solve_nu(curve, field, s0, nu0)
     raise ConfigError(f"unknown nu kind {kind!r}")
 
 

@@ -13,7 +13,10 @@ The frame of v = nu n has M = +-r'/|r'|, as n is perpendicular to r', so
 
     d nu / ds = -<F(r(s), nu n(s)), r'(s)> / nu,  i.e.  d(nu^2/2)/ds = -<F, r'>,
 
-which needs no velocity frame.
+which needs no velocity frame.  ``solve_nu`` integrates it with
+Chebyshev–Picard steps, which evaluate the right side at every node of a
+step in one call, and samples nu between step ends from each step's
+spectral interpolant.
 
 Fields here are flat: the shift under a conformal metric g is that of
 flat_from_covariant(F, g), with the same trajectories and, as g keeps angles,
@@ -65,8 +68,8 @@ class Curve:
     ``normal`` selects which unit normal the shift launches along: "left" is
     the tangent rotated by +90 degrees, "right" by -90 degrees.  ``breaks``
     are the s where a derivative of r may jump (a spline's knots); solve_nu
-    stops there, since an adaptive step across one is much less accurate
-    than its error estimate says.
+    ends a step there, since the interpolant of a step across one converges
+    only slowly in its degree.
     """
 
     r: Callable
@@ -194,10 +197,12 @@ class NuSolution:
 
     Both branches, from s0 toward the lower end and toward the upper end,
     are one integration in sigma in [0, 1], with s = s0 + sigma (end - s0)
-    per branch.  ``branches`` maps 0 (lower) and 1 (upper) to the solution
-    of that branch in sigma, shape (n, 1); a branch is absent where s0 is
-    that end.  ``ends`` are the requested ends, ``rate`` is the right side
-    d nu/ds at arrays of (s, nu).  ``truncated`` marks that a branch stopped
+    per branch.  ``branches`` maps 0 (lower) and 1 (upper) to the
+    Chebyshev–Picard solution of that branch in sigma, state shape (1,): its
+    step ends and its values at each step's nodes, between which nu is the
+    step's barycentric interpolant; a branch is absent where s0 is that end.
+    ``ends`` are the requested ends, ``rate`` is the right side d nu/ds at
+    arrays of (s, nu).  ``truncated`` marks that a branch stopped
     before its end (nu approached zero, went non-finite, or the right side
     raised a package error or a float overflow or zero division), and
     ``stop_reason`` says, per stopped branch, its span, where it stopped and
@@ -210,7 +215,7 @@ class NuSolution:
     s0: float
     nu0: float
     ends: tuple[float, float]
-    branches: dict[int, odesolve.OdeSolution]
+    branches: dict[int, odesolve.ChebyshevSolution]
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stop_reason: str | None = None
 
@@ -260,24 +265,25 @@ def _nu_rate(curve: Curve, field: ForceField):
     return rate
 
 
-def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
-             *, s_stops=None) -> NuSolution:
+def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSolution:
     """Solve the initial-speed ODE with nu(s0) = nu0 over the curve's s_range.
 
-    One adaptive solve integrates both branches, s0 toward each end, as a
-    stacked (m, 1) state in sigma in [0, 1], s = s0 + sigma (end - s0).
-    Each s in ``s_stops`` (the s-nodes a shift will sample) and each of the
-    curve's breaks is an accepted node of its branch, so nu at an s-node
-    needs no interpolation and no step straddles a break.
+    One Chebyshev–Picard solve (``odesolve.solve_chebyshev``) integrates
+    both branches, s0 toward each end, as a stacked (m, 1) state in sigma in
+    [0, 1], s = s0 + sigma (end - s0): each iteration evaluates the right
+    side at every node of the step and every branch in one call.  Steps end
+    only at the curve's breaks, so that none straddles one, and at the
+    branch ends; nu between step ends comes from each step's spectral
+    interpolant.
 
     A branch stops early, and the profile is marked truncated, where |nu|
     would fall below ``_NU_FLOOR_RATIO * |nu0|`` (the right side is singular
     at nu = 0), where it goes non-finite, or where its right side raises a
     package error, a float overflow or a zero division.  Such a row is NaN
-    in the right side, the step size shrinks toward the failure until it
-    underflows, and the row is frozen at its last accepted node while the
-    other branch goes on in a fresh solve from there.  A row stopped by the
-    floor or a non-finite value then ends on the last of ``_NU_CHECKPOINTS``
+    in the right side, the step size halves toward the failure until it
+    underflows, and the row is frozen at its last step end while the other
+    branch goes on in a fresh solve from there.  A row stopped by the floor
+    or a non-finite value then ends on the last of ``_NU_CHECKPOINTS``
     checkpoints of its span that it passed.  ``stop_reason`` names each
     stopped branch's span, the s it ends at and the error.  Any other
     exception propagates.
@@ -291,38 +297,37 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
     rate = _nu_rate(curve, field)
     ends = (lo, hi)
     active = [idx for idx in (0, 1) if ends[idx] != s0]
-    s_stops = np.concatenate([np.asarray(s_stops if s_stops is not None else (), float),
-                              curve.breaks])
+    breaks = np.asarray(curve.breaks, float)
     stops = []
     for idx in active:
-        # divide only the stops inside the branch: their quotients are at most 1
-        inside = s_stops[(min(s0, ends[idx]) < s_stops) & (s_stops < max(s0, ends[idx]))]
+        # divide only the breaks inside the branch: their quotients are at most 1
+        inside = breaks[(min(s0, ends[idx]) < breaks) & (breaks < max(s0, ends[idx]))]
         stops += [sigma for sigma in (inside - s0) / (ends[idx] - s0) if 0.0 < sigma < 1.0]
     failures: dict[int, Exception] = {}
     blowup = NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
 
     def rhs(sigma, y):
-        """d nu/d sigma of the active rows (``width`` is set per solve below),
-        all rows in one call; row by row only if one is below the floor or
-        the call raised, with NaN in a row that cannot go on, whose cause
-        goes to ``failures``."""
-        s, nu = s0 + sigma * width, y[:, 0]
-        ok = np.abs(nu) >= floor
+        """d nu/d sigma of the active rows (``width`` is set per solve below)
+        at every node sigma, all rows in one call; row by row only if one is
+        below the floor or the call raised, with NaN in a row that cannot go
+        on, whose cause goes to ``failures``."""
+        s, nu = s0 + sigma[:, None] * width, y[..., 0]
+        ok = np.all(np.abs(nu) >= floor, axis=0)
         if ok.all():
             try:
-                return (rate(s, nu) * width)[:, None]
+                return (rate(s, nu) * width)[..., None]
             except (NormShiftError, ArithmeticError):
                 pass
         out = np.full(nu.shape, np.nan)
-        # a NaN row comes from an earlier stage, whose cause is already kept
-        for row in np.flatnonzero(~ok & np.isfinite(nu)):
+        # a NaN row comes from an earlier iterate, whose cause is already kept
+        for row in np.flatnonzero(~ok & np.all(np.isfinite(nu), axis=0)):
             failures[row] = blowup
         for row in np.flatnonzero(ok):
             try:
-                out[row] = rate(s[row:row + 1], nu[row:row + 1])[0] * width[row]
+                out[:, row] = rate(s[:, row], nu[:, row]) * width[row]
             except (NormShiftError, ArithmeticError) as exc:
                 failures[row] = exc
-        return out[:, None]
+        return out[..., None]
 
     parts = {idx: [] for idx in active}
     reach = {idx: 0.0 for idx in (0, 1)}  # sigma each branch reached
@@ -332,16 +337,14 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
         width = np.array([ends[idx] - s0 for idx in active])
         failures.clear()
         try:
-            sol = odesolve.solve_dopri(rhs, sigma, y, 1.0, abs_tol=_NU_TOL,
-                                       rel_tol=_NU_TOL, t_stops=stops)
+            sol = odesolve.solve_chebyshev(rhs, sigma, y, 1.0, tol=_NU_TOL, t_stops=stops)
             causes = {}
         except StepFailure as exc:
             sol = exc.solution
             causes = ({row: failures.get(row, blowup) for row in exc.rows} if exc.rows
                       else dict.fromkeys(range(len(active)), exc))
         for row, idx in enumerate(active):
-            first = 1 if parts[idx] else 0  # a restart repeats the node it starts from
-            parts[idx].append((sol.ts[first:], sol.ys[first:, row], sol.fs[first:, row]))
+            parts[idx].append(sol.row(row))
             if not causes:
                 reach[idx] = 1.0
             elif row in causes:
@@ -354,8 +357,7 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float,
         keep = [row for row in range(len(active)) if causes and row not in causes]
         sigma, y, active = float(sol.ts[-1]), sol.ys[-1][keep], [active[row] for row in keep]
 
-    branches = {idx: odesolve.OdeSolution(*(np.concatenate(a) for a in zip(*p)))
-                for idx, p in parts.items()}
+    branches = {idx: odesolve.ChebyshevSolution.joined(p) for idx, p in parts.items()}
     s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
     return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons), s0=s0, nu0=nu0,
                       ends=ends, branches=branches, rate=rate,

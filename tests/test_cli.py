@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from normshift.cli import main
+from normshift.experiment import MAX_COUNT
 
 
 def run(args):
@@ -409,6 +410,27 @@ _BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
     pytest.param("check", {"field": {"ansatz": {"kind": "disc_invariant", "R": 1e300}}},
                  id="disc-radius-overflows"),
     pytest.param("shift", {"t_span": [1e308, -1e308]}, id="t_span-overflows"),
+    # omega = a0 sin(theta0) / v0, whose square underflows: the closed form divides by it
+    pytest.param("simulate --check-oracle", {"oracle": {
+        "kind": "cycloid", "x0": 0, "y0": 0, "theta0": 1.0, "v0": 1, "a0": 1e-300}},
+        id="cycloid-a0-tiny"),
+    pytest.param("simulate --check-oracle", {"oracle": {
+        "kind": "cycloid", "x0": 0, "y0": 0, "theta0": 1.0, "v0": 1e300, "a0": 1}},
+        id="cycloid-v0-huge"),
+    pytest.param("simulate --check-oracle", {"oracle": {
+        "kind": "cycloid", "x0": 0, "y0": 0, "theta0": 1e-300, "v0": 1, "a0": 1}},
+        id="cycloid-theta0-tiny"),
+    # 4 omega^2 is a normal float, but a0 / (4 omega^2), the cycloid's size, overflows
+    pytest.param("simulate --check-oracle", {"oracle": {
+        "kind": "cycloid", "x0": 0, "y0": 0, "theta0": 1.0, "v0": 1e305, "a0": 1e300}},
+        id="cycloid-size-overflows"),
+    # counts past experiment.MAX_COUNT, refused before anything is allocated
+    pytest.param("simulate", {"n_t": 10**400}, id="n_t-beyond-float-range"),
+    pytest.param("simulate", {"n_t": MAX_COUNT + 1}, id="n_t-above-ceiling"),
+    pytest.param("check", {"probes": {"count": 10**400}}, id="count-beyond-float-range"),
+    pytest.param("check", {"probes": {"count": MAX_COUNT + 1}}, id="count-above-ceiling"),
+    pytest.param("shift", {"n_s": 10**400}, id="n_s-beyond-float-range"),
+    pytest.param("shift", {"n_s": 2000, "n_t": MAX_COUNT // 2000 + 1}, id="grid-above-ceiling"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     command, *flags = command.split()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import perturbed_mdtype, random_ansatz
 
 from normshift.errors import DegenerateVelocity, SingularDenominator
-from normshift.experiment import build_field
+from normshift.experiment import CATALOGUE, build_field, catalogue
 from normshift.forces import (ForceField, Profile, ScalarFieldA, cos_profile_ansatz,
                               disc_invariant_ansatz, from_scalar_ansatz,
                               gravity_field, mdtype_field, speed_profile_ansatz)
@@ -401,3 +401,47 @@ def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# The claiming catalogue fields solve the weak equations wherever defined.
+# ---------------------------------------------------------------------------
+
+def claiming_params(name: str, rng) -> dict:
+    """Random parameters of a normality-claiming catalogue field that keep it
+    defined on |r| <= 1.5: a marked point or a disc boundary at distance 3
+    or more."""
+    def profile():
+        return {"kind": "poly", "coeffs": [rng.uniform(0.3, 1.2), rng.uniform(-0.3, 0.3)]}
+
+    def factor():
+        if rng.random() < 0.5:
+            return {"kind": "sin_cos", "amplitude": rng.uniform(0.05, 0.4)}
+        return {"kind": "linear", "ax": rng.uniform(-0.3, 0.3), "ay": rng.uniform(-0.3, 0.3)}
+
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    unit = np.array([math.cos(angle), math.sin(angle)])
+    return {
+        "anisotropic": lambda: {"profile": profile(), "m": unit.tolist()},
+        "marked_point": lambda: {"profile": profile(),
+                                 "center": (rng.uniform(3.0, 5.0) * unit).tolist()},
+        "geodesic": lambda: {"f": factor()},
+        "metrizable": lambda: {"f": factor(), "H": profile()},
+        "mdtype": lambda: {"f": factor(), "h": profile()},
+        "disc_invariant": lambda: {"R": rng.uniform(3.0, 5.0), "profile": profile()},
+    }[name]()
+
+
+CLAIMING = sorted(n for n, entry in CATALOGUE.items() if entry["claims_normality"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(CLAIMING), seed=st.integers(0, 2**32 - 1))
+def test_claiming_fields_have_zero_weak_residuals_at_random_points(name, seed):
+    rng = np.random.default_rng(seed)
+    field = catalogue(name, claiming_params(name, rng))
+    r = rng.uniform(-1.5, 1.5, (32, 2))
+    v, theta = rng.uniform(0.3, 3.0, 32), rng.uniform(-math.pi, math.pi, 32)
+    r1, r2 = weak_residuals(field, r, v[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1))
+    # the tolerance of the fixed-probe tests above
+    assert np.max(np.abs(r1)) < 1e-5 and np.max(np.abs(r2)) < 1e-5

@@ -1,0 +1,90 @@
+"""Chebyshev–Picard steps: spectral matrices, accuracy, stops and failures."""
+
+import numpy as np
+import pytest
+
+from normshift import odesolve
+from normshift.errors import StepFailure
+
+
+def test_spectral_matrices_are_exact_for_polynomials_of_degree_n():
+    from numpy.polynomial import chebyshev
+    x, w, coeffs, integral = odesolve._chebyshev()
+    assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    c = np.random.default_rng(0).normal(size=len(x))
+    values = chebyshev.chebval(x, c)
+    assert np.max(np.abs(coeffs @ values - c)) < 1e-13
+    exact = chebyshev.chebval(x, chebyshev.chebint(c, lbnd=-1))
+    assert np.max(np.abs(integral @ values - exact)) < 1e-13
+    assert np.all(integral[0] == 0.0)
+
+
+def decay_and_blowup(calls):
+    """Rows y' = -y and y' = y^2 of a stacked (2, 1) state; counts its calls."""
+    def rhs(t, y):
+        assert t.shape == (len(odesolve._chebyshev()[0]),) and y.shape == t.shape + (2, 1)
+        calls.append(1)
+        return np.stack([-y[:, 0], y[:, 1] ** 2], axis=1)
+    return rhs
+
+
+def exact(t):
+    """y = exp(-t) and y = 1 / (1 - t) from y(0) = 1, shape (len(t), 2, 1)."""
+    return np.stack([np.exp(-t), 1.0 / (1.0 - t)], axis=1)[:, :, None]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_stacked_rows_match_the_closed_form_at_and_between_step_ends(tol):
+    calls = []
+    sol = odesolve.solve_chebyshev(decay_and_blowup(calls), 0.0, [[1.0], [1.0]], 0.9,
+                                   tol=tol, t_stops=[0.3])
+    assert sol.ys.shape == (len(sol.ts), 2, 1)
+    assert sol.nodes.shape == (len(sol.ts) - 1, len(odesolve._chebyshev()[0]), 2, 1)
+    t = np.linspace(0.0, 0.9, 1001)
+    for times, values in ((sol.ts, sol.ys), (t, sol.sample(t))):
+        assert np.all(np.abs(values - exact(times)) <= tol * (1.0 + np.abs(exact(times))))
+    # the interpolant is exact at the nodes and continuous at the step ends
+    assert sol.sample(sol.ts).tobytes() == sol.ys.tobytes()
+    # one call per Picard iteration, not one per node or per row
+    assert len(calls) < 40 * (len(sol.ts) - 1)
+
+
+def test_every_stop_is_a_step_end():
+    stops = [0.05, 0.3, 0.3, 0.61, 0.9 - 1e-16, -0.2, 1.4]
+    sol = odesolve.solve_chebyshev(lambda t, y: np.cos(t)[:, None] * y, 0.0, [1.0], 0.9,
+                                   tol=1e-12, t_stops=stops)
+    assert sol.ts[0] == 0.0 and sol.ts[-1] == 0.9
+    # stops outside the span, repeated, or closer than an underflow step to
+    # t1 are no steps
+    assert set(sol.ts.tolist()) >= {0.05, 0.3, 0.61}
+    assert np.all(np.diff(sol.ts) > 0)
+    assert np.max(np.abs(sol.ys[:, 0] - np.exp(np.sin(sol.ts)))) < 1e-11
+
+
+def test_a_row_turning_nan_fails_with_the_accepted_prefix():
+    t_star = 0.4
+
+    def rhs(t, y):
+        out = -y.copy()
+        out[t > t_star, 1] = np.nan
+        return out
+
+    with pytest.raises(StepFailure, match="underflow") as info:
+        odesolve.solve_chebyshev(rhs, 0.0, [[1.0], [2.0], [3.0]], 1.0, tol=1e-10)
+    assert info.value.rows == (1,)
+    prefix = info.value.solution
+    assert t_star - 1e-13 < prefix.ts[-1] <= t_star
+    assert np.all(np.isfinite(prefix.nodes))
+    t = np.linspace(0.0, prefix.ts[-1], 51)
+    assert np.max(np.abs(prefix.sample(t)[:, :, 0]
+                         - np.exp(-t)[:, None] * [1.0, 2.0, 3.0])) < 1e-9
+
+
+def test_zero_span_backward_span_and_queries_outside():
+    sol = odesolve.solve_chebyshev(lambda t, y: y, 0.5, [2.0], 0.5, tol=1e-10)
+    assert sol.ts.tolist() == [0.5] and sol.sample([0.5]).tolist() == [[2.0]]
+    with pytest.raises(ValueError, match="outside"):
+        sol.sample([0.6])
+    with pytest.raises(ValueError, match="forward"):
+        odesolve.solve_chebyshev(lambda t, y: y, 0.5, [2.0], 0.0, tol=1e-10)

@@ -417,7 +417,7 @@ def test_force_calls_per_right_side_do_not_grow_with_n_s(monkeypatch):
 
 
 def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
-    from normshift.odesolve import OdeSolution
+    from normshift.odesolve import ChebyshevSolution, OdeSolution
     field, curve = mdtype_on_spline()
     nu = solve_nu(curve, field, 0.5, 1.1)
     s = np.linspace(nu.s_lo, nu.s_hi, 33)  # s0 = 0.5 is node 16
@@ -427,11 +427,12 @@ def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
     assert rates.tobytes() == np.array([nu.deriv(x) for x in s]).tobytes()
     # normal_shift samples each branch once instead of one dense call per query
     dense = count_calls(monkeypatch, OdeSolution, "__call__")
-    samples = count_calls(monkeypatch, OdeSolution, "sample")
+    nu_samples = count_calls(monkeypatch, ChebyshevSolution, "sample")
+    grid_samples = count_calls(monkeypatch, OdeSolution, "sample")
     grid = normal_shift(curve, field, nu, (0, 0.2), n_s=33, n_t=3)
     assert grid.nu.tobytes() == values.tobytes()
     assert dense == []
-    assert len(samples) == 3  # one per nu branch, one for the grid
+    assert len(nu_samples) == 2 and len(grid_samples) == 1  # one per nu branch, one for the grid
 
 
 def test_non_finite_columns_are_named_in_the_error_note():
@@ -560,32 +561,33 @@ def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where
     lo, hi = curve.s_range
     s0 = lo + where * (hi - lo)
     nodes = np.linspace(lo, hi, n_s)
-    nu = solve_nu(curve, field, s0, nu0, s_stops=nodes)
+    nu = solve_nu(curve, field, s0, nu0)
     assume(not nu.truncated)
     values, _ = nu.sample(nodes)
     assert np.max(np.abs(values - reference_nu(curve, field, s0, nu0, nodes))) < 1e-10
 
 
-def test_solve_nu_is_one_solve_stopping_at_the_s_nodes(monkeypatch):
+def test_solve_nu_is_one_solve_stopping_only_at_the_breaks(monkeypatch):
     from normshift import odesolve
     field, curve = mdtype_on_spline()
-    calls = count_calls(monkeypatch, odesolve, "solve_dopri")
-    nodes = np.linspace(0.0, 1.0, 32)
-    nu = solve_nu(curve, field, 0.5, 1.1, s_stops=nodes)
+    calls = count_calls(monkeypatch, odesolve, "solve_chebyshev")
+    nu = solve_nu(curve, field, 0.5, 1.1)
     assert len(calls) == 1 and not nu.truncated
+    # the knots 1/3 and 2/3 are at sigma 1/3 of the lower and the upper
+    # branch, so each branch has two steps, not one per s-node
     for idx, branch in nu.branches.items():
-        side = nodes[nodes < 0.5] if idx == 0 else nodes[nodes > 0.5]
-        sigma = (side - 0.5) / (nu.ends[idx] - 0.5)
+        own = [(k - 0.5) / (nu.ends[idx] - 0.5) for k in curve.breaks
+               if (k - 0.5) * (idx - 0.5) > 0]
+        assert len(branch.ts) == 3 and branch.ts[0] == 0.0 and branch.ts[-1] == 1.0
         # a stop of one branch within 1e-14 of one of the other's is merged into it
-        assert np.all(np.min(np.abs(branch.ts[:, None] - sigma), axis=0) <= 1e-14)
-        assert branch.ts[-1] == 1.0
+        assert np.all(np.min(np.abs(branch.ts[:, None] - own), axis=0) <= 1e-14)
 
 
 def test_one_branch_truncates_while_the_other_reaches_its_end():
     seg = segment_on_axis(-1.0, 1.0, normal="right")
     # nu^2 = nu0^2 - 2 b0 s: the upper branch runs into zero at s = 0.125
     nodes = np.linspace(-1.0, 1.0, 33)
-    nu = solve_nu(seg, magnetic_field(1.0), 0.0, 0.5, s_stops=nodes)
+    nu = solve_nu(seg, magnetic_field(1.0), 0.0, 0.5)
     assert nu.truncated and nu.s_lo == -1.0 and 0.1 < nu.s_hi < 0.125
     assert nu.stop_reason.startswith("on [0, 1], stopped at") and ";" not in nu.stop_reason
     s = nodes[nodes <= nu.s_hi]
@@ -596,7 +598,7 @@ def test_one_branch_truncates_while_the_other_reaches_its_end():
             raise OverflowError("boom")
         return np.zeros_like(r)
 
-    nu = solve_nu(seg, ForceField(fn=fn), 0.0, 1.0, s_stops=np.linspace(-1.0, 1.0, 9))
+    nu = solve_nu(seg, ForceField(fn=fn), 0.0, 1.0)
     assert nu.truncated and nu.s_lo == -1.0 and 0.5 - 1e-13 < nu.s_hi <= 0.5
     assert nu.stop_reason.startswith("on [0, 1]") and "OverflowError: boom" in nu.stop_reason
     assert np.all(nu.values(np.linspace(-1.0, nu.s_hi, 9)) == 1.0)
@@ -608,7 +610,7 @@ def test_solve_nu_from_a_subnormal_distance_to_an_end_warns_nothing():
     nodes = np.linspace(0.0, 1.0, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nu = solve_nu(curve, field, 5e-324, 1.1, s_stops=nodes)
+        nu = solve_nu(curve, field, 5e-324, 1.1)
         values, _ = nu.sample(nodes)
     assert not nu.truncated and values[0] == 1.1
 
@@ -631,6 +633,18 @@ CURVE_SHAPES = {
     "arc": lambda rng: circle_arc(rng.uniform(-0.3, 0.3, 2), rng.uniform(1.2, 1.6), (0.2, 2.2)),
     "spline": lambda rng: spline_through(random_spline_points(rng)),
 }
+
+
+@pytest.mark.parametrize("shape", ["line", "arc", "spline"])
+def test_solve_nu_makes_few_force_calls(monkeypatch, shape):
+    # counted, not timed: each Picard iteration evaluates every node of a
+    # step and both branches in one call, and a branch that does not
+    # truncate takes one step, or one per spline piece
+    field = catalogue("marked_point", NU_FIELDS["marked_point"])
+    curve = CURVE_SHAPES[shape](np.random.default_rng(1))
+    forces = count_calls(monkeypatch, ForceField, "force")
+    nu = solve_nu(curve, field, 0.5 * sum(curve.s_range), 1.0)
+    assert not nu.truncated and 0 < len(forces) <= 40
 
 
 @settings(max_examples=30, deadline=None)
