@@ -181,11 +181,13 @@ class QuadratureTable:
     def duration(self) -> float:
         return float(self.t[-1])
 
-    def v_at(self, theta: float) -> float:
-        return float(self._v_spl(theta))
+    def v_at(self, theta):
+        """v at each theta, elementwise."""
+        return self._v_spl(theta)[()]
 
-    def rho_at(self, theta: float) -> float:
-        return float(self._rho_spl(theta))
+    def rho_at(self, theta):
+        """rho at each theta, elementwise."""
+        return self._rho_spl(theta)[()]
 
     def theta_at(self, t: float) -> float:
         """Invert the monotone map t(theta) by bisection on the grid segment."""

@@ -59,7 +59,6 @@ class IntegratorConfig:
     step: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.method not in ("dopri-adaptive", "rk4-fixed"):
@@ -120,11 +119,9 @@ def _flow_rhs(field: ForceField):
 
 def _run(rhs, t0, y0, t1, cfg: IntegratorConfig, t_stops):
     if cfg.method == "rk4-fixed":
-        return odesolve.solve_rk4(rhs, t0, y0, t1, step=cfg.step,
-                                  max_steps=cfg.max_steps, t_stops=t_stops)
+        return odesolve.solve_rk4(rhs, t0, y0, t1, step=cfg.step, t_stops=t_stops)
     return odesolve.solve_dopri(rhs, t0, y0, t1, abs_tol=cfg.abs_tol,
-                                rel_tol=cfg.rel_tol, max_steps=cfg.max_steps,
-                                t_stops=t_stops)
+                                rel_tol=cfg.rel_tol, t_stops=t_stops)
 
 
 def integrate(field: ForceField, init: PhaseState, t_span,

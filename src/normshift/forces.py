@@ -42,7 +42,7 @@ class Profile:
     def d(self, x):
         if self.deriv is not None:
             return elementwise(self.deriv(x), x)
-        return elementwise(numdiff.richardson(self.fn, x), x)
+        return numdiff.richardson(lambda t: elementwise(self.fn(t), t), x)
 
     @staticmethod
     def constant(c: float) -> "Profile":
@@ -100,7 +100,7 @@ class ForceField:
             held = np.broadcast_to(fixed[..., None, :], moved.shape)
             return self.force(*((moved, held) if wrt == 0 else (held, moved)))
 
-        return numdiff.richardson_stacked(f_at, x)
+        return numdiff.richardson(f_at, x)
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,16 @@ _PARTIALS = {
 
 
 def _along(fn, args: tuple, axes: tuple[int, ...]):
-    """fn of the arguments at ``axes``, the others held at ``args``; and
-    the values of those arguments in ``args``."""
-    moved = list(args)
-    if len(axes) == 1:
-        def f(t):
-            moved[axes[0]] = t
-            return fn(*moved)
-        return f, (args[axes[0]],)
+    """fn of the arguments at ``axes``, the others held at ``args``, one value
+    per point; and the values of those arguments in ``args``."""
+    args = np.broadcast_arrays(*args)
 
-    def f2(t, u):
-        moved[axes[0]], moved[axes[1]] = t, u
-        return fn(*moved)
-    return f2, (args[axes[0]], args[axes[1]])
+    def f(*stencil):
+        moved = list(args)
+        for axis, t in zip(axes, stencil):
+            moved[axis] = t
+        return elementwise(fn(*moved), *moved)
+    return f, tuple(args[axis] for axis in axes)
 
 
 class ScalarFieldA:
@@ -159,10 +156,11 @@ class ScalarFieldA:
     ``_PARTIALS`` is a member called as ``a.a_x(x, y, v, theta)`` and is
     resolved once, in ``__init__``: to the analytic closure passed under its
     name (same signature as ``fn``) if there is one, otherwise to the table's
-    Richardson stencil of ``fn`` (wider steps for the second-order ones).
-    ``fn`` and the closures work elementwise on arrays; the generator and its
-    partials return one value per point even where a closure returns a
-    constant.
+    Richardson stencil of ``fn`` (wider steps for the second-order ones),
+    which calls ``fn`` once, with the stencil's points stacked on a new
+    leading axis.  ``fn`` and the closures work elementwise on arrays; the
+    generator and its partials return one value per point even where a
+    closure returns a constant.
     """
 
     def __init__(self, fn, *, label: str = "", **partials):
@@ -182,7 +180,7 @@ class ScalarFieldA:
         def fallback(x, y, v, theta):
             f, at = _along(fn, (x, y, v, theta), axes)
             # looked up per call, so a patched numdiff stencil is the one used
-            return elementwise(getattr(numdiff, stencil)(f, *at), x, y, v, theta)
+            return getattr(numdiff, stencil)(f, *at)
         return fallback
 
     def __call__(self, x, y, v, theta):

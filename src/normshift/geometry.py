@@ -28,6 +28,8 @@ V_MIN = 1e-9
 
 # M = (-N_y, N_x) is N reversed and multiplied by this.
 _ROTATE = np.array([-1.0, 1.0])
+# _EYE[i, c]: coordinate c of the i-th stencil point is the moved one.
+_EYE = np.eye(2, dtype=bool)
 
 
 def _as_points(v) -> np.ndarray:
@@ -72,7 +74,7 @@ class ConformalMetric:
     """Conformal factor f(x, y) of the metric g = exp(-2f) * identity.
 
     ``grad_f`` returns (df/dx, df/dy); if omitted, central differences of
-    ``f`` are used.
+    ``f`` are used, both partials from one call of ``f``.
     """
 
     f: Callable[[float, float], float]
@@ -95,8 +97,14 @@ class ConformalMetric:
         """df/dx and df/dy at coordinates x, y (arrays of one shape, or numbers)."""
         if self.grad_f is not None:
             return self.grad_f(x, y)
-        return (numdiff.central(lambda t: self.f(t, y), x),
-                numdiff.central(lambda t: self.f(x, t), y))
+        p = np.stack(np.broadcast_arrays(x, y), axis=-1)
+
+        def f_at(t: np.ndarray) -> np.ndarray:
+            # t: (2, ..., 2) stencil values; point [k, ..., i] moves coordinate i
+            q = np.where(_EYE, t[..., :, None], p[..., None, :])
+            return elementwise(self.f(q[..., 0], q[..., 1]), q[..., 0])
+
+        return tuple(np.moveaxis(numdiff.central(f_at, p), -1, 0))
 
     @staticmethod
     def euclidean() -> "ConformalMetric":

@@ -23,7 +23,7 @@ import numpy as np
 from . import numdiff, odesolve
 from .errors import DegenerateVelocity, FormulationMismatch, SingularDenominator
 from .forces import ForceField, ScalarFieldA
-from .geometry import frame
+from .geometry import elementwise, frame
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,10 @@ def complex_residual(a: ScalarFieldA, z, w):
         return np.moveaxis(d, -1, 0)
 
     a0 = ac(p)
-    a_x, a_y, a_v1, a_v2 = per_column(numdiff.richardson_stacked(one_axis([0, 1, 2, 3]), p))
-    a_v1v1, a_v2v2 = per_column(numdiff.richardson2_stacked(one_axis([2, 3]), p[..., 2:]))
+    a_x, a_y, a_v1, a_v2 = per_column(numdiff.richardson(one_axis([0, 1, 2, 3]), p))
+    a_v1v1, a_v2v2 = per_column(numdiff.richardson2(one_axis([2, 3]), p[..., 2:]))
     first, second = [2, 0, 0, 1, 1], [3, 2, 3, 2, 3]
-    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = per_column(numdiff.richardson_mixed_stacked(
+    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = per_column(numdiff.richardson_mixed(
         lambda t, u: ac(np.where(moved[first], t[..., None],
                                  np.where(moved[second], u[..., None], held))),
         p[..., first], p[..., second]))
@@ -218,29 +218,35 @@ def complex_residual(a: ScalarFieldA, z, w):
 
 @dataclass(frozen=True)
 class VelocityAngleField:
-    """Function of (v, theta) with optional analytic partials (FD fallback)."""
+    """Function of (v, theta) with optional analytic partials (FD fallback).
 
-    fn: Callable[[float, float], float]
-    fn_v: Callable[[float, float], float] | None = None
-    fn_theta: Callable[[float, float], float] | None = None
+    ``fn`` and the partials work elementwise on arrays of one shape, or on
+    numbers, and each evaluator returns one value per point.
+    """
 
-    def __call__(self, v: float, theta: float) -> float:
-        return float(self.fn(v, theta))
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn_v: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    fn_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def d_v(self, v: float, theta: float) -> float:
+    def __call__(self, v, theta):
+        return elementwise(self.fn(v, theta), v, theta)
+
+    def d_v(self, v, theta):
         if self.fn_v is not None:
-            return float(self.fn_v(v, theta))
-        return numdiff.richardson(lambda t: self.fn(t, theta), v)
+            return elementwise(self.fn_v(v, theta), v, theta)
+        v, theta = np.broadcast_arrays(v, theta)
+        return numdiff.richardson(lambda t: self(t, theta), v)
 
-    def d_theta(self, v: float, theta: float) -> float:
+    def d_theta(self, v, theta):
         if self.fn_theta is not None:
-            return float(self.fn_theta(v, theta))
-        return numdiff.richardson(lambda t: self.fn(v, t), theta)
+            return elementwise(self.fn_theta(v, theta), v, theta)
+        v, theta = np.broadcast_arrays(v, theta)
+        return numdiff.richardson(lambda t: self(v, t), theta)
 
 
-def reduction_b_residual(b: VelocityAngleField, v: float, theta: float) -> float:
-    """Residual of b b_theta - v b_v + b^3 + b at (v, theta)."""
-    if v < 1e-300:
+def reduction_b_residual(b: VelocityAngleField, v, theta):
+    """Residual of b b_theta - v b_v + b^3 + b at (v, theta), elementwise."""
+    if np.count_nonzero(np.asarray(v) < 1e-300):
         raise DegenerateVelocity("b-equation undefined at v = 0")
     bv = b(v, theta)
     return bv * b.d_theta(v, theta) - v * b.d_v(v, theta) + bv**3 + bv
@@ -272,8 +278,8 @@ def characteristic_flow(v0: float, theta0: float, b0: float, t_span,
     return t_out, sol.sample(t_out)
 
 
-def b_closed_form(v: float, theta: float, u: float = 1.0) -> float:
-    """Closed-form b(v, theta) solving the reduced b-equation.
+def b_closed_form(v, theta, u: float = 1.0):
+    """Closed-form b(v, theta) solving the reduced b-equation, elementwise.
 
     b = (v^2 sin 2t + 2 v u cos t + v sqrt(v^2 + 4 u v sin t + 2 u^2))
         / (4 u v sin t + 2 u^2 - v^2 cos 2t).
@@ -284,14 +290,16 @@ def b_closed_form(v: float, theta: float, u: float = 1.0) -> float:
 def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
     """The closed-form b with hand-differentiated partials."""
 
-    def parts(v: float, theta: float):
-        s, c = math.sin(theta), math.cos(theta)
-        den = 4.0 * u * v * s + 2.0 * u * u - v * v * math.cos(2.0 * theta)
+    def parts(v, theta):
+        s, c = np.sin(theta), np.cos(theta)
+        den = 4.0 * u * v * s + 2.0 * u * u - v * v * np.cos(2.0 * theta)
         rad = v * v + 4.0 * u * v * s + 2.0 * u * u
-        if abs(den) < 1e-12 or rad < 0.0:
-            raise SingularDenominator(f"singular at (v={v}, theta={theta})")
-        sq = math.sqrt(rad)
-        num = v * v * math.sin(2.0 * theta) + 2.0 * v * u * c + v * sq
+        singular = (np.abs(den) < 1e-12) | (rad < 0.0)
+        if np.count_nonzero(singular):
+            bv, bt = (np.broadcast_to(a, singular.shape)[singular][0] for a in (v, theta))
+            raise SingularDenominator(f"singular at (v={bv}, theta={bt})")
+        sq = np.sqrt(rad)
+        num = v * v * np.sin(2.0 * theta) + 2.0 * v * u * c + v * sq
         return s, c, den, sq, num
 
     def fn(v, theta):
@@ -300,36 +308,38 @@ def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
 
     def fn_v(v, theta):
         s, c, den, sq, num = parts(v, theta)
-        num_v = 2.0 * v * math.sin(2.0 * theta) + 2.0 * u * c + sq + v * (v + 2.0 * u * s) / sq
-        den_v = 4.0 * u * s - 2.0 * v * math.cos(2.0 * theta)
+        num_v = 2.0 * v * np.sin(2.0 * theta) + 2.0 * u * c + sq + v * (v + 2.0 * u * s) / sq
+        den_v = 4.0 * u * s - 2.0 * v * np.cos(2.0 * theta)
         return (num_v * den - num * den_v) / (den * den)
 
     def fn_theta(v, theta):
         s, c, den, sq, num = parts(v, theta)
-        num_t = (2.0 * v * v * math.cos(2.0 * theta) - 2.0 * v * u * s
+        num_t = (2.0 * v * v * np.cos(2.0 * theta) - 2.0 * v * u * s
                  + 2.0 * u * v * v * c / sq)
-        den_t = 4.0 * u * v * c + 2.0 * v * v * math.sin(2.0 * theta)
+        den_t = 4.0 * u * v * c + 2.0 * v * v * np.sin(2.0 * theta)
         return (num_t * den - num * den_t) / (den * den)
 
     return VelocityAngleField(fn=fn, fn_v=fn_v, fn_theta=fn_theta)
 
 
-def symmetry_reduced_residual(profile: VelocityAngleField, v: float, theta: float,
-                              *, second_partials=None) -> float:
-    """Residual of the rotation-reduced equation for a profile a(v, theta):
+def symmetry_reduced_residual(profile: VelocityAngleField, v, theta,
+                              *, second_partials=None):
+    """Residual of the rotation-reduced equation for a profile a(v, theta),
+    elementwise:
 
     a a_t / v^2 + a_t a_tt / v^2 + a_t a_v / v + (a + a_tt) sin t - a a_tv / v.
     """
+    v, theta = np.broadcast_arrays(v, theta)
     a0 = profile(v, theta)
     at = profile.d_theta(v, theta)
     av = profile.d_v(v, theta)
     if second_partials is not None:
         att, atv = second_partials(v, theta)
     else:
-        att = numdiff.richardson2(lambda t: profile.fn(v, t), theta)
-        atv = numdiff.richardson_mixed(lambda t, uu: profile.fn(uu, t), theta, v)
+        att = numdiff.richardson2(lambda t: profile(v, t), theta)
+        atv = numdiff.richardson_mixed(lambda t, uu: profile(uu, t), theta, v)
     return (a0 * at / v**2 + at * att / v**2 + at * av / v
-            + (a0 + att) * math.sin(theta) - a0 * atv / v)
+            + (a0 + att) * np.sin(theta) - a0 * atv / v)
 
 
 def symmetry_reduced_ansatz(profile: Callable[[float, float], float],

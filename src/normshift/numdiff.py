@@ -5,6 +5,11 @@ truncation against rounding for first derivatives in double precision.
 Richardson variants combine two step sizes (h and h/2) and use larger base
 steps; they are meant for the residual evaluators, where second derivatives
 enter and plain O(h^2) stencils are not accurate enough.
+
+Each stencil calls f once, with its points stacked on a new leading axis.
+x (and y, and the steps) may be numbers or arrays of one shape, so f must
+work elementwise; it returns its values stacked the same way and may add
+trailing axes, which the derivative keeps.  A scalar x gives a scalar.
 """
 
 from __future__ import annotations
@@ -35,44 +40,33 @@ def richardson_step(x: float) -> float:
     return _step(x, H1_RICH)
 
 
-def central(f: Callable[[float], float], x: float, h: float | None = None) -> float:
+def _at(x, h, base: float):
+    """x and its step (``base`` scaled when h is None), as float arrays of
+    one shape."""
+    x = np.asarray(x, float)
+    return np.broadcast_arrays(x, _step(x, base) if h is None else np.asarray(h, float))
+
+
+def central(f: Callable, x, h=None):
     """First derivative by the two-point central stencil, O(h^2)."""
-    if h is None:
-        h = central_step(x)
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+    x, h = _at(x, h, H1_PLAIN)
+    values = np.asarray(f(np.stack([x + h, x - h])))
+    return (values[0] - values[1]) / (2.0 * _trailing(h, values))
 
 
 _FIRST_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
-# Each Richardson stencil below comes in two forms with the same points and
-# the same arithmetic.  The plain form calls f at one point at a time.  The
-# ``_stacked`` form calls f once, with the stencil's points stacked on a new
-# leading axis (x and the steps may be arrays of one shape), for functions
-# that work elementwise; f returns its values stacked the same way and may
-# add trailing axes, which the derivative keeps.
 
-
-def richardson(f: Callable[[float], float], x: float, h: float | None = None) -> float:
-    """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4).
-
-    ``f`` may return an array; the derivative is then taken componentwise.
-    """
-    if h is None:
-        h = richardson_step(x)
-    return _first(h, f(x + h), f(x - h), f(x + h / 2), f(x - h / 2))
-
-
-def richardson_stacked(f, x, h=None):
-    """``richardson`` with one call of f on its four points."""
-    x = np.asarray(x, float)
-    h = richardson_step(x) if h is None else np.asarray(h, float)
+def richardson(f: Callable, x, h=None):
+    """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4)."""
+    x, h = _at(x, h, H1_RICH)
     return richardson_extrapolated(h, f(richardson_points(x, h)))
 
 
 def richardson_points(x, h: np.ndarray) -> np.ndarray:
-    """The four points of ``richardson_stacked``'s stencil at x with steps h,
-    stacked on a new leading axis, for a caller that evaluates them together
-    with points of its own."""
+    """The four points of ``richardson``'s stencil at x with steps h, stacked
+    on a new leading axis, for a caller that evaluates them together with
+    points of its own."""
     # x + h * (1, -1, 1/2, -1/2) is x + h, x - h, x + h/2, x - h/2 exactly
     return x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h
 
@@ -84,41 +78,16 @@ def richardson_extrapolated(h: np.ndarray, values) -> np.ndarray:
     return _first(_trailing(h, values), *values)
 
 
-def richardson2(f: Callable[[float], float], x: float, h: float | None = None) -> float:
+def richardson2(f: Callable, x, h=None):
     """Second derivative, extrapolated central stencil, O(h^4)."""
-    if h is None:
-        h = _step(x, H2_RICH)
-    return _second(h, f(x), f(x + h), f(x - h), f(x + h / 2), f(x - h / 2))
-
-
-def richardson2_stacked(f, x, h=None):
-    """``richardson2`` with one call of f on its five points."""
-    x = np.asarray(x, float)
-    h = _step(x, H2_RICH) if h is None else np.asarray(h, float)
+    x, h = _at(x, h, H2_RICH)
     values = np.asarray(f(np.stack([x, x + h, x - h, x + h / 2, x - h / 2])))
     return _second(_trailing(h, values), *values)
 
 
-def richardson_mixed(
-    f: Callable[[float, float], float],
-    x: float,
-    y: float,
-    hx: float | None = None,
-    hy: float | None = None,
-) -> float:
+def richardson_mixed(f: Callable, x, y, hx=None, hy=None):
     """Mixed second derivative d^2 f / dx dy, extrapolated cross stencil."""
-    if hx is None:
-        hx = _step(x, H2_RICH)
-    if hy is None:
-        hy = _step(y, H2_RICH)
-    return _mixed(hx, hy, [f(t, u) for t, u in zip(*_cross_points(x, y, hx, hy))])
-
-
-def richardson_mixed_stacked(f, x, y, hx=None, hy=None):
-    """``richardson_mixed`` with one call of f on its eight points."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    hx = _step(x, H2_RICH) if hx is None else np.asarray(hx, float)
-    hy = _step(y, H2_RICH) if hy is None else np.asarray(hy, float)
+    x, hx, y, hy = np.broadcast_arrays(*_at(x, hx, H2_RICH), *_at(y, hy, H2_RICH))
     values = np.asarray(f(*(np.stack(c) for c in _cross_points(x, y, hx, hy))))
     return _mixed(_trailing(hx, values), _trailing(hy, values), values)
 

@@ -47,6 +47,8 @@ _MAX_FACTOR = 5.0
 # Steps below this times max(1, |t|) are an underflow; a stop that would
 # force a shorter step is dropped.
 _MIN_STEP = 1e-14
+# Every solver fails after this many attempted steps.
+_MAX_ATTEMPTS = 2_000_000
 
 
 @dataclass
@@ -159,7 +161,6 @@ def _solution(ts, ys, fs, shape) -> OdeSolution:
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-                max_steps: int = 2_000_000,
                 t_stops=None) -> OdeSolution:
     """Adaptive 5(4) integration from t0 to t1 (either direction).
 
@@ -175,14 +176,14 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     k = np.zeros((7, y.size))
     width = shape[-1] if shape else 1
 
-    steps = 0
+    attempts = 0
     bad_rows: list[int] = []
     for target in stops:
         while (target - t) * direction > 0:
-            if steps >= max_steps:
-                raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}",
+            if attempts >= _MAX_ATTEMPTS:
+                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
                                   solution=_solution(ts, ys, fs, shape))
-            steps += 1
+            attempts += 1
 
             remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
             proposed = h
@@ -226,7 +227,6 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
 
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
               t0: float, y0, t1: float, *, step: float,
-              max_steps: int = 2_000_000,
               t_stops=None) -> OdeSolution:
     """Classic fixed-step RK4; the step is shrunk per segment to hit stop times."""
     if step <= 0:
@@ -240,8 +240,8 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
         h = seg / n
         for _ in range(n):
             total += 1
-            if total > max_steps:
-                raise StepFailure(f"exceeded max_steps={max_steps} at t={t:.6g}")
+            if total > _MAX_ATTEMPTS:
+                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}")
             k1 = f
             k2 = rhs(t + h / 2, y + h / 2 * k1)
             k3 = rhs(t + h / 2, y + h / 2 * k2)
@@ -264,8 +264,6 @@ _CHEB_N = 24
 # a step whose update has not fallen below tol after this many right sides,
 # or has grown, is halved
 _PICARD_ITERATIONS = 20
-# a solve fails after this many attempted steps
-_CHEB_MAX_ATTEMPTS = 2_000_000
 
 
 @functools.cache
@@ -378,7 +376,7 @@ def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rounding of y, or the update may stall above it.
 
     Every stop is a step end.  A StepFailure, from a step-size underflow or
-    after ``_CHEB_MAX_ATTEMPTS`` attempted steps, carries the accepted prefix
+    after ``_MAX_ATTEMPTS`` attempted steps, carries the accepted prefix
     as its ``solution``; one from an underflow also names the rows of a
     stacked state that made the last attempted step non-finite, if any did.
     """
@@ -398,8 +396,8 @@ def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bad_rows: list[int] = []
     for target in _stops(t, t1, t_stops, 1.0):
         while target > t:
-            if attempts >= _CHEB_MAX_ATTEMPTS:
-                raise StepFailure(f"exceeded {_CHEB_MAX_ATTEMPTS} step attempts at t={t:.6g}",
+            if attempts >= _MAX_ATTEMPTS:
+                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
                                   solution=solution())
             attempts += 1
             remaining, tiny = target - t, _MIN_STEP * max(1.0, abs(t))

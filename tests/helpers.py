@@ -10,7 +10,7 @@ import numpy as np
 
 from normshift.forces import MDTypeParams, Profile, ScalarFieldA
 from normshift.geometry import ConformalMetric, christoffel
-from normshift.numdiff import richardson_step
+from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH, richardson_step
 from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
@@ -168,3 +168,37 @@ def two_call_deviation_rhs(field):
         return np.concatenate([v, field.force(r, v), tau_dot, d[0] + d[1]], axis=-1)
 
     return rhs
+
+
+# numdiff's stencils written out one point at a time, for a scalar f at a
+# number x: the points and the arithmetic that the stacked stencils must
+# reproduce bit for bit.
+
+def central_one_point(f, x):
+    h = H1_PLAIN * max(1.0, abs(x))
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def richardson_one_point(f, x):
+    h = H1_RICH * max(1.0, abs(x))
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + h / 2) - f(x - h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def richardson2_one_point(f, x):
+    h = H2_RICH * max(1.0, abs(x))
+    f0, half = f(x), h / 2
+    d2_half = (f(x + half) - 2.0 * f0 + f(x - half)) / (half * half)
+    d2_full = (f(x + h) - 2.0 * f0 + f(x - h)) / (h * h)
+    return (4.0 * d2_half - d2_full) / 3.0
+
+
+def richardson_mixed_one_point(f, x, y):
+    hx, hy = H2_RICH * max(1.0, abs(x)), H2_RICH * max(1.0, abs(y))
+
+    def cross(a, b):
+        return (f(x + a, y + b) - f(x + a, y - b) - f(x - a, y + b)
+                + f(x - a, y - b)) / (4.0 * a * b)
+
+    return (4.0 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3.0

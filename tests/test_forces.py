@@ -284,12 +284,33 @@ def test_mixed_partial_symmetry_of_fd_fallback():
     bare = ScalarFieldA(a.fn)  # force the FD fallback
     x, y, v, t = 0.3, -0.8, 1.4, 0.5
     # d/dtheta then d/dx vs d/dx then d/dtheta, both by differences
+    # the inner stencil is taken at every point of the outer one
     tx = numdiff.richardson(lambda u: numdiff.richardson(
-        lambda s: bare.fn(u, y, v, s), t), x)
+        lambda s: bare(u, y, v, s), np.full_like(u, t)), x)
     xt = numdiff.richardson(lambda s: numdiff.richardson(
-        lambda u: bare.fn(u, y, v, s), x), t)
+        lambda u: bare(u, y, v, s), np.full_like(s, x)), t)
     assert tx == pytest.approx(xt, abs=1e-5)
     assert bare.a_theta_x(x, y, v, t) == pytest.approx(tx, abs=1e-5)
+
+
+PARTIALS = ("a_x", "a_y", "a_v", "a_theta", "a_theta_theta", "a_theta_v", "a_theta_x",
+            "a_theta_y")
+
+
+@pytest.mark.parametrize("name", PARTIALS)
+@pytest.mark.parametrize("n", [None, 5])
+def test_each_fallback_partial_calls_the_generator_once(name, n):
+    calls = []
+
+    def fn(x, y, v, t):
+        calls.append(1)
+        return x * y * np.cos(t) + v * v * np.sin(t)
+
+    point = (0.3, -0.8, 1.4, 0.5)
+    if n is not None:
+        point = tuple(np.full(n, c) for c in point)
+    value = getattr(ScalarFieldA(fn), name)(*point)
+    assert len(calls) == 1 and np.shape(value) == np.shape(point[0])
 
 
 def test_unknown_partial_name_is_rejected():
@@ -397,8 +418,8 @@ def test_fd_jacobian_matches_the_per_component_stencil():
         expected = np.empty((2, 2))
         for i in range(2):
             def moved(t, i=i):
-                rv = [r.copy(), v.copy()]
-                rv[wrt][i] = t
+                rv = [np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v)]
+                rv[wrt][..., i] = t
                 return field.force(*rv)
             expected[i] = numdiff.richardson(moved, (r, v)[wrt][i])
         assert jac(r, v).tobytes() == expected.tobytes()

@@ -40,14 +40,14 @@ def test_christoffel_swapped_factor_by_symmetry():
 
 def test_christoffel_symmetric_in_lower_indices():
     rng = np.random.default_rng(0)
-    m = ConformalMetric(f=lambda x, y: 0.3 * math.sin(x) * math.cos(y))
+    m = ConformalMetric(f=lambda x, y: 0.3 * np.sin(x) * np.cos(y))
     for _ in range(20):
         g = christoffel(m, rng.uniform(-2, 2, 2))
         assert np.array_equal(g[:, 0, 1], g[:, 1, 0])
 
 
 def test_christoffel_analytic_vs_fd_gradient():
-    f = lambda x, y: 0.3 * math.sin(x) * math.cos(y)
+    f = lambda x, y: 0.3 * np.sin(x) * np.cos(y)
     analytic = ConformalMetric(
         f=f, grad_f=lambda x, y: (0.3 * math.cos(x) * math.cos(y),
                                   -0.3 * math.sin(x) * math.sin(y)))
@@ -60,7 +60,7 @@ def test_christoffel_analytic_vs_fd_gradient():
 
 def test_metric_gradient_self_consistency():
     m = ConformalMetric(
-        f=lambda x, y: math.exp(0.2 * x) * math.cos(y),
+        f=lambda x, y: np.exp(0.2 * x) * np.cos(y),
         grad_f=lambda x, y: (0.2 * math.exp(0.2 * x) * math.cos(y),
                              -math.exp(0.2 * x) * math.sin(y)))
     rng = np.random.default_rng(2)

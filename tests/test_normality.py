@@ -29,11 +29,11 @@ def cartesian_probe(x, y, v, th):
 def scalar_closures(field):
     def a_of(r, v):
         fr = frame(v)
-        return float(field.force(r, v) @ fr.N)
+        return np.vecdot(field.force(r, v), fr.N)
 
     def b_of(r, v):
         fr = frame(v)
-        return float(field.force(r, v) @ fr.M)
+        return np.vecdot(field.force(r, v), fr.M)
 
     return a_of, b_of
 
@@ -65,13 +65,15 @@ def test_ab_gradients_reconstruction_against_direct_fd():
                 for i in range(2):
                     if wrt == "r":
                         def slc(t, i=i):
-                            rp = r.copy(); rp[i] = t
-                            return scalar(rp, v)
+                            rp, vp = (np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v))
+                            rp[..., i] = t
+                            return scalar(rp, vp)
                         grad[i] = numdiff.richardson(slc, r[i])
                     else:
                         def slc(t, i=i):
-                            vp = v.copy(); vp[i] = t
-                            return scalar(r, vp)
+                            rp, vp = (np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v))
+                            vp[..., i] = t
+                            return scalar(rp, vp)
                         grad[i] = numdiff.richardson(slc, v[i])
                 rebuilt = n_coef * fr.N + m_coef * fr.M
                 assert np.max(np.abs(rebuilt - grad)) < 1e-6
@@ -249,7 +251,7 @@ def test_symmetry_reduced_family_matches_full_residual():
     rng = np.random.default_rng(13)
 
     def profile_fn(v, t):
-        return 1.0 + 0.3 * v + 0.5 * v * math.cos(t) + 0.2 * math.sin(t)
+        return 1.0 + 0.3 * v + 0.5 * v * np.cos(t) + 0.2 * np.sin(t)
 
     prof = VelocityAngleField(
         fn=profile_fn,

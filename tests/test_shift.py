@@ -536,7 +536,9 @@ def reference_nu(curve, field, s0, nu0, nodes):
                            reverse=bool(end < s0))
             start, y = s0, [nu0]
             for stop in (*knots, end):
-                sol = solve_ivp(rhs, (start, stop), y, method="DOP853", rtol=1e-13,
+                # rtol just above DOP853's floor of 100 eps: at 1e-13 the
+                # reference itself missed by up to 5.7e-11
+                sol = solve_ivp(rhs, (start, stop), y, method="DOP853", rtol=2.3e-14,
                                 atol=1e-14, dense_output=True)
                 piece = side & (min(start, stop) <= nodes) & (nodes <= max(start, stop))
                 if np.any(piece):
@@ -553,6 +555,9 @@ def reference_nu(curve, field, s0, nu0, nodes):
 @example(name="marked_point", arc=False, seed=3356, where=0.0, nu0=0.8619228073378151, n_s=2)
 @example(name="mdtype", arc=False, seed=195042407, where=0.0, nu0=1.0, n_s=2)
 @example(name="anisotropic", arc=False, seed=2147483648, where=0.0, nu0=0.8125, n_s=2)
+# the worst of 60 draws against the reference at rtol 1e-13 (7.2e-12; 1.1e-13 now)
+@example(name="metrizable", arc=False, seed=2408948, where=1e-05, nu0=0.8525726326393317,
+         n_s=33)
 def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where, nu0, n_s):
     rng = np.random.default_rng(seed)
     field = catalogue(name, NU_FIELDS[name])
@@ -698,6 +703,6 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
     cfg = IntegratorConfig()
     y0 = np.concatenate(launch, axis=-1)
     ref = solve(two_call_deviation_rhs(field), times[0], y0, times[-1], abs_tol=cfg.abs_tol,
-                rel_tol=cfg.rel_tol, max_steps=cfg.max_steps).sample(times)
+                rel_tol=cfg.rel_tol).sample(times)
     ref[0] = y0
     assert np.array_equal(ys, ref)
