@@ -5,6 +5,10 @@ fronts, the oscillator deviation formula on the tilted line, cycloid
 trajectories of the constant anisotropic field, and the quadrature pipeline
 for the marked-point field.  A mismatch with direct integration beyond the
 stated tolerances is a test failure, not a tolerance to be widened.
+
+Only the marked-point quadrature uses scipy: ``marked_point_quadrature``
+and ``QuadratureTable.theta_at`` import its ``brentq`` root solver when
+called, so importing this module (as the CLI does) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import OutOfInterval, SingularQuadrature
 from .forces import Profile
 from .dynamics import PhaseState
+from .geometry import PiecewiseCubic
 from .tables import write_table
 
 
@@ -169,13 +172,10 @@ class QuadratureTable:
     gamma: np.ndarray
 
     def __post_init__(self):
-        # monotone-ascending theta views for the spline interpolants
+        # one spline of the columns (v, rho, t, gamma) over ascending theta
         order = np.argsort(self.theta)
-        th = self.theta[order]
-        self._v_spl = CubicSpline(th, self.v[order])
-        self._rho_spl = CubicSpline(th, self.rho[order])
-        self._t_spl = CubicSpline(th, self.t[order])
-        self._gamma_spl = CubicSpline(th, self.gamma[order])
+        self._spline = PiecewiseCubic(
+            self.theta[order], np.stack([self.v, self.rho, self.t, self.gamma], axis=-1)[order])
 
     @property
     def duration(self) -> float:
@@ -183,14 +183,19 @@ class QuadratureTable:
 
     def v_at(self, theta):
         """v at each theta, elementwise."""
-        return self._v_spl(theta)[()]
+        return self._spline(theta)[..., 0][()]
 
     def rho_at(self, theta):
         """rho at each theta, elementwise."""
-        return self._rho_spl(theta)[()]
+        return self._spline(theta)[..., 1][()]
+
+    def _t_of(self, theta: float) -> float:
+        return float(self._spline(theta)[2])
 
     def theta_at(self, t: float) -> float:
         """Invert the monotone map t(theta) by bisection on the grid segment."""
+        from scipy.optimize import brentq
+
         ts = self.t
         lo, hi = (ts[0], ts[-1]) if ts[-1] >= ts[0] else (ts[-1], ts[0])
         if not (lo - 1e-12 <= t <= hi + 1e-12):
@@ -199,8 +204,8 @@ class QuadratureTable:
         th_asc = self.theta if ts[-1] >= ts[0] else self.theta[::-1]
         k = int(np.clip(np.searchsorted(t_asc, t) - 1, 0, len(ts) - 2))
         a, b = th_asc[k], th_asc[k + 1]
-        fa = float(self._t_spl(a)) - t
-        fb = float(self._t_spl(b)) - t
+        fa = self._t_of(a) - t
+        fb = self._t_of(b) - t
         if fa == 0.0:
             return float(a)
         if fb == 0.0:
@@ -208,14 +213,12 @@ class QuadratureTable:
         if fa * fb > 0:  # spline overshoot at a segment end; fall back to linear
             w = (t - t_asc[k]) / (t_asc[k + 1] - t_asc[k])
             return float((1 - w) * a + w * b)
-        return float(brentq(lambda th: float(self._t_spl(th)) - t,
+        return float(brentq(lambda th: self._t_of(th) - t,
                             min(a, b), max(a, b), xtol=1e-14))
 
     def state_at(self, t: float) -> PhaseState:
         th = self.theta_at(t)
-        v = float(self._v_spl(th))
-        rho = float(self._rho_spl(th))
-        gamma = float(self._gamma_spl(th))
+        v, rho, _, gamma = self._spline(th).tolist()
         heading = gamma + th
         return PhaseState(rho * np.array([math.cos(gamma), math.sin(gamma)]),
                           v * np.array([math.cos(heading), math.sin(heading)]))
@@ -242,6 +245,8 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
     downstream integrands interpolate v across grid nodes with a cubic
     spline, and every integral is adaptive Simpson.
     """
+    from scipy.optimize import brentq
+
     rho0, gamma0, v0, theta0 = (float(x) for x in init)
     if rho0 <= 0 or v0 <= 0:
         raise ValueError("rho0 and v0 must be positive")
@@ -308,7 +313,7 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
                 f"A(v) - v^2 vanishes or changes sign near theta={theta_grid[i]:.6g}")
 
     order = np.argsort(theta_grid)
-    v_spline = CubicSpline(theta_grid[order], v_tab[order])
+    v_spline = PiecewiseCubic(theta_grid[order], v_tab[order])
 
     def v_of(th: float) -> float:
         return float(v_spline(th))
@@ -331,7 +336,7 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
         gamma_tab[i] = gamma_tab[i - 1] + adaptive_simpson(
             gamma_integrand, theta_grid[i - 1], theta_grid[i], tol)
     rho_tab = np.exp(log_rho)
-    rho_spline = CubicSpline(theta_grid[order], rho_tab[order])
+    rho_spline = PiecewiseCubic(theta_grid[order], rho_tab[order])
 
     def time_integrand(th: float) -> float:
         u = v_of(th)

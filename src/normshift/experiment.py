@@ -20,6 +20,7 @@ import numbers
 
 import numpy as np
 
+from .closedform import CycloidParams
 from .dynamics import IntegratorConfig, PhaseState
 from .errors import InvalidParams, SingularCurve
 from .forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, anisotropic_field,
@@ -29,9 +30,6 @@ from .forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, anisotropi
 from .geometry import ConformalMetric
 from .shift import (Curve, circle_arc, constant_nu, line_segment, segment_on_axis,
                     solve_nu, spline_through, tilted_line)
-# after shift: scipy.optimize (closedform's) loaded before scipy.interpolate
-# (shift's) raises the CLI's peak RSS by about 0.7 MB
-from .closedform import CycloidParams
 
 
 class ConfigError(ValueError):

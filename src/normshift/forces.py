@@ -236,25 +236,32 @@ def from_scalar_ansatz(a: ScalarFieldA, *, claims_normality: bool = False) -> Fo
                       label=a.label or "scalar-ansatz")
 
 
-def complex_force(a: ScalarFieldA, z: complex, w: complex) -> complex:
+def complex_force(a: ScalarFieldA, z, w):
     """Complex form of the scalar ansatz: F = (w/|w|)(A + w A_w - wbar A_wbar).
 
-    Position and velocity are packed as z = x + iy, w = v1 + iv2.  The
-    Wirtinger derivatives are taken numerically on the Cartesian-velocity
-    representation of A, so this path is independent of the polar partial
-    closures that ``from_scalar_ansatz`` uses.
+    Position and velocity are packed as z = x + iy, w = v1 + iv2, numbers or
+    arrays of one shape, elementwise.  The Wirtinger derivatives are taken
+    numerically on the Cartesian-velocity representation of A, both velocity
+    partials from one stencil, so this path is independent of the polar
+    partial closures that ``from_scalar_ansatz`` uses.
     """
-    speed = abs(w)
-    if speed < 1e-300:
+    z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
+    speed = np.abs(w)
+    if np.count_nonzero(speed < 1e-300):
         raise DegenerateVelocity("complex ansatz undefined at w = 0")
     x, y = z.real, z.imag
-    v1, v2 = w.real, w.imag
-    a_val = a.cartesian(x, y, v1, v2)
-    a_v1 = numdiff.richardson(lambda t: a.cartesian(x, y, t, v2), v1)
-    a_v2 = numdiff.richardson(lambda t: a.cartesian(x, y, v1, t), v2)
-    a_w = 0.5 * (a_v1 - 1j * a_v2)
-    a_wbar = 0.5 * (a_v1 + 1j * a_v2)
-    return (w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar)
+    vel = np.stack([w.real, w.imag], axis=-1)
+
+    def a_at(t: np.ndarray) -> np.ndarray:
+        # t: (4, ..., 2) stencil values; point [k, ..., i] moves component i
+        moved = np.where(_EYE, t[..., :, None], vel[..., None, :])
+        return a.cartesian(x[..., None], y[..., None], moved[..., 0], moved[..., 1])
+
+    a_v = numdiff.richardson(a_at, vel)
+    a_w = 0.5 * (a_v[..., 0] - 1j * a_v[..., 1])
+    a_wbar = 0.5 * (a_v[..., 0] + 1j * a_v[..., 1])
+    a_val = a.cartesian(x, y, vel[..., 0], vel[..., 1])
+    return ((w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Conformally Euclidean metrics g_ij = exp(-2 f(x, y)) delta_ij, their
 Christoffel symbols, the orthonormal frame (N, M) attached to a velocity
 vector, the orthogonal projector onto the normal line, and polar velocity
-coordinates referenced to the fixed direction m = (1, 0).
+coordinates referenced to the fixed direction m = (1, 0).  Also the cubic
+spline that interpolates spline curves and quadrature tables.
 
 Points and vectors are arrays whose last axis holds the two components; any
 leading axes stack independent points, and every function works row by row
@@ -175,3 +176,84 @@ def polar_frame(v) -> tuple[PolarVelocity, Frame]:
         theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)[()]
     return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
 
+
+class PiecewiseCubic:
+    """Cubic spline through (x[i], y[i]) with not-a-knot ends, the fit of
+    scipy's ``CubicSpline``: the parabola through three points, and from
+    four points up the cubic whose third derivative does not jump at x[1]
+    and x[-2].
+
+    x is strictly increasing; y has shape (len(x), ...), and each trailing
+    column is fitted on its own, with the same arithmetic as a fit of that
+    column alone.  Outside [x[0], x[-1]] the end pieces extrapolate.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        n = len(x)
+        if n < 3 or y.shape[0] != n:
+            raise ValueError(f"need at least three knots and one value per knot, "
+                             f"got x of shape {x.shape} and y of shape {y.shape}")
+        self._tail = (1,) * (y.ndim - 1)
+        dx = np.diff(x).reshape((n - 1,) + self._tail)
+        slope = np.diff(y, axis=0) / dx
+        # each piece in powers of (s - x[i]): c0 h^3 + c1 h^2 + c2 h + y[i]
+        zero = np.zeros_like(slope)
+        if n == 3:
+            # the not-a-knot conditions coincide: the parabola through the points
+            curvature = (slope[1] - slope[0]) / (dx[0] + dx[1])
+            c0, c1, c2 = zero, np.stack([curvature, curvature]), slope - curvature * dx
+        else:
+            d = _not_a_knot_slopes(dx, slope)
+            t = (d[:-1] + d[1:] - 2.0 * slope) / dx
+            c0, c1, c2 = t / dx, (slope - d[:-1]) / dx - t, d[:-1]
+        c3 = y[:-1]
+        knot = np.broadcast_to(x[:-1].reshape(dx.shape), slope.shape)
+        # [k, j]: the k-th Horner coefficient of the j-th derivative, the
+        # derivatives padded to degree three; [4, j] is the piece's left knot
+        self._table = np.array([[c0, zero, zero], [c1, 3.0 * c0, zero],
+                                [c2, 2.0 * c1, 6.0 * c0], [c3, c2, 2.0 * c1],
+                                [knot, knot, knot]])
+        self._inner = x[1:-1]
+
+    def __call__(self, s):
+        """The spline at every s, shape ``np.shape(s) + y.shape[1:]``."""
+        return self.jet(s)[0]
+
+    def jet(self, s):
+        """The spline and its first two derivatives at every s, from one
+        lookup of the pieces and one Horner evaluation of all three."""
+        s = np.asarray(s, float)
+        c = self._table.take(np.searchsorted(self._inner, s, side="right"), axis=2)
+        h = s.reshape(s.shape + self._tail) - c[4]
+        out = ((c[0] * h + c[1]) * h + c[2]) * h + c[3]
+        return out[0], out[1], out[2]
+
+
+def _not_a_knot_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """The slopes at the knots of the not-a-knot spline, from its tridiagonal
+    system (that of scipy's ``CubicSpline``), solved by elimination without
+    pivoting, whose pivots all stay positive (that of inner row k >= 2
+    exceeds 2 dx[k-1] + dx[k])."""
+    n = len(dx) + 1
+    lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
+    rhs = np.empty((n,) + slope.shape[1:])
+    h = dx.reshape(-1)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    lower[1:-1], upper[1:-1] = h[1:], h[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    span, span_end = h[0] + h[1], h[-1] + h[-2]
+    diag[0], upper[0] = h[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    lower[-1], diag[-1] = span_end, h[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * span_end + dx[-1]) * dx[-2] * slope[-1]) / span_end
+    for k in range(1, n):
+        m = lower[k] / diag[k - 1]
+        diag[k] -= m * upper[k - 1]
+        rhs[k] -= m * rhs[k - 1]
+    out = np.empty_like(rhs)
+    out[-1] = rhs[-1] / diag[-1]
+    for k in range(n - 2, -1, -1):
+        out[k] = (rhs[k] - upper[k] * out[k + 1]) / diag[k]
+    return out

@@ -252,10 +252,10 @@ def reduction_b_residual(b: VelocityAngleField, v, theta):
     return bv * b.d_theta(v, theta) - v * b.d_v(v, theta) + bv**3 + bv
 
 
-def first_integrals(v: float, theta: float, b: float, u: float = 1.0) -> tuple[float, float]:
-    """Invariants of the characteristic flow: I1 = theta + arctan b,
+def first_integrals(v, theta, b, u: float = 1.0):
+    """Invariants of the characteristic flow, elementwise: I1 = theta + arctan b,
     I2 = u b / (v sqrt(1 + b^2))."""
-    return theta + math.atan(b), u * b / (v * math.sqrt(1.0 + b * b))
+    return theta + np.arctan(b), u * b / (v * np.sqrt(1.0 + b * b))
 
 
 def characteristic_flow(v0: float, theta0: float, b0: float, t_span,

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from . import numdiff, odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField
-from .geometry import checked_speed
+from .geometry import PiecewiseCubic, checked_speed
 from .dynamics import IntegratorConfig, integrate_deviation
 from .tables import formatted, write_table
 # Never called here; perfbench/tracing.py patches these bindings by name.
@@ -69,7 +68,9 @@ class Curve:
     the tangent rotated by +90 degrees, "right" by -90 degrees.  ``breaks``
     are the s where a derivative of r may jump (a spline's knots); solve_nu
     ends a step there, since the interpolant of a step across one converges
-    only slowly in its degree.
+    only slowly in its degree.  ``jet``, if given, returns r, r' and r'' at
+    s from one evaluation (a spline's one lookup of its pieces), which
+    ``point_velocity`` uses.
     """
 
     r: Callable
@@ -78,6 +79,7 @@ class Curve:
     s_range: tuple[float, float]
     normal: str = "left"
     breaks: tuple[float, ...] = ()
+    jet: Callable | None = None
 
     def __post_init__(self):
         if self.normal not in ("left", "right"):
@@ -91,6 +93,13 @@ class Curve:
 
     def acceleration(self, s) -> np.ndarray:
         return _rows(self.ddr, s)
+
+    def point_velocity(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """r(s) and r'(s), from one call of ``jet`` when the curve has one."""
+        if self.jet is None:
+            return self.point(s), self.velocity(s)
+        r, dr, _ = self.jet(s)
+        return r, dr
 
 
 def _rows(fn, s) -> np.ndarray:
@@ -152,18 +161,18 @@ def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
 def spline_through(points, *, normal: str = "left") -> Curve:
     """Cubic spline (not-a-knot ends) through the given points, s in [0, 1].
 
-    One piecewise cubic over both coordinates and its two derivatives, so
-    each of r, r' and r'' is one evaluation.  Its coefficients are those of
-    each coordinate's own spline: for three points scipy fits a parabola
-    with a dense solve, which rounds differently for two columns at once.
+    Three points give the parabola through them.  Both coordinates are one
+    ``geometry.PiecewiseCubic``, fitted column by column, whose ``jet``
+    gives r, r' and r'' from one lookup of the pieces.
     """
     pts = np.asarray(points, float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise SingularCurve("need at least three planar points")
     knots = np.linspace(0.0, 1.0, len(pts))
-    spline = PPoly(np.stack([CubicSpline(knots, p).c for p in pts.T], axis=-1), knots)
-    return Curve(r=spline, dr=spline.derivative(), ddr=spline.derivative(2),
-                 s_range=(0.0, 1.0), normal=normal, breaks=tuple(knots[1:-1].tolist()))
+    spline = PiecewiseCubic(knots, pts)
+    return Curve(r=spline, dr=lambda s: spline.jet(s)[1], ddr=lambda s: spline.jet(s)[2],
+                 s_range=(0.0, 1.0), normal=normal, breaks=tuple(knots[1:-1].tolist()),
+                 jet=spline.jet)
 
 
 def frenet(curve: Curve, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,10 +266,10 @@ def _nu_rate(curve: Curve, field: ForceField):
     is a rest point, where B is undefined, and raises DegenerateVelocity."""
 
     def rate(s, nu):
-        d = curve.velocity(s)
+        r, d = curve.point_velocity(s)
         _, n, _ = _unit_frame(curve, s, d)
         checked_speed(np.abs(nu))
-        return -np.vecdot(field.force(curve.point(s), nu[..., None] * n), d) / nu
+        return -np.vecdot(field.force(r, nu[..., None] * n), d) / nu
 
     return rate
 

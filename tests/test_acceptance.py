@@ -237,10 +237,9 @@ def test_criterion_9_symmetry_reduction_checks():
             checked += 1
 
         _, states = characteristic_flow(1.0, 0.5, 0.7, (0, 1))
-        i1 = [first_integrals(v, th, bb, u)[0] for v, th, bb in states]
-        i2 = [first_integrals(v, th, bb, u)[1] for v, th, bb in states]
-        assert max(i1) - min(i1) < 1e-8
-        assert max(i2) - min(i2) < 1e-8
+        i1, i2 = first_integrals(*states.T, u)
+        assert np.ptp(i1) < 1e-8
+        assert np.ptp(i2) < 1e-8
 
 
 def test_criterion_10_structural_invariants():

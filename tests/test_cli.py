@@ -579,3 +579,53 @@ def test_shift_into_a_singularity_exits_3_naming_the_s_range(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.startswith(f"numeric failure: {error}")
     assert err.rstrip().endswith("(at s in [0, 0.6])")
+
+
+SCIPY_FREE_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from normshift.cli import main
+out, results = sys.argv[1], []
+for cmd, name in (("simulate", "sim"), ("shift", "shift"), ("check", "check")):
+    extra = ["--check-oracle"] if cmd == "simulate" else []
+    code = main([cmd, "--config", f"{out}/{name}.json", "--out", f"{out}/{name}", *extra])
+    results.append([cmd, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                      and sys.modules[m] is not None)])
+print(json.dumps(results))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    write_config(tmp_path, "sim.json", {
+        "field": {"catalogue": "anisotropic",
+                  "params": {"profile": {"kind": "constant", "value": 1.0}}},
+        "init": {"r": [0.0, 0.0], "v": [0.5, 0.5 * math.sqrt(3.0)]},
+        "t_span": [0.0, 1.0], "n_t": 11,
+        "oracle": {"kind": "cycloid", "x0": 0.0, "y0": 0.0, "theta0": math.pi / 3,
+                   "v0": 1.0, "a0": 1.0, "tol": 1e-6}})
+    write_config(tmp_path, "shift.json", {
+        "field": {"catalogue": "mdtype",
+                  "params": {"f": {"kind": "sin_cos", "amplitude": 0.2},
+                             "h": {"kind": "poly", "coeffs": [0.1, 0.2]}}},
+        "curve": {"kind": "spline",
+                  "points": [[-1.0, -0.4], [-0.4, 0.3], [0.2, -0.1], [0.8, 0.5]]},
+        "nu": {"kind": "solve", "s0": 0.5, "nu0": 1.0},
+        "t_span": [0.0, 0.5], "n_s": 6, "n_t": 5})
+    write_config(tmp_path, "check.json", {
+        "field": {"catalogue": "mdtype",
+                  "params": {"f": {"kind": "sin_cos", "amplitude": 0.2},
+                             "h": {"kind": "poly", "coeffs": [0.1, 0.2]}}},
+        "probes": {"count": 20, "seed": 5}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        ["simulate", 0, []], ["shift", 0, []], ["check", 0, []]]

@@ -132,6 +132,19 @@ def test_complex_force_rejects_small_w():
         complex_force(a, 0j, 0j)
 
 
+def test_complex_force_takes_arrays_of_points():
+    rng = np.random.default_rng(6)
+    a = cos_profile_ansatz(Profile.polynomial([0.3, 0.5]))
+    z = rng.uniform(-2, 2, (2, 3)) @ np.array([1.0, 1j, 0.5])
+    w = rng.uniform(0.4, 2.0, 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+    got = complex_force(a, z, w)
+    assert got.shape == (2,)
+    for k in range(2):
+        assert abs(got[k] - complex_force(a, complex(z[k]), complex(w[k]))) < 1e-12
+    with pytest.raises(DegenerateVelocity):
+        complex_force(a, z, np.array([w[0], 0j]))
+
+
 def test_conformal_transport_flat_is_identity():
     rng = np.random.default_rng(5)
     a = random_ansatz(rng)

@@ -237,10 +237,14 @@ def test_b_closed_form_singular_denominator():
 
 def test_first_integrals_constant_along_characteristics():
     ts, states = characteristic_flow(1.0, 0.5, 0.7, (0, 1))
-    i1 = [first_integrals(v, th, b, u=1.0)[0] for v, th, b in states]
-    i2 = [first_integrals(v, th, b, u=1.0)[1] for v, th, b in states]
-    assert max(i1) - min(i1) < 1e-8
-    assert max(i2) - min(i2) < 1e-8
+    i1, i2 = first_integrals(*states.T, u=1.0)
+    assert np.ptp(i1) < 1e-8
+    assert np.ptp(i2) < 1e-8
+    # the stacked call is the states' own calls
+    for k, (v, th, b) in enumerate(states.tolist()):
+        one = first_integrals(v, th, b, u=1.0)
+        assert i1[k] == pytest.approx(one[0], rel=1e-15)
+        assert i2[k] == pytest.approx(one[1], rel=1e-15)
     # the characteristic vector field annihilates the residual relation
     for v, th, b in states:
         assert abs(reduction_b_residual(

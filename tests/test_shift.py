@@ -14,7 +14,7 @@ from normshift.forces import (ForceField, Profile, flat_from_covariant,
                               gravity_field, mdtype_field,
                               oscillator_field, speed_profile_ansatz,
                               from_scalar_ansatz)
-from normshift.geometry import frame
+from normshift.geometry import PiecewiseCubic, frame
 from normshift.closedform import gravity_shift
 from normshift.shift import (Curve, circle_arc, constant_nu, frenet, line_segment,
                              normal_shift, normality_report,
@@ -481,21 +481,48 @@ def test_curves_take_arrays_of_s(name):
         assert got.tobytes() == np.array(rows).tobytes()
 
 
-def test_one_spline_matches_two_coordinate_splines_to_one_ulp():
+def test_stacked_spline_fit_equals_the_per_column_fits():
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 8):
+        pts = random_spline_points(rng, n=n)
+        knots = np.linspace(0.0, 1.0, n)
+        # inside, beyond both ends, and at the knots
+        s = np.concatenate([np.linspace(-0.25, 1.25, 151), knots])
+        stacked = spline_through(pts).jet(s)
+        columns = [PiecewiseCubic(knots, p).jet(s) for p in pts.T]
+        for order, got in enumerate(stacked):
+            assert np.array_equal(got, np.column_stack([c[order] for c in columns]))
+
+
+def test_spline_matches_scipys_cubic_spline():
     from scipy.interpolate import CubicSpline
     rng = np.random.default_rng(11)
-    s = np.linspace(0.0, 1.0, 101)
-    for n in (3, 4, 5, 8):
+    s = np.linspace(-0.1, 1.1, 121)
+    for _ in range(300):
+        n = int(rng.integers(3, 11))
         pts = random_spline_points(rng, n=n)
         curve = spline_through(pts)
         knots = np.linspace(0.0, 1.0, n)
-        sx, sy = CubicSpline(knots, pts[:, 0]), CubicSpline(knots, pts[:, 1])
-        for order, method in enumerate(("point", "velocity", "acceleration")):
-            # the two-spline form evaluated derivative splines, as the curve does
-            two = np.column_stack([sx.derivative(order)(s) if order else sx(s),
-                                   sy.derivative(order)(s) if order else sy(s)])
-            # measured: equal bits for every n
-            assert np.all(np.abs(getattr(curve, method)(s) - two) <= np.spacing(np.abs(two)))
+        got = (curve.point(s), curve.velocity(s), curve.acceleration(s))
+        for order, (value, jet) in enumerate(zip(got, curve.jet(s))):
+            ref = np.column_stack([CubicSpline(knots, p)(s, order) for p in pts.T])
+            # measured on these draws: within 1.8e-15 of max |ref|
+            assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(value, jet)
+
+
+def test_three_point_spline_is_the_parabola():
+    rng = np.random.default_rng(5)
+    s = np.linspace(-0.5, 1.5, 81)[:, None]
+    knots = np.array([[0.0], [0.5], [1.0]])
+    for _ in range(50):
+        a, b, c = rng.uniform(-1.0, 1.0, (3, 2))
+        r, dr, ddr = spline_through(a + b * knots + c * knots**2).jet(s[:, 0])
+        assert np.max(np.abs(r - (a + b * s + c * s * s))) < 1e-14
+        assert np.max(np.abs(dr - (b + 2.0 * c * s))) < 1e-14
+        assert np.max(np.abs(ddr - 2.0 * c)) < 1e-14
+        # r''' = 0: one r'' on both pieces and beyond them
+        assert np.all(ddr == ddr[0])
 
 
 # fields that claim normality, with parameters that keep nu healthy on the
