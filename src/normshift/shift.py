@@ -57,57 +57,43 @@ _NU_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Curve:
-    """Regular parametric curve with first and second derivative evaluators.
+    """Regular parametric curve, given by its jet.
 
-    ``r``, ``dr`` and ``ddr`` map s to a point or vector; ``point``,
-    ``velocity`` and ``acceleration`` evaluate them at a number or an array
-    of s and return shape ``np.shape(s) + (2,)``, so an evaluator that
-    returns one constant vector still gives one row per s.
+    ``jet(s)`` returns r, r' and r'' at a number or an array of s, each a
+    writable array of shape ``np.shape(s) + (2,)``; a constant r' or r''
+    still gives one row per s.  A curve of your own is one such callable.
+    ``s_range`` is the parameter interval, with ``s_range[0] < s_range[1]``.
 
     ``normal`` selects which unit normal the shift launches along: "left" is
     the tangent rotated by +90 degrees, "right" by -90 degrees.  ``breaks``
     are the s where a derivative of r may jump (a spline's knots); solve_nu
     ends a step there, since the interpolant of a step across one converges
-    only slowly in its degree.  ``jet``, if given, returns r, r' and r'' at
-    s from one evaluation (a spline's one lookup of its pieces), which
-    ``point_velocity`` uses.
+    only slowly in its degree.
     """
 
-    r: Callable
-    dr: Callable
-    ddr: Callable
+    jet: Callable
     s_range: tuple[float, float]
     normal: str = "left"
     breaks: tuple[float, ...] = ()
-    jet: Callable | None = None
 
     def __post_init__(self):
         if self.normal not in ("left", "right"):
             raise ValueError("normal must be 'left' or 'right'")
-
-    def point(self, s) -> np.ndarray:
-        return _rows(self.r, s)
-
-    def velocity(self, s) -> np.ndarray:
-        return _rows(self.dr, s)
-
-    def acceleration(self, s) -> np.ndarray:
-        return _rows(self.ddr, s)
-
-    def point_velocity(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """r(s) and r'(s), from one call of ``jet`` when the curve has one."""
-        if self.jet is None:
-            return self.point(s), self.velocity(s)
-        r, dr, _ = self.jet(s)
-        return r, dr
+        lo, hi = self.s_range
+        if not lo < hi:
+            raise SingularCurve(f"the curve's s_range [{lo}, {hi}] is empty or reversed")
 
 
-def _rows(fn, s) -> np.ndarray:
-    s = np.asarray(s, float)
-    out = np.asarray(fn(s), float)
-    if out.shape != s.shape + (2,):
-        out = np.array(np.broadcast_to(out, s.shape + (2,)))
-    return out
+def _line(p0, direction, s_range, normal: str) -> Curve:
+    """The line r(s) = p0 + s direction over s_range."""
+
+    def jet(s):
+        s = np.asarray(s, float)
+        shape = s.shape + (2,)
+        return (p0 + s[..., None] * direction, np.broadcast_to(direction, shape).copy(),
+                np.zeros(shape))
+
+    return Curve(jet=jet, s_range=(float(s_range[0]), float(s_range[1])), normal=normal)
 
 
 def line_segment(p0, p1, *, normal: str = "left") -> Curve:
@@ -117,27 +103,19 @@ def line_segment(p0, p1, *, normal: str = "left") -> Curve:
     length = float(np.hypot(*(p1 - p0)))
     if length < _REGULARITY_EPS:
         raise SingularCurve("degenerate segment")
-    direction = (p1 - p0) / length
-    return Curve(r=lambda s: p0 + s[..., None] * direction,
-                 dr=lambda s: direction, ddr=lambda s: np.zeros(2),
-                 s_range=(0.0, length), normal=normal)
+    return _line(p0, (p1 - p0) / length, (0.0, length), normal)
 
 
 def segment_on_axis(s_min: float = -1.0, s_max: float = 1.0, *,
                     normal: str = "right") -> Curve:
     """The horizontal segment r(s) = (s, 0); the right normal points down."""
-    return Curve(r=lambda s: np.stack([s, np.zeros_like(s)], axis=-1),
-                 dr=lambda s: np.array([1.0, 0.0]), ddr=lambda s: np.zeros(2),
-                 s_range=(float(s_min), float(s_max)), normal=normal)
+    return _line(np.zeros(2), np.array([1.0, 0.0]), (s_min, s_max), normal)
 
 
 def tilted_line(s_min: float = -1.0, s_max: float = 1.0, *,
                 normal: str = "left") -> Curve:
     """The 45-degree line r(s) = s/sqrt(2) (1, 1), arclength parameterized."""
-    d = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return Curve(r=lambda s: s[..., None] * d, dr=lambda s: d,
-                 ddr=lambda s: np.zeros(2),
-                 s_range=(float(s_min), float(s_max)), normal=normal)
+    return _line(np.zeros(2), np.array([1.0, 1.0]) / math.sqrt(2.0), (s_min, s_max), normal)
 
 
 def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
@@ -148,31 +126,27 @@ def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
     if radius <= 0:
         raise SingularCurve("circle radius must be positive")
 
-    def unit(s):
-        a = s / radius
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+    def jet(s):
+        a = np.asarray(s, float) / radius
+        unit = np.stack([np.cos(a), np.sin(a)], axis=-1)
+        return c + radius * unit, unit[..., ::-1] * _ROTATE, -unit / radius
 
-    return Curve(r=lambda s: c + radius * unit(s),
-                 dr=lambda s: unit(s)[..., ::-1] * _ROTATE,
-                 ddr=lambda s: -unit(s) / radius,
-                 s_range=(float(s_range[0]), float(s_range[1])), normal=normal)
+    return Curve(jet=jet, s_range=(float(s_range[0]), float(s_range[1])), normal=normal)
 
 
 def spline_through(points, *, normal: str = "left") -> Curve:
     """Cubic spline (not-a-knot ends) through the given points, s in [0, 1].
 
     Three points give the parabola through them.  Both coordinates are one
-    ``geometry.PiecewiseCubic``, fitted column by column, whose ``jet``
-    gives r, r' and r'' from one lookup of the pieces.
+    ``geometry.PiecewiseCubic``, fitted column by column; its ``jet`` is the
+    curve's, r, r' and r'' from one lookup of the pieces.
     """
     pts = np.asarray(points, float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise SingularCurve("need at least three planar points")
     knots = np.linspace(0.0, 1.0, len(pts))
-    spline = PiecewiseCubic(knots, pts)
-    return Curve(r=spline, dr=lambda s: spline.jet(s)[1], ddr=lambda s: spline.jet(s)[2],
-                 s_range=(0.0, 1.0), normal=normal, breaks=tuple(knots[1:-1].tolist()),
-                 jet=spline.jet)
+    return Curve(jet=PiecewiseCubic(knots, pts).jet, s_range=(0.0, 1.0), normal=normal,
+                 breaks=tuple(knots[1:-1].tolist()))
 
 
 def frenet(curve: Curve, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,9 +157,15 @@ def frenet(curve: Curve, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = <dT/ds, n>/|r'|, so the Frenet relations read T' = |r'| k n and
     n' = -|r'| k T.
     """
-    tangent, n, speed = _unit_frame(curve, s, curve.velocity(s))
-    k = np.vecdot(curve.acceleration(s), n) / speed**2
+    _, d, dd = curve.jet(s)
+    tangent, n, _, k = _frenet(curve, s, d, dd)
     return tangent, n, k
+
+
+def _frenet(curve: Curve, s, d: np.ndarray, dd: np.ndarray):
+    """``frenet`` from r'(s) = d and r''(s) = dd, with |r'| before the curvature."""
+    tangent, n, speed = _unit_frame(curve, s, d)
+    return tangent, n, speed, np.vecdot(dd, n) / speed**2
 
 
 def _unit_frame(curve: Curve, s, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,7 +246,7 @@ def _nu_rate(curve: Curve, field: ForceField):
     is a rest point, where B is undefined, and raises DegenerateVelocity."""
 
     def rate(s, nu):
-        r, d = curve.point_velocity(s)
+        r, d, _ = curve.jet(s)
         _, n, _ = _unit_frame(curve, s, d)
         checked_speed(np.abs(nu))
         return -np.vecdot(field.force(r, nu[..., None] * n), d) / nu
@@ -451,11 +431,10 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
         dnu = np.array([(nu(y) - nu(x)) / (y - x) for x, y in zip(a.tolist(), b.tolist())])
 
     # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
-    tangent, n, k = frenet(curve, s_nodes)
-    d = curve.velocity(s_nodes)
-    n_prime = (-k * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent
-    launch = (curve.point(s_nodes), nu_vals[:, None] * n, d,
-              dnu[:, None] * n + nu_vals[:, None] * n_prime)
+    r, d, dd = curve.jet(s_nodes)
+    tangent, n, speed, k = _frenet(curve, s_nodes, d, dd)
+    n_prime = (-k * speed)[:, None] * tangent
+    launch = (r, nu_vals[:, None] * n, d, dnu[:, None] * n + nu_vals[:, None] * n_prime)
     try:
         samples, phi, psi = integrate_deviation(field, *launch, t_nodes, cfg)
     except Exception as exc:

@@ -88,9 +88,9 @@ def test_criterion_3_oscillator_impossibility():
         _, n, _ = frenet(tl, s0)
         t_eval = np.linspace(0, 1, 41)
         tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-        base = integrate(f, PhaseState(tl.point(s0), nu_c * n), (0, 1),
+        base = integrate(f, PhaseState(tl.jet(s0)[0], nu_c * n), (0, 1),
                          t_eval=t_eval, cfg=tight)
-        _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.velocity(s0),
+        _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.jet(s0)[1],
                                         np.zeros(2), base.times, tight)
         prof = Profile.constant(nu_c)
         for i, t in enumerate(t_eval):

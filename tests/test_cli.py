@@ -439,6 +439,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", [
+    pytest.param({"kind": "tilted_line", "s_min": 0.5, "s_max": 0.5}, id="tilted_line-empty"),
+    # its default nu s0, the middle of the range, lies in the reversed range's hull
+    pytest.param({"kind": "circle", "radius": 1, "s_range": [2, 1]}, id="circle-reversed"),
+])
+def test_empty_or_reversed_s_range_exits_2(tmp_path, capsys, curve):
+    cfg = write_config(tmp_path, "range.json", {**_BASE["shift"], "curve": curve,
+                                                "nu": {"kind": "solve"}})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "s_range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("r, code", [
     pytest.param([0.5, 0.0], 0, id="pair"),
     pytest.param([[0.5, 0.0]], 0, id="row"),

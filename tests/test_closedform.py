@@ -48,9 +48,9 @@ def test_oscillator_phi_matches_variational_deviation():
     f = oscillator_field(om)
     t_eval = np.linspace(0, 1, 21)
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    base = integrate(f, PhaseState(tl.point(s0), nu_c * n), (0, 1),
+    base = integrate(f, PhaseState(tl.jet(s0)[0], nu_c * n), (0, 1),
                      t_eval=t_eval, cfg=cfg)
-    _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.velocity(s0),
+    _, phi, _ = integrate_deviation(f, base.initial.r, base.initial.v, tl.jet(s0)[1],
                                     np.zeros(2), base.times, cfg)
     prof = Profile.constant(nu_c)
     for i, t in enumerate(t_eval):

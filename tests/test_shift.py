@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -53,8 +54,7 @@ def test_frenet_tilted_line():
 
 
 def test_frenet_singular_curve():
-    bad = Curve(r=lambda s: np.zeros(2), dr=lambda s: np.zeros(2),
-                ddr=lambda s: np.zeros(2), s_range=(0, 1))
+    bad = Curve(jet=lambda s: [np.zeros(np.shape(s) + (2,))] * 3, s_range=(0, 1))
     with pytest.raises(SingularCurve):
         frenet(bad, 0.5)
 
@@ -140,9 +140,9 @@ def test_grid_first_row_is_the_launch_data_bit_for_bit():
     assert np.all(np.signbit(grid.v[0, :, 0]))
     for j, s in enumerate(grid.s_nodes):
         _, n, _ = frenet(seg, s)
-        assert grid.r[0, j].tobytes() == seg.point(s).tobytes()
+        assert grid.r[0, j].tobytes() == seg.jet(s)[0].tobytes()
         assert grid.v[0, j].tobytes() == (1.0 * n).tobytes()
-        assert grid.tau[0, j].tobytes() == seg.velocity(s).tobytes()
+        assert grid.tau[0, j].tobytes() == seg.jet(s)[1].tobytes()
 
 
 def test_gravity_shift_linear_nu_not_normal():
@@ -173,7 +173,7 @@ def test_grid_initial_slice_invariants():
     grid = normal_shift(seg, gravity_field(), nu, (0, 1), n_s=7, n_t=5)
     for j, s in enumerate(grid.s_nodes):
         _, n, _ = frenet(seg, s)
-        assert np.allclose(grid.r[0, j], seg.point(s), atol=1e-14)
+        assert np.allclose(grid.r[0, j], seg.jet(s)[0], atol=1e-14)
         assert np.allclose(grid.v[0, j], grid.nu[j] * n, atol=1e-12)
         # phi(0, s) vanishes by construction
         assert grid.phi[0, j] == pytest.approx(0.0, abs=1e-14)
@@ -288,7 +288,7 @@ def differenced_phi(field, curve, nu, s, t_nodes, cfg, delta=1e-5):
     trajs = []
     for ss in (s + delta, s - delta):
         _, n, _ = frenet(curve, ss)
-        init = PhaseState(curve.point(ss), nu(ss) * n)
+        init = PhaseState(curve.jet(ss)[0], nu(ss) * n)
         trajs.append(integrate(field, init, (t_nodes[0], t_nodes[-1]), cfg, t_eval=t_nodes))
     tau = (trajs[0].positions() - trajs[1].positions()) / (2 * delta)
     mid_v = (trajs[0].velocities() + trajs[1].velocities()) / 2
@@ -367,8 +367,8 @@ def launch_column(curve, nu, s):
     """Launch data (r, v, tau, tau') of the trajectory from s, as normal_shift builds it."""
     tangent, n, k = frenet(curve, s)
     (nu_s,), (dnu,) = nu.sample([s])
-    d = curve.velocity(s)
-    return curve.point(s), nu_s * n, d, dnu * n + nu_s * (-k * math.hypot(*d) * tangent)
+    r, d, _ = curve.jet(s)
+    return r, nu_s * n, d, dnu * n + nu_s * (-k * math.hypot(*d) * tangent)
 
 
 def test_block_matches_separate_single_column_runs():
@@ -471,11 +471,11 @@ CURVES = {
 def test_curves_take_arrays_of_s(name):
     curve = CURVES[name]()
     s = np.linspace(*curve.s_range, 13)
-    for method in ("point", "velocity", "acceleration"):
-        evaluate = getattr(curve, method)
-        assert evaluate(s).shape == (13, 2)
-        assert evaluate(s).tobytes() == np.array([evaluate(x) for x in s.tolist()]).tobytes()
-        assert evaluate(s.reshape(13, 1)).shape == (13, 1, 2)
+    points = [curve.jet(x) for x in s.tolist()]
+    for order, got in enumerate(curve.jet(s)):
+        assert got.shape == (13, 2) and got.flags.writeable
+        assert got.tobytes() == np.array([jet[order] for jet in points]).tobytes()
+        assert curve.jet(s.reshape(13, 1))[order].shape == (13, 1, 2)
     stacked = frenet(curve, s)
     for got, rows in zip(stacked, zip(*(frenet(curve, x) for x in s.tolist()))):
         assert got.tobytes() == np.array(rows).tobytes()
@@ -503,12 +503,10 @@ def test_spline_matches_scipys_cubic_spline():
         pts = random_spline_points(rng, n=n)
         curve = spline_through(pts)
         knots = np.linspace(0.0, 1.0, n)
-        got = (curve.point(s), curve.velocity(s), curve.acceleration(s))
-        for order, (value, jet) in enumerate(zip(got, curve.jet(s))):
+        for order, value in enumerate(curve.jet(s)):
             ref = np.column_stack([CubicSpline(knots, p)(s, order) for p in pts.T])
             # measured on these draws: within 1.8e-15 of max |ref|
             assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert np.array_equal(value, jet)
 
 
 def test_three_point_spline_is_the_parabola():
@@ -551,8 +549,9 @@ def reference_nu(curve, field, s0, nu0, nodes):
     def rhs(s, y):
         tangent, n, _ = frenet(curve, s)
         v = y[0] * n
-        b = ab_decompose(field, curve.point(s), v).B
-        return [-float(curve.velocity(s) @ frame(v).M) * b / y[0]]
+        r, d, _ = curve.jet(s)
+        b = ab_decompose(field, r, v).B
+        return [-float(d @ frame(v).M) * b / y[0]]
 
     out = np.full(len(nodes), float(nu0))
     for side in (nodes < s0, nodes > s0):
@@ -597,6 +596,76 @@ def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where
     assume(not nu.truncated)
     values, _ = nu.sample(nodes)
     assert np.max(np.abs(values - reference_nu(curve, field, s0, nu0, nodes))) < 1e-10
+
+
+def reparameterized(curve, k):
+    """(r o g, g) for g(sigma) = lo + (hi - lo) expm1(k sigma) / expm1(k) on
+    sigma in [0, 1], smooth, increasing and, for k != 0, not affine; g
+    returns g, g' and g'' at an array of sigma."""
+    lo, hi = curve.s_range
+    scale = (hi - lo) / math.expm1(k)
+
+    def g(sigma):
+        e = scale * np.exp(k * sigma)
+        return lo + scale * np.expm1(k * sigma), k * e, k * k * e
+
+    def jet(sigma):
+        s, g1, g2 = (x[..., None] for x in g(np.asarray(sigma, float)))
+        r, d, dd = curve.jet(s[..., 0])
+        return r, g1 * d, g1 * g1 * dd + g2 * d
+
+    breaks = tuple(math.log1p((b - lo) / scale) / k for b in curve.breaks)
+    return Curve(jet=jet, s_range=(0.0, 1.0), normal=curve.normal, breaks=breaks), g
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(["mdtype", "oscillator"]), k=st.floats(0.3, 1.5),
+       increasing_rate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_reparameterized_curve_scales_phi_by_g_prime(case, k, increasing_rate, seed):
+    # phi = <d r / d sigma, N> = g'(sigma) phi(t, g(sigma)) on the same trajectories
+    from normshift.dynamics import integrate_deviation
+    rng = np.random.default_rng(seed)
+    if case == "oscillator":  # the control that cannot shift normally
+        field, curve = oscillator_field(1.0), tilted_line()
+    else:
+        field = catalogue("mdtype", NU_FIELDS["mdtype"])
+        curve = spline_through(random_spline_points(rng))
+    curve_g, g = reparameterized(curve, k if increasing_rate else -k)
+    nu = solve_nu(curve, field, float(g(0.5)[0]), 1.0)
+    nu_g = solve_nu(curve_g, field, 0.5, 1.0)
+    assume(not (nu.truncated or nu_g.truncated))
+    grid_g = normal_shift(curve_g, field, nu_g, (0, 0.5), n_s=9, n_t=6)
+    # the shift of r from the s-nodes g(sigma_j), launched as normal_shift launches
+    s, g1, _ = g(grid_g.s_nodes)
+    tangent, n, k_s = frenet(curve, s)
+    r, d, _ = curve.jet(s)
+    nu_s, dnu = nu.sample(s)
+    # measured on 200 draws: nu within 8.3e-14, phi within 8.5e-9 (1 + max |tau|)
+    assert np.max(np.abs(grid_g.nu - nu_s)) < 1e-11
+    n_prime = (-k_s * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent
+    _, phi, _ = integrate_deviation(field, r, nu_s[:, None] * n, d,
+                                    dnu[:, None] * n + nu_s[:, None] * n_prime, grid_g.t_nodes)
+    assert np.max(np.abs(grid_g.phi - g1 * phi)) < 1e-7 * (1.0 + grid_g.max_tau_norm())
+    verdict = normality_report(normal_shift(curve, field, nu, (0, 0.5), n_s=9, n_t=6)).normal
+    assert normality_report(grid_g).normal == verdict == (case == "mdtype")
+
+
+def test_one_jet_call_per_launch_and_per_nu_right_side():
+    field, curve = mdtype_on_spline()
+    calls = []
+
+    def jet(s):
+        calls.append(1)
+        return curve.jet(s)
+
+    counted = dataclasses.replace(curve, jet=jet)
+    nu = solve_nu(curve, field, 0.5, 1.1)
+    normal_shift(counted, field, nu, (0, 0.2), n_s=9, n_t=3)
+    assert len(calls) == 1
+    rate = solve_nu(counted, field, 0.5, 1.1).rate
+    calls.clear()
+    rate(np.linspace(0.0, 1.0, 5), np.full(5, 1.1))
+    assert len(calls) == 1
 
 
 def test_solve_nu_is_one_solve_stopping_only_at_the_breaks(monkeypatch):
@@ -691,7 +760,7 @@ def test_nu_rate_is_the_initial_speed_ode_in_the_velocity_frame(name, shape, see
     s = rng.uniform(lo, hi, 6)
     nu = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
     _, n, _ = frenet(curve, s)
-    r, v, d = curve.point(s), nu[:, None] * n, curve.velocity(s)
+    (r, d, _), v = curve.jet(s), nu[:, None] * n
     expected = -np.vecdot(d, frame(v).M) * ab_decompose(field, r, v).B / nu
     # relative to the size of the terms, which may cancel: |F| |r'| / |nu|
     f = field.force(r, v)
@@ -707,9 +776,9 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
     assert field.spatial_jacobian is None and field.velocity_jacobian is None
     s = np.linspace(0.0, 1.0, 6)
     tangent, n, k = frenet(curve, s)
-    d = curve.velocity(s)
+    r, d, _ = curve.jet(s)
     n_prime = -(k * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent
-    launch = (curve.point(s), 1.1 * n, d, 1.1 * n_prime)
+    launch = (r, 1.1 * n, d, 1.1 * n_prime)
     times = np.linspace(0.0, 0.4, 7)
 
     forces = count_calls(monkeypatch, ForceField, "force")

@@ -1,0 +1,94 @@
+"""Run the benchmark's ops through one tree's CLI and keep every output.
+
+    python3 tools/op_outputs.py TREE DEST
+
+TREE is a checkout of this repository (its ``src/normshift`` is the program
+under test); DEST is a new or empty directory.  The ops come from
+``perfbench/workloads.py`` next to this script: the first two cycles of every
+workload at seeds 1, 2 and 3.  Each op runs twice through TREE's
+``normshift.cli.main`` in this process, once with and once without
+``--emit-plotdata``.  A run writes its config and its output directory into
+``DEST/<workload>/seed<n>/op<i>[-plot]/``, called from there with the
+relative paths ``config.json`` and ``out``, so the files and printed paths of
+two trees are comparable.  ``DEST/runs.json`` logs each run's exit code,
+standard output and standard error; an uncaught exception is logged with
+its type and message in place of the exit code, and its traceback in the
+standard error.
+
+The output check of a change that should leave every output as it was:
+
+    python3 tools/op_outputs.py PARENT_TREE /tmp/before
+    python3 tools/op_outputs.py .           /tmp/after
+    diff -r /tmp/before /tmp/after
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import io
+import itertools
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+CYCLES = 2
+PLOT = "--emit-plotdata"
+
+
+def run_op(main, op, plot: bool, run_dir: Path) -> dict:
+    """One op through ``main`` from ``run_dir``; its log entry."""
+    run_dir.mkdir(parents=True)
+    (run_dir / "config.json").write_text(json.dumps(op.config))
+    flags = [f for f in op.flags if f != PLOT] + ([PLOT] if plot else [])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([op.subcommand, "--config", "config.json", "--out", "out", *flags])
+            except Exception as exc:  # a traceback is logged as the run's outcome
+                code = f"uncaught {type(exc).__name__}: {exc}"
+                stderr.write(traceback.format_exc())
+    finally:
+        os.chdir(cwd)
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    tree, dest = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (tree / "src" / "normshift" / "cli.py").is_file():
+        print(f"no program: {tree / 'src' / 'normshift'} is missing", file=sys.stderr)
+        return 2
+    if dest.exists() and any(dest.iterdir()):
+        print(f"{dest} is not empty", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(tree / "src"), str(Path(__file__).resolve().parents[1] / "perfbench")]
+    from normshift import cli
+    from workloads import WORKLOADS, ops_for
+
+    runs = {}
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            for op in itertools.chain.from_iterable(
+                    itertools.islice(ops_for(workload, seed), CYCLES)):
+                for plot in (False, True):
+                    run = Path(name, f"seed{seed}", f"op{op.index}" + ("-plot" if plot else ""))
+                    runs[run.as_posix()] = run_op(cli.main, op, plot, dest / run)
+    with open(dest / "runs.json", "w") as fh:
+        json.dump(runs, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    codes = collections.Counter(str(r["exit"]) for r in runs.values())
+    print(f"{len(runs)} runs of {cli.__file__}; exit codes {dict(codes)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
