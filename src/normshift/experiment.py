@@ -272,8 +272,7 @@ CATALOGUE = {
         "description": "Multidimensional-type field built from W(x,y,v) with W_v != 0.",
     },
     "disc_invariant": {
-        "build": lambda params: from_scalar_ansatz(_disc_invariant(params),
-                                                   claims_normality=True),
+        "build": lambda params: from_scalar_ansatz(_disc_invariant(params)),
         "claims_normality": True,
         "params": {"R": "disc radius", "profile": "f(u) profile"},
         "description": "Scalar-ansatz field from the disc-invariant generator, |r| < R.",
@@ -321,8 +320,7 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
         # A = c v^p theta: a deliberate non-solution for residual demos
         c = number(spec, "coef", 1.0)
         p = number(spec, "power", 2.0)
-        return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t,
-                            label="angular-monomial")
+        return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t)
     raise ConfigError(f"unknown ansatz kind {kind!r}")
 
 

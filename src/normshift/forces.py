@@ -64,7 +64,10 @@ class Profile:
 
 @dataclass(frozen=True)
 class ForceField:
-    """Evaluator F(r, v) with optional analytic Jacobians.
+    """Evaluator F(r, v) with optional analytic Jacobians; nothing else.
+
+    A field carries no name and no claim: which built-in fields claim to
+    admit the normal shift is recorded in ``experiment.CATALOGUE``.
 
     Jacobian convention: spatial_jacobian(r, v)[..., i, j] = dF_j / dr^i and
     velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  When absent, Jacobians
@@ -75,8 +78,6 @@ class ForceField:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     spatial_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     velocity_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    claims_normality: bool = False
-    label: str = ""
 
     def force(self, r, v) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, float), np.asarray(v, float)), dtype=float)
@@ -163,12 +164,11 @@ class ScalarFieldA:
     closure returns a constant.
     """
 
-    def __init__(self, fn, *, label: str = "", **partials):
+    def __init__(self, fn, **partials):
         unknown = sorted(partials.keys() - _PARTIALS.keys())
         if unknown:
             raise TypeError(f"unknown partials {unknown}")
         self.fn = fn
-        self.label = label
         for name, (stencil, axes) in _PARTIALS.items():
             setattr(self, name, self._resolve(partials.get(name), stencil, axes))
 
@@ -201,7 +201,7 @@ def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
                         a_x=zero, a_y=zero,
                         a_v=lambda x, y, v, t: profile.d(v),
                         a_theta=zero, a_theta_theta=zero, a_theta_v=zero,
-                        a_theta_x=zero, a_theta_y=zero, label="speed-profile")
+                        a_theta_x=zero, a_theta_y=zero)
 
 
 def cos_profile_ansatz(profile: Profile) -> ScalarFieldA:
@@ -214,10 +214,10 @@ def cos_profile_ansatz(profile: Profile) -> ScalarFieldA:
         a_theta=lambda x, y, v, t: -profile(v) * np.sin(t),
         a_theta_theta=lambda x, y, v, t: -profile(v) * np.cos(t),
         a_theta_v=lambda x, y, v, t: -profile.d(v) * np.sin(t),
-        a_theta_x=zero, a_theta_y=zero, label="cos-profile")
+        a_theta_x=zero, a_theta_y=zero)
 
 
-def from_scalar_ansatz(a: ScalarFieldA, *, claims_normality: bool = False) -> ForceField:
+def from_scalar_ansatz(a: ScalarFieldA) -> ForceField:
     """Force field F = A N - A_theta M generated by a scalar field A.
 
     Such fields satisfy the first of the two normality constraints
@@ -232,8 +232,7 @@ def from_scalar_ansatz(a: ScalarFieldA, *, claims_normality: bool = False) -> Fo
         b_val = -a.a_theta(x, y, p.v, p.theta)
         return a_val[..., None] * fr.N + b_val[..., None] * fr.M
 
-    return ForceField(fn=fn, claims_normality=claims_normality,
-                      label=a.label or "scalar-ansatz")
+    return ForceField(fn=fn)
 
 
 def complex_force(a: ScalarFieldA, z, w):
@@ -295,8 +294,7 @@ def conformal_transport(a_prime: ScalarFieldA, metric: ConformalMetric,
             return (a_prime(x, y, v, theta) - term) / ef
         return a_prime(x, y, v, theta) * ef + term
 
-    suffix = "<-metric" if inverse else "->metric"
-    return ScalarFieldA(fn, label=(a_prime.label or "A") + suffix)
+    return ScalarFieldA(fn)
 
 
 def flat_from_covariant(field: ForceField, metric: ConformalMetric) -> ForceField:
@@ -313,8 +311,7 @@ def flat_from_covariant(field: ForceField, metric: ConformalMetric) -> ForceFiel
         g = metric.gradient(r)
         return field.force(r, v) - (dot(v, v)[..., None] * g - 2.0 * dot(g, v)[..., None] * v)
 
-    return ForceField(fn=fn, claims_normality=field.claims_normality,
-                      label=(field.label or "field") + "-flat")
+    return ForceField(fn=fn)
 
 
 def covariant_from_flat(field: ForceField, metric: ConformalMetric) -> ForceField:
@@ -323,8 +320,7 @@ def covariant_from_flat(field: ForceField, metric: ConformalMetric) -> ForceFiel
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         return field.force(r, v) + _gamma_vv(metric, r, v)
 
-    return ForceField(fn=fn, claims_normality=field.claims_normality,
-                      label=(field.label or "field") + "-covariant")
+    return ForceField(fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +332,14 @@ class MDTypeParams:
     """Data of a multidimensional-type field.
 
     W(x, y, v) must satisfy W_v != 0 on the working domain; h is a function
-    of one variable applied to W.  grad_w returns (W_x, W_y); grad_w_v its
-    v-derivative (W_xv, W_yv); w_vv is optional and only used by closed-form
-    coefficient checks.
+    of one variable applied to W.  w, w_v and grad_w return W, W_v and
+    (W_x, W_y), the only data of W that ``mdtype_field`` reads.
     """
 
     w: Callable[[float, float, float], float]
     w_v: Callable[[float, float, float], float]
     grad_w: Callable[[float, float, float], tuple[float, float]]
     h: Profile
-    w_vv: Callable[[float, float, float], float] | None = None
-    grad_w_v: Callable[[float, float, float], tuple[float, float]] | None = None
 
     @staticmethod
     def from_conformal(f: ConformalMetric, h: Profile) -> "MDTypeParams":
@@ -363,19 +356,10 @@ class MDTypeParams:
             e = np.exp(-f.f(x, y))
             return (-v * e * fx, -v * e * fy)
 
-        def w_vv(x, y, v):
-            return 0.0
-
-        def grad_w_v(x, y, v):
-            fx, fy = f.partials(x, y)
-            e = np.exp(-f.f(x, y))
-            return (-e * fx, -e * fy)
-
-        return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h,
-                            w_vv=w_vv, grad_w_v=grad_w_v)
+        return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h)
 
 
-def mdtype_field(md: MDTypeParams, *, label: str = "mdtype") -> ForceField:
+def mdtype_field(md: MDTypeParams) -> ForceField:
     """Multidimensional-type field F = h(W) N / W_v - |v| (2<gW,N>N - gW)/W_v."""
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -393,7 +377,7 @@ def mdtype_field(md: MDTypeParams, *, label: str = "mdtype") -> ForceField:
         along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
         return (h * fr.N - speed[..., None] * along) / wv[..., None]
 
-    return ForceField(fn=fn, claims_normality=True, label=label)
+    return ForceField(fn=fn)
 
 
 def _per_point(value: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -408,8 +392,7 @@ def gravity_field(magnitude: float = 1.0) -> ForceField:
     zero = np.zeros((2, 2))
     return ForceField(fn=lambda r, v: _per_point(const, r),
                       spatial_jacobian=lambda r, v: _per_point(zero, r),
-                      velocity_jacobian=lambda r, v: _per_point(zero, r),
-                      claims_normality=False, label="gravity")
+                      velocity_jacobian=lambda r, v: _per_point(zero, r))
 
 
 def oscillator_field(omega: float) -> ForceField:
@@ -424,8 +407,7 @@ def oscillator_field(omega: float) -> ForceField:
 
     return ForceField(fn=fn,
                       spatial_jacobian=lambda r, v: _per_point(jr, r),
-                      velocity_jacobian=lambda r, v: _per_point(zero, r),
-                      claims_normality=False, label="oscillator")
+                      velocity_jacobian=lambda r, v: _per_point(zero, r))
 
 
 def anisotropic_field(profile: Profile, m=(1.0, 0.0)) -> ForceField:
@@ -441,7 +423,7 @@ def anisotropic_field(profile: Profile, m=(1.0, 0.0)) -> ForceField:
         a = profile(np.hypot(v[..., 0], v[..., 1]))
         return a[..., None] * (2.0 * dot(fr.N, mv)[..., None] * fr.N - mv)
 
-    return ForceField(fn=fn, claims_normality=True, label="anisotropic")
+    return ForceField(fn=fn)
 
 
 def marked_point_field(profile: Profile, center=(0.0, 0.0)) -> ForceField:
@@ -457,7 +439,7 @@ def marked_point_field(profile: Profile, center=(0.0, 0.0)) -> ForceField:
         a = profile(np.hypot(v[..., 0], v[..., 1]))
         return a[..., None] * (2.0 * dot(fr.N, rr)[..., None] * fr.N - rr) / rho2[..., None]
 
-    return ForceField(fn=fn, claims_normality=True, label="marked_point")
+    return ForceField(fn=fn)
 
 
 def geodesic_field(metric: ConformalMetric) -> ForceField:
@@ -470,7 +452,7 @@ def geodesic_field(metric: ConformalMetric) -> ForceField:
         g = metric.gradient(r)
         return -dot(v, v)[..., None] * g + 2.0 * dot(g, v)[..., None] * v
 
-    return ForceField(fn=fn, claims_normality=True, label="geodesic")
+    return ForceField(fn=fn)
 
 
 def metrizable_field(metric: ConformalMetric, h: Profile) -> ForceField:
@@ -488,7 +470,7 @@ def metrizable_field(metric: ConformalMetric, h: Profile) -> ForceField:
         return (-v2[..., None] * g + 2.0 * dot(g, v)[..., None] * v
                 + fr.N * h(speed / ef)[..., None] * ef[..., None])
 
-    return ForceField(fn=fn, claims_normality=True, label="metrizable")
+    return ForceField(fn=fn)
 
 
 def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
@@ -554,5 +536,4 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
 
     return ScalarFieldA(fn, a_x=a_x, a_y=a_y, a_v=a_v, a_theta=a_theta,
                         a_theta_theta=a_theta_theta, a_theta_v=a_theta_v,
-                        a_theta_x=a_theta_x, a_theta_y=a_theta_y,
-                        label="disc_invariant")
+                        a_theta_x=a_theta_x, a_theta_y=a_theta_y)

@@ -161,14 +161,9 @@ def projector(v) -> np.ndarray:
     return np.eye(2) - n[..., :, None] * n[..., None, :]
 
 
-def polar_from_cartesian(v) -> PolarVelocity:
-    """Speed and angle of each velocity; NumPy scalars for a single one."""
-    return polar_frame(v)[0]
-
-
 def polar_frame(v) -> tuple[PolarVelocity, Frame]:
-    """``polar_from_cartesian(v)`` and ``frame(v)`` from one speed and one
-    rest-point check."""
+    """The speed and angle of each velocity, NumPy scalars for a single one,
+    and ``frame(v)``, from one speed and one rest-point check."""
     v = _as_points(v)
     speed = _speed(v)
     theta = np.arctan2(v[..., 1], v[..., 0])

@@ -258,12 +258,12 @@ def first_integrals(v, theta, b, u: float = 1.0):
     return theta + np.arctan(b), u * b / (v * np.sqrt(1.0 + b * b))
 
 
-def characteristic_flow(v0: float, theta0: float, b0: float, t_span,
-                        *, abs_tol: float = 1e-12, rel_tol: float = 1e-12,
-                        n_out: int = 50):
+def characteristic_flow(v0: float, theta0: float, b0: float, t_span):
     """Integrate the characteristic system v' = -v, theta' = b, b' = -b^3 - b.
 
-    Returns (times, states) with states rows (v, theta, b).
+    Dormand-Prince with absolute and relative tolerance 1e-12, sampled at 50
+    equally spaced times of ``t_span``, both ends included.  Returns (times,
+    states) with states rows (v, theta, b).
     """
 
     def rhs(t, y):
@@ -271,10 +271,9 @@ def characteristic_flow(v0: float, theta0: float, b0: float, t_span,
         return np.array([-v, b, -b**3 - b])
 
     t0, t1 = float(t_span[0]), float(t_span[1])
-    t_out = np.linspace(t0, t1, n_out)
+    t_out = np.linspace(t0, t1, 50)
     sol = odesolve.solve_dopri(rhs, t0, [v0, theta0, b0], t1,
-                               abs_tol=abs_tol, rel_tol=rel_tol,
-                               t_stops=t_out[1:-1])
+                               abs_tol=1e-12, rel_tol=1e-12, t_stops=t_out[1:-1])
     return t_out, sol.sample(t_out)
 
 
@@ -342,8 +341,7 @@ def symmetry_reduced_residual(profile: VelocityAngleField, v, theta,
             + (a0 + att) * np.sin(theta) - a0 * atv / v)
 
 
-def symmetry_reduced_ansatz(profile: Callable[[float, float], float],
-                            *, label: str = "rotation-invariant") -> ScalarFieldA:
+def symmetry_reduced_ansatz(profile: Callable[[float, float], float]) -> ScalarFieldA:
     """Full generator A(x, y, v, theta) = a(v, theta - gamma) / rho built from
     a two-variable profile, where (rho, gamma) are polar coordinates of (x, y).
     Elementwise on arrays when the profile is."""
@@ -354,7 +352,7 @@ def symmetry_reduced_ansatz(profile: Callable[[float, float], float],
             raise SingularDenominator("rotation-invariant generator singular at the origin")
         return profile(v, theta - np.arctan2(y, x)) / rho
 
-    return ScalarFieldA(fn, label=label)
+    return ScalarFieldA(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -228,20 +228,28 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
               t0: float, y0, t1: float, *, step: float,
               t_stops=None) -> OdeSolution:
-    """Classic fixed-step RK4; the step is shrunk per segment to hit stop times."""
+    """Classic fixed-step RK4; the step is shrunk per segment to hit stop times.
+
+    Each segment's step count is counted, as a float, before it is stepped:
+    StepFailure is raised at once, without stepping, when the running total
+    would exceed ``_MAX_ATTEMPTS``.
+    """
     if step <= 0:
         raise ValueError("rk4 step must be positive")
     shape, rhs, ts, ys, fs, _, stops = _start(rhs, t0, y0, t1, t_stops)
     t, y, f = ts[0], ys[0], fs[0]
-    total = 0
+    total = 0.0
     for target in stops:
         seg = target - t
-        n = max(1, int(np.ceil(abs(seg) / step - 1e-12)))
+        # inf where the step is subnormal against the segment
+        count = max(1.0, np.ceil(abs(seg) / step - 1e-12))
+        total += count
+        if total > _MAX_ATTEMPTS:
+            raise StepFailure(f"{count:.6g} steps of {step:.6g} on [{t:.6g}, {target:.6g}] "
+                              f"exceed {_MAX_ATTEMPTS} step attempts")
+        n = int(count)
         h = seg / n
         for _ in range(n):
-            total += 1
-            if total > _MAX_ATTEMPTS:
-                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}")
             k1 = f
             k2 = rhs(t + h / 2, y + h / 2 * k1)
             k3 = rhs(t + h / 2, y + h / 2 * k2)

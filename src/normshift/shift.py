@@ -120,18 +120,26 @@ def tilted_line(s_min: float = -1.0, s_max: float = 1.0, *,
 
 def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
                normal: str = "left") -> Curve:
-    """Arclength-parameterized arc of a circle; s is arclength, angle = s/R."""
+    """Arclength-parameterized arc of a circle; s is arclength, angle = s/R.
+
+    SingularCurve if the radius is not positive, or so small that the
+    curvature 1/R or the angle s/R at an end of ``s_range`` overflows.
+    """
     c = np.asarray(center, float)
     radius = float(radius)
     if radius <= 0:
         raise SingularCurve("circle radius must be positive")
+    lo, hi = float(s_range[0]), float(s_range[1])
+    if not all(math.isfinite(x / radius) for x in (1.0, lo, hi)):
+        raise SingularCurve(f"circle radius {radius!r} is too small: its curvature "
+                            f"or its angle on [{lo}, {hi}] overflows")
 
     def jet(s):
         a = np.asarray(s, float) / radius
         unit = np.stack([np.cos(a), np.sin(a)], axis=-1)
         return c + radius * unit, unit[..., ::-1] * _ROTATE, -unit / radius
 
-    return Curve(jet=jet, s_range=(float(s_range[0]), float(s_range[1])), normal=normal)
+    return Curve(jet=jet, s_range=(lo, hi), normal=normal)
 
 
 def spline_through(points, *, normal: str = "left") -> Curve:
@@ -191,22 +199,27 @@ class NuSolution:
     step ends and its values at each step's nodes, between which nu is the
     step's barycentric interpolant; a branch is absent where s0 is that end.
     ``ends`` are the requested ends, ``rate`` is the right side d nu/ds at
-    arrays of (s, nu).  ``truncated`` marks that a branch stopped
-    before its end (nu approached zero, went non-finite, or the right side
-    raised a package error or a float overflow or zero division), and
-    ``stop_reason`` says, per stopped branch, its span, where it stopped and
-    why; queries outside the reached interval [s_lo, s_hi] raise NuBlowup.
+    arrays of (s, nu).  ``stop_reason`` is None when both branches reached
+    their ends; otherwise it says, per branch that stopped early (nu
+    approached zero, went non-finite, or the right side raised a package
+    error or a float overflow or zero division), its span, where it stopped
+    and why, and ``truncated`` is true.  Queries outside the reached
+    interval [s_lo, s_hi] raise NuBlowup.
     """
 
     s_lo: float
     s_hi: float
-    truncated: bool
     s0: float
     nu0: float
     ends: tuple[float, float]
     branches: dict[int, odesolve.ChebyshevSolution]
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stop_reason: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        """Whether a branch stopped before its end."""
+        return self.stop_reason is not None
 
     def __call__(self, s: float) -> float:
         return float(self.values([s])[0])
@@ -348,7 +361,7 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
 
     branches = {idx: odesolve.ChebyshevSolution.joined(p) for idx, p in parts.items()}
     s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
-    return NuSolution(s_lo=s_lo, s_hi=s_hi, truncated=bool(reasons), s0=s0, nu0=nu0,
+    return NuSolution(s_lo=s_lo, s_hi=s_hi, s0=s0, nu0=nu0,
                       ends=ends, branches=branches, rate=rate,
                       stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)
 

@@ -38,7 +38,7 @@ _XY_BASIS = [
 ]
 
 
-def random_ansatz(rng, n_terms=3, label="random-ansatz") -> ScalarFieldA:
+def random_ansatz(rng, n_terms=3) -> ScalarFieldA:
     """Random smooth generator A(x, y, v, theta) with analytic partials."""
     terms = []
     for _ in range(n_terms):
@@ -62,8 +62,7 @@ def random_ansatz(rng, n_terms=3, label="random-ansatz") -> ScalarFieldA:
         a_theta_theta=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[2](t) * hxy[0](x, y)),
         a_theta_v=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[1](v) * gt[1](t) * hxy[0](x, y)),
         a_theta_x=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[1](x, y)),
-        a_theta_y=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[2](x, y)),
-        label=label)
+        a_theta_y=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[2](x, y)))
 
 
 def random_metric(rng, scale=0.3) -> ConformalMetric:
@@ -116,23 +115,13 @@ def perturbed_mdtype(rng) -> MDTypeParams:
     def w_v(x, y, v):
         return ef(x, y) + eps * g(x, y) * np.cos(v)
 
-    def w_vv(x, y, v):
-        return -eps * g(x, y) * np.sin(v)
-
     def grad_w(x, y, v):
         fx, fy = np.moveaxis(m.gradient(np.stack([x, y], axis=-1)), -1, 0)
         e = ef(x, y)
         return (-v * e * fx + eps * gx(x, y) * np.sin(v),
                 -v * e * fy + eps * gy(x, y) * np.sin(v))
 
-    def grad_w_v(x, y, v):
-        fx, fy = np.moveaxis(m.gradient(np.stack([x, y], axis=-1)), -1, 0)
-        e = ef(x, y)
-        return (-e * fx + eps * gx(x, y) * np.cos(v),
-                -e * fy + eps * gy(x, y) * np.cos(v))
-
-    return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h,
-                        w_vv=w_vv, grad_w_v=grad_w_v)
+    return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h)
 
 
 def random_spline_points(rng, n=5, box=1.2) -> np.ndarray:

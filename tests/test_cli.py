@@ -401,6 +401,9 @@ _BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
     pytest.param("shift", {"curve": {"kind": "circle", "radius": 0}}, id="circle-radius-zero"),
     pytest.param("shift", {"curve": {"kind": "circle", "radius": -1}},
                  id="circle-radius-negative"),
+    # 1/R and s/R overflow
+    pytest.param("shift", {"curve": {"kind": "circle", "radius": 5e-324}},
+                 id="circle-radius-subnormal"),
     pytest.param("shift", {"curve": {"kind": "circle", "radius": 1, "normal": "up"}},
                  id="curve-normal-unknown"),
     pytest.param("shift", {"curve": {"kind": "spline", "points": {"a": 1}}},
@@ -473,6 +476,12 @@ def test_init_takes_one_point_of_two_numbers(tmp_path, r, code):
 # Small valid configs: each run is short (n_t and n_s at most 5, t_span at
 # most 0.2), so that no replaced value can make one allocate or step much.
 _FUZZ_BASE = {
+    "simulate": {
+        "field": {"catalogue": "oscillator", "params": {"omega": 1.0}},
+        "init": {"r": [0.0, 0.5], "v": [1.0, 0.0]},
+        "t_span": [0.0, 0.2], "n_t": 5,
+        "integrator": "rk4-fixed", "step": 0.05,
+    },
     "simulate --check-oracle": {
         "field": {"catalogue": "anisotropic",
                   "params": {"profile": {"kind": "poly", "coeffs": [1.0, 0.0]}, "m": [1.0, 0.0]}},
@@ -499,7 +508,7 @@ _FUZZ_BASE = {
         "include_complex": True,
     },
 }
-_FUZZ_POOL = [None, True, "x", {}, [], -1, 0, [1e400, 0], [[0, 0]]]
+_FUZZ_POOL = [None, True, "x", {}, [], -1, 0, 5e-324, [1e400, 0], [[0, 0]]]
 
 
 def key_paths(node, prefix=()):
@@ -543,6 +552,15 @@ def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "mismatch.json", _BASE["check"])
     assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numeric failure: FormulationMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "shift"])
+def test_rk4_step_count_over_budget_exits_3(tmp_path, capsys, command):
+    # 1 / 5e-324 steps overflow to inf
+    cfg = write_config(tmp_path, "cfg.json", {**_BASE[command], "integrator": "rk4-fixed",
+                                              "step": 5e-324})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numeric failure: StepFailure" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy warns as nu overflows

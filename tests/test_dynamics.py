@@ -21,8 +21,7 @@ from normshift.dynamics import (IntegratorConfig, PhaseState,
 def zero_field() -> ForceField:
     return ForceField(fn=lambda r, v: np.zeros_like(r),
                       spatial_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
-                      velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
-                      label="zero")
+                      velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)))
 
 
 def test_phase_state_validation():
@@ -95,6 +94,21 @@ def test_rk4_fourth_order_on_oscillator():
 
     ratio = endpoint_error(0.05) / endpoint_error(0.025)
     assert ratio >= 14.0, f"rk4 error ratio {ratio:.2f} below 4th-order expectation"
+
+
+@pytest.mark.parametrize("step", [1e-12, 5e-324])
+def test_rk4_refuses_a_step_count_over_budget_before_stepping(step):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 10:
+            raise AssertionError("stepped toward the attempt budget")
+        return -y
+
+    with pytest.raises(StepFailure, match="step attempts"):
+        odesolve.solve_rk4(rhs, 0.0, [1.0], 1.0, step=step)
+    assert len(calls) <= 1
 
 
 def test_step_failure_on_finite_time_blowup():

@@ -1,9 +1,11 @@
-"""Layering rules: no module reaches into another module's private names, and
+"""Layering rules: no module reaches into another module's private names,
 each decision (stencil steps, output digits, the metric, the config schema)
-has one owner.  Also one hygiene rule for the tests themselves: every file
-they open is closed."""
+has one owner, and each public function and class is used in the package or
+listed as an entry point.  Also one hygiene rule for the tests themselves:
+every file they open is closed."""
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -193,3 +195,56 @@ def test_open_checker_flags_both_forms():
                      "text = p.open().read()\n"
                      "lines = p.read_text().splitlines()\n")
     assert unmanaged_opens(tree) == ["2: open(p)", "3: p.open()"]
+
+
+def identifiers(node: ast.AST) -> collections.Counter:
+    """Names below ``node``: variables, attributes and imported names."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unnamed_public_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions and classes, as 'module.name', whose name
+    appears in none of the modules outside the definition itself."""
+    total = sum((identifiers(tree) for tree in modules.values()), collections.Counter())
+    return [f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _private(node.name)
+            and total[node.name] == identifiers(node)[node.name]]
+
+
+# Public names the package itself never uses, each an entry point of its own.
+UNNAMED_ALLOWED = {
+    # formulations of the paper's equations and closed-form oracles that the
+    # tests check against the ones the CLI runs
+    "closedform.marked_point_quadrature", "closedform.oscillator_phi",
+    "dynamics.integrate_phi_psi", "dynamics.phi_psi_initial_from_tau",
+    "forces.complex_force", "forces.conformal_transport", "forces.covariant_from_flat",
+    "normality.b_closed_form", "normality.characteristic_flow", "normality.first_integrals",
+    "normality.reduction_b_residual", "normality.symmetry_reduced_ansatz",
+    "normality.symmetry_reduced_residual", "shift.frenet",
+    # a documented primitive: the projector onto the normal line
+    "geometry.projector",
+    # the Cartesian assembly's own entry point, which perfbench's tracer patches
+    "normality.weak_residuals_cartesian",
+}
+
+
+def test_every_public_name_is_used_or_allowed():
+    # equality also fails on a stale entry: one removed, or now used in the package
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(unnamed_public_definitions(modules)) == sorted(UNNAMED_ALLOWED)
+
+
+def test_name_checker_counts_uses_outside_the_definition():
+    modules = {"a": ast.parse("def used(): return helper()\n"
+                              "def recursive(n): return recursive(n - 1)\n"
+                              "class Point:\n"
+                              "    def moved(self): return Point()\n"
+                              "def _private(): pass\n"
+                              "def helper(): pass\n"),
+               "b": ast.parse("from .a import used\n"
+                              "value = mod.attr_only\n"
+                              "def attr_only(): pass\n")}
+    assert unnamed_public_definitions(modules) == ["a.recursive", "a.Point"]

@@ -410,13 +410,13 @@ def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
 
 
 # ---------------------------------------------------------------------------
-# The claiming catalogue fields solve the weak equations wherever defined.
+# The catalogue's claims hold both ways: the claiming fields solve the weak
+# equations wherever defined, and the others do not.
 # ---------------------------------------------------------------------------
 
 def claiming_params(name: str, rng) -> dict:
-    """Random parameters of a normality-claiming catalogue field that keep it
-    defined on |r| <= 1.5: a marked point or a disc boundary at distance 3
-    or more."""
+    """Random parameters of a catalogue field that keep it defined on
+    |r| <= 1.5: a marked point or a disc boundary at distance 3 or more."""
     def profile():
         return {"kind": "poly", "coeffs": [rng.uniform(0.3, 1.2), rng.uniform(-0.3, 0.3)]}
 
@@ -428,6 +428,8 @@ def claiming_params(name: str, rng) -> dict:
     angle = rng.uniform(0.0, 2.0 * math.pi)
     unit = np.array([math.cos(angle), math.sin(angle)])
     return {
+        "gravity": lambda: {"magnitude": rng.uniform(0.5, 2.0)},
+        "oscillator": lambda: {"omega": rng.uniform(0.5, 2.0)},
         "anisotropic": lambda: {"profile": profile(), "m": unit.tolist()},
         "marked_point": lambda: {"profile": profile(),
                                  "center": (rng.uniform(3.0, 5.0) * unit).tolist()},
@@ -438,16 +440,16 @@ def claiming_params(name: str, rng) -> dict:
     }[name]()
 
 
-CLAIMING = sorted(n for n, entry in CATALOGUE.items() if entry["claims_normality"])
-
-
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(CLAIMING), seed=st.integers(0, 2**32 - 1))
+@given(name=st.sampled_from(sorted(CATALOGUE)), seed=st.integers(0, 2**32 - 1))
 def test_claiming_fields_have_zero_weak_residuals_at_random_points(name, seed):
     rng = np.random.default_rng(seed)
     field = catalogue(name, claiming_params(name, rng))
     r = rng.uniform(-1.5, 1.5, (32, 2))
     v, theta = rng.uniform(0.3, 3.0, 32), rng.uniform(-math.pi, math.pi, 32)
     r1, r2 = weak_residuals(field, r, v[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1))
-    # the tolerance of the fixed-probe tests above
-    assert np.max(np.abs(r1)) < 1e-5 and np.max(np.abs(r2)) < 1e-5
+    if CATALOGUE[name]["claims_normality"]:
+        # the tolerance of the fixed-probe tests above
+        assert np.max(np.abs(r1)) < 1e-5 and np.max(np.abs(r2)) < 1e-5
+    else:
+        assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) > 1e-2

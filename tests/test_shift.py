@@ -24,7 +24,7 @@ from normshift.shift import (Curve, circle_arc, constant_nu, frenet, line_segmen
 
 def magnetic_field(b0: float) -> ForceField:
     """Force of constant magnitude perpendicular to the velocity: A = 0, B = b0."""
-    return ForceField(fn=lambda r, v: b0 * frame(v).M, label="magnetic")
+    return ForceField(fn=lambda r, v: b0 * frame(v).M)
 
 
 def test_frenet_straight_line():
