@@ -8,7 +8,10 @@ the linearized equations
 
     tau''_k = sum_i dF_k/dr^i tau_i + sum_i dF_k/dv^i tau'_i,
 
-and its frame components phi = <tau, N>, psi = <tau, M> satisfy a pair of
+whose right side is the one directional derivative of F along (tau, tau')
+in phase space: for a field without analytic Jacobians, a Richardson
+stencil of five points per row, all rows in one call of the field.  The
+frame components phi = <tau, N>, psi = <tau, M> of tau satisfy a pair of
 second-order ODEs whose coefficients are the alpha/beta gradient components
 of A and B.  Both linearizations are integrated together with the base flow
 as one combined system, never against a stored interpolant.
@@ -150,39 +153,30 @@ def _contract(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
     return jac[..., 0, :] * x[..., 0, None] + jac[..., 1, :] * x[..., 1, None]
 
 
-def _accelerations(field: ForceField, r, v, tau, tau_dot) -> tuple[np.ndarray, np.ndarray]:
+def _accelerations(field: ForceField, p, d) -> tuple[np.ndarray, np.ndarray]:
     """The force F(r, v) and the right side of the linearized equations,
-    tau'' = J_r^T tau + J_v^T tau'.
+    tau'' = J_r^T tau + J_v^T tau', at phase points p = (r, v) along
+    d = (tau, tau'), (..., 4) each.
 
-    With analytic Jacobians they are contracted directly; otherwise the two
-    directional derivatives are Richardson-extrapolated central differences
-    of the force along tau (moving r) and tau_dot (moving v), with the steps
-    of ``_step_along``.  Their eight points for every row and the base point
-    (r, v) go to the field in one stacked call.
+    With analytic Jacobians they are contracted directly.  Otherwise the
+    right side, linear in d, is the one directional derivative of F along d
+    in phase space: a Richardson-extrapolated central difference with step
+    richardson_step(|p|) / |d| (richardson_step(|p|) along a zero d, whose
+    points are all p).  Its four points for every row and the base point p,
+    five in all, go to the field in one stacked call.
     """
+    r, v = p[..., :2], p[..., 2:]
     if field.spatial_jacobian is not None and field.velocity_jacobian is not None:
-        return field.force(r, v), (_contract(field.jac_spatial(r, v), tau)
-                                   + _contract(field.jac_velocity(r, v), tau_dot))
+        return field.force(r, v), (_contract(field.jac_spatial(r, v), d[..., :2])
+                                   + _contract(field.jac_velocity(r, v), d[..., 2:]))
 
-    # points 0-3 move r along tau, 4-7 move v along tau_dot, 8 is (r, v)
-    h_r, h_v = _step_along(r, tau), _step_along(v, tau_dot)
-    rs, vs = np.empty((2, 9) + r.shape)
-    rs[:4] = r + numdiff.richardson_points(0.0, h_r)[..., None] * tau
-    rs[4:] = r
-    vs[:4] = v
-    vs[4:8] = v + numdiff.richardson_points(0.0, h_v)[..., None] * tau_dot
-    vs[8] = v
-    f = field.force(rs, vs)
-    return f[8], (numdiff.richardson_extrapolated(h_r, f[:4])
-                  + numdiff.richardson_extrapolated(h_v, f[4:8]))
-
-
-def _step_along(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The step richardson_step(|p|) / |d| along d from p, row by row; along
-    a zero d, richardson_step(|p|), whose points are all p."""
-    length = np.hypot(d[..., 0], d[..., 1])
-    return numdiff.richardson_step(np.hypot(p[..., 0], p[..., 1])) / np.where(
-        length > 0.0, length, 1.0)
+    length = np.sqrt(np.vecdot(d, d))
+    h = numdiff.richardson_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
+    points = np.empty((5,) + p.shape)
+    points[:4] = p + numdiff.richardson_points(0.0, h)[..., None] * d
+    points[4] = p
+    f = field.force(points[..., :2], points[..., 2:])
+    return f[4], numdiff.richardson_extrapolated(h, f[:4])
 
 
 def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
@@ -215,9 +209,8 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
     times = np.asarray(times, float)
 
     def rhs(t, y):
-        r, v, tau, tau_dot = y[..., 0:2], y[..., 2:4], y[..., 4:6], y[..., 6:8]
-        f, tau_acc = _accelerations(field, r, v, tau, tau_dot)
-        return np.concatenate([v, f, tau_dot, tau_acc], axis=-1)
+        f, tau_acc = _accelerations(field, y[..., :4], y[..., 4:])
+        return np.concatenate([y[..., 2:4], f, y[..., 6:8], tau_acc], axis=-1)
 
     y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)

@@ -124,6 +124,24 @@ def perturbed_mdtype(rng) -> MDTypeParams:
     return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h)
 
 
+# fields that claim normality, with parameters that keep nu healthy on the
+# curves of test_shift.py
+NU_FIELDS = {
+    "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
+    "marked_point": {"profile": {"kind": "poly", "coeffs": [0.9, 0.2]}, "center": [4.0, 4.0]},
+    "metrizable": {"f": {"kind": "sin_cos", "amplitude": 0.25},
+                   "H": {"kind": "poly", "coeffs": [0.1, 0.2]}},
+    "mdtype": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
+               "h": {"kind": "poly", "coeffs": [0.2, 0.1]}},
+    "disc_invariant": {"R": 4.0, "profile": {"kind": "poly", "coeffs": [1.0, 0.2]}},
+}
+
+# parameters that keep each catalogue field finite on the curves
+# of test_shift.py
+RATE_PARAMS = {**NU_FIELDS, "oscillator": {"omega": 1.3},
+               "geodesic": {"f": {"kind": "sin_cos", "amplitude": 0.25}}}
+
+
 def random_spline_points(rng, n=5, box=1.2) -> np.ndarray:
     """Well-separated random points for a regular test spline."""
     while True:
@@ -133,28 +151,24 @@ def random_spline_points(rng, n=5, box=1.2) -> np.ndarray:
             return pts
 
 
-def two_call_deviation_rhs(field):
-    """Right side of the flow and its variation, y = (r, v, tau, tau'), as the
-    package computed it for a field without analytic Jacobians before the
-    base point joined the stencil: one call of the field at (r, v), and one
-    at the eight points of the Richardson stencils along tau (moving r) and
-    tau' (moving v), extrapolated from steps h and h/2."""
+def phase_direction_deviation_rhs(field):
+    """Right side of the flow and its variation, y = (r, v, tau, tau'), for a
+    field without analytic Jacobians, written out plainly: one call of the
+    field at p = (r, v), and one at the four points of the Richardson stencil
+    along d = (tau, tau') in phase space, with step h = richardson_step(|p|)
+    / |d| (richardson_step(|p|) where d = 0), extrapolated from steps h and
+    h/2."""
 
     def rhs(t, y):
-        r, v, tau, tau_dot = y[..., 0:2], y[..., 2:4], y[..., 4:6], y[..., 6:8]
-        base, along = np.stack([r, v]), np.stack([tau, tau_dot])
-        length = np.hypot(along[..., 0], along[..., 1])
-        h = richardson_step(np.hypot(base[..., 0], base[..., 1])) / np.where(
-            length > 0.0, length, 1.0)
-        steps = np.zeros(length.shape) + np.array([1.0, -1.0, 0.5, -0.5]).reshape(
-            (4,) + (1,) * h.ndim) * h
-        moved = base + steps[..., None] * along
-        held = np.broadcast_to(base, moved.shape)
-        fp, fm, fhp, fhm = field.force(np.stack([moved[:, 0], held[:, 0]], axis=1),
-                                       np.stack([held[:, 1], moved[:, 1]], axis=1))
+        p, d = y[..., :4], y[..., 4:]
+        length = np.sqrt(np.vecdot(d, d))
+        h = richardson_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
         h = h[..., None]
-        d = (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
-        return np.concatenate([v, field.force(r, v), tau_dot, d[0] + d[1]], axis=-1)
+        moved = np.stack([p + h * d, p - h * d, p + h / 2 * d, p - h / 2 * d])
+        fp, fm, fhp, fhm = field.force(moved[..., :2], moved[..., 2:])
+        tau_acc = (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
+        return np.concatenate([p[..., 2:], field.force(p[..., :2], p[..., 2:]),
+                               d[..., 2:], tau_acc], axis=-1)
 
     return rhs
 

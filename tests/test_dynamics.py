@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import christoffel_flow_positions, random_ansatz, random_metric
+from helpers import RATE_PARAMS, christoffel_flow_positions, random_ansatz, random_metric
 
 from normshift import odesolve
 
@@ -12,8 +13,9 @@ from normshift.forces import (ForceField, Profile, ab_decompose, anisotropic_fie
                               covariant_from_flat, flat_from_covariant,
                               from_scalar_ansatz, gravity_field, oscillator_field,
                               speed_profile_ansatz)
+from normshift.experiment import CATALOGUE, build_metric, catalogue
 from normshift.geometry import frame
-from normshift.dynamics import (IntegratorConfig, PhaseState,
+from normshift.dynamics import (IntegratorConfig, PhaseState, _accelerations, _contract,
                                 integrate, integrate_deviation, integrate_phi_psi,
                                 phi_psi_initial_from_tau)
 
@@ -96,6 +98,32 @@ def test_rk4_fourth_order_on_oscillator():
     assert ratio >= 14.0, f"rk4 error ratio {ratio:.2f} below 4th-order expectation"
 
 
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["geodesic", "marked_point", "mdtype", "oscillator"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rk4_and_dopri5_agree_within_the_predicted_order(name, seed):
+    # halving the rk4 step from 0.1 to 0.05 on [0, 1] cuts its endpoint error
+    # against a DOPRI5 reference at 1e-13 by 2**4: a factor in [12, 20].  The
+    # fields are those whose launches from this box keep h = 0.1 in RK4's
+    # asymptotic range (ratios 14.1 to 17.3 over 700 launches each): RK4 is
+    # exact on gravity's parabolas, anisotropic launches can slow nearly to
+    # rest, and the ratios of disc_invariant and metrizable reach 19.7 and 20.9
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    init = PhaseState(rng.uniform(-0.5, 0.5, 2),
+                      rng.uniform(0.8, 1.2) * np.array([np.cos(angle), np.sin(angle)]))
+    field = catalogue(name, RATE_PARAMS.get(name))
+
+    def endpoint(cfg):
+        tr = integrate(field, init, (0.0, 1.0), cfg, t_eval=[1.0])
+        return np.concatenate([tr.positions()[0], tr.velocities()[0]])
+
+    ref = endpoint(IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13))
+    coarse, fine = (np.linalg.norm(endpoint(IntegratorConfig(method="rk4-fixed", step=h)) - ref)
+                    for h in (0.1, 0.05))
+    assert 12.0 <= coarse / fine <= 20.0, (coarse, fine)
+
+
 @pytest.mark.parametrize("step", [1e-12, 5e-324])
 def test_rk4_refuses_a_step_count_over_budget_before_stepping(step):
     calls = []
@@ -161,6 +189,77 @@ def test_variational_against_flow_differencing():
     fd = (plus.positions() - minus.positions()) / (2 * d)
     for i in range(len(t_eval)):
         assert np.max(np.abs(fd[i] - ys[i, 4:6])) < 1e-5
+
+
+def _differenced_fields() -> dict:
+    """Every catalogue field without analytic Jacobians, flat and under two
+    conformal metrics, by "name-metric"."""
+    fields = {}
+    for name in sorted(CATALOGUE):
+        for metric, spec in (("flat", None),
+                             ("linear", {"kind": "linear", "ax": 0.3, "ay": -0.2}),
+                             ("sin_cos", {"kind": "sin_cos", "amplitude": 0.25})):
+            field = catalogue(name, RATE_PARAMS.get(name))
+            if spec is not None:
+                field = flat_from_covariant(field, build_metric(spec))
+            if field.spatial_jacobian is None or field.velocity_jacobian is None:
+                fields[f"{name}-{metric}"] = field
+    return fields
+
+
+DIFFERENCED = _differenced_fields()
+
+
+def _phase_rows(rng, n):
+    """(r, v, tau, tau') rows: r in the unit box, speeds 0.5 to 1.5, and tau,
+    tau' of lengths spread log-uniformly over 1e-2 to 1e1."""
+    def vectors(lengths):
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        return lengths[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+    return np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)), vectors(rng.uniform(0.5, 1.5, n)),
+                           vectors(10.0 ** rng.uniform(-2.0, 1.0, n)),
+                           vectors(10.0 ** rng.uniform(-2.0, 1.0, n))], axis=-1)
+
+
+def _extended_derivative_along(field, y):
+    """dF/de of F(p + e d) at e = 0, for p = y[..., :4] and d = y[..., 4:], in
+    extended precision: central differences moving p by 1e-4, 5e-5 and
+    2.5e-5, extrapolated twice (error O(1e-24) on top of round-off).  Where
+    longdouble is plain double, round-off is about 1e-12 |d|, still well
+    inside the tests' bound."""
+    p, d = y[..., :4].astype(np.longdouble), y[..., 4:].astype(np.longdouble)
+    h = np.longdouble(1e-4) / np.sqrt(np.sum(d * d, axis=-1))[:, None]
+
+    def central(h):
+        plus, minus = p + h * d, p - h * d
+        return (field.force(plus[:, :2], plus[:, 2:])
+                - field.force(minus[:, :2], minus[:, 2:])) / (2 * h)
+
+    d0, d1, d2 = central(h), central(h / 2), central(h / 4)
+    return (16 * (4 * d2 - d1) / 3 - (4 * d1 - d0) / 3) / 15
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENCED))
+def test_phase_space_stencil_matches_an_extended_precision_derivative(name):
+    # tau'' of the finite-difference right side within 1e-9 (1 + |ref|) of
+    # the derivative of F along (tau, tau'); the worst measured is 5.0e-10
+    field = DIFFERENCED[name]
+    y = _phase_rows(np.random.default_rng(sorted(DIFFERENCED).index(name)), 64)
+    _, tau_acc = _accelerations(field, y[:, :4], y[:, 4:])
+    ref = _extended_derivative_along(field, y)
+    assert np.all(np.abs(tau_acc - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("field", [gravity_field(1.3), oscillator_field(1.3)],
+                         ids=["gravity", "oscillator"])
+def test_phase_space_stencil_matches_analytic_jacobians(field):
+    y = _phase_rows(np.random.default_rng(7), 64)
+    r, v, tau, tau_dot = y[:, 0:2], y[:, 2:4], y[:, 4:6], y[:, 6:8]
+    expected = (_contract(field.jac_spatial(r, v), tau)
+                + _contract(field.jac_velocity(r, v), tau_dot))
+    _, tau_acc = _accelerations(ForceField(fn=field.fn), y[:, :4], y[:, 4:])
+    assert np.all(np.abs(tau_acc - expected) <= 1e-9 * (1.0 + np.abs(expected)))
 
 
 def test_variational_superposition():

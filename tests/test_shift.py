@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import perturbed_mdtype, random_spline_points
+from helpers import NU_FIELDS, RATE_PARAMS, perturbed_mdtype, random_spline_points
 
 from normshift.dynamics import IntegratorConfig, PhaseState, integrate
 from normshift.errors import InvalidParams, NuBlowup, SingularCurve, StepFailure
@@ -523,19 +523,6 @@ def test_three_point_spline_is_the_parabola():
         assert np.all(ddr == ddr[0])
 
 
-# fields that claim normality, with parameters that keep nu healthy on the
-# curves below
-NU_FIELDS = {
-    "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
-    "marked_point": {"profile": {"kind": "poly", "coeffs": [0.9, 0.2]}, "center": [4.0, 4.0]},
-    "metrizable": {"f": {"kind": "sin_cos", "amplitude": 0.25},
-                   "H": {"kind": "poly", "coeffs": [0.1, 0.2]}},
-    "mdtype": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
-               "h": {"kind": "poly", "coeffs": [0.2, 0.1]}},
-    "disc_invariant": {"R": 4.0, "profile": {"kind": "poly", "coeffs": [1.0, 0.2]}},
-}
-
-
 def reference_nu(curve, field, s0, nu0, nodes):
     """nu at the nodes from scipy's DOP853, with the right side written out.
 
@@ -726,9 +713,6 @@ def test_solve_nu_stops_at_a_rest_point(field):
     assert nu.stop_reason.count("DegenerateVelocity") == 2
 
 
-# parameters that keep each catalogue field finite on the curves below
-RATE_PARAMS = {**NU_FIELDS, "oscillator": {"omega": 1.3},
-               "geodesic": {"f": {"kind": "sin_cos", "amplitude": 0.25}}}
 CURVE_SHAPES = {
     "line": lambda rng: line_segment(rng.uniform(-1.0, -0.2, 2), rng.uniform(0.2, 1.0, 2)),
     "arc": lambda rng: circle_arc(rng.uniform(-0.3, 0.3, 2), rng.uniform(1.2, 1.6), (0.2, 2.2)),
@@ -769,7 +753,9 @@ def test_nu_rate_is_the_initial_speed_ode_in_the_velocity_frame(name, shape, see
 
 
 def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
-    from helpers import two_call_deviation_rhs
+    # one stacked call per right side: the base point and the four points of
+    # the stencil along (tau, tau') for each of the 6 s-nodes
+    from helpers import phase_direction_deviation_rhs
     from normshift import odesolve
     from normshift.dynamics import integrate_deviation
     field, curve = mdtype_on_spline()
@@ -781,7 +767,14 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
     launch = (r, 1.1 * n, d, 1.1 * n_prime)
     times = np.linspace(0.0, 0.4, 7)
 
-    forces = count_calls(monkeypatch, ForceField, "force")
+    shapes = []
+    force = ForceField.force
+
+    def recorded(fld, r, v):
+        shapes.append((np.shape(r), np.shape(v)))
+        return force(fld, r, v)
+
+    monkeypatch.setattr(ForceField, "force", recorded)
     rhs_calls = []
     solve = odesolve.solve_dopri
 
@@ -793,13 +786,14 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
 
     monkeypatch.setattr(odesolve, "solve_dopri", counting_solve)
     ys, _, _ = integrate_deviation(field, *launch, times)
-    assert len(rhs_calls) > 0 and len(forces) == len(rhs_calls)
+    assert len(rhs_calls) > 0 and len(shapes) == len(rhs_calls)
+    assert set(shapes) == {((5, 6, 2), (5, 6, 2))}
 
     monkeypatch.undo()
     cfg = IntegratorConfig()
     y0 = np.concatenate(launch, axis=-1)
-    ref = solve(two_call_deviation_rhs(field), times[0], y0, times[-1], abs_tol=cfg.abs_tol,
-                rel_tol=cfg.rel_tol).sample(times)
+    ref = solve(phase_direction_deviation_rhs(field), times[0], y0, times[-1],
+                abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol).sample(times)
     ref[0] = y0
     assert np.array_equal(ys, ref)
 
