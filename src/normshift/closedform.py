@@ -78,7 +78,9 @@ def oscillator_phi(nu: Profile, omega: float, s: float, t: float) -> float:
           + (nu + s nu') cos^2(wt) - (nu + s nu').
 
     Normalization: this equals 2 <dr/ds, dr/dt> of the explicit solution,
-    i.e. 2 |v(t)| times the unit-frame deviation function.
+    i.e. 2 |v(t)| times the unit-frame deviation function.  ``nu`` is any
+    speed profile, read as nu(s) and nu.d(s): a Profile, or a solved
+    ``shift.NuSolution``.
     """
     if omega == 0.0:
         raise ValueError("omega must be nonzero")

@@ -28,7 +28,7 @@ from .forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, anisotropi
                      geodesic_field, gravity_field, marked_point_field, mdtype_field,
                      metrizable_field, oscillator_field, speed_profile_ansatz)
 from .geometry import ConformalMetric
-from .shift import (Curve, circle_arc, constant_nu, line_segment, segment_on_axis,
+from .shift import (Curve, NuSolution, circle_arc, line_segment, segment_on_axis,
                     solve_nu, spline_through, tilted_line)
 
 
@@ -358,20 +358,19 @@ def build_curve(spec) -> Curve:
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
-def build_nu(spec, curve: Curve, field: ForceField):
-    """The config's nu: a constant, an affine function of s, or the solution
-    of the initial-speed ODE.  The solve is part of the run, so its errors
-    are not config errors."""
+def build_nu(spec, curve: Curve, field: ForceField) -> Profile | NuSolution:
+    """The config's nu as a speed profile: a constant or an affine function
+    of s as a ``Profile``, or the NuSolution of the initial-speed ODE.  The
+    solve is part of the run, so its errors are not config errors."""
     if spec is None:
         spec = {}
     if not isinstance(spec, dict):
-        return constant_nu(_real(spec, "'nu' (a number or an object)"))
+        return Profile.constant(_real(spec, "'nu' (a number or an object)"))
     kind = spec.get("kind", "solve")
     if kind == "constant":
-        return constant_nu(number(spec, "value", 1.0))
+        return Profile.constant(number(spec, "value", 1.0))
     if kind == "affine":
-        a0, a1 = number(spec, "a0", 1.0), number(spec, "a1", 0.0)
-        return lambda s: a0 + a1 * s
+        return Profile.polynomial([number(spec, "a0", 1.0), number(spec, "a1", 0.0)])
     if kind == "solve":
         s0 = number(spec, "s0", 0.5 * sum(curve.s_range))
         nu0 = number(spec, "nu0", 1.0)

@@ -30,11 +30,6 @@ def _step(x, base: float):
     return base * np.maximum(1.0, np.abs(x))
 
 
-def central_step(x: float) -> float:
-    """The step ``central`` takes at x when none is given."""
-    return _step(x, H1_PLAIN)
-
-
 def richardson_step(x: float) -> float:
     """The step ``richardson`` takes at x when none is given."""
     return _step(x, H1_RICH)

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import numdiff, odesolve
+from . import odesolve
 from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField
 from .geometry import PiecewiseCubic, checked_speed
@@ -122,17 +122,21 @@ def circle_arc(center, radius: float, s_range=(0.0, math.pi), *,
                normal: str = "left") -> Curve:
     """Arclength-parameterized arc of a circle; s is arclength, angle = s/R.
 
-    SingularCurve if the radius is not positive, or so small that the
-    curvature 1/R or the angle s/R at an end of ``s_range`` overflows.
+    SingularCurve if the radius is not positive, if the curvature 1/R
+    overflows, or if the arc turns more than 1e4 radians, |hi - lo| / R: the
+    work of a nu solve grows with the turning.  Within that bound every
+    angle s/R on ``s_range`` is finite.
     """
     c = np.asarray(center, float)
     radius = float(radius)
     if radius <= 0:
         raise SingularCurve("circle radius must be positive")
     lo, hi = float(s_range[0]), float(s_range[1])
-    if not all(math.isfinite(x / radius) for x in (1.0, lo, hi)):
+    turning = abs(hi - lo) / radius
+    if not (math.isfinite(1.0 / radius) and turning <= 1e4):
         raise SingularCurve(f"circle radius {radius!r} is too small: its curvature "
-                            f"or its angle on [{lo}, {hi}] overflows")
+                            f"overflows, or on [{lo}, {hi}] it turns {turning:.6g} "
+                            f"radians, more than 1e4")
 
     def jet(s):
         a = np.asarray(s, float) / radius
@@ -190,29 +194,24 @@ def _unit_frame(curve: Curve, s, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 @dataclass
 class NuSolution:
-    """Initial-speed profile nu(s) on the reached sub-interval.
+    """Initial-speed profile nu(s), solved on the reached interval [s_lo, s_hi].
 
-    Both branches, from s0 toward the lower end and toward the upper end,
-    are one integration in sigma in [0, 1], with s = s0 + sigma (end - s0)
-    per branch.  ``branches`` maps 0 (lower) and 1 (upper) to the
-    Chebyshev–Picard solution of that branch in sigma, state shape (1,): its
-    step ends and its values at each step's nodes, between which nu is the
-    step's barycentric interpolant; a branch is absent where s0 is that end.
-    ``ends`` are the requested ends, ``rate`` is the right side d nu/ds at
-    arrays of (s, nu).  ``stop_reason`` is None when both branches reached
-    their ends; otherwise it says, per branch that stopped early (nu
-    approached zero, went non-finite, or the right side raised a package
-    error or a float overflow or zero division), its span, where it stopped
-    and why, and ``truncated`` is true.  Queries outside the reached
-    interval [s_lo, s_hi] raise NuBlowup.
+    Like a ``forces.Profile``, it is called as ``nu(s)`` for nu and
+    ``nu.d(s)`` for nu' at a number or an array of s.  ``solution`` is one
+    Chebyshev–Picard solution ascending in s, state shape (1,): its step ends
+    and its values at each step's nodes, between which nu is the step's
+    barycentric interpolant.  ``rate`` is the right side d nu/ds at arrays
+    of (s, nu), and nu' is the rate at (s, nu(s)).  ``stop_reason`` is None
+    when both branches, from s0 toward each end, reached their ends;
+    otherwise it says, per branch that stopped early (nu approached zero,
+    went non-finite, or the right side raised a package error or a float
+    overflow or zero division), its span, where it stopped and why, and
+    ``truncated`` is true.  Queries outside [s_lo, s_hi] raise NuBlowup.
     """
 
     s_lo: float
     s_hi: float
-    s0: float
-    nu0: float
-    ends: tuple[float, float]
-    branches: dict[int, odesolve.ChebyshevSolution]
+    solution: odesolve.ChebyshevSolution
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stop_reason: str | None = None
 
@@ -221,34 +220,19 @@ class NuSolution:
         """Whether a branch stopped before its end."""
         return self.stop_reason is not None
 
-    def __call__(self, s: float) -> float:
-        return float(self.values([s])[0])
-
-    def deriv(self, s: float) -> float:
-        return float(self.sample([s])[1][0])
-
-    def values(self, s) -> np.ndarray:
-        """nu at every s, from one dense-output sample per branch; nu0 at s0."""
+    def __call__(self, s):
+        """nu at every s, from one sample of the solution."""
         s = np.asarray(s, float)
         outside = ~((self.s_lo - 1e-12 <= s) & (s <= self.s_hi + 1e-12))
         if np.any(outside):
             raise NuBlowup(f"nu(s) only reached [{self.s_lo:.6g}, {self.s_hi:.6g}]; "
                            f"queried s={s[outside][0]:.6g}")
-        nu = np.full(s.shape, float(self.nu0))
-        at_s0 = s == self.s0
-        if len(self.branches) == 2:
-            at_s0 |= np.abs(s - self.s0) < 1e-15
-        for idx, branch in self.branches.items():
-            pick = ~at_s0 & ((s < self.s0) if idx == 0 else (s > self.s0))
-            if np.any(pick):
-                sigma = (s[pick] - self.s0) / (self.ends[idx] - self.s0)
-                nu[pick] = branch.sample(np.minimum(sigma, branch.ts[-1]))[:, 0]
-        return nu
+        return self.solution.sample(s.ravel())[:, 0].reshape(s.shape)[()]
 
-    def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """nu and nu' at every s; nu' is the right side at (s, nu(s))."""
-        nu = self.values(s)
-        return nu, self.rate(np.asarray(s, float), nu)
+    def d(self, s):
+        """nu' at every s: the right side at (s, nu(s))."""
+        s = np.asarray(s, float)
+        return self.rate(s, self(s))
 
 
 def _nu_rate(curve: Curve, field: ForceField):
@@ -288,7 +272,8 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
     or a non-finite value then ends on the last of ``_NU_CHECKPOINTS``
     checkpoints of its span that it passed.  ``stop_reason`` names each
     stopped branch's span, the s it ends at and the error.  Any other
-    exception propagates.
+    exception propagates.  At the end each branch's solution is mapped to s,
+    and the two are joined into one solution ascending in s.
     """
     if nu0 == 0.0:
         raise ValueError("nu0 must be nonzero")
@@ -359,20 +344,23 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
         keep = [row for row in range(len(active)) if causes and row not in causes]
         sigma, y, active = float(sol.ts[-1]), sol.ys[-1][keep], [active[row] for row in keep]
 
-    branches = {idx: odesolve.ChebyshevSolution.joined(p) for idx, p in parts.items()}
+    in_s = []
+    for idx in sorted(parts):
+        sol = odesolve.ChebyshevSolution.joined(parts[idx])
+        ts = np.array([_s_at(s0, ends[idx], sigma) for sigma in sol.ts.tolist()])
+        # the lower branch runs down in s: reverse its steps and their nodes,
+        # which are symmetric, as are their weights, so each step is the
+        # same polynomial
+        in_s.append(odesolve.ChebyshevSolution(ts, sol.ys, sol.nodes) if idx else
+                    odesolve.ChebyshevSolution(ts[::-1], sol.ys[::-1], sol.nodes[::-1, ::-1]))
     s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
-    return NuSolution(s_lo=s_lo, s_hi=s_hi, s0=s0, nu0=nu0,
-                      ends=ends, branches=branches, rate=rate,
-                      stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)
+    return NuSolution(s_lo=s_lo, s_hi=s_hi, solution=odesolve.ChebyshevSolution.joined(in_s),
+                      rate=rate, stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)
 
 
 def _s_at(s0: float, end: float, sigma: float) -> float:
     """s = s0 + sigma (end - s0), exactly ``end`` at sigma = 1."""
     return end if sigma == 1.0 else s0 + sigma * (end - s0)
-
-
-def constant_nu(value: float) -> Callable[[float], float]:
-    return lambda s: float(value)
 
 
 @dataclass
@@ -421,11 +409,10 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
                  s_range=None) -> ShiftGrid:
     """Populate the (t, s) grid of the shift of the curve by a flat field.
 
-    ``nu`` is either a NuSolution (solved for the same field) or any callable
-    s -> speed.  Deviations use tau(0) = r'(s) and tau'(0) = nu' n + nu n',
-    with nu' from the initial-speed ODE for a NuSolution and otherwise from a
-    central difference of ``nu`` clipped to the shifted range, one-sided at
-    its ends.
+    ``nu`` is a speed profile: a ``forces.Profile``, or a NuSolution solved
+    for the same field, whose reached interval clips the grid.  Deviations
+    use tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu and nu' from
+    ``nu(s)`` and ``nu.d(s)`` at all s-nodes at once.
     All s-nodes are integrated as one stacked system; an error from it gets
     a note naming the s-nodes whose rows went non-finite, when known, and
     otherwise the shifted s-range.
@@ -436,16 +423,7 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
         hi = min(hi, nu.s_hi)
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
-
-    if isinstance(nu, NuSolution):
-        nu_vals, dnu = nu.sample(s_nodes)
-    else:
-        nu_vals = np.array([nu(s) for s in s_nodes], dtype=float)
-        h = numdiff.central_step(s_nodes)
-        a, b = s_nodes - h, s_nodes + h
-        if hi > lo:
-            a, b = np.maximum(lo, a), np.minimum(hi, b)
-        dnu = np.array([(nu(y) - nu(x)) / (y - x) for x, y in zip(a.tolist(), b.tolist())])
+    nu_vals, dnu = nu(s_nodes), nu.d(s_nodes)
 
     # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
     r, d, dd = curve.jet(s_nodes)

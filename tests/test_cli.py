@@ -2,6 +2,10 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,13 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def subprocess_env():
+    """The environment for a child Python that imports this tree's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_catalogue_listing(capsys):
@@ -454,6 +465,26 @@ def test_empty_or_reversed_s_range_exits_2(tmp_path, capsys, curve):
     assert "s_range" in capsys.readouterr().err
 
 
+def test_an_arc_that_turns_too_often_is_refused_at_build_time(tmp_path):
+    # radius 1e-300 on the default s_range [0, pi] turns about 3e300 radians;
+    # the work of a nu solve grows with the turning: without the bound, a solve
+    # on this arc ran for more than 15 s
+    from normshift.experiment import ConfigError, build_curve
+
+    with pytest.raises(ConfigError, match="more than 1e4"):
+        build_curve({"kind": "circle", "radius": 1e-300})
+    with pytest.raises(ConfigError, match="more than 1e4"):
+        build_curve({"kind": "circle", "radius": 0.999, "s_range": [0.0, 1e4]})
+    assert build_curve({"kind": "circle", "radius": 1.0, "s_range": [0.0, 1e4]}).s_range[1] == 1e4
+    cfg = write_config(tmp_path, "arc.json", {**_BASE["shift"], "nu": {"kind": "solve"},
+                                              "curve": {"kind": "circle", "radius": 1e-300}})
+    # a hang fails the test at the timeout instead of stalling the suite
+    done = subprocess.run([sys.executable, "-m", "normshift.cli", "shift", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "config error" in done.stderr, done.stderr
+
+
 @pytest.mark.parametrize("r, code", [
     pytest.param([0.5, 0.0], 0, id="pair"),
     pytest.param([[0.5, 0.0]], 0, id="row"),
@@ -626,11 +657,6 @@ print(json.dumps(results))
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     write_config(tmp_path, "sim.json", {
         "field": {"catalogue": "anisotropic",
                   "params": {"profile": {"kind": "constant", "value": 1.0}}},
@@ -651,11 +677,8 @@ def test_cli_runs_without_scipy(tmp_path):
                   "params": {"f": {"kind": "sin_cos", "amplitude": 0.2},
                              "h": {"kind": "poly", "coeffs": [0.1, 0.2]}}},
         "probes": {"count": 20, "seed": 5}})
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [
         ["simulate", 0, []], ["shift", 0, []], ["check", 0, []]]

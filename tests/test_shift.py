@@ -17,7 +17,7 @@ from normshift.forces import (ForceField, Profile, flat_from_covariant,
                               from_scalar_ansatz)
 from normshift.geometry import PiecewiseCubic, frame
 from normshift.closedform import gravity_shift
-from normshift.shift import (Curve, circle_arc, constant_nu, frenet, line_segment,
+from normshift.shift import (Curve, circle_arc, frenet, line_segment,
                              normal_shift, normality_report,
                              segment_on_axis, solve_nu, spline_through, tilted_line)
 
@@ -74,7 +74,7 @@ def test_solve_nu_gravity_horizontal_segment():
     assert not nu.truncated
     for s in np.linspace(-1, 1, 11):
         assert nu(s) == pytest.approx(1.0, abs=1e-12)
-        assert nu.deriv(s) == pytest.approx(0.0, abs=1e-12)
+        assert nu.d(s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_nu_truncates_before_zero_crossing():
@@ -122,7 +122,7 @@ def test_solve_nu_validates_inputs():
 
 def test_gravity_shift_constant_nu_matches_closed_form():
     seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 1),
+    grid = normal_shift(seg, gravity_field(), Profile.constant(1.0), (0, 1),
                         n_s=9, n_t=11)
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
@@ -135,7 +135,7 @@ def test_gravity_shift_constant_nu_matches_closed_form():
 def test_grid_first_row_is_the_launch_data_bit_for_bit():
     # the left normal of (s, 0) is (-0.0, 1.0): the -0.0 of vx must survive
     seg = segment_on_axis(normal="left")
-    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 0.5),
+    grid = normal_shift(seg, gravity_field(), Profile.constant(1.0), (0, 0.5),
                         n_s=5, n_t=4)
     assert np.all(np.signbit(grid.v[0, :, 0]))
     for j, s in enumerate(grid.s_nodes):
@@ -148,7 +148,7 @@ def test_grid_first_row_is_the_launch_data_bit_for_bit():
 def test_gravity_shift_linear_nu_not_normal():
     seg = segment_on_axis(normal="right")
     grid = normal_shift(seg, gravity_field(),
-                        lambda s: (3.0 - s) / 4.0, (0, 1), n_s=9, n_t=11)
+                        Profile.polynomial([0.75, -0.25]), (0, 1), n_s=9, n_t=11)
     for i, t in enumerate(grid.t_nodes):
         for j, s in enumerate(grid.s_nodes):
             ref = gravity_shift(s, t, "linear_nu")
@@ -157,13 +157,35 @@ def test_gravity_shift_linear_nu_not_normal():
     assert not normality_report(grid).normal
 
 
+def test_affine_nu_launches_with_its_exact_derivative(monkeypatch):
+    # on a line n' = 0, so tau'(0) = nu' n + nu n' is a1 n bit for bit; a
+    # central difference of nu was off by about 1e-10
+    from normshift import shift
+    launches = []
+
+    class Launched(Exception):
+        pass
+
+    def capture(field, r, v, tau, dtau, t_nodes, cfg):
+        launches.append(dtau)
+        raise Launched
+
+    monkeypatch.setattr(shift, "integrate_deviation", capture)
+    seg = segment_on_axis(normal="right")
+    with pytest.raises(Launched):
+        normal_shift(seg, gravity_field(), Profile.polynomial([0.9, 0.3]), (0, 1),
+                     n_s=9, n_t=3)
+    _, n, _ = frenet(seg, np.linspace(-1.0, 1.0, 9))
+    assert launches[0].tobytes() == (0.3 * n).tobytes()
+
+
 def test_zero_field_shift_is_classical_parallel_transport():
     z = ForceField(fn=lambda r, v: np.zeros_like(r),
                    spatial_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)),
                    velocity_jacobian=lambda r, v: np.zeros(np.shape(r) + (2,)))
     rng = np.random.default_rng(0)
     curve = spline_through(random_spline_points(rng))
-    grid = normal_shift(curve, z, constant_nu(1.0), (0, 0.4), n_s=10, n_t=9)
+    grid = normal_shift(curve, z, Profile.constant(1.0), (0, 0.4), n_s=10, n_t=9)
     assert grid.max_abs_phi() < 1e-9
 
 
@@ -274,7 +296,7 @@ def test_oscillator_tilted_line_never_normal():
 
 def test_shift_grid_csv(tmp_path):
     seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), constant_nu(1.0), (0, 0.5),
+    grid = normal_shift(seg, gravity_field(), Profile.constant(1.0), (0, 0.5),
                         n_s=3, n_t=4)
     path = tmp_path / "grid.csv"
     grid.write_csv(path)
@@ -299,7 +321,7 @@ def geodesic_shift_off_level_line():
     """Zero force under sin_cos(0.2) from the x axis, not a level line of f."""
     field = catalogue("metrizable", {"f": {"kind": "zero"}, "H": 0.0})
     metric = build_metric({"kind": "sin_cos", "amplitude": 0.2})
-    return field, metric, segment_on_axis(normal="right"), constant_nu(1.0)
+    return field, metric, segment_on_axis(normal="right"), Profile.constant(1.0)
 
 
 def test_metric_shift_matches_differenced_trajectories():
@@ -357,7 +379,7 @@ def test_normal_shift_is_one_solve_for_all_s_nodes(monkeypatch, cfg):
     field, curve = mdtype_on_spline()
     solver = "solve_dopri" if cfg.method == "dopri-adaptive" else "solve_rk4"
     calls = count_calls(monkeypatch, odesolve, solver)
-    grid = normal_shift(curve, field, constant_nu(1.0), (0, 0.3),
+    grid = normal_shift(curve, field, Profile.constant(1.0), (0, 0.3),
                         n_s=16, n_t=7, cfg=cfg)
     assert len(calls) == 1
     assert grid.r.shape == (7, 16, 2)
@@ -366,7 +388,7 @@ def test_normal_shift_is_one_solve_for_all_s_nodes(monkeypatch, cfg):
 def launch_column(curve, nu, s):
     """Launch data (r, v, tau, tau') of the trajectory from s, as normal_shift builds it."""
     tangent, n, k = frenet(curve, s)
-    (nu_s,), (dnu,) = nu.sample([s])
+    nu_s, dnu = nu(s), nu.d(s)
     r, d, _ = curve.jet(s)
     return r, nu_s * n, d, dnu * n + nu_s * (-k * math.hypot(*d) * tangent)
 
@@ -410,7 +432,7 @@ def test_force_calls_per_right_side_do_not_grow_with_n_s(monkeypatch):
     for n_s in (4, 32):
         forces.clear()
         rhs_calls.clear()
-        normal_shift(curve, field, constant_nu(1.0), (0, 0.3), n_s=n_s, n_t=5)
+        normal_shift(curve, field, Profile.constant(1.0), (0, 0.3), n_s=n_s, n_t=5)
         assert len(forces) % len(rhs_calls) == 0
         per_rhs.append(len(forces) // len(rhs_calls))
     assert per_rhs[0] == per_rhs[1] <= 9
@@ -421,18 +443,19 @@ def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
     field, curve = mdtype_on_spline()
     nu = solve_nu(curve, field, 0.5, 1.1)
     s = np.linspace(nu.s_lo, nu.s_hi, 33)  # s0 = 0.5 is node 16
-    values, rates = nu.sample(s)
+    values, rates = nu(s), nu.d(s)
     assert values[16] == 1.1
     assert values.tobytes() == np.array([nu(x) for x in s]).tobytes()
-    assert rates.tobytes() == np.array([nu.deriv(x) for x in s]).tobytes()
-    # normal_shift samples each branch once instead of one dense call per query
+    assert rates.tobytes() == np.array([nu.d(x) for x in s]).tobytes()
+    # normal_shift samples the solution once for nu and once for nu',
+    # instead of one dense call per query
     dense = count_calls(monkeypatch, OdeSolution, "__call__")
     nu_samples = count_calls(monkeypatch, ChebyshevSolution, "sample")
     grid_samples = count_calls(monkeypatch, OdeSolution, "sample")
     grid = normal_shift(curve, field, nu, (0, 0.2), n_s=33, n_t=3)
     assert grid.nu.tobytes() == values.tobytes()
     assert dense == []
-    assert len(nu_samples) == 2 and len(grid_samples) == 1  # one per nu branch, one for the grid
+    assert len(nu_samples) == 2 and len(grid_samples) == 1  # nu and nu', then the grid
 
 
 def test_non_finite_columns_are_named_in_the_error_note():
@@ -440,7 +463,7 @@ def test_non_finite_columns_are_named_in_the_error_note():
     field = ForceField(fn=lambda r, v: np.where(r[..., :1] > 0.6, np.inf, 1.0) * v)
     grid_s = np.linspace(0.0, 1.0, 5)
     with pytest.raises(StepFailure) as info, np.errstate(invalid="ignore"):
-        normal_shift(segment_on_axis(0.0, 1.0), field, constant_nu(1.0),
+        normal_shift(segment_on_axis(0.0, 1.0), field, Profile.constant(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.rows == (3, 4)
     assert info.value.__notes__ == [f"at s={grid_s[3]:.6g}, {grid_s[4]:.6g}"]
@@ -449,7 +472,7 @@ def test_non_finite_columns_are_named_in_the_error_note():
 def test_field_errors_in_the_block_name_the_shifted_range():
     marked = catalogue("marked_point", {"profile": 1.0, "center": [0.5, 0.0]})
     with pytest.raises(InvalidParams) as info:
-        normal_shift(segment_on_axis(0.0, 1.0), marked, constant_nu(1.0),
+        normal_shift(segment_on_axis(0.0, 1.0), marked, Profile.constant(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.__notes__ == ["at s in [0, 1]"]
 
@@ -581,7 +604,7 @@ def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where
     nodes = np.linspace(lo, hi, n_s)
     nu = solve_nu(curve, field, s0, nu0)
     assume(not nu.truncated)
-    values, _ = nu.sample(nodes)
+    values = nu(nodes)
     assert np.max(np.abs(values - reference_nu(curve, field, s0, nu0, nodes))) < 1e-10
 
 
@@ -626,7 +649,7 @@ def test_reparameterized_curve_scales_phi_by_g_prime(case, k, increasing_rate, s
     s, g1, _ = g(grid_g.s_nodes)
     tangent, n, k_s = frenet(curve, s)
     r, d, _ = curve.jet(s)
-    nu_s, dnu = nu.sample(s)
+    nu_s, dnu = nu(s), nu.d(s)
     # measured on 200 draws: nu within 8.3e-14, phi within 8.5e-9 (1 + max |tau|)
     assert np.max(np.abs(grid_g.nu - nu_s)) < 1e-11
     n_prime = (-k_s * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent
@@ -662,13 +685,12 @@ def test_solve_nu_is_one_solve_stopping_only_at_the_breaks(monkeypatch):
     nu = solve_nu(curve, field, 0.5, 1.1)
     assert len(calls) == 1 and not nu.truncated
     # the knots 1/3 and 2/3 are at sigma 1/3 of the lower and the upper
-    # branch, so each branch has two steps, not one per s-node
-    for idx, branch in nu.branches.items():
-        own = [(k - 0.5) / (nu.ends[idx] - 0.5) for k in curve.breaks
-               if (k - 0.5) * (idx - 0.5) > 0]
-        assert len(branch.ts) == 3 and branch.ts[0] == 0.0 and branch.ts[-1] == 1.0
-        # a stop of one branch within 1e-14 of one of the other's is merged into it
-        assert np.all(np.min(np.abs(branch.ts[:, None] - own), axis=0) <= 1e-14)
+    # branch, so each branch has two steps, not one per s-node: in s, the
+    # step ends inside the interval are the knots and s0 = 0.5, and no others
+    ts = nu.solution.ts
+    assert len(ts) == 5 and ts[0] == 0.0 and ts[2] == 0.5 and ts[-1] == 1.0
+    # a stop of one branch within 1e-14 of one of the other's is merged into it
+    assert np.all(np.abs(ts[[1, 3]] - np.array(curve.breaks)) <= 1e-14)
 
 
 def test_one_branch_truncates_while_the_other_reaches_its_end():
@@ -679,7 +701,7 @@ def test_one_branch_truncates_while_the_other_reaches_its_end():
     assert nu.truncated and nu.s_lo == -1.0 and 0.1 < nu.s_hi < 0.125
     assert nu.stop_reason.startswith("on [0, 1], stopped at") and ";" not in nu.stop_reason
     s = nodes[nodes <= nu.s_hi]
-    assert np.max(np.abs(nu.values(s) - np.sqrt(0.25 - 2.0 * s))) < 1e-9
+    assert np.max(np.abs(nu(s) - np.sqrt(0.25 - 2.0 * s))) < 1e-9
 
     def fn(r, v):
         if np.any(r[..., 0] > 0.5):
@@ -689,7 +711,7 @@ def test_one_branch_truncates_while_the_other_reaches_its_end():
     nu = solve_nu(seg, ForceField(fn=fn), 0.0, 1.0)
     assert nu.truncated and nu.s_lo == -1.0 and 0.5 - 1e-13 < nu.s_hi <= 0.5
     assert nu.stop_reason.startswith("on [0, 1]") and "OverflowError: boom" in nu.stop_reason
-    assert np.all(nu.values(np.linspace(-1.0, nu.s_hi, 9)) == 1.0)
+    assert np.all(nu(np.linspace(-1.0, nu.s_hi, 9)) == 1.0)
 
 
 def test_solve_nu_from_a_subnormal_distance_to_an_end_warns_nothing():
@@ -699,7 +721,7 @@ def test_solve_nu_from_a_subnormal_distance_to_an_end_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nu = solve_nu(curve, field, 5e-324, 1.1)
-        values, _ = nu.sample(nodes)
+        values = nu(nodes)
     assert not nu.truncated and values[0] == 1.1
 
 
