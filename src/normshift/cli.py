@@ -88,8 +88,7 @@ def cmd_simulate(args) -> int:
     extra = {
         "outputs": ["trajectory.csv"],
         "integrator": {"method": icfg.method, "abs_tol": icfg.abs_tol,
-                       "rel_tol": icfg.rel_tol,
-                       "accepted_nodes": traj.accepted_nodes},
+                       "rel_tol": icfg.rel_tol, **traj.work},
     }
     if oracle is not None:
         kind, tol, _ = oracle

@@ -56,7 +56,8 @@ class PhaseState:
 
 @dataclass
 class IntegratorConfig:
-    """Integrator selection: adaptive 5(4) pair (default) or fixed-step RK4."""
+    """Integrator selection: ``"dopri-adaptive"``, the adaptive
+    Dormand–Prince 8(5,3) pair DOP853 (default), or ``"rk4-fixed"``."""
 
     method: str = "dopri-adaptive"
     step: float | None = None
@@ -73,9 +74,10 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Integrated trajectory: the dense-output interpolant (cubic Hermite on
-    the accepted steps) and the states it gives at the output times, where
-    the state at the initial time is the initial state itself."""
+    """Integrated trajectory: the solver's dense output (DOP853's 7th-order
+    interpolant, or RK4's cubic Hermite, on the accepted steps) and the
+    states it gives at the output times, where the state at the initial time
+    is the initial state itself."""
 
     def __init__(self, times: np.ndarray, sol: odesolve.OdeSolution):
         self.times = np.asarray(times, float)
@@ -93,9 +95,11 @@ class Trajectory:
         return self._ys[:, 2:4]
 
     @property
-    def accepted_nodes(self) -> int:
-        """Number of nodes the integrator accepted, both ends included."""
-        return len(self._sol.ts)
+    def work(self) -> dict:
+        """The integrator's work: the nodes it accepted, both ends included,
+        its right-side calls and its rejected step attempts."""
+        return {"accepted_nodes": len(self._sol.ts), "rhs_calls": self._sol.rhs_calls,
+                "rejected_steps": self._sol.rejected_steps}
 
     def state_at(self, t: float) -> PhaseState:
         y = self._sol(t)

@@ -1,17 +1,21 @@
-"""Generic ODE stepping: embedded Dormand-Prince 5(4), fixed-step RK4, and
+"""Generic ODE stepping: adaptive Dormand–Prince 8(5,3), fixed-step RK4, and
 Chebyshev–Picard steps.
 
-Dormand-Prince and RK4 march through an optional sorted list of stop times so
-that the solution is exact (to integrator accuracy) at requested output
-nodes; between accepted steps a cubic Hermite interpolant provides dense
-output.  Time may run backward (t1 < t0).  ``solve_chebyshev`` steps forward
-only; it evaluates the right side at all nodes of a step in one call, and
-its dense output is each step's interpolant on those nodes.
+Dormand–Prince and RK4 march through an optional sorted list of stop times
+so that the solution is exact (to integrator accuracy) at requested output
+nodes.  Between accepted steps, dense output is the 8th-order pair's own
+7th-order continuous extension for ``solve_dopri`` and a cubic Hermite
+through the node values and slopes for ``solve_rk4``.  Time may run backward
+(t1 < t0).  ``solve_chebyshev`` steps forward only; it evaluates the right
+side at all nodes of a step in one call, and its dense output is each step's
+interpolant on those nodes.
 
 The state may be stacked, shape (..., d): independent systems advanced
-together on shared steps.  The adaptive error norm is the RMS over the last
-axis, then the maximum over the leading ones, so every accepted step passes
-each row's own test; for a 1-D state it is the plain RMS.
+together on shared steps.  The adaptive error norm is taken over each row of
+the last axis, then the maximum over the leading ones, so every accepted step
+passes each row's own test.  A package error raised by the right side of
+``solve_dopri`` or ``solve_rk4`` gets a note naming the time of the stage
+that raised it and the last accepted t.
 """
 
 from __future__ import annotations
@@ -23,23 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StepFailure
-
-# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+from .errors import NormShiftError, StepFailure
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -51,16 +39,102 @@ _MIN_STEP = 1e-14
 _MAX_ATTEMPTS = 2_000_000
 
 
+@functools.cache
+def _dop853() -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(C, A, E5, E3, D) of DOP853 (Hairer, Nørsett & Wanner, Solving ODEs I,
+    §II.5–II.6), with the coefficients of
+    scipy/integrate/_ivp/dop853_coefficients.py, as arrays: A as its rows
+    A[i, :i], E5 and E3 over the 12 stages of a step, and D as its 4 rows
+    over all 16 stages.  Built on first use, literals included: held as
+    module constants, they raised the peak RSS of a ``check`` run, which
+    takes no such step, by 0.25 MB (CPython 3.11, x86-64 Linux)."""
+    # the nonzero entries of row i of A, {j: a_ij}: rows 1-11 are the stages
+    # of a step, row 12 its weights B (its stage, at y_new, is the next
+    # step's first), and rows 13-15 the extra stages of its dense output
+    c = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+         0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+         0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+         0.7777777777777778)
+    a = (
+        {},
+        {0: 0.05260015195876773},
+        {0: 0.0197250569845379, 1: 0.0591751709536137},
+        {0: 0.02958758547680685, 2: 0.08876275643042054},
+        {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+        {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+        {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+        {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+         5: -0.015319437748624402, 6: 0.008273789163814023},
+        {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+         5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+        {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+         5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+         8: -0.020331201708508627},
+        {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+        {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+        {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+        {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+        {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+         7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+        {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+         13: 2.9475147891527724, 14: -9.15095847217987},
+    )
+    # the 5th-order error weights, and the 3rd-order ones less B
+    e5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+          7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+          10: 0.08192320648511571, 11: -0.022355307863886294}
+    e3_less_b = {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766}
+    # the last four rows of the interpolant, F_3..F_6 = h D K over all 16 stages
+    d = (
+        {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+         7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+         10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+         13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+        {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+         7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+         10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+         13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+        {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+         7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+         10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+         13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+        {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+         7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+         10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+         13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+    )
+
+    def dense(row, n):
+        out = np.zeros(n)
+        out[list(row)] = list(row.values())
+        return out
+
+    rows = [dense(row, i) for i, row in enumerate(a)]
+    e3 = rows[12].copy()
+    e3[list(e3_less_b)] -= list(e3_less_b.values())
+    return np.array(c), rows, dense(e5, 12), e3, [dense(row, 16) for row in d]
+
+
 @dataclass
 class OdeSolution:
-    """Accepted nodes (ts, ys) plus derivatives (fs) for Hermite dense output.
-
-    ys and fs have shape (len(ts),) + the state's shape.
-    """
+    """Accepted nodes ``ts`` and the state there, ``ys`` (shape (len(ts),) +
+    the state's shape), the right-side calls and rejected step attempts of
+    the solve that found them, and dense output between the nodes."""
 
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
+    rhs_calls: int
+    rejected_steps: int
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -80,7 +154,22 @@ class OdeSolution:
         k = np.clip(k, 0, len(nodes) - 2)
         if not ascending:
             k = len(nodes) - 2 - k
-        ta, h = nodes[k], nodes[k + 1] - nodes[k]
+        return self._between(k, t)
+
+    def _between(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The interpolant of step k[i] at t[i], for every i."""
+        raise NotImplementedError
+
+
+@dataclass
+class _Hermite(OdeSolution):
+    """RK4's nodes with the derivative there, ``fs`` (shaped as ``ys``): the
+    cubic Hermite through the values and slopes at a step's two ends."""
+
+    fs: np.ndarray
+
+    def _between(self, k, t):
+        ta, h = self.ts[k], self.ts[k + 1] - self.ts[k]
         # one time per row, broadcast over the state's axes
         expand = (slice(None),) + (None,) * (self.ys.ndim - 1)
         s = ((t - ta) / np.where(h == 0, 1.0, h))[expand]
@@ -97,12 +186,54 @@ class OdeSolution:
         return out
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                abs_tol: float, rel_tol: float, width: int) -> float:
-    """RMS of the scaled error over rows of ``width`` components, the worst row."""
+@dataclass
+class _Dop853(OdeSolution):
+    """DOP853's nodes with each step's interpolant rows F_0..F_6, ``coeffs``
+    (shape (len(ts) - 1, 7) + the state's shape).  On step k, at
+    x = (t - ts[k]) / (ts[k + 1] - ts[k]),
+
+        y = ys[k] + x (F_0 + (1 - x)(F_1 + x (F_2 + (1 - x)(F_3
+              + x (F_4 + (1 - x)(F_5 + x F_6)))))),
+
+    and a node's own time gives its value exactly."""
+
+    coeffs: np.ndarray
+
+    def _between(self, k, t):
+        ta, tb = self.ts[k], self.ts[k + 1]
+        expand = (slice(None),) + (None,) * (self.ys.ndim - 1)
+        x = ((t - ta) / (tb - ta))[expand]
+        x1 = 1.0 - x
+        # one coefficient row at a time, so that every temporary is (len(t),)
+        # + state; np.take gathers several times faster than indexing
+        out = np.take(self.coeffs[:, 6], k, axis=0)
+        out *= x
+        for j in range(5, -1, -1):
+            out += np.take(self.coeffs[:, j], k, axis=0)
+            out *= x1 if j % 2 else x
+        out += np.take(self.ys, k, axis=0)
+        first, last = t == ta, t == tb
+        out[first] = self.ys[k[first]]
+        out[last] = self.ys[k[last] + 1]
+        return out
+
+
+def _row_rms(x: np.ndarray, width: int) -> float:
+    """RMS over rows of ``width`` components, the worst row."""
+    return float(np.max(np.sqrt(np.mean(x.reshape(-1, width) ** 2, axis=-1))))
+
+
+def _error_norm(h: float, err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
+                y1: np.ndarray, abs_tol: float, rel_tol: float, width: int) -> float:
+    """DOP853's combined error norm, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) width)
+    of the scaled 5th- and 3rd-order estimates (scipy's
+    ``DOP853._estimate_error_norm``), over each row of ``width`` components;
+    the worst row."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    rows = (err / scale).reshape(-1, width)
-    return float(np.max(np.sqrt(np.mean(rows ** 2, axis=-1))))
+    e5 = np.sum(((err5 / scale) ** 2).reshape(-1, width), axis=-1)
+    e3 = np.sum(((err3 / scale) ** 2).reshape(-1, width), axis=-1)
+    denom = np.sqrt((e5 + 0.01 * e3) * width)
+    return h * float(np.max(e5 / np.where(denom > 0.0, denom, 1.0)))
 
 
 def nonfinite_rows(y: np.ndarray) -> list[int]:
@@ -132,49 +263,93 @@ def _stops(t: float, t1: float, t_stops, direction: float) -> list[float]:
     return stops
 
 
+class _FlatRhs:
+    """The right side on states flattened to one axis.  It counts its calls,
+    and a package error raised in it gets a note naming the stage time and
+    ``accepted``, the last accepted t, which the stepper keeps current."""
+
+    def __init__(self, rhs, shape: tuple, t: float):
+        self.rhs, self.shape, self.accepted, self.calls = rhs, shape, t, 0
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        try:
+            return np.asarray(self.rhs(t, y.reshape(self.shape)), float).ravel()
+        except NormShiftError as exc:
+            exc.add_note(f"at t={t:.6g}, last accepted t={self.accepted:.6g}")
+            raise
+
+
 def _start(rhs, t0: float, y0, t1: float, t_stops):
     """Initial node, marching direction and stop list shared by both steppers.
 
-    The steppers work on the state flattened to one axis.  Returns (shape,
-    flat_rhs, [t0], [y0], [rhs(t0, y0)], direction, stops): the state's shape,
-    the right side on flat states, and the ``_stops`` of the span; a repeated
-    stop is a zero-length step for RK4 and no step for Dormand-Prince.
+    Returns (shape, flat_rhs, t0, y0, rhs(t0, y0), direction, stops): the
+    state's shape, the ``_FlatRhs`` of ``rhs``, the initial node flattened,
+    and the ``_stops`` of the span; a repeated stop is a zero-length step for
+    RK4 and no step for Dormand–Prince.
     """
     y = np.array(y0, dtype=float)
     shape = y.shape
     y = y.ravel()
-
-    def flat_rhs(t, y):
-        return np.asarray(rhs(t, y.reshape(shape)), float).ravel()
-
     t = float(t0)
+    flat_rhs = _FlatRhs(rhs, shape, t)
     f = flat_rhs(t, y)
     direction = 1.0 if float(t1) > t else -1.0
-    return shape, flat_rhs, [t], [y], [f], direction, _stops(t, float(t1), t_stops, direction)
+    return shape, flat_rhs, t, y, f, direction, _stops(t, float(t1), t_stops, direction)
 
 
-def _solution(ts, ys, fs, shape) -> OdeSolution:
-    return OdeSolution(np.array(ts), np.array(ys).reshape((-1,) + shape),
-                       np.array(fs).reshape((-1,) + shape))
+def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
+                direction: float, abs_tol: float, rel_tol: float, width: int) -> float:
+    """The starting step of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4;
+    scipy's ``select_initial_step``) for an error of order 7, in the
+    row-wise RMS norm, for a span > 0.  It costs one right side.  Where an
+    estimate is not a positive finite number, its fallback is taken, and
+    the step is at most the span."""
+    scale = abs_tol + rel_tol * np.abs(y)
+    # a non-finite launch or probe slope is handled below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = _row_rms(y / scale, width), _row_rms(f / scale, width)
+    h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6, span)
+    if not h0 > 0.0:  # nan from inf / inf, or 0 from a finite / inf
+        h0 = min(1e-6, span)
+    f1 = rhs(t + direction * h0, y + direction * h0 * f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _row_rms((f1 - f) / scale, width) / h0
+    d = max(d1, d2)
+    h = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125, span)
+    return h if 0.0 < h < math.inf else h0
 
 
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10,
                 t_stops=None) -> OdeSolution:
-    """Adaptive 5(4) integration from t0 to t1 (either direction).
+    """Adaptive DOP853 integration from t0 to t1 (either direction).
+
+    An attempt costs 12 right sides: 11 stages and f(t + h, y_new), which is
+    the next step's first.  It passes when DOP853's combined 5th/3rd-order
+    error norm is at most 1 in every row; an accepted step then evaluates
+    the three extra stages of its 7th-order dense output.  The first step
+    follows ``_first_step`` at one more right side; a zero span takes no
+    step.
 
     Every stop is an accepted node: a step clipped to reach one ends on it
     exactly.  A StepFailure carries the accepted prefix as its ``solution``;
     one from a step-size underflow also names the rows of a stacked state
     that made the last attempted step non-finite, if any did.
     """
-    shape, rhs, ts, ys, fs, direction, stops = _start(rhs, t0, y0, t1, t_stops)
-    t, y, f = ts[0], ys[0], fs[0]
-    span = abs(float(t1) - t)
-    h = span / 100.0
-    k = np.zeros((7, y.size))
+    c, a, e5, e3, d = _dop853()
+    shape, rhs, t, y, f, direction, stops = _start(rhs, t0, y0, t1, t_stops)
     width = shape[-1] if shape else 1
+    h = (_first_step(rhs, t, y, f, abs(float(t1) - t), direction, abs_tol, rel_tol, width)
+         if stops else 0.0)
+    k = np.empty((16, y.size))
+    ts, ys, coeffs = [t], [y], []
+    rejected = 0
+
+    def solution():
+        return _Dop853(np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls,
+                       rejected, np.array(coeffs).reshape((-1, 7) + shape))
 
     attempts = 0
     bad_rows: list[int] = []
@@ -182,7 +357,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         while (target - t) * direction > 0:
             if attempts >= _MAX_ATTEMPTS:
                 raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
-                                  solution=_solution(ts, ys, fs, shape))
+                                  solution=solution())
             attempts += 1
 
             remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
@@ -191,38 +366,45 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 h = remaining  # end on the stop rather than leave a sliver before it
             if h < tiny:
                 raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
-                                  solution=_solution(ts, ys, fs, shape))
+                                  solution=solution())
             hs = direction * h
 
             k[0] = f
-            for i in range(1, 7):
-                yi = y + hs * (_A[i][:i] @ k[:i])
-                k[i] = rhs(t + _C[i] * hs, yi)
-            y_new = y + hs * (_B5 @ k)
-            err = hs * (_E @ k)
-            norm = (_error_norm(err, y, y_new, abs_tol, rel_tol, width)
-                    if np.all(np.isfinite(y_new)) else math.inf)
-            if not math.isfinite(norm):  # the last stage enters only the error
-                bad_rows = nonfinite_rows((y_new + err).reshape(shape))
-                h *= 0.25
+            for i in range(1, 13):  # stage 12, at y_new, is the next step's first
+                yi = y + hs * (a[i] @ k[:i])
+                k[i] = rhs(t + c[i] * hs, yi)
+            y_new = yi
+            err5, err3 = e5 @ k[:12], e3 @ k[:12]
+            norm = (_error_norm(h, err5, err3, y, y_new, abs_tol, rel_tol, width)
+                    if np.all(np.isfinite(y_new)) and np.all(np.isfinite(k[12])) else math.inf)
+            if not norm <= 1.0:
+                rejected += 1
+                if math.isfinite(norm):
+                    h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.125)
+                else:
+                    finite = (np.isfinite(y_new) & np.isfinite(k[12])
+                              & np.isfinite(err5) & np.isfinite(err3))
+                    bad_rows = nonfinite_rows(np.where(finite, 0.0, np.nan).reshape(shape))
+                    h *= 0.25
                 continue
 
-            if norm <= 1.0:
-                bad_rows = []
-                t_new = target if h == remaining else t + hs
-                f_new = k[6].copy()  # FSAL: last stage is rhs at (t_new, y_new)
-                t, y, f = t_new, y_new, f_new
-                ts.append(t)
-                ys.append(y.copy())
-                fs.append(f.copy())
-                factor = _MAX_FACTOR if norm == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                # a step clipped to a stop says nothing of the step size allowed
-                h = h * factor if h == proposed else max(h * factor, proposed)
-            else:
-                h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+            bad_rows = []
+            for i in range(13, 16):
+                k[i] = rhs(t + c[i] * hs, y + hs * (a[i] @ k[:i]))
+            dy = y_new - y
+            coeffs.append([dy, hs * f - dy, 2.0 * dy - hs * (f + k[12]),
+                           *(hs * (row @ k) for row in d)])
+            t = target if h == remaining else t + hs
+            y, f = y_new, k[12].copy()
+            rhs.accepted = t
+            ts.append(t)
+            ys.append(y)
+            factor = _MAX_FACTOR if norm == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
+            # a step clipped to a stop says nothing of the step size allowed
+            h = h * factor if h == proposed else max(h * factor, proposed)
 
-    return _solution(ts, ys, fs, shape)
+    return solution()
 
 
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -230,14 +412,15 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
               t_stops=None) -> OdeSolution:
     """Classic fixed-step RK4; the step is shrunk per segment to hit stop times.
 
-    Each segment's step count is counted, as a float, before it is stepped:
+    Each step costs 4 right sides, the last the slope at its end.  Each
+    segment's step count is counted, as a float, before it is stepped:
     StepFailure is raised at once, without stepping, when the running total
     would exceed ``_MAX_ATTEMPTS``.
     """
     if step <= 0:
         raise ValueError("rk4 step must be positive")
-    shape, rhs, ts, ys, fs, _, stops = _start(rhs, t0, y0, t1, t_stops)
-    t, y, f = ts[0], ys[0], fs[0]
+    shape, rhs, t, y, f, _, stops = _start(rhs, t0, y0, t1, t_stops)
+    ts, ys, fs = [t], [y], [f]
     total = 0.0
     for target in stops:
         seg = target - t
@@ -257,13 +440,15 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t = t + h
             f = rhs(t, y)
+            rhs.accepted = t
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            ys.append(y)
+            fs.append(f)
         t = target  # kill accumulated round-off at segment boundaries
         ts[-1] = t
 
-    return _solution(ts, ys, fs, shape)
+    return _Hermite(np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, 0,
+                    np.array(fs).reshape((-1,) + shape))
 
 
 # Chebyshev–Picard steps (Bai & Junkins, J. Astronaut. Sci. 58, 2011) on
@@ -348,7 +533,9 @@ class ChebyshevSolution:
             return np.repeat(self.ys, len(t), axis=0)
         k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         ta, tb = self.ts[k], self.ts[k + 1]
-        x = np.clip(2.0 * (t - ta) / (tb - ta) - 1.0, -1.0, 1.0)
+        # a step of zero length in t (two step ends that map to one s) gives
+        # its first node
+        x = np.clip(2.0 * (t - ta) / np.where(tb == ta, 1.0, tb - ta) - 1.0, -1.0, 1.0)
         # one node at a time, so memory grows with len(ts), not 25 times that
         nodes, w, _, _ = _chebyshev()
         expand = (-1,) + (1,) * (self.ys.ndim - 1)

@@ -470,11 +470,10 @@ def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> Normality
     The default tolerance scales with the deviation magnitude,
     phi_tol = 1e-6 (1 + max |tau|).  On shifts of the normality-claiming
     catalogue fields (random splines, n_s = 32, n_t = 50, t in [0, 0.5])
-    max |phi| is 5e-8 to 1.5e-7.  That floor is set by the cubic Hermite
-    dense output that samples the grid times, not by the integrator: at
-    accepted nodes phi is 3e-12 to 1e-10.  The default lies 130x to 800x
-    above that floor, and far below the order-one phi of a shift that is
-    not normal.
+    max |phi| is 6.6e-11 to 3.6e-9, sampled from the integrator's own
+    7th-order dense output at tolerance 1e-10.  The default lies 7000x to
+    200000x above that floor, and far below the order-one phi of a shift
+    that is not normal.
     """
     max_tau = grid.max_tau_norm()
     tol = phi_tol if phi_tol is not None else 1e-6 * (1.0 + max_tau)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -504,6 +505,23 @@ def test_init_takes_one_point_of_two_numbers(tmp_path, r, code):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
+@pytest.mark.parametrize("integrator, per_attempt, per_accepted, start", [
+    ({"integrator": "dopri-adaptive"}, 12, 3, 2),
+    ({"integrator": "rk4-fixed", "step": 0.05}, 4, 0, 1)], ids=["dopri-adaptive", "rk4-fixed"])
+def test_simulate_manifest_records_the_integrators_work(tmp_path, integrator, per_attempt,
+                                                        per_accepted, start):
+    cfg = write_config(tmp_path, "osc.json", {
+        "field": {"catalogue": "oscillator", "params": {"omega": 1.0}},
+        "init": {"r": [0.0, 0.5], "v": [1.0, 0.0]}, "t_span": [0.0, 2.0], "n_t": 5,
+        **integrator})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    work = json.loads((tmp_path / "o" / "manifest.json").read_text())["integrator"]
+    steps, rejected = work["accepted_nodes"] - 1, work["rejected_steps"]
+    assert steps > 0
+    assert work["rhs_calls"] == (start + per_attempt * (steps + rejected)
+                                 + per_accepted * steps)
+
+
 # Small valid configs: each run is short (n_t and n_s at most 5, t_span at
 # most 0.2), so that no replaced value can make one allocate or step much.
 _FUZZ_BASE = {
@@ -640,6 +658,24 @@ def test_shift_into_a_singularity_exits_3_naming_the_s_range(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.startswith(f"numeric failure: {error}")
     assert err.rstrip().endswith("(at s in [0, 0.6])")
+
+
+def test_a_column_that_comes_to_rest_exits_3_naming_t(tmp_path, capsys):
+    # F = -m with m = (1, 0): the column launched from s = 0 with nu = 0.3
+    # falls below V_MIN before t = 0.5, while the columns from s >= 0.5 do not
+    cfg = write_config(tmp_path, "cfg.json", {
+        "field": {"catalogue": "anisotropic", "params": {"profile": 1.0}},
+        "curve": {"kind": "segment_on_axis", "normal": "right"},
+        "nu": {"kind": "solve", "s0": 0.0, "nu0": 0.3},
+        "t_span": [0.0, 0.5], "n_s": 5, "n_t": 3})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: DegenerateVelocity")
+    found = re.search(r"\(at t=(\S+), last accepted t=(\S+)\) \(at s in \[\S+, 1\]\)$",
+                      err.rstrip())
+    assert found, err
+    stage, accepted = map(float, found.groups())
+    assert 0.0 < accepted <= stage < 0.5
 
 
 SCIPY_FREE_RUN = """

@@ -103,7 +103,7 @@ def test_rk4_fourth_order_on_oscillator():
        seed=st.integers(0, 2**32 - 1))
 def test_rk4_and_dopri5_agree_within_the_predicted_order(name, seed):
     # halving the rk4 step from 0.1 to 0.05 on [0, 1] cuts its endpoint error
-    # against a DOPRI5 reference at 1e-13 by 2**4: a factor in [12, 20].  The
+    # against a DOP853 reference at 1e-13 by 2**4: a factor in [12, 20].  The
     # fields are those whose launches from this box keep h = 0.1 in RK4's
     # asymptotic range (ratios 14.1 to 17.3 over 700 launches each): RK4 is
     # exact on gravity's parabolas, anisotropic launches can slow nearly to
@@ -453,19 +453,43 @@ def test_step_failure_carries_the_accepted_prefix():
     assert sol.ys[-1, 1, 0] == pytest.approx(2.0 * math.exp(-sol.ts[-1]), rel=1e-9)
 
 
-@pytest.mark.parametrize("case", ["forward", "backward", "zero-span", "rk4-repeated-node"])
+def _van_der_pol(t, y):
+    return np.array([y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def test_each_solver_counts_its_work_by_its_own_identity():
+    # DOP853: the launch slope, the starting-step probe, 12 right sides per
+    # attempt and the 3 extra stages of each accepted step's dense output
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return _van_der_pol(t, y)
+
+    sol = odesolve.solve_dopri(rhs, 0.0, [2.0, 0.0], 10.0)
+    assert sol.rejected_steps > 0
+    assert sol.rhs_calls == len(calls) == 2 + 15 * (len(sol.ts) - 1) + 12 * sol.rejected_steps
+    # a zero span takes no step and no probe
+    sol = odesolve.solve_dopri(_van_der_pol, 0.5, [2.0, 0.0], 0.5)
+    assert (sol.rhs_calls, sol.rejected_steps) == (1, 0)
+    # the prefix of a failed solve counts the attempts that failed it
+    with pytest.raises(StepFailure, match="underflow") as info:
+        odesolve.solve_dopri(lambda t, y: -y if t < 0.5 else np.full_like(y, np.nan),
+                             0.0, [1.0], 1.0)
+    prefix = info.value.solution
+    assert prefix.rejected_steps > 0
+    assert prefix.rhs_calls == 2 + 15 * (len(prefix.ts) - 1) + 12 * prefix.rejected_steps
+    # RK4: 4 right sides per step, a zero-length one included, and no rejections
+    sol = odesolve.solve_rk4(_van_der_pol, 0.0, [2.0, 0.0], 1.0, step=0.1, t_stops=[0.45, 0.45])
+    assert (sol.rhs_calls, sol.rejected_steps) == (1 + 4 * (len(sol.ts) - 1), 0)
+
+
+@pytest.mark.parametrize("case", ["rk4-repeated-node"])
 def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
+    # RK4's dense output; DOP853's is test_dop853_dense_output_is_its_nested_form_bit_for_bit
     y0 = [0.7, -0.0]
-    if case == "forward":
-        sol = odesolve.solve_dopri(_pendulum, 0.0, y0, 3.0, abs_tol=1e-8, rel_tol=1e-8)
-    elif case == "backward":
-        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, -2.5, abs_tol=1e-8, rel_tol=1e-8)
-    elif case == "zero-span":
-        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, 0.5)
-        assert len(sol.ts) == 1
-    else:
-        sol = odesolve.solve_rk4(_pendulum, 0.0, y0, 1.0, step=0.1, t_stops=[0.45, 0.45])
-        assert np.any(np.diff(sol.ts) == 0.0)
+    sol = odesolve.solve_rk4(_pendulum, 0.0, y0, 1.0, step=0.1, t_stops=[0.45, 0.45])
+    assert np.any(np.diff(sol.ts) == 0.0)
     lo, hi = sorted((sol.ts[0], sol.ts[-1]))
     between = np.linspace(lo, hi, 1001)
     for times in (between, between[::-1], sol.ts):
@@ -474,5 +498,48 @@ def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
         assert sampled.shape == (len(times), 2)
         assert sampled.tobytes() == reference.tobytes()
         assert sol(times[1 % len(times)]).tobytes() == reference[1 % len(times)].tobytes()
+    with pytest.raises(ValueError, match="outside the integrated interval"):
+        sol.sample([lo, hi + 1e-6])
+
+
+def _nested_reference(sol, t):
+    """Dense output at one time, with the scalar nested form of DOP853's
+    interpolant, or a node's own value at its time."""
+    ts = sol.ts
+    ascending = ts[-1] >= ts[0]
+    k = int(np.searchsorted(ts if ascending else ts[::-1], t, side="right")) - 1
+    k = min(max(k, 0), len(ts) - 2)
+    if not ascending:
+        k = len(ts) - 2 - k
+    ta, tb = ts[k], ts[k + 1]
+    if t in (ta, tb):
+        return sol.ys[k if t == ta else k + 1].copy()
+    x = (t - ta) / (tb - ta)
+    f = sol.coeffs[k]
+    return sol.ys[k] + x * (f[0] + (1 - x) * (f[1] + x * (f[2] + (1 - x) * (
+        f[3] + x * (f[4] + (1 - x) * (f[5] + x * f[6]))))))
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "zero-span"])
+def test_dop853_dense_output_is_its_nested_form_bit_for_bit(case):
+    y0 = [0.7, -0.0]
+    if case == "forward":
+        sol = odesolve.solve_dopri(_pendulum, 0.0, y0, 3.0, abs_tol=1e-8, rel_tol=1e-8)
+    elif case == "backward":
+        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, -2.5, abs_tol=1e-8, rel_tol=1e-8)
+    else:
+        sol = odesolve.solve_dopri(_pendulum, 0.5, y0, 0.5)
+        assert len(sol.ts) == 1 and sol.coeffs.shape == (0, 7, 2)
+    assert sol.coeffs.shape == (len(sol.ts) - 1, 7, 2)
+    # every node, the -0.0 of the initial state included, is its own value
+    assert odesolve.OdeSolution.sample(sol, sol.ts).tobytes() == sol.ys.tobytes()
+    lo, hi = sorted((sol.ts[0], sol.ts[-1]))
+    between = np.linspace(lo, hi, 1001)
+    for times in (between, between[::-1]):
+        sampled = odesolve.OdeSolution.sample(sol, times)
+        reference = np.array([_nested_reference(sol, t) for t in times])
+        assert sampled.shape == (len(times), 2)
+        assert sampled.tobytes() == reference.tobytes()
+        assert sol(times[1]).tobytes() == reference[1].tobytes()
     with pytest.raises(ValueError, match="outside the integrated interval"):
         sol.sample([lo, hi + 1e-6])

@@ -88,3 +88,13 @@ def test_zero_span_backward_span_and_queries_outside():
         sol.sample([0.6])
     with pytest.raises(ValueError, match="forward"):
         odesolve.solve_chebyshev(lambda t, y: y, 0.5, [2.0], 0.0, tol=1e-10)
+
+
+def test_a_zero_length_step_samples_its_first_node():
+    # two step ends that map to one s, as in a nu solve started within
+    # rounding of the curve's end, make a step of zero length
+    n = len(odesolve._chebyshev()[0])
+    nodes = np.stack([np.linspace(1.0, 2.0, n), np.full(n, 2.0)])[:, :, None]
+    sol = odesolve.ChebyshevSolution(np.array([0.0, 1.0, 1.0]), np.array([[1.0], [2.0], [2.0]]),
+                                     nodes)
+    assert sol.sample([0.0, 1.0]).tolist() == [[1.0], [2.0]]

@@ -252,24 +252,27 @@ def test_mdtype_shift_is_normal_on_random_splines():
         assert normality_report(grid).normal
 
 
-def test_every_normality_claiming_family_shifts_normally():
-    from normshift.experiment import catalogue, CATALOGUE
+CLAIMING_PARAMS = {
+    "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
+    "marked_point": {"profile": {"kind": "poly", "coeffs": [0.9, 0.2]},
+                     "center": [4.0, 4.0]},  # keep the curve away from it
+    "geodesic": {"f": {"kind": "sin_cos", "amplitude": 0.25}},
+    "metrizable": {"f": {"kind": "sin_cos", "amplitude": 0.25},
+                   "H": {"kind": "poly", "coeffs": [0.1, 0.2]}},
+    "mdtype": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
+               "h": {"kind": "poly", "coeffs": [0.2, 0.1]}},
+    "disc_invariant": {"R": 4.0, "profile": {"kind": "poly", "coeffs": [1.0, 0.2]}},
+}
+
+
+def claiming_shifts(n_s, n_t):
+    """(name, grid) of a shift of each normality-claiming catalogue field, on
+    random splines (rng 7) with nu solved from 1 at s0 = 0.5, t in [0, 0.5]."""
     rng = np.random.default_rng(7)
-    params = {
-        "anisotropic": {"profile": {"kind": "poly", "coeffs": [0.8, 0.3]}},
-        "marked_point": {"profile": {"kind": "poly", "coeffs": [0.9, 0.2]},
-                         "center": [4.0, 4.0]},  # keep the curve away from it
-        "geodesic": {"f": {"kind": "sin_cos", "amplitude": 0.25}},
-        "metrizable": {"f": {"kind": "sin_cos", "amplitude": 0.25},
-                       "H": {"kind": "poly", "coeffs": [0.1, 0.2]}},
-        "mdtype": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
-                   "h": {"kind": "poly", "coeffs": [0.2, 0.1]}},
-        "disc_invariant": {"R": 4.0, "profile": {"kind": "poly", "coeffs": [1.0, 0.2]}},
-    }
     names = [n for n in CATALOGUE if CATALOGUE[n]["claims_normality"]]
-    assert sorted(names) == sorted(params)
+    assert sorted(names) == sorted(CLAIMING_PARAMS)
     for name in names:
-        field = catalogue(name, params[name])
+        field = catalogue(name, CLAIMING_PARAMS[name])
         curve = spline_through(random_spline_points(rng))
         nu = solve_nu(curve, field, 0.5, 1.0)
         s_range = None
@@ -277,11 +280,23 @@ def test_every_normality_claiming_family_shifts_normally():
             # shift only the marked healthy part of the curve
             pad = 0.1 * (nu.s_hi - nu.s_lo)
             s_range = (nu.s_lo + pad, nu.s_hi - pad)
-        grid = normal_shift(curve, field, nu, (0, 0.5), n_s=8, n_t=9,
-                            s_range=s_range)
+        yield name, normal_shift(curve, field, nu, (0, 0.5), n_s=n_s, n_t=n_t,
+                                 s_range=s_range)
+
+
+def test_every_normality_claiming_family_shifts_normally():
+    for name, grid in claiming_shifts(n_s=8, n_t=9):
         bound = 1e-6 * (1.0 + grid.max_tau_norm())
         assert grid.max_abs_phi() <= bound, name
         assert normality_report(grid).normal, name
+
+
+def test_sampled_phi_of_the_claiming_fields_stays_below_1e_8():
+    # the grid times are sampled from the integrator's dense output: a cubic
+    # Hermite over the steps sets a floor of 5.2e-8 to 1.5e-7 here, while
+    # DOP853's own 7th-order interpolant stays near the integrator's accuracy
+    worst = {name: grid.max_abs_phi() for name, grid in claiming_shifts(n_s=32, n_t=50)}
+    assert max(worst.values()) <= 1e-8, worst
 
 
 def test_oscillator_tilted_line_never_normal():
@@ -474,7 +489,8 @@ def test_field_errors_in_the_block_name_the_shifted_range():
     with pytest.raises(InvalidParams) as info:
         normal_shift(segment_on_axis(0.0, 1.0), marked, Profile.constant(1.0),
                      (0, 0.5), n_s=5, n_t=3)
-    assert info.value.__notes__ == ["at s in [0, 1]"]
+    # the solver names the time first; the launch at s = 0.5 is the centre
+    assert info.value.__notes__ == ["at t=0, last accepted t=0", "at s in [0, 1]"]
 
 
 # ---------------------------------------------------------------------------
