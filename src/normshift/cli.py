@@ -129,14 +129,15 @@ def cmd_shift(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     xy = grid.write_csv(out / "shift_grid.csv")
     payload = report.to_dict()
+    extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
+             "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
     if isinstance(nu, NuSolution):
         payload["nu_truncated"] = nu.truncated
         payload["nu_interval"] = [nu.s_lo, nu.s_hi]
         if nu.truncated:
             payload["nu_stop_reason"] = nu.stop_reason
+        extra["nu_solve"] = nu.solution.work
     _write_json(out / "normality_report.json", payload)
-    extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
-             "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
     if args.emit_plotdata:
         write_table(out / "plot_fronts.dat", xy, sep=" ", block=len(grid.s_nodes))
         extra["outputs"].append("plot_fronts.dat")

@@ -96,10 +96,8 @@ class Trajectory:
 
     @property
     def work(self) -> dict:
-        """The integrator's work: the nodes it accepted, both ends included,
-        its right-side calls and its rejected step attempts."""
-        return {"accepted_nodes": len(self._sol.ts), "rhs_calls": self._sol.rhs_calls,
-                "rejected_steps": self._sol.rejected_steps}
+        """The integrator's work, ``OdeSolution.work``."""
+        return self._sol.work
 
     def state_at(self, t: float) -> PhaseState:
         y = self._sol(t)
@@ -184,15 +182,11 @@ def _accelerations(field: ForceField, p, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
-    """Dense output at ``times``, where a time equal to the initial time gives
-    the initial state itself (the interpolant can turn a -0.0 of it into
-    +0.0).  A non-finite sample raises StepFailure naming the rows of a
-    stacked state that have one."""
+    """Dense output at ``times``.  A non-finite sample raises StepFailure
+    naming the rows of a stacked state that have one."""
     ys = sol.sample(times)
-    y0 = sol.ys[0]
-    ys[times == sol.ts[0]] = y0
     if not np.all(np.isfinite(ys)):
-        rows = odesolve.nonfinite_rows(np.where(np.isfinite(ys).all(axis=0), y0, np.nan))
+        rows = odesolve.nonfinite_rows(np.where(np.isfinite(ys).all(axis=0), 0.0, np.nan))
         raise StepFailure("solution left the finite domain", rows=rows)
     return ys
 

@@ -14,9 +14,8 @@ class StepFailure(NormShiftError):
 
     ``rows`` lists the rows of a stacked state (counted over its leading
     axes) that went non-finite, when the failure is known to come from them.
-    ``solution`` is the solution of the steps accepted before the failure
-    (an ``odesolve.OdeSolution`` or ``ChebyshevSolution``), when the
-    integrator raised it.
+    ``solution`` is the ``odesolve.OdeSolution`` of the steps accepted
+    before the failure, when the integrator raised it.
     """
 
     def __init__(self, message: str = "", rows=(), solution=None):

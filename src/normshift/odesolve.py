@@ -1,14 +1,15 @@
 """Generic ODE stepping: adaptive Dormand–Prince 8(5,3), fixed-step RK4, and
 Chebyshev–Picard steps.
 
-Dormand–Prince and RK4 march through an optional sorted list of stop times
-so that the solution is exact (to integrator accuracy) at requested output
-nodes.  Between accepted steps, dense output is the 8th-order pair's own
-7th-order continuous extension for ``solve_dopri`` and a cubic Hermite
-through the node values and slopes for ``solve_rk4``.  Time may run backward
-(t1 < t0).  ``solve_chebyshev`` steps forward only; it evaluates the right
-side at all nodes of a step in one call, and its dense output is each step's
-interpolant on those nodes.
+Each solver marches through an optional sorted list of stop times, so that
+the solution is exact (to integrator accuracy) at requested output nodes;
+Dormand–Prince and Chebyshev–Picard steps share one adaptive march.  Each
+returns an ``OdeSolution``, whose dense output between the nodes is the
+8th-order pair's own 7th-order continuous extension for ``solve_dopri``, a
+cubic Hermite through the node values and slopes for ``solve_rk4``, and each
+step's interpolant on its Chebyshev–Lobatto nodes for ``solve_chebyshev``.
+Time may run backward (t1 < t0), except for ``solve_chebyshev``, which
+evaluates the right side at all nodes of a step in one call.
 
 The state may be stacked, shape (..., d): independent systems advanced
 together on shared steps.  The adaptive error norm is taken over each row of
@@ -129,7 +130,9 @@ def _dop853() -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, lis
 class OdeSolution:
     """Accepted nodes ``ts`` and the state there, ``ys`` (shape (len(ts),) +
     the state's shape), the right-side calls and rejected step attempts of
-    the solve that found them, and dense output between the nodes."""
+    the solve that found them, and dense output between the nodes.  A time
+    equal to a node gives that node's value; of the two nodes of a
+    zero-length step, the first."""
 
     ts: np.ndarray
     ys: np.ndarray
@@ -139,6 +142,13 @@ class OdeSolution:
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
 
+    @property
+    def work(self) -> dict:
+        """The solve's work: the nodes it accepted, both ends included, its
+        right-side calls and its rejected step attempts."""
+        return {"accepted_nodes": len(self.ts), "rhs_calls": self.rhs_calls,
+                "rejected_steps": self.rejected_steps}
+
     def sample(self, ts) -> np.ndarray:
         """Dense output at every time in ``ts``, shape (len(ts),) + state shape."""
         t = np.asarray(ts, float)
@@ -147,17 +157,26 @@ class OdeSolution:
         outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
         if np.any(outside):
             raise ValueError(f"t={t[outside][0]} outside the integrated interval [{lo}, {hi}]")
-        if len(nodes) == 1:
+        n = len(nodes)
+        if n == 1:
             return np.repeat(self.ys, len(t), axis=0)
-        ascending = nodes[-1] >= nodes[0]
-        k = np.searchsorted(nodes if ascending else nodes[::-1], t, side="right") - 1
-        k = np.clip(k, 0, len(nodes) - 2)
-        if not ascending:
-            k = len(nodes) - 2 - k
-        return self._between(k, t)
+        # i: the first node at or past t in marching order; t lies on step i - 1
+        if nodes[-1] >= nodes[0]:
+            i = np.searchsorted(nodes, t, side="left")
+        else:
+            i = n - np.searchsorted(nodes[::-1], t, side="right")
+        k = np.clip(i - 1, 0, n - 2)
+        ta, h = nodes[k], nodes[k + 1] - nodes[k]
+        # a zero-length step is not divided by: its only times are its nodes
+        u = (t - ta) / np.where(h == 0.0, 1.0, h)
+        out = self._between(k, u.reshape((-1,) + (1,) * (self.ys.ndim - 1)))
+        hit = nodes[np.minimum(i, n - 1)] == t
+        out[hit] = self.ys[i[hit]]
+        return out
 
-    def _between(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The interpolant of step k[i] at t[i], for every i."""
+    def _between(self, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The interpolant of step k[i] at the fraction u[i] of it, for every
+        i; u has one row per i, broadcast over the state's axes."""
         raise NotImplementedError
 
 
@@ -168,22 +187,17 @@ class _Hermite(OdeSolution):
 
     fs: np.ndarray
 
-    def _between(self, k, t):
-        ta, h = self.ts[k], self.ts[k + 1] - self.ts[k]
-        # one time per row, broadcast over the state's axes
-        expand = (slice(None),) + (None,) * (self.ys.ndim - 1)
-        s = ((t - ta) / np.where(h == 0, 1.0, h))[expand]
-        h = h[expand]
+    def _between(self, k, s):
+        h = (self.ts[k + 1] - self.ts[k]).reshape(s.shape)
         # float_power is C pow, as ** on a scalar is; ** 2 on an array squares
         h00 = (1 + 2 * s) * np.float_power(1 - s, 2.0)
         h10 = s * np.float_power(1 - s, 2.0)
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        out = (h00 * self.ys[k] + h10 * h * self.fs[k]
-               + h01 * self.ys[k + 1] + h11 * h * self.fs[k + 1])
-        repeated = h.ravel() == 0  # a zero-length step returns its first node
-        out[repeated] = self.ys[k[repeated]]
-        return out
+        # np.take gathers several times faster than indexing
+        return (h00 * np.take(self.ys, k, axis=0) + h10 * h * np.take(self.fs, k, axis=0)
+                + h01 * np.take(self.ys, k + 1, axis=0)
+                + h11 * h * np.take(self.fs, k + 1, axis=0))
 
 
 @dataclass
@@ -193,16 +207,11 @@ class _Dop853(OdeSolution):
     x = (t - ts[k]) / (ts[k + 1] - ts[k]),
 
         y = ys[k] + x (F_0 + (1 - x)(F_1 + x (F_2 + (1 - x)(F_3
-              + x (F_4 + (1 - x)(F_5 + x F_6)))))),
-
-    and a node's own time gives its value exactly."""
+              + x (F_4 + (1 - x)(F_5 + x F_6))))))."""
 
     coeffs: np.ndarray
 
-    def _between(self, k, t):
-        ta, tb = self.ts[k], self.ts[k + 1]
-        expand = (slice(None),) + (None,) * (self.ys.ndim - 1)
-        x = ((t - ta) / (tb - ta))[expand]
+    def _between(self, k, x):
         x1 = 1.0 - x
         # one coefficient row at a time, so that every temporary is (len(t),)
         # + state; np.take gathers several times faster than indexing
@@ -212,9 +221,6 @@ class _Dop853(OdeSolution):
             out += np.take(self.coeffs[:, j], k, axis=0)
             out *= x1 if j % 2 else x
         out += np.take(self.ys, k, axis=0)
-        first, last = t == ta, t == tb
-        out[first] = self.ys[k[first]]
-        out[last] = self.ys[k[last] + 1]
         return out
 
 
@@ -234,6 +240,15 @@ def _error_norm(h: float, err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
     e3 = np.sum(((err3 / scale) ** 2).reshape(-1, width), axis=-1)
     denom = np.sqrt((e5 + 0.01 * e3) * width)
     return h * float(np.max(e5 / np.where(denom > 0.0, denom, 1.0)))
+
+
+# An overflow in DOP853's own arithmetic makes a state or an estimate
+# non-finite, which rejects the step, so it is not warned about; a warning
+# raised in the right side itself still surfaces.
+@np.errstate(over="ignore", invalid="ignore")
+def _stage(y: np.ndarray, hs: float, row: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """y + hs (row @ k): the state of a stage, or of the step's end."""
+    return y + hs * (row @ k)
 
 
 def nonfinite_rows(y: np.ndarray) -> list[int]:
@@ -281,7 +296,7 @@ class _FlatRhs:
 
 
 def _start(rhs, t0: float, y0, t1: float, t_stops):
-    """Initial node, marching direction and stop list shared by both steppers.
+    """Initial node, marching direction and stop list of DOP853 and RK4.
 
     Returns (shape, flat_rhs, t0, y0, rhs(t0, y0), direction, stops): the
     state's shape, the ``_FlatRhs`` of ``rhs``, the initial node flattened,
@@ -320,6 +335,49 @@ def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
     return h if 0.0 < h < math.inf else h0
 
 
+def _march(attempt, t: float, y: np.ndarray, stops: list[float], direction: float,
+           h: float, build):
+    """The adaptive march of ``solve_dopri`` and ``solve_chebyshev`` from
+    (t, y) through ``stops`` in ``direction``, h the first step proposed.
+
+    ``attempt(t, y, step, proposed)`` tries the proposed step clipped to end
+    on the next stop, and returns (the state at its end, or None if rejected;
+    the next step to propose; the rows of a stacked state that went
+    non-finite, or None to keep the last found).  ``build(ts, ys, rejected)``
+    makes the solution.  A StepFailure, from a step-size underflow or after
+    ``_MAX_ATTEMPTS`` attempts, carries the accepted prefix as its
+    ``solution``; one from an underflow also names the rows that went
+    non-finite since the last accepted step.
+    """
+    ts, ys = [t], [y]
+    attempts = rejected = 0
+    bad_rows: list[int] = []
+    for target in stops:
+        while (target - t) * direction > 0:
+            if attempts >= _MAX_ATTEMPTS:
+                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
+                                  solution=build(ts, ys, rejected))
+            attempts += 1
+            remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
+            # end on the stop rather than leave a sliver before it
+            step = remaining if h > remaining - tiny else h
+            if step < tiny:
+                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
+                                  solution=build(ts, ys, rejected))
+            y_new, h, rows = attempt(t, y, step, h)
+            if rows is not None:
+                bad_rows = rows
+            if y_new is None:
+                rejected += 1
+                continue
+            bad_rows = []
+            t = target if step == remaining else t + direction * step
+            y = y_new
+            ts.append(t)
+            ys.append(y)
+    return build(ts, ys, rejected)
+
+
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10,
@@ -331,12 +389,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     error norm is at most 1 in every row; an accepted step then evaluates
     the three extra stages of its 7th-order dense output.  The first step
     follows ``_first_step`` at one more right side; a zero span takes no
-    step.
-
-    Every stop is an accepted node: a step clipped to reach one ends on it
-    exactly.  A StepFailure carries the accepted prefix as its ``solution``;
-    one from a step-size underflow also names the rows of a stacked state
-    that made the last attempted step non-finite, if any did.
+    step.  Stops and failures are those of ``_march``.
     """
     c, a, e5, e3, d = _dop853()
     shape, rhs, t, y, f, direction, stops = _start(rhs, t0, y0, t1, t_stops)
@@ -344,67 +397,40 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     h = (_first_step(rhs, t, y, f, abs(float(t1) - t), direction, abs_tol, rel_tol, width)
          if stops else 0.0)
     k = np.empty((16, y.size))
-    ts, ys, coeffs = [t], [y], []
-    rejected = 0
+    k[0] = f  # the slope at the last accepted node
+    coeffs = []
 
-    def solution():
-        return _Dop853(np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls,
-                       rejected, np.array(coeffs).reshape((-1, 7) + shape))
-
-    attempts = 0
-    bad_rows: list[int] = []
-    for target in stops:
-        while (target - t) * direction > 0:
-            if attempts >= _MAX_ATTEMPTS:
-                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
-                                  solution=solution())
-            attempts += 1
-
-            remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
-            proposed = h
-            if h > remaining - tiny:
-                h = remaining  # end on the stop rather than leave a sliver before it
-            if h < tiny:
-                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
-                                  solution=solution())
-            hs = direction * h
-
-            k[0] = f
-            for i in range(1, 13):  # stage 12, at y_new, is the next step's first
-                yi = y + hs * (a[i] @ k[:i])
-                k[i] = rhs(t + c[i] * hs, yi)
-            y_new = yi
+    def attempt(t, y, step, proposed):
+        rhs.accepted = t
+        hs = direction * step
+        for i in range(1, 13):  # stage 12, at y_new, is the next step's first
+            y_new = _stage(y, hs, a[i], k[:i])
+            k[i] = rhs(t + c[i] * hs, y_new)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _stage
             err5, err3 = e5 @ k[:12], e3 @ k[:12]
-            norm = (_error_norm(h, err5, err3, y, y_new, abs_tol, rel_tol, width)
+            norm = (_error_norm(step, err5, err3, y, y_new, abs_tol, rel_tol, width)
                     if np.all(np.isfinite(y_new)) and np.all(np.isfinite(k[12])) else math.inf)
-            if not norm <= 1.0:
-                rejected += 1
-                if math.isfinite(norm):
-                    h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.125)
-                else:
-                    finite = (np.isfinite(y_new) & np.isfinite(k[12])
-                              & np.isfinite(err5) & np.isfinite(err3))
-                    bad_rows = nonfinite_rows(np.where(finite, 0.0, np.nan).reshape(shape))
-                    h *= 0.25
-                continue
-
-            bad_rows = []
-            for i in range(13, 16):
-                k[i] = rhs(t + c[i] * hs, y + hs * (a[i] @ k[:i]))
+        if not norm <= 1.0:
+            if math.isfinite(norm):
+                return None, step * max(_MIN_FACTOR, _SAFETY * norm ** -0.125), None
+            finite = (np.isfinite(y_new) & np.isfinite(k[12])
+                      & np.isfinite(err5) & np.isfinite(err3))
+            return None, step * 0.25, nonfinite_rows(np.where(finite, 0.0, np.nan).reshape(shape))
+        for i in range(13, 16):
+            k[i] = rhs(t + c[i] * hs, _stage(y, hs, a[i], k[:i]))
+        with np.errstate(over="ignore", invalid="ignore"):
             dy = y_new - y
-            coeffs.append([dy, hs * f - dy, 2.0 * dy - hs * (f + k[12]),
+            coeffs.append([dy, hs * k[0] - dy, 2.0 * dy - hs * (k[0] + k[12]),
                            *(hs * (row @ k) for row in d)])
-            t = target if h == remaining else t + hs
-            y, f = y_new, k[12].copy()
-            rhs.accepted = t
-            ts.append(t)
-            ys.append(y)
-            factor = _MAX_FACTOR if norm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
-            # a step clipped to a stop says nothing of the step size allowed
-            h = h * factor if h == proposed else max(h * factor, proposed)
+        k[0] = k[12]
+        factor = _MAX_FACTOR if norm == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
+        # a step clipped to a stop says nothing of the step size allowed
+        return y_new, step * factor if step == proposed else max(step * factor, proposed), None
 
-    return solution()
+    return _march(attempt, t, y, stops, direction, h, lambda ts, ys, rejected: _Dop853(
+        np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, rejected,
+        np.array(coeffs).reshape((-1, 7) + shape)))
 
 
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -497,57 +523,48 @@ def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass
-class ChebyshevSolution:
-    """Steps of ``solve_chebyshev``: step ends ``ts``, the state there ``ys``
-    (shape (len(ts),) + the state's shape), and each step's values at its
+class ChebyshevSolution(OdeSolution):
+    """Steps of ``solve_chebyshev`` with each step's values at its
     Chebyshev–Lobatto nodes, ``nodes`` (shape (len(ts) - 1, N + 1) + the
-    state's shape), first at ts[k] and last at ts[k + 1]."""
+    state's shape), first at ts[k] and last at ts[k + 1]; between them, the
+    step's barycentric interpolant.  Its right-side calls are its Picard
+    iterations, and its rejected steps its halvings."""
 
-    ts: np.ndarray
-    ys: np.ndarray
     nodes: np.ndarray
 
     def row(self, i: int) -> ChebyshevSolution:
-        """The solution of row i of a stacked state."""
-        return ChebyshevSolution(self.ts, self.ys[:, i], self.nodes[:, :, i])
+        """The solution of row i of a stacked state.  The solve's counts go
+        with row 0 alone, so that joining every row of every solve counts
+        each solve once."""
+        counts = (self.rhs_calls, self.rejected_steps) if i == 0 else (0, 0)
+        return ChebyshevSolution(self.ts, self.ys[:, i], *counts, self.nodes[:, :, i])
 
     @staticmethod
     def joined(parts) -> ChebyshevSolution:
         """One solution from consecutive ones, each starting where the one
-        before it ends."""
+        before it ends; their counts add up."""
         parts = list(parts)
         return ChebyshevSolution(
             np.concatenate([parts[0].ts] + [p.ts[1:] for p in parts[1:]]),
             np.concatenate([parts[0].ys] + [p.ys[1:] for p in parts[1:]]),
+            sum(p.rhs_calls for p in parts), sum(p.rejected_steps for p in parts),
             np.concatenate([p.nodes for p in parts]))
 
-    def sample(self, ts) -> np.ndarray:
-        """Barycentric interpolation on each step's nodes at every time in
-        ``ts``, shape (len(ts),) + the state's shape; exact at the nodes."""
-        t = np.asarray(ts, float)
-        outside = ~((self.ts[0] - 1e-12 <= t) & (t <= self.ts[-1] + 1e-12))
-        if np.any(outside):
-            raise ValueError(f"t={t[outside][0]} outside the integrated interval "
-                             f"[{self.ts[0]}, {self.ts[-1]}]")
-        if len(self.ts) == 1:
-            return np.repeat(self.ys, len(t), axis=0)
-        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
-        ta, tb = self.ts[k], self.ts[k + 1]
-        # a step of zero length in t (two step ends that map to one s) gives
-        # its first node
-        x = np.clip(2.0 * (t - ta) / np.where(tb == ta, 1.0, tb - ta) - 1.0, -1.0, 1.0)
-        # one node at a time, so memory grows with len(ts), not 25 times that
+    def _between(self, k, u):
+        x = np.clip(2.0 * u.ravel() - 1.0, -1.0, 1.0)
+        # one node at a time, so memory grows with len(ts), not 25 times
+        # that; np.take from contiguous rows gathers faster than indexing
         nodes, w, _, _ = _chebyshev()
-        expand = (-1,) + (1,) * (self.ys.ndim - 1)
-        num, den = np.zeros((len(t),) + self.ys.shape[1:]), np.zeros(len(t))
-        at_node = np.full(len(t), -1)
+        columns = self.nodes.swapaxes(0, 1).copy()
+        num, den = np.zeros((len(x),) + self.ys.shape[1:]), np.zeros(len(x))
+        at_node = np.full(len(x), -1)
         for j, (node, weight) in enumerate(zip(nodes, w)):
             diff = x - node
             at_node[diff == 0.0] = j
             weight = weight / np.where(diff == 0.0, 1.0, diff)
-            num += weight.reshape(expand) * self.nodes[k, j]
+            num += weight.reshape(u.shape) * np.take(columns[j], k, axis=0)
             den += weight
-        out = num / den.reshape(expand)
+        out = num / den.reshape(u.shape)
         hit = at_node >= 0
         out[hit] = self.nodes[k[hit], at_node[hit]]  # a node's own value, exactly
         return out
@@ -568,51 +585,33 @@ def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     when a value is not finite, or when the update grows or has not
     converged within ``_PICARD_ITERATIONS`` calls.  An accepted step that
     was not clipped doubles the next one.  tol should lie well above the
-    rounding of y, or the update may stall above it.
-
-    Every stop is a step end.  A StepFailure, from a step-size underflow or
-    after ``_MAX_ATTEMPTS`` attempted steps, carries the accepted prefix
-    as its ``solution``; one from an underflow also names the rows of a
-    stacked state that made the last attempted step non-finite, if any did.
+    rounding of y, or the update may stall above it.  Stops and failures
+    are those of ``_march``.
     """
     y = np.array(y0, dtype=float)
     shape = y.shape
     t, t1 = float(t0), float(t1)
     if t1 < t:
         raise ValueError(f"solve_chebyshev steps forward, but t1={t1} < t0={t}")
-    ts, ys, nodes = [t], [y], []
+    nodes = []
+    calls = 0
 
-    def solution():
-        return ChebyshevSolution(np.array(ts), np.array(ys),
-                                 np.array(nodes).reshape((-1, _CHEB_N + 1) + shape))
+    def counted(times, values):
+        nonlocal calls
+        calls += 1
+        return rhs(times, values)
 
-    h = t1 - t
-    attempts = 0
-    bad_rows: list[int] = []
-    for target in _stops(t, t1, t_stops, 1.0):
-        while target > t:
-            if attempts >= _MAX_ATTEMPTS:
-                raise StepFailure(f"exceeded {_MAX_ATTEMPTS} step attempts at t={t:.6g}",
-                                  solution=solution())
-            attempts += 1
-            remaining, tiny = target - t, _MIN_STEP * max(1.0, abs(t))
-            step = remaining if h > remaining - tiny else h
-            if step < tiny:
-                raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
-                                  solution=solution())
-            values, rows = _picard(rhs, t, y, step, tol, shape)
-            if values is None:
-                bad_rows = rows or bad_rows
-                h = step / 2
-                continue
-            bad_rows = []
-            if step == h:
-                h *= 2
-            t, y = (target if step == remaining else t + step), values[-1]
-            ts.append(t)
-            ys.append(y)
-            nodes.append(values)
-    return solution()
+    def attempt(t, y, step, proposed):
+        values, rows = _picard(counted, t, y, step, tol, shape)
+        if values is None:
+            return None, step / 2, rows or None
+        nodes.append(values)
+        return values[-1], 2 * proposed if step == proposed else proposed, None
+
+    return _march(attempt, t, y, _stops(t, t1, t_stops, 1.0), 1.0, t1 - t,
+                  lambda ts, ys, rejected: ChebyshevSolution(
+                      np.array(ts), np.array(ys), calls, rejected,
+                      np.array(nodes).reshape((-1, _CHEB_N + 1) + shape)))
 
 
 def _picard(rhs, t: float, y: np.ndarray, h: float, tol: float, shape):

@@ -26,7 +26,7 @@ the same nodes where phi vanishes.  The CLI converts the field once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -200,9 +200,10 @@ class NuSolution:
     ``nu.d(s)`` for nu' at a number or an array of s.  ``solution`` is one
     Chebyshev–Picard solution ascending in s, state shape (1,): its step ends
     and its values at each step's nodes, between which nu is the step's
-    barycentric interpolant.  ``rate`` is the right side d nu/ds at arrays
-    of (s, nu), and nu' is the rate at (s, nu(s)).  ``stop_reason`` is None
-    when both branches, from s0 toward each end, reached their ends;
+    barycentric interpolant, and the work of every solve behind it.
+    ``rate`` is the right side d nu/ds at arrays of (s, nu), and nu' is the
+    rate at (s, nu(s)).  ``stop_reason`` is None when both branches, from s0
+    toward each end, reached their ends;
     otherwise it says, per branch that stopped early (nu approached zero,
     went non-finite, or the right side raised a package error or a float
     overflow or zero division), its span, where it stopped and why, and
@@ -351,8 +352,8 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
         # the lower branch runs down in s: reverse its steps and their nodes,
         # which are symmetric, as are their weights, so each step is the
         # same polynomial
-        in_s.append(odesolve.ChebyshevSolution(ts, sol.ys, sol.nodes) if idx else
-                    odesolve.ChebyshevSolution(ts[::-1], sol.ys[::-1], sol.nodes[::-1, ::-1]))
+        in_s.append(replace(sol, ts=ts) if idx else
+                    replace(sol, ts=ts[::-1], ys=sol.ys[::-1], nodes=sol.nodes[::-1, ::-1]))
     s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
     return NuSolution(s_lo=s_lo, s_hi=s_hi, solution=odesolve.ChebyshevSolution.joined(in_s),
                       rate=rate, stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)

@@ -612,6 +612,15 @@ def test_rk4_step_count_over_budget_exits_3(tmp_path, capsys, command):
     assert "numeric failure: StepFailure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "shift"])
+def test_a_span_the_steps_cannot_cover_exits_3_without_a_warning(tmp_path, capsys, command):
+    # DOP853's steps grow until its own stage sums overflow; that rejects
+    # them, down to an underflow, instead of raising NumPy's overflow warning
+    cfg = write_config(tmp_path, "cfg.json", {**_BASE[command], "t_span": [0.0, 1e300]})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numeric failure: StepFailure: step size underflow" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy warns as nu overflows
 def test_nonfinite_launch_data_exits_3(tmp_path, capsys):
     # finite a0 and a1, but nu(1) = a0 + a1 overflows
@@ -640,6 +649,42 @@ def test_shift_reports_why_nu_solve_stopped(tmp_path):
     assert "fell below" in truncated["nu_stop_reason"]
     assert full["nu_truncated"] is False
     assert "nu_stop_reason" not in full
+
+
+@pytest.mark.parametrize("nu0, truncated", [(0.5, True), (2.0, False)],
+                         ids=["truncated", "whole"])
+def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, truncated):
+    # the field of test_shift_reports_why_nu_solve_stopped: from nu0 = 0.5
+    # the lower branch stops, and the upper one goes on in a second solve
+    from normshift import odesolve
+    from normshift.errors import StepFailure
+    solves, solve = [], odesolve.solve_chebyshev
+
+    def recorded(*args, **kwargs):
+        try:
+            solves.append(solve(*args, **kwargs))
+        except StepFailure as exc:
+            solves.append(exc.solution)
+            raise
+        return solves[-1]
+
+    monkeypatch.setattr(odesolve, "solve_chebyshev", recorded)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "field": {"catalogue": "anisotropic", "params": {"profile": 1.0}},
+        "curve": {"kind": "segment_on_axis", "normal": "right"},
+        "nu": {"kind": "solve", "s0": 0.0, "nu0": nu0},
+        "t_span": [0.0, 0.2], "n_s": 5, "n_t": 3})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    report = json.loads((tmp_path / "o" / "normality_report.json").read_text())
+    work = json.loads((tmp_path / "o" / "manifest.json").read_text())["nu_solve"]
+    assert report["nu_truncated"] is truncated and len(solves) == (2 if truncated else 1)
+    # each stacked solve counts once, however many branches it carried
+    assert work["rhs_calls"] == sum(sol.rhs_calls for sol in solves) > 0
+    assert work["rejected_steps"] == sum(sol.rejected_steps for sol in solves)
+    assert (work["rejected_steps"] > 0) is truncated
+    # a solve's steps belong to each of its rows' branches
+    assert work["accepted_nodes"] == 1 + sum((len(sol.ts) - 1) * sol.ys.shape[1]
+                                             for sol in solves)
 
 
 @pytest.mark.parametrize("field, y0, error", [

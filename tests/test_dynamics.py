@@ -388,8 +388,11 @@ def test_trajectory_csv_format(tmp_path):
 
 
 def _hermite_reference(sol, t):
-    """Dense output at one time, with the scalar Hermite formula."""
+    """Dense output at one time, with the scalar Hermite formula, or a node's
+    own value at its time (the first of two equal nodes)."""
     ts = sol.ts
+    if t in ts:
+        return sol.ys[np.flatnonzero(ts == t)[0]].copy()
     ascending = ts[-1] >= ts[0]
     grid = ts if ascending else ts[::-1]
     k = int(np.searchsorted(grid, t, side="right")) - 1
@@ -397,8 +400,6 @@ def _hermite_reference(sol, t):
     if not ascending:
         k = len(ts) - 2 - k
     ta, tb = ts[k], ts[k + 1]
-    if tb == ta:
-        return sol.ys[k].copy()
     s = (t - ta) / (tb - ta)
     h = tb - ta
     h00 = (1 + 2 * s) * (1 - s) ** 2

@@ -1,7 +1,9 @@
-"""Chebyshev–Picard steps: spectral matrices, accuracy, stops and failures."""
+"""Chebyshev–Picard steps: spectral matrices, accuracy, stops and failures;
+and the adaptive march that DOP853 and Chebyshev–Picard steps share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normshift import odesolve
 from normshift.errors import StepFailure
@@ -96,5 +98,58 @@ def test_a_zero_length_step_samples_its_first_node():
     n = len(odesolve._chebyshev()[0])
     nodes = np.stack([np.linspace(1.0, 2.0, n), np.full(n, 2.0)])[:, :, None]
     sol = odesolve.ChebyshevSolution(np.array([0.0, 1.0, 1.0]), np.array([[1.0], [2.0], [2.0]]),
-                                     nodes)
+                                     0, 0, nodes)
     assert sol.sample([0.0, 1.0]).tolist() == [[1.0], [2.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver=st.sampled_from(["dopri", "chebyshev"]), backward=st.booleans(),
+       t0=st.floats(-2.0, 2.0), span=st.floats(0.1, 3.0),
+       rows=st.integers(1, 3), width=st.integers(1, 2), data=st.data(),
+       fractions=st.lists(st.floats(-0.5, 1.5), max_size=5),
+       repeats=st.lists(st.integers(0, 4), max_size=2),
+       near_end=st.booleans(), fail_at=st.none() | st.floats(0.2, 0.8))
+def test_the_march_keeps_its_identities(solver, backward, t0, span, rows, width, data,
+                                        fractions, repeats, near_end, fail_at):
+    # DOP853 steps either way; Chebyshev-Picard steps forward only
+    direction = -1.0 if backward and solver == "dopri" else 1.0
+    t1 = t0 + direction * span
+    stops = [t0 + f * (t1 - t0) for f in fractions]
+    stops += [stops[i] for i in repeats if i < len(stops)]
+    if near_end:
+        stops.append(t1 - direction * 1e-16)
+    a = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * width * width,
+                                    max_size=rows * width * width))).reshape(rows, width, width)
+    y0 = np.linspace(1.0, 2.0, rows * width).reshape(rows, width)
+    y0[0, 0] = -0.0  # which an interpolant at its node can turn into +0.0
+    t_bad = None if fail_at is None else t0 + fail_at * (t1 - t0)
+    bad_row = rows - 1
+    calls = []
+
+    def rhs(t, y):
+        calls.append(1)
+        out = (a @ y[..., None])[..., 0]
+        if t_bad is not None:  # t is a number for DOP853, the step's nodes otherwise
+            out[(t - t_bad) * direction > 0, bad_row] = np.nan
+        return out
+
+    try:
+        if solver == "dopri":
+            sol = odesolve.solve_dopri(rhs, t0, y0, t1, t_stops=stops)
+        else:
+            sol = odesolve.solve_chebyshev(rhs, t0, y0, t1, tol=1e-10, t_stops=stops)
+        assert t_bad is None and sol.ts[-1] == t1
+    except StepFailure as exc:
+        assert t_bad is not None and "underflow" in str(exc) and exc.rows == (bad_row,)
+        sol = exc.solution
+    reached = sol.ts[-1]
+    # a stop strictly inside the reached span, and 1e-12 or more away from its
+    # ends and from every other stop, is a node exactly; closer ones may be
+    # dropped as underflow steps
+    inside = [s for s in stops if (s - t0) * direction > 0 and (reached - s) * direction >= 0]
+    apart = [s for s in inside
+             if min(abs(s - x) for x in [t0, t1] + [x for x in stops if x != s]) >= 1e-12]
+    assert set(apart) <= set(sol.ts.tolist())
+    assert np.all(np.diff(sol.ts) * direction > 0)
+    assert sol.sample(sol.ts).tobytes() == sol.ys.tobytes()
+    assert sol.rhs_calls == len(calls)

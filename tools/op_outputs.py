@@ -13,7 +13,8 @@ relative paths ``config.json`` and ``out``, so the files and printed paths of
 two trees are comparable.  ``DEST/runs.json`` logs each run's exit code,
 standard output and standard error; an uncaught exception is logged with
 its type and message in place of the exit code, and its traceback in the
-standard error.
+standard error.  The script exits 1 if any run ended in one: each op ends
+in an exit code, and a traceback is a bug.
 
 The output check of a change that should leave every output as it was:
 
@@ -87,7 +88,10 @@ def main(argv: list[str]) -> int:
         fh.write("\n")
     codes = collections.Counter(str(r["exit"]) for r in runs.values())
     print(f"{len(runs)} runs of {cli.__file__}; exit codes {dict(codes)}")
-    return 0
+    uncaught = [run for run, r in runs.items() if isinstance(r["exit"], str)]
+    for run in uncaught:
+        print(f"{run}: {runs[run]['exit']}", file=sys.stderr)
+    return 1 if uncaught else 0
 
 
 if __name__ == "__main__":
