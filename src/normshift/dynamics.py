@@ -122,28 +122,24 @@ def _flow_rhs(field: ForceField):
     return rhs
 
 
-def _run(rhs, t0, y0, t1, cfg: IntegratorConfig, t_stops):
+def _run(rhs, t0, y0, t1, cfg: IntegratorConfig):
     if cfg.method == "rk4-fixed":
-        return odesolve.solve_rk4(rhs, t0, y0, t1, step=cfg.step, t_stops=t_stops)
-    return odesolve.solve_dopri(rhs, t0, y0, t1, abs_tol=cfg.abs_tol,
-                                rel_tol=cfg.rel_tol, t_stops=t_stops)
+        return odesolve.solve_rk4(rhs, t0, y0, t1, step=cfg.step)
+    return odesolve.solve_dopri(rhs, t0, y0, t1, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
 
 
 def integrate(field: ForceField, init: PhaseState, t_span,
-              cfg: IntegratorConfig | None = None,
-              t_eval=None, exact_nodes: bool = False) -> Trajectory:
+              cfg: IntegratorConfig | None = None, t_eval=None) -> Trajectory:
     """Integrate the phase flow over t_span (which may run backward).
 
-    Requested output times are sampled from the dense interpolant; with
-    ``exact_nodes`` the stepper lands on each of them as well (useful when a
-    test differentiates the output with a stencil finer than a step).
+    Requested output times are sampled from the dense interpolant, which is
+    within the integrator's accuracy between its nodes.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
-    stops = list(np.asarray(t_eval, float)) if (t_eval is not None and exact_nodes) else None
-    sol = _run(_flow_rhs(field), t0, init.packed(), t1, cfg, stops)
+    sol = _run(_flow_rhs(field), t0, init.packed(), t1, cfg)
     if not np.all(np.isfinite(sol.ys)):
         raise StepFailure("trajectory left the finite domain")
     times = sol.ts if t_eval is None else np.asarray(t_eval, float)
@@ -214,7 +210,7 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)
     if not np.all(np.isfinite(y0)):
         raise StepFailure("launch data has non-finite coordinates")
-    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg, None), times)
+    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg), times)
     fr = frame(ys[..., 2:4])
     tau = ys[..., 4:6]
     return ys, dot(tau, fr.N), dot(tau, fr.M)
@@ -274,6 +270,6 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
 
     t0, t1 = float(base.times[0]), float(base.times[-1])
     y0 = np.concatenate([base.initial.packed(), [phi0, phi_dot0, psi0, psi_dot0]])
-    samples = _sample(_run(rhs, t0, y0, t1, cfg, None), base.times)
+    samples = _sample(_run(rhs, t0, y0, t1, cfg), base.times)
     return samples[:, 4], samples[:, 6]
 

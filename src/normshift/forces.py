@@ -25,10 +25,6 @@ from . import numdiff
 from .errors import DegenerateVelocity, InvalidParams
 from .geometry import ConformalMetric, christoffel, dot, elementwise, frame, polar_frame
 
-# _EYE[i, c]: component c of the i-th stencil point is the moved one.
-_EYE = np.eye(2, dtype=bool)
-
-
 @dataclass(frozen=True)
 class Profile:
     """Smooth function of one variable with a derivative evaluator."""
@@ -95,13 +91,11 @@ class ForceField:
             return np.asarray(analytic(*rv), dtype=float)
         x, fixed = rv[wrt], rv[1 - wrt]
 
-        def f_at(t: np.ndarray) -> np.ndarray:
-            # t: (4, ..., 2) stencil values; point [k, ..., i] moves component i
-            moved = np.where(_EYE, t[..., :, None], x[..., None, :])
+        def f_at(moved: np.ndarray) -> np.ndarray:
             held = np.broadcast_to(fixed[..., None, :], moved.shape)
             return self.force(*((moved, held) if wrt == 0 else (held, moved)))
 
-        return numdiff.richardson(f_at, x)
+        return numdiff.per_component(numdiff.richardson, f_at, x)
 
 
 @dataclass(frozen=True)
@@ -250,13 +244,9 @@ def complex_force(a: ScalarFieldA, z, w):
         raise DegenerateVelocity("complex ansatz undefined at w = 0")
     x, y = z.real, z.imag
     vel = np.stack([w.real, w.imag], axis=-1)
-
-    def a_at(t: np.ndarray) -> np.ndarray:
-        # t: (4, ..., 2) stencil values; point [k, ..., i] moves component i
-        moved = np.where(_EYE, t[..., :, None], vel[..., None, :])
-        return a.cartesian(x[..., None], y[..., None], moved[..., 0], moved[..., 1])
-
-    a_v = numdiff.richardson(a_at, vel)
+    a_v = numdiff.per_component(
+        numdiff.richardson,
+        lambda moved: a.cartesian(x[..., None], y[..., None], moved[..., 0], moved[..., 1]), vel)
     a_w = 0.5 * (a_v[..., 0] - 1j * a_v[..., 1])
     a_wbar = 0.5 * (a_v[..., 0] + 1j * a_v[..., 1])
     a_val = a.cartesian(x, y, vel[..., 0], vel[..., 1])

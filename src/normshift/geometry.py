@@ -29,8 +29,6 @@ V_MIN = 1e-9
 
 # M = (-N_y, N_x) is N reversed and multiplied by this.
 _ROTATE = np.array([-1.0, 1.0])
-# _EYE[i, c]: coordinate c of the i-th stencil point is the moved one.
-_EYE = np.eye(2, dtype=bool)
 
 
 def _as_points(v) -> np.ndarray:
@@ -99,13 +97,9 @@ class ConformalMetric:
         if self.grad_f is not None:
             return self.grad_f(x, y)
         p = np.stack(np.broadcast_arrays(x, y), axis=-1)
-
-        def f_at(t: np.ndarray) -> np.ndarray:
-            # t: (2, ..., 2) stencil values; point [k, ..., i] moves coordinate i
-            q = np.where(_EYE, t[..., :, None], p[..., None, :])
-            return elementwise(self.f(q[..., 0], q[..., 1]), q[..., 0])
-
-        return tuple(np.moveaxis(numdiff.central(f_at, p), -1, 0))
+        d = numdiff.per_component(
+            numdiff.central, lambda q: elementwise(self.f(q[..., 0], q[..., 1]), q[..., 0]), p)
+        return tuple(np.moveaxis(d, -1, 0))
 
     @staticmethod
     def euclidean() -> "ConformalMetric":

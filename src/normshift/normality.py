@@ -173,16 +173,14 @@ def complex_residual(a: ScalarFieldA, z, w):
     def ac(q):
         return a.cartesian(q[..., 0], q[..., 1], q[..., 2], q[..., 3])
 
-    def one_axis(axes):
-        # stencil values t[..., j] replace argument axes[j] of p
-        return lambda t: ac(np.where(moved[axes], t[..., None], held))
-
     def per_column(d):
         return np.moveaxis(d, -1, 0)
 
     a0 = ac(p)
-    a_x, a_y, a_v1, a_v2 = per_column(numdiff.richardson(one_axis([0, 1, 2, 3]), p))
-    a_v1v1, a_v2v2 = per_column(numdiff.richardson2(one_axis([2, 3]), p[..., 2:]))
+    a_x, a_y, a_v1, a_v2 = per_column(numdiff.per_component(numdiff.richardson, ac, p))
+    # stencil values t[..., j] replace velocity argument j of p
+    a_v1v1, a_v2v2 = per_column(numdiff.richardson2(
+        lambda t: ac(np.where(moved[2:], t[..., None], held)), p[..., 2:]))
     first, second = [2, 0, 0, 1, 1], [3, 2, 3, 2, 3]
     a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = per_column(numdiff.richardson_mixed(
         lambda t, u: ac(np.where(moved[first], t[..., None],
@@ -261,9 +259,9 @@ def first_integrals(v, theta, b, u: float = 1.0):
 def characteristic_flow(v0: float, theta0: float, b0: float, t_span):
     """Integrate the characteristic system v' = -v, theta' = b, b' = -b^3 - b.
 
-    Dormand-Prince with absolute and relative tolerance 1e-12, sampled at 50
-    equally spaced times of ``t_span``, both ends included.  Returns (times,
-    states) with states rows (v, theta, b).
+    Dormand-Prince with absolute and relative tolerance 1e-12, its dense
+    output sampled at 50 equally spaced times of ``t_span``, both ends
+    included.  Returns (times, states) with states rows (v, theta, b).
     """
 
     def rhs(t, y):
@@ -272,8 +270,7 @@ def characteristic_flow(v0: float, theta0: float, b0: float, t_span):
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     t_out = np.linspace(t0, t1, 50)
-    sol = odesolve.solve_dopri(rhs, t0, [v0, theta0, b0], t1,
-                               abs_tol=1e-12, rel_tol=1e-12, t_stops=t_out[1:-1])
+    sol = odesolve.solve_dopri(rhs, t0, [v0, theta0, b0], t1, abs_tol=1e-12, rel_tol=1e-12)
     return t_out, sol.sample(t_out)
 
 

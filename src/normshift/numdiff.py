@@ -87,6 +87,21 @@ def richardson_mixed(f: Callable, x, y, hx=None, hy=None):
     return _mixed(_trailing(hx, values), _trailing(hy, values), values)
 
 
+def per_component(stencil: Callable, f: Callable, x):
+    """``stencil`` of f along each component of the last axis of x, all in
+    one call of f: element [..., i] of the result (with f's trailing axes
+    after it) is the derivative by component i at the point x[...].
+
+    f takes points shaped (stencil points,) + x.shape + (n,), n the last
+    axis of x, where [k, ..., i, :] is the k-th point of the stencil along
+    component i; it returns one value per point, shaped as the points less
+    their last axis, and may add trailing axes.
+    """
+    x = np.asarray(x, float)
+    moved = np.eye(x.shape[-1], dtype=bool)  # [i, c]: point i moves component c
+    return stencil(lambda t: f(np.where(moved, t[..., :, None], x[..., None, :])), x)
+
+
 def _trailing(h: np.ndarray, values: np.ndarray) -> np.ndarray:
     """h with an axis appended for each trailing axis f added to its values."""
     extra = values.ndim - 1 - h.ndim

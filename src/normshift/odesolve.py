@@ -1,15 +1,16 @@
 """Generic ODE stepping: adaptive Dormand–Prince 8(5,3), fixed-step RK4, and
 Chebyshev–Picard steps.
 
-Each solver marches through an optional sorted list of stop times, so that
-the solution is exact (to integrator accuracy) at requested output nodes;
-Dormand–Prince and Chebyshev–Picard steps share one adaptive march.  Each
-returns an ``OdeSolution``, whose dense output between the nodes is the
-8th-order pair's own 7th-order continuous extension for ``solve_dopri``, a
-cubic Hermite through the node values and slopes for ``solve_rk4``, and each
-step's interpolant on its Chebyshev–Lobatto nodes for ``solve_chebyshev``.
-Time may run backward (t1 < t0), except for ``solve_chebyshev``, which
-evaluates the right side at all nodes of a step in one call.
+Each solver steps from t0 to t1 and returns an ``OdeSolution``; output times
+are sampled from its dense output, which is the 8th-order pair's own
+7th-order continuous extension for ``solve_dopri``, a cubic Hermite through
+the node values and slopes for ``solve_rk4``, and each step's interpolant on
+its Chebyshev–Lobatto nodes for ``solve_chebyshev``.  Dormand–Prince and
+Chebyshev–Picard steps share one adaptive march; Chebyshev–Picard steps
+also end on an optional list of stop times, such as a spline's knots, where
+the right side is not smooth.  Time may run backward (t1 < t0), except for
+``solve_chebyshev``, which evaluates the right side at all nodes of a step
+in one call.
 
 The state may be stacked, shape (..., d): independent systems advanced
 together on shared steps.  The adaptive error norm is taken over each row of
@@ -33,8 +34,8 @@ from .errors import NormShiftError, StepFailure
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# Steps below this times max(1, |t|) are an underflow; a stop that would
-# force a shorter step is dropped.
+# Steps below this times max(1, |t|) are an underflow, unless one is the
+# whole of a shorter span; a stop that would force a shorter step is dropped.
 _MIN_STEP = 1e-14
 # Every solver fails after this many attempted steps.
 _MAX_ATTEMPTS = 2_000_000
@@ -259,23 +260,19 @@ def nonfinite_rows(y: np.ndarray) -> list[int]:
     return np.flatnonzero(~np.all(np.isfinite(y), axis=-1).ravel()).tolist()
 
 
-def _stops(t: float, t1: float, t_stops, direction: float) -> list[float]:
-    """The requested stops strictly inside (t, t1) in marching order, then t1;
-    none for a zero span.  A stop that would force a nonzero step below the
+def _stops(t: float, t1: float, t_stops) -> list[float]:
+    """The requested stops strictly inside (t, t1), t <= t1, ascending, then
+    t1; none for a zero span.  A stop that would force a step below the
     underflow threshold, after the stop before it (or t) or before t1, is
-    dropped; a repeated stop is kept."""
-    stops = []
-    if t1 != t:
-        last = t
-        for s in sorted((float(s) for s in (t_stops if t_stops is not None else ())
-                         if (s - t) * direction > 0 and (t1 - s) * direction > 0),
-                        key=lambda s: s * direction):
-            if s == last or ((s - last) * direction >= _MIN_STEP * max(1.0, abs(last))
-                             and (t1 - s) * direction >= _MIN_STEP * max(1.0, abs(s))):
-                stops.append(s)
-                last = s
-        stops.append(t1)
-    return stops
+    dropped, and so is a repeated one."""
+    if t1 == t:
+        return []
+    stops, last = [], t
+    for s in sorted(float(s) for s in (t_stops if t_stops is not None else ()) if t < s < t1):
+        if s - last >= _MIN_STEP * max(1.0, abs(last)) and t1 - s >= _MIN_STEP * max(1.0, abs(s)):
+            stops.append(s)
+            last = s
+    return stops + [t1]
 
 
 class _FlatRhs:
@@ -295,22 +292,18 @@ class _FlatRhs:
             raise
 
 
-def _start(rhs, t0: float, y0, t1: float, t_stops):
-    """Initial node, marching direction and stop list of DOP853 and RK4.
+def _start(rhs, t0: float, y0):
+    """Initial node of DOP853 and RK4.
 
-    Returns (shape, flat_rhs, t0, y0, rhs(t0, y0), direction, stops): the
-    state's shape, the ``_FlatRhs`` of ``rhs``, the initial node flattened,
-    and the ``_stops`` of the span; a repeated stop is a zero-length step for
-    RK4 and no step for Dormand–Prince.
+    Returns (shape, flat_rhs, t0, y0, rhs(t0, y0)): the state's shape, the
+    ``_FlatRhs`` of ``rhs``, and the initial node flattened.
     """
     y = np.array(y0, dtype=float)
     shape = y.shape
     y = y.ravel()
     t = float(t0)
     flat_rhs = _FlatRhs(rhs, shape, t)
-    f = flat_rhs(t, y)
-    direction = 1.0 if float(t1) > t else -1.0
-    return shape, flat_rhs, t, y, f, direction, _stops(t, float(t1), t_stops, direction)
+    return shape, flat_rhs, t, y, flat_rhs(t, y)
 
 
 def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
@@ -361,7 +354,9 @@ def _march(attempt, t: float, y: np.ndarray, stops: list[float], direction: floa
             remaining, tiny = abs(target - t), _MIN_STEP * max(1.0, abs(t))
             # end on the stop rather than leave a sliver before it
             step = remaining if h > remaining - tiny else h
-            if step < tiny:
+            # a span shorter than the threshold is one step, unless a
+            # rejection shrank the step proposed for it
+            if step < tiny and h < remaining:
                 raise StepFailure(f"step size underflow at t={t:.6g}", rows=bad_rows,
                                   solution=build(ts, ys, rejected))
             y_new, h, rows = attempt(t, y, step, h)
@@ -380,8 +375,7 @@ def _march(attempt, t: float, y: np.ndarray, stops: list[float], direction: floa
 
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
-                abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-                t_stops=None) -> OdeSolution:
+                abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> OdeSolution:
     """Adaptive DOP853 integration from t0 to t1 (either direction).
 
     An attempt costs 12 right sides: 11 stages and f(t + h, y_new), which is
@@ -389,13 +383,15 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     error norm is at most 1 in every row; an accepted step then evaluates
     the three extra stages of its 7th-order dense output.  The first step
     follows ``_first_step`` at one more right side; a zero span takes no
-    step.  Stops and failures are those of ``_march``.
+    step.  Failures are those of ``_march``.
     """
     c, a, e5, e3, d = _dop853()
-    shape, rhs, t, y, f, direction, stops = _start(rhs, t0, y0, t1, t_stops)
+    shape, rhs, t, y, f = _start(rhs, t0, y0)
+    t1 = float(t1)
+    direction = 1.0 if t1 > t else -1.0
     width = shape[-1] if shape else 1
-    h = (_first_step(rhs, t, y, f, abs(float(t1) - t), direction, abs_tol, rel_tol, width)
-         if stops else 0.0)
+    h = (_first_step(rhs, t, y, f, abs(t1 - t), direction, abs_tol, rel_tol, width)
+         if t1 != t else 0.0)
     k = np.empty((16, y.size))
     k[0] = f  # the slope at the last accepted node
     coeffs = []
@@ -425,53 +421,47 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         k[0] = k[12]
         factor = _MAX_FACTOR if norm == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
-        # a step clipped to a stop says nothing of the step size allowed
-        return y_new, step * factor if step == proposed else max(step * factor, proposed), None
+        return y_new, step * factor, None
 
-    return _march(attempt, t, y, stops, direction, h, lambda ts, ys, rejected: _Dop853(
+    return _march(attempt, t, y, [t1], direction, h, lambda ts, ys, rejected: _Dop853(
         np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, rejected,
         np.array(coeffs).reshape((-1, 7) + shape)))
 
 
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
-              t0: float, y0, t1: float, *, step: float,
-              t_stops=None) -> OdeSolution:
-    """Classic fixed-step RK4; the step is shrunk per segment to hit stop times.
+              t0: float, y0, t1: float, *, step: float) -> OdeSolution:
+    """Classic fixed-step RK4: ceil(|t1 - t0| / step) equal steps.
 
-    Each step costs 4 right sides, the last the slope at its end.  Each
-    segment's step count is counted, as a float, before it is stepped:
-    StepFailure is raised at once, without stepping, when the running total
-    would exceed ``_MAX_ATTEMPTS``.
+    Each step costs 4 right sides, the last the slope at its end.  The step
+    count is counted, as a float, before the first step: StepFailure is
+    raised at once, without stepping, when it exceeds ``_MAX_ATTEMPTS``.
     """
     if step <= 0:
         raise ValueError("rk4 step must be positive")
-    shape, rhs, t, y, f, _, stops = _start(rhs, t0, y0, t1, t_stops)
+    shape, rhs, t, y, f = _start(rhs, t0, y0)
+    span = float(t1) - t
+    # inf where the step is subnormal against the span
+    count = max(1.0, np.ceil(abs(span) / step - 1e-12)) if span else 0.0
+    if count > _MAX_ATTEMPTS:
+        raise StepFailure(f"{count:.6g} steps of {step:.6g} on [{t:.6g}, {float(t1):.6g}] "
+                          f"exceed {_MAX_ATTEMPTS} step attempts")
+    n = int(count)
+    h = span / n if n else 0.0
     ts, ys, fs = [t], [y], [f]
-    total = 0.0
-    for target in stops:
-        seg = target - t
-        # inf where the step is subnormal against the segment
-        count = max(1.0, np.ceil(abs(seg) / step - 1e-12))
-        total += count
-        if total > _MAX_ATTEMPTS:
-            raise StepFailure(f"{count:.6g} steps of {step:.6g} on [{t:.6g}, {target:.6g}] "
-                              f"exceed {_MAX_ATTEMPTS} step attempts")
-        n = int(count)
-        h = seg / n
-        for _ in range(n):
-            k1 = f
-            k2 = rhs(t + h / 2, y + h / 2 * k1)
-            k3 = rhs(t + h / 2, y + h / 2 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t + h
-            f = rhs(t, y)
-            rhs.accepted = t
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
-        t = target  # kill accumulated round-off at segment boundaries
-        ts[-1] = t
+    for _ in range(n):
+        k1 = f
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        f = rhs(t, y)
+        rhs.accepted = t
+        ts.append(t)
+        ys.append(y)
+        fs.append(f)
+    if n:
+        ts[-1] = float(t1)  # kill accumulated round-off at the end
 
     return _Hermite(np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, 0,
                     np.array(fs).reshape((-1,) + shape))
@@ -585,8 +575,8 @@ def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     when a value is not finite, or when the update grows or has not
     converged within ``_PICARD_ITERATIONS`` calls.  An accepted step that
     was not clipped doubles the next one.  tol should lie well above the
-    rounding of y, or the update may stall above it.  Stops and failures
-    are those of ``_march``.
+    rounding of y, or the update may stall above it.  Steps end on the
+    ``_stops`` of ``t_stops``; failures are those of ``_march``.
     """
     y = np.array(y0, dtype=float)
     shape = y.shape
@@ -608,7 +598,7 @@ def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
         nodes.append(values)
         return values[-1], 2 * proposed if step == proposed else proposed, None
 
-    return _march(attempt, t, y, _stops(t, t1, t_stops, 1.0), 1.0, t1 - t,
+    return _march(attempt, t, y, _stops(t, t1, t_stops), 1.0, t1 - t,
                   lambda ts, ys, rejected: ChebyshevSolution(
                       np.array(ts), np.array(ys), calls, rejected,
                       np.array(nodes).reshape((-1, _CHEB_N + 1) + shape)))

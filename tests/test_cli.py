@@ -621,6 +621,23 @@ def test_a_span_the_steps_cannot_cover_exits_3_without_a_warning(tmp_path, capsy
     assert "numeric failure: StepFailure: step size underflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, t_span, launch", [
+    ("simulate", [0.0, 1e-15], {"t": 0.0, "x": 0.0, "y": 0.0, "vx": 1.0, "vy": 1.0}),
+    ("simulate", [1e6, 1e6 + 1e-9], {"t": 1e6, "x": 0.0, "y": 0.0, "vx": 1.0, "vy": 1.0}),
+    # the first column: the curve's point at s = -1, launched along n = (0, -1)
+    # with nu = 1, and tau = r_s = (1, 0) = M
+    ("shift", [0.0, 1e-15], {"t": 0.0, "s": -1.0, "x": -1.0, "y": 0.0, "vx": 0.0, "vy": -1.0,
+                             "phi": 0.0, "psi": 1.0, "nu": 1.0}),
+], ids=["simulate-from-0", "simulate-from-1e6", "shift-from-0"])
+def test_a_span_below_the_underflow_step_is_one_step(tmp_path, command, t_span, launch):
+    # a span shorter than 1e-14 max(1, |t|) once failed as a step-size underflow
+    cfg = write_config(tmp_path, "cfg.json", {**_BASE[command], "t_span": t_span})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+    table = "trajectory.csv" if command == "simulate" else "shift_grid.csv"
+    rows = list(csv.DictReader((tmp_path / "o" / table).read_text().splitlines()))
+    assert {key: float(value) for key, value in rows[0].items()} == launch
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy warns as nu overflows
 def test_nonfinite_launch_data_exits_3(tmp_path, capsys):
     # finite a0 and a1, but nu(1) = a0 + a1 overflows

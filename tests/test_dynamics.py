@@ -347,8 +347,7 @@ def test_speed_derivative():
     f = anisotropic_field(Profile.constant(1.0))
     h = 1e-5
     stencil = sorted({0.0, 1.0} | {t + k * h for t in (0.2, 0.5, 0.8) for k in (-1, 0, 1)})
-    base = integrate(f, PhaseState((0, 0), (0.9, 0.8)), (0, 1), t_eval=stencil,
-                     exact_nodes=True)
+    base = integrate(f, PhaseState((0, 0), (0.9, 0.8)), (0, 1), t_eval=stencil)
     speeds = {t: float(np.hypot(*base.states[i].v)) for i, t in enumerate(base.times)}
     for t in (0.2, 0.5, 0.8):
         sp, sm = speeds[t + h], speeds[t - h]
@@ -356,6 +355,34 @@ def test_speed_derivative():
         assert (sp - sm) / (2 * h) == pytest.approx(a_val, abs=1e-6)
         # reciprocal-speed rate: d(1/|v|)/dt = -A/|v|^2
         assert (1 / sp - 1 / sm) / (2 * h) == pytest.approx(-a_val / speeds[t] ** 2, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x0=st.floats(0.0, 1.0), y0=st.floats(-0.2, 2.0), theta0=st.floats(math.pi / 3, 2.0),
+       v0=st.floats(0.8, 1.3), a0=st.floats(0.7, 1.5), backward=st.booleans(),
+       reach=st.floats(1e-3, 0.93), fractions=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                       max_size=35),
+       close=st.lists(st.tuples(st.integers(-1, 35), st.floats(0.0, 1e-12)), max_size=5))
+def test_sampled_output_times_match_the_cycloid(x0, y0, theta0, v0, a0, backward, reach,
+                                                fractions, close):
+    # the ranges of test_criterion_5_cycloid_reproduction's cases; output times
+    # are sampled from the dense output, never stepped to, however close they
+    # lie to each other or to the span's ends
+    from normshift.closedform import CycloidParams, cycloid
+    p = CycloidParams(x0=x0, y0=y0, theta0=theta0, v0=v0, a0=a0)
+    t_end = reach * p.t_interval[0 if backward else 1]
+    times = [f * t_end for f in fractions]
+    lo, hi = sorted((0.0, t_end))
+    # a time within 1e-12 of the start (i = -1), of the end (i past the last
+    # time) or of another output time, inside the span
+    for i, offset in close:
+        anchor = 0.0 if i < 0 else t_end if i >= len(times) else times[i]
+        times.append(float(np.clip(anchor + (offset if anchor == lo else -offset), lo, hi)))
+    tr = integrate(anisotropic_field(Profile.constant(a0)), cycloid(p, 0.0), (0.0, t_end),
+                   t_eval=times)
+    exact = cycloid(p, np.array(times))
+    assert np.max(np.abs(tr.positions() - exact.r)) < 1e-6
+    assert np.max(np.abs(tr.velocities() - exact.v)) < 1e-6
 
 
 def test_conformal_equivalence_of_trajectories():
@@ -389,7 +416,7 @@ def test_trajectory_csv_format(tmp_path):
 
 def _hermite_reference(sol, t):
     """Dense output at one time, with the scalar Hermite formula, or a node's
-    own value at its time (the first of two equal nodes)."""
+    own value at its time."""
     ts = sol.ts
     if t in ts:
         return sol.ys[np.flatnonzero(ts == t)[0]].copy()
@@ -414,13 +441,23 @@ def _pendulum(t, y):
     return np.array([y[1], -math.sin(y[0]) + 0.1 * math.cos(t)])
 
 
+def _pendulum_at_nodes(t, y):
+    """``_pendulum`` at a Chebyshev–Picard step's node times and states."""
+    return np.stack([y[:, 1], -np.sin(y[:, 0]) + 0.1 * np.cos(t)], axis=-1)
+
+
+def _decay_through(stops):
+    """y' = -y from y(0) = 1 to t = 1 in Chebyshev–Picard steps through stops."""
+    return odesolve.solve_chebyshev(lambda t, y: -y, 0.0, [1.0], 1.0, tol=1e-12,
+                                    t_stops=stops)
+
+
 @pytest.mark.parametrize("gap", [5e-16, 5e-15, 2e-14])
 @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
 def test_close_stops_do_not_underflow_the_step(gap, where):
     # stops closer than the underflow step to each other, or to an end of the
     # span, once forced a step below it
-    stops = {0.0: [gap], 0.5: [0.5, 0.5 + gap], 1.0: [1.0 - gap]}[where]
-    sol = odesolve.solve_dopri(lambda t, y: -y, 0.0, [1.0], 1.0, t_stops=stops)
+    sol = _decay_through({0.0: [gap], 0.5: [0.5, 0.5 + gap], 1.0: [1.0 - gap]}[where])
     assert sol.ts[-1] == 1.0
     assert sol.ys[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
     if where == 0.5:
@@ -429,17 +466,29 @@ def test_close_stops_do_not_underflow_the_step(gap, where):
 
 def test_a_close_second_stop_does_not_slow_the_steps_after_it():
     # the step after one clipped to a stop grows from the step proposed before
-    # the clip; grown from the clipped sliver, this took 42 steps instead of 25
+    # the clip, not from the clipped sliver
     def steps(stops):
-        return len(odesolve.solve_dopri(lambda t, y: -y, 0.0, [1.0], 1.0, t_stops=stops).ts) - 1
+        return len(_decay_through(stops).ts) - 1
     assert steps([0.5, 0.5 + 2e-14]) <= steps([0.5]) + 1
 
 
 def test_stops_are_accepted_nodes_exactly():
     stops = np.linspace(0.0, 3.0, 31)[1:-1]
-    sol = odesolve.solve_dopri(_pendulum, 0.0, [0.7, 0.0], 3.0, t_stops=stops)
+    sol = odesolve.solve_chebyshev(_pendulum_at_nodes, 0.0, [0.7, 0.0], 3.0, tol=1e-12,
+                                   t_stops=stops)
     assert np.all(np.isin(stops, sol.ts))
     assert odesolve.OdeSolution.sample(sol, stops).tobytes() == sol.ys[np.isin(sol.ts, stops)].tobytes()
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1e-15), (1e6, 1e6 + 1e-9), (0.0, -1e-15)])
+def test_a_span_below_the_underflow_step_is_one_step(t0, t1):
+    sol = odesolve.solve_dopri(lambda t, y: -y, t0, [1.0], t1)
+    assert sol.ts.tolist() == [t0, t1]
+    assert sol.ys[-1, 0] == pytest.approx(math.exp(t0 - t1), rel=1e-15)
+    # a rejected one is shrunk, which is an underflow
+    with pytest.raises(StepFailure, match="underflow") as info:
+        odesolve.solve_dopri(lambda t, y: np.full_like(y, np.nan), t0, [1.0], t1)
+    assert info.value.solution.rejected_steps == 1
 
 
 def test_step_failure_carries_the_accepted_prefix():
@@ -480,17 +529,18 @@ def test_each_solver_counts_its_work_by_its_own_identity():
     prefix = info.value.solution
     assert prefix.rejected_steps > 0
     assert prefix.rhs_calls == 2 + 15 * (len(prefix.ts) - 1) + 12 * prefix.rejected_steps
-    # RK4: 4 right sides per step, a zero-length one included, and no rejections
-    sol = odesolve.solve_rk4(_van_der_pol, 0.0, [2.0, 0.0], 1.0, step=0.1, t_stops=[0.45, 0.45])
+    # RK4: 4 right sides per step and no rejections
+    sol = odesolve.solve_rk4(_van_der_pol, 0.0, [2.0, 0.0], 1.0, step=0.1)
     assert (sol.rhs_calls, sol.rejected_steps) == (1 + 4 * (len(sol.ts) - 1), 0)
 
 
-@pytest.mark.parametrize("case", ["rk4-repeated-node"])
+@pytest.mark.parametrize("case", ["rk4-forward", "rk4-backward"])
 def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
     # RK4's dense output; DOP853's is test_dop853_dense_output_is_its_nested_form_bit_for_bit
     y0 = [0.7, -0.0]
-    sol = odesolve.solve_rk4(_pendulum, 0.0, y0, 1.0, step=0.1, t_stops=[0.45, 0.45])
-    assert np.any(np.diff(sol.ts) == 0.0)
+    t1 = 1.0 if case == "rk4-forward" else -1.0
+    sol = odesolve.solve_rk4(_pendulum, 0.0, y0, t1, step=0.15)
+    assert sol.ts[-1] == t1 and len(sol.ts) == 8
     lo, hi = sorted((sol.ts[0], sol.ts[-1]))
     between = np.linspace(lo, hi, 1001)
     for times in (between, between[::-1], sol.ts):
