@@ -8,6 +8,7 @@ output directory.  Exit codes: 0 ok, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,6 +46,12 @@ def _manifest(args, cfg: dict, extra: dict) -> dict:
         "version": __version__,
         **extra,
     }
+
+
+def _integrator(icfg, work: dict) -> dict:
+    """The manifest's ``integrator`` block: the method, its tolerances and
+    the solve's ``work``."""
+    return {"method": icfg.method, "abs_tol": icfg.abs_tol, "rel_tol": icfg.rel_tol, **work}
 
 
 def _oracle_error(oracle, traj) -> float:
@@ -87,8 +94,7 @@ def cmd_simulate(args) -> int:
     xy = traj.write_csv(csv_path)
     extra = {
         "outputs": ["trajectory.csv"],
-        "integrator": {"method": icfg.method, "abs_tol": icfg.abs_tol,
-                       "rel_tol": icfg.rel_tol, **traj.work},
+        "integrator": _integrator(icfg, traj.work),
     }
     if oracle is not None:
         kind, tol, _ = oracle
@@ -130,7 +136,8 @@ def cmd_shift(args) -> int:
     xy = grid.write_csv(out / "shift_grid.csv")
     payload = report.to_dict()
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
-             "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi}
+             "verdict": payload["verdict"], "max_abs_phi": report.max_abs_phi,
+             "integrator": _integrator(icfg, grid.work)}
     if isinstance(nu, NuSolution):
         payload["nu_truncated"] = nu.truncated
         payload["nu_interval"] = [nu.s_lo, nu.s_hi]
@@ -209,7 +216,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (the first ``main``),
+    not at import, and reused by every later one: building it costs several
+    times what parsing does."""
     parser = argparse.ArgumentParser(
         prog="normshift",
         description="Simulate and verify planar Newtonian systems admitting "

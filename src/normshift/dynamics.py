@@ -159,9 +159,14 @@ def _accelerations(field: ForceField, p, d) -> tuple[np.ndarray, np.ndarray]:
     With analytic Jacobians they are contracted directly.  Otherwise the
     right side, linear in d, is the one directional derivative of F along d
     in phase space: a Richardson-extrapolated central difference with step
-    richardson_step(|p|) / |d| (richardson_step(|p|) along a zero d, whose
-    points are all p).  Its four points for every row and the base point p,
-    five in all, go to the field in one stacked call.
+    directional_step(|p|) / |d|, so that its outer points lie
+    1e-3 max(1, |p|) from p (directional_step(|p|) along a zero d, whose
+    points are all p).  That step balances the stencil's truncation against
+    its rounding (``numdiff``): the rounding is about 7e-13 of |F|, where
+    the residual stencils' 1e-5 would leave 7e-11, which the integrator's
+    error estimate would take for error in tau''.  Its four points for
+    every row and the base point p, five in all, go to the field in one
+    stacked call.
     """
     r, v = p[..., :2], p[..., 2:]
     if field.spatial_jacobian is not None and field.velocity_jacobian is not None:
@@ -169,7 +174,7 @@ def _accelerations(field: ForceField, p, d) -> tuple[np.ndarray, np.ndarray]:
                                    + _contract(field.jac_velocity(r, v), d[..., 2:]))
 
     length = np.sqrt(np.vecdot(d, d))
-    h = numdiff.richardson_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
+    h = numdiff.directional_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
     points = np.empty((5,) + p.shape)
     points[:4] = p + numdiff.richardson_points(0.0, h)[..., None] * d
     points[4] = p
@@ -187,17 +192,30 @@ def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
     return ys
 
 
+@dataclass(frozen=True)
+class Deviation:
+    """What ``integrate_deviation`` returns; it unpacks as (samples, phi,
+    psi).  ``work`` is the integrator's, ``OdeSolution.work``."""
+
+    samples: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+    work: dict
+
+    def __iter__(self):
+        return iter((self.samples, self.phi, self.psi))
+
+
 def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
-                        cfg: IntegratorConfig | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        cfg: IntegratorConfig | None = None) -> Deviation:
     """Samples (r, v, tau, tau') of the flat flow of ``field`` and its variation.
 
     The launch data r0, v0, tau0, tau_dot0 at times[0] have shape (..., 2);
     leading axes stack independent launches, and all of them are integrated
     as one (..., 8) system to times[-1] on shared steps.  Returns the samples
     at the given times, shape (len(times), ..., 8), whose first row is the
-    launch data exactly, and the frame components phi = <tau, N> and
-    psi = <tau, M>, shape (len(times), ...).
+    launch data exactly, the frame components phi = <tau, N> and
+    psi = <tau, M>, shape (len(times), ...), and the integrator's work.
     """
     cfg = cfg or IntegratorConfig()
     times = np.asarray(times, float)
@@ -210,10 +228,11 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)
     if not np.all(np.isfinite(y0)):
         raise StepFailure("launch data has non-finite coordinates")
-    ys = _sample(_run(rhs, times[0], y0, times[-1], cfg), times)
+    sol = _run(rhs, times[0], y0, times[-1], cfg)
+    ys = _sample(sol, times)
     fr = frame(ys[..., 2:4])
     tau = ys[..., 4:6]
-    return ys, dot(tau, fr.N), dot(tau, fr.M)
+    return Deviation(ys, dot(tau, fr.N), dot(tau, fr.M), sol.work)
 
 
 def phi_psi_initial_from_tau(field: ForceField, init: PhaseState,

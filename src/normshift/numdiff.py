@@ -1,10 +1,12 @@
 """Finite-difference helpers: central stencils with optional Richardson extrapolation.
 
-Plain central differences use h = 1e-6 * max(1, |x|), which balances
-truncation against rounding for first derivatives in double precision.
-Richardson variants combine two step sizes (h and h/2) and use larger base
-steps; they are meant for the residual evaluators, where second derivatives
-enter and plain O(h^2) stencils are not accurate enough.
+A stencil at x steps h = base * max(1, |x|).  Each base is set against the
+stencil's two errors, truncation and the rounding of f's values (relative
+size eps = 2.2e-16), as the "Base steps" comment below sets out.
+Richardson variants combine two step sizes (h and h/2) and cancel the
+leading truncation term; they serve the residual evaluators, where second
+derivatives enter and plain O(h^2) stencils are not accurate enough, and
+the variational right side, whose rounding the integrator would see.
 
 Each stencil calls f once, with its points stacked on a new leading axis.
 x (and y, and the steps) may be numbers or arrays of one shape, so f must
@@ -18,10 +20,30 @@ from typing import Callable
 
 import numpy as np
 
-# Base steps per derivative order.  First-order Richardson tolerates a small
-# step; second-order stencils need a much larger one to beat round-off.
+# Base steps, one per use.
+# - H1_PLAIN, ``central``: truncation h^2 |f'''| / 6 against rounding
+#   eps |f| / h; 1e-6 lies below their balance, (3 eps)^(1/3) = 9e-6 where
+#   |f'''| is about |f|.
+# - H1_RICH, ``richardson``: the residual stencils (finite-difference
+#   Jacobians, generator partials, a Profile's nu').  1e-5 lies far below
+#   the balance of H1_DIRECTIONAL, so that few probes put a stencil point
+#   across a generator's cut, such as ``angular_monomial``'s at
+#   theta = +-pi; its rounding, about 3 eps |f| / h = 7e-11 |f|, is the
+#   floor of the residuals.
+# - H1_DIRECTIONAL, ``directional_step``: the same Richardson stencil
+#   along a unit direction, on the variational right side.  It
+#   extrapolates central differences at h and h/2, so its truncation is
+#   h^4 |f^(5)| / 480, and the rounding of its four values, weighted
+#   4 / (3h) at +-h/2 and 1 / (6h) at +-h, is at most 3 eps |f| / h.  Their
+#   sum is least at h = (360 eps |f| / |f^(5)|)^(1/5): eps^(1/5) = 7.4e-4
+#   up to the constants, 2.4e-3 where |f^(5)| is about |f|.  1e-3 is where
+#   it is least for |f^(5)| = 80 |f|, a field that varies on a scale of 0.4
+#   in phase space, and leaves about 7e-13 |f| of rounding.
+# - H2_RICH, the second-derivative stencils: truncation h^4 against
+#   rounding eps / h^2, balanced near eps^(1/6) = 2.5e-3.
 H1_PLAIN = 1e-6
 H1_RICH = 1e-5
+H1_DIRECTIONAL = 1e-3
 H2_RICH = 2e-3
 
 
@@ -30,9 +52,10 @@ def _step(x, base: float):
     return base * np.maximum(1.0, np.abs(x))
 
 
-def richardson_step(x: float) -> float:
-    """The step ``richardson`` takes at x when none is given."""
-    return _step(x, H1_RICH)
+def directional_step(x: float) -> float:
+    """The step of a Richardson derivative along a unit direction at a point
+    of norm x: H1_DIRECTIONAL max(1, x), elementwise."""
+    return _step(x, H1_DIRECTIONAL)
 
 
 def _at(x, h, base: float):

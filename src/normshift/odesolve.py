@@ -12,6 +12,14 @@ the right side is not smooth.  Time may run backward (t1 < t0), except for
 ``solve_chebyshev``, which evaluates the right side at all nodes of a step
 in one call.
 
+DOP853 proposes each step with Gustafsson's predictive controller (Hairer &
+Wanner, Solving ODEs II, §IV.8, as in Hairer's RADAU5): from the second
+accepted step on, the smaller of the plain proposal, which looks at the last
+error alone, and one that also follows the trend of the last two.  On a
+flow whose steps must keep shrinking, such as a cycloid run toward its
+rest point, the plain proposal overshoots every other step and has it
+rejected; the prediction does not.
+
 The state may be stacked, shape (..., d): independent systems advanced
 together on shared steps.  The adaptive error norm is taken over each row of
 the last axis, then the maximum over the leading ones, so every accepted step
@@ -373,6 +381,14 @@ def _march(attempt, t: float, y: np.ndarray, stops: list[float], direction: floa
     return build(ts, ys, rejected)
 
 
+def _factor(norm: float) -> float:
+    """The step factor 0.9 norm^(-1/8) of an error norm of order 8, within
+    [_MIN_FACTOR, _MAX_FACTOR]; _MAX_FACTOR for a zero norm."""
+    if norm == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
+
+
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> OdeSolution:
@@ -380,10 +396,16 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     An attempt costs 12 right sides: 11 stages and f(t + h, y_new), which is
     the next step's first.  It passes when DOP853's combined 5th/3rd-order
-    error norm is at most 1 in every row; an accepted step then evaluates
-    the three extra stages of its 7th-order dense output.  The first step
-    follows ``_first_step`` at one more right side; a zero span takes no
-    step.  Failures are those of ``_march``.
+    error norm e_n is at most 1 in every row; an accepted step then
+    evaluates the three extra stages of its 7th-order dense output.  The
+    first step follows ``_first_step`` at one more right side; a zero span
+    takes no step.  A rejected step h_n retries at h_n * 0.9 e_n^(-1/8); an
+    accepted one proposes that too, but from the second accepted step on
+    the smaller of it and Gustafsson's h_n * 0.9 (h_n / h_{n-1})
+    (e_{n-1} / e_n^2)^(1/8), h_{n-1} the accepted step before and e_{n-1}
+    the larger of 1e-2 and its norm: that only ever shrinks a proposal.
+    Each factor lies in [_MIN_FACTOR, _MAX_FACTOR].  Failures are those of
+    ``_march``.
     """
     c, a, e5, e3, d = _dop853()
     shape, rhs, t, y, f = _start(rhs, t0, y0)
@@ -395,8 +417,10 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     k = np.empty((16, y.size))
     k[0] = f  # the slope at the last accepted node
     coeffs = []
+    last = None  # (step, max(1e-2, norm)) of the last accepted step
 
     def attempt(t, y, step, proposed):
+        nonlocal last
         rhs.accepted = t
         hs = direction * step
         for i in range(1, 13):  # stage 12, at y_new, is the next step's first
@@ -408,7 +432,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                     if np.all(np.isfinite(y_new)) and np.all(np.isfinite(k[12])) else math.inf)
         if not norm <= 1.0:
             if math.isfinite(norm):
-                return None, step * max(_MIN_FACTOR, _SAFETY * norm ** -0.125), None
+                return None, step * _factor(norm), None
             finite = (np.isfinite(y_new) & np.isfinite(k[12])
                       & np.isfinite(err5) & np.isfinite(err3))
             return None, step * 0.25, nonfinite_rows(np.where(finite, 0.0, np.nan).reshape(shape))
@@ -419,8 +443,11 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
             coeffs.append([dy, hs * k[0] - dy, 2.0 * dy - hs * (k[0] + k[12]),
                            *(hs * (row @ k) for row in d)])
         k[0] = k[12]
-        factor = _MAX_FACTOR if norm == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
+        factor = _factor(norm)
+        if last is not None:
+            # Gustafsson's 0.9 (h_n / h_{n-1}) (e_{n-1} / e_n^2)^(1/8)
+            factor = min(factor, _factor(norm * norm / last[1] * (last[0] / step) ** 8))
+        last = step, max(1e-2, norm)
         return y_new, step * factor, None
 
     return _march(attempt, t, y, [t1], direction, h, lambda ts, ys, rejected: _Dop853(
@@ -473,6 +500,9 @@ _CHEB_N = 24
 # a step whose update has not fallen below tol after this many right sides,
 # or has grown, is halved
 _PICARD_ITERATIONS = 20
+# ChebyshevSolution samples this many times at once: about 200 KB of
+# temporaries for a one-component state, faster than fewer or more
+_SAMPLE_BLOCK = 512
 
 
 @functools.cache
@@ -542,22 +572,29 @@ class ChebyshevSolution(OdeSolution):
 
     def _between(self, k, u):
         x = np.clip(2.0 * u.ravel() - 1.0, -1.0, 1.0)
-        # one node at a time, so memory grows with len(ts), not 25 times
-        # that; np.take from contiguous rows gathers faster than indexing
         nodes, w, _, _ = _chebyshev()
-        columns = self.nodes.swapaxes(0, 1).copy()
-        num, den = np.zeros((len(x),) + self.ys.shape[1:]), np.zeros(len(x))
-        at_node = np.full(len(x), -1)
-        for j, (node, weight) in enumerate(zip(nodes, w)):
-            diff = x - node
-            at_node[diff == 0.0] = j
-            weight = weight / np.where(diff == 0.0, 1.0, diff)
-            num += weight.reshape(u.shape) * np.take(columns[j], k, axis=0)
-            den += weight
-        out = num / den.reshape(u.shape)
-        hit = at_node >= 0
-        out[hit] = self.nodes[k[hit], at_node[hit]]  # a node's own value, exactly
-        return out
+        # [node, component, step], with a last component of ones, so that
+        # one sum gives the numerator and the denominator of every sample,
+        # added in one order: nodes that all hold a power of two give it
+        flat = self.nodes.reshape(self.nodes.shape[:2] + (-1,))
+        columns = np.ones((len(nodes), flat.shape[-1] + 1, len(flat)))
+        columns[:, :-1] = flat.transpose(1, 2, 0)
+        out = np.empty((flat.shape[-1], len(x)))
+        # all nodes of a block of samples at once; the sum runs along the
+        # first axis, so it adds node after node whatever the block's size
+        for lo in range(0, len(x), _SAMPLE_BLOCK):
+            block = slice(lo, lo + _SAMPLE_BLOCK)
+            diff = x[block] - nodes[:, None]
+            # a sample on a node divides by zero, and is set below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.take(columns, k[block], axis=2)
+                terms *= (w[:, None] / diff)[:, None]
+                sums = np.sum(terms, axis=0)
+                out[:, block] = sums[:-1] / sums[-1]
+            on_node = np.flatnonzero(~np.isfinite(sums[-1]))
+            # a node's own value, exactly
+            out[:, lo + on_node] = flat[k[lo + on_node], np.abs(diff[:, on_node]).argmin(axis=0)].T
+        return out.T.reshape((len(x),) + self.ys.shape[1:])
 
 
 def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -369,7 +369,8 @@ class ShiftGrid:
     """States, deviation data and nu over the (t, s) grid of a shift.
 
     Index [i, j] is the node (t_nodes[i], s_nodes[j]); column j is the
-    trajectory launched from s_nodes[j].
+    trajectory launched from s_nodes[j].  ``work`` is the work of the one
+    solve that integrated every column, ``OdeSolution.work``.
     """
 
     s_nodes: np.ndarray
@@ -380,6 +381,7 @@ class ShiftGrid:
     nu: np.ndarray                        # nu per s-node
     phi: np.ndarray                       # shape (n_t, n_s)
     psi: np.ndarray
+    work: dict
 
     def max_abs_phi(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -432,15 +434,16 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
     n_prime = (-k * speed)[:, None] * tangent
     launch = (r, nu_vals[:, None] * n, d, dnu[:, None] * n + nu_vals[:, None] * n_prime)
     try:
-        samples, phi, psi = integrate_deviation(field, *launch, t_nodes, cfg)
+        deviation = integrate_deviation(field, *launch, t_nodes, cfg)
     except Exception as exc:
         rows = list(exc.rows) if isinstance(exc, StepFailure) else []
         exc.add_note(f"at s={', '.join(f'{s:.6g}' for s in s_nodes[rows])}" if rows
                      else f"at s in [{lo:.6g}, {hi:.6g}]")
         raise
+    samples = deviation.samples
     return ShiftGrid(s_nodes=s_nodes, t_nodes=t_nodes, r=samples[..., 0:2],
                      v=samples[..., 2:4], tau=samples[..., 4:6], nu=nu_vals,
-                     phi=phi, psi=psi)
+                     phi=deviation.phi, psi=deviation.psi, work=deviation.work)
 
 
 @dataclass
@@ -471,9 +474,9 @@ def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> Normality
     The default tolerance scales with the deviation magnitude,
     phi_tol = 1e-6 (1 + max |tau|).  On shifts of the normality-claiming
     catalogue fields (random splines, n_s = 32, n_t = 50, t in [0, 0.5])
-    max |phi| is 6.6e-11 to 3.6e-9, sampled from the integrator's own
-    7th-order dense output at tolerance 1e-10.  The default lies 7000x to
-    200000x above that floor, and far below the order-one phi of a shift
+    max |phi| is 2.1e-10 to 2.4e-9, sampled from the integrator's own
+    7th-order dense output at tolerance 1e-10.  The default lies 10000x to
+    90000x above that floor, and far below the order-one phi of a shift
     that is not normal.
     """
     max_tau = grid.max_tau_norm()

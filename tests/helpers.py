@@ -10,7 +10,7 @@ import numpy as np
 
 from normshift.forces import MDTypeParams, Profile, ScalarFieldA
 from normshift.geometry import ConformalMetric, christoffel
-from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH, richardson_step
+from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH, directional_step
 from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
@@ -155,14 +155,14 @@ def phase_direction_deviation_rhs(field):
     """Right side of the flow and its variation, y = (r, v, tau, tau'), for a
     field without analytic Jacobians, written out plainly: one call of the
     field at p = (r, v), and one at the four points of the Richardson stencil
-    along d = (tau, tau') in phase space, with step h = richardson_step(|p|)
-    / |d| (richardson_step(|p|) where d = 0), extrapolated from steps h and
+    along d = (tau, tau') in phase space, with step h = directional_step(|p|)
+    / |d| (directional_step(|p|) where d = 0), extrapolated from steps h and
     h/2."""
 
     def rhs(t, y):
         p, d = y[..., :4], y[..., 4:]
         length = np.sqrt(np.vecdot(d, d))
-        h = richardson_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
+        h = directional_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
         h = h[..., None]
         moved = np.stack([p + h * d, p - h * d, p + h / 2 * d, p - h / 2 * d])
         fp, fm, fhp, fhm = field.force(moved[..., :2], moved[..., 2:])

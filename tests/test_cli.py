@@ -53,6 +53,20 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once, by the first call, and a bad flag leaves it
+    # fit for the next one
+    from normshift import cli
+    assert run(["simulate", "--no-such-flag"]) == 2
+    parser = cli.make_parser()
+    cfg = write_config(tmp_path, "cfg.json", {**_BASE["simulate"], "n_t": 3})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "trajectory.csv").exists()
+    assert run(["shift", "--no-such-flag"]) == 2
+    assert cli.make_parser() is parser
+    assert capsys.readouterr().err.count("unrecognized arguments: --no-such-flag") == 2
+
+
 def test_missing_config_exits_2(capsys):
     assert run(["simulate"]) == 2
 
@@ -702,6 +716,38 @@ def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, t
     # a solve's steps belong to each of its rows' branches
     assert work["accepted_nodes"] == 1 + sum((len(sol.ts) - 1) * sol.ys.shape[1]
                                              for sol in solves)
+
+
+@pytest.mark.parametrize("integrator, solver", [
+    ({"integrator": "dopri-adaptive", "tolerances": {"abs": 1e-9, "rel": 1e-9}}, "solve_dopri"),
+    ({"integrator": "rk4-fixed", "step": 0.05}, "solve_rk4")], ids=["dopri-adaptive", "rk4-fixed"])
+def test_shift_manifest_records_the_deviation_solves_work(tmp_path, monkeypatch, integrator,
+                                                          solver):
+    # mdtype has no analytic Jacobians, so its deviations take the stencil;
+    # on this span DOP853 rejects one attempt
+    from normshift import odesolve
+    solves, solve = [], getattr(odesolve, solver)
+
+    def recorded(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(odesolve, solver, recorded)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "field": {"catalogue": "mdtype", "params": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
+                                                    "h": {"kind": "poly", "coeffs": [0.2, 0.1]}}},
+        "curve": {"kind": "spline", "points": [[0.0, 0.0], [0.4, 0.3], [0.9, 0.1]]},
+        "nu": {"kind": "solve", "s0": 0.5, "nu0": 1.0}, "t_span": [0.0, 1.5], "n_s": 6, "n_t": 4,
+        **integrator})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    (sol,) = solves
+    assert sol.rhs_calls > 0 and len(sol.ts) > 2
+    assert manifest["integrator"] == {
+        "method": integrator["integrator"], "abs_tol": 1e-9 if solver == "solve_dopri" else 1e-10,
+        "rel_tol": 1e-9 if solver == "solve_dopri" else 1e-10, "accepted_nodes": len(sol.ts),
+        "rhs_calls": sol.rhs_calls, "rejected_steps": sol.rejected_steps}
+    assert {"nu_solve", "verdict", "max_abs_phi"} <= set(manifest)
 
 
 @pytest.mark.parametrize("field, y0, error", [

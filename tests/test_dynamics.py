@@ -262,6 +262,95 @@ def test_phase_space_stencil_matches_analytic_jacobians(field):
     assert np.all(np.abs(tau_acc - expected) <= 1e-9 * (1.0 + np.abs(expected)))
 
 
+def _unit_rows(rng, n, dim):
+    """n random unit vectors of dimension dim."""
+    rows = rng.normal(size=(n, dim))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def test_phase_space_stencil_rounding_is_below_5e_12():
+    # F is linear, so the stencil has no truncation error: what is left of
+    # tau'' against the exact J d is the rounding of its four values, about
+    # 3 eps |F| / h along the step h; the residual stencils' 1e-5 step left
+    # 3.5e-11 (|J d| + |d|) here, the balanced 1e-3 step leaves 3e-13
+    osc = oscillator_field(1.3)
+    rng = np.random.default_rng(2)
+    n = 2000
+    p = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)),
+                        rng.uniform(0.5, 1.5, (n, 1)) * _unit_rows(rng, n, 2)], axis=-1)
+    d = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1)) * _unit_rows(rng, n, 4)
+    r, v = p[:, :2], p[:, 2:]
+    exact = _contract(osc.jac_spatial(r, v), d[:, :2]) + _contract(osc.jac_velocity(r, v), d[:, 2:])
+    _, tau_acc = _accelerations(ForceField(fn=osc.fn), p, d)
+    error = np.linalg.norm(tau_acc - exact, axis=-1)
+    assert np.all(error <= 5e-12 * (np.linalg.norm(exact, axis=-1) + np.linalg.norm(d, axis=-1)))
+
+
+def test_phase_space_stencil_truncation_is_its_error_term():
+    # a field with large fifth derivatives against its exact derivative along
+    # d, from sympy.  With g(e) = F(p + e d) and the step
+    # h = 1e-3 max(1, |p|) / |d|, the stencil's truncation is
+    # -h^4 g^(5)(xi) / 480 for some xi in [-h, h].  Its error lies within
+    # 1.1 times that term's largest value there (41 samples) plus the bound
+    # on rounding of the test above; where the term at e = 0 is 20 times
+    # that bound, the error is that term within 5% (0.4% measured), which
+    # the step of the residual stencils, 1e-5, or a doubled one would miss
+    import sympy
+    x, y, a, b, e = sympy.symbols("x y a b e")
+    dirs = sympy.symbols("dx dy da db")
+    parts = [sympy.sin(20 * x + 6 * a) * (1 + a * a / 4) + b * sympy.exp(y / 2),
+             sympy.cos(16 * y - 8 * b) - a * b / 2]
+    moved = {s: s + e * ds for s, ds in zip((x, y, a, b), dirs)}
+    along = [part.subs(moved, simultaneous=True) for part in parts]
+    args = (x, y, a, b, *dirs, e)
+    exact_derivative = sympy.lambdify(args, [sympy.diff(g, e).subs(e, 0) for g in along])
+    fifth = sympy.lambdify(args, [sympy.diff(g, e, 5) for g in along])
+    fn = sympy.lambdify((x, y, a, b), parts)
+
+    def force(r, v):
+        values = fn(r[..., 0], r[..., 1], v[..., 0], v[..., 1])
+        return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+    rng = np.random.default_rng(5)
+    n = 400
+    p = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.5, 1.5, (n, 2))], axis=-1)
+    d = 10.0 ** rng.uniform(-2.0, 2.0, (n, 1)) * _unit_rows(rng, n, 4)
+    _, tau_acc = _accelerations(ForceField(fn=force), p, d)
+    point = (*p.T, *d.T)
+    exact = np.stack(exact_derivative(*point, 0.0), axis=-1)
+    h = 1e-3 * np.maximum(1.0, np.linalg.norm(p, axis=-1)) / np.linalg.norm(d, axis=-1)
+    on_stencil = [np.abs(np.stack(fifth(*point, f * h), axis=-1))
+                  for f in np.linspace(-1.0, 1.0, 41)]
+    term = h[:, None] ** 4 / 480 * np.max(on_stencil, axis=0)
+    # the rounding bound of test_phase_space_stencil_rounding_is_below_5e_12
+    rounding = 5e-12 * (np.linalg.norm(exact, axis=-1) + np.linalg.norm(d, axis=-1))[:, None]
+    error = tau_acc - exact
+    assert np.all(np.abs(error) <= 1.1 * term + rounding)
+    predicted = -h[:, None] ** 4 / 480 * np.stack(fifth(*point, 0.0), axis=-1)
+    sharp = np.abs(predicted) > 20 * rounding
+    assert np.count_nonzero(sharp) > n / 4
+    assert np.all(np.abs(error - predicted)[sharp] <= 0.05 * np.abs(predicted[sharp]))
+
+
+def test_the_step_controller_rejects_at_most_one_step_on_a_cycloid_near_rest():
+    # a cycloid of the simulate-oracle benchmark (seed 1), run 85% of the
+    # way to its rest point, so that its steps keep shrinking: the plain
+    # controller, which sizes a step from the last error alone, rejected 5
+    # of 15 attempts (212 right sides), and Gustafsson's prediction 1
+    from normshift.closedform import CycloidParams, cycloid
+    p = CycloidParams(x0=-0.4462438568970988, y0=-0.49645337520261945,
+                      theta0=1.4760792737627724, v0=1.1078307288376992,
+                      a0=1.3447366183274627)
+    t_end = 1.1715322408912854
+    times = np.linspace(0.0, t_end, 4000)
+    tr = integrate(anisotropic_field(Profile.constant(p.a0)), cycloid(p, 0.0), (0.0, t_end),
+                   t_eval=times)
+    assert tr.work["rejected_steps"] <= 1 and tr.work["rhs_calls"] <= 170
+    exact = cycloid(p, times)
+    assert np.max(np.abs(tr.positions() - exact.r)) < 1e-6
+    assert np.max(np.abs(tr.velocities() - exact.v)) < 1e-6
+
+
 def test_variational_superposition():
     f = oscillator_field(1.2)
     tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)

@@ -52,6 +52,55 @@ def test_stacked_rows_match_the_closed_form_at_and_between_step_ends(tol):
     assert len(calls) < 40 * (len(sol.ts) - 1)
 
 
+def barycentric_node_by_node(sol, k, u):
+    """``ChebyshevSolution._between`` as a loop over the nodes, adding each
+    node's term to every sample in node order: the reference its vectorized
+    sum must equal byte for byte."""
+    x, w, _, _ = odesolve._chebyshev()
+    t = np.clip(2.0 * u.ravel() - 1.0, -1.0, 1.0)
+    num, den = np.zeros((len(t),) + sol.ys.shape[1:]), np.zeros(len(t))
+    at_node = np.full(len(t), -1)
+    for j in range(len(x)):
+        diff = t - x[j]
+        at_node[diff == 0.0] = j
+        weight = w[j] / np.where(diff == 0.0, 1.0, diff)
+        num += weight.reshape(u.shape) * sol.nodes[k, j]
+        den += weight
+    out = num / den.reshape(u.shape)
+    hit = at_node >= 0
+    out[hit] = sol.nodes[k[hit], at_node[hit]]
+    return out
+
+
+def test_a_sample_does_not_depend_on_the_times_sampled_with_it():
+    # 1500 fractions of steps, three blocks of the vectorized sum, with a
+    # fraction at every node that one reaches exactly in the last block:
+    # sampled together or one at a time, each gives the bytes of the loop
+    # over the nodes, a node's own value at a node, and, where every node
+    # holds a power of two, that value: the numerator and the denominator
+    # are summed in one order
+    calls = []
+    sol = odesolve.solve_chebyshev(decay_and_blowup(calls), 0.0, [[1.0], [1.0]], 0.9,
+                                   tol=1e-12, t_stops=[0.3])
+    x = odesolve._chebyshev()[0]
+    reached = np.flatnonzero(2.0 * ((x + 1.0) / 2.0) - 1.0 == x)
+    steps = np.arange(len(sol.ts) - 1)
+    node_k, node_j = np.repeat(steps, len(reached)), np.tile(reached, len(steps))
+    rng = np.random.default_rng(0)
+    free = 1500 - len(node_k)
+    k = np.concatenate([rng.integers(0, len(steps), free), node_k])
+    u = np.concatenate([rng.uniform(0.0, 1.0, free), (x[node_j] + 1.0) / 2.0])[:, None, None]
+    together = sol._between(k, u)
+    assert together.tobytes() == barycentric_node_by_node(sol, k, u).tobytes()
+    assert together.tobytes() == np.concatenate(
+        [sol._between(k[i:i + 1], u[i:i + 1]) for i in range(len(k))]).tobytes()
+    assert len(reached) > len(x) // 2
+    assert together[free:].tobytes() == sol.nodes[node_k, node_j].tobytes()
+    flat = odesolve.ChebyshevSolution(sol.ts, np.full_like(sol.ys, 0.5), 0, 0,
+                                      np.full_like(sol.nodes, 0.5))
+    assert np.all(flat._between(k, u) == 0.5)
+
+
 def test_every_stop_is_a_step_end():
     stops = [0.05, 0.3, 0.3, 0.61, 0.9 - 1e-16, -0.2, 1.4]
     sol = odesolve.solve_chebyshev(lambda t, y: np.cos(t)[:, None] * y, 0.0, [1.0], 0.9,
