@@ -18,7 +18,11 @@ accepted step on, the smaller of the plain proposal, which looks at the last
 error alone, and one that also follows the trend of the last two.  On a
 flow whose steps must keep shrinking, such as a cycloid run toward its
 rest point, the plain proposal overshoots every other step and has it
-rejected; the prediction does not.
+rejected; the prediction does not.  The first attempt is the starting
+step of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4) grown once by the
+controller's largest factor, five: at the default tolerance that estimate
+is about 0.03 whatever the flow, and a step of it would only confirm that
+the flow allows one five times longer.
 
 The state may be stacked, shape (..., d): independent systems advanced
 together on shared steps.  The adaptive error norm is taken over each row of
@@ -154,9 +158,14 @@ class OdeSolution:
     @property
     def work(self) -> dict:
         """The solve's work: the nodes it accepted, both ends included, its
-        right-side calls and its rejected step attempts."""
+        right-side calls and its rejected step attempts, and the lengths
+        |ts[k + 1] - ts[k]| of its accepted steps: the first, the least and
+        the greatest, each None when it took no step."""
+        steps = np.abs(np.diff(self.ts)).tolist()
         return {"accepted_nodes": len(self.ts), "rhs_calls": self.rhs_calls,
-                "rejected_steps": self.rejected_steps}
+                "rejected_steps": self.rejected_steps,
+                "first_step": steps[0] if steps else None,
+                "min_step": min(steps, default=None), "max_step": max(steps, default=None)}
 
     def sample(self, ts) -> np.ndarray:
         """Dense output at every time in ``ts``, shape (len(ts),) + state shape."""
@@ -316,11 +325,24 @@ def _start(rhs, t0: float, y0):
 
 def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
                 direction: float, abs_tol: float, rel_tol: float, width: int) -> float:
-    """The starting step of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4;
+    """The first step DOP853 attempts, for a span > 0: _MAX_FACTOR times the
+    starting step of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4;
     scipy's ``select_initial_step``) for an error of order 7, in the
-    row-wise RMS norm, for a span > 0.  It costs one right side.  Where an
-    estimate is not a positive finite number, its fallback is taken, and
-    the step is at most the span."""
+    row-wise RMS norm, and at most the span.  It costs one right side.
+    Where an estimate is not a positive finite number, its fallback is
+    taken.
+
+    HNW's rule takes h^8 times the tolerance-scaled slope, or its change,
+    for the local error, with no error constant of the method:
+    h = (0.01 / max(d1, d2))^(1/8), d1 = |f / sc|.  At tol = 1e-10, d1 is
+    about 1e10 for an O(1) state and slope, so h is about 0.03 whatever the
+    flow, and DOP853's error there lies so far below the tolerance that the
+    controller's next proposal is mostly clipped at _MAX_FACTOR.  Starting
+    one such growth ahead saves that ramp step.  Where the start overshoots,
+    it costs one rejected attempt: the retry is the attempt times a factor
+    of at least _MIN_FACTOR, and _MIN_FACTOR * _MAX_FACTOR = 1, so it is no
+    shorter than HNW's own step, or than a fifth of a span that clipped the
+    attempt."""
     scale = abs_tol + rel_tol * np.abs(y)
     # a non-finite launch or probe slope is handled below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,7 +354,8 @@ def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = _row_rms((f1 - f) / scale, width) / h0
     d = max(d1, d2)
-    h = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125, span)
+    hnw = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
+    h = min(_MAX_FACTOR * hnw, span)
     return h if 0.0 < h < math.inf else h0
 
 
@@ -398,7 +421,8 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
     the next step's first.  It passes when DOP853's combined 5th/3rd-order
     error norm e_n is at most 1 in every row; an accepted step then
     evaluates the three extra stages of its 7th-order dense output.  The
-    first step follows ``_first_step`` at one more right side; a zero span
+    first attempt is ``_first_step``'s, one controller growth past Hairer,
+    Nørsett & Wanner's starting step, at one more right side; a zero span
     takes no step.  A rejected step h_n retries at h_n * 0.9 e_n^(-1/8); an
     accepted one proposes that too, but from the second accepted step on
     the smaller of it and Gustafsson's h_n * 0.9 (h_n / h_{n-1})

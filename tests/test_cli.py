@@ -262,6 +262,24 @@ def test_shift_metric_nu_solve_off_level_line(tmp_path):
     assert np.max(np.abs(np.array(report["nu_per_s_node"]) - expected)) < 1e-8
 
 
+def test_a_metric_shift_starts_at_its_working_step(tmp_path):
+    # geodesics of the sin_cos metric: DOP853's first step from Hairer,
+    # Norsett & Wanner's estimate alone, about 0.03, only confirmed that the
+    # flow allows one five times longer, and the solve took 5 steps and 89
+    # right sides where 4 and 74 do
+    cfg = write_config(tmp_path, "metric.json", {
+        "field": {"ansatz": {"kind": "speed_profile",
+                             "profile": {"kind": "constant", "value": 0.0}}},
+        "metric": {"kind": "sin_cos", "amplitude": 0.3},
+        "curve": {"kind": "segment", "p0": [0.0, 0.2], "p1": [0.0, 0.9], "normal": "right"},
+        "nu": {"kind": "constant", "value": 1.0}, "t_span": [0.0, 0.75], "n_s": 8, "n_t": 50,
+    })
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["integrator"]["accepted_nodes"] - 1 <= 4
+    assert manifest["verdict"] == "normal" and manifest["max_abs_phi"] < 1e-9
+
+
 def test_check_mdtype_sweep(tmp_path, capsys):
     cfg = write_config(tmp_path, "check.json", {
         "field": {"catalogue": "mdtype",
@@ -519,11 +537,32 @@ def test_init_takes_one_point_of_two_numbers(tmp_path, r, code):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
-@pytest.mark.parametrize("integrator, per_attempt, per_accepted, start", [
-    ({"integrator": "dopri-adaptive"}, 12, 3, 2),
-    ({"integrator": "rk4-fixed", "step": 0.05}, 4, 0, 1)], ids=["dopri-adaptive", "rk4-fixed"])
-def test_simulate_manifest_records_the_integrators_work(tmp_path, integrator, per_attempt,
-                                                        per_accepted, start):
+def recording(monkeypatch, name):
+    """The solutions that each call of ``odesolve.<name>`` returns, in a list
+    that grows as the solver is called."""
+    from normshift import odesolve
+    solves, solve = [], getattr(odesolve, name)
+
+    def recorded(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(odesolve, name, recorded)
+    return solves
+
+
+def step_sizes(steps) -> dict:
+    """The manifest's step-size keys for accepted steps of these lengths."""
+    return {"first_step": steps[0], "min_step": min(steps), "max_step": max(steps)}
+
+
+@pytest.mark.parametrize("integrator, solver, per_attempt, per_accepted, start", [
+    ({"integrator": "dopri-adaptive"}, "solve_dopri", 12, 3, 2),
+    ({"integrator": "rk4-fixed", "step": 0.05}, "solve_rk4", 4, 0, 1)],
+    ids=["dopri-adaptive", "rk4-fixed"])
+def test_simulate_manifest_records_the_integrators_work(tmp_path, monkeypatch, integrator, solver,
+                                                        per_attempt, per_accepted, start):
+    solves = recording(monkeypatch, solver)
     cfg = write_config(tmp_path, "osc.json", {
         "field": {"catalogue": "oscillator", "params": {"omega": 1.0}},
         "init": {"r": [0.0, 0.5], "v": [1.0, 0.0]}, "t_span": [0.0, 2.0], "n_t": 5,
@@ -534,6 +573,17 @@ def test_simulate_manifest_records_the_integrators_work(tmp_path, integrator, pe
     assert steps > 0
     assert work["rhs_calls"] == (start + per_attempt * (steps + rejected)
                                  + per_accepted * steps)
+    (sol,) = solves
+    assert {key: work[key] for key in ("first_step", "min_step", "max_step")} == step_sizes(
+        np.abs(np.diff(sol.ts)).tolist())
+
+
+def test_a_run_that_takes_no_step_records_null_step_sizes(tmp_path):
+    cfg = write_config(tmp_path, "osc.json", {**_BASE["simulate"], "t_span": [0.5, 0.5]})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    work = json.loads((tmp_path / "o" / "manifest.json").read_text())["integrator"]
+    assert (work["accepted_nodes"], work["rhs_calls"]) == (1, 1)
+    assert work["first_step"] is work["min_step"] is work["max_step"] is None
 
 
 # Small valid configs: each run is short (n_t and n_s at most 5, t_span at
@@ -716,6 +766,12 @@ def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, t
     # a solve's steps belong to each of its rows' branches
     assert work["accepted_nodes"] == 1 + sum((len(sol.ts) - 1) * sol.ys.shape[1]
                                              for sol in solves)
+    # s = s0 + sigma (end - s0) = +-sigma exactly, so the steps in s are the
+    # solves' steps in sigma; the joined solution ascends in s, and its
+    # first step, at s_lo, is the lower branch's last, taken in the first solve
+    steps = [abs(step) for sol in solves for step in np.diff(sol.ts).tolist()]
+    assert {key: work[key] for key in ("first_step", "min_step", "max_step")} == {
+        **step_sizes(steps), "first_step": abs(float(np.diff(solves[0].ts)[-1]))}
 
 
 @pytest.mark.parametrize("integrator, solver", [
@@ -725,14 +781,7 @@ def test_shift_manifest_records_the_deviation_solves_work(tmp_path, monkeypatch,
                                                           solver):
     # mdtype has no analytic Jacobians, so its deviations take the stencil;
     # on this span DOP853 rejects one attempt
-    from normshift import odesolve
-    solves, solve = [], getattr(odesolve, solver)
-
-    def recorded(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(odesolve, solver, recorded)
+    solves = recording(monkeypatch, solver)
     cfg = write_config(tmp_path, "cfg.json", {
         "field": {"catalogue": "mdtype", "params": {"f": {"kind": "linear", "ax": 0.2, "ay": -0.1},
                                                     "h": {"kind": "poly", "coeffs": [0.2, 0.1]}}},
@@ -746,7 +795,8 @@ def test_shift_manifest_records_the_deviation_solves_work(tmp_path, monkeypatch,
     assert manifest["integrator"] == {
         "method": integrator["integrator"], "abs_tol": 1e-9 if solver == "solve_dopri" else 1e-10,
         "rel_tol": 1e-9 if solver == "solve_dopri" else 1e-10, "accepted_nodes": len(sol.ts),
-        "rhs_calls": sol.rhs_calls, "rejected_steps": sol.rejected_steps}
+        "rhs_calls": sol.rhs_calls, "rejected_steps": sol.rejected_steps,
+        **step_sizes(np.abs(np.diff(sol.ts)).tolist())}
     assert {"nu_solve", "verdict", "max_abs_phi"} <= set(manifest)
 
 

@@ -351,6 +351,46 @@ def test_the_step_controller_rejects_at_most_one_step_on_a_cycloid_near_rest():
     assert np.max(np.abs(tr.velocities() - exact.v)) < 1e-6
 
 
+def hnw_starting_step(rhs, t, y, tol):
+    """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, §II.4)
+    for an error of order 7 at absolute and relative tolerance tol, forward
+    from (t, y), in the RMS norm."""
+    f = rhs(t, y)
+    scale = tol + tol * np.abs(y)
+
+    def rms(x):
+        return math.sqrt(np.mean((x / scale) ** 2))
+
+    h0 = 0.01 * rms(y) / rms(f)
+    d2 = rms(rhs(t + h0, y + h0 * f) - f) / h0
+    return min(100.0 * h0, (0.01 / max(rms(f), d2)) ** 0.125)
+
+
+def test_an_overshooting_first_step_costs_one_rejection(monkeypatch):
+    # DOP853 first tries five times HNW's step; on this oscillator that is
+    # too long, and the retry, at least a fifth of the attempt, is no
+    # shorter than HNW's step
+    om2 = 100.0
+    launch = np.array([0.0, 0.3, 1.0, 0.0])
+    hnw = hnw_starting_step(lambda t, y: np.array([y[2], y[3], 0.0, -om2 * y[1]]),
+                            0.0, launch, 1e-10)
+    calls, solve = [], odesolve.solve_dopri
+
+    def recorded(rhs, *args, **kwargs):
+        return solve(lambda t, y: calls.append(t) or rhs(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(odesolve, "solve_dopri", recorded)
+    times = np.linspace(0.0, 1.0, 201)
+    tr = integrate(oscillator_field(10.0), PhaseState(launch[:2], launch[2:]), (0.0, 1.0),
+                   t_eval=times)
+    # the launch slope, the starting-step probe, then the first attempt's stages
+    first_attempt = calls[2] / odesolve._dop853()[0][1]
+    assert first_attempt == pytest.approx(5.0 * hnw, rel=1e-12)
+    assert tr.work["rejected_steps"] <= 1
+    assert hnw <= tr.work["first_step"] < first_attempt
+    assert np.max(np.abs(tr.positions()[:, 1] - 0.3 * np.cos(10.0 * times))) < 1e-8
+
+
 def test_variational_superposition():
     f = oscillator_field(1.2)
     tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
