@@ -5,10 +5,6 @@ fronts, the oscillator deviation formula on the tilted line, cycloid
 trajectories of the constant anisotropic field, and the quadrature pipeline
 for the marked-point field.  A mismatch with direct integration beyond the
 stated tolerances is a test failure, not a tolerance to be widened.
-
-Only the marked-point quadrature uses scipy: ``marked_point_quadrature``
-and ``QuadratureTable.theta_at`` import its ``brentq`` root solver when
-called, so importing this module (as the CLI does) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -165,6 +161,10 @@ class QuadratureTable:
     t (zero at the first node), and polar angle gamma of the position.  theta
     is the angle from the radius direction to the velocity, so the velocity
     heading is gamma + theta.
+
+    v and rho are splined over theta, and (theta, v, rho, gamma) over t,
+    which is monotone along the grid, so a state at a time is one spline
+    lookup.
     """
 
     theta: np.ndarray
@@ -174,10 +174,11 @@ class QuadratureTable:
     gamma: np.ndarray
 
     def __post_init__(self):
-        # one spline of the columns (v, rho, t, gamma) over ascending theta
-        order = np.argsort(self.theta)
+        by_theta, by_t = np.argsort(self.theta), np.argsort(self.t)
         self._spline = PiecewiseCubic(
-            self.theta[order], np.stack([self.v, self.rho, self.t, self.gamma], axis=-1)[order])
+            self.theta[by_theta], np.stack([self.v, self.rho], axis=-1)[by_theta])
+        self._state = PiecewiseCubic(
+            self.t[by_t], np.stack([self.theta, self.v, self.rho, self.gamma], axis=-1)[by_t])
 
     @property
     def duration(self) -> float:
@@ -191,36 +192,12 @@ class QuadratureTable:
         """rho at each theta, elementwise."""
         return self._spline(theta)[..., 1][()]
 
-    def _t_of(self, theta: float) -> float:
-        return float(self._spline(theta)[2])
-
-    def theta_at(self, t: float) -> float:
-        """Invert the monotone map t(theta) by bisection on the grid segment."""
-        from scipy.optimize import brentq
-
-        ts = self.t
-        lo, hi = (ts[0], ts[-1]) if ts[-1] >= ts[0] else (ts[-1], ts[0])
+    def state_at(self, t: float) -> PhaseState:
+        """The state at time t; OutOfInterval outside the tabulated times."""
+        lo, hi = sorted((self.t[0], self.t[-1]))
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise OutOfInterval(f"t={t:.6g} outside the tabulated range")
-        t_asc = ts if ts[-1] >= ts[0] else ts[::-1]
-        th_asc = self.theta if ts[-1] >= ts[0] else self.theta[::-1]
-        k = int(np.clip(np.searchsorted(t_asc, t) - 1, 0, len(ts) - 2))
-        a, b = th_asc[k], th_asc[k + 1]
-        fa = self._t_of(a) - t
-        fb = self._t_of(b) - t
-        if fa == 0.0:
-            return float(a)
-        if fb == 0.0:
-            return float(b)
-        if fa * fb > 0:  # spline overshoot at a segment end; fall back to linear
-            w = (t - t_asc[k]) / (t_asc[k + 1] - t_asc[k])
-            return float((1 - w) * a + w * b)
-        return float(brentq(lambda th: self._t_of(th) - t,
-                            min(a, b), max(a, b), xtol=1e-14))
-
-    def state_at(self, t: float) -> PhaseState:
-        th = self.theta_at(t)
-        v, rho, _, gamma = self._spline(th).tolist()
+        th, v, rho, gamma = self._state(t).tolist()
         heading = gamma + th
         return PhaseState(rho * np.array([math.cos(gamma), math.sin(gamma)]),
                           v * np.array([math.cos(heading), math.sin(heading)]))
@@ -238,17 +215,20 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
     theta_end.  The pipeline, valid on a window where sin(theta) keeps one
     sign and A(v) - v^2 does not vanish:
 
-      v(theta):   int_{v0}^{v} (A(u) - u^2)/(u A(u)) du = log|sin th / sin th0|
+      v(theta):   int_{v0}^{v} g(u) du = log|sin th / sin th0|,
+                  g(u) = (A(u) - u^2)/(u A(u))
       rho(theta): d log rho / d th = v^2 cot(th) / (A - v^2)
       t(theta):   dt/d th = rho v / ((A - v^2) sin th)
       gamma(th):  d gamma / d th = v^2 / (A - v^2)
 
-    The speed relation is inverted pointwise with a bracketing root solve;
-    downstream integrands interpolate v across grid nodes with a cubic
+    The speed relation is solved node by node from the previous node's
+    speed by Newton's method in s = log v, where it reads int v g(v) ds and
+    its integrand v g(v) = 1 - v^2/A(v) is its own derivative.  Every
+    iterate must keep the launch sign of A(v) - v^2: a speed that would
+    have to reach A(v) = v^2 raises SingularQuadrature naming theta.
+    Downstream integrands interpolate v across grid nodes with a cubic
     spline, and every integral is adaptive Simpson.
     """
-    from scipy.optimize import brentq
-
     rho0, gamma0, v0, theta0 = (float(x) for x in init)
     if rho0 <= 0 or v0 <= 0:
         raise ValueError("rho0 and v0 must be positive")
@@ -261,58 +241,38 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
         raise SingularQuadrature("A(v0) or A(v0) - v0^2 vanishes at the start")
     branch_sign = math.copysign(1.0, a_start - v0 * v0)
 
-    def speed_integrand(u: float) -> float:
+    def speed_integrand(s: float) -> float:
+        # g(u) du in s = log u: u g(u) = 1 - u^2/A(u), bounded as u -> 0
+        u = math.exp(s)
         au = profile(u)
         if abs(au) < 1e-14:
             raise SingularQuadrature(f"A({u:.6g}) = 0 inside the speed quadrature")
-        return (au - u * u) / (u * au)
+        return 1.0 - u * u / au
 
-    log_sin0 = math.log(abs(math.sin(theta0)))
-    cache: dict[float, float] = {v0: 0.0}
-
-    def big_g(u: float) -> float:
-        # cumulative speed integral from v0, cached at solved nodes
-        if u in cache:
-            return cache[u]
-        base = min(cache, key=lambda w: abs(w - u))
-        val = cache[base] + adaptive_simpson(speed_integrand, base, u, tol)
-        return val
-
+    log_sins = np.log(np.abs(sins))
     v_tab = np.empty(n_nodes)
     v_tab[0] = v0
+    # Newton from the previous node's s on G(s) = int_{log v0}^{s} u g =
+    # log|sin th_i / sin th0|, whose derivative is its integrand; G grows by
+    # one Simpson piece per step
+    s, big_g = math.log(v0), 0.0
     for i in range(1, n_nodes):
-        target = math.log(abs(sins[i])) - log_sin0
-
-        def f(u: float) -> float:
-            return big_g(u) - target
-
-        # expand a bracket around the previous node's speed
-        u_prev = v_tab[i - 1]
-        increasing = speed_integrand(u_prev) > 0
-        fa = f(u_prev)
-        if fa == 0.0:
-            v_tab[i] = u_prev
+        for _ in range(50):
+            ds = (log_sins[i] - log_sins[0] - big_g) / speed_integrand(s)
+            if abs(ds) <= 1e-14:
+                break
+            with np.errstate(over="ignore", invalid="ignore"):  # u = inf fails the check
+                u = np.exp(s + ds)
+                on_branch = branch_sign * (profile(u) - u * u) >= 1e-10
+            if not on_branch:
+                raise SingularQuadrature(
+                    f"A(v) - v^2 vanishes or changes sign near theta={theta_grid[i]:.6g}")
+            big_g += adaptive_simpson(speed_integrand, s, s + ds, tol)
+            s += ds
         else:
-            direction = -1.0 if (fa > 0) == increasing else 1.0
-            step = max(1e-4, 0.05 * u_prev)
-            a, b = u_prev, u_prev
-            fb = fa
-            for _ in range(200):
-                b = max(a + direction * step, 1e-9)
-                fb = f(b)
-                if fa * fb <= 0.0 or b == 1e-9:
-                    break
-                a, fa = b, fb
-                step *= 1.6
-            if fa * fb > 0.0:
-                raise SingularQuadrature("could not bracket the speed relation root")
-            v_tab[i] = brentq(f, min(a, b), max(a, b), xtol=1e-14, rtol=8.9e-16)
-        cache[v_tab[i]] = target
-        anew = profile(v_tab[i])
-        if abs(anew - v_tab[i] ** 2) < 1e-10 or \
-           math.copysign(1.0, anew - v_tab[i] ** 2) != branch_sign:
-            raise SingularQuadrature(
-                f"A(v) - v^2 vanishes or changes sign near theta={theta_grid[i]:.6g}")
+            raise SingularQuadrature(f"Newton's method on the speed relation did not "
+                                     f"converge near theta={theta_grid[i]:.6g}")
+        v_tab[i] = math.exp(s)
 
     order = np.argsort(theta_grid)
     v_spline = PiecewiseCubic(theta_grid[order], v_tab[order])

@@ -187,7 +187,7 @@ def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
     naming the rows of a stacked state that have one."""
     ys = sol.sample(times)
     if not np.all(np.isfinite(ys)):
-        rows = odesolve.nonfinite_rows(np.where(np.isfinite(ys).all(axis=0), 0.0, np.nan))
+        rows = odesolve.nonfinite_rows(np.isfinite(ys).all(axis=0))
         raise StepFailure("solution left the finite domain", rows=rows)
     return ys
 

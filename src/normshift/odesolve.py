@@ -269,12 +269,13 @@ def _stage(y: np.ndarray, hs: float, row: np.ndarray, k: np.ndarray) -> np.ndarr
     return y + hs * (row @ k)
 
 
-def nonfinite_rows(y: np.ndarray) -> list[int]:
+def nonfinite_rows(finite: np.ndarray) -> list[int]:
     """Rows of a stacked state (..., d), counted over its leading axes, that
-    have a non-finite component; none for a 1-D state."""
-    if y.ndim < 2:
+    have a component where the mask ``finite`` of its shape is false; none
+    for a 1-D state."""
+    if finite.ndim < 2:
         return []
-    return np.flatnonzero(~np.all(np.isfinite(y), axis=-1).ravel()).tolist()
+    return np.flatnonzero(~np.all(finite, axis=-1).ravel()).tolist()
 
 
 def _stops(t: float, t1: float, t_stops) -> list[float]:
@@ -459,7 +460,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 return None, step * _factor(norm), None
             finite = (np.isfinite(y_new) & np.isfinite(k[12])
                       & np.isfinite(err5) & np.isfinite(err3))
-            return None, step * 0.25, nonfinite_rows(np.where(finite, 0.0, np.nan).reshape(shape))
+            return None, step * 0.25, nonfinite_rows(finite.reshape(shape))
         for i in range(13, 16):
             k[i] = rhs(t + c[i] * hs, _stage(y, hs, a[i], k[:i]))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -682,8 +683,7 @@ def _picard(rhs, t: float, y: np.ndarray, h: float, tol: float, shape):
                if np.all(np.isfinite(f)) else f)
         if not np.all(np.isfinite(new)):
             # a row is bad if any of its components is, at any node
-            return None, nonfinite_rows(np.where(np.isfinite(new).all(axis=0), 0.0, np.nan)
-                                        .reshape(shape))
+            return None, nonfinite_rows(np.isfinite(new).all(axis=0).reshape(shape))
         update = float(np.max(np.abs(new - values) / (1.0 + np.abs(new))))
         values = new
         if update <= tol:

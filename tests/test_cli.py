@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import normshift
 from normshift.cli import main
 from normshift.experiment import MAX_COUNT
 
@@ -837,15 +838,32 @@ def test_a_column_that_comes_to_rest_exits_3_naming_t(tmp_path, capsys):
 
 
 SCIPY_FREE_RUN = """
-import json, sys
+import importlib, json, math, pkgutil, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import normshift
 from normshift.cli import main
+from normshift.closedform import marked_point_quadrature
+from normshift.forces import Profile
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  and sys.modules[m] is not None)
+
+
 out, results = sys.argv[1], []
 for cmd, name in (("simulate", "sim"), ("shift", "shift"), ("check", "check")):
     extra = ["--check-oracle"] if cmd == "simulate" else []
     code = main([cmd, "--config", f"{out}/{name}.json", "--out", f"{out}/{name}", *extra])
-    results.append([cmd, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                                      and sys.modules[m] is not None)])
+    results.append([cmd, code, scipy_modules()])
+modules = [info.name for info in pkgutil.iter_modules(normshift.__path__)]
+for name in modules:
+    importlib.import_module(f"normshift.{name}")
+# test_closedform's marked-point table, read halfway through
+table = marked_point_quadrature(Profile.constant(1.0), (1.0, 0.0, 1.5, math.pi / 3), 0.35)
+state = table.state_at(0.5 * table.duration)
+results.append(["import " + ",".join(modules),
+                all(map(math.isfinite, [*state.r, *state.v])), scipy_modules()])
 print(json.dumps(results))
 """
 
@@ -874,5 +892,8 @@ def test_cli_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
                           env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    modules = sorted(p.stem for p in Path(normshift.__file__).parent.glob("*.py")
+                     if p.stem != "__init__")
     assert json.loads(done.stdout.splitlines()[-1]) == [
-        ["simulate", 0, []], ["shift", 0, []], ["check", 0, []]]
+        ["simulate", 0, []], ["shift", 0, []], ["check", 0, []],
+        ["import " + ",".join(modules), True, []]]

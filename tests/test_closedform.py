@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from normshift.errors import OutOfInterval, SingularQuadrature
 from normshift.forces import Profile, anisotropic_field, marked_point_field
@@ -146,22 +148,31 @@ def test_cycloid_matches_integration():
 MP_INIT = (1.0, 0.0, 1.5, math.pi / 3)  # rho0, gamma0, v0, theta0
 
 
-def test_marked_point_quadrature_against_integration():
-    prof = Profile.constant(1.0)
-    table = marked_point_quadrature(prof, MP_INIT, 0.35)
-    T = table.duration
-    assert T > 0
-    rho0, gamma0, v0, theta0 = MP_INIT
+def launch(init) -> PhaseState:
+    """The phase point of a quadrature launch (rho0, gamma0, v0, theta0)."""
+    rho0, gamma0, v0, theta0 = init
     heading = gamma0 + theta0
-    init = PhaseState((rho0 * math.cos(gamma0), rho0 * math.sin(gamma0)),
+    return PhaseState((rho0 * math.cos(gamma0), rho0 * math.sin(gamma0)),
                       (v0 * math.cos(heading), v0 * math.sin(heading)))
-    f = marked_point_field(prof)
-    ts = np.linspace(0, 0.98 * T, 25)
-    tr = integrate(f, init, (0, 0.98 * T), t_eval=ts)
-    for i, t in enumerate(ts):
-        st = table.state_at(t)
-        assert np.max(np.abs(tr.positions()[i] - st.r)) < 1e-5
-        assert np.max(np.abs(tr.velocities()[i] - st.v)) < 1e-5
+
+
+def quadrature_error(prof, init, table, ts) -> float:
+    """Largest deviation of the table's states at ``ts`` from DOP853 at 1e-13."""
+    tr = integrate(marked_point_field(prof), launch(init), (0, ts[-1]),
+                   IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13), t_eval=ts)
+    return max(float(np.max(np.abs(np.concatenate([tr.positions()[i] - st.r,
+                                                   tr.velocities()[i] - st.v]))))
+               for i, st in enumerate(map(table.state_at, ts)))
+
+
+def test_marked_point_quadrature_against_integration():
+    # the default table, and the 40-node one of test_quadrature_table_csv
+    prof = Profile.constant(1.0)
+    for theta_end, n_nodes, bound in ((0.35, 200, 1e-5), (0.6, 40, 5e-8)):
+        table = marked_point_quadrature(prof, MP_INIT, theta_end, n_nodes=n_nodes)
+        T = table.duration
+        assert T > 0
+        assert quadrature_error(prof, MP_INIT, table, np.linspace(0, 0.98 * T, 25)) < bound
 
 
 def test_marked_point_radius_slope_consistency():
@@ -183,6 +194,59 @@ def test_marked_point_rejects_critical_speed():
     # A(v0) = v0^2 makes the speed relation singular at the start
     with pytest.raises(SingularQuadrature):
         marked_point_quadrature(Profile.constant(2.25), MP_INIT, 0.35)
+
+
+def test_marked_point_speed_that_must_pass_the_critical_speed_is_refused_at_once():
+    # A(v) = v^2 at v ~ 0.81; from theta ~ 0.727 on the speed relation has no
+    # root below it, which must be said at once rather than searched for
+    start = time.perf_counter()
+    with pytest.raises(SingularQuadrature, match=r"theta=0\.727273"):
+        marked_point_quadrature(Profile.polynomial([0.5, 0.2]), (1.0, 0.0, 0.3, 0.4), 1.3,
+                                n_nodes=100)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.3, 3.0), b=st.just(0.0) | st.floats(0.05, 0.5), below=st.booleans(),
+       ratio=st.floats(0.2, 0.9), theta0=st.floats(0.3, math.pi - 0.3),
+       theta_end=st.floats(0.3, math.pi - 0.3))
+def test_marked_point_speeds_are_brentq_roots_of_the_speed_relation(a, b, below, ratio, theta0,
+                                                                    theta_end):
+    """A = a + b v, launched below or above the critical speed c where
+    A(c) = c^2.  The speed relation is G(v) = log|sin theta / sin theta0|,
+    with G the integral of (A - u^2)/(u A) from v0, here in closed form; on
+    either branch G is monotone with its supremum at c.  Either every node
+    has a root there, and the table's speeds are those roots and its states
+    follow DOP853; or some node has none, and the quadrature says so at
+    once.  theta keeps 0.3 from 0 and pi: nearer, 200 nodes no longer hold
+    the states to 1e-6 (3.3e-6 for a = 1, v0 = 2 c from theta 1 to 3)."""
+    from scipy.optimize import brentq
+
+    assume(abs(theta_end - theta0) >= 0.05)
+    crit = 0.5 * (b + math.sqrt(b * b + 4.0 * a))
+    v0 = ratio * crit if below else crit / ratio
+    a0 = a + b * v0
+
+    def big_g(u):
+        linear = ((u * u - v0 * v0) / (2.0 * a) if b == 0.0
+                  else (u - v0) / b - a / (b * b) * math.log1p(b * (u - v0) / a0))
+        return math.log(u / v0) - linear
+
+    targets = np.log(np.abs(np.sin(np.linspace(theta0, theta_end, 200)) / math.sin(theta0)))
+    prof = Profile.constant(a) if b == 0.0 else Profile.polynomial([a, b])
+    init = (1.0, 0.0, v0, theta0)
+    start = time.perf_counter()
+    if np.max(targets) >= big_g(crit):
+        with pytest.raises(SingularQuadrature, match="theta="):
+            marked_point_quadrature(prof, init, theta_end)
+        assert time.perf_counter() - start < 1.0
+        return
+    table = marked_point_quadrature(prof, init, theta_end)
+    bracket = (1e-3 * v0, crit) if below else (crit, crit + 1e3)
+    reference = [brentq(lambda u: big_g(u) - x, *bracket, xtol=1e-300, rtol=8.9e-16)
+                 for x in targets[1:]]
+    np.testing.assert_allclose(table.v[1:], reference, rtol=1e-12, atol=0.0)
+    assert quadrature_error(prof, init, table, np.linspace(0, table.duration, 12)) < 1e-6
 
 
 def test_quadrature_table_csv(tmp_path):
