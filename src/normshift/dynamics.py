@@ -8,13 +8,13 @@ the linearized equations
 
     tau''_k = sum_i dF_k/dr^i tau_i + sum_i dF_k/dv^i tau'_i,
 
-whose right side is the one directional derivative of F along (tau, tau')
-in phase space: for a field without analytic Jacobians, a Richardson
-stencil of five points per row, all rows in one call of the field.  The
-frame components phi = <tau, N>, psi = <tau, M> of tau satisfy a pair of
-second-order ODEs whose coefficients are the alpha/beta gradient components
-of A and B.  Both linearizations are integrated together with the base flow
-as one combined system, never against a stored interpolant.
+whose right side, the derivative of F along (tau, tau') in phase space,
+comes with F from one complex evaluation of the field per row
+(``ForceField.derivative``).  The frame components phi = <tau, N>,
+psi = <tau, M> of tau satisfy a pair of second-order ODEs whose
+coefficients are the alpha/beta gradient components of A and B.  Both
+linearizations are integrated together with the base flow as one combined
+system, never against a stored interpolant.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff, odesolve
+from . import odesolve
 from .errors import StepFailure
 from .forces import ForceField, ab_decompose
 from .geometry import dot, frame
@@ -146,42 +146,6 @@ def integrate(field: ForceField, init: PhaseState, t_span,
     return Trajectory(times, sol)
 
 
-def _contract(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J^T x row by row: sum_i J[..., i, j] x[..., i]."""
-    return jac[..., 0, :] * x[..., 0, None] + jac[..., 1, :] * x[..., 1, None]
-
-
-def _accelerations(field: ForceField, p, d) -> tuple[np.ndarray, np.ndarray]:
-    """The force F(r, v) and the right side of the linearized equations,
-    tau'' = J_r^T tau + J_v^T tau', at phase points p = (r, v) along
-    d = (tau, tau'), (..., 4) each.
-
-    With analytic Jacobians they are contracted directly.  Otherwise the
-    right side, linear in d, is the one directional derivative of F along d
-    in phase space: a Richardson-extrapolated central difference with step
-    directional_step(|p|) / |d|, so that its outer points lie
-    1e-3 max(1, |p|) from p (directional_step(|p|) along a zero d, whose
-    points are all p).  That step balances the stencil's truncation against
-    its rounding (``numdiff``): the rounding is about 7e-13 of |F|, where
-    the residual stencils' 1e-5 would leave 7e-11, which the integrator's
-    error estimate would take for error in tau''.  Its four points for
-    every row and the base point p, five in all, go to the field in one
-    stacked call.
-    """
-    r, v = p[..., :2], p[..., 2:]
-    if field.spatial_jacobian is not None and field.velocity_jacobian is not None:
-        return field.force(r, v), (_contract(field.jac_spatial(r, v), d[..., :2])
-                                   + _contract(field.jac_velocity(r, v), d[..., 2:]))
-
-    length = np.sqrt(np.vecdot(d, d))
-    h = numdiff.directional_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
-    points = np.empty((5,) + p.shape)
-    points[:4] = p + numdiff.richardson_points(0.0, h)[..., None] * d
-    points[4] = p
-    f = field.force(points[..., :2], points[..., 2:])
-    return f[4], numdiff.richardson_extrapolated(h, f[:4])
-
-
 def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
     """Dense output at ``times``.  A non-finite sample raises StepFailure
     naming the rows of a stacked state that have one."""
@@ -221,7 +185,7 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
     times = np.asarray(times, float)
 
     def rhs(t, y):
-        f, tau_acc = _accelerations(field, y[..., :4], y[..., 4:])
+        f, tau_acc = field.derivative(y[..., :2], y[..., 2:4], y[..., 4:6], y[..., 6:8])
         return np.concatenate([y[..., 2:4], f, y[..., 6:8], tau_acc], axis=-1)
 
     y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)

@@ -8,7 +8,8 @@ used by all built-in fields that admit the normal shift of curves.
 Every evaluator works row by row on stacked arguments: a field takes r and v
 of shape (..., 2) and returns (..., 2), its Jacobians (..., 2, 2); profiles,
 generators and their partials take arrays of any one shape and return that
-shape.  A single point is the (2,) case (scalars for generators).
+shape.  A single point is the (2,) case (scalars for generators).  All are
+complex-safe (``geometry``).
 
 Everything here takes typed arguments; ``experiment`` reads the JSON specs,
 the catalogue of named fields among them.
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import numdiff
 from .errors import DegenerateVelocity, InvalidParams
-from .geometry import ConformalMetric, christoffel, dot, elementwise, frame, polar_frame
+from .geometry import (ConformalMetric, atan2, christoffel, dot, elementwise, frame, hypot,
+                       polar_frame)
 
 @dataclass(frozen=True)
 class Profile:
@@ -58,6 +60,12 @@ class Profile:
         return Profile(fn=lambda x: horner(c, x), deriv=lambda x: horner(dc, x))
 
 
+# Points per complex evaluation.  numpy computes a * tmp as tmp *= a once
+# tmp holds 256 KiB, and complex a * b and b * a can differ in the last bit:
+# with larger calls a row's derivative would depend on the rows beside it.
+COMPLEX_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class ForceField:
     """Evaluator F(r, v) with optional analytic Jacobians; nothing else.
@@ -66,9 +74,9 @@ class ForceField:
     admit the normal shift is recorded in ``experiment.CATALOGUE``.
 
     Jacobian convention: spatial_jacobian(r, v)[..., i, j] = dF_j / dr^i and
-    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  When absent, Jacobians
-    are computed by Richardson-extrapolated central differences, with the
-    stencil points of all rows in one call of the field.
+    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  When absent, row i of
+    a Jacobian is ``derivative`` along the i-th unit axis, all rows in one
+    call of ``fn``, which must therefore be complex-safe.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -76,26 +84,44 @@ class ForceField:
     velocity_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def force(self, r, v) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(r, float), np.asarray(v, float)), dtype=float)
+        return numdiff.floats(self.fn(numdiff.floats(r), numdiff.floats(v)))
+
+    def derivative(self, r, v, dr, dv) -> tuple[np.ndarray, np.ndarray]:
+        """F(r, v) and its derivative along (dr, dv), arrays of shape
+        (..., 2) that broadcast together, by ``numdiff.complex_step``."""
+        return numdiff.complex_step(self._complex_force, (r, v), (dr, dv))
+
+    def _complex_force(self, r, v) -> np.ndarray:
+        """F at complex points, in calls of at most COMPLEX_BLOCK points.
+        TypeError if ``fn`` is not complex-safe."""
+        n = max(r.size, v.size) // 2
+        if n > COMPLEX_BLOCK:
+            r, v = np.broadcast_arrays(r, v)
+            rows = [a.reshape(n, 2) for a in (r, v)]
+            return np.concatenate([self._complex_force(*(a[i:i + COMPLEX_BLOCK] for a in rows))
+                                   for i in range(0, n, COMPLEX_BLOCK)]).reshape(r.shape)
+        try:
+            f = self.force(r, v)
+            if f.dtype.kind != "c":
+                raise TypeError("fn returned a real force for complex points")
+        except (TypeError, np.exceptions.ComplexWarning) as exc:
+            raise TypeError("a force field must be complex-safe: for complex r and v, fn "
+                            "returns a complex force (README, 'Writing your own field')") from exc
+        return f
 
     def jac_spatial(self, r, v) -> np.ndarray:
-        return self._jacobian(self.spatial_jacobian, r, v, 0)
+        return self._jacobian(self.spatial_jacobian, r, v, (np.eye(2), np.zeros((2, 2))))
 
     def jac_velocity(self, r, v) -> np.ndarray:
-        return self._jacobian(self.velocity_jacobian, r, v, 1)
+        return self._jacobian(self.velocity_jacobian, r, v, (np.zeros((2, 2)), np.eye(2)))
 
-    def _jacobian(self, analytic, r, v, wrt: int) -> np.ndarray:
-        """Jacobian with respect to r (wrt=0) or v (wrt=1), one row per component."""
-        rv = [np.asarray(r, float), np.asarray(v, float)]
+    def _jacobian(self, analytic, r, v, axes) -> np.ndarray:
+        """Jacobian with respect to r or v: row i is the derivative along
+        (dr, dv) = (axes[0][i], axes[1][i])."""
+        r, v = np.asarray(r, float), np.asarray(v, float)
         if analytic is not None:
-            return np.asarray(analytic(*rv), dtype=float)
-        x, fixed = rv[wrt], rv[1 - wrt]
-
-        def f_at(moved: np.ndarray) -> np.ndarray:
-            held = np.broadcast_to(fixed[..., None, :], moved.shape)
-            return self.force(*((moved, held) if wrt == 0 else (held, moved)))
-
-        return numdiff.per_component(numdiff.richardson, f_at, x)
+            return np.asarray(analytic(r, v), dtype=float)
+        return self.derivative(r[..., None, :], v[..., None, :], *axes)[1]
 
 
 @dataclass(frozen=True)
@@ -182,10 +208,10 @@ class ScalarFieldA:
 
     def cartesian(self, x, y, v1, v2):
         """A evaluated with the velocity in Cartesian components."""
-        speed = np.hypot(v1, v2)
-        if np.count_nonzero(speed < 1e-300):
+        speed = hypot(v1, v2)
+        if np.count_nonzero(speed.real < 1e-300):
             raise DegenerateVelocity("scalar generator undefined at v = 0")
-        return self(x, y, speed, np.arctan2(v2, v1))
+        return self(x, y, speed, atan2(v2, v1))
 
 
 def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
@@ -354,14 +380,14 @@ def mdtype_field(md: MDTypeParams) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
-        speed = np.hypot(v[..., 0], v[..., 1])
+        speed = fr.speed
         x, y = r[..., 0], r[..., 1]
         wv = elementwise(md.w_v(x, y, speed), speed)
-        vanishing = np.abs(wv) < 1e-12
+        vanishing = np.abs(wv.real) < 1e-12
         if np.count_nonzero(vanishing):
-            bx, by, bv = (np.broadcast_to(a, wv.shape)[vanishing][0] for a in (x, y, speed))
+            bx, by, bv = (np.broadcast_to(a.real, wv.shape)[vanishing][0] for a in (x, y, speed))
             raise InvalidParams(f"W_v vanishes at ({bx:.3g}, {by:.3g}, v={bv:.3g})")
-        gw = np.empty(fr.N.shape)
+        gw = np.empty(fr.N.shape, np.result_type(r, v))
         gw[..., 0], gw[..., 1] = md.grad_w(x, y, speed)
         h = md.h(md.w(x, y, speed))[..., None]
         along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
@@ -372,7 +398,7 @@ def mdtype_field(md: MDTypeParams) -> ForceField:
 
 def _per_point(value: np.ndarray, r: np.ndarray) -> np.ndarray:
     """A constant vector or matrix repeated for every point of r."""
-    out = np.empty(np.shape(r)[:-1] + value.shape)
+    out = np.empty(r.shape[:-1] + value.shape, r.dtype)
     out[...] = value
     return out
 
@@ -391,7 +417,7 @@ def oscillator_field(omega: float) -> ForceField:
     zero = np.zeros((2, 2))
 
     def fn(r, v):
-        out = np.zeros(np.shape(r))
+        out = np.zeros_like(r)
         out[..., 1] = -om2 * r[..., 1]
         return out
 
@@ -410,7 +436,7 @@ def anisotropic_field(profile: Profile, m=(1.0, 0.0)) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
-        a = profile(np.hypot(v[..., 0], v[..., 1]))
+        a = profile(fr.speed)
         return a[..., None] * (2.0 * dot(fr.N, mv)[..., None] * fr.N - mv)
 
     return ForceField(fn=fn)
@@ -421,12 +447,12 @@ def marked_point_field(profile: Profile, center=(0.0, 0.0)) -> ForceField:
     c = np.asarray(center, float)
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        rr = np.asarray(r, float) - c
+        rr = r - c
         rho2 = dot(rr, rr)
-        if np.count_nonzero(rho2 < 1e-24):
+        if np.count_nonzero(rho2.real < 1e-24):
             raise InvalidParams("marked-point field is singular at its center")
         fr = frame(v)
-        a = profile(np.hypot(v[..., 0], v[..., 1]))
+        a = profile(fr.speed)
         return a[..., None] * (2.0 * dot(fr.N, rr)[..., None] * fr.N - rr) / rho2[..., None]
 
     return ForceField(fn=fn)
@@ -454,7 +480,7 @@ def metrizable_field(metric: ConformalMetric, h: Profile) -> ForceField:
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
         g = metric.gradient(r)
-        speed = np.hypot(v[..., 0], v[..., 1])
+        speed = fr.speed
         v2 = speed * speed
         ef = np.exp(metric.value(r))
         return (-v2[..., None] * g + 2.0 * dot(g, v)[..., None] * v
@@ -477,7 +503,7 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
 
     def q_of(x, y):
         q = r2 - x * x - y * y
-        if np.count_nonzero(q <= margin):
+        if np.count_nonzero(q.real <= margin):
             raise InvalidParams("evaluation point too close to the disc boundary")
         return q
 

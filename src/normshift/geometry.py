@@ -8,7 +8,9 @@ spline that interpolates spline curves and quadrature tables.
 
 Points and vectors are arrays whose last axis holds the two components; any
 leading axes stack independent points, and every function works row by row
-on them.  A single point is the (2,) case of the same code.
+on them.  A single point is the (2,) case of the same code.  Every
+evaluator is complex-safe for ``numdiff.complex_step``: speeds and angles
+come from ``hypot`` and ``atan2``, and domain tests compare real parts.
 
 All operations are pure functions; evaluators carry no mutable state and may
 be called concurrently.
@@ -32,7 +34,7 @@ _ROTATE = np.array([-1.0, 1.0])
 
 
 def _as_points(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = numdiff.floats(v)
     if a.ndim == 0 or a.shape[-1] != 2:
         raise ValueError(f"expected 2-vectors along the last axis, got shape {a.shape}")
     return a
@@ -44,27 +46,45 @@ def dot(a, b):
 
 
 def elementwise(value, *args):
-    """``value`` as floats of the broadcast shape of ``args``.
+    """``value`` as ``numdiff.floats`` of the broadcast shape of ``args``.
 
     A closure that returns one constant for stacked arguments still gives one
     value per point; for scalar arguments the result is a NumPy scalar.
     """
-    out = np.asarray(value, dtype=float)
+    out = numdiff.floats(value)
     for a in args:
         if (a.shape if isinstance(a, np.ndarray | np.generic) else np.shape(a)) != out.shape:
             return np.full(np.broadcast(*args).shape, out)[()]
     return out[()]
 
 
+def hypot(x, y):
+    """np.hypot(x, y) for real x and y; sqrt(x^2 + y^2) for complex ones.
+    x and y are of one kind: np.hypot raises TypeError on a complex y."""
+    if getattr(x, "dtype", None) == complex:
+        return np.sqrt(x * x + y * y)
+    return np.hypot(x, y)
+
+
+def atan2(y, x):
+    """np.arctan2(y, x) for real x and y.  For complex ones (of one kind),
+    that of the real parts, with its first-order change
+    (x Im y - y Im x) / |x + iy|^2 as the imaginary part."""
+    if getattr(x, "dtype", None) == complex:
+        xr, yr = x.real, y.real
+        return np.arctan2(yr, xr) + 1j * ((xr * y.imag - yr * x.imag) / (xr * xr + yr * yr))
+    return np.arctan2(y, x)
+
+
 def _speed(v: np.ndarray) -> np.ndarray:
-    return checked_speed(np.hypot(v[..., 0], v[..., 1]))
+    return checked_speed(hypot(v[..., 0], v[..., 1]))
 
 
 def checked_speed(speed: np.ndarray) -> np.ndarray:
     """``speed`` itself; DegenerateVelocity if any of it is below V_MIN."""
-    low = speed < V_MIN
+    low = speed.real < V_MIN
     if np.count_nonzero(low):
-        raise DegenerateVelocity(f"speed {np.min(speed[low]):.3e} below v_min={V_MIN:.0e}")
+        raise DegenerateVelocity(f"speed {np.min(speed.real[low]):.3e} below v_min={V_MIN:.0e}")
     return speed
 
 
@@ -88,7 +108,7 @@ class ConformalMetric:
     def gradient(self, point) -> np.ndarray:
         """(df/dx, df/dy) at each point, the shape of ``point``."""
         p = _as_points(point)
-        out = np.empty(p.shape)
+        out = np.empty(p.shape, p.dtype)
         out[..., 0], out[..., 1] = self.partials(p[..., 0], p[..., 1])
         return out
 
@@ -112,10 +132,12 @@ class ConformalMetric:
 
 @dataclass(frozen=True)
 class Frame:
-    """Right-oriented orthonormal pair: N along the velocity, M = N rotated by +90 deg."""
+    """Right-oriented orthonormal pair: N along the velocity, M = N rotated by
+    +90 deg; and the speed |v| that N was scaled by."""
 
     N: np.ndarray
     M: np.ndarray
+    speed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,7 +168,7 @@ def frame(v) -> Frame:
 
 def _frame(v: np.ndarray, speed: np.ndarray) -> Frame:
     n = v / speed[..., None]
-    return Frame(N=n, M=n[..., ::-1] * _ROTATE)
+    return Frame(N=n, M=n[..., ::-1] * _ROTATE, speed=speed)
 
 
 def projector(v) -> np.ndarray:
@@ -160,9 +182,9 @@ def polar_frame(v) -> tuple[PolarVelocity, Frame]:
     and ``frame(v)``, from one speed and one rest-point check."""
     v = _as_points(v)
     speed = _speed(v)
-    theta = np.arctan2(v[..., 1], v[..., 0])
-    if np.count_nonzero(theta <= -np.pi):  # atan2(-0.0, x < 0) is -pi
-        theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)[()]
+    theta = atan2(v[..., 1], v[..., 0])
+    if np.count_nonzero(theta.real <= -np.pi):  # atan2(-0.0, x < 0) is -pi
+        theta = np.where(theta.real <= -np.pi, theta + 2.0 * np.pi, theta)[()]
     return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import numdiff, odesolve
 from .errors import DegenerateVelocity, FormulationMismatch, SingularDenominator
 from .forces import ForceField, ScalarFieldA
-from .geometry import elementwise, frame
+from .geometry import atan2, elementwise, frame, hypot
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def _evaluate(field: ForceField, r, v):
     """F, J_r, J_v, the frame and the speed at (..., 2) r, v, for both assemblies."""
     v = np.asarray(v, float)
     fr = frame(v)
-    return (field.force(r, v), field.jac_spatial(r, v), field.jac_velocity(r, v),
-            fr, np.hypot(v[..., 0], v[..., 1]))
+    return field.force(r, v), field.jac_spatial(r, v), field.jac_velocity(r, v), fr, fr.speed
 
 
 def ab_gradients(field: ForceField, r, v) -> ABGradients:
@@ -344,10 +343,10 @@ def symmetry_reduced_ansatz(profile: Callable[[float, float], float]) -> ScalarF
     Elementwise on arrays when the profile is."""
 
     def fn(x, y, v, theta):
-        rho = np.hypot(x, y)
-        if np.count_nonzero(rho < 1e-12):
+        rho = hypot(x, y)
+        if np.count_nonzero(rho.real < 1e-12):
             raise SingularDenominator("rotation-invariant generator singular at the origin")
-        return profile(v, theta - np.arctan2(y, x)) / rho
+        return profile(v, theta - atan2(y, x)) / rho
 
     return ScalarFieldA(fn)
 

@@ -1,17 +1,18 @@
-"""Finite-difference helpers: central stencils with optional Richardson extrapolation.
+"""Derivatives: a complex step for the first derivatives of a force, and
+central stencils with optional Richardson extrapolation for the rest.
 
-A stencil at x steps h = base * max(1, |x|).  Each base is set against the
-stencil's two errors, truncation and the rounding of f's values (relative
-size eps = 2.2e-16), as the "Base steps" comment below sets out.
-Richardson variants combine two step sizes (h and h/2) and cancel the
-leading truncation term; they serve the residual evaluators, where second
-derivatives enter and plain O(h^2) stencils are not accurate enough, and
-the variational right side, whose rounding the integrator would see.
-
-Each stencil calls f once, with its points stacked on a new leading axis.
-x (and y, and the steps) may be numbers or arrays of one shape, so f must
-work elementwise; it returns its values stacked the same way and may add
-trailing axes, which the derivative keeps.  A scalar x gives a scalar.
+``complex_step`` evaluates f once at x + i h d: the real part is f(x), the
+imaginary part over h the derivative along d, with nothing subtracted and
+no step to balance (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
+A stencil at x steps h = base * max(1, |Re x|), each base set against
+truncation and rounding as the "Base steps" comment below sets out; the
+Richardson variants combine steps h and h/2.  Stencils take what a complex
+step cannot: derivatives the force itself evaluates, second derivatives
+and Wirtinger derivatives.  Each calls f once, with its points stacked on a
+new leading axis.  x (and y, and the steps) may be numbers or arrays of one
+shape, so f must work elementwise; it returns its values stacked the same
+way and may add trailing axes, which the derivative keeps.  A scalar x
+gives a scalar.
 """
 
 from __future__ import annotations
@@ -21,47 +22,47 @@ from typing import Callable
 import numpy as np
 
 # Base steps, one per use.
+# - H_COMPLEX, ``complex_step``: its square underflows, so no second-order
+#   term reaches the real part, while h |d| |F'| stays a normal number.
 # - H1_PLAIN, ``central``: truncation h^2 |f'''| / 6 against rounding
 #   eps |f| / h; 1e-6 lies below their balance, (3 eps)^(1/3) = 9e-6 where
 #   |f'''| is about |f|.
-# - H1_RICH, ``richardson``: the residual stencils (finite-difference
-#   Jacobians, generator partials, a Profile's nu').  1e-5 lies far below
-#   the balance of H1_DIRECTIONAL, so that few probes put a stencil point
-#   across a generator's cut, such as ``angular_monomial``'s at
-#   theta = +-pi; its rounding, about 3 eps |f| / h = 7e-11 |f|, is the
-#   floor of the residuals.
-# - H1_DIRECTIONAL, ``directional_step``: the same Richardson stencil
-#   along a unit direction, on the variational right side.  It
-#   extrapolates central differences at h and h/2, so its truncation is
-#   h^4 |f^(5)| / 480, and the rounding of its four values, weighted
-#   4 / (3h) at +-h/2 and 1 / (6h) at +-h, is at most 3 eps |f| / h.  Their
-#   sum is least at h = (360 eps |f| / |f^(5)|)^(1/5): eps^(1/5) = 7.4e-4
-#   up to the constants, 2.4e-3 where |f^(5)| is about |f|.  1e-3 is where
-#   it is least for |f^(5)| = 80 |f|, a field that varies on a scale of 0.4
-#   in phase space, and leaves about 7e-13 |f| of rounding.
+# - H1_RICH, ``richardson``: generator partials, a Profile's nu', the
+#   complex residual's first derivatives.  1e-5 lies far below its balance
+#   (eps^(1/5) = 7.4e-4), so that few probes put a stencil point across a
+#   generator's cut, such as ``angular_monomial``'s at theta = +-pi; its
+#   rounding, about 3 eps |f| / h = 7e-11 |f|, floors those residuals.
 # - H2_RICH, the second-derivative stencils: truncation h^4 against
 #   rounding eps / h^2, balanced near eps^(1/6) = 2.5e-3.
+H_COMPLEX = 1e-200
 H1_PLAIN = 1e-6
 H1_RICH = 1e-5
-H1_DIRECTIONAL = 1e-3
 H2_RICH = 2e-3
 
 
+def floats(x) -> np.ndarray:
+    """x as an array, float64 unless it holds floats or complex numbers: the
+    cast of a complex-safe evaluator, where np.asarray(x, float) is not."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "fc" else x.astype(float)
+
+
+def complex_step(f: Callable, x: tuple, d: tuple):
+    """f(*x) and its derivative along d (one array per argument of f each),
+    the real part and the imaginary part over h of f at x + i h d."""
+    values = f(*(a + (1j * H_COMPLEX) * b for a, b in zip(x, d)))
+    return values.real, values.imag / H_COMPLEX
+
+
 def _step(x, base: float):
-    """The step at x, elementwise when x is an array."""
-    return base * np.maximum(1.0, np.abs(x))
-
-
-def directional_step(x: float) -> float:
-    """The step of a Richardson derivative along a unit direction at a point
-    of norm x: H1_DIRECTIONAL max(1, x), elementwise."""
-    return _step(x, H1_DIRECTIONAL)
+    """The step at x, from its real part, elementwise when x is an array."""
+    return base * np.maximum(1.0, np.abs(x.real))
 
 
 def _at(x, h, base: float):
-    """x and its step (``base`` scaled when h is None), as float arrays of
-    one shape."""
-    x = np.asarray(x, float)
+    """x and its step (``base`` scaled when h is None), as ``floats`` of one
+    shape."""
+    x = floats(x)
     return np.broadcast_arrays(x, _step(x, base) if h is None else np.asarray(h, float))
 
 
@@ -72,27 +73,14 @@ def central(f: Callable, x, h=None):
     return (values[0] - values[1]) / (2.0 * _trailing(h, values))
 
 
+# x + h * (1, -1, 1/2, -1/2) is x + h, x - h, x + h/2, x - h/2 exactly
 _FIRST_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
 def richardson(f: Callable, x, h=None):
     """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4)."""
     x, h = _at(x, h, H1_RICH)
-    return richardson_extrapolated(h, f(richardson_points(x, h)))
-
-
-def richardson_points(x, h: np.ndarray) -> np.ndarray:
-    """The four points of ``richardson``'s stencil at x with steps h, stacked
-    on a new leading axis, for a caller that evaluates them together with
-    points of its own."""
-    # x + h * (1, -1, 1/2, -1/2) is x + h, x - h, x + h/2, x - h/2 exactly
-    return x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h
-
-
-def richardson_extrapolated(h: np.ndarray, values) -> np.ndarray:
-    """The first derivative from the values of f at ``richardson_points(x, h)``,
-    stacked as the points are; trailing axes that f added are kept."""
-    values = np.asarray(values)
+    values = np.asarray(f(x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h))
     return _first(_trailing(h, values), *values)
 
 
@@ -120,7 +108,7 @@ def per_component(stencil: Callable, f: Callable, x):
     component i; it returns one value per point, shaped as the points less
     their last axis, and may add trailing axes.
     """
-    x = np.asarray(x, float)
+    x = floats(x)
     moved = np.eye(x.shape[-1], dtype=bool)  # [i, c]: point i moves component c
     return stencil(lambda t: f(np.where(moved, t[..., :, None], x[..., None, :])), x)
 

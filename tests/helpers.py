@@ -8,9 +8,9 @@ elementwise NumPy, so the fields take stacked points like the built-in ones.
 
 import numpy as np
 
-from normshift.forces import MDTypeParams, Profile, ScalarFieldA
+from normshift.forces import ForceField, MDTypeParams, Profile, ScalarFieldA
 from normshift.geometry import ConformalMetric, christoffel
-from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH, directional_step
+from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH
 from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
@@ -152,23 +152,17 @@ def random_spline_points(rng, n=5, box=1.2) -> np.ndarray:
 
 
 def phase_direction_deviation_rhs(field):
-    """Right side of the flow and its variation, y = (r, v, tau, tau'), for a
-    field without analytic Jacobians, written out plainly: one call of the
-    field at p = (r, v), and one at the four points of the Richardson stencil
-    along d = (tau, tau') in phase space, with step h = directional_step(|p|)
-    / |d| (directional_step(|p|) where d = 0), extrapolated from steps h and
-    h/2."""
+    """Right side of the flow and its variation, y = (r, v, tau, tau'),
+    written out plainly: one call of the field at the complex phase points
+    p + 1e-200 i d, p = (r, v) and d = (tau, tau'); the real part of the
+    force is F(p) and its imaginary part over 1e-200 the derivative of F
+    along d."""
 
     def rhs(t, y):
         p, d = y[..., :4], y[..., 4:]
-        length = np.sqrt(np.vecdot(d, d))
-        h = directional_step(np.sqrt(np.vecdot(p, p))) / np.where(length > 0.0, length, 1.0)
-        h = h[..., None]
-        moved = np.stack([p + h * d, p - h * d, p + h / 2 * d, p - h / 2 * d])
-        fp, fm, fhp, fhm = field.force(moved[..., :2], moved[..., 2:])
-        tau_acc = (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
-        return np.concatenate([p[..., 2:], field.force(p[..., :2], p[..., 2:]),
-                               d[..., 2:], tau_acc], axis=-1)
+        q = p + 1e-200j * d
+        f = field.force(q[..., :2], q[..., 2:])
+        return np.concatenate([p[..., 2:], f.real, d[..., 2:], f.imag / 1e-200], axis=-1)
 
     return rhs
 
@@ -205,3 +199,29 @@ def richardson_mixed_one_point(f, x, y):
                 + f(x - a, y - b)) / (4.0 * a * b)
 
     return (4.0 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3.0
+
+
+def sympy_field():
+    """A field with large derivatives, written in sympy: the ForceField of
+    its numpy form, and its exact Jacobian in phase space, jacobian(r, v)
+    of shape (..., 4, 2) with [..., i, j] = dF_j / dp^i, p = (x, y, vx, vy),
+    from sympy's derivatives."""
+    import sympy
+    p = sympy.symbols("x y a b")
+    x, y, a, b = p
+    parts = [sympy.sin(20 * x + 6 * a) * (1 + a * a / 4) + b * sympy.exp(y / 2),
+             sympy.cos(16 * y - 8 * b) - a * b / 2]
+    fn = sympy.lambdify(p, parts)
+    jac = sympy.lambdify(p, [[sympy.diff(part, s) for part in parts] for s in p])
+
+    def stacked(values):
+        return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+    def force(r, v):
+        return stacked(fn(r[..., 0], r[..., 1], v[..., 0], v[..., 1]))
+
+    def jacobian(r, v):
+        rows = jac(r[..., 0], r[..., 1], v[..., 0], v[..., 1])
+        return np.stack([stacked(row) for row in rows], axis=-2)
+
+    return ForceField(fn=force), jacobian

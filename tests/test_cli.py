@@ -780,7 +780,7 @@ def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, t
     ({"integrator": "rk4-fixed", "step": 0.05}, "solve_rk4")], ids=["dopri-adaptive", "rk4-fixed"])
 def test_shift_manifest_records_the_deviation_solves_work(tmp_path, monkeypatch, integrator,
                                                           solver):
-    # mdtype has no analytic Jacobians, so its deviations take the stencil;
+    # mdtype has no analytic Jacobians, so its deviations take the complex step;
     # on this span DOP853 rejects one attempt
     solves = recording(monkeypatch, solver)
     cfg = write_config(tmp_path, "cfg.json", {

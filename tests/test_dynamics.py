@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import RATE_PARAMS, christoffel_flow_positions, random_ansatz, random_metric
+from helpers import (RATE_PARAMS, christoffel_flow_positions, random_ansatz, random_metric,
+                     sympy_field)
 
 from normshift import odesolve
 
@@ -15,9 +16,8 @@ from normshift.forces import (ForceField, Profile, ab_decompose, anisotropic_fie
                               speed_profile_ansatz)
 from normshift.experiment import CATALOGUE, build_metric, catalogue
 from normshift.geometry import frame
-from normshift.dynamics import (IntegratorConfig, PhaseState, _accelerations, _contract,
-                                integrate, integrate_deviation, integrate_phi_psi,
-                                phi_psi_initial_from_tau)
+from normshift.dynamics import (IntegratorConfig, PhaseState, integrate, integrate_deviation,
+                                integrate_phi_psi, phi_psi_initial_from_tau)
 
 
 def zero_field() -> ForceField:
@@ -210,6 +210,12 @@ def _differenced_fields() -> dict:
 DIFFERENCED = _differenced_fields()
 
 
+def _accelerations(field, p, d):
+    """F and tau'' = J_r^T tau + J_v^T tau' at phase points p = (r, v) along
+    d = (tau, tau'), as the deviation's right side takes them."""
+    return field.derivative(p[..., :2], p[..., 2:], d[..., :2], d[..., 2:])
+
+
 def _phase_rows(rng, n):
     """(r, v, tau, tau') rows: r in the unit box, speeds 0.5 to 1.5, and tau,
     tau' of lengths spread log-uniformly over 1e-2 to 1e1."""
@@ -225,9 +231,10 @@ def _phase_rows(rng, n):
 def _extended_derivative_along(field, y):
     """dF/de of F(p + e d) at e = 0, for p = y[..., :4] and d = y[..., 4:], in
     extended precision: central differences moving p by 1e-4, 5e-5 and
-    2.5e-5, extrapolated twice (error O(1e-24) on top of round-off).  Where
-    longdouble is plain double, round-off is about 1e-12 |d|, still well
-    inside the tests' bound."""
+    2.5e-5, extrapolated twice (error O(1e-24) on top of round-off).  The
+    field computes in longdouble, as ForceField keeps a float dtype; where
+    longdouble is plain double, round-off is about 1e-12 |d|, which the
+    test's bound does not leave room for."""
     p, d = y[..., :4].astype(np.longdouble), y[..., 4:].astype(np.longdouble)
     h = np.longdouble(1e-4) / np.sqrt(np.sum(d * d, axis=-1))[:, None]
 
@@ -242,13 +249,14 @@ def _extended_derivative_along(field, y):
 
 @pytest.mark.parametrize("name", sorted(DIFFERENCED))
 def test_phase_space_stencil_matches_an_extended_precision_derivative(name):
-    # tau'' of the finite-difference right side within 1e-9 (1 + |ref|) of
-    # the derivative of F along (tau, tau'); the worst measured is 5.0e-10
+    # tau'' of the complex-step right side within 1e-12 (1 + |ref|) of the
+    # derivative of F along (tau, tau'); the worst measured is 5.2e-14, where
+    # the Richardson stencil it replaced was off by up to 1.0e-10
     field = DIFFERENCED[name]
     y = _phase_rows(np.random.default_rng(sorted(DIFFERENCED).index(name)), 64)
     _, tau_acc = _accelerations(field, y[:, :4], y[:, 4:])
     ref = _extended_derivative_along(field, y)
-    assert np.all(np.abs(tau_acc - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+    assert np.all(np.abs(tau_acc - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 @pytest.mark.parametrize("field", [gravity_field(1.3), oscillator_field(1.3)],
@@ -256,8 +264,8 @@ def test_phase_space_stencil_matches_an_extended_precision_derivative(name):
 def test_phase_space_stencil_matches_analytic_jacobians(field):
     y = _phase_rows(np.random.default_rng(7), 64)
     r, v, tau, tau_dot = y[:, 0:2], y[:, 2:4], y[:, 4:6], y[:, 6:8]
-    expected = (_contract(field.jac_spatial(r, v), tau)
-                + _contract(field.jac_velocity(r, v), tau_dot))
+    expected = (np.vecmat(tau, field.jac_spatial(r, v))
+                + np.vecmat(tau_dot, field.jac_velocity(r, v)))
     _, tau_acc = _accelerations(ForceField(fn=field.fn), y[:, :4], y[:, 4:])
     assert np.all(np.abs(tau_acc - expected) <= 1e-9 * (1.0 + np.abs(expected)))
 
@@ -269,10 +277,11 @@ def _unit_rows(rng, n, dim):
 
 
 def test_phase_space_stencil_rounding_is_below_5e_12():
-    # F is linear, so the stencil has no truncation error: what is left of
-    # tau'' against the exact J d is the rounding of its four values, about
-    # 3 eps |F| / h along the step h; the residual stencils' 1e-5 step left
-    # 3.5e-11 (|J d| + |d|) here, the balanced 1e-3 step leaves 3e-13
+    # F is linear, so what is left of tau'' against the exact J d is
+    # rounding: the complex step's is that of one product per component; the
+    # Richardson stencil it replaced left 3e-13 (|J d| + |d|) here, with its
+    # step of 1e-3, and 3.5e-11 with the residual stencils' 1e-5.  2000 rows
+    # take two calls of the field (forces.COMPLEX_BLOCK)
     osc = oscillator_field(1.3)
     rng = np.random.default_rng(2)
     n = 2000
@@ -280,56 +289,28 @@ def test_phase_space_stencil_rounding_is_below_5e_12():
                         rng.uniform(0.5, 1.5, (n, 1)) * _unit_rows(rng, n, 2)], axis=-1)
     d = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1)) * _unit_rows(rng, n, 4)
     r, v = p[:, :2], p[:, 2:]
-    exact = _contract(osc.jac_spatial(r, v), d[:, :2]) + _contract(osc.jac_velocity(r, v), d[:, 2:])
+    exact = (np.vecmat(d[:, :2], osc.jac_spatial(r, v))
+             + np.vecmat(d[:, 2:], osc.jac_velocity(r, v)))
     _, tau_acc = _accelerations(ForceField(fn=osc.fn), p, d)
     error = np.linalg.norm(tau_acc - exact, axis=-1)
     assert np.all(error <= 5e-12 * (np.linalg.norm(exact, axis=-1) + np.linalg.norm(d, axis=-1)))
 
 
-def test_phase_space_stencil_truncation_is_its_error_term():
-    # a field with large fifth derivatives against its exact derivative along
-    # d, from sympy.  With g(e) = F(p + e d) and the step
-    # h = 1e-3 max(1, |p|) / |d|, the stencil's truncation is
-    # -h^4 g^(5)(xi) / 480 for some xi in [-h, h].  Its error lies within
-    # 1.1 times that term's largest value there (41 samples) plus the bound
-    # on rounding of the test above; where the term at e = 0 is 20 times
-    # that bound, the error is that term within 5% (0.4% measured), which
-    # the step of the residual stencils, 1e-5, or a doubled one would miss
-    import sympy
-    x, y, a, b, e = sympy.symbols("x y a b e")
-    dirs = sympy.symbols("dx dy da db")
-    parts = [sympy.sin(20 * x + 6 * a) * (1 + a * a / 4) + b * sympy.exp(y / 2),
-             sympy.cos(16 * y - 8 * b) - a * b / 2]
-    moved = {s: s + e * ds for s, ds in zip((x, y, a, b), dirs)}
-    along = [part.subs(moved, simultaneous=True) for part in parts]
-    args = (x, y, a, b, *dirs, e)
-    exact_derivative = sympy.lambdify(args, [sympy.diff(g, e).subs(e, 0) for g in along])
-    fifth = sympy.lambdify(args, [sympy.diff(g, e, 5) for g in along])
-    fn = sympy.lambdify((x, y, a, b), parts)
-
-    def force(r, v):
-        values = fn(r[..., 0], r[..., 1], v[..., 0], v[..., 1])
-        return np.stack(np.broadcast_arrays(*values), axis=-1)
-
+def test_phase_space_derivative_matches_sympys_exact_derivative():
+    # a field with large derivatives against its exact derivative along d,
+    # J_r^T tau + J_v^T tau' from sympy, within 1e-13 of its size, component
+    # by component (1.4e-14 measured).  The Richardson stencil it replaced,
+    # with its step of 1e-3 max(1, |p|) / |d|, was off by up to 6.8e-9 of it
+    # here, its h^4 truncation term
+    field, jacobian = sympy_field()
     rng = np.random.default_rng(5)
     n = 400
     p = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.5, 1.5, (n, 2))], axis=-1)
     d = 10.0 ** rng.uniform(-2.0, 2.0, (n, 1)) * _unit_rows(rng, n, 4)
-    _, tau_acc = _accelerations(ForceField(fn=force), p, d)
-    point = (*p.T, *d.T)
-    exact = np.stack(exact_derivative(*point, 0.0), axis=-1)
-    h = 1e-3 * np.maximum(1.0, np.linalg.norm(p, axis=-1)) / np.linalg.norm(d, axis=-1)
-    on_stencil = [np.abs(np.stack(fifth(*point, f * h), axis=-1))
-                  for f in np.linspace(-1.0, 1.0, 41)]
-    term = h[:, None] ** 4 / 480 * np.max(on_stencil, axis=0)
-    # the rounding bound of test_phase_space_stencil_rounding_is_below_5e_12
-    rounding = 5e-12 * (np.linalg.norm(exact, axis=-1) + np.linalg.norm(d, axis=-1))[:, None]
-    error = tau_acc - exact
-    assert np.all(np.abs(error) <= 1.1 * term + rounding)
-    predicted = -h[:, None] ** 4 / 480 * np.stack(fifth(*point, 0.0), axis=-1)
-    sharp = np.abs(predicted) > 20 * rounding
-    assert np.count_nonzero(sharp) > n / 4
-    assert np.all(np.abs(error - predicted)[sharp] <= 0.05 * np.abs(predicted[sharp]))
+    f, tau_acc = _accelerations(field, p, d)
+    exact = np.vecmat(d, jacobian(p[:, :2], p[:, 2:]))
+    assert np.all(np.abs(tau_acc - exact) <= 1e-13 * np.abs(exact))
+    assert np.all(np.abs(f - field.force(p[:, :2], p[:, 2:])) <= 1e-15 * (1.0 + np.abs(f)))
 
 
 def test_the_step_controller_rejects_at_most_one_step_on_a_cycloid_near_rest():

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import perturbed_mdtype, random_ansatz, random_metric
+from helpers import perturbed_mdtype, random_ansatz, random_metric, sympy_field
 
 from normshift.errors import DegenerateVelocity, InvalidParams
-from normshift.forces import (MDTypeParams, Profile, ScalarFieldA, ab_decompose,
+from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, ab_decompose,
                               anisotropic_field,
                               complex_force, conformal_transport, cos_profile_ansatz,
                               covariant_from_flat, disc_invariant_ansatz,
@@ -410,7 +411,7 @@ def test_stacked_force_and_jacobians_equal_row_by_row(name, n, seed):
     field = CONTRACT_FIELDS[name]
     R, V = stacked_points(n, seed)
     assert_rows(field.force(R, V), [field.force(r, v) for r, v in zip(R, V)])
-    # analytic Jacobians where the field has them, else the stacked FD stencil
+    # analytic Jacobians where the field has them, else the complex step
     assert_rows(field.jac_spatial(R, V), [field.jac_spatial(r, v) for r, v in zip(R, V)])
     assert_rows(field.jac_velocity(R, V), [field.jac_velocity(r, v) for r, v in zip(R, V)])
     # any leading shape, not only (n, 2)
@@ -423,19 +424,39 @@ def test_contract_covers_every_catalogue_entry():
     assert sorted(CATALOGUE_PARAMS) == sorted(CATALOGUE)
 
 
-def test_fd_jacobian_matches_the_per_component_stencil():
-    # the stacked stencil has the points and arithmetic of numdiff.richardson
-    field = CONTRACT_FIELDS["catalogue/mdtype"]
-    r, v = np.array([0.4, -0.7]), np.array([1.1, 0.3])
-    for wrt, jac in ((0, field.jac_spatial), (1, field.jac_velocity)):
-        expected = np.empty((2, 2))
-        for i in range(2):
-            def moved(t, i=i):
-                rv = [np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v)]
-                rv[wrt][..., i] = t
-                return field.force(*rv)
-            expected[i] = numdiff.richardson(moved, (r, v)[wrt][i])
-        assert jac(r, v).tobytes() == expected.tobytes()
+def test_complex_step_jacobians_match_sympys_exact_jacobians():
+    # both Jacobians of a field without closures, from one complex evaluation
+    # each, against sympy's derivatives within 1e-13 of each entry's size
+    # (1.3e-15 measured)
+    field, jacobian = sympy_field()
+    rng = np.random.default_rng(6)
+    r, v = rng.uniform(-1.0, 1.0, (300, 2)), rng.uniform(-1.5, 1.5, (300, 2))
+    exact = jacobian(r, v)
+    for got, want in ((field.jac_spatial(r, v), exact[:, :2]),
+                      (field.jac_velocity(r, v), exact[:, 2:])):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda r, v: np.hypot(v[..., 0], v[..., 1])[..., None] * r,
+    lambda r, v: np.vectorize(float)(v),
+], ids=["hypot", "float"])
+def test_a_field_that_is_not_complex_safe_fails_loudly(fn):
+    # its real force is fine; every derivative raises TypeError stating the
+    # contract, whether the field raises (np.hypot on complex input, or the
+    # ComplexWarning of float() that the test settings make an error) or
+    # drops the imaginary part silently
+    field = ForceField(fn=fn)
+    r, v = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    assert np.all(np.isfinite(field.force(r, v)))
+    for quiet in (False, True):
+        with warnings.catch_warnings():
+            if quiet:
+                warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            for derivative in (field.jac_spatial, field.jac_velocity,
+                               lambda r, v: field.derivative(r, v, v, r)):
+                with pytest.raises(TypeError, match="must be complex-safe"):
+                    derivative(r, v)
 
 
 def test_degenerate_rows_raise_the_single_point_errors():

@@ -53,7 +53,7 @@ def test_checker_flags_both_forms():
     ]
 
 
-STEP_CONSTANTS = {"H1_PLAIN", "H1_RICH", "H1_DIRECTIONAL", "H2_RICH"}
+STEP_CONSTANTS = {"H_COMPLEX", "H1_PLAIN", "H1_RICH", "H2_RICH"}
 
 
 def stencil_step_reads(tree: ast.Module) -> list[str]:

@@ -791,8 +791,8 @@ def test_nu_rate_is_the_initial_speed_ode_in_the_velocity_frame(name, shape, see
 
 
 def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
-    # one stacked call per right side: the base point and the four points of
-    # the stencil along (tau, tau') for each of the 6 s-nodes
+    # one call per right side, of one complex phase point p + i h (tau, tau')
+    # for each of the 6 s-nodes
     from helpers import phase_direction_deviation_rhs
     from normshift import odesolve
     from normshift.dynamics import integrate_deviation
@@ -809,7 +809,7 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
     force = ForceField.force
 
     def recorded(fld, r, v):
-        shapes.append((np.shape(r), np.shape(v)))
+        shapes.append((np.shape(r), np.shape(v), np.result_type(r, v)))
         return force(fld, r, v)
 
     monkeypatch.setattr(ForceField, "force", recorded)
@@ -825,7 +825,7 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
     monkeypatch.setattr(odesolve, "solve_dopri", counting_solve)
     ys, _, _ = integrate_deviation(field, *launch, times)
     assert len(rhs_calls) > 0 and len(shapes) == len(rhs_calls)
-    assert set(shapes) == {((5, 6, 2), (5, 6, 2))}
+    assert set(shapes) == {((6, 2), (6, 2), np.dtype(complex))}
 
     monkeypatch.undo()
     cfg = IntegratorConfig()
