@@ -228,11 +228,30 @@ def marked_point_quadrature(profile: Profile, init, theta_end: float,
     have to reach A(v) = v^2 raises SingularQuadrature naming theta.
     Downstream integrands interpolate v across grid nodes with a cubic
     spline, and every integral is adaptive Simpson.
+
+    The pipeline runs twice.  The first pass, on a grid uniform in theta,
+    gives t(theta), whose steps vary along that grid as 1/sin(theta); the
+    table is the second pass, on the nodes at equal steps of t, so that the
+    spline in t of ``state_at`` has no wide gaps.
     """
     rho0, gamma0, v0, theta0 = (float(x) for x in init)
     if rho0 <= 0 or v0 <= 0:
         raise ValueError("rho0 and v0 must be positive")
-    theta_grid = np.linspace(theta0, float(theta_end), n_nodes)
+    start = (rho0, gamma0, v0)
+    uniform = _quadrature_pass(profile, start, np.linspace(theta0, float(theta_end), n_nodes), tol)
+    by_t = np.argsort(uniform.t)
+    grid = PiecewiseCubic(uniform.t[by_t], uniform.theta[by_t])(
+        np.linspace(0.0, uniform.t[-1], n_nodes))
+    grid[0], grid[-1] = uniform.theta[0], uniform.theta[-1]
+    return _quadrature_pass(profile, start, grid, tol)
+
+
+def _quadrature_pass(profile: Profile, start, theta_grid: np.ndarray,
+                     tol: float) -> QuadratureTable:
+    """The tables of ``marked_point_quadrature`` on one monotone theta grid,
+    from (rho0, gamma0, v0) at its first node."""
+    rho0, gamma0, v0 = start
+    n_nodes = len(theta_grid)
     sins = np.sin(theta_grid)
     if np.min(np.abs(sins)) < 1e-9 or np.min(sins) * np.max(sins) < 0:
         raise SingularQuadrature("sin(theta) must keep one sign on the grid")

@@ -29,41 +29,40 @@ from .geometry import (ConformalMetric, atan2, christoffel, dot, elementwise, fr
 
 @dataclass(frozen=True)
 class Profile:
-    """Smooth function of one variable with a derivative evaluator."""
+    """Smooth function of one variable, complex-safe; ``d`` is its derivative
+    by a complex step."""
 
     fn: Callable[[float], float]
-    deriv: Callable[[float], float] | None = None
 
     def __call__(self, x):
         return elementwise(self.fn(x), x)
 
     def d(self, x):
-        if self.deriv is not None:
-            return elementwise(self.deriv(x), x)
-        return numdiff.richardson(lambda t: elementwise(self.fn(t), t), x)
+        return numdiff.complex_step(self, (numdiff.floats(x),), (1.0,))[1]
 
     @staticmethod
     def constant(c: float) -> "Profile":
-        return Profile(fn=lambda x: c, deriv=lambda x: 0.0)
+        return Profile(fn=lambda x: c)
 
     @staticmethod
     def polynomial(coeffs) -> "Profile":
         c = [float(a) for a in coeffs]
-        dc = [i * c[i] for i in range(1, len(c))]
 
-        def horner(coeffs, x):
-            out = coeffs[-1] if coeffs else 0.0
-            for a in reversed(coeffs[:-1]):
+        def horner(x):
+            out = c[-1] if c else 0.0
+            for a in reversed(c[:-1]):
                 out = out * x + a
             return out
 
-        return Profile(fn=lambda x: horner(c, x), deriv=lambda x: horner(dc, x))
+        return Profile(fn=horner)
 
 
 # Points per complex evaluation.  numpy computes a * tmp as tmp *= a once
 # tmp holds 256 KiB, and complex a * b and b * a can differ in the last bit:
 # with larger calls a row's derivative would depend on the rows beside it.
-COMPLEX_BLOCK = 1024
+# At 4096 points the Christoffel terms of ``conformal_transport`` (8 complex
+# numbers a point) already do; at 2048 no built-in field's rows do.
+COMPLEX_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,9 @@ class ForceField:
     admit the normal shift is recorded in ``experiment.CATALOGUE``.
 
     Jacobian convention: spatial_jacobian(r, v)[..., i, j] = dF_j / dr^i and
-    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  When absent, row i of
-    a Jacobian is ``derivative`` along the i-th unit axis, all rows in one
-    call of ``fn``, which must therefore be complex-safe.
+    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  ``linearize`` uses the
+    closures when the field has both; otherwise it takes F and both
+    Jacobians from one call of ``fn``, which must therefore be complex-safe.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -109,19 +108,26 @@ class ForceField:
                             "returns a complex force (README, 'Writing your own field')") from exc
         return f
 
+    def linearize(self, r, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F(r, v), J_r and J_v at (..., 2) r, v: the closures, or one
+        ``derivative`` of four points per row, one along each phase axis,
+        whose real part is F."""
+        r, v = np.asarray(r, float), np.asarray(v, float)
+        if self.spatial_jacobian is not None and self.velocity_jacobian is not None:
+            return (self.force(r, v), np.asarray(self.spatial_jacobian(r, v), dtype=float),
+                    np.asarray(self.velocity_jacobian(r, v), dtype=float))
+        f, d = self.derivative(r[..., None, :], v[..., None, :], *_PHASE_AXES)
+        return f[..., 0, :], d[..., :2, :], d[..., 2:, :]
+
     def jac_spatial(self, r, v) -> np.ndarray:
-        return self._jacobian(self.spatial_jacobian, r, v, (np.eye(2), np.zeros((2, 2))))
+        return self.linearize(r, v)[1]
 
     def jac_velocity(self, r, v) -> np.ndarray:
-        return self._jacobian(self.velocity_jacobian, r, v, (np.zeros((2, 2)), np.eye(2)))
+        return self.linearize(r, v)[2]
 
-    def _jacobian(self, analytic, r, v, axes) -> np.ndarray:
-        """Jacobian with respect to r or v: row i is the derivative along
-        (dr, dv) = (axes[0][i], axes[1][i])."""
-        r, v = np.asarray(r, float), np.asarray(v, float)
-        if analytic is not None:
-            return np.asarray(analytic(r, v), dtype=float)
-        return self.derivative(r[..., None, :], v[..., None, :], *axes)[1]
+
+# (dr, dv) of the four phase axes
+_PHASE_AXES = (np.eye(4)[:, :2], np.eye(4)[:, 2:])
 
 
 @dataclass(frozen=True)
@@ -143,65 +149,31 @@ def ab_decompose(field: ForceField, r, v) -> ABDecomposition:
 # Scalar generator A(x, y, v, theta) and the ansatz F = A N - A_theta M.
 # ---------------------------------------------------------------------------
 
-# Partial name -> (numdiff stencil, indices into (x, y, v, theta) it perturbs).
-# Mixed partials perturb theta first: the order fixes the rounding of the result.
-_PARTIALS = {
-    "a_x": ("richardson", (0,)),
-    "a_y": ("richardson", (1,)),
-    "a_v": ("richardson", (2,)),
-    "a_theta": ("richardson", (3,)),
-    "a_theta_theta": ("richardson2", (3,)),
-    "a_theta_v": ("richardson_mixed", (3, 2)),
-    "a_theta_x": ("richardson_mixed", (3, 0)),
-    "a_theta_y": ("richardson_mixed", (3, 1)),
-}
-
-
-def _along(fn, args: tuple, axes: tuple[int, ...]):
-    """fn of the arguments at ``axes``, the others held at ``args``, one value
-    per point; and the values of those arguments in ``args``."""
-    args = np.broadcast_arrays(*args)
-
-    def f(*stencil):
-        moved = list(args)
-        for axis, t in zip(axes, stencil):
-            moved[axis] = t
-        return elementwise(fn(*moved), *moved)
-    return f, tuple(args[axis] for axis in axes)
-
-
 class ScalarFieldA:
-    """Scalar generator A(x, y, v, theta) with the partials the residual needs.
+    """Scalar generator A(x, y, v, theta), and its partial A_theta.
 
-    theta is measured against the fixed direction (1, 0).  Each partial in
-    ``_PARTIALS`` is a member called as ``a.a_x(x, y, v, theta)`` and is
-    resolved once, in ``__init__``: to the analytic closure passed under its
-    name (same signature as ``fn``) if there is one, otherwise to the table's
-    Richardson stencil of ``fn`` (wider steps for the second-order ones),
-    which calls ``fn`` once, with the stencil's points stacked on a new
-    leading axis.  ``fn`` and the closures work elementwise on arrays; the
-    generator and its partials return one value per point even where a
-    closure returns a constant.
+    theta is measured against the fixed direction (1, 0).  ``fn`` and the
+    optional closure ``a_theta`` (same signature) work elementwise on arrays
+    and are complex-safe: every other partial the residuals need is a
+    complex step of one of them (``normality.reduced_residual``).  The
+    member ``a.a_theta(x, y, v, theta)`` is the closure, or else the
+    Richardson stencil of ``fn`` in theta, which calls ``fn`` once, with the
+    stencil's points stacked on a new leading axis.  Both return one value
+    per point, also where a closure returns a constant.
     """
 
-    def __init__(self, fn, **partials):
-        unknown = sorted(partials.keys() - _PARTIALS.keys())
-        if unknown:
-            raise TypeError(f"unknown partials {unknown}")
+    def __init__(self, fn, a_theta=None):
         self.fn = fn
-        for name, (stencil, axes) in _PARTIALS.items():
-            setattr(self, name, self._resolve(partials.get(name), stencil, axes))
+        if a_theta is None:
+            self.a_theta = self._theta_stencil
+        else:
+            self.a_theta = lambda x, y, v, theta: elementwise(a_theta(x, y, v, theta),
+                                                               x, y, v, theta)
 
-    def _resolve(self, analytic, stencil: str, axes: tuple[int, ...]):
-        if analytic is not None:
-            return lambda x, y, v, theta: elementwise(analytic(x, y, v, theta), x, y, v, theta)
-        fn = self.fn
-
-        def fallback(x, y, v, theta):
-            f, at = _along(fn, (x, y, v, theta), axes)
-            # looked up per call, so a patched numdiff stencil is the one used
-            return getattr(numdiff, stencil)(f, *at)
-        return fallback
+    def _theta_stencil(self, x, y, v, theta):
+        x, y, v, theta = np.broadcast_arrays(x, y, v, theta)
+        # looked up per call, so a patched numdiff stencil is the one used
+        return numdiff.richardson(lambda t: self(x, y, v, t), theta)
 
     def __call__(self, x, y, v, theta):
         return elementwise(self.fn(x, y, v, theta), x, y, v, theta)
@@ -215,26 +187,14 @@ class ScalarFieldA:
 
 
 def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
-    """Generator A = a(v): force along the velocity, all angle partials zero."""
-    zero = lambda x, y, v, t: 0.0
-    return ScalarFieldA(lambda x, y, v, t: profile(v),
-                        a_x=zero, a_y=zero,
-                        a_v=lambda x, y, v, t: profile.d(v),
-                        a_theta=zero, a_theta_theta=zero, a_theta_v=zero,
-                        a_theta_x=zero, a_theta_y=zero)
+    """Generator A = a(v): force along the velocity, A_theta zero."""
+    return ScalarFieldA(lambda x, y, v, t: profile(v), a_theta=lambda x, y, v, t: 0.0)
 
 
 def cos_profile_ansatz(profile: Profile) -> ScalarFieldA:
     """Generator A = a(v) cos(theta) of the homogeneous anisotropic family."""
-    zero = lambda x, y, v, t: 0.0
-    return ScalarFieldA(
-        lambda x, y, v, t: profile(v) * np.cos(t),
-        a_x=zero, a_y=zero,
-        a_v=lambda x, y, v, t: profile.d(v) * np.cos(t),
-        a_theta=lambda x, y, v, t: -profile(v) * np.sin(t),
-        a_theta_theta=lambda x, y, v, t: -profile(v) * np.cos(t),
-        a_theta_v=lambda x, y, v, t: -profile.d(v) * np.sin(t),
-        a_theta_x=zero, a_theta_y=zero)
+    return ScalarFieldA(lambda x, y, v, t: profile(v) * np.cos(t),
+                        a_theta=lambda x, y, v, t: -profile(v) * np.sin(t))
 
 
 def from_scalar_ansatz(a: ScalarFieldA) -> ForceField:
@@ -262,7 +222,7 @@ def complex_force(a: ScalarFieldA, z, w):
     arrays of one shape, elementwise.  The Wirtinger derivatives are taken
     numerically on the Cartesian-velocity representation of A, both velocity
     partials from one stencil, so this path is independent of the polar
-    partial closures that ``from_scalar_ansatz`` uses.
+    A_theta that ``from_scalar_ansatz`` uses.
     """
     z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
     speed = np.abs(w)
@@ -295,8 +255,8 @@ def conformal_transport(a_prime: ScalarFieldA, metric: ConformalMetric,
 
     A = A' exp(-f) + <Gamma v v, N_cov>, where N_cov are the covariant
     components of the metric-unit vector along v (exp(-f) v / |v|).  With
-    ``inverse=True`` the map is inverted, recovering A' from A.  Partials of
-    the returned field use the finite-difference fallback.
+    ``inverse=True`` the map is inverted, recovering A' from A.  The
+    returned generator's A_theta is the Richardson stencil of its ``fn``.
     """
 
     def fn(x, y, v, theta):
@@ -515,41 +475,4 @@ def disc_invariant_ansatz(radius: float, profile: Profile) -> ScalarFieldA:
         q = q_of(x, y)
         return -2.0 * v * v * (-x * np.sin(th) + y * np.cos(th)) / q
 
-    def a_theta_theta(x, y, v, th):
-        q = q_of(x, y)
-        return 2.0 * v * v * (x * np.cos(th) + y * np.sin(th)) / q
-
-    def a_theta_v(x, y, v, th):
-        q = q_of(x, y)
-        return -4.0 * v * (-x * np.sin(th) + y * np.cos(th)) / q
-
-    def a_theta_x(x, y, v, th):
-        q = q_of(x, y)
-        core = -x * np.sin(th) + y * np.cos(th)
-        return 2.0 * v * v * np.sin(th) / q - 4.0 * x * v * v * core / (q * q)
-
-    def a_theta_y(x, y, v, th):
-        q = q_of(x, y)
-        core = -x * np.sin(th) + y * np.cos(th)
-        return -2.0 * v * v * np.cos(th) / q - 4.0 * y * v * v * core / (q * q)
-
-    def a_x(x, y, v, th):
-        q = q_of(x, y)
-        core = x * np.cos(th) + y * np.sin(th)
-        return (-2.0 * v * v * np.cos(th) / q - 4.0 * x * v * v * core / (q * q)
-                + 2.0 * x * v * v * profile.d(v / q) / (q * q))
-
-    def a_y(x, y, v, th):
-        q = q_of(x, y)
-        core = x * np.cos(th) + y * np.sin(th)
-        return (-2.0 * v * v * np.sin(th) / q - 4.0 * y * v * v * core / (q * q)
-                + 2.0 * y * v * v * profile.d(v / q) / (q * q))
-
-    def a_v(x, y, v, th):
-        q = q_of(x, y)
-        core = x * np.cos(th) + y * np.sin(th)
-        return -4.0 * v * core / q + profile(v / q) + v * profile.d(v / q) / q
-
-    return ScalarFieldA(fn, a_x=a_x, a_y=a_y, a_v=a_v, a_theta=a_theta,
-                        a_theta_theta=a_theta_theta, a_theta_v=a_theta_v,
-                        a_theta_x=a_theta_x, a_theta_y=a_theta_y)
+    return ScalarFieldA(fn, a_theta=a_theta)

@@ -44,10 +44,11 @@ class ABGradients:
 
 
 def _evaluate(field: ForceField, r, v):
-    """F, J_r, J_v, the frame and the speed at (..., 2) r, v, for both assemblies."""
+    """F, J_r, J_v, the frame and the speed at (..., 2) r, v, for both
+    assemblies: one ``linearize`` of the field."""
     v = np.asarray(v, float)
     fr = frame(v)
-    return field.force(r, v), field.jac_spatial(r, v), field.jac_velocity(r, v), fr, fr.speed
+    return (*field.linearize(r, v), fr, fr.speed)
 
 
 def ab_gradients(field: ForceField, r, v) -> ABGradients:
@@ -130,20 +131,28 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     + A_t A_tt / v^2 + A_t A_v / v - A A_tv / v,  t = theta,
 
     elementwise in x, y, v and theta (arrays of one shape, or numbers).
+    With N = (cos t, sin t) and M = (-sin t, cos t) its position terms are
+    D_M A - D_N A_t.  Every term comes from two complex evaluations
+    (``numdiff.complex_step``) at three points per probe, moved along v,
+    along theta and along a direction in (x, y): ``a`` along M gives A, A_v,
+    A_t and D_M A, and ``a.a_theta`` along N gives A_tv, A_tt and D_N A_t.
     """
     if np.count_nonzero(np.asarray(v) < 1e-300):
         raise DegenerateVelocity("reduced residual undefined at v = 0")
-    a0 = a(x, y, v, theta)
-    at = a.a_theta(x, y, v, theta)
-    att = a.a_theta_theta(x, y, v, theta)
-    atv = a.a_theta_v(x, y, v, theta)
-    atx = a.a_theta_x(x, y, v, theta)
-    aty = a.a_theta_y(x, y, v, theta)
-    ax = a.a_x(x, y, v, theta)
-    ay = a.a_y(x, y, v, theta)
-    av = a.a_v(x, y, v, theta)
-    return ((ay - atx) * np.cos(theta) - (ax + aty) * np.sin(theta)
-            + a0 * at / v**2 + at * att / v**2 + at * av / v - a0 * atv / v)
+    x, y, v, theta = np.broadcast_arrays(*(numdiff.floats(p) for p in (x, y, v, theta)))
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    at = tuple(p[..., None] for p in (x, y, v, theta))
+    axes = np.eye(3)  # a probe's points move along v, theta and (x, y)
+
+    def along(nx, ny):
+        return nx * axes[2], ny * axes[2], axes[0], axes[1]
+
+    values, d = numdiff.complex_step(a, at, along(-s, c))
+    av, a_t, dm_a = np.moveaxis(d, -1, 0)
+    atv, att, dn_at = np.moveaxis(numdiff.complex_step(a.a_theta, at, along(c, s))[1], -1, 0)
+    a0 = values[..., 0]
+    return (dm_a - dn_at + a0 * a_t / v**2 + a_t * att / v**2 + a_t * av / v
+            - a0 * atv / v)[()]
 
 
 def complex_residual(a: ScalarFieldA, z, w):
@@ -157,7 +166,8 @@ def complex_residual(a: ScalarFieldA, z, w):
         + A (D+_w - 1) D-_w A + |w| D+_z D-_w A.
 
     All Wirtinger derivatives are finite differences of A in Cartesian
-    position/velocity components, independent of the polar partial closures.
+    position/velocity components, independent of the polar complex steps
+    of ``reduced_residual`` and of any A_theta closure.
     Each group of stencils (first, pure second and mixed derivatives) goes
     to A in one stacked call for all points.
     """
@@ -215,24 +225,23 @@ def complex_residual(a: ScalarFieldA, z, w):
 
 @dataclass(frozen=True)
 class VelocityAngleField:
-    """Function of (v, theta) with optional analytic partials (FD fallback).
+    """Complex-safe function of (v, theta), with an optional closure for its
+    theta partial.
 
-    ``fn`` and the partials work elementwise on arrays of one shape, or on
-    numbers, and each evaluator returns one value per point.
+    ``fn`` and ``fn_theta`` work elementwise on arrays of one shape, or on
+    numbers, and each evaluator returns one value per point.  ``d_v`` is a
+    complex step of ``fn``; ``d_theta`` is ``fn_theta``, or else the
+    Richardson stencil of ``fn`` in theta.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fn_v: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     fn_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, v, theta):
         return elementwise(self.fn(v, theta), v, theta)
 
     def d_v(self, v, theta):
-        if self.fn_v is not None:
-            return elementwise(self.fn_v(v, theta), v, theta)
-        v, theta = np.broadcast_arrays(v, theta)
-        return numdiff.richardson(lambda t: self(t, theta), v)
+        return numdiff.complex_step(self, (numdiff.floats(v), theta), (1.0, 0.0))[1]
 
     def d_theta(self, v, theta):
         if self.fn_theta is not None:
@@ -283,15 +292,15 @@ def b_closed_form(v, theta, u: float = 1.0):
 
 
 def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
-    """The closed-form b with hand-differentiated partials."""
+    """The closed-form b with its hand-differentiated theta partial."""
 
     def parts(v, theta):
         s, c = np.sin(theta), np.cos(theta)
         den = 4.0 * u * v * s + 2.0 * u * u - v * v * np.cos(2.0 * theta)
         rad = v * v + 4.0 * u * v * s + 2.0 * u * u
-        singular = (np.abs(den) < 1e-12) | (rad < 0.0)
+        singular = (np.abs(den.real) < 1e-12) | (rad.real < 0.0)
         if np.count_nonzero(singular):
-            bv, bt = (np.broadcast_to(a, singular.shape)[singular][0] for a in (v, theta))
+            bv, bt = (np.broadcast_to(a, singular.shape)[singular][0].real for a in (v, theta))
             raise SingularDenominator(f"singular at (v={bv}, theta={bt})")
         sq = np.sqrt(rad)
         num = v * v * np.sin(2.0 * theta) + 2.0 * v * u * c + v * sq
@@ -301,12 +310,6 @@ def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
         _, _, den, _, num = parts(v, theta)
         return num / den
 
-    def fn_v(v, theta):
-        s, c, den, sq, num = parts(v, theta)
-        num_v = 2.0 * v * np.sin(2.0 * theta) + 2.0 * u * c + sq + v * (v + 2.0 * u * s) / sq
-        den_v = 4.0 * u * s - 2.0 * v * np.cos(2.0 * theta)
-        return (num_v * den - num * den_v) / (den * den)
-
     def fn_theta(v, theta):
         s, c, den, sq, num = parts(v, theta)
         num_t = (2.0 * v * v * np.cos(2.0 * theta) - 2.0 * v * u * s
@@ -314,27 +317,26 @@ def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
         den_t = 4.0 * u * v * c + 2.0 * v * v * np.sin(2.0 * theta)
         return (num_t * den - num * den_t) / (den * den)
 
-    return VelocityAngleField(fn=fn, fn_v=fn_v, fn_theta=fn_theta)
+    return VelocityAngleField(fn=fn, fn_theta=fn_theta)
 
 
-def symmetry_reduced_residual(profile: VelocityAngleField, v, theta,
-                              *, second_partials=None):
+def symmetry_reduced_residual(profile: VelocityAngleField, v, theta):
     """Residual of the rotation-reduced equation for a profile a(v, theta),
     elementwise:
 
     a a_t / v^2 + a_t a_tt / v^2 + a_t a_v / v + (a + a_tt) sin t - a a_tv / v.
+
+    a and a_v come from a complex step of ``profile`` along v; a_t, a_tv and
+    a_tt from one complex evaluation of ``profile.d_theta`` at two points per
+    probe, moved along v and along theta.
     """
-    v, theta = np.broadcast_arrays(v, theta)
-    a0 = profile(v, theta)
-    at = profile.d_theta(v, theta)
-    av = profile.d_v(v, theta)
-    if second_partials is not None:
-        att, atv = second_partials(v, theta)
-    else:
-        att = numdiff.richardson2(lambda t: profile(v, t), theta)
-        atv = numdiff.richardson_mixed(lambda t, uu: profile(uu, t), theta, v)
+    v, theta = np.broadcast_arrays(numdiff.floats(v), numdiff.floats(theta))
+    a0, av = numdiff.complex_step(profile, (v, theta), (1.0, 0.0))
+    axes = np.eye(2)
+    values, d = numdiff.complex_step(profile.d_theta, (v[..., None], theta[..., None]), axes)
+    at, (atv, att) = values[..., 0], np.moveaxis(d, -1, 0)
     return (a0 * at / v**2 + at * att / v**2 + at * av / v
-            + (a0 + att) * np.sin(theta) - a0 * atv / v)
+            + (a0 + att) * np.sin(theta) - a0 * atv / v)[()]
 
 
 def symmetry_reduced_ansatz(profile: Callable[[float, float], float]) -> ScalarFieldA:

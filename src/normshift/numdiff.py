@@ -1,15 +1,18 @@
-"""Derivatives: a complex step for the first derivatives of a force, and
+"""Derivatives: a complex step wherever the function is complex-safe, and
 central stencils with optional Richardson extrapolation for the rest.
 
 ``complex_step`` evaluates f once at x + i h d: the real part is f(x), the
 imaginary part over h the derivative along d, with nothing subtracted and
 no step to balance (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
-A stencil at x steps h = base * max(1, |Re x|), each base set against
-truncation and rounding as the "Base steps" comment below sets out; the
-Richardson variants combine steps h and h/2.  Stencils take what a complex
-step cannot: derivatives the force itself evaluates, second derivatives
-and Wirtinger derivatives.  Each calls f once, with its points stacked on a
-new leading axis.  x (and y, and the steps) may be numbers or arrays of one
+It gives the first derivatives of a force, a Profile's derivative and the
+partials of the reduced residual.  A stencil at x steps
+h = base * max(1, |Re x|), each base set against truncation and rounding as
+the "Base steps" comment below sets out; the Richardson variants combine
+steps h and h/2.  Stencils take what a complex step cannot: a generator's
+A_theta without a closure, which the force evaluates at complex points, a
+metric's gradient without a closure, and the Wirtinger derivatives of the
+complex formulation.  Each calls f once, with its points stacked on a new
+leading axis.  x (and y, and the steps) may be numbers or arrays of one
 shape, so f must work elementwise; it returns its values stacked the same
 way and may add trailing axes, which the derivative keeps.  A scalar x
 gives a scalar.
@@ -27,8 +30,8 @@ import numpy as np
 # - H1_PLAIN, ``central``: truncation h^2 |f'''| / 6 against rounding
 #   eps |f| / h; 1e-6 lies below their balance, (3 eps)^(1/3) = 9e-6 where
 #   |f'''| is about |f|.
-# - H1_RICH, ``richardson``: generator partials, a Profile's nu', the
-#   complex residual's first derivatives.  1e-5 lies far below its balance
+# - H1_RICH, ``richardson``: a generator's A_theta without a closure, the
+#   complex formulation's first derivatives.  1e-5 lies far below its balance
 #   (eps^(1/5) = 7.4e-4), so that few probes put a stencil point across a
 #   generator's cut, such as ``angular_monomial``'s at theta = +-pi; its
 #   rounding, about 3 eps |f| / h = 7e-11 |f|, floors those residuals.

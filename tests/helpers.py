@@ -1,8 +1,8 @@
 """Shared construction helpers for the test suite.
 
 Random fields are built from small closed families with hand-coded
-derivatives so that residual checks run in the analytic-partials regime;
-finite-difference fallbacks are exercised separately.  Every closure is
+derivatives, which serve as exact references for the derivatives the
+package takes by complex steps and stencils.  Every closure is
 elementwise NumPy, so the fields take stacked points like the built-in ones.
 """
 
@@ -38,8 +38,11 @@ _XY_BASIS = [
 ]
 
 
-def random_ansatz(rng, n_terms=3) -> ScalarFieldA:
-    """Random smooth generator A(x, y, v, theta) with analytic partials."""
+def random_generator(rng, n_terms=3) -> tuple[ScalarFieldA, dict]:
+    """Random smooth generator A(x, y, v, theta): the ScalarFieldA of its
+    ``fn`` and ``a_theta`` closure, and its closed-form partials by name
+    ("a", "a_x", ..., "a_theta_y"), the exact references of the partials
+    that ``reduced_residual`` takes by complex steps."""
     terms = []
     for _ in range(n_terms):
         c = float(rng.uniform(0.3, 1.0)) * float(rng.choice([-1.0, 1.0]))
@@ -48,21 +51,32 @@ def random_ansatz(rng, n_terms=3) -> ScalarFieldA:
         hxy = _XY_BASIS[rng.integers(len(_XY_BASIS))]
         terms.append((c, fv, gt, hxy))
 
-    def total(part):
+    def total(i, j, k):
+        # derivative i of the speed factor, j of the angle factor, and the
+        # position factor (k = 0), its x partial (1) or its y partial (2)
         def fn(x, y, v, t):
-            return sum(part(c, fv, gt, hxy, x, y, v, t) for c, fv, gt, hxy in terms)
+            return sum(c * fv[i](v) * gt[j](t) * hxy[k](x, y) for c, fv, gt, hxy in terms)
         return fn
 
-    return ScalarFieldA(
-        total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[0](t) * hxy[0](x, y)),
-        a_x=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[0](t) * hxy[1](x, y)),
-        a_y=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[0](t) * hxy[2](x, y)),
-        a_v=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[1](v) * gt[0](t) * hxy[0](x, y)),
-        a_theta=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[0](x, y)),
-        a_theta_theta=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[2](t) * hxy[0](x, y)),
-        a_theta_v=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[1](v) * gt[1](t) * hxy[0](x, y)),
-        a_theta_x=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[1](x, y)),
-        a_theta_y=total(lambda c, fv, gt, hxy, x, y, v, t: c * fv[0](v) * gt[1](t) * hxy[2](x, y)))
+    partials = {"a": total(0, 0, 0), "a_x": total(0, 0, 1), "a_y": total(0, 0, 2),
+                "a_v": total(1, 0, 0), "a_theta": total(0, 1, 0),
+                "a_theta_theta": total(0, 2, 0), "a_theta_v": total(1, 1, 0),
+                "a_theta_x": total(0, 1, 1), "a_theta_y": total(0, 1, 2)}
+    return ScalarFieldA(partials["a"], a_theta=partials["a_theta"]), partials
+
+
+def random_ansatz(rng, n_terms=3) -> ScalarFieldA:
+    """Random smooth generator A(x, y, v, theta) with an A_theta closure."""
+    return random_generator(rng, n_terms)[0]
+
+
+def reduced_residual_from(partials: dict, x, y, v, t):
+    """The reduced residual assembled term by term from closed-form partials
+    (``random_generator``), as ``normality.reduced_residual`` states it."""
+    p = {name: f(x, y, v, t) for name, f in partials.items()}
+    return ((p["a_y"] - p["a_theta_x"]) * np.cos(t) - (p["a_x"] + p["a_theta_y"]) * np.sin(t)
+            + p["a"] * p["a_theta"] / v**2 + p["a_theta"] * p["a_theta_theta"] / v**2
+            + p["a_theta"] * p["a_v"] / v - p["a"] * p["a_theta_v"] / v)
 
 
 def random_metric(rng, scale=0.3) -> ConformalMetric:

@@ -141,7 +141,7 @@ def test_rk4_refuses_a_step_count_over_budget_before_stepping(step):
 
 def test_step_failure_on_finite_time_blowup():
     # d|v|/dt = |v|^3 escapes to infinity at t = 1/(2 v0^2) = 0.5
-    prof = Profile(fn=lambda v: v**3, deriv=lambda v: 3 * v * v)
+    prof = Profile(fn=lambda v: v**3)
     f = from_scalar_ansatz(speed_profile_ansatz(prof))
     with pytest.raises(StepFailure):
         integrate(f, PhaseState((0, 0), (1.0, 0)), (0, 1.0), IntegratorConfig())

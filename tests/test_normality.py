@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import perturbed_mdtype, random_ansatz
+from helpers import perturbed_mdtype, random_ansatz, random_generator, reduced_residual_from
 
 from normshift.errors import DegenerateVelocity, SingularDenominator
 from normshift.experiment import CATALOGUE, build_field, catalogue
@@ -182,13 +182,60 @@ def test_reduced_residual_speed_profile_is_exactly_zero():
 def test_reduced_residual_cos_profile_vanishes():
     a = cos_profile_ansatz(Profile.polynomial([1.0, 0.4]))
     for x, y, v, th in probe_points(20, seed=6):
-        assert abs(reduced_residual(a, x, y, v, th)) < 1e-9
+        assert abs(reduced_residual(a, x, y, v, th)) < 1e-13
 
 
 def test_reduced_residual_disc_invariant_vanishes():
     a = disc_invariant_ansatz(2.0, Profile.polynomial([1.0, 0.3]))
     for x, y, v, th in probe_points(20, seed=7):
-        assert abs(reduced_residual(a, 0.4 * x, 0.4 * y, v, th)) < 1e-7
+        assert abs(reduced_residual(a, 0.4 * x, 0.4 * y, v, th)) < 1e-13
+
+
+def test_reduced_residual_matches_the_exact_partials_of_random_generators():
+    # the generators pass fn and a_theta only; the residual assembled from
+    # their closed-form partials is the reference (3.8e-15 measured)
+    box = {"x": (-2.0, 2.0), "y": (-2.0, 2.0), "v": (0.3, 3.0), "theta": (-math.pi, math.pi)}
+    for seed in range(40):
+        a, partials = random_generator(np.random.default_rng(seed))
+        x, y, v, th = probe_points(32, seed=seed, box=box).T
+        want = reduced_residual_from(partials, x, y, v, th)
+        assert np.all(np.abs(reduced_residual(a, x, y, v, th) - want)
+                      <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_reduced_residual_of_angular_monomial_is_its_exact_value():
+    # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  A_theta has no
+    # closure, so A_theta v and A_theta theta are complex steps of its
+    # Richardson stencil (9.8e-11 relative measured)
+    _, a = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.2}})
+    x, y, v, th = probe_points(1000, seed=11, box=SWEEP_BOX).T
+    want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
+    assert np.all(np.abs(reduced_residual(a, x, y, v, th) - want) <= 2e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("closure", [True, False], ids=["closure", "stencil"])
+@pytest.mark.parametrize("n", [None, 5])
+def test_reduced_residual_evaluates_the_generator_twice(closure, n):
+    # one complex call of fn and one of a_theta, three points per probe; a
+    # stencil A_theta is one stacked call of fn
+    calls = []
+
+    def fn(x, y, v, t):
+        calls.append(np.broadcast(x, y, v, t).shape)
+        return x * y * np.cos(t) + v * v * np.sin(t)
+
+    def a_theta(x, y, v, t):
+        calls.append(np.broadcast(x, y, v, t).shape)
+        return -x * y * np.sin(t) + v * v * np.cos(t)
+
+    point = (0.3, -0.8, 1.4, 0.5)
+    if n is not None:
+        point = tuple(np.full(n, c) for c in point)
+    a = ScalarFieldA(fn, a_theta=a_theta if closure else None)
+    value = reduced_residual(a, *point)
+    assert np.shape(value) == np.shape(point[0])
+    probes = np.shape(point[0])
+    assert calls == [probes + (3,), probes + (3,) if closure else (4,) + probes + (3,)]
 
 
 def test_reduced_residual_nonsolution():
@@ -236,6 +283,21 @@ def test_equivalence_of_formulations_on_random_generators():
         assert abs(r1) < 1e-6
         rr = reduced_residual(a, x, y, v, th)
         assert (abs(r2) < 1e-5) == (abs(rr) < 1e-5), (r2, rr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_weak_r2_is_minus_the_reduced_residual_of_a_scalar_generator(seed):
+    # for F = A N - A_theta M, r2 = -r_reduced identically (6e-15 measured)
+    rng = np.random.default_rng(seed)
+    a = random_ansatz(rng)
+    probes = np.column_stack([rng.uniform(-2.0, 2.0, (32, 2)), rng.uniform(0.3, 3.0, 32),
+                              rng.uniform(-math.pi, math.pi, 32)])
+    x, y, v, th = probes.T
+    vel = np.column_stack([v * np.cos(th), v * np.sin(th)])
+    _, r2 = weak_residuals(from_scalar_ansatz(a), probes[:, :2], vel)
+    reduced = reduced_residual(a, x, y, v, th)
+    assert np.all(np.abs(r2 + reduced) <= 1e-12 * (1.0 + np.abs(reduced)))
 
 
 def test_reduction_b_zero_solution():
@@ -294,12 +356,7 @@ def test_symmetry_reduced_family_matches_full_residual():
         return 1.0 + 0.3 * v + 0.5 * v * np.cos(t) + 0.2 * np.sin(t)
 
     prof = VelocityAngleField(
-        fn=profile_fn,
-        fn_v=lambda v, t: 0.3 + 0.5 * math.cos(t),
-        fn_theta=lambda v, t: -0.5 * v * math.sin(t) + 0.2 * math.cos(t))
-
-    def second(v, t):
-        return (-0.5 * v * math.cos(t) - 0.2 * math.sin(t), -0.5 * math.sin(t))
+        fn=profile_fn, fn_theta=lambda v, t: -0.5 * v * np.sin(t) + 0.2 * np.cos(t))
 
     full = symmetry_reduced_ansatz(profile_fn)
     for _ in range(10):
@@ -309,7 +366,7 @@ def test_symmetry_reduced_family_matches_full_residual():
         # probes on the unit circle: the ansatz scale factor is one there
         x, y = math.cos(gam), math.sin(gam)
         lhs = reduced_residual(full, x, y, v, th)
-        rhs = symmetry_reduced_residual(prof, v, th - gam, second_partials=second)
+        rhs = symmetry_reduced_residual(prof, v, th - gam)
         assert lhs == pytest.approx(rhs, abs=1e-6)
         # off the unit circle the full residual scales by 1/rho^2
         rho = 1.7
@@ -392,10 +449,11 @@ def test_stacked_residuals_equal_probe_by_probe(kind, n, seed):
                           [complex_residual(a, zz, ww) for zz, ww in zip(z, w)])
 
 
-@pytest.mark.parametrize("kind, calls", [("mdtype", 3), ("angular_monomial", 3),
+@pytest.mark.parametrize("kind, calls", [("mdtype", 1), ("angular_monomial", 1),
                                          ("oscillator", 1)])
 def test_field_calls_per_sweep_do_not_grow_with_the_probe_count(monkeypatch, kind, calls):
-    # one force call, and one complex call per Jacobian without a closure
+    # one linearize: a real call with the analytic Jacobians, or else one
+    # complex call of four points per probe (2000 points at 500 probes)
     field, a = build_field(SWEEP_FIELDS[kind])
     counted = []
     force = ForceField.force
