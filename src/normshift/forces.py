@@ -220,22 +220,19 @@ def complex_force(a: ScalarFieldA, z, w):
 
     Position and velocity are packed as z = x + iy, w = v1 + iv2, numbers or
     arrays of one shape, elementwise.  The Wirtinger derivatives are taken
-    numerically on the Cartesian-velocity representation of A, both velocity
-    partials from one stencil, so this path is independent of the polar
+    numerically on the Cartesian-velocity representation of A, one stencil
+    per velocity component, so this path is independent of the polar
     A_theta that ``from_scalar_ansatz`` uses.
     """
     z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
     speed = np.abs(w)
     if np.count_nonzero(speed < 1e-300):
         raise DegenerateVelocity("complex ansatz undefined at w = 0")
-    x, y = z.real, z.imag
-    vel = np.stack([w.real, w.imag], axis=-1)
-    a_v = numdiff.per_component(
-        numdiff.richardson,
-        lambda moved: a.cartesian(x[..., None], y[..., None], moved[..., 0], moved[..., 1]), vel)
-    a_w = 0.5 * (a_v[..., 0] - 1j * a_v[..., 1])
-    a_wbar = 0.5 * (a_v[..., 0] + 1j * a_v[..., 1])
-    a_val = a.cartesian(x, y, vel[..., 0], vel[..., 1])
+    args = (z.real, z.imag, w.real, w.imag)
+    a_v1, a_v2 = (numdiff.partial(numdiff.richardson, a.cartesian, args, j) for j in (2, 3))
+    a_w = 0.5 * (a_v1 - 1j * a_v2)
+    a_wbar = 0.5 * (a_v1 + 1j * a_v2)
+    a_val = a.cartesian(*args)
     return ((w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar))[()]
 
 

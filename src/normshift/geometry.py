@@ -93,7 +93,7 @@ class ConformalMetric:
     """Conformal factor f(x, y) of the metric g = exp(-2f) * identity.
 
     ``grad_f`` returns (df/dx, df/dy); if omitted, central differences of
-    ``f`` are used, both partials from one call of ``f``.
+    ``f`` are used, each partial from one call of ``f``.
     """
 
     f: Callable[[float, float], float]
@@ -116,10 +116,11 @@ class ConformalMetric:
         """df/dx and df/dy at coordinates x, y (arrays of one shape, or numbers)."""
         if self.grad_f is not None:
             return self.grad_f(x, y)
-        p = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        d = numdiff.per_component(
-            numdiff.central, lambda q: elementwise(self.f(q[..., 0], q[..., 1]), q[..., 0]), p)
-        return tuple(np.moveaxis(d, -1, 0))
+
+        def f(x, y):
+            return elementwise(self.f(x, y), x)
+
+        return tuple(numdiff.partial(numdiff.central, f, (x, y), j) for j in (0, 1))
 
     @staticmethod
     def euclidean() -> "ConformalMetric":

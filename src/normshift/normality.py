@@ -167,34 +167,33 @@ def complex_residual(a: ScalarFieldA, z, w):
 
     All Wirtinger derivatives are finite differences of A in Cartesian
     position/velocity components, independent of the polar complex steps
-    of ``reduced_residual`` and of any A_theta closure.
-    Each group of stencils (first, pure second and mixed derivatives) goes
-    to A in one stacked call for all points.
+    of ``reduced_residual`` and of any A_theta closure.  Each of the eleven
+    stencils calls A once, with the one or two arguments it differentiates
+    stacked and the others held as broadcast views of the probes.
+
+    Blind spot at a generator's cut: A takes the velocity angle from atan2,
+    which jumps by 2 pi where w crosses the negative real axis.  Where
+    |Im w| is below the second-derivative step ``numdiff.H2_RICH`` (2e-3),
+    within about 2e-3 / |w| rad of theta = +-pi, the velocity stencils
+    straddle the jump, and a generator that is not 2 pi periodic in theta
+    reads a spurious residual there: ``angular_monomial`` (c 1.3, p 2) at
+    |w| = 1.2 reads 2.6e6 i at 1.5e-3 rad from pi, 11.0 i at 1.7e-3.
     """
-    z = np.asarray(z, complex)
-    w = np.asarray(w, complex)
+    z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
+    if z.ndim == 0:  # a one-element array, with the bits of the probe's stacked row
+        return complex_residual(a, z[None], w[None])[0]
     speed = np.abs(w)  # A.cartesian raises DegenerateVelocity where it is 0
     wb = w.conjugate()
-    p = np.stack([z.real, z.imag, w.real, w.imag], axis=-1)  # (x, y, v1, v2)
-    held = p[..., None, :]  # a group's column j moves one argument of its point
-    moved = np.eye(4, dtype=bool)
+    args = (z.real, z.imag, w.real, w.imag)  # (x, y, v1, v2)
 
-    def ac(q):
-        return a.cartesian(q[..., 0], q[..., 1], q[..., 2], q[..., 3])
+    def d(stencil, *moved):
+        return numdiff.partial(stencil, a.cartesian, args, *moved)
 
-    def per_column(d):
-        return np.moveaxis(d, -1, 0)
-
-    a0 = ac(p)
-    a_x, a_y, a_v1, a_v2 = per_column(numdiff.per_component(numdiff.richardson, ac, p))
-    # stencil values t[..., j] replace velocity argument j of p
-    a_v1v1, a_v2v2 = per_column(numdiff.richardson2(
-        lambda t: ac(np.where(moved[2:], t[..., None], held)), p[..., 2:]))
-    first, second = [2, 0, 0, 1, 1], [3, 2, 3, 2, 3]
-    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = per_column(numdiff.richardson_mixed(
-        lambda t, u: ac(np.where(moved[first], t[..., None],
-                                 np.where(moved[second], u[..., None], held))),
-        p[..., first], p[..., second]))
+    a0 = a.cartesian(*args)
+    a_x, a_y, a_v1, a_v2 = (d(numdiff.richardson, j) for j in range(4))
+    a_v1v1, a_v2v2 = (d(numdiff.richardson2, j) for j in (2, 3))
+    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = (
+        d(numdiff.richardson_mixed, i, j) for i, j in ((2, 3), (0, 2), (0, 3), (1, 2), (1, 3)))
 
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wb = 0.5 * (a_v1 + 1j * a_v2)
@@ -368,8 +367,8 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
 
 
 # Probes per block of a residual sweep.  Every stencil point of a block's
-# probes is held at once (about 3.5 kB per probe for the complex residual),
-# so this bounds a sweep's peak memory.
+# probes is held at once (0.55 to 0.74 kB per probe for the complex
+# residual), so this bounds a sweep's peak memory.
 PROBE_BLOCK = 4096
 
 

@@ -12,7 +12,8 @@ steps h and h/2.  Stencils take what a complex step cannot: a generator's
 A_theta without a closure, which the force evaluates at complex points, a
 metric's gradient without a closure, and the Wirtinger derivatives of the
 complex formulation.  Each calls f once, with its points stacked on a new
-leading axis.  x (and y, and the steps) may be numbers or arrays of one
+leading axis; ``partial`` applies one to some of f's arguments and holds
+the others.  x (and y, and the steps) may be numbers or arrays of one
 shape, so f must work elementwise; it returns its values stacked the same
 way and may add trailing axes, which the derivative keeps.  A scalar x
 gives a scalar.
@@ -101,19 +102,23 @@ def richardson_mixed(f: Callable, x, y, hx=None, hy=None):
     return _mixed(_trailing(hx, values), _trailing(hy, values), values)
 
 
-def per_component(stencil: Callable, f: Callable, x):
-    """``stencil`` of f along each component of the last axis of x, all in
-    one call of f: element [..., i] of the result (with f's trailing axes
-    after it) is the derivative by component i at the point x[...].
-
-    f takes points shaped (stencil points,) + x.shape + (n,), n the last
-    axis of x, where [k, ..., i, :] is the k-th point of the stencil along
-    component i; it returns one value per point, shaped as the points less
-    their last axis, and may add trailing axes.
+def partial(stencil: Callable, f: Callable, args: tuple, *moved: int):
+    """``stencil`` of f(*args) in the arguments at the indices ``moved`` (two
+    for ``richardson_mixed``, else one), in one call of f.  The stencil's
+    points replace the moved arguments; each held one is passed as a view of
+    its values broadcast to the points' shape, so f still gets arrays of one
+    shape and no held value is copied.  ``args`` are numbers or arrays that
+    broadcast together.
     """
-    x = floats(x)
-    moved = np.eye(x.shape[-1], dtype=bool)  # [i, c]: point i moves component c
-    return stencil(lambda t: f(np.where(moved, t[..., :, None], x[..., None, :])), x)
+    args = np.broadcast_arrays(*(floats(a) for a in args))
+
+    def at(*points):
+        full = [np.broadcast_to(a, points[0].shape) for a in args]
+        for j, t in zip(moved, points):
+            full[j] = t
+        return f(*full)
+
+    return stencil(at, *(args[j] for j in moved))
 
 
 def _trailing(h: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -47,3 +47,28 @@ def test_stencils_equal_their_one_point_forms_bit_for_bit(name):
     assert getattr(numdiff, name)(smooth, *at).tobytes() == want.tobytes()
     assert np.array([getattr(numdiff, name)(smooth, *point)
                      for point in zip(*at)]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STENCILS))
+def test_partial_moves_its_arguments_and_holds_the_others_as_views(name):
+    stencil, n_moved = getattr(numdiff, name), STENCILS[name][1]
+    rng = np.random.default_rng(6)
+    x, y, u = (rng.uniform(-3.0, 3.0, 7) for _ in range(3))
+    seen = []
+
+    def f(t, y, u):
+        seen.append((t, y, u))
+        return smooth(t, u) * (1.0 + y * y)
+
+    moved = (0, 2)[:n_moved]
+    got = numdiff.partial(stencil, f, (x, y, u), *moved)
+    if n_moved == 1:
+        want = stencil(lambda t: smooth(t, u) * (1.0 + y * y), x)
+    else:
+        want = stencil(lambda t, v: smooth(t, v) * (1.0 + y * y), x, u)
+    assert got.tobytes() == want.tobytes()
+    # one call of f, every argument of one shape, the held ones not copied
+    (args,) = seen
+    assert {a.shape for a in args} == {args[0].shape}
+    held = [a for j, a in enumerate(args) if j not in moved]
+    assert all(a.strides[0] == 0 and np.shares_memory(a, b) for a, b in zip(held, (y, u)))
