@@ -69,17 +69,18 @@ def _oracle_error(oracle, traj) -> float:
 
 
 def _flat_field(cfg: dict):
-    """The config's field as a flat field: under the config's metric g, the
-    flat field flat_from_covariant(F, g), whose flow is the covariant flow of
-    F in g; without one, F itself.  The only place a metric is resolved."""
-    field, _ = build_field(cfg.get("field"))
+    """(field, ansatz): the config's field F and its scalar generator, or
+    None.  Under the config's metric g, the flat field flat_from_covariant(F,
+    g), whose flow is the covariant flow of F in g, and None, as A generates
+    F, not the flat field.  The only place a metric is resolved."""
+    field, ansatz = build_field(cfg.get("field"))
     metric = build_metric(cfg.get("metric"))
-    return field if metric is None else flat_from_covariant(field, metric)
+    return (field, ansatz) if metric is None else (flat_from_covariant(field, metric), None)
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    field = _flat_field(cfg)
+    field, _ = _flat_field(cfg)
     init = build_init(cfg)
     t0, t1 = t_span_of(cfg)
     icfg = build_integrator(cfg)
@@ -120,7 +121,7 @@ def cmd_simulate(args) -> int:
 def cmd_shift(args) -> int:
     cfg = load_config(args.config)
     # nu is solved for the flat field, whose B makes phi'(0, s) vanish
-    field = _flat_field(cfg)
+    field, _ = _flat_field(cfg)
     curve = build_curve(cfg.get("curve"))
     n_s, n_t = grid_counts(cfg)
     t0, t1 = t_span_of(cfg)
@@ -158,7 +159,8 @@ def cmd_shift(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
-    field, ansatz = build_field(cfg.get("field"))
+    # under a metric, the flat field that shift integrates, and no generator
+    field, ansatz = _flat_field(cfg)
     count, seed, box = probe_spec(cfg, args.seed)
     probes = probe_points(count, seed=seed, box=box)
     report = residual_sweep(probes, field=field, ansatz=ansatz,

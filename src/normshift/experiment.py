@@ -320,7 +320,8 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
         # A = c v^p theta: a deliberate non-solution for residual demos
         c = number(spec, "coef", 1.0)
         p = number(spec, "power", 2.0)
-        return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t)
+        return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t,
+                            a_theta=lambda x, y, v, t: c * np.power(v, p))
     raise ConfigError(f"unknown ansatz kind {kind!r}")
 
 

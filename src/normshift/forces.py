@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateVelocity, InvalidParams
-from .geometry import (ConformalMetric, atan2, christoffel, dot, elementwise, frame, hypot,
-                       polar_frame)
+from .errors import InvalidParams
+from .geometry import (ConformalMetric, atan2, checked_speed, christoffel, dot, elementwise,
+                       frame, hypot, polar_frame)
 
 @dataclass(frozen=True)
 class Profile:
@@ -179,11 +179,9 @@ class ScalarFieldA:
         return elementwise(self.fn(x, y, v, theta), x, y, v, theta)
 
     def cartesian(self, x, y, v1, v2):
-        """A evaluated with the velocity in Cartesian components."""
-        speed = hypot(v1, v2)
-        if np.count_nonzero(speed.real < 1e-300):
-            raise DegenerateVelocity("scalar generator undefined at v = 0")
-        return self(x, y, speed, atan2(v2, v1))
+        """A evaluated with the velocity in Cartesian components;
+        DegenerateVelocity where the speed is below ``geometry.V_MIN``."""
+        return self(x, y, checked_speed(hypot(v1, v2)), atan2(v2, v1))
 
 
 def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
@@ -222,18 +220,19 @@ def complex_force(a: ScalarFieldA, z, w):
     arrays of one shape, elementwise.  The Wirtinger derivatives are taken
     numerically on the Cartesian-velocity representation of A, one stencil
     per velocity component, so this path is independent of the polar
-    A_theta that ``from_scalar_ansatz`` uses.
+    A_theta that ``from_scalar_ansatz`` uses.  DegenerateVelocity if any
+    |w| is below ``geometry.V_MIN``.
     """
     z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
-    speed = np.abs(w)
-    if np.count_nonzero(speed < 1e-300):
-        raise DegenerateVelocity("complex ansatz undefined at w = 0")
+    if z.ndim == 0:  # a one-element array, with the bits of the probe's stacked row
+        return complex_force(a, z[None], w[None])[0]
+    speed = checked_speed(np.abs(w))
     args = (z.real, z.imag, w.real, w.imag)
     a_v1, a_v2 = (numdiff.partial(numdiff.richardson, a.cartesian, args, j) for j in (2, 3))
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wbar = 0.5 * (a_v1 + 1j * a_v2)
     a_val = a.cartesian(*args)
-    return ((w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar))[()]
+    return (w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff, odesolve
-from .errors import DegenerateVelocity, FormulationMismatch, SingularDenominator
+from .errors import FormulationMismatch, SingularDenominator
 from .forces import ForceField, ScalarFieldA
-from .geometry import atan2, elementwise, frame, hypot
+from .geometry import atan2, checked_speed, elementwise, frame, hypot
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ def _gradients(f, jr, jv, fr, speed) -> ABGradients:
     )
 
 
-def weak_residuals(field: ForceField, r, v, *, cross_validate: bool = True):
+def weak_residuals(field: ForceField, r, v):
     """Residuals (r1, r2) of the two weak normality equations at (..., 2) r, v.
 
-    Computed from the alpha/beta coefficients.  With ``cross_validate`` the
-    Cartesian assembly recomputes them from the same evaluation of the force
-    and its Jacobians, and the two assemblies must agree at every point.
+    Computed from the alpha/beta coefficients.  The Cartesian assembly
+    recomputes them from the same evaluation of the force and its Jacobians;
+    FormulationMismatch unless the two agree at every point.
     """
     sample = _evaluate(field, r, v)
     g = _gradients(*sample)
@@ -89,15 +89,14 @@ def weak_residuals(field: ForceField, r, v, *, cross_validate: bool = True):
     r1 = g.alpha4 + b / speed
     r2 = (b * a / speed**2 - g.beta1 - g.beta3 * a / speed
           - g.beta4 * b / speed - g.alpha2 + g.alpha3 * b / speed)
-    if cross_validate:
-        c1, c2 = _weak_cartesian(*sample)
-        tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
-        bad = (np.abs(r1 - c1) > tol) | (np.abs(r2 - c2) > tol)
-        if np.count_nonzero(bad):
-            p1, p2, q1, q2 = (np.broadcast_to(x, bad.shape)[bad][0] for x in (r1, r2, c1, c2))
-            raise FormulationMismatch(
-                f"weak-residual formulations disagree at {np.count_nonzero(bad)} of "
-                f"{bad.size} points, first ({p1:.3e},{p2:.3e}) vs ({q1:.3e},{q2:.3e})")
+    c1, c2 = _weak_cartesian(*sample)
+    tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
+    bad = (np.abs(r1 - c1) > tol) | (np.abs(r2 - c2) > tol)
+    if np.count_nonzero(bad):
+        p1, p2, q1, q2 = (np.broadcast_to(x, bad.shape)[bad][0] for x in (r1, r2, c1, c2))
+        raise FormulationMismatch(
+            f"weak-residual formulations disagree at {np.count_nonzero(bad)} of "
+            f"{bad.size} points, first ({p1:.3e},{p2:.3e}) vs ({q1:.3e},{q2:.3e})")
     return r1, r2
 
 
@@ -136,10 +135,10 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     (``numdiff.complex_step``) at three points per probe, moved along v,
     along theta and along a direction in (x, y): ``a`` along M gives A, A_v,
     A_t and D_M A, and ``a.a_theta`` along N gives A_tv, A_tt and D_N A_t.
+    DegenerateVelocity if any v is below ``geometry.V_MIN``.
     """
-    if np.count_nonzero(np.asarray(v) < 1e-300):
-        raise DegenerateVelocity("reduced residual undefined at v = 0")
     x, y, v, theta = np.broadcast_arrays(*(numdiff.floats(p) for p in (x, y, v, theta)))
+    checked_speed(v)
     c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
     at = tuple(p[..., None] for p in (x, y, v, theta))
     axes = np.eye(3)  # a probe's points move along v, theta and (x, y)
@@ -170,6 +169,7 @@ def complex_residual(a: ScalarFieldA, z, w):
     of ``reduced_residual`` and of any A_theta closure.  Each of the eleven
     stencils calls A once, with the one or two arguments it differentiates
     stacked and the others held as broadcast views of the probes.
+    DegenerateVelocity if any |w| is below ``geometry.V_MIN``.
 
     Blind spot at a generator's cut: A takes the velocity angle from atan2,
     which jumps by 2 pi where w crosses the negative real axis.  Where
@@ -182,7 +182,7 @@ def complex_residual(a: ScalarFieldA, z, w):
     z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
     if z.ndim == 0:  # a one-element array, with the bits of the probe's stacked row
         return complex_residual(a, z[None], w[None])[0]
-    speed = np.abs(w)  # A.cartesian raises DegenerateVelocity where it is 0
+    speed = checked_speed(np.abs(w))
     wb = w.conjugate()
     args = (z.real, z.imag, w.real, w.imag)  # (x, y, v1, v2)
 
@@ -250,9 +250,9 @@ class VelocityAngleField:
 
 
 def reduction_b_residual(b: VelocityAngleField, v, theta):
-    """Residual of b b_theta - v b_v + b^3 + b at (v, theta), elementwise."""
-    if np.count_nonzero(np.asarray(v) < 1e-300):
-        raise DegenerateVelocity("b-equation undefined at v = 0")
+    """Residual of b b_theta - v b_v + b^3 + b at (v, theta), elementwise;
+    DegenerateVelocity if any v is below ``geometry.V_MIN``."""
+    checked_speed(numdiff.floats(v))
     bv = b(v, theta)
     return bv * b.d_theta(v, theta) - v * b.d_v(v, theta) + bv**3 + bv
 
@@ -327,9 +327,11 @@ def symmetry_reduced_residual(profile: VelocityAngleField, v, theta):
 
     a and a_v come from a complex step of ``profile`` along v; a_t, a_tv and
     a_tt from one complex evaluation of ``profile.d_theta`` at two points per
-    probe, moved along v and along theta.
+    probe, moved along v and along theta.  DegenerateVelocity if any v is
+    below ``geometry.V_MIN``.
     """
     v, theta = np.broadcast_arrays(numdiff.floats(v), numdiff.floats(theta))
+    checked_speed(v)
     a0, av = numdiff.complex_step(profile, (v, theta), (1.0, 0.0))
     axes = np.eye(2)
     values, d = numdiff.complex_step(profile.d_theta, (v[..., None], theta[..., None]), axes)

@@ -8,12 +8,13 @@ It gives the first derivatives of a force, a Profile's derivative and the
 partials of the reduced residual.  A stencil at x steps
 h = base * max(1, |Re x|), each base set against truncation and rounding as
 the "Base steps" comment below sets out; the Richardson variants combine
-steps h and h/2.  Stencils take what a complex step cannot: a generator's
-A_theta without a closure, which the force evaluates at complex points, a
-metric's gradient without a closure, and the Wirtinger derivatives of the
-complex formulation.  Each calls f once, with its points stacked on a new
-leading axis; ``partial`` applies one to some of f's arguments and holds
-the others.  x (and y, and the steps) may be numbers or arrays of one
+steps h and h/2.  The steps are this module's decision: no stencil takes
+one as an argument.  Stencils take what a complex step cannot: a
+generator's A_theta without a closure, which the force evaluates at complex
+points, a metric's gradient without a closure, and the Wirtinger
+derivatives of the complex formulation.  Each calls f once, with its points
+stacked on a new leading axis; ``partial`` applies one to some of f's
+arguments and holds the others.  x (and y) may be numbers or arrays of one
 shape, so f must work elementwise; it returns its values stacked the same
 way and may add trailing axes, which the derivative keeps.  A scalar x
 gives a scalar.
@@ -58,21 +59,16 @@ def complex_step(f: Callable, x: tuple, d: tuple):
     return values.real, values.imag / H_COMPLEX
 
 
-def _step(x, base: float):
-    """The step at x, from its real part, elementwise when x is an array."""
-    return base * np.maximum(1.0, np.abs(x.real))
-
-
-def _at(x, h, base: float):
-    """x and its step (``base`` scaled when h is None), as ``floats`` of one
-    shape."""
+def _at(x, base: float):
+    """x as ``floats``, and the step at x, ``base`` scaled by its real part,
+    as an array of x's shape."""
     x = floats(x)
-    return np.broadcast_arrays(x, _step(x, base) if h is None else np.asarray(h, float))
+    return np.broadcast_arrays(x, base * np.maximum(1.0, np.abs(x.real)))
 
 
-def central(f: Callable, x, h=None):
+def central(f: Callable, x):
     """First derivative by the two-point central stencil, O(h^2)."""
-    x, h = _at(x, h, H1_PLAIN)
+    x, h = _at(x, H1_PLAIN)
     values = np.asarray(f(np.stack([x + h, x - h])))
     return (values[0] - values[1]) / (2.0 * _trailing(h, values))
 
@@ -81,23 +77,23 @@ def central(f: Callable, x, h=None):
 _FIRST_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def richardson(f: Callable, x, h=None):
+def richardson(f: Callable, x):
     """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4)."""
-    x, h = _at(x, h, H1_RICH)
+    x, h = _at(x, H1_RICH)
     values = np.asarray(f(x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h))
     return _first(_trailing(h, values), *values)
 
 
-def richardson2(f: Callable, x, h=None):
+def richardson2(f: Callable, x):
     """Second derivative, extrapolated central stencil, O(h^4)."""
-    x, h = _at(x, h, H2_RICH)
+    x, h = _at(x, H2_RICH)
     values = np.asarray(f(np.stack([x, x + h, x - h, x + h / 2, x - h / 2])))
     return _second(_trailing(h, values), *values)
 
 
-def richardson_mixed(f: Callable, x, y, hx=None, hy=None):
+def richardson_mixed(f: Callable, x, y):
     """Mixed second derivative d^2 f / dx dy, extrapolated cross stencil."""
-    x, hx, y, hy = np.broadcast_arrays(*_at(x, hx, H2_RICH), *_at(y, hy, H2_RICH))
+    x, hx, y, hy = np.broadcast_arrays(*_at(x, H2_RICH), *_at(y, H2_RICH))
     values = np.asarray(f(*(np.stack(c) for c in _cross_points(x, y, hx, hy))))
     return _mixed(_trailing(hx, values), _trailing(hy, values), values)
 

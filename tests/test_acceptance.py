@@ -182,7 +182,7 @@ def test_criterion_7_residual_formulation_concordance():
                 pos = np.array([x, y])
                 vel = np.array([v * math.cos(th), v * math.sin(th)])
                 rr = reduced_residual(a, x, y, v, th)
-                _, r2 = weak_residuals(field, pos, vel, cross_validate=False)
+                _, r2 = weak_residuals(field, pos, vel)
                 rc = complex_residual(a, complex(x, y), complex(*vel))
                 assert abs(rr) < thresh and abs(r2) < thresh and abs(rc) < thresh
 
@@ -196,7 +196,7 @@ def test_criterion_7_residual_formulation_concordance():
             pos = np.array([x, y])
             vel = np.array([v * math.cos(th), v * math.sin(th)])
             rr = reduced_residual(a, x, y, v, th)
-            _, r2 = weak_residuals(field, pos, vel, cross_validate=False)
+            _, r2 = weak_residuals(field, pos, vel)
             rc = complex_residual(a, complex(x, y), complex(*vel))
             states = {abs(rr) < thresh, abs(r2) < thresh, abs(rc) < thresh}
             assert states == {False}, f"probe {k}: {rr:.2e} {r2:.2e} {abs(rc):.2e}"

@@ -330,6 +330,40 @@ def test_check_rerun_bit_identical(tmp_path):
         (tmp_path / "b" / "residuals.csv").read_bytes()
 
 
+def test_check_under_a_metric_sweeps_the_flat_field(tmp_path, capsys):
+    # a conformal metric keeps angles, so F is normal in g exactly when its
+    # flat field is; check reports r1 and r2 of that field, the one shift
+    # integrates (r2 = |grad f|^2 = 0.1), not of F in the flat metric (3.1e-16)
+    from normshift.experiment import build_metric, catalogue
+    from normshift.forces import flat_from_covariant
+    from normshift.normality import probe_points, residual_sweep
+    params, metric = {"profile": 0.5}, {"kind": "linear", "ax": 0.3, "ay": 0.1}
+    cfg = write_config(tmp_path, "check.json", {
+        "field": {"catalogue": "anisotropic", "params": params}, "metric": metric,
+        "probes": {"count": 200, "seed": 0}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "c", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert sorted(summary) == ["r1", "r2"] and summary["r2"]["max"] > 0.05
+    want = residual_sweep(probe_points(200, seed=0),
+                          field=flat_from_covariant(catalogue("anisotropic", params),
+                                                    build_metric(metric)))
+    table = np.loadtxt(tmp_path / "c" / "residuals.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 4], want.r1) and np.array_equal(table[:, 5], want.r2)
+
+
+def test_check_of_an_ansatz_under_a_metric_reports_only_the_weak_residuals(tmp_path):
+    # A generates F, not the flat field, so no generator residual is reported
+    cfg = write_config(tmp_path, "check.json", {
+        "field": {"ansatz": {"kind": "cos_profile", "profile": 1.0}},
+        "metric": {"kind": "sin_cos", "amplitude": 0.2}, "include_complex": True,
+        "probes": {"count": 20, "seed": 1}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "c"]) == 0
+    summary = json.loads((tmp_path / "c" / "residual_summary.json").read_text())
+    assert sorted(summary) == ["r1", "r2"]
+    header = (tmp_path / "c" / "residuals.csv").read_text().splitlines()[0]
+    assert header == "x,y,v,theta,r1,r2"
+
+
 def test_emit_plotdata(tmp_path):
     cfg = write_config(tmp_path, "plot.json", {
         "field": {"catalogue": "gravity"},

@@ -179,7 +179,7 @@ def test_marked_point_radius_slope_consistency():
     prof = Profile.constant(1.0)
     table = marked_point_quadrature(prof, MP_INIT, 0.35)
     th_mid = 0.5 * (table.theta[0] + table.theta[-1])
-    drho = numdiff.richardson(table.rho_at, th_mid, h=5e-3)
+    drho = numdiff.richardson(table.rho_at, th_mid)
     v = table.v_at(th_mid)
     rhs = table.rho_at(th_mid) * v * v / (math.tan(th_mid) * (prof(v) - v * v))
     assert drho == pytest.approx(rhs, abs=1e-5)

@@ -129,22 +129,14 @@ def test_complex_force_matches_real_ansatz():
 
 
 def test_complex_force_rejects_small_w():
+    # below v_min = 1e-9, as frame does; complex_force and cartesian once
+    # tested |w| < 1e-300 themselves and returned values at 1e-12
     a = ScalarFieldA(lambda x, y, v, t: v)
-    with pytest.raises(DegenerateVelocity):
-        complex_force(a, 0j, 0j)
-
-
-def test_complex_force_takes_arrays_of_points():
-    rng = np.random.default_rng(6)
-    a = cos_profile_ansatz(Profile.polynomial([0.3, 0.5]))
-    z = rng.uniform(-2, 2, (2, 3)) @ np.array([1.0, 1j, 0.5])
-    w = rng.uniform(0.4, 2.0, 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-    got = complex_force(a, z, w)
-    assert got.shape == (2,)
-    for k in range(2):
-        assert abs(got[k] - complex_force(a, complex(z[k]), complex(w[k]))) < 1e-12
-    with pytest.raises(DegenerateVelocity):
-        complex_force(a, z, np.array([w[0], 0j]))
+    for w in (0j, 1e-12 + 0j):
+        with pytest.raises(DegenerateVelocity, match="below v_min"):
+            complex_force(a, 0j, w)
+        with pytest.raises(DegenerateVelocity, match="below v_min"):
+            a.cartesian(0.3, -0.2, w.real, w.imag)
 
 
 def test_conformal_transport_flat_is_identity():
@@ -361,6 +353,21 @@ ANSATZ_SPECS = {
     "disc_invariant": {"kind": "disc_invariant", "R": 4.0, "profile": POLY},
     "angular_monomial": {"kind": "angular_monomial", "coef": 1.5, "power": 2.0},
 }
+
+
+def test_complex_force_takes_arrays_of_points():
+    # a single probe is evaluated as a one-element array: the bits of its row
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-1.5, 1.5, (200, 3)) @ np.array([1.0, 1j, 0.5])
+    w = rng.uniform(0.4, 2.0, 200) * np.exp(1j * rng.uniform(-3.1, 3.1, 200))
+    for kind, spec in ANSATZ_SPECS.items():
+        a = build_ansatz(spec)
+        got = complex_force(a, z, w)
+        assert got.shape == (200,)
+        assert np.array_equal(got, [complex_force(a, complex(zk), complex(wk))
+                                    for zk, wk in zip(z, w)]), kind
+        with pytest.raises(DegenerateVelocity):
+            complex_force(a, z[:2], np.array([w[0], 0j]))
 
 
 def contract_fields() -> dict:

@@ -1,8 +1,8 @@
 """Layering rules: no module reaches into another module's private names,
-each decision (stencil steps, output digits, the metric, the config schema)
-has one owner, and each public function and class is used in the package or
-listed as an entry point.  Also one hygiene rule for the tests themselves:
-every file they open is closed."""
+each decision (stencil steps, output digits, the metric, the config schema,
+the rest-point check) has one owner, and each public function and class is
+used in the package or listed as an entry point.  Also one hygiene rule for
+the tests themselves: every file they open is closed."""
 
 import ast
 import collections
@@ -90,6 +90,28 @@ def test_step_checker_flags_both_forms():
     assert stencil_step_reads(tree) == ["2: from .numdiff import H2_RICH", "3: nd.H1_RICH"]
 
 
+def step_parameters(tree: ast.Module) -> list[str]:
+    """Parameters named h, hx, hy or like 'step' of the module's public
+    functions, as 'function: parameter'."""
+    return [f"{node.name}: {a.arg}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not _private(node.name)
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if a.arg in ("h", "hx", "hy") or "step" in a.arg]
+
+
+def test_no_numdiff_stencil_takes_a_step():
+    assert step_parameters(ast.parse((SRC / "numdiff.py").read_text())) == []
+
+
+def test_step_parameter_checker_flags_each_name():
+    tree = ast.parse("def central(f, x, h=None): pass\n"
+                     "def mixed(f, x, y, *, hx, hy, step_base=1.0): pass\n"
+                     "def _at(x, h): pass\n"
+                     "def partial(stencil, f, args, *moved): pass\n")
+    assert step_parameters(tree) == ["central: h", "mixed: hx", "mixed: hy",
+                                     "mixed: step_base"]
+
+
 def test_only_the_table_writer_formats_seventeen_digits():
     # one writer owns the "17 significant digits" contract of every output file
     holders = sorted(p.name for p in SRC.glob("*.py") if ".17g" in p.read_text())
@@ -124,6 +146,29 @@ def test_only_the_cli_flattens_a_covariant_field():
     assert callers == ["cli.py"]
 
 
+def callers_of(tree: ast.Module, names: set[str]) -> list[str]:
+    """The module-level definitions, by name, that call one of ``names``
+    (as `f(...)` or `m.f(...)`); '<module>' for a call outside them."""
+    return sorted({getattr(node, "name", "<module>") for node in tree.body
+                   if called_names(node) & names})
+
+
+def test_only_the_flat_field_builds_the_field_and_metric():
+    # every subcommand takes its field, and a check its generator, from
+    # cli._flat_field, which resolves the metric
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert callers_of(tree, {"build_field", "build_metric"}) == ["_flat_field"]
+
+
+def test_caller_checker_names_functions_and_module_code():
+    tree = ast.parse("def _flat_field(cfg): return experiment.build_field(cfg)\n"
+                     "def cmd_check(args): return [build_metric(m) for m in args]\n"
+                     "def cmd_shift(args): return _flat_field(args)\n"
+                     "FIELD = build_field({})\n")
+    assert callers_of(tree, {"build_field", "build_metric"}) == ["<module>", "_flat_field",
+                                                                 "cmd_check"]
+
+
 @pytest.mark.parametrize("name", ["dynamics.py", "shift.py"])
 def test_numerical_layers_take_no_metric(name):
     assert public_metric_parameters(ast.parse((SRC / name).read_text())) == []
@@ -137,15 +182,31 @@ def test_metric_checker_flags_functions_and_methods():
     assert public_metric_parameters(tree) == ["run: metric", "__init__: base_metric"]
 
 
+def raised_name(node: ast.AST) -> str | None:
+    """The exception class a `raise` statement names, under any module
+    prefix and called or not; None for anything else."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return None
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def test_only_geometry_rejects_a_rest_speed():
+    # geometry.checked_speed holds v_min; the frame and every generator
+    # path call it instead of testing the speed themselves
+    raisers = sorted(p.name for p in SRC.glob("*.py")
+                     if any(raised_name(node) == "DegenerateVelocity"
+                            for node in ast.walk(ast.parse(p.read_text()))))
+    assert raisers == ["geometry.py"]
+
+
 def config_reading(tree: ast.Module) -> list[str]:
     """`raise ConfigError` (under any module prefix) and functions, lambdas
     included, with a parameter named `spec` or `params`, as 'line: text'."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError":
-                found.append((node.lineno, f"raise {ast.unparse(node.exc)}"))
+        if raised_name(node) == "ConfigError":
+            found.append((node.lineno, f"raise {ast.unparse(node.exc)}"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
             found += [(node.lineno, f"{getattr(node, 'name', 'lambda')}({arg.arg})")

@@ -154,7 +154,7 @@ def test_weak_residuals_formulations_agree():
         for _ in range(10):
             r = rng.uniform(-1.5, 1.5, 2)
             v = rng.uniform(0.6, 2.5, 2)
-            ab_pair = weak_residuals(field, r, v, cross_validate=False)
+            ab_pair = weak_residuals(field, r, v)
             cart_pair = weak_residuals_cartesian(field, r, v)
             assert ab_pair[0] == pytest.approx(cart_pair[0], abs=1e-5)
             assert ab_pair[1] == pytest.approx(cart_pair[1], abs=1e-5)
@@ -204,13 +204,29 @@ def test_reduced_residual_matches_the_exact_partials_of_random_generators():
 
 
 def test_reduced_residual_of_angular_monomial_is_its_exact_value():
-    # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  A_theta has no
-    # closure, so A_theta v and A_theta theta are complex steps of its
-    # Richardson stencil (9.8e-11 relative measured)
+    # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  A_theta is the
+    # closure c v^p, so every partial is a complex step (1.6e-15 relative
+    # measured; 1.0e-10 with a Richardson A_theta)
     _, a = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.2}})
-    x, y, v, th = probe_points(1000, seed=11, box=SWEEP_BOX).T
-    want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
-    assert np.all(np.abs(reduced_residual(a, x, y, v, th) - want) <= 2e-10 * np.abs(want))
+    for seed, box in ((11, SWEEP_BOX), (4, None)):
+        x, y, v, th = probe_points(1000, seed=seed, box=box).T
+        want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
+        assert np.all(np.abs(reduced_residual(a, x, y, v, th) - want) <= 1e-13 * np.abs(want))
+
+
+def test_weak_residuals_of_angular_monomial_are_exact_to_rounding():
+    # F = A N - A_theta M solves the first equation, and r2 is minus the
+    # reduced residual: measured r1 8.0e-15, r2 3.1e-15 relative (1.8e-10
+    # and 4.5e-9 with a Richardson A_theta)
+    field, _ = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.2}})
+    for seed, box in ((11, SWEEP_BOX), (4, None)):
+        probes = probe_points(1000, seed=seed, box=box)
+        v, th = probes[:, 2], probes[:, 3]
+        r1, r2 = weak_residuals(field, probes[:, :2],
+                                np.column_stack([v * np.cos(th), v * np.sin(th)]))
+        want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
+        assert np.max(np.abs(r1)) <= 1e-12
+        assert np.all(np.abs(r2 + want) <= 1e-13 * np.abs(want))
 
 
 @pytest.mark.parametrize("closure", [True, False], ids=["closure", "stencil"])
@@ -279,7 +295,7 @@ def test_equivalence_of_formulations_on_random_generators():
             field = from_scalar_ansatz(a)
         x, y, v, th = probes[idx]
         r, vel = cartesian_probe(x, y, v, th)
-        r1, r2 = weak_residuals(field, r, vel, cross_validate=False)
+        r1, r2 = weak_residuals(field, r, vel)
         assert abs(r1) < 1e-6
         rr = reduced_residual(a, x, y, v, th)
         assert (abs(r2) < 1e-5) == (abs(rr) < 1e-5), (r2, rr)
@@ -465,14 +481,23 @@ def test_field_calls_per_sweep_do_not_grow_with_the_probe_count(monkeypatch, kin
 
 
 def test_stacked_residuals_reject_a_rest_point_in_any_row():
+    # a speed below v_min = 1e-9 is a rest point, as frame has it; the
+    # generator residuals once tested v < 1e-300 themselves, or nothing,
+    # and returned values at 1e-12 (the symmetry-reduced residual 1.2e11)
     a = cos_profile_ansatz(Profile.constant(1.0))
-    zeros, speeds = np.zeros(3), np.array([1.0, 0.0, 2.0])
-    with pytest.raises(DegenerateVelocity):
-        reduced_residual(a, zeros, zeros, speeds, zeros)
-    with pytest.raises(DegenerateVelocity):
-        complex_residual(a, zeros + 0j, speeds + 0j)
-    with pytest.raises(DegenerateVelocity):
-        weak_residuals(from_scalar_ansatz(a), np.zeros((3, 2)), np.column_stack([speeds, zeros]))
+    b = VelocityAngleField(fn=lambda v, t: 0.5 + 0.3 * v * np.cos(t))
+    zeros = np.zeros(3)
+    for rest in (0.0, 1e-12):
+        speeds = np.array([1.0, rest, 2.0])
+        for evaluate in (
+                lambda: reduced_residual(a, zeros, zeros, speeds, zeros),
+                lambda: complex_residual(a, zeros + 0j, speeds + 0j),
+                lambda: weak_residuals(from_scalar_ansatz(a), np.zeros((3, 2)),
+                                       np.column_stack([speeds, zeros])),
+                lambda: reduction_b_residual(b, speeds, zeros),
+                lambda: symmetry_reduced_residual(b, speeds, zeros)):
+            with pytest.raises(DegenerateVelocity, match="below v_min"):
+                evaluate()
 
 
 def traced_sweep_peak(probes, field, ansatz) -> int:

@@ -2,6 +2,7 @@
 replaced, and every 17-digit string reads back as the same double."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from normshift.tables import formatted, write_table
@@ -87,6 +88,7 @@ def exact_ties(rng, n) -> np.ndarray:
     return np.ldexp(k.astype(float), -j)
 
 
+@pytest.mark.hypothesis  # seeded by --hypothesis-seed, so CI's seed loop selects it
 def test_formatted_is_byte_exact_at_scale(request, tmp_path):
     # the text of every value is b"%.17g" % x, for random bit patterns, exact
     # ties, normal draws and the edge cases, with both signs, from formatted;
