@@ -19,7 +19,7 @@ from . import __version__
 from .errors import NormShiftError
 from .experiment import (ConfigError, build_curve, build_field, build_init,
                          build_integrator, build_metric, build_nu, build_oracle,
-                         catalogue_listing, flag, grid_counts, load_config, number,
+                         catalogue_listing, complex_flag, grid_counts, load_config, number,
                          positive_int, probe_spec, t_span_of)
 from .forces import flat_from_covariant
 from .normality import probe_points, residual_sweep
@@ -164,7 +164,7 @@ def cmd_check(args) -> int:
     count, seed, box = probe_spec(cfg, args.seed)
     probes = probe_points(count, seed=seed, box=box)
     report = residual_sweep(probes, field=field, ansatz=ansatz,
-                            include_complex=flag(cfg, "include_complex", False))
+                            include_complex=complex_flag(cfg, ansatz))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -146,6 +146,18 @@ def flag(cfg: dict, key: str, default: bool) -> bool:
     return value
 
 
+def complex_flag(cfg: dict, ansatz: ScalarFieldA | None) -> bool:
+    """``flag`` "include_complex", which asks for the complex residual of the
+    swept field's scalar generator ``ansatz``: true only where there is one.
+    A catalogue field has none, nor has the flat field swept under a metric."""
+    if flag(cfg, "include_complex", False):
+        if ansatz is None:
+            raise ConfigError("'include_complex' needs a scalar generator: a "
+                              "'field.ansatz' and no 'metric'")
+        return True
+    return False
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:

@@ -17,6 +17,7 @@ the catalogue of named fields among them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -213,6 +214,23 @@ def from_scalar_ansatz(a: ScalarFieldA) -> ForceField:
     return ForceField(fn=fn)
 
 
+def complex_probes(evaluate: Callable) -> Callable:
+    """``evaluate(a, z, w)`` with z and w broadcast to complex arrays of one
+    shape.  A single probe runs as a one-element array, so that its value
+    keeps the bits of its row in a stack of probes: NumPy's loops over 0-d
+    and over n-d arrays can round differently."""
+
+    @functools.wraps(evaluate)
+    def wrapped(a, z, w):
+        z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
+        if z.ndim == 0:
+            return evaluate(a, z[None], w[None])[0]
+        return evaluate(a, z, w)
+
+    return wrapped
+
+
+@complex_probes
 def complex_force(a: ScalarFieldA, z, w):
     """Complex form of the scalar ansatz: F = (w/|w|)(A + w A_w - wbar A_wbar).
 
@@ -223,9 +241,6 @@ def complex_force(a: ScalarFieldA, z, w):
     A_theta that ``from_scalar_ansatz`` uses.  DegenerateVelocity if any
     |w| is below ``geometry.V_MIN``.
     """
-    z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
-    if z.ndim == 0:  # a one-element array, with the bits of the probe's stacked row
-        return complex_force(a, z[None], w[None])[0]
     speed = checked_speed(np.abs(w))
     args = (z.real, z.imag, w.real, w.imag)
     a_v1, a_v2 = (numdiff.partial(numdiff.richardson, a.cartesian, args, j) for j in (2, 3))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numdiff, odesolve
 from .errors import FormulationMismatch, SingularDenominator
-from .forces import ForceField, ScalarFieldA
+from .forces import ForceField, ScalarFieldA, complex_probes
 from .geometry import atan2, checked_speed, elementwise, frame, hypot
 
 
@@ -154,6 +154,7 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
             - a0 * atv / v)[()]
 
 
+@complex_probes
 def complex_residual(a: ScalarFieldA, z, w):
     """Residual of the normality equation in complex form, one per point of
     the complex arrays (or numbers) z and w.
@@ -179,9 +180,6 @@ def complex_residual(a: ScalarFieldA, z, w):
     reads a spurious residual there: ``angular_monomial`` (c 1.3, p 2) at
     |w| = 1.2 reads 2.6e6 i at 1.5e-3 rad from pi, 11.0 i at 1.7e-3.
     """
-    z, w = np.broadcast_arrays(np.asarray(z, complex), np.asarray(w, complex))
-    if z.ndim == 0:  # a one-element array, with the bits of the probe's stacked row
-        return complex_residual(a, z[None], w[None])[0]
     speed = checked_speed(np.abs(w))
     wb = w.conjugate()
     args = (z.real, z.imag, w.real, w.imag)  # (x, y, v1, v2)

@@ -351,17 +351,31 @@ def test_check_under_a_metric_sweeps_the_flat_field(tmp_path, capsys):
     assert np.array_equal(table[:, 4], want.r1) and np.array_equal(table[:, 5], want.r2)
 
 
-def test_check_of_an_ansatz_under_a_metric_reports_only_the_weak_residuals(tmp_path):
-    # A generates F, not the flat field, so no generator residual is reported
-    cfg = write_config(tmp_path, "check.json", {
-        "field": {"ansatz": {"kind": "cos_profile", "profile": 1.0}},
-        "metric": {"kind": "sin_cos", "amplitude": 0.2}, "include_complex": True,
-        "probes": {"count": 20, "seed": 1}})
+def test_check_of_an_ansatz_under_a_metric_reports_only_the_weak_residuals(tmp_path, capsys):
+    # A generates F, not the flat field, so no generator residual is reported,
+    # and asking for the complex one is a config error
+    spec = {"field": {"ansatz": {"kind": "cos_profile", "profile": 1.0}},
+            "metric": {"kind": "sin_cos", "amplitude": 0.2},
+            "probes": {"count": 20, "seed": 1}}
+    cfg = write_config(tmp_path, "check.json", spec)
     assert run(["check", "--config", cfg, "--out", tmp_path / "c"]) == 0
     summary = json.loads((tmp_path / "c" / "residual_summary.json").read_text())
     assert sorted(summary) == ["r1", "r2"]
     header = (tmp_path / "c" / "residuals.csv").read_text().splitlines()[0]
     assert header == "x,y,v,theta,r1,r2"
+    capsys.readouterr()
+    cfg = write_config(tmp_path, "complex.json", {**spec, "include_complex": True})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "d"]) == 2
+    assert "'include_complex' needs a scalar generator" in capsys.readouterr().err
+
+
+def test_check_of_a_catalogue_field_rejects_include_complex(tmp_path, capsys):
+    # a catalogue field has no scalar generator whose complex residual to take
+    cfg = write_config(tmp_path, "check.json", {
+        "field": {"catalogue": "gravity"}, "include_complex": True,
+        "probes": {"count": 5, "seed": 1}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "c"]) == 2
+    assert "'include_complex' needs a scalar generator" in capsys.readouterr().err
 
 
 def test_emit_plotdata(tmp_path):

@@ -204,14 +204,18 @@ def test_reduced_residual_matches_the_exact_partials_of_random_generators():
 
 
 def test_reduced_residual_of_angular_monomial_is_its_exact_value():
-    # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  A_theta is the
-    # closure c v^p, so every partial is a complex step (1.6e-15 relative
-    # measured; 1.0e-10 with a Richardson A_theta)
+    # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  With the closure
+    # A_theta = c v^p every partial is a complex step (1.6e-15 relative
+    # measured); without it, A_theta v and A_theta theta are complex steps of
+    # A_theta's Richardson stencil, the path of a generator with no closure
+    # (1.0e-10 relative measured)
     _, a = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.2}})
-    for seed, box in ((11, SWEEP_BOX), (4, None)):
-        x, y, v, th = probe_points(1000, seed=seed, box=box).T
-        want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
-        assert np.all(np.abs(reduced_residual(a, x, y, v, th) - want) <= 1e-13 * np.abs(want))
+    for generator, bound in ((a, 1e-13), (ScalarFieldA(a.fn), 2e-10)):
+        for seed, box in ((11, SWEEP_BOX), (4, None)):
+            x, y, v, th = probe_points(1000, seed=seed, box=box).T
+            want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
+            assert np.all(np.abs(reduced_residual(generator, x, y, v, th) - want)
+                          <= bound * np.abs(want))
 
 
 def test_weak_residuals_of_angular_monomial_are_exact_to_rounding():
