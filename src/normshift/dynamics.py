@@ -243,11 +243,11 @@ def integrate_phi_psi(field: ForceField, base: Trajectory,
                    + (g.alpha1 + g.alpha4 * b / speed) * phi
                    + (g.alpha4 + b / speed) * psi_dot
                    + (g.alpha2 + g.beta1 + g.beta3 * a / speed + g.beta4 * b / speed
-                      - g.alpha3 * b / speed - a * b / speed**2) * psi)
+                      - g.alpha3 * b / speed - a * b / (speed * speed)) * psi)
         psi_acc = ((g.beta3 - 2.0 * b / speed) * phi_dot
                    + (g.beta4 + a / speed) * psi_dot
-                   + (2.0 * a * b / speed**2 - g.beta3 * a / speed) * phi
-                   + (g.beta2 - g.beta3 * b / speed + (b / speed) ** 2) * psi)
+                   + (2.0 * a * b / (speed * speed) - g.beta3 * a / speed) * phi
+                   + (g.beta2 - g.beta3 * b / speed + (b / speed) * (b / speed)) * psi)
         return np.concatenate([v, field.force(r, v),
                                [phi_dot, phi_acc, psi_dot, psi_acc]])
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import numdiff
 from .errors import InvalidParams
-from .geometry import (ConformalMetric, atan2, checked_speed, christoffel, dot, elementwise,
-                       frame, hypot, polar_frame)
+from .geometry import (ConformalMetric, checked_speed, christoffel, dot, elementwise, frame,
+                       polar_frame, speed_angle)
 
 @dataclass(frozen=True)
 class Profile:
@@ -68,20 +68,17 @@ COMPLEX_BLOCK = 2048
 
 @dataclass(frozen=True)
 class ForceField:
-    """Evaluator F(r, v) with optional analytic Jacobians; nothing else.
+    """Evaluator F(r, v); nothing else.
 
     A field carries no name and no claim: which built-in fields claim to
     admit the normal shift is recorded in ``experiment.CATALOGUE``.
 
-    Jacobian convention: spatial_jacobian(r, v)[..., i, j] = dF_j / dr^i and
-    velocity_jacobian(r, v)[..., i, j] = dF_j / dv^i.  ``linearize`` uses the
-    closures when the field has both; otherwise it takes F and both
-    Jacobians from one call of ``fn``, which must therefore be complex-safe.
+    Every derivative of F is one complex evaluation of ``fn``
+    (``derivative``), which must therefore be complex-safe.  Jacobian
+    convention: J_r[..., i, j] = dF_j / dr^i and J_v[..., i, j] = dF_j / dv^i.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    spatial_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    velocity_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def force(self, r, v) -> np.ndarray:
         return numdiff.floats(self.fn(numdiff.floats(r), numdiff.floats(v)))
@@ -110,13 +107,9 @@ class ForceField:
         return f
 
     def linearize(self, r, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F(r, v), J_r and J_v at (..., 2) r, v: the closures, or one
-        ``derivative`` of four points per row, one along each phase axis,
-        whose real part is F."""
+        """F(r, v), J_r and J_v at (..., 2) r, v: one ``derivative`` of four
+        points per row, one along each phase axis, whose real part is F."""
         r, v = np.asarray(r, float), np.asarray(v, float)
-        if self.spatial_jacobian is not None and self.velocity_jacobian is not None:
-            return (self.force(r, v), np.asarray(self.spatial_jacobian(r, v), dtype=float),
-                    np.asarray(self.velocity_jacobian(r, v), dtype=float))
         f, d = self.derivative(r[..., None, :], v[..., None, :], *_PHASE_AXES)
         return f[..., 0, :], d[..., :2, :], d[..., 2:, :]
 
@@ -180,9 +173,9 @@ class ScalarFieldA:
         return elementwise(self.fn(x, y, v, theta), x, y, v, theta)
 
     def cartesian(self, x, y, v1, v2):
-        """A evaluated with the velocity in Cartesian components;
-        DegenerateVelocity where the speed is below ``geometry.V_MIN``."""
-        return self(x, y, checked_speed(hypot(v1, v2)), atan2(v2, v1))
+        """A evaluated with the velocity in Cartesian components, at the
+        speed and angle of ``geometry.speed_angle``."""
+        return self(x, y, *speed_angle(v1, v2))
 
 
 def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
@@ -367,34 +360,20 @@ def mdtype_field(md: MDTypeParams) -> ForceField:
     return ForceField(fn=fn)
 
 
-def _per_point(value: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A constant vector or matrix repeated for every point of r."""
-    out = np.empty(r.shape[:-1] + value.shape, r.dtype)
-    out[...] = value
-    return out
-
-
 def gravity_field(magnitude: float = 1.0) -> ForceField:
     const = np.array([0.0, -float(magnitude)])
-    zero = np.zeros((2, 2))
-    return ForceField(fn=lambda r, v: _per_point(const, r),
-                      spatial_jacobian=lambda r, v: _per_point(zero, r),
-                      velocity_jacobian=lambda r, v: _per_point(zero, r))
+    return ForceField(fn=lambda r, v: np.broadcast_to(const, r.shape).astype(r.dtype))
 
 
 def oscillator_field(omega: float) -> ForceField:
     om2 = float(omega) ** 2
-    jr = np.array([[0.0, 0.0], [0.0, -om2]])
-    zero = np.zeros((2, 2))
 
     def fn(r, v):
         out = np.zeros_like(r)
         out[..., 1] = -om2 * r[..., 1]
         return out
 
-    return ForceField(fn=fn,
-                      spatial_jacobian=lambda r, v: _per_point(jr, r),
-                      velocity_jacobian=lambda r, v: _per_point(zero, r))
+    return ForceField(fn=fn)
 
 
 def anisotropic_field(profile: Profile, m=(1.0, 0.0)) -> ForceField:

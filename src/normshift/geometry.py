@@ -178,14 +178,22 @@ def projector(v) -> np.ndarray:
     return np.eye(2) - n[..., :, None] * n[..., None, :]
 
 
-def polar_frame(v) -> tuple[PolarVelocity, Frame]:
-    """The speed and angle of each velocity, NumPy scalars for a single one,
-    and ``frame(v)``, from one speed and one rest-point check."""
-    v = _as_points(v)
-    speed = _speed(v)
-    theta = atan2(v[..., 1], v[..., 0])
+def speed_angle(vx, vy):
+    """The speed and the angle theta in (-pi, pi] of the velocity (vx, vy),
+    elementwise, NumPy scalars for a single one; DegenerateVelocity where the
+    speed is below V_MIN."""
+    speed = checked_speed(hypot(vx, vy))
+    theta = atan2(vy, vx)
     if np.count_nonzero(theta.real <= -np.pi):  # atan2(-0.0, x < 0) is -pi
         theta = np.where(theta.real <= -np.pi, theta + 2.0 * np.pi, theta)[()]
+    return speed, theta
+
+
+def polar_frame(v) -> tuple[PolarVelocity, Frame]:
+    """The speed and angle of each velocity (``speed_angle``) and
+    ``frame(v)``, from one speed and one rest-point check."""
+    v = _as_points(v)
+    speed, theta = speed_angle(v[..., 0], v[..., 1])
     return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
 
 

@@ -87,7 +87,7 @@ def weak_residuals(field: ForceField, r, v):
     g = _gradients(*sample)
     a, b, speed = g.A, g.B, sample[-1]
     r1 = g.alpha4 + b / speed
-    r2 = (b * a / speed**2 - g.beta1 - g.beta3 * a / speed
+    r2 = (b * a / (speed * speed) - g.beta1 - g.beta3 * a / speed
           - g.beta4 * b / speed - g.alpha2 + g.alpha3 * b / speed)
     c1, c2 = _weak_cartesian(*sample)
     tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
@@ -115,7 +115,7 @@ def _weak_cartesian(f, jr, jv, fr, speed):
     # r2 assembled from its five Cartesian pieces.
     f_n, f_m = np.vecdot(f, n), np.vecdot(f, m)
     jv_t = np.swapaxes(jv, -1, -2)
-    ba = f_n * f_m / speed**2
+    ba = f_n * f_m / (speed * speed)
     sym = -np.vecdot(np.vecmat(m, jr + np.swapaxes(jr, -1, -2)), n)
     t12 = ba - np.vecdot(np.vecmat(m, jv_t), m) * f_m / speed
     t13 = -np.vecdot(np.vecmat(m, jv_t), n) * f_n / speed
@@ -150,7 +150,7 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     av, a_t, dm_a = np.moveaxis(d, -1, 0)
     atv, att, dn_at = np.moveaxis(numdiff.complex_step(a.a_theta, at, along(c, s))[1], -1, 0)
     a0 = values[..., 0]
-    return (dm_a - dn_at + a0 * a_t / v**2 + a_t * att / v**2 + a_t * av / v
+    return (dm_a - dn_at + a0 * a_t / (v * v) + a_t * att / (v * v) + a_t * av / v
             - a0 * atv / v)[()]
 
 
@@ -334,7 +334,7 @@ def symmetry_reduced_residual(profile: VelocityAngleField, v, theta):
     axes = np.eye(2)
     values, d = numdiff.complex_step(profile.d_theta, (v[..., None], theta[..., None]), axes)
     at, (atv, att) = values[..., 0], np.moveaxis(d, -1, 0)
-    return (a0 * at / v**2 + at * att / v**2 + at * av / v
+    return (a0 * at / (v * v) + at * att / (v * v) + at * av / v
             + (a0 + att) * np.sin(theta) - a0 * atv / v)[()]
 
 

@@ -177,7 +177,7 @@ def frenet(curve: Curve, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _frenet(curve: Curve, s, d: np.ndarray, dd: np.ndarray):
     """``frenet`` from r'(s) = d and r''(s) = dd, with |r'| before the curvature."""
     tangent, n, speed = _unit_frame(curve, s, d)
-    return tangent, n, speed, np.vecdot(dd, n) / speed**2
+    return tangent, n, speed, np.vecdot(dd, n) / (speed * speed)
 
 
 def _unit_frame(curve: Curve, s, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,19 +408,20 @@ class ShiftGrid:
 
 def normal_shift(curve: Curve, field: ForceField, nu, t_span,
                  n_s: int = 64, n_t: int = 100,
-                 cfg: IntegratorConfig | None = None,
-                 s_range=None) -> ShiftGrid:
+                 cfg: IntegratorConfig | None = None) -> ShiftGrid:
     """Populate the (t, s) grid of the shift of the curve by a flat field.
 
-    ``nu`` is a speed profile: a ``forces.Profile``, or a NuSolution solved
-    for the same field, whose reached interval clips the grid.  Deviations
-    use tau(0) = r'(s) and tau'(0) = nu' n + nu n', with nu and nu' from
-    ``nu(s)`` and ``nu.d(s)`` at all s-nodes at once.
+    The s-nodes span the curve's ``s_range``; to shift a part of the curve,
+    pass ``dataclasses.replace(curve, s_range=...)``.  ``nu`` is a speed
+    profile: a ``forces.Profile``, or a NuSolution solved for the same field,
+    whose reached interval clips the grid.  Deviations use tau(0) = r'(s)
+    and tau'(0) = nu' n + nu n', with nu and nu' from ``nu(s)`` and
+    ``nu.d(s)`` at all s-nodes at once.
     All s-nodes are integrated as one stacked system; an error from it gets
     a note naming the s-nodes whose rows went non-finite, when known, and
     otherwise the shifted s-range.
     """
-    lo, hi = curve.s_range if s_range is None else (float(s_range[0]), float(s_range[1]))
+    lo, hi = curve.s_range
     if isinstance(nu, NuSolution):
         lo = max(lo, nu.s_lo)
         hi = min(hi, nu.s_hi)

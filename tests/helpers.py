@@ -8,7 +8,8 @@ elementwise NumPy, so the fields take stacked points like the built-in ones.
 
 import numpy as np
 
-from normshift.forces import ForceField, MDTypeParams, Profile, ScalarFieldA
+from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, gravity_field,
+                              oscillator_field)
 from normshift.geometry import ConformalMetric, christoffel
 from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH
 from normshift.odesolve import solve_dopri
@@ -239,3 +240,13 @@ def sympy_field():
         return np.stack([stacked(row) for row in rows], axis=-2)
 
     return ForceField(fn=force), jacobian
+
+
+def linear_fields(c: float) -> dict:
+    """Gravity of magnitude c and the oscillator of frequency c, by name, each
+    with its exact Jacobians (J_r, J_v): constants, of which only the
+    oscillator's dF_y / dy = -c^2 is nonzero."""
+    zero, jr = np.zeros((2, 2)), np.zeros((2, 2))
+    jr[1, 1] = -(c * c)
+    return {"gravity": (gravity_field(c), zero, zero),
+            "oscillator": (oscillator_field(c), jr, zero)}

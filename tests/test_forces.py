@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (perturbed_mdtype, random_ansatz, random_generator, random_metric,
-                     sympy_field)
+from helpers import (linear_fields, perturbed_mdtype, random_ansatz, random_generator,
+                     random_metric, sympy_field)
 
 from normshift.errors import DegenerateVelocity, InvalidParams
 from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, ab_decompose,
@@ -47,14 +47,18 @@ def test_ab_decompose_reconstructs_force():
         assert np.max(np.abs(ab.A * fr.N + ab.B * fr.M - f.force(r, v))) < 1e-12
 
 
-def test_analytic_jacobians_match_finite_differences():
+def test_linearize_gives_gravitys_and_the_oscillators_exact_jacobians():
+    # one complex evaluation gives the constant Jacobians within 1e-15 of
+    # each entry: the zero entries exactly, at a single point and stacked
     rng = np.random.default_rng(1)
-    for field in (gravity_field(), oscillator_field(2.1)):
-        bare = type(field)(fn=field.fn)  # FD-only copy
-        for _ in range(10):
-            r, v = rng.uniform(-2, 2, 2), rng.uniform(0.5, 2, 2)
-            assert np.max(np.abs(field.jac_spatial(r, v) - bare.jac_spatial(r, v))) < 1e-5
-            assert np.max(np.abs(field.jac_velocity(r, v) - bare.jac_velocity(r, v))) < 1e-5
+    R, V = rng.uniform(-2, 2, (10, 2)), rng.uniform(0.5, 2, (10, 2))
+    for name, (field, jr, jv) in linear_fields(2.1).items():
+        for r, v in ((R, V), (R[0], V[0])):
+            f, got_r, got_v = field.linearize(r, v)
+            assert np.array_equal(f, field.force(r, v)), name
+            for got, want in ((got_r, jr), (got_v, jv)):
+                assert got.shape == np.shape(r) + (2,), name
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
 
 
 def test_ab_decompose_rejects_rest_points():
@@ -137,6 +141,18 @@ def test_complex_force_rejects_small_w():
             complex_force(a, 0j, w)
         with pytest.raises(DegenerateVelocity, match="below v_min"):
             a.cartesian(0.3, -0.2, w.real, w.imag)
+
+
+def test_cartesian_and_polar_frame_take_one_angle_on_the_negative_axis():
+    # both read theta = +pi at v_y = -0.0 (geometry.speed_angle), where
+    # cartesian once took atan2's -pi and read -5.881 here
+    a = build_ansatz({"kind": "angular_monomial", "coef": 1.3, "power": 2})
+    p = polar_frame((-1.2, -0.0))[0]
+    polar = a(0.3, -0.2, p.v, p.theta)
+    assert polar == pytest.approx(1.3 * 1.2 * 1.2 * math.pi)
+    assert a.cartesian(0.3, -0.2, -1.2, -0.0) == polar
+    x, y, vx = (np.full(2, c) for c in (0.3, -0.2, -1.2))
+    assert np.array_equal(a.cartesian(x, y, vx, np.array([-0.0, 0.0])), [polar, polar])
 
 
 def test_conformal_transport_flat_is_identity():
@@ -417,7 +433,6 @@ def test_stacked_force_and_jacobians_equal_row_by_row(name, n, seed):
     field = CONTRACT_FIELDS[name]
     R, V = stacked_points(n, seed)
     assert_rows(field.force(R, V), [field.force(r, v) for r, v in zip(R, V)])
-    # analytic Jacobians where the field has them, else the complex step
     assert_rows(field.jac_spatial(R, V), [field.jac_spatial(r, v) for r, v in zip(R, V)])
     assert_rows(field.jac_velocity(R, V), [field.jac_velocity(r, v) for r, v in zip(R, V)])
     # any leading shape, not only (n, 2)

@@ -1,8 +1,9 @@
 """Layering rules: no module reaches into another module's private names,
 each decision (stencil steps, output digits, the metric, the config schema,
-the rest-point check) has one owner, and each public function and class is
-used in the package or listed as an entry point.  Also one hygiene rule for
-the tests themselves: every file they open is closed."""
+the rest-point check) has one owner, each public function and class is used
+in the package or listed as an entry point, and the layers a single point
+reaches square by multiplying.  Also one hygiene rule for the tests
+themselves: every file they open is closed."""
 
 import ast
 import collections
@@ -112,6 +113,26 @@ def test_step_parameter_checker_flags_each_name():
                                      "mixed: step_base"]
 
 
+def squares_by_power(tree: ast.Module) -> list[str]:
+    """`x ** 2` and `x ** 2.0`, as 'line: text'.  On a NumPy scalar ``**``
+    calls C pow, while on an array it multiplies, and the two can differ in
+    the last bit: a single point would not keep the bits of its row."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2]
+
+
+@pytest.mark.parametrize("name", ["dynamics.py", "normality.py", "shift.py"])
+def test_single_points_square_by_multiplying(name):
+    assert squares_by_power(ast.parse((SRC / name).read_text())) == []
+
+
+def test_square_checker_flags_both_forms():
+    tree = ast.parse("a = x**2 + np.sqrt(y) ** 2.0\n"
+                     "b = x * x + x**3 + 2**x\n")
+    assert squares_by_power(tree) == ["1: x ** 2", "1: np.sqrt(y) ** 2.0"]
+
+
 def test_only_the_table_writer_formats_seventeen_digits():
     # one writer owns the "17 significant digits" contract of every output file
     holders = sorted(p.name for p in SRC.glob("*.py") if ".17g" in p.read_text())
@@ -144,6 +165,15 @@ def test_only_the_cli_flattens_a_covariant_field():
     callers = sorted(p.name for p in SRC.glob("*.py")
                      if "flat_from_covariant" in called_names(ast.parse(p.read_text())))
     assert callers == ["cli.py"]
+
+
+def test_the_package_calls_neither_one_jacobian_method():
+    # it takes F and both Jacobians from one ForceField.linearize;
+    # jac_spatial and jac_velocity are for callers outside the package, and
+    # perfbench's tracer wraps them by name
+    callers = sorted(p.name for p in SRC.glob("*.py") if {"jac_spatial", "jac_velocity"}
+                     & called_names(ast.parse(p.read_text())))
+    assert callers == []
 
 
 def callers_of(tree: ast.Module, names: set[str]) -> list[str]:

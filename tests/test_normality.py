@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import perturbed_mdtype, random_ansatz, random_generator, reduced_residual_from
 
@@ -449,6 +449,11 @@ def assert_probe_by_probe(stacked, rows):
 @pytest.mark.parametrize("kind", sorted(SWEEP_FIELDS))
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+# where a single probe squared its speed by C pow, cos_profile's r2 differed
+# from its stacked row: -1.73e-18 against 0.0, and in row 4 -4.51e-17
+# against -3.12e-17
+@example(n=1, seed=524895)
+@example(n=7, seed=591463277)
 def test_stacked_residuals_equal_probe_by_probe(kind, n, seed):
     field, a = build_field(SWEEP_FIELDS[kind])
     probes = probe_points(n, seed=seed, box=SWEEP_BOX)
@@ -470,8 +475,8 @@ def test_stacked_residuals_equal_probe_by_probe(kind, n, seed):
 @pytest.mark.parametrize("kind, calls", [("mdtype", 1), ("angular_monomial", 1),
                                          ("oscillator", 1)])
 def test_field_calls_per_sweep_do_not_grow_with_the_probe_count(monkeypatch, kind, calls):
-    # one linearize: a real call with the analytic Jacobians, or else one
-    # complex call of four points per probe (2000 points at 500 probes)
+    # one linearize: one complex call of four points per probe (2000 points
+    # at 500 probes)
     field, a = build_field(SWEEP_FIELDS[kind])
     counted = []
     force = ForceField.force
