@@ -61,8 +61,9 @@ class Profile:
 # Points per complex evaluation.  numpy computes a * tmp as tmp *= a once
 # tmp holds 256 KiB, and complex a * b and b * a can differ in the last bit:
 # with larger calls a row's derivative would depend on the rows beside it.
-# At 4096 points the Christoffel terms of ``conformal_transport`` (8 complex
-# numbers a point) already do; at 2048 no built-in field's rows do.
+# At 16400 points (one complex number a point past 256 KiB) the rows of
+# the ``cos_profile_ansatz`` and ``conformal_transport`` fields do; at 12000
+# no built-in field's rows do.
 COMPLEX_BLOCK = 2048
 
 
@@ -150,24 +151,22 @@ class ScalarFieldA:
     optional closure ``a_theta`` (same signature) work elementwise on arrays
     and are complex-safe: every other partial the residuals need is a
     complex step of one of them (``normality.reduced_residual``).  The
-    member ``a.a_theta(x, y, v, theta)`` is the closure, or else the
-    Richardson stencil of ``fn`` in theta, which calls ``fn`` once, with the
-    stencil's points stacked on a new leading axis.  Both return one value
-    per point, also where a closure returns a constant.
+    member ``a.a_theta(x, y, v, theta)`` is the closure, or else the e part
+    of one jet of ``fn`` in theta (``numdiff.jet``), so that ``fn`` must then
+    take jets.  Both return one value per point, also where a closure
+    returns a constant.
     """
 
     def __init__(self, fn, a_theta=None):
         self.fn = fn
         if a_theta is None:
-            self.a_theta = self._theta_stencil
+            self.a_theta = self._theta_jet
         else:
             self.a_theta = lambda x, y, v, theta: elementwise(a_theta(x, y, v, theta),
                                                                x, y, v, theta)
 
-    def _theta_stencil(self, x, y, v, theta):
-        x, y, v, theta = np.broadcast_arrays(x, y, v, theta)
-        # looked up per call, so a patched numdiff stencil is the one used
-        return numdiff.richardson(lambda t: self(x, y, v, t), theta)
+    def _theta_jet(self, x, y, v, theta):
+        return numdiff.jet(self, (x, y, v, theta), (0.0, 0.0, 0.0, 1.0), (0.0,) * 4)[1]
 
     def __call__(self, x, y, v, theta):
         return elementwise(self.fn(x, y, v, theta), x, y, v, theta)
@@ -228,18 +227,17 @@ def complex_force(a: ScalarFieldA, z, w):
     """Complex form of the scalar ansatz: F = (w/|w|)(A + w A_w - wbar A_wbar).
 
     Position and velocity are packed as z = x + iy, w = v1 + iv2, numbers or
-    arrays of one shape, elementwise.  The Wirtinger derivatives are taken
-    numerically on the Cartesian-velocity representation of A, one stencil
-    per velocity component, so this path is independent of the polar
+    arrays of one shape, elementwise.  A and its Wirtinger derivatives come
+    from one jet of the Cartesian-velocity representation of A, e1 on v1
+    and e2 on v2 (``numdiff.jet``), so this path is independent of the polar
     A_theta that ``from_scalar_ansatz`` uses.  DegenerateVelocity if any
     |w| is below ``geometry.V_MIN``.
     """
     speed = checked_speed(np.abs(w))
-    args = (z.real, z.imag, w.real, w.imag)
-    a_v1, a_v2 = (numdiff.partial(numdiff.richardson, a.cartesian, args, j) for j in (2, 3))
+    a_val, a_v1, a_v2, _ = numdiff.jet(a.cartesian, (z.real, z.imag, w.real, w.imag),
+                                       (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wbar = 0.5 * (a_v1 + 1j * a_v2)
-    a_val = a.cartesian(*args)
     return (w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar)
 
 
@@ -258,18 +256,18 @@ def conformal_transport(a_prime: ScalarFieldA, metric: ConformalMetric,
     """Map the flat-metric generator A' to the conformal-metric generator A.
 
     A = A' exp(-f) + <Gamma v v, N_cov>, where N_cov are the covariant
-    components of the metric-unit vector along v (exp(-f) v / |v|).  With
-    ``inverse=True`` the map is inverted, recovering A' from A.  The
-    returned generator's A_theta is the Richardson stencil of its ``fn``.
+    components of the metric-unit vector along v (exp(-f) v / |v|).  For a
+    conformal metric Gamma v v = |v|^2 grad f - 2 <grad f, v> v, so the
+    connection term is -exp(-f) v^2 (f_x cos theta + f_y sin theta), which
+    is evaluated elementwise.  With ``inverse=True`` the map is inverted,
+    recovering A' from A.  The returned generator's A_theta is a jet of its
+    ``fn``.
     """
 
     def fn(x, y, v, theta):
-        x, y, v, theta = np.broadcast_arrays(x, y, v, theta)
-        r = np.stack([x, y], axis=-1)
-        unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        ef = np.exp(-metric.value(r))
-        gvv = _gamma_vv(metric, r, v[..., None] * unit)
-        term = dot(gvv, ef[..., None] * unit)
+        ef = np.exp(-metric.f(x, y))
+        fx, fy = metric.partials(x, y)
+        term = -ef * v * v * (fx * np.cos(theta) + fy * np.sin(theta))
         if inverse:
             return (a_prime(x, y, v, theta) - term) / ef
         return a_prime(x, y, v, theta) * ef + term

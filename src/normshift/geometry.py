@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DegenerateVelocity
 from . import numdiff
+from .numdiff import atan2, hypot
 
 # Frames are undefined at rest points; speeds below this are rejected.
 V_MIN = 1e-9
@@ -46,34 +47,19 @@ def dot(a, b):
 
 
 def elementwise(value, *args):
-    """``value`` as ``numdiff.floats`` of the broadcast shape of ``args``.
+    """``value`` as ``numdiff.floats``, or a ``numdiff.Jet`` as it is, of the
+    broadcast shape of ``args`` (numbers, arrays or jets).
 
     A closure that returns one constant for stacked arguments still gives one
     value per point; for scalar arguments the result is a NumPy scalar.
     """
-    out = numdiff.floats(value)
+    jet = isinstance(value, numdiff.Jet)
+    out = value if jet else numdiff.floats(value)
     for a in args:
         if (a.shape if isinstance(a, np.ndarray | np.generic) else np.shape(a)) != out.shape:
-            return np.full(np.broadcast(*args).shape, out)[()]
-    return out[()]
-
-
-def hypot(x, y):
-    """np.hypot(x, y) for real x and y; sqrt(x^2 + y^2) for complex ones.
-    x and y are of one kind: np.hypot raises TypeError on a complex y."""
-    if getattr(x, "dtype", None) == complex:
-        return np.sqrt(x * x + y * y)
-    return np.hypot(x, y)
-
-
-def atan2(y, x):
-    """np.arctan2(y, x) for real x and y.  For complex ones (of one kind),
-    that of the real parts, with its first-order change
-    (x Im y - y Im x) / |x + iy|^2 as the imaginary part."""
-    if getattr(x, "dtype", None) == complex:
-        xr, yr = x.real, y.real
-        return np.arctan2(yr, xr) + 1j * ((xr * y.imag - yr * x.imag) / (xr * xr + yr * yr))
-    return np.arctan2(y, x)
+            shape = np.broadcast(*(a.a if isinstance(a, numdiff.Jet) else a for a in args)).shape
+            return out + np.zeros(shape) if jet else np.full(shape, out)[()]
+    return out if jet else out[()]
 
 
 def _speed(v: np.ndarray) -> np.ndarray:
@@ -92,8 +78,9 @@ def checked_speed(speed: np.ndarray) -> np.ndarray:
 class ConformalMetric:
     """Conformal factor f(x, y) of the metric g = exp(-2f) * identity.
 
-    ``grad_f`` returns (df/dx, df/dy); if omitted, central differences of
-    ``f`` are used, each partial from one call of ``f``.
+    ``grad_f`` returns (df/dx, df/dy); if omitted, both partials are the
+    e parts of one jet of ``f`` (``numdiff.jet``), so ``f`` must then take
+    jets.
     """
 
     f: Callable[[float, float], float]
@@ -118,9 +105,9 @@ class ConformalMetric:
             return self.grad_f(x, y)
 
         def f(x, y):
-            return elementwise(self.f(x, y), x)
+            return elementwise(self.f(x, y), x, y)
 
-        return tuple(numdiff.partial(numdiff.central, f, (x, y), j) for j in (0, 1))
+        return numdiff.jet(f, (x, y), (1.0, 0.0), (0.0, 1.0))[1:3]
 
     @staticmethod
     def euclidean() -> "ConformalMetric":
@@ -185,7 +172,8 @@ def speed_angle(vx, vy):
     speed = checked_speed(hypot(vx, vy))
     theta = atan2(vy, vx)
     if np.count_nonzero(theta.real <= -np.pi):  # atan2(-0.0, x < 0) is -pi
-        theta = np.where(theta.real <= -np.pi, theta + 2.0 * np.pi, theta)[()]
+        # x - 0.0 is x, -0.0 included, and the subtraction takes a jet
+        theta = theta - np.where(theta.real <= -np.pi, -2.0 * np.pi, 0.0)
     return speed, theta
 
 

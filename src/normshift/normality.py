@@ -165,33 +165,28 @@ def complex_residual(a: ScalarFieldA, z, w):
         D-_w A (D-_w D-_w - D+_w) A - |w| D-_z A
         + A (D+_w - 1) D-_w A + |w| D+_z D-_w A.
 
-    All Wirtinger derivatives are finite differences of A in Cartesian
+    All Wirtinger derivatives are exact derivatives of A in Cartesian
     position/velocity components, independent of the polar complex steps
-    of ``reduced_residual`` and of any A_theta closure.  Each of the eleven
-    stencils calls A once, with the one or two arguments it differentiates
-    stacked and the others held as broadcast views of the probes.
-    DegenerateVelocity if any |w| is below ``geometry.V_MIN``.
-
-    Blind spot at a generator's cut: A takes the velocity angle from atan2,
-    which jumps by 2 pi where w crosses the negative real axis.  Where
-    |Im w| is below the second-derivative step ``numdiff.H2_RICH`` (2e-3),
-    within about 2e-3 / |w| rad of theta = +-pi, the velocity stencils
-    straddle the jump, and a generator that is not 2 pi periodic in theta
-    reads a spurious residual there: ``angular_monomial`` (c 1.3, p 2) at
-    |w| = 1.2 reads 2.6e6 i at 1.5e-3 rad from pi, 11.0 i at 1.7e-3.
+    of ``reduced_residual`` and of any A_theta closure: seven jets of
+    ``a.cartesian`` (``numdiff.jet``), one per pair of arguments whose mixed
+    or second derivative the formula needs, give A, its first partials in
+    passing, and every second partial.  DegenerateVelocity if any |w| is
+    below ``geometry.V_MIN``.
     """
     speed = checked_speed(np.abs(w))
     wb = w.conjugate()
     args = (z.real, z.imag, w.real, w.imag)  # (x, y, v1, v2)
+    axes = np.eye(4)
 
-    def d(stencil, *moved):
-        return numdiff.partial(stencil, a.cartesian, args, *moved)
+    def d(i, j):
+        """A, A_i, A_j and A_ij: one jet, e1 on argument i and e2 on j."""
+        return numdiff.jet(a.cartesian, args, axes[i], axes[j])
 
-    a0 = a.cartesian(*args)
-    a_x, a_y, a_v1, a_v2 = (d(numdiff.richardson, j) for j in range(4))
-    a_v1v1, a_v2v2 = (d(numdiff.richardson2, j) for j in (2, 3))
-    a_v1v2, a_xv1, a_xv2, a_yv1, a_yv2 = (
-        d(numdiff.richardson_mixed, i, j) for i, j in ((2, 3), (0, 2), (0, 3), (1, 2), (1, 3)))
+    a0, a_v1, _, a_v1v1 = d(2, 2)
+    _, a_v2, _, a_v2v2 = d(3, 3)
+    _, a_x, _, a_xv1 = d(0, 2)
+    _, a_y, _, a_yv1 = d(1, 2)
+    a_v1v2, a_xv2, a_yv2 = (d(i, 3)[3] for i in (2, 0, 1))
 
     a_w = 0.5 * (a_v1 - 1j * a_v2)
     a_wb = 0.5 * (a_v1 + 1j * a_v2)
@@ -222,17 +217,15 @@ def complex_residual(a: ScalarFieldA, z, w):
 
 @dataclass(frozen=True)
 class VelocityAngleField:
-    """Complex-safe function of (v, theta), with an optional closure for its
-    theta partial.
+    """Complex-safe function of (v, theta) that takes jets.
 
-    ``fn`` and ``fn_theta`` work elementwise on arrays of one shape, or on
-    numbers, and each evaluator returns one value per point.  ``d_v`` is a
-    complex step of ``fn``; ``d_theta`` is ``fn_theta``, or else the
-    Richardson stencil of ``fn`` in theta.
+    ``fn`` works elementwise on arrays of one shape, or on numbers, and each
+    evaluator returns one value per point.  ``d_v`` is a complex step of
+    ``fn``; ``d_theta`` the e part of one jet of ``fn`` in theta
+    (``numdiff.jet``), which a complex step of it carries through.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fn_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, v, theta):
         return elementwise(self.fn(v, theta), v, theta)
@@ -241,10 +234,7 @@ class VelocityAngleField:
         return numdiff.complex_step(self, (numdiff.floats(v), theta), (1.0, 0.0))[1]
 
     def d_theta(self, v, theta):
-        if self.fn_theta is not None:
-            return elementwise(self.fn_theta(v, theta), v, theta)
-        v, theta = np.broadcast_arrays(v, theta)
-        return numdiff.richardson(lambda t: self(v, t), theta)
+        return numdiff.jet(self, (v, theta), (0.0, 1.0), (0.0, 0.0))[1]
 
 
 def reduction_b_residual(b: VelocityAngleField, v, theta):
@@ -289,32 +279,19 @@ def b_closed_form(v, theta, u: float = 1.0):
 
 
 def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
-    """The closed-form b with its hand-differentiated theta partial."""
+    """The closed-form b as a VelocityAngleField."""
 
-    def parts(v, theta):
-        s, c = np.sin(theta), np.cos(theta)
+    def fn(v, theta):
+        s = np.sin(theta)
         den = 4.0 * u * v * s + 2.0 * u * u - v * v * np.cos(2.0 * theta)
         rad = v * v + 4.0 * u * v * s + 2.0 * u * u
         singular = (np.abs(den.real) < 1e-12) | (rad.real < 0.0)
         if np.count_nonzero(singular):
-            bv, bt = (np.broadcast_to(a, singular.shape)[singular][0].real for a in (v, theta))
+            bv, bt = (np.broadcast_to(a.real, singular.shape)[singular][0] for a in (v, theta))
             raise SingularDenominator(f"singular at (v={bv}, theta={bt})")
-        sq = np.sqrt(rad)
-        num = v * v * np.sin(2.0 * theta) + 2.0 * v * u * c + v * sq
-        return s, c, den, sq, num
+        return (v * v * np.sin(2.0 * theta) + 2.0 * v * u * np.cos(theta) + v * np.sqrt(rad)) / den
 
-    def fn(v, theta):
-        _, _, den, _, num = parts(v, theta)
-        return num / den
-
-    def fn_theta(v, theta):
-        s, c, den, sq, num = parts(v, theta)
-        num_t = (2.0 * v * v * np.cos(2.0 * theta) - 2.0 * v * u * s
-                 + 2.0 * u * v * v * c / sq)
-        den_t = 4.0 * u * v * c + 2.0 * v * v * np.sin(2.0 * theta)
-        return (num_t * den - num * den_t) / (den * den)
-
-    return VelocityAngleField(fn=fn, fn_theta=fn_theta)
+    return VelocityAngleField(fn=fn)
 
 
 def symmetry_reduced_residual(profile: VelocityAngleField, v, theta):
@@ -366,9 +343,9 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
     return np.column_stack([rng.uniform(*box[name], n) for name in ("x", "y", "v", "theta")])
 
 
-# Probes per block of a residual sweep.  Every stencil point of a block's
-# probes is held at once (0.55 to 0.74 kB per probe for the complex
-# residual), so this bounds a sweep's peak memory.
+# Probes per block of a residual sweep.  Every point of a block's probes is
+# held at once (0.53 to 0.56 kB per probe, set by the weak residuals), so
+# this bounds a sweep's peak memory.
 PROBE_BLOCK = 4096
 
 

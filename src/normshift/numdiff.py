@@ -1,48 +1,34 @@
-"""Derivatives: a complex step wherever the function is complex-safe, and
-central stencils with optional Richardson extrapolation for the rest.
+"""Derivatives exact to rounding: a complex step, and a hyper-dual jet for
+what a complex step cannot take.
 
 ``complex_step`` evaluates f once at x + i h d: the real part is f(x), the
 imaginary part over h the derivative along d, with nothing subtracted and
 no step to balance (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 It gives the first derivatives of a force, a Profile's derivative and the
-partials of the reduced residual.  A stencil at x steps
-h = base * max(1, |Re x|), each base set against truncation and rounding as
-the "Base steps" comment below sets out; the Richardson variants combine
-steps h and h/2.  The steps are this module's decision: no stencil takes
-one as an argument.  Stencils take what a complex step cannot: a
-generator's A_theta without a closure, which the force evaluates at complex
-points, a metric's gradient without a closure, and the Wirtinger
-derivatives of the complex formulation.  Each calls f once, with its points
-stacked on a new leading axis; ``partial`` applies one to some of f's
-arguments and holds the others.  x (and y) may be numbers or arrays of one
-shape, so f must work elementwise; it returns its values stacked the same
-way and may add trailing axes, which the derivative keeps.  A scalar x
-gives a scalar.
+partials of the reduced residual.
+
+``jet`` evaluates f once at the hyper-dual point x + e1 d1 + e2 d2, with
+e1^2 = e2^2 = 0 (Fike & Alonso 2011): its four parts are f(x), the
+derivatives along d1 and along d2, and the second derivative along both,
+again with nothing subtracted.  It takes what a complex step cannot: a
+generator's A_theta without a closure and a metric's gradient without a
+closure, which a force evaluates at complex points (so a jet's parts may be
+complex), and the Wirtinger derivatives of the complex formulation, which
+stays independent of the complex step.  f must work elementwise and reach
+its arguments only through NumPy's arithmetic operators and the ufuncs that
+``Jet`` implements; domain tests read ``.real``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
 
-# Base steps, one per use.
-# - H_COMPLEX, ``complex_step``: its square underflows, so no second-order
-#   term reaches the real part, while h |d| |F'| stays a normal number.
-# - H1_PLAIN, ``central``: truncation h^2 |f'''| / 6 against rounding
-#   eps |f| / h; 1e-6 lies below their balance, (3 eps)^(1/3) = 9e-6 where
-#   |f'''| is about |f|.
-# - H1_RICH, ``richardson``: a generator's A_theta without a closure, the
-#   complex formulation's first derivatives.  1e-5 lies far below its balance
-#   (eps^(1/5) = 7.4e-4), so that few probes put a stencil point across a
-#   generator's cut, such as ``angular_monomial``'s at theta = +-pi; its
-#   rounding, about 3 eps |f| / h = 7e-11 |f|, floors those residuals.
-# - H2_RICH, the second-derivative stencils: truncation h^4 against
-#   rounding eps / h^2, balanced near eps^(1/6) = 2.5e-3.
+# The step of ``complex_step``: its square underflows, so no second-order
+# term reaches the real part, while h |d| |F'| stays a normal number.
 H_COMPLEX = 1e-200
-H1_PLAIN = 1e-6
-H1_RICH = 1e-5
-H2_RICH = 2e-3
 
 
 def floats(x) -> np.ndarray:
@@ -59,98 +45,147 @@ def complex_step(f: Callable, x: tuple, d: tuple):
     return values.real, values.imag / H_COMPLEX
 
 
-def _at(x, base: float):
-    """x as ``floats``, and the step at x, ``base`` scaled by its real part,
-    as an array of x's shape."""
-    x = floats(x)
-    return np.broadcast_arrays(x, base * np.maximum(1.0, np.abs(x.real)))
+def jet(f: Callable, x: tuple, d1: tuple, d2: tuple) -> tuple:
+    """f(*x), its derivatives along d1 and along d2, and its second
+    derivative along d1 and d2 (one array or number per argument of f each),
+    the four parts of f at x + e1 d1 + e2 d2, from one call of f.  An
+    argument that neither moves is passed as it is.  Each part has the shape
+    of f(*x), a scalar for a scalar; where f returns a plain value, its
+    derivatives are zero."""
+    parts = _parts(f(*(Jet(a, b, c, 0.0) if np.any(b) or np.any(c) else a
+                       for a, b, c in zip(x, d1, d2))))
+    shape = np.shape(parts[0])
+    # parts that are jets themselves, where x holds jets, keep their shape
+    return tuple(p if isinstance(p, Jet) else np.broadcast_to(p, shape)[()] for p in parts)
 
 
-def central(f: Callable, x):
-    """First derivative by the two-point central stencil, O(h^2)."""
-    x, h = _at(x, H1_PLAIN)
-    values = np.asarray(f(np.stack([x + h, x - h])))
-    return (values[0] - values[1]) / (2.0 * _trailing(h, values))
+def _complex(x, y) -> bool:
+    return getattr(x, "dtype", None) == complex or getattr(y, "dtype", None) == complex
 
 
-# x + h * (1, -1, 1/2, -1/2) is x + h, x - h, x + h/2, x - h/2 exactly
-_FIRST_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
+def hypot(x, y):
+    """np.hypot(x, y) for real x and y; sqrt(x^2 + y^2) where either is
+    complex, which np.hypot rejects."""
+    if _complex(x, y):
+        return np.sqrt(x * x + y * y)
+    return np.hypot(x, y)
 
 
-def richardson(f: Callable, x):
-    """First derivative, central stencil at steps h and h/2, extrapolated to O(h^4)."""
-    x, h = _at(x, H1_RICH)
-    values = np.asarray(f(x + _FIRST_OFFSETS.reshape((4,) + (1,) * h.ndim) * h))
-    return _first(_trailing(h, values), *values)
+def atan2(y, x):
+    """np.arctan2(y, x) for real x and y.  Where either is complex, that of
+    the real parts, with its first-order change (x Im y - y Im x) / |x + iy|^2
+    as the imaginary part."""
+    if _complex(x, y):
+        xr, yr = x.real, y.real
+        return np.arctan2(yr, xr) + 1j * ((xr * y.imag - yr * x.imag) / (xr * xr + yr * yr))
+    return np.arctan2(y, x)
 
 
-def richardson2(f: Callable, x):
-    """Second derivative, extrapolated central stencil, O(h^4)."""
-    x, h = _at(x, H2_RICH)
-    values = np.asarray(f(np.stack([x, x + h, x - h, x + h / 2, x - h / 2])))
-    return _second(_trailing(h, values), *values)
+class Jet(np.lib.mixins.NDArrayOperatorsMixin):
+    """The hyper-dual number a + b e1 + c e2 + d e1 e2, e1^2 = e2^2 = 0,
+    elementwise: its parts are numbers or real or complex arrays that
+    broadcast to the shape of ``a``.  NumPy's arithmetic operators and the
+    ufuncs of ``_RULES`` act on it, each part exact to rounding, and ``a``
+    is the value a plain evaluation gives.  Any other ufunc, a comparison
+    among them, raises TypeError: a domain test reads ``.real``."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @property
+    def shape(self) -> tuple:
+        return np.shape(self.a)
+
+    @property
+    def real(self):
+        """The real part of the value."""
+        return self.a.real
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            raise TypeError(f"np.{ufunc.__name__} ({method}) is not defined on a jet; "
+                            f"a jet takes {', '.join(f'np.{u.__name__}' for u in _RULES)}")
+        return rule(*inputs)
 
 
-def richardson_mixed(f: Callable, x, y):
-    """Mixed second derivative d^2 f / dx dy, extrapolated cross stencil."""
-    x, hx, y, hy = np.broadcast_arrays(*_at(x, H2_RICH), *_at(y, H2_RICH))
-    values = np.asarray(f(*(np.stack(c) for c in _cross_points(x, y, hx, hy))))
-    return _mixed(_trailing(hx, values), _trailing(hy, values), values)
+def _parts(x) -> tuple:
+    """The four parts of a jet, or of a plain operand as a constant jet."""
+    return (x.a, x.b, x.c, x.d) if isinstance(x, Jet) else (x, 0.0, 0.0, 0.0)
 
 
-def partial(stencil: Callable, f: Callable, args: tuple, *moved: int):
-    """``stencil`` of f(*args) in the arguments at the indices ``moved`` (two
-    for ``richardson_mixed``, else one), in one call of f.  The stencil's
-    points replace the moved arguments; each held one is passed as a view of
-    its values broadcast to the points' shape, so f still gets arrays of one
-    shape and no held value is copied.  ``args`` are numbers or arrays that
-    broadcast together.
-    """
-    args = np.broadcast_arrays(*(floats(a) for a in args))
+# In the binary rules (a, b, c, d) are the parts of x, (p, q, r, s) those of y.
 
-    def at(*points):
-        full = [np.broadcast_to(a, points[0].shape) for a in args]
-        for j, t in zip(moved, points):
-            full[j] = t
-        return f(*full)
-
-    return stencil(at, *(args[j] for j in moved))
+def _multiply(x, y):
+    if not isinstance(x, Jet):  # a plain factor scales each part
+        return Jet(x * y.a, x * y.b, x * y.c, x * y.d)
+    if not isinstance(y, Jet):
+        return Jet(x.a * y, x.b * y, x.c * y, x.d * y)
+    (a, b, c, d), (p, q, r, s) = _parts(x), _parts(y)
+    return Jet(a * p, a * q + b * p, a * r + c * p, a * s + b * r + c * q + d * p)
 
 
-def _trailing(h: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """h with an axis appended for each trailing axis f added to its values."""
-    extra = values.ndim - 1 - h.ndim
-    return h.reshape(h.shape + (1,) * extra) if extra else h
+def _divide(x, y):
+    (a, b, c, d), (p, q, r, s) = _parts(x), _parts(y)
+    v = a / p
+    e, f = (b - v * q) / p, (c - v * r) / p
+    return Jet(v, e, f, (d - v * s - e * r - f * q) / p)
 
 
-def _first(h, fp, fm, fhp, fhm):
-    """Central differences at steps h and h/2, extrapolated."""
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fhp - fhm) / h
-    return (4.0 * d2 - d1) / 3.0
+def _hypot(x, y):
+    (a, b, c, d), (p, q, r, s) = _parts(x), _parts(y)
+    h = hypot(a, p)
+    e, f = (a * b + p * q) / h, (a * c + p * r) / h
+    return Jet(h, e, f, (a * d + b * c + p * s + q * r - e * f) / h)
 
 
-def _second(h, f0, fp, fm, fhp, fhm):
-    """Second differences at steps h/2 and h, extrapolated."""
-    half = h / 2
-    d2_half = (fhp - 2.0 * f0 + fhm) / (half * half)
-    d2_full = (fp - 2.0 * f0 + fm) / (h * h)
-    return (4.0 * d2_half - d2_full) / 3.0
+def _arctan2(y, x):
+    (a, b, c, d), (p, q, r, s) = _parts(x), _parts(y)
+    n = a * a + p * p
+    e, f = (a * q - p * b) / n, (a * r - p * c) / n
+    return Jet(atan2(p, a), e, f, (a * s - p * d + c * q - r * b - 2.0 * e * (a * c + p * r)) / n)
 
 
-def _cross_points(x, y, hx, hy):
-    """The cross stencil's x and y coordinates: at half steps, then full steps."""
-    xs, ys = [], []
-    for a, b in ((hx / 2, hy / 2), (hx, hy)):
-        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            xs.append(x + a if sa > 0 else x - a)
-            ys.append(y + b if sb > 0 else y - b)
-    return xs, ys
+def _chain(x: Jet, f0, f1, f2) -> Jet:
+    """f(x) from f, f' and f'' at x.a."""
+    return Jet(f0, f1 * x.b, f1 * x.c, f1 * x.d + f2 * x.b * x.c)
 
 
-def _mixed(hx, hy, values):
-    """Cross differences at half and full steps, extrapolated."""
-    def cross(a, b, pp, pm, mp, mm):
-        return (pp - pm - mp + mm) / (4.0 * a * b)
+def _power(x, p):
+    if isinstance(p, Jet):
+        raise TypeError("np.power is defined on a jet only for a plain exponent")
+    return _chain(x, np.power(x.a, p), p * np.power(x.a, p - 1),
+                  p * (p - 1) * np.power(x.a, p - 2))
 
-    return (4.0 * cross(hx / 2, hy / 2, *values[:4]) - cross(hx, hy, *values[4:])) / 3.0
+
+def _sqrt(x):
+    root = np.sqrt(x.a)
+    half = 0.5 / root
+    return _chain(x, root, half, -0.5 * half / x.a)
+
+
+def _sin(x):
+    sin, cos = np.sin(x.a), np.cos(x.a)
+    return _chain(x, sin, cos, -sin)
+
+
+def _cos(x):
+    cos, sin = np.cos(x.a), np.sin(x.a)
+    return _chain(x, cos, -sin, -cos)
+
+
+def _exp(x):
+    e = np.exp(x.a)
+    return _chain(x, e, e, e)
+
+
+_RULES = {np.add: lambda x, y: Jet(*map(operator.add, _parts(x), _parts(y))),
+          np.subtract: lambda x, y: Jet(*map(operator.sub, _parts(x), _parts(y))),
+          np.negative: lambda x: Jet(-x.a, -x.b, -x.c, -x.d),
+          np.multiply: _multiply, np.divide: _divide, np.power: _power, np.sqrt: _sqrt,
+          np.sin: _sin, np.cos: _cos, np.exp: _exp, np.hypot: _hypot, np.arctan2: _arctan2}
+
+# Never called; perfbench/tracing.py patches these names.
+central = richardson = richardson2 = richardson_mixed = None

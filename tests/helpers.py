@@ -2,7 +2,7 @@
 
 Random fields are built from small closed families with hand-coded
 derivatives, which serve as exact references for the derivatives the
-package takes by complex steps and stencils.  Every closure is
+package takes by complex steps and jets.  Every closure is
 elementwise NumPy, so the fields take stacked points like the built-in ones.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, gravity_field,
                               oscillator_field)
 from normshift.geometry import ConformalMetric, christoffel
-from normshift.numdiff import H1_PLAIN, H1_RICH, H2_RICH
 from normshift.odesolve import solve_dopri
 
 # (f, df) pairs for speed factors
@@ -182,38 +181,25 @@ def phase_direction_deviation_rhs(field):
     return rhs
 
 
-# numdiff's stencils written out one point at a time, for a scalar f at a
-# number x: the points and the arithmetic that the stacked stencils must
-# reproduce bit for bit.
+# Finite-difference references for a scalar f at a number x, independent of
+# the package's complex steps and jets.  Each step lies below the balance of
+# truncation and rounding: the central difference's h^2 |f"'| / 6 against
+# eps |f| / h, the extrapolated one's h^4 against eps |f| / h.
+H_CENTRAL = 1e-6
+H_RICHARDSON = 1e-5
+
 
 def central_one_point(f, x):
-    h = H1_PLAIN * max(1.0, abs(x))
+    h = H_CENTRAL * max(1.0, abs(x))
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def richardson_one_point(f, x):
-    h = H1_RICH * max(1.0, abs(x))
+    """Central differences at steps h and h/2, extrapolated to O(h^4)."""
+    h = H_RICHARDSON * max(1.0, abs(x))
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + h / 2) - f(x - h / 2)) / h
     return (4.0 * d2 - d1) / 3.0
-
-
-def richardson2_one_point(f, x):
-    h = H2_RICH * max(1.0, abs(x))
-    f0, half = f(x), h / 2
-    d2_half = (f(x + half) - 2.0 * f0 + f(x - half)) / (half * half)
-    d2_full = (f(x + h) - 2.0 * f0 + f(x - h)) / (h * h)
-    return (4.0 * d2_half - d2_full) / 3.0
-
-
-def richardson_mixed_one_point(f, x, y):
-    hx, hy = H2_RICH * max(1.0, abs(x)), H2_RICH * max(1.0, abs(y))
-
-    def cross(a, b):
-        return (f(x + a, y + b) - f(x + a, y - b) - f(x - a, y + b)
-                + f(x - a, y - b)) / (4.0 * a * b)
-
-    return (4.0 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3.0
 
 
 def sympy_field():

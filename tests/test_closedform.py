@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import richardson_one_point
+
 from normshift.errors import OutOfInterval, SingularQuadrature
 from normshift.forces import Profile, anisotropic_field, marked_point_field
 from normshift.dynamics import IntegratorConfig, PhaseState, integrate
 from normshift.closedform import (CycloidParams, adaptive_simpson,
                                   cycloid, gravity_shift, marked_point_quadrature,
                                   oscillator_phi)
-from normshift import numdiff
 
 
 def test_adaptive_simpson_known_integrals():
@@ -179,7 +180,7 @@ def test_marked_point_radius_slope_consistency():
     prof = Profile.constant(1.0)
     table = marked_point_quadrature(prof, MP_INIT, 0.35)
     th_mid = 0.5 * (table.theta[0] + table.theta[-1])
-    drho = numdiff.richardson(table.rho_at, th_mid)
+    drho = richardson_one_point(table.rho_at, th_mid)
     v = table.v_at(th_mid)
     rhs = table.rho_at(th_mid) * v * v / (math.tan(th_mid) * (prof(v) - v * v))
     assert drho == pytest.approx(rhs, abs=1e-5)

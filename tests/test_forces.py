@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (linear_fields, perturbed_mdtype, random_ansatz, random_generator,
-                     random_metric, sympy_field)
+                     random_metric, richardson_one_point, sympy_field)
 
 from normshift.errors import DegenerateVelocity, InvalidParams
 from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, ab_decompose,
@@ -285,12 +285,13 @@ def test_disc_invariant_domain_guard():
 
 
 def test_disc_invariant_partials_match_fd():
-    # its one hand-written partial, A_theta, against the Richardson stencil
-    # of its fn and against the complex step of fn along theta
+    # its one hand-written partial, A_theta, against the jet of its fn (abs
+    # 1e-9 when that was a Richardson stencil) and against the complex step
+    # of fn along theta
     a = disc_invariant_ansatz(2.0, Profile.polynomial([1.0, 0.3]))
-    fd = ScalarFieldA(a.fn)
+    bare = ScalarFieldA(a.fn)
     x, y, v, t = 0.4, -0.3, 1.2, 0.7
-    assert a.a_theta(x, y, v, t) == pytest.approx(fd.a_theta(x, y, v, t), abs=1e-9)
+    assert a.a_theta(x, y, v, t) == pytest.approx(bare.a_theta(x, y, v, t), rel=1e-14)
     exact = numdiff.complex_step(a, (x, y, v, t), (0.0, 0.0, 0.0, 1.0))[1]
     assert a.a_theta(x, y, v, t) == pytest.approx(exact, rel=1e-14)
 
@@ -303,24 +304,25 @@ def test_marked_point_singular_at_center():
 
 def test_mixed_partial_symmetry_of_fd_fallback():
     # A_theta x as the reduced residual takes it, the complex step in x of
-    # the stencil A_theta, against the stencil in theta of the complex step
-    # A_x, and against the closed form
-    rng = np.random.default_rng(12)
-    a, partials = random_generator(rng)
-    bare = ScalarFieldA(a.fn)  # A_theta by the Richardson stencil
+    # the jet A_theta, against a Richardson difference in theta of the
+    # complex step A_x, and against the closed form.  Eight generators: the
+    # first alone (seed 12) has A_theta x = 0 at this point
     x, y, v, t = 0.3, -0.8, 1.4, 0.5
-    tx = numdiff.complex_step(bare.a_theta, (x, y, v, t), (1.0, 0.0, 0.0, 0.0))[1]
-    xt = numdiff.richardson(lambda s: numdiff.complex_step(
-        bare, (x, y, v, s), (1.0, 0.0, 0.0, 0.0))[1], t)
-    assert tx == pytest.approx(xt, abs=1e-9)
-    assert tx == pytest.approx(partials["a_theta_x"](x, y, v, t), abs=1e-9)
+    for seed in range(12, 20):
+        a, partials = random_generator(np.random.default_rng(seed))
+        bare = ScalarFieldA(a.fn)  # A_theta by a jet of fn
+        tx = numdiff.complex_step(bare.a_theta, (x, y, v, t), (1.0, 0.0, 0.0, 0.0))[1]
+        xt = richardson_one_point(lambda s: numdiff.complex_step(
+            bare, (x, y, v, s), (1.0, 0.0, 0.0, 0.0))[1], t)
+        assert tx == pytest.approx(xt, abs=1e-9)
+        assert tx == pytest.approx(partials["a_theta_x"](x, y, v, t), rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("name", ["a_theta"])
 @pytest.mark.parametrize("n", [None, 5])
 def test_each_fallback_partial_calls_the_generator_once(name, n):
     # A_theta without a closure is the one partial a generator takes by a
-    # stencil; every other is a complex step (test_normality)
+    # jet; every other is a complex step (test_normality)
     calls = []
 
     def fn(x, y, v, t):
@@ -441,10 +443,11 @@ def test_stacked_force_and_jacobians_equal_row_by_row(name, n, seed):
 
 
 def test_a_rows_linearization_does_not_depend_on_the_rows_beside_it(monkeypatch):
-    # 1100 rows, 4400 complex points: two full blocks of COMPLEX_BLOCK
+    # 4100 rows, 16400 complex points: eight full blocks of COMPLEX_BLOCK
     # points and a partial one, against calls of 16 rows, bit for bit (in
-    # one call of 4400 points, conformal_transport's rows would differ)
-    R, V = stacked_points(1100, 8)
+    # one call of 16400 points, the rows of the cos_profile ansatz and of
+    # conformal_transport would differ)
+    R, V = stacked_points(4100, 8)
     for name, field in CONTRACT_FIELDS.items():
         whole = field.linearize(R, V)
         with monkeypatch.context() as m:

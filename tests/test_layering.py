@@ -54,13 +54,15 @@ def test_checker_flags_both_forms():
     ]
 
 
-STEP_CONSTANTS = {"H_COMPLEX", "H1_PLAIN", "H1_RICH", "H2_RICH"}
+STEP_CONSTANTS = {"H_COMPLEX"}
 
 
 def stencil_step_reads(tree: ast.Module) -> list[str]:
-    """`numdiff.H*` (under any alias) and `from .numdiff import H*`, as 'line: text'.
+    """`numdiff.H_COMPLEX` (under any alias) and `from .numdiff import
+    H_COMPLEX`, as 'line: text'.
 
-    The step sizes are numdiff's decision; other modules call its stencils.
+    The complex step's size is numdiff's decision; other modules call
+    ``complex_step``.
     """
     aliases = set()
     found = []
@@ -86,9 +88,9 @@ def test_only_numdiff_reads_stencil_steps(path):
 
 def test_step_checker_flags_both_forms():
     tree = ast.parse("from . import numdiff as nd, odesolve\n"
-                     "from .numdiff import H2_RICH, richardson\n"
-                     "h = nd.H1_RICH * odesolve.H1_PLAIN + nd.richardson_step(1.0)\n")
-    assert stencil_step_reads(tree) == ["2: from .numdiff import H2_RICH", "3: nd.H1_RICH"]
+                     "from .numdiff import H_COMPLEX, jet\n"
+                     "h = nd.H_COMPLEX * odesolve.H_COMPLEX + nd.complex_step(1.0)\n")
+    assert stencil_step_reads(tree) == ["2: from .numdiff import H_COMPLEX", "3: nd.H_COMPLEX"]
 
 
 def step_parameters(tree: ast.Module) -> list[str]:
@@ -173,6 +175,15 @@ def test_the_package_calls_neither_one_jacobian_method():
     # perfbench's tracer wraps them by name
     callers = sorted(p.name for p in SRC.glob("*.py") if {"jac_spatial", "jac_velocity"}
                      & called_names(ast.parse(p.read_text())))
+    assert callers == []
+
+
+def test_the_package_calls_no_stencil():
+    # every derivative is a complex step or a jet; numdiff keeps these four
+    # names only as bindings that perfbench's tracer patches
+    stencils = {"central", "richardson", "richardson2", "richardson_mixed"}
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     if stencils & called_names(ast.parse(p.read_text())))
     assert callers == []
 
 

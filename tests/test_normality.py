@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import perturbed_mdtype, random_ansatz, random_generator, reduced_residual_from
+from helpers import (perturbed_mdtype, random_ansatz, random_generator, reduced_residual_from,
+                     richardson_one_point)
 
 from normshift.errors import DegenerateVelocity, SingularDenominator
 from normshift.experiment import CATALOGUE, build_field, catalogue
-from normshift.forces import (ForceField, Profile, ScalarFieldA, cos_profile_ansatz,
-                              disc_invariant_ansatz, from_scalar_ansatz,
+from normshift.forces import (ForceField, Profile, ScalarFieldA, conformal_transport,
+                              cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
                               gravity_field, mdtype_field, speed_profile_ansatz)
-from normshift.geometry import frame
+from normshift.geometry import ConformalMetric, frame
 from normshift.normality import (VelocityAngleField, ab_gradients,
                                  b_closed_form, b_closed_form_field,
                                  characteristic_flow, complex_residual,
@@ -68,13 +69,13 @@ def test_ab_gradients_reconstruction_against_direct_fd():
                             rp, vp = (np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v))
                             rp[..., i] = t
                             return scalar(rp, vp)
-                        grad[i] = numdiff.richardson(slc, r[i])
+                        grad[i] = richardson_one_point(slc, r[i])
                     else:
                         def slc(t, i=i):
                             rp, vp = (np.broadcast_to(a, t.shape + (2,)).copy() for a in (r, v))
                             vp[..., i] = t
                             return scalar(rp, vp)
-                        grad[i] = numdiff.richardson(slc, v[i])
+                        grad[i] = richardson_one_point(slc, v[i])
                 rebuilt = n_coef * fr.N + m_coef * fr.M
                 assert np.max(np.abs(rebuilt - grad)) < 1e-6
 
@@ -207,10 +208,10 @@ def test_reduced_residual_of_angular_monomial_is_its_exact_value():
     # A = c v^p theta: r_reduced = c^2 v^(2p-2) theta.  With the closure
     # A_theta = c v^p every partial is a complex step (1.6e-15 relative
     # measured); without it, A_theta v and A_theta theta are complex steps of
-    # A_theta's Richardson stencil, the path of a generator with no closure
-    # (1.0e-10 relative measured)
+    # A_theta's jet, the path of a generator with no closure (1.6e-15
+    # relative measured; 1.0e-10 when A_theta was a Richardson stencil)
     _, a = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.2}})
-    for generator, bound in ((a, 1e-13), (ScalarFieldA(a.fn), 2e-10)):
+    for generator, bound in ((a, 1e-13), (ScalarFieldA(a.fn), 1e-13)):
         for seed, box in ((11, SWEEP_BOX), (4, None)):
             x, y, v, th = probe_points(1000, seed=seed, box=box).T
             want = 1.3**2 * np.power(v, 2.0 * 2.2 - 2.0) * th
@@ -236,16 +237,17 @@ def test_weak_residuals_of_angular_monomial_are_exact_to_rounding():
 @pytest.mark.parametrize("closure", [True, False], ids=["closure", "stencil"])
 @pytest.mark.parametrize("n", [None, 5])
 def test_reduced_residual_evaluates_the_generator_twice(closure, n):
-    # one complex call of fn and one of a_theta, three points per probe; a
-    # stencil A_theta is one stacked call of fn
+    # one complex call of fn and one of a_theta, three points per probe;
+    # without the closure ("stencil", as A_theta was once taken), A_theta is
+    # one jet of fn in theta at the same points
     calls = []
 
     def fn(x, y, v, t):
-        calls.append(np.broadcast(x, y, v, t).shape)
+        calls.append((np.broadcast_shapes(*map(np.shape, (x, y, v, t))), type(t)))
         return x * y * np.cos(t) + v * v * np.sin(t)
 
     def a_theta(x, y, v, t):
-        calls.append(np.broadcast(x, y, v, t).shape)
+        calls.append((np.broadcast_shapes(*map(np.shape, (x, y, v, t))), type(t)))
         return -x * y * np.sin(t) + v * v * np.cos(t)
 
     point = (0.3, -0.8, 1.4, 0.5)
@@ -255,7 +257,8 @@ def test_reduced_residual_evaluates_the_generator_twice(closure, n):
     value = reduced_residual(a, *point)
     assert np.shape(value) == np.shape(point[0])
     probes = np.shape(point[0])
-    assert calls == [probes + (3,), probes + (3,) if closure else (4,) + probes + (3,)]
+    assert calls == [(probes + (3,), np.ndarray),
+                     (probes + (3,), np.ndarray if closure else numdiff.Jet)]
 
 
 def test_reduced_residual_nonsolution():
@@ -286,6 +289,64 @@ def test_complex_residual_zero_sets_match_reduced():
         assert abs(rc) > 1e-3 and abs(rr) > 1e-3
         # the two zero/nonzero classifications agree
         assert (abs(rc) < 1e-5) == (abs(rr) < 1e-5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_complex_residual_is_i_v_squared_times_the_reduced_residual(seed):
+    # the two formulations by independent engines: jets of A in Cartesian
+    # velocity, complex steps of A and A_theta in polar velocity (2.4e-14
+    # measured over 300 draws; 1.1e-7 with stencils)
+    rng = np.random.default_rng(seed)
+    a, _ = random_generator(rng)
+    x, y, v, th = probe_points(64, seed=seed % 1000, box=SWEEP_BOX).T
+    want = 1j * v * v * reduced_residual(a, x, y, v, th)
+    got = complex_residual(a, x + 1j * y, v * np.cos(th) + 1j * v * np.sin(th))
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-3, 0.0])
+def test_complex_residual_is_exact_at_a_generators_cut(gap):
+    # A = c v^p theta jumps where theta wraps at +-pi; a jet differentiates
+    # at the point, so only a point exactly on the cut can see the jump, and
+    # geometry.speed_angle reads +pi there for v_y = +-0.0 alike.  Stencils
+    # straddled the jump within 2e-3 rad: 3.5e13 i at a gap of 1e-7, 2.6e6 i
+    # at 1e-3
+    _, a = build_field({"ansatz": {"kind": "angular_monomial", "coef": 1.3, "power": 2.0}})
+    theta = math.pi - gap
+    want = 1.2 * 1.2 * 1j * reduced_residual(a, 0.3, -0.2, 1.2, theta)
+    vy = (1.2 * math.sin(theta), -0.0) if gap == 0.0 else (1.2 * math.sin(theta),)
+    for w in (complex(1.2 * math.cos(theta), s) for s in vy):
+        assert abs(complex_residual(a, 0.3 - 0.2j, w) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["cos_profile", "disc_invariant", "speed_profile"])
+def test_complex_residual_of_the_claiming_generators_is_zero_to_rounding(kind):
+    # 3.3e-16 (cos_profile), 8.7e-17 (speed_profile) and 1.7e-14
+    # (disc_invariant) measured; stencils read 1.2e-9, 3.8e-10 and 3.3e-8
+    _, a = build_field(SWEEP_FIELDS[kind])
+    x, y, v, th = probe_points(2000, seed=3, box=SWEEP_BOX).T
+    r = complex_residual(a, x + 1j * y, v * np.cos(th) + 1j * v * np.sin(th))
+    assert np.max(np.abs(r)) <= 1e-13
+
+
+def test_complex_residual_takes_jets_of_jets():
+    # a metric without grad_f inside complex_residual: its gradient is a jet
+    # of f at jet points, and both metrics give the residual of the
+    # transported generator (3.8e-15 measured against i v^2 r_reduced)
+    def f(x, y):
+        return 0.2 * np.sin(x) * np.cos(y)
+
+    exact = ConformalMetric(f=f, grad_f=lambda x, y: (0.2 * np.cos(x) * np.cos(y),
+                                                      -0.2 * np.sin(x) * np.sin(y)))
+    x, y, v, th = probe_points(200, seed=3, box=SWEEP_BOX).T
+    z, w = x + 1j * y, v * np.cos(th) + 1j * v * np.sin(th)
+    base = cos_profile_ansatz(Profile.polynomial([0.6, 0.2]))
+    rows = [complex_residual(conformal_transport(base, m), z, w)
+            for m in (exact, ConformalMetric(f=f))]
+    want = 1j * v * v * reduced_residual(conformal_transport(base, exact), x, y, v, th)
+    for got in rows:
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 def test_equivalence_of_formulations_on_random_generators():
@@ -341,9 +402,9 @@ def test_b_closed_form_partials_match_fd():
     b = b_closed_form_field(u=1.0)
     for v, th in [(1.0, 0.3), (1.7, 1.2)]:
         assert b.d_v(v, th) == pytest.approx(
-            numdiff.richardson(lambda u: b(u, th), v), abs=1e-8)
+            richardson_one_point(lambda u: b(u, th), v), abs=1e-8)
         assert b.d_theta(v, th) == pytest.approx(
-            numdiff.richardson(lambda u: b(v, u), th), abs=1e-8)
+            richardson_one_point(lambda u: b(v, u), th), abs=1e-8)
 
 
 def test_b_closed_form_singular_denominator():
@@ -375,8 +436,7 @@ def test_symmetry_reduced_family_matches_full_residual():
     def profile_fn(v, t):
         return 1.0 + 0.3 * v + 0.5 * v * np.cos(t) + 0.2 * np.sin(t)
 
-    prof = VelocityAngleField(
-        fn=profile_fn, fn_theta=lambda v, t: -0.5 * v * np.sin(t) + 0.2 * np.cos(t))
+    prof = VelocityAngleField(fn=profile_fn)
 
     full = symmetry_reduced_ansatz(profile_fn)
     for _ in range(10):
@@ -541,8 +601,9 @@ def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
             assert got.tobytes() == want.tobytes()
 
         peaks = [traced_sweep_peak(probe_points(n, seed=5), field, a) for n in (block, 40_000)]
-        # measured per probe of one block: 0.55 kB (cos_profile) and 0.74 kB
-        # (disc_invariant), most of it the complex residual's stencils
+        # measured per probe of one block: 0.53 kB (cos_profile) and 0.56 kB
+        # (disc_invariant); the weak residuals peak at 0.55 kB, the complex
+        # residual's jets at 0.43 kB
         assert peaks[0] <= 1000 * block, (kind, peaks)
         assert peaks[1] <= 1.5 * peaks[0], (kind, peaks)
 

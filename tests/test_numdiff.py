@@ -1,74 +1,125 @@
-"""The finite-difference stencils: one call of f each, and the points and
-arithmetic of their one-point forms."""
+"""The hyper-dual jet: each ufunc rule against closed-form first, second and
+mixed derivatives, also with complex parts inside a complex step, and one
+call of f per jet."""
+
+import functools
 
 import numpy as np
 import pytest
-
-from helpers import (central_one_point, richardson2_one_point, richardson_mixed_one_point,
-                     richardson_one_point)
+import sympy
 
 from normshift import numdiff
 
-# stencil name -> (one-point reference, number of arguments of f)
-STENCILS = {
-    "central": (central_one_point, 1),
-    "richardson": (richardson_one_point, 1),
-    "richardson2": (richardson2_one_point, 1),
-    "richardson_mixed": (richardson_mixed_one_point, 2),
+X, Y = sympy.symbols("x y")
+
+
+def inner(x, y):
+    """Two inner functions with all four jet parts nonzero, positive on the
+    test box, so that every rule meets a full jet."""
+    return x * y + x, x + y * y + 0.5
+
+
+P, Q = inner(X, Y)
+
+# name -> (f written with the ufunc, f in sympy)
+CASES = {
+    "add": (lambda x, y: np.add(*inner(x, y)), P + Q),
+    "subtract": (lambda x, y: np.subtract(*inner(x, y)), P - Q),
+    "multiply": (lambda x, y: np.multiply(*inner(x, y)), P * Q),
+    "divide": (lambda x, y: np.divide(*inner(x, y)), P / Q),
+    "negative": (lambda x, y: np.negative(inner(x, y)[0]), -P),
+    "power": (lambda x, y: np.power(inner(x, y)[0], 2.3), P**2.3),
+    "sqrt": (lambda x, y: np.sqrt(inner(x, y)[0]), sympy.sqrt(P)),
+    "sin": (lambda x, y: np.sin(inner(x, y)[0]), sympy.sin(P)),
+    "cos": (lambda x, y: np.cos(inner(x, y)[0]), sympy.cos(P)),
+    "exp": (lambda x, y: np.exp(inner(x, y)[0]), sympy.exp(P)),
+    "hypot": (lambda x, y: np.hypot(*inner(x, y)), sympy.sqrt(P * P + Q * Q)),
+    "arctan2": (lambda x, y: np.arctan2(*inner(x, y)[::-1]), sympy.atan2(Q, P)),
+    # a plain operand on either side of a binary rule
+    "add plain": (lambda x, y: 0.7 + inner(x, y)[0] + 0.3, P + 1.0),
+    "subtract plain": (lambda x, y: 0.7 - inner(x, y)[0] - 0.3, 0.4 - P),
+    "multiply plain": (lambda x, y: 0.7 * inner(x, y)[0] * 0.3, 0.21 * P),
+    "divide plain": (lambda x, y: 0.7 / inner(x, y)[0] / 0.3, 0.7 / P / 0.3),
+    "hypot plain": (lambda x, y: np.hypot(0.7, inner(x, y)[0]) + np.hypot(inner(x, y)[1], 0.3),
+                    sympy.sqrt(0.49 + P * P) + sympy.sqrt(Q * Q + 0.09)),
+    "arctan2 plain": (lambda x, y: np.arctan2(0.7, inner(x, y)[0])
+                      + np.arctan2(inner(x, y)[1], 0.3),
+                      sympy.atan2(0.7, P) + sympy.atan2(Q, 0.3)),
 }
 
+# the four parts of a jet with e1 along d1 and e2 along d2, as derivative
+# orders in (x, y)
+SEEDS = {((1.0, 0.0), (0.0, 1.0)): [(0, 0), (1, 0), (0, 1), (1, 1)],
+         ((1.0, 0.0), (1.0, 0.0)): [(0, 0), (1, 0), (1, 0), (2, 0)],
+         ((0.0, 1.0), (0.0, 1.0)): [(0, 0), (0, 1), (0, 1), (0, 2)]}
 
-def smooth(t, u=0.5):
-    # only + - * /, which round alike on a number and in an array loop
-    return t * t * u - 2.0 / (1.0 + t * t + u * u)
+
+@functools.cache
+def closed_form(expr, order):
+    return sympy.lambdify((X, Y), sympy.diff(expr, X, order[0], Y, order[1]), "numpy")
 
 
-@pytest.mark.parametrize("name", sorted(STENCILS))
+def points(seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 1.5, 40), rng.uniform(0.5, 1.5, 40)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_rule_gives_exact_first_second_and_mixed_derivatives(name):
+    f, expr = CASES[name]
+    x, y = points(1)
+    for (d1, d2), orders in SEEDS.items():
+        parts = numdiff.jet(f, (x, y), d1, d2)
+        for got, order in zip(parts, orders):
+            want = np.broadcast_to(closed_form(expr, order)(x, y), x.shape)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14, err_msg=str(order))
+    # the value is the plain evaluation's, bit for bit
+    assert numdiff.jet(f, (x, y), (1.0, 0.0), (0.0, 1.0))[0].tobytes() == f(x, y).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_jet_inside_a_complex_step_carries_both(name):
+    # each part of the jet at complex points: its real part is the part, its
+    # imaginary part over h the part's derivative along (1, -0.5)
+    f, expr = CASES[name]
+    x, y = points(2)
+    for (d1, d2), orders in SEEDS.items():
+        for k, order in enumerate(orders):
+            value, slope = numdiff.complex_step(
+                lambda x, y: numdiff.jet(f, (x, y), d1, d2)[k], (x, y), (1.0, -0.5))
+            part = closed_form(expr, order)
+            along = (closed_form(expr, (order[0] + 1, order[1]))(x, y)
+                     - 0.5 * closed_form(expr, (order[0], order[1] + 1))(x, y))
+            np.testing.assert_allclose(value, np.broadcast_to(part(x, y), x.shape),
+                                       rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(slope, np.broadcast_to(along, x.shape),
+                                       rtol=1e-12, atol=1e-13)
+
+
+def test_a_ufunc_without_a_rule_raises_naming_it():
+    with pytest.raises(TypeError, match="np.tanh"):
+        numdiff.jet(np.tanh, (0.5,), (1.0,), (0.0,))
+    # a comparison too: a domain test reads the value's real part
+    with pytest.raises(TypeError, match="np.less"):
+        numdiff.jet(lambda x: x < 1.0, (0.5,), (1.0,), (0.0,))
+    assert numdiff.jet(lambda x: np.sin(x) * (x.real < 1.0), (0.5,), (1.0,), (0.0,))[1] \
+        == pytest.approx(np.cos(0.5), rel=1e-15)
+    with pytest.raises(TypeError, match="plain exponent"):
+        numdiff.jet(lambda x: np.power(2.0, x), (0.5,), (1.0,), (0.0,))
+
+
 @pytest.mark.parametrize("x", [0.7, np.array([[0.7, -1.3, 2.9]])])
-def test_each_stencil_calls_f_once(name, x):
+def test_one_call_of_f_per_jet(x):
     calls = []
 
-    def f(*args):
-        calls.append(1)
-        return smooth(*args)
+    def f(x, y, u):
+        calls.append((type(x), type(y), type(u)))
+        return np.sin(x) * y + 1.0
 
-    args = (x,) * STENCILS[name][1]
-    d = getattr(numdiff, name)(f, *args)
-    assert len(calls) == 1
-    assert np.shape(d) == np.shape(x) and (np.ndim(x) > 0 or np.isscalar(d))
-
-
-@pytest.mark.parametrize("name", sorted(STENCILS))
-def test_stencils_equal_their_one_point_forms_bit_for_bit(name):
-    reference, n_args = STENCILS[name]
-    rng = np.random.default_rng(5)
-    at = [rng.uniform(-3.0, 3.0, 7) for _ in range(n_args)]
-    want = np.array([reference(smooth, *point) for point in zip(*(a.tolist() for a in at))])
-    assert getattr(numdiff, name)(smooth, *at).tobytes() == want.tobytes()
-    assert np.array([getattr(numdiff, name)(smooth, *point)
-                     for point in zip(*at)]).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(STENCILS))
-def test_partial_moves_its_arguments_and_holds_the_others_as_views(name):
-    stencil, n_moved = getattr(numdiff, name), STENCILS[name][1]
-    rng = np.random.default_rng(6)
-    x, y, u = (rng.uniform(-3.0, 3.0, 7) for _ in range(3))
-    seen = []
-
-    def f(t, y, u):
-        seen.append((t, y, u))
-        return smooth(t, u) * (1.0 + y * y)
-
-    moved = (0, 2)[:n_moved]
-    got = numdiff.partial(stencil, f, (x, y, u), *moved)
-    if n_moved == 1:
-        want = stencil(lambda t: smooth(t, u) * (1.0 + y * y), x)
-    else:
-        want = stencil(lambda t, v: smooth(t, v) * (1.0 + y * y), x, u)
-    assert got.tobytes() == want.tobytes()
-    # one call of f, every argument of one shape, the held ones not copied
-    (args,) = seen
-    assert {a.shape for a in args} == {args[0].shape}
-    held = [a for j, a in enumerate(args) if j not in moved]
-    assert all(a.strides[0] == 0 and np.shares_memory(a, b) for a, b in zip(held, (y, u)))
+    parts = numdiff.jet(f, (x, x, x), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    # an argument that does not move is passed as it is
+    assert calls == [(numdiff.Jet, numdiff.Jet, type(x))]
+    assert all(np.shape(p) == np.shape(x) for p in parts)
+    assert np.ndim(x) > 0 or all(np.isscalar(p) for p in parts)
+    # f without its arguments: the derivatives are zero
+    assert numdiff.jet(lambda x: 2.0, (x,), (1.0,), (1.0,))[1:] == (0.0, 0.0, 0.0)

@@ -833,10 +833,14 @@ def test_deviation_right_side_calls_a_differenced_field_once(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(CATALOGUE)), shape=st.sampled_from(sorted(CURVE_SHAPES)),
        seed=st.integers(0, 2**32 - 1))
+# a central difference at step h alone missed tau by 4.0e-4 at |tau| = 1440
+# here, its truncation: halving h quartered the miss
+@example(name="anisotropic", shape="spline", seed=4411)
 def test_variational_tau_matches_differenced_trajectories(name, shape, seed):
     # tau = d r / d s: at both ends of the curve and at random s-nodes, and at
     # every t-node from 0 to 0.5, the tau of integrate_deviation matches the
-    # central difference of the trajectories launched from s - h and s + h
+    # central differences of the trajectories launched from s -+ h and
+    # s -+ h/2, extrapolated to O(h^4)
     from normshift.dynamics import integrate_deviation
     rng = np.random.default_rng(seed)
     field, curve = catalogue(name, RATE_PARAMS.get(name)), CURVE_SHAPES[shape](rng)
@@ -854,9 +858,12 @@ def test_variational_tau_matches_differenced_trajectories(name, shape, seed):
     h = 3e-7 * (hi - lo)
     # the nodes and their neighbours are one stacked system, on shared steps
     ys, _, _ = integrate_deviation(field, *(np.stack(x) for x in zip(
-        launch(s), launch(s - h), launch(s + h))), np.linspace(0.0, 0.5, 6),
-        IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
+        launch(s), launch(s - h), launch(s + h), launch(s - h / 2), launch(s + h / 2))),
+        np.linspace(0.0, 0.5, 6), IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
     tau = ys[:, 0, :, 4:6]
-    differenced = (ys[:, 2, :, 0:2] - ys[:, 1, :, 0:2]) / (2 * h)
-    # measured on 480 draws: within 3.5e-9 (1 + max |tau|), median 2.2e-10
+    full = (ys[:, 2, :, 0:2] - ys[:, 1, :, 0:2]) / (2 * h)
+    half = (ys[:, 4, :, 0:2] - ys[:, 3, :, 0:2]) / h
+    differenced = (4.0 * half - full) / 3.0
+    # measured on 480 draws: within 2.6e-9 (1 + max |tau|), median 5.9e-10;
+    # the pinned draw 3.5e-11, where the step-h difference alone read 2.8e-7
     assert np.max(np.abs(tau - differenced)) < 1e-7 * (1.0 + np.max(np.abs(tau)))
