@@ -1,6 +1,6 @@
 """The hyper-dual jet: each ufunc rule against closed-form first, second and
 mixed derivatives, also with complex parts inside a complex step, and one
-call of f per jet."""
+call of f per jet, also for each derivative the deleted stencils gave."""
 
 import functools
 
@@ -106,6 +106,45 @@ def test_a_ufunc_without_a_rule_raises_naming_it():
         == pytest.approx(np.cos(0.5), rel=1e-15)
     with pytest.raises(TypeError, match="plain exponent"):
         numdiff.jet(lambda x: np.power(2.0, x), (0.5,), (1.0,), (0.0,))
+
+
+def smooth(t, u=0.5):
+    return t * t * u - 2.0 / (1.0 + t * t + u * u)
+
+
+def smooth_derivatives(t, u=0.5):
+    """d/dt, d2/dt2 and d2/dt du of ``smooth``, in closed form."""
+    d = 1.0 + t * t + u * u
+    return (2.0 * t * u + 4.0 * t / d**2, 2.0 * u + 4.0 / d**2 - 16.0 * t * t / d**3,
+            2.0 * t - 16.0 * t * u / d**3)
+
+
+# former stencil name -> (arguments of f, d1, d2, jet part, closed-form index):
+# the jet that now gives the derivative the stencil gave
+STENCILS = {
+    "central": (1, (1.0,), (0.0,), 1, 0),
+    "richardson": (1, (1.0,), (0.0,), 1, 0),
+    "richardson2": (1, (1.0,), (1.0,), 3, 1),
+    "richardson_mixed": (2, (1.0, 0.0), (0.0, 1.0), 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STENCILS))
+@pytest.mark.parametrize("x", [0.7, np.array([[0.7, -1.3, 2.9]])])
+def test_each_stencil_calls_f_once(name, x):
+    # each derivative a stencil gave is one call of f as a jet, and exact
+    calls = []
+
+    def f(*args):
+        calls.append(1)
+        return smooth(*args)
+
+    n_args, d1, d2, part, which = STENCILS[name]
+    d = numdiff.jet(f, (x,) * n_args, d1, d2)[part]
+    assert len(calls) == 1
+    assert np.shape(d) == np.shape(x) and (np.ndim(x) > 0 or np.isscalar(d))
+    np.testing.assert_allclose(d, smooth_derivatives(x, x if n_args == 2 else 0.5)[which],
+                               rtol=1e-14, atol=1e-15)
 
 
 @pytest.mark.parametrize("x", [0.7, np.array([[0.7, -1.3, 2.9]])])
