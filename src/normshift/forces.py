@@ -222,23 +222,31 @@ def complex_probes(evaluate: Callable) -> Callable:
     return wrapped
 
 
+def operator_directions(w) -> tuple[tuple, tuple, tuple, tuple]:
+    """D-_w, D+_w, D-_z and D+_z as directions in (x, y, v1, v2), one per
+    point of the complex velocity w = v1 + i v2: D+ = w d + wbar dbar is
+    (v1, v2) and D- = w d - wbar dbar is i (v2, -v1), in velocity for the
+    w-operators and in position for the z-operators."""
+    minus, plus = (1j * w.imag, -1j * w.real), (w.real, w.imag)
+    return (0.0, 0.0, *minus), (0.0, 0.0, *plus), (*minus, 0.0, 0.0), (*plus, 0.0, 0.0)
+
+
 @complex_probes
 def complex_force(a: ScalarFieldA, z, w):
-    """Complex form of the scalar ansatz: F = (w/|w|)(A + w A_w - wbar A_wbar).
+    """Complex form of the scalar ansatz: F = (w/|w|)(A + D-_w A), with
+    D-_w = w d_w - wbar d_wbar.
 
     Position and velocity are packed as z = x + iy, w = v1 + iv2, numbers or
-    arrays of one shape, elementwise.  A and its Wirtinger derivatives come
-    from one jet of the Cartesian-velocity representation of A, e1 on v1
-    and e2 on v2 (``numdiff.jet``), so this path is independent of the polar
-    A_theta that ``from_scalar_ansatz`` uses.  DegenerateVelocity if any
-    |w| is below ``geometry.V_MIN``.
+    arrays of one shape, elementwise.  A and D-_w A come from one jet of the
+    Cartesian-velocity representation of A along D-_w's direction
+    (``operator_directions``, ``numdiff.jet``), so this path is independent
+    of the polar A_theta that ``from_scalar_ansatz`` uses.
+    DegenerateVelocity if any |w| is below ``geometry.V_MIN``.
     """
     speed = checked_speed(np.abs(w))
-    a_val, a_v1, a_v2, _ = numdiff.jet(a.cartesian, (z.real, z.imag, w.real, w.imag),
-                                       (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    a_w = 0.5 * (a_v1 - 1j * a_v2)
-    a_wbar = 0.5 * (a_v1 + 1j * a_v2)
-    return (w / speed) * (a_val + w * a_w - w.conjugate() * a_wbar)
+    a_val, dm_w_a, _, _ = numdiff.jet(a.cartesian, (z.real, z.imag, w.real, w.imag),
+                                      operator_directions(w)[0], (0.0,) * 4)
+    return (w / speed) * (a_val + dm_w_a)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import numdiff, odesolve
 from .errors import FormulationMismatch, SingularDenominator
-from .forces import ForceField, ScalarFieldA, complex_probes
-from .geometry import atan2, checked_speed, elementwise, frame, hypot
+from .forces import ForceField, ScalarFieldA, complex_probes, operator_directions
+from .geometry import atan2, checked_speed, frame, hypot
 
 
 @dataclass(frozen=True)
@@ -165,47 +165,27 @@ def complex_residual(a: ScalarFieldA, z, w):
         D-_w A (D-_w D-_w - D+_w) A - |w| D-_z A
         + A (D+_w - 1) D-_w A + |w| D+_z D-_w A.
 
-    All Wirtinger derivatives are exact derivatives of A in Cartesian
-    position/velocity components, independent of the polar complex steps
-    of ``reduced_residual`` and of any A_theta closure: seven jets of
-    ``a.cartesian`` (``numdiff.jet``), one per pair of arguments whose mixed
-    or second derivative the formula needs, give A, its first partials in
-    passing, and every second partial.  DegenerateVelocity if any |w| is
-    below ``geometry.V_MIN``.
+    In Cartesian components (x, y, v1, v2) each operator is a direction: D+
+    is (v1, v2) and D-_w is i (v2, -v1), in velocity for the w-operators and
+    in position for the z-operators.  Holding the coefficients of the outer
+    operator fixed, (D-_w D-_w - D+_w) A, (D+_w - 1) D-_w A and D+_z D-_w A
+    are the second derivatives of A along (D-_w, D-_w), (D+_w, D-_w) and
+    (D+_z, D-_w).  So four jets of ``a.cartesian`` (``numdiff.jet``) give
+    every term, exact to rounding and independent of the polar complex
+    steps of ``reduced_residual`` and of any A_theta closure.
+    DegenerateVelocity if any |w| is below ``geometry.V_MIN``.
     """
     speed = checked_speed(np.abs(w))
-    wb = w.conjugate()
     args = (z.real, z.imag, w.real, w.imag)  # (x, y, v1, v2)
-    axes = np.eye(4)
+    dm_w, dp_w, dm_z, dp_z = operator_directions(w)
 
-    def d(i, j):
-        """A, A_i, A_j and A_ij: one jet, e1 on argument i and e2 on j."""
-        return numdiff.jet(a.cartesian, args, axes[i], axes[j])
+    def jet(d1, d2=(0.0,) * 4):
+        return numdiff.jet(a.cartesian, args, d1, d2)
 
-    a0, a_v1, _, a_v1v1 = d(2, 2)
-    _, a_v2, _, a_v2v2 = d(3, 3)
-    _, a_x, _, a_xv1 = d(0, 2)
-    _, a_y, _, a_yv1 = d(1, 2)
-    a_v1v2, a_xv2, a_yv2 = (d(i, 3)[3] for i in (2, 0, 1))
-
-    a_w = 0.5 * (a_v1 - 1j * a_v2)
-    a_wb = 0.5 * (a_v1 + 1j * a_v2)
-    a_z = 0.5 * (a_x - 1j * a_y)
-    a_zb = 0.5 * (a_x + 1j * a_y)
-    a_ww = 0.25 * (a_v1v1 - 2j * a_v1v2 - a_v2v2)
-    a_wbwb = 0.25 * (a_v1v1 + 2j * a_v1v2 - a_v2v2)
-    a_wwb = 0.25 * (a_v1v1 + a_v2v2)
-    a_zw = 0.25 * (a_xv1 - 1j * a_xv2 - 1j * a_yv1 - a_yv2)
-    a_zwb = 0.25 * (a_xv1 + 1j * a_xv2 - 1j * a_yv1 + a_yv2)
-    a_zbw = 0.25 * (a_xv1 - 1j * a_xv2 + 1j * a_yv1 + a_yv2)
-    a_zbwb = 0.25 * (a_xv1 + 1j * a_xv2 + 1j * a_yv1 - a_yv2)
-
-    dm_w_a = w * a_w - wb * a_wb
-    dmdm_minus_dp = w * w * a_ww - 2.0 * w * wb * a_wwb + wb * wb * a_wbwb
-    dm_z_a = w * a_z - wb * a_zb
-    dp_minus1_dm = w * w * a_ww - wb * wb * a_wbwb
-    dp_z_dm_w = w * w * a_zw + w * wb * (a_zbw - a_zwb) - wb * wb * a_zbwb
-
+    a0, dm_w_a, _, dmdm_minus_dp = jet(dm_w, dm_w)
+    dm_z_a = jet(dm_z)[1]
+    dp_minus1_dm = jet(dp_w, dm_w)[3]
+    dp_z_dm_w = jet(dp_z, dm_w)[3]
     return (dm_w_a * dmdm_minus_dp - speed * dm_z_a
             + a0 * dp_minus1_dm + speed * dp_z_dm_w)
 
@@ -215,34 +195,15 @@ def complex_residual(a: ScalarFieldA, z, w):
 # first-order equation for b = A_theta / A, and its closed-form solution.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VelocityAngleField:
-    """Complex-safe function of (v, theta) that takes jets.
-
-    ``fn`` works elementwise on arrays of one shape, or on numbers, and each
-    evaluator returns one value per point.  ``d_v`` is a complex step of
-    ``fn``; ``d_theta`` the e part of one jet of ``fn`` in theta
-    (``numdiff.jet``), which a complex step of it carries through.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, v, theta):
-        return elementwise(self.fn(v, theta), v, theta)
-
-    def d_v(self, v, theta):
-        return numdiff.complex_step(self, (numdiff.floats(v), theta), (1.0, 0.0))[1]
-
-    def d_theta(self, v, theta):
-        return numdiff.jet(self, (v, theta), (0.0, 1.0), (0.0, 0.0))[1]
-
-
-def reduction_b_residual(b: VelocityAngleField, v, theta):
-    """Residual of b b_theta - v b_v + b^3 + b at (v, theta), elementwise;
-    DegenerateVelocity if any v is below ``geometry.V_MIN``."""
-    checked_speed(numdiff.floats(v))
-    bv = b(v, theta)
-    return bv * b.d_theta(v, theta) - v * b.d_v(v, theta) + bv**3 + bv
+def reduction_b_residual(b: Callable, v, theta):
+    """Residual of b b_theta - v b_v + b^3 + b at (v, theta), elementwise,
+    for a function b(v, theta) that takes jets: b, b_v and b_theta are one
+    jet of b along (v, theta) (``numdiff.jet``).  DegenerateVelocity if any
+    v is below ``geometry.V_MIN``."""
+    v, theta = np.broadcast_arrays(numdiff.floats(v), numdiff.floats(theta))
+    checked_speed(v)
+    bv, b_v, b_theta, _ = numdiff.jet(b, (v, theta), (1.0, 0.0), (0.0, 1.0))
+    return (bv * b_theta - v * b_v + bv**3 + bv)[()]
 
 
 def first_integrals(v, theta, b, u: float = 1.0):
@@ -270,47 +231,36 @@ def characteristic_flow(v0: float, theta0: float, b0: float, t_span):
 
 
 def b_closed_form(v, theta, u: float = 1.0):
-    """Closed-form b(v, theta) solving the reduced b-equation, elementwise.
+    """Closed-form b(v, theta) solving the reduced b-equation, elementwise;
+    it takes jets.
 
     b = (v^2 sin 2t + 2 v u cos t + v sqrt(v^2 + 4 u v sin t + 2 u^2))
         / (4 u v sin t + 2 u^2 - v^2 cos 2t).
     """
-    return b_closed_form_field(u).fn(v, theta)
+    s = np.sin(theta)
+    den = 4.0 * u * v * s + 2.0 * u * u - v * v * np.cos(2.0 * theta)
+    rad = v * v + 4.0 * u * v * s + 2.0 * u * u
+    singular = (np.abs(den.real) < 1e-12) | (rad.real < 0.0)
+    if np.count_nonzero(singular):
+        bv, bt = (np.broadcast_to(a.real, singular.shape)[singular][0] for a in (v, theta))
+        raise SingularDenominator(f"singular at (v={bv}, theta={bt})")
+    return (v * v * np.sin(2.0 * theta) + 2.0 * v * u * np.cos(theta) + v * np.sqrt(rad)) / den
 
 
-def b_closed_form_field(u: float = 1.0) -> VelocityAngleField:
-    """The closed-form b as a VelocityAngleField."""
-
-    def fn(v, theta):
-        s = np.sin(theta)
-        den = 4.0 * u * v * s + 2.0 * u * u - v * v * np.cos(2.0 * theta)
-        rad = v * v + 4.0 * u * v * s + 2.0 * u * u
-        singular = (np.abs(den.real) < 1e-12) | (rad.real < 0.0)
-        if np.count_nonzero(singular):
-            bv, bt = (np.broadcast_to(a.real, singular.shape)[singular][0] for a in (v, theta))
-            raise SingularDenominator(f"singular at (v={bv}, theta={bt})")
-        return (v * v * np.sin(2.0 * theta) + 2.0 * v * u * np.cos(theta) + v * np.sqrt(rad)) / den
-
-    return VelocityAngleField(fn=fn)
-
-
-def symmetry_reduced_residual(profile: VelocityAngleField, v, theta):
-    """Residual of the rotation-reduced equation for a profile a(v, theta),
-    elementwise:
+def symmetry_reduced_residual(profile: Callable, v, theta):
+    """Residual of the rotation-reduced equation for a profile a(v, theta)
+    that takes jets, elementwise:
 
     a a_t / v^2 + a_t a_tt / v^2 + a_t a_v / v + (a + a_tt) sin t - a a_tv / v.
 
-    a and a_v come from a complex step of ``profile`` along v; a_t, a_tv and
-    a_tt from one complex evaluation of ``profile.d_theta`` at two points per
-    probe, moved along v and along theta.  DegenerateVelocity if any v is
-    below ``geometry.V_MIN``.
+    Two jets of ``profile`` (``numdiff.jet``) give every term: along (v,
+    theta) a, a_v, a_t and a_tv, and along (theta, theta) a_tt.
+    DegenerateVelocity if any v is below ``geometry.V_MIN``.
     """
     v, theta = np.broadcast_arrays(numdiff.floats(v), numdiff.floats(theta))
     checked_speed(v)
-    a0, av = numdiff.complex_step(profile, (v, theta), (1.0, 0.0))
-    axes = np.eye(2)
-    values, d = numdiff.complex_step(profile.d_theta, (v[..., None], theta[..., None]), axes)
-    at, (atv, att) = values[..., 0], np.moveaxis(d, -1, 0)
+    a0, av, at, atv = numdiff.jet(profile, (v, theta), (1.0, 0.0), (0.0, 1.0))
+    att = numdiff.jet(profile, (v, theta), (0.0, 1.0), (0.0, 1.0))[3]
     return (a0 * at / (v * v) + at * att / (v * v) + at * av / v
             + (a0 + att) * np.sin(theta) - a0 * atv / v)[()]
 
@@ -344,7 +294,8 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
 
 
 # Probes per block of a residual sweep.  Every point of a block's probes is
-# held at once (0.53 to 0.56 kB per probe, set by the weak residuals), so
+# held at once (0.53 to 0.56 kB per probe, set by the weak residuals and, for
+# a generator such as ``disc_invariant_ansatz``, by the reduced residual), so
 # this bounds a sweep's peak memory.
 PROBE_BLOCK = 4096
 

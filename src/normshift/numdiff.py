@@ -13,9 +13,10 @@ derivatives along d1 and along d2, and the second derivative along both,
 again with nothing subtracted.  It takes what a complex step cannot: a
 generator's A_theta without a closure and a metric's gradient without a
 closure, which a force evaluates at complex points (so a jet's parts may be
-complex), and the Wirtinger derivatives of the complex formulation, which
-stays independent of the complex step.  f must work elementwise and reach
-its arguments only through NumPy's arithmetic operators and the ufuncs that
+complex); the complex formulation's operators, which are complex directions
+and keep it independent of the complex step; and the second partials of
+the two (v, theta) residuals.  f must work elementwise and reach its
+arguments only through NumPy's arithmetic operators and the ufuncs that
 ``Jet`` implements; domain tests read ``.real``.
 """
 
@@ -48,10 +49,12 @@ def complex_step(f: Callable, x: tuple, d: tuple):
 def jet(f: Callable, x: tuple, d1: tuple, d2: tuple) -> tuple:
     """f(*x), its derivatives along d1 and along d2, and its second
     derivative along d1 and d2 (one array or number per argument of f each),
-    the four parts of f at x + e1 d1 + e2 d2, from one call of f.  An
-    argument that neither moves is passed as it is.  Each part has the shape
-    of f(*x), a scalar for a scalar; where f returns a plain value, its
-    derivatives are zero."""
+    the four parts of f at x + e1 d1 + e2 d2, from one call of f.  A
+    direction may differ from point to point and may be complex: a complex
+    direction is a complex combination of real ones, and each part is that
+    combination of their derivatives.  An argument that neither moves is
+    passed as it is.  Each part has the shape of f(*x), a scalar for a
+    scalar; where f returns a plain value, its derivatives are zero."""
     parts = _parts(f(*(Jet(a, b, c, 0.0) if np.any(b) or np.any(c) else a
                        for a, b, c in zip(x, d1, d2))))
     shape = np.shape(parts[0])

@@ -27,8 +27,7 @@ from normshift.dynamics import (IntegratorConfig, PhaseState, integrate,
                                 integrate_deviation)
 from normshift.normality import (b_closed_form, complex_residual, first_integrals,
                                  characteristic_flow, probe_points, reduced_residual,
-                                 reduction_b_residual, VelocityAngleField,
-                                 weak_residuals)
+                                 reduction_b_residual, weak_residuals)
 from normshift.closedform import (CycloidParams, cycloid, gravity_shift,
                                   marked_point_quadrature, oscillator_phi)
 from normshift.shift import (circle_arc, frenet, normal_shift,
@@ -249,7 +248,10 @@ def test_criterion_9_symmetry_reduction_checks():
     with criterion(9, "closed-form b solves its reduced equation and the "
                       "characteristic invariants hold", 5.0):
         u = 1.0
-        b = VelocityAngleField(fn=lambda v, t: b_closed_form(v, t, u))
+
+        def b(v, t):
+            return b_closed_form(v, t, u)
+
         rng = np.random.default_rng(55)
         checked = 0
         while checked < 50:

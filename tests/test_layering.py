@@ -1,8 +1,9 @@
 """Layering rules: no module reaches into another module's private names,
 each decision (stencil steps, output digits, the metric, the config schema,
 the rest-point check) has one owner, each public function and class is used
-in the package or listed as an entry point, and the layers a single point
-reaches square by multiplying.  Also one hygiene rule for the tests
+in the package or listed as an entry point, the layers a single point
+reaches square by multiplying, and the complex formulation takes none of the
+polar one's derivatives.  Also one hygiene rule for the tests
 themselves: every file they open is closed."""
 
 import ast
@@ -208,6 +209,30 @@ def test_caller_checker_names_functions_and_module_code():
                      "FIELD = build_field({})\n")
     assert callers_of(tree, {"build_field", "build_metric"}) == ["<module>", "_flat_field",
                                                                  "cmd_check"]
+
+
+# The complex formulation takes its derivatives from jets of the generator in
+# Cartesian velocity, independent of the polar one's complex steps and A_theta.
+COMPLEX_FORMS = {"complex_force", "complex_residual"}
+POLAR_DERIVATIVES = {"complex_step", "a_theta"}
+
+
+def complex_forms_taking_polar_derivatives(tree: ast.Module) -> list[str]:
+    """The complex forms defined in the module that call ``complex_step`` or
+    ``a_theta``."""
+    return sorted(COMPLEX_FORMS & set(callers_of(tree, POLAR_DERIVATIVES)))
+
+
+@pytest.mark.parametrize("name", ["forces.py", "normality.py"])
+def test_the_complex_forms_take_no_complex_step_and_no_a_theta(name):
+    assert complex_forms_taking_polar_derivatives(ast.parse((SRC / name).read_text())) == []
+
+
+def test_complex_form_checker_flags_either_call():
+    tree = ast.parse("def complex_force(a, z, w): return a.a_theta(z, w)\n"
+                     "def complex_residual(a, z, w): return numdiff.complex_step(a, (z,), (w,))\n"
+                     "def reduced_residual(a, x): return complex_step(a.a_theta, (x,), (1.0,))\n")
+    assert complex_forms_taking_polar_derivatives(tree) == ["complex_force", "complex_residual"]
 
 
 @pytest.mark.parametrize("name", ["dynamics.py", "shift.py"])
