@@ -404,10 +404,20 @@ def test_reduction_b_zero_solution():
     assert reduction_b_residual(lambda v, t: 0.0, 1.3, 0.4) == pytest.approx(0.0)
 
 
-def test_reduction_b_closed_form_solves_its_equation():
+def test_reduction_b_closed_form_analytic_partials():
     # b, b_v and b_theta are one jet of b_closed_form (1.3e-15 measured)
     for v, th in [(1.0, 0.3), (2.0, 1.0), (0.5, 2.0)]:
         assert abs(reduction_b_residual(b_closed_form, v, th)) <= 1e-13
+
+
+def test_reduction_b_closed_form_fd_partials():
+    # the same equation with b_v and b_theta from Richardson differences of
+    # b_closed_form, independent of the jets (1.1e-10 measured)
+    for v, th in [(1.0, 0.3), (2.0, 1.0), (0.5, 2.0)]:
+        b = b_closed_form(v, th)
+        b_v = richardson_one_point(lambda u: b_closed_form(u, th), v)
+        b_theta = richardson_one_point(lambda u: b_closed_form(v, u), th)
+        assert abs(b * b_theta - v * b_v + b**3 + b) < 1e-4
 
 
 def test_b_closed_form_partials_match_fd():
