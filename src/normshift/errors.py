@@ -13,7 +13,8 @@ class StepFailure(NormShiftError):
     """Adaptive integrator could not proceed (step underflow or step budget).
 
     ``rows`` lists the rows of a stacked state (counted over its leading
-    axes) that went non-finite, when the failure is known to come from them.
+    axes) that went non-finite, when the failure is known to come from
+    them, also for a state of one row.
     ``solution`` is the ``odesolve.OdeSolution`` of the steps accepted
     before the failure, when the integrator raised it.
     """

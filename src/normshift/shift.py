@@ -200,14 +200,15 @@ class NuSolution:
     ``nu.d(s)`` for nu' at a number or an array of s.  ``solution`` is one
     Chebyshev–Picard solution ascending in s, state shape (1,): its step ends
     and its values at each step's nodes, between which nu is the step's
-    barycentric interpolant, and the work of every solve behind it.
-    ``rate`` is the right side d nu/ds at arrays of (s, nu), and nu' is the
-    rate at (s, nu(s)).  ``stop_reason`` is None when both branches, from s0
-    toward each end, reached their ends;
-    otherwise it says, per branch that stopped early (nu approached zero,
-    went non-finite, or the right side raised a package error or a float
-    overflow or zero division), its span, where it stopped and why, and
-    ``truncated`` is true.  Queries outside [s_lo, s_hi] raise NuBlowup.
+    barycentric interpolant, and the work of the solves whose steps it
+    joins, plus the right sides of a dropped stacked attempt.  ``rate`` is
+    the right side d nu/ds at arrays of (s, nu), and nu' is the rate at
+    (s, nu(s)).  ``stop_reason`` is None when both branches, from s0 toward
+    each end, reached their ends; otherwise it says, per branch that stopped
+    early (nu approached zero, went non-finite, or the right side raised a
+    package error or a float overflow or zero division), its span, where it
+    stopped and why, and ``truncated`` is true.  Queries outside
+    [s_lo, s_hi] raise NuBlowup.
     """
 
     s_lo: float
@@ -255,26 +256,25 @@ def _nu_rate(curve: Curve, field: ForceField):
 def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSolution:
     """Solve the initial-speed ODE with nu(s0) = nu0 over the curve's s_range.
 
-    One Chebyshev–Picard solve (``odesolve.solve_chebyshev``) integrates
-    both branches, s0 toward each end, as a stacked (m, 1) state in sigma in
-    [0, 1], s = s0 + sigma (end - s0): each iteration evaluates the right
-    side at every node of the step and every branch in one call.  Steps end
-    only at the curve's breaks, so that none straddles one, and at the
-    branch ends; nu between step ends comes from each step's spectral
-    interpolant.
+    Each branch, s0 toward each end, is solved in sigma in [0, 1],
+    s = s0 + sigma (end - s0), by Chebyshev–Picard steps
+    (``odesolve.solve_chebyshev``) that end only at the curve's breaks, so
+    that none straddles one, and at the branch ends; nu between step ends
+    comes from each step's spectral interpolant.  The first attempt stacks
+    both branches as one (2, 1) state: each iteration evaluates the right
+    side at every node of the step and both branches in one call.
 
     A branch stops early, and the profile is marked truncated, where |nu|
     would fall below ``_NU_FLOOR_RATIO * |nu0|`` (the right side is singular
     at nu = 0), where it goes non-finite, or where its right side raises a
-    package error, a float overflow or a zero division.  Such a row is NaN
-    in the right side, the step size halves toward the failure until it
-    underflows, and the row is frozen at its last step end while the other
-    branch goes on in a fresh solve from there.  A row stopped by the floor
-    or a non-finite value then ends on the last of ``_NU_CHECKPOINTS``
-    checkpoints of its span that it passed.  ``stop_reason`` names each
-    stopped branch's span, the s it ends at and the error.  Any other
-    exception propagates.  At the end each branch's solution is mapped to s,
-    and the two are joined into one solution ascending in s.
+    package error, a float overflow or a zero division.  The first such
+    failure drops the stacked attempt, and each branch is solved alone from
+    s0, where a failure is NaN and the step halves toward it until it
+    underflows.  A branch stopped by the floor or a non-finite value ends on
+    the last of ``_NU_CHECKPOINTS`` checkpoints of its span that it passed.
+    ``stop_reason`` names each stopped branch's span, the s it ends at and
+    the error.  Any other exception propagates.  The branches' solutions
+    are mapped to s and joined into one ascending in s.
     """
     if nu0 == 0.0:
         raise ValueError("nu0 must be nonzero")
@@ -283,80 +283,72 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
         raise ValueError(f"s0={s0} outside [{lo}, {hi}]")
     floor = abs(nu0) * _NU_FLOOR_RATIO
     rate = _nu_rate(curve, field)
-    ends = (lo, hi)
-    active = [idx for idx in (0, 1) if ends[idx] != s0]
     breaks = np.asarray(curve.breaks, float)
-    stops = []
-    for idx in active:
-        # divide only the breaks inside the branch: their quotients are at most 1
-        inside = breaks[(min(s0, ends[idx]) < breaks) & (breaks < max(s0, ends[idx]))]
-        stops += [sigma for sigma in (inside - s0) / (ends[idx] - s0) if 0.0 < sigma < 1.0]
-    failures: dict[int, Exception] = {}
-    blowup = NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
+    calls = 0
 
-    def rhs(sigma, y):
-        """d nu/d sigma of the active rows (``width`` is set per solve below)
-        at every node sigma, all rows in one call; row by row only if one is
-        below the floor or the call raised, with NaN in a row that cannot go
-        on, whose cause goes to ``failures``."""
-        s, nu = s0 + sigma[:, None] * width, y[..., 0]
-        ok = np.all(np.abs(nu) >= floor, axis=0)
-        if ok.all():
-            try:
-                return (rate(s, nu) * width)[..., None]
-            except (NormShiftError, ArithmeticError):
-                pass
-        out = np.full(nu.shape, np.nan)
-        # a NaN row comes from an earlier iterate, whose cause is already kept
-        for row in np.flatnonzero(~ok & np.all(np.isfinite(nu), axis=0)):
-            failures[row] = blowup
-        for row in np.flatnonzero(ok):
-            try:
-                out[:, row] = rate(s[:, row], nu[:, row]) * width[row]
-            except (NormShiftError, ArithmeticError) as exc:
-                failures[row] = exc
-        return out[..., None]
+    def solve(ends):
+        """The branches toward ``ends`` solved as one stacked state: per
+        branch, its solution in sigma, the s it reached and its stop reason,
+        None if it reached its end.  A right side that fails ends a solve of
+        more than one branch with a StepFailure; of one, it is NaN."""
+        width = np.array([end - s0 for end in ends])
+        stops = []
+        for end in ends:
+            # divide only the breaks inside the branch: their quotients are at most 1
+            inside = breaks[(min(s0, end) < breaks) & (breaks < max(s0, end))]
+            stops += [sigma for sigma in (inside - s0) / (end - s0) if 0.0 < sigma < 1.0]
+        error = None  # the error of the last right side that failed, if it raised
 
-    parts = {idx: [] for idx in active}
-    reach = {idx: 0.0 for idx in (0, 1)}  # sigma each branch reached
-    reasons = {}
-    sigma, y = 0.0, np.full((len(active), 1), float(nu0))
-    while active:
-        width = np.array([ends[idx] - s0 for idx in active])
-        failures.clear()
+        def rhs(sigma, y):
+            nonlocal calls, error
+            calls += 1
+            s, nu = s0 + sigma[:, None] * width, y[..., 0]
+            out = raised = None
+            if np.all(np.abs(nu) >= floor):
+                try:
+                    out = (rate(s, nu) * width)[..., None]
+                except (NormShiftError, ArithmeticError) as exc:
+                    raised = exc
+            if out is not None and np.all(np.isfinite(out)):
+                return out
+            if len(ends) > 1:
+                raise StepFailure("a branch of the stacked nu solve stopped")
+            error = raised
+            return np.full(y.shape, np.nan)
+
         try:
-            sol = odesolve.solve_chebyshev(rhs, sigma, y, 1.0, tol=_NU_TOL, t_stops=stops)
-            causes = {}
+            sol = odesolve.solve_chebyshev(rhs, 0.0, np.full((len(ends), 1), float(nu0)), 1.0,
+                                           tol=_NU_TOL, t_stops=stops)
         except StepFailure as exc:
-            sol = exc.solution
-            causes = ({row: failures.get(row, blowup) for row in exc.rows} if exc.rows
-                      else dict.fromkeys(range(len(active)), exc))
-        for row, idx in enumerate(active):
-            parts[idx].append(sol.row(row))
-            if not causes:
-                reach[idx] = 1.0
-            elif row in causes:
-                reach[idx] = float(sol.ts[-1])
-                if causes[row] is blowup:
-                    reach[idx] = math.floor(reach[idx] * _NU_CHECKPOINTS) / _NU_CHECKPOINTS
-                reasons[idx] = (f"on [{s0:.6g}, {ends[idx]:.6g}], stopped at "
-                                f"s={_s_at(s0, ends[idx], reach[idx]):.6g}: "
-                                f"{type(causes[row]).__name__}: {causes[row]}")
-        keep = [row for row in range(len(active)) if causes and row not in causes]
-        sigma, y, active = float(sol.ts[-1]), sol.ys[-1][keep], [active[row] for row in keep]
+            if len(ends) > 1:
+                raise
+            sigma, cause = float(exc.solution.ts[-1]), (error if exc.rows else exc)
+            if cause is None:
+                cause = NuBlowup(f"|nu| fell below {floor:.6g} or is not finite")
+                sigma = math.floor(sigma * _NU_CHECKPOINTS) / _NU_CHECKPOINTS
+            s = _s_at(s0, ends[0], sigma)
+            return [(exc.solution.row(0), s, f"on [{s0:.6g}, {ends[0]:.6g}], stopped at "
+                                             f"s={s:.6g}: {type(cause).__name__}: {cause}")]
+        return [(sol.row(i), end, None) for i, end in enumerate(ends)]
+
+    ends = [end for end in (lo, hi) if end != s0]
+    try:
+        branches = solve(ends)
+    except StepFailure:  # a branch stopped: solve each alone from s0
+        branches = [branch for end in ends for branch in solve([end])]
 
     in_s = []
-    for idx in sorted(parts):
-        sol = odesolve.ChebyshevSolution.joined(parts[idx])
-        ts = np.array([_s_at(s0, ends[idx], sigma) for sigma in sol.ts.tolist()])
+    for end, (sol, _, _) in zip(ends, branches):
+        ts = np.array([_s_at(s0, end, sigma) for sigma in sol.ts.tolist()])
         # the lower branch runs down in s: reverse its steps and their nodes,
         # which are symmetric, as are their weights, so each step is the
         # same polynomial
-        in_s.append(replace(sol, ts=ts) if idx else
+        in_s.append(replace(sol, ts=ts) if end > s0 else
                     replace(sol, ts=ts[::-1], ys=sol.ys[::-1], nodes=sol.nodes[::-1, ::-1]))
-    s_lo, s_hi = (_s_at(s0, ends[idx], reach[idx]) for idx in (0, 1))
-    return NuSolution(s_lo=s_lo, s_hi=s_hi, solution=odesolve.ChebyshevSolution.joined(in_s),
-                      rate=rate, stop_reason="; ".join(reasons[i] for i in sorted(reasons)) or None)
+    reached = [s0] + [s for _, s, _ in branches]
+    return NuSolution(s_lo=min(reached), s_hi=max(reached),
+                      solution=replace(odesolve.ChebyshevSolution.joined(in_s), rhs_calls=calls),
+                      rate=rate, stop_reason="; ".join(r for _, _, r in branches if r) or None)
 
 
 def _s_at(s0: float, end: float, sigma: float) -> float:

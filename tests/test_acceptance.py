@@ -261,7 +261,7 @@ def test_criterion_9_symmetry_reduction_checks():
             rad = v * v + 4 * u * v * math.sin(th) + 2 * u * u
             if abs(den) < 0.3 or rad < 0.05:
                 continue
-            assert abs(reduction_b_residual(b, v, th)) < 1e-4
+            assert abs(reduction_b_residual(b, v, th)) < 1e-11
             checked += 1
 
         _, states = characteristic_flow(1.0, 0.5, 0.7, (0, 1))

@@ -785,14 +785,21 @@ def test_shift_reports_why_nu_solve_stopped(tmp_path):
                          ids=["truncated", "whole"])
 def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, truncated):
     # the field of test_shift_reports_why_nu_solve_stopped: from nu0 = 0.5
-    # the lower branch stops, and the upper one goes on in a second solve
+    # the lower branch stops, which drops the stacked solve of both
+    # branches, and each branch is then solved alone
     from normshift import odesolve
     from normshift.errors import StepFailure
-    solves, solve = [], odesolve.solve_chebyshev
+    calls, solves, solve = [], [], odesolve.solve_chebyshev
 
-    def recorded(*args, **kwargs):
+    def recorded(rhs, *args, **kwargs):
+        calls.append(0)  # the right sides of this solve
+
+        def counted(*rhs_args):
+            calls[-1] += 1
+            return rhs(*rhs_args)
+
         try:
-            solves.append(solve(*args, **kwargs))
+            solves.append(solve(counted, *args, **kwargs))
         except StepFailure as exc:
             solves.append(exc.solution)
             raise
@@ -807,20 +814,26 @@ def test_shift_manifest_records_the_nu_solves_work(tmp_path, monkeypatch, nu0, t
     assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 0
     report = json.loads((tmp_path / "o" / "normality_report.json").read_text())
     work = json.loads((tmp_path / "o" / "manifest.json").read_text())["nu_solve"]
-    assert report["nu_truncated"] is truncated and len(solves) == (2 if truncated else 1)
-    # each stacked solve counts once, however many branches it carried
-    assert work["rhs_calls"] == sum(sol.rhs_calls for sol in solves) > 0
-    assert work["rejected_steps"] == sum(sol.rejected_steps for sol in solves)
+    assert report["nu_truncated"] is truncated and len(solves) == (3 if truncated else 1)
+    # the dropped attempt ended in its right side, with no steps kept; the
+    # solves that made the solution are the rest, one per branch
+    kept = solves[1:] if truncated else solves
+    assert [sol.ys.shape[1] for sol in kept] == ([1, 1] if truncated else [2])
+    assert [sol.rhs_calls for sol in kept] == calls[-len(kept):] and min(calls) > 0
+    # every right side counts, the dropped attempt's included
+    assert work["rhs_calls"] == sum(calls)
+    assert work["rejected_steps"] == sum(sol.rejected_steps for sol in kept)
     assert (work["rejected_steps"] > 0) is truncated
     # a solve's steps belong to each of its rows' branches
     assert work["accepted_nodes"] == 1 + sum((len(sol.ts) - 1) * sol.ys.shape[1]
-                                             for sol in solves)
+                                             for sol in kept)
     # s = s0 + sigma (end - s0) = +-sigma exactly, so the steps in s are the
     # solves' steps in sigma; the joined solution ascends in s, and its
-    # first step, at s_lo, is the lower branch's last, taken in the first solve
-    steps = [abs(step) for sol in solves for step in np.diff(sol.ts).tolist()]
+    # first step, at s_lo, is the lower branch's last, taken in the first
+    # kept solve
+    steps = [abs(step) for sol in kept for step in np.diff(sol.ts).tolist()]
     assert {key: work[key] for key in ("first_step", "min_step", "max_step")} == {
-        **step_sizes(steps), "first_step": abs(float(np.diff(solves[0].ts)[-1]))}
+        **step_sizes(steps), "first_step": abs(float(np.diff(kept[0].ts)[-1]))}
 
 
 @pytest.mark.parametrize("integrator, solver", [

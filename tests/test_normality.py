@@ -291,7 +291,7 @@ def test_complex_residual_constant_generator():
     a = ScalarFieldA(lambda x, y, v, t: 0.75)
     for x, y, v, th in probe_points(10, seed=9):
         w = complex(v * math.cos(th), v * math.sin(th))
-        assert abs(complex_residual(a, complex(x, y), w)) < 1e-9
+        assert abs(complex_residual(a, complex(x, y), w)) == 0.0
 
 
 def test_complex_residual_zero_sets_match_reduced():
@@ -302,7 +302,7 @@ def test_complex_residual_zero_sets_match_reduced():
         x, y = 0.4 * x, 0.4 * y
         z, w = complex(x, y), complex(v * math.cos(th), v * math.sin(th))
         for a in solutions:
-            assert abs(complex_residual(a, z, w)) < 1e-7
+            assert abs(complex_residual(a, z, w)) < 1e-13
         rc = complex_residual(bad, z, w)
         rr = reduced_residual(bad, x, y, v, th)
         assert abs(rc) > 1e-3 and abs(rr) > 1e-3

@@ -725,6 +725,48 @@ def test_one_branch_truncates_while_the_other_reaches_its_end():
     assert np.all(nu(np.linspace(-1.0, nu.s_hi, 9)) == 1.0)
 
 
+def overflow_past_half(r, v):
+    """Zero force that raises OverflowError wherever x > 0.5."""
+    if np.any(r[..., 0] > 0.5):
+        raise OverflowError("boom")
+    return np.zeros_like(r)
+
+
+@pytest.mark.parametrize("field, nu0, s_hi, reason", [
+    (magnetic_field(1.0), 0.5, 0.109375, "NuBlowup: |nu| fell below 0.0005 or is not finite"),
+    (ForceField(fn=overflow_past_half), 1.0, 0.5, "OverflowError: boom"),
+], ids=["magnetic", "overflow"])
+def test_a_branch_that_stops_evaluates_each_right_side_once(monkeypatch, field, nu0, s_hi,
+                                                            reason):
+    # the cases of test_one_branch_truncates_while_the_other_reaches_its_end:
+    # each right side is one force call, or none below the floor, even
+    # where it fails
+    forces = count_calls(monkeypatch, ForceField, "force")
+    nu = solve_nu(segment_on_axis(-1.0, 1.0, normal="right"), field, 0.0, nu0)
+    assert len(forces) <= nu.solution.work["rhs_calls"]
+    assert (nu.s_lo, nu.s_hi) == (-1.0, s_hi)
+    assert nu.stop_reason == f"on [0, 1], stopped at s={s_hi:.6g}: {reason}"
+
+
+def infinite_past_half(r, v):
+    """F = (inf, 0) wherever x > 0.5, and zero elsewhere, without a warning."""
+    out = np.zeros_like(r)
+    out[..., 0] = np.where(r[..., 0] > 0.5, np.inf, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("s_min", [0.0, -1.0], ids=["one-branch", "two-branches"])
+def test_a_branch_that_goes_non_finite_without_raising_stops_on_a_checkpoint(s_min):
+    # no right side raises: the upper branch's rate is -inf past s = 0.5, and
+    # its stop is the floored NuBlowup, while the lower branch reaches its end
+    nu = solve_nu(segment_on_axis(s_min, 1.0, normal="right"), ForceField(fn=infinite_past_half),
+                  0.0, 1.0)
+    assert (nu.s_lo, nu.s_hi) == (s_min, 0.5)
+    assert nu.stop_reason == ("on [0, 1], stopped at s=0.5: "
+                              "NuBlowup: |nu| fell below 0.001 or is not finite")
+    assert np.all(nu(np.linspace(s_min, 0.5, 9)) == 1.0)
+
+
 def test_solve_nu_from_a_subnormal_distance_to_an_end_warns_nothing():
     # the lower branch is 5e-324 long: dividing every stop by its width overflowed
     field, curve = mdtype_on_spline()
