@@ -75,13 +75,12 @@ def oscillator_phi(nu: Profile, omega: float, s: float, t: float) -> float:
 
     Normalization: this equals 2 <dr/ds, dr/dt> of the explicit solution,
     i.e. 2 |v(t)| times the unit-frame deviation function.  ``nu`` is any
-    speed profile, read as nu(s) and nu.d(s): a Profile, or a solved
+    speed profile, read as nu.jet(s): a Profile, or a solved
     ``shift.NuSolution``.
     """
     if omega == 0.0:
         raise ValueError("omega must be nonzero")
-    n = nu(s)
-    dn = nu.d(s)
+    n, dn = nu.jet(s)
     c, si = math.cos(omega * t), math.sin(omega * t)
     return (n * dn * t + (n * dn / omega - s * omega) * c * si
             + (n + s * dn) * c * c - (n + s * dn))

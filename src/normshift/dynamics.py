@@ -75,9 +75,9 @@ class IntegratorConfig:
 
 class Trajectory:
     """Integrated trajectory: the solver's dense output (DOP853's 7th-order
-    interpolant, or RK4's cubic Hermite, on the accepted steps) and the
-    states it gives at the output times, where the state at the initial time
-    is the initial state itself."""
+    interpolant, or RK4's cubic Hermite, which is its first three rows, on
+    the accepted steps) and the states it gives at the output times, where
+    the state at the initial time is the initial state itself."""
 
     def __init__(self, times: np.ndarray, sol: odesolve.OdeSolution):
         self.times = np.asarray(times, float)

@@ -158,10 +158,14 @@ def complex_flag(cfg: dict, ansatz: ScalarFieldA | None) -> bool:
     return False
 
 
+def _not_json(name: str):  # NaN, Infinity or -Infinity, which Python's json reads
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_not_json)
     except OSError as exc:
         raise ConfigError(f"cannot read the config file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -443,7 +447,7 @@ def build_oracle(spec, init: PhaseState) -> tuple[str, float, object]:
 
 def probe_spec(cfg: dict, seed: int | None = None) -> tuple[int, int, dict | None]:
     """(count, seed, box) of the config's "probes" object; ``seed`` overrides
-    its seed.  A box maps x, y, v and theta to finite [lo, hi] pairs."""
+    its seed.  A box maps x, y, v and theta to [lo, hi] pairs of finite width."""
     probes = cfg.get("probes", {})
     if not isinstance(probes, dict):
         raise ConfigError("'probes' must be an object")
@@ -455,8 +459,8 @@ def probe_spec(cfg: dict, seed: int | None = None) -> tuple[int, int, dict | Non
         if not isinstance(box, dict):
             raise ConfigError("'probes.box' must map x, y, v and theta to [lo, hi] pairs")
         box = {k: array(box, k, (2,)) for k in ("x", "y", "v", "theta")}
-        if any(lo > hi for lo, hi in box.values()):
-            raise ConfigError("each [lo, hi] pair of 'probes.box' needs lo <= hi")
+        if not all(lo <= hi and math.isfinite(float(hi) - float(lo)) for lo, hi in box.values()):
+            raise ConfigError("each [lo, hi] pair of 'probes.box' needs lo <= hi, finite hi - lo")
     return positive_int(probes, "count", 100), seed, box
 
 

@@ -30,16 +30,16 @@ from .geometry import (ConformalMetric, checked_speed, christoffel, dot, element
 
 @dataclass(frozen=True)
 class Profile:
-    """Smooth function of one variable, complex-safe; ``d`` is its derivative
-    by a complex step."""
+    """Smooth function of one variable, complex-safe; ``jet`` gives its value
+    and derivative, as a curve's ``jet`` does."""
 
     fn: Callable[[float], float]
 
     def __call__(self, x):
         return elementwise(self.fn(x), x)
 
-    def d(self, x):
-        return numdiff.complex_step(self, (numdiff.floats(x),), (1.0,))[1]
+    def jet(self, x) -> tuple:
+        return numdiff.complex_step(self, (numdiff.floats(x),), (1.0,))
 
     @staticmethod
     def constant(c: float) -> "Profile":

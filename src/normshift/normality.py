@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff, odesolve
-from .errors import FormulationMismatch, SingularDenominator
+from .errors import FormulationMismatch, InvalidParams, SingularDenominator
 from .forces import ForceField, ScalarFieldA, complex_probes, operator_directions
 from .geometry import atan2, checked_speed, frame, hypot
 
@@ -326,14 +326,22 @@ def residual_sweep(probes: np.ndarray, *, field: ForceField | None = None,
                    include_complex: bool = False) -> ResidualReport:
     """Evaluate the available residuals at every probe (rows of an (n, 4)
     array), one call per formulation for each block of ``PROBE_BLOCK``
-    probes, so the memory a sweep holds does not grow with n."""
+    probes, so the memory a sweep holds does not grow with n.  InvalidParams
+    if a residual is not finite at a probe, which no cross-check would see."""
     if field is None and ansatz is None:
         raise ValueError("need a force field or a scalar generator")
     probes = np.asarray(probes, float)
     blocks = [_residuals(probes[i:i + PROBE_BLOCK], field, ansatz, include_complex)
               for i in range(0, len(probes), PROBE_BLOCK)]
-    return ResidualReport(probes, *(None if parts[0] is None else np.concatenate(parts)
-                                    for parts in zip(*blocks)))
+    report = ResidualReport(probes, *(None if parts[0] is None else np.concatenate(parts)
+                                      for parts in zip(*blocks)))
+    for name, stats in report.summary().items():
+        if not math.isfinite(stats["max"]):  # NaN or inf somewhere
+            bad = ~np.isfinite(getattr(report, name))
+            first = ", ".join(f"{p:.6g}" for p in probes[np.argmax(bad)])
+            raise InvalidParams(f"the {name} residual is not finite at {np.count_nonzero(bad)} "
+                                f"of {len(probes)} probes, first (x, y, v, theta) = ({first})")
+    return report
 
 
 def _residuals(probes: np.ndarray, field, ansatz, include_complex: bool) -> tuple:

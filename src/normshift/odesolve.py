@@ -2,15 +2,15 @@
 Chebyshev–Picard steps.
 
 Each solver steps from t0 to t1 and returns an ``OdeSolution``; output times
-are sampled from its dense output, which is the 8th-order pair's own
-7th-order continuous extension for ``solve_dopri``, a cubic Hermite through
-the node values and slopes for ``solve_rk4``, and each step's interpolant on
-its Chebyshev–Lobatto nodes for ``solve_chebyshev``.  Dormand–Prince and
-Chebyshev–Picard steps share one adaptive march; Chebyshev–Picard steps
-also end on an optional list of stop times, such as a spline's knots, where
-the right side is not smooth.  Time may run backward (t1 < t0), except for
-``solve_chebyshev``, which evaluates the right side at all nodes of a step
-in one call.
+are sampled from its dense output: for ``solve_dopri`` the 8th-order pair's
+own 7th-order continuous extension, for ``solve_rk4`` its first three rows,
+the cubic Hermite through the node values and slopes (one ``_Nested`` form),
+and for ``solve_chebyshev`` each step's interpolant on its Chebyshev–Lobatto
+nodes.  Dormand–Prince and Chebyshev–Picard steps share one adaptive
+march; Chebyshev–Picard steps also end on an optional list of stop times,
+such as a spline's knots, where the right side is not smooth.  Time may run
+backward (t1 < t0), except for ``solve_chebyshev``, which evaluates the
+right side at all nodes of a step in one call.
 
 DOP853 proposes each step with Gustafsson's predictive controller (Hairer &
 Wanner, Solving ODEs II, §IV.8, as in Hairer's RADAU5): from the second
@@ -199,33 +199,13 @@ class OdeSolution:
 
 
 @dataclass
-class _Hermite(OdeSolution):
-    """RK4's nodes with the derivative there, ``fs`` (shaped as ``ys``): the
-    cubic Hermite through the values and slopes at a step's two ends."""
-
-    fs: np.ndarray
-
-    def _between(self, k, s):
-        h = (self.ts[k + 1] - self.ts[k]).reshape(s.shape)
-        # float_power is C pow, as ** on a scalar is; ** 2 on an array squares
-        h00 = (1 + 2 * s) * np.float_power(1 - s, 2.0)
-        h10 = s * np.float_power(1 - s, 2.0)
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        # np.take gathers several times faster than indexing
-        return (h00 * np.take(self.ys, k, axis=0) + h10 * h * np.take(self.fs, k, axis=0)
-                + h01 * np.take(self.ys, k + 1, axis=0)
-                + h11 * h * np.take(self.fs, k + 1, axis=0))
-
-
-@dataclass
-class _Dop853(OdeSolution):
-    """DOP853's nodes with each step's interpolant rows F_0..F_6, ``coeffs``
-    (shape (len(ts) - 1, 7) + the state's shape).  On step k, at
+class _Nested(OdeSolution):
+    """Runge–Kutta nodes with each step's interpolant rows F_0..F_m,
+    ``coeffs`` (shape (len(ts) - 1, m + 1) + the state's shape): DOP853's 7,
+    or RK4's first 3 (``_hermite_rows``).  On step k, at
     x = (t - ts[k]) / (ts[k + 1] - ts[k]),
 
-        y = ys[k] + x (F_0 + (1 - x)(F_1 + x (F_2 + (1 - x)(F_3
-              + x (F_4 + (1 - x)(F_5 + x F_6))))))."""
+        y = ys[k] + x (F_0 + (1 - x)(F_1 + x (F_2 + (1 - x)(F_3 + ...))))."""
 
     coeffs: np.ndarray
 
@@ -233,13 +213,21 @@ class _Dop853(OdeSolution):
         x1 = 1.0 - x
         # one coefficient row at a time, so that every temporary is (len(t),)
         # + state; np.take gathers several times faster than indexing
-        out = np.take(self.coeffs[:, 6], k, axis=0)
-        out *= x
-        for j in range(5, -1, -1):
+        top = self.coeffs.shape[1] - 1
+        out = np.take(self.coeffs[:, top], k, axis=0)
+        out *= x1 if top % 2 else x
+        for j in range(top - 1, -1, -1):
             out += np.take(self.coeffs[:, j], k, axis=0)
             out *= x1 if j % 2 else x
         out += np.take(self.ys, k, axis=0)
         return out
+
+
+def _hermite_rows(h, y0, y1, f0, f1) -> list[np.ndarray]:
+    """F_0..F_2 of ``_Nested``, the cubic Hermite through (y0, slope f0) and
+    (y1, slope f1), h (signed) apart; arrays of steps broadcast."""
+    dy = y1 - y0
+    return [dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1)]
 
 
 def _row_rms(x: np.ndarray, width: int) -> float:
@@ -464,8 +452,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         for i in range(13, 16):
             k[i] = rhs(t + c[i] * hs, _stage(y, hs, a[i], k[:i]))
         with np.errstate(over="ignore", invalid="ignore"):
-            dy = y_new - y
-            coeffs.append([dy, hs * k[0] - dy, 2.0 * dy - hs * (k[0] + k[12]),
+            coeffs.append([*_hermite_rows(hs, y, y_new, k[0], k[12]),
                            *(hs * (row @ k) for row in d)])
         k[0] = k[12]
         factor = _factor(norm)
@@ -475,7 +462,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         last = step, max(1e-2, norm)
         return y_new, step * factor, None
 
-    return _march(attempt, t, y, [t1], direction, h, lambda ts, ys, rejected: _Dop853(
+    return _march(attempt, t, y, [t1], direction, h, lambda ts, ys, rejected: _Nested(
         np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, rejected,
         np.array(coeffs).reshape((-1, 7) + shape)))
 
@@ -484,9 +471,10 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
               t0: float, y0, t1: float, *, step: float) -> OdeSolution:
     """Classic fixed-step RK4: ceil(|t1 - t0| / step) equal steps.
 
-    Each step costs 4 right sides, the last the slope at its end.  The step
-    count is counted, as a float, before the first step: StepFailure is
-    raised at once, without stepping, when it exceeds ``_MAX_ATTEMPTS``.
+    Each step costs 4 right sides, the last the slope at its end, and its
+    dense output is ``_hermite_rows`` of its ends.  The step count is
+    counted, as a float, before the first step: StepFailure is raised at
+    once, without stepping, when it exceeds ``_MAX_ATTEMPTS``.
     """
     if step <= 0:
         raise ValueError("rk4 step must be positive")
@@ -514,9 +502,11 @@ def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
         fs.append(f)
     if n:
         ts[-1] = float(t1)  # kill accumulated round-off at the end
-
-    return _Hermite(np.array(ts), np.array(ys).reshape((-1,) + shape), rhs.calls, 0,
-                    np.array(fs).reshape((-1,) + shape))
+    ts, ys, fs = np.array(ts), np.array(ys), np.array(fs)
+    # h from the nodes: the last step ends on t1, past the round-off of t
+    rows = _hermite_rows(np.diff(ts)[:, None], ys[:-1], ys[1:], fs[:-1], fs[1:])
+    return _Nested(ts, ys.reshape((-1,) + shape), rhs.calls, 0,
+                   np.stack(rows, axis=1).reshape((-1, 3) + shape))
 
 
 # Chebyshev–Picard steps (Bai & Junkins, J. Astronaut. Sci. 58, 2011) on

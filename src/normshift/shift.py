@@ -197,12 +197,12 @@ class NuSolution:
     """Initial-speed profile nu(s), solved on the reached interval [s_lo, s_hi].
 
     Like a ``forces.Profile``, it is called as ``nu(s)`` for nu and
-    ``nu.d(s)`` for nu' at a number or an array of s.  ``solution`` is one
-    Chebyshev–Picard solution ascending in s, state shape (1,): its step ends
-    and its values at each step's nodes, between which nu is the step's
-    barycentric interpolant, and the work of the solves whose steps it
-    joins, plus the right sides of a dropped stacked attempt.  ``rate`` is
-    the right side d nu/ds at arrays of (s, nu), and nu' is the rate at
+    ``nu.jet(s)`` for nu and nu' at a number or an array of s.  ``solution``
+    is one Chebyshev–Picard solution ascending in s, state shape (1,): its
+    step ends and its values at each step's nodes, between which nu is the
+    step's barycentric interpolant, and the work of the solves whose steps
+    it joins, plus the right sides of a dropped stacked attempt.  ``rate``
+    is the right side d nu/ds at arrays of (s, nu), and nu' is the rate at
     (s, nu(s)).  ``stop_reason`` is None when both branches, from s0 toward
     each end, reached their ends; otherwise it says, per branch that stopped
     early (nu approached zero, went non-finite, or the right side raised a
@@ -231,10 +231,10 @@ class NuSolution:
                            f"queried s={s[outside][0]:.6g}")
         return self.solution.sample(s.ravel())[:, 0].reshape(s.shape)[()]
 
-    def d(self, s):
-        """nu' at every s: the right side at (s, nu(s))."""
-        s = np.asarray(s, float)
-        return self.rate(s, self(s))
+    def jet(self, s) -> tuple:
+        """nu and nu' at every s from one sample: nu' is the rate at (s, nu(s))."""
+        nu = self(s)
+        return nu, self.rate(np.asarray(s, float), nu)
 
 
 def _nu_rate(curve: Curve, field: ForceField):
@@ -407,8 +407,8 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
     pass ``dataclasses.replace(curve, s_range=...)``.  ``nu`` is a speed
     profile: a ``forces.Profile``, or a NuSolution solved for the same field,
     whose reached interval clips the grid.  Deviations use tau(0) = r'(s)
-    and tau'(0) = nu' n + nu n', with nu and nu' from ``nu(s)`` and
-    ``nu.d(s)`` at all s-nodes at once.
+    and tau'(0) = nu' n + nu n', with nu and nu' from one ``nu.jet(s)`` at
+    all s-nodes at once.
     All s-nodes are integrated as one stacked system; an error from it gets
     a note naming the s-nodes whose rows went non-finite, when known, and
     otherwise the shifted s-range.
@@ -419,7 +419,7 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
         hi = min(hi, nu.s_hi)
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
-    nu_vals, dnu = nu(s_nodes), nu.d(s_nodes)
+    nu_vals, dnu = nu.jet(s_nodes)
 
     # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
     r, d, dd = curve.jet(s_nodes)

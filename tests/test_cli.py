@@ -506,6 +506,10 @@ _BOX = {"x": [-1, 1], "y": [-1, 1], "v": [0.5, 2], "theta": [-3, 3]}
     pytest.param("check", {"field": {"ansatz": {"kind": "disc_invariant", "R": 1e300}}},
                  id="disc-radius-overflows"),
     pytest.param("shift", {"t_span": [1e308, -1e308]}, id="t_span-overflows"),
+    # finite ends whose width overflows, which the probe generator refuses
+    pytest.param("check", {"field": {"ansatz": {"kind": "cos_profile", "profile": 1.0}},
+                           "probes": {"count": 5, "box": {**_BOX, "y": [-1e308, 1e308]}}},
+                 id="box-wider-than-float-range"),
     # omega = a0 sin(theta0) / v0, whose square underflows: the closed form divides by it
     pytest.param("simulate --check-oracle", {"oracle": {
         "kind": "cycloid", "x0": 0, "y0": 0, "theta0": 1.0, "v0": 1, "a0": 1e-300}},
@@ -714,6 +718,31 @@ def test_check_formulation_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "mismatch.json", _BASE["check"])
     assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numeric failure: FormulationMismatch" in capsys.readouterr().err
+
+
+def test_non_finite_residuals_exit_3(tmp_path, capsys):
+    # the field's magnitude overflows the weak residuals: inf or NaN in every
+    # row is no result, and a NaN would pass the formulations' cross-check
+    cfg = write_config(tmp_path, "huge.json", {
+        "field": {"catalogue": "gravity", "params": {"magnitude": 1e308}},
+        "probes": {"count": 5}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: InvalidParams: the r1 residual is not finite at 1 of 5 probes" in err
+    assert "first (x, y, v, theta) = (" in err
+    assert not (tmp_path / "o" / "residual_summary.json").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_config_with_a_non_json_constant_exits_2(tmp_path, capsys, literal):
+    # Python's json reads these, and the manifest would echo them back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_BASE["simulate"])[:-1] + f', "note": {literal}}}')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"config error: config is not valid JSON: {literal} is not a JSON value" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "shift"])

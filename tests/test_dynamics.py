@@ -518,8 +518,9 @@ def test_trajectory_csv_format(tmp_path):
     assert x == 1 / 3
 
 
-def _hermite_reference(sol, t):
-    """Dense output at one time, with the scalar Hermite formula, or a node's
+def _hermite_reference(sol, t, rhs):
+    """Dense output at one time, with the standard-basis cubic Hermite
+    through the node values and the slopes ``rhs`` gives there, or a node's
     own value at its time."""
     ts = sol.ts
     if t in ts:
@@ -537,8 +538,8 @@ def _hermite_reference(sol, t):
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return (h00 * sol.ys[k] + h10 * h * sol.fs[k]
-            + h01 * sol.ys[k + 1] + h11 * h * sol.fs[k + 1])
+    return (h00 * sol.ys[k] + h10 * h * rhs(ta, sol.ys[k])
+            + h01 * sol.ys[k + 1] + h11 * h * rhs(tb, sol.ys[k + 1]))
 
 
 def _pendulum(t, y):
@@ -647,19 +648,24 @@ def test_dense_sample_matches_scalar_hermite_bit_for_bit(case):
     assert sol.ts[-1] == t1 and len(sol.ts) == 8
     lo, hi = sorted((sol.ts[0], sol.ts[-1]))
     between = np.linspace(lo, hi, 1001)
+    assert sol.coeffs.shape == (len(sol.ts) - 1, 3, 2)
     for times in (between, between[::-1], sol.ts):
         sampled = odesolve.OdeSolution.sample(sol, times)
-        reference = np.array([_hermite_reference(sol, t) for t in times])
+        reference = np.array([_nested_reference(sol, t) for t in times])
         assert sampled.shape == (len(times), 2)
         assert sampled.tobytes() == reference.tobytes()
         assert sol(times[1 % len(times)]).tobytes() == reference[1 % len(times)].tobytes()
+        # the nested rows are the cubic Hermite through the node values and slopes
+        hermite = np.array([_hermite_reference(sol, t, _pendulum) for t in times])
+        assert np.all(np.abs(sampled - hermite) <= 1e-14 * (1 + np.abs(hermite)))
     with pytest.raises(ValueError, match="outside the integrated interval"):
         sol.sample([lo, hi + 1e-6])
 
 
 def _nested_reference(sol, t):
-    """Dense output at one time, with the scalar nested form of DOP853's
-    interpolant, or a node's own value at its time."""
+    """Dense output at one time, with the scalar nested form of the
+    Runge–Kutta interpolant of any number of rows, or a node's own value at
+    its time."""
     ts = sol.ts
     ascending = ts[-1] >= ts[0]
     k = int(np.searchsorted(ts if ascending else ts[::-1], t, side="right")) - 1
@@ -670,9 +676,13 @@ def _nested_reference(sol, t):
     if t in (ta, tb):
         return sol.ys[k if t == ta else k + 1].copy()
     x = (t - ta) / (tb - ta)
+    # F_0 + (1 - x)(F_1 + x (F_2 + ...)): row j + 1 is weighted by x for even
+    # j + 1, by 1 - x for odd
     f = sol.coeffs[k]
-    return sol.ys[k] + x * (f[0] + (1 - x) * (f[1] + x * (f[2] + (1 - x) * (
-        f[3] + x * (f[4] + (1 - x) * (f[5] + x * f[6]))))))
+    inner = f[-1]
+    for j in range(len(f) - 2, -1, -1):
+        inner = f[j] + ((1 - x) if j % 2 == 0 else x) * inner
+    return sol.ys[k] + x * inner
 
 
 @pytest.mark.parametrize("case", ["forward", "backward", "zero-span"])

@@ -74,7 +74,7 @@ def test_solve_nu_gravity_horizontal_segment():
     assert not nu.truncated
     for s in np.linspace(-1, 1, 11):
         assert nu(s) == pytest.approx(1.0, abs=1e-12)
-        assert nu.d(s) == pytest.approx(0.0, abs=1e-12)
+        assert nu.jet(s)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_nu_truncates_before_zero_crossing():
@@ -398,7 +398,7 @@ def test_normal_shift_is_one_solve_for_all_s_nodes(monkeypatch, cfg):
 def launch_column(curve, nu, s):
     """Launch data (r, v, tau, tau') of the trajectory from s, as normal_shift builds it."""
     tangent, n, k = frenet(curve, s)
-    nu_s, dnu = nu(s), nu.d(s)
+    nu_s, dnu = nu.jet(s)
     r, d, _ = curve.jet(s)
     return r, nu_s * n, d, dnu * n + nu_s * (-k * math.hypot(*d) * tangent)
 
@@ -453,19 +453,19 @@ def test_nu_for_all_s_nodes_is_bit_identical_to_pointwise_queries(monkeypatch):
     field, curve = mdtype_on_spline()
     nu = solve_nu(curve, field, 0.5, 1.1)
     s = np.linspace(nu.s_lo, nu.s_hi, 33)  # s0 = 0.5 is node 16
-    values, rates = nu(s), nu.d(s)
+    values, rates = nu.jet(s)
     assert values[16] == 1.1
     assert values.tobytes() == np.array([nu(x) for x in s]).tobytes()
-    assert rates.tobytes() == np.array([nu.d(x) for x in s]).tobytes()
-    # normal_shift samples the solution once for nu and once for nu',
-    # instead of one dense call per query
+    assert rates.tobytes() == np.array([nu.jet(x)[1] for x in s]).tobytes()
+    # normal_shift samples the solution once for both nu and nu', instead
+    # of one dense call per query
     dense = count_calls(monkeypatch, OdeSolution, "__call__")
     nu_samples = count_calls(monkeypatch, ChebyshevSolution, "sample")
     grid_samples = count_calls(monkeypatch, OdeSolution, "sample")
     grid = normal_shift(curve, field, nu, (0, 0.2), n_s=33, n_t=3)
     assert grid.nu.tobytes() == values.tobytes()
     assert dense == []
-    assert len(nu_samples) == 2 and len(grid_samples) == 1  # nu and nu', then the grid
+    assert len(nu_samples) == 1 and len(grid_samples) == 1  # nu and nu', then the grid
 
 
 def test_non_finite_columns_are_named_in_the_error_note():
@@ -660,7 +660,7 @@ def test_reparameterized_curve_scales_phi_by_g_prime(case, k, increasing_rate, s
     s, g1, _ = g(grid_g.s_nodes)
     tangent, n, k_s = frenet(curve, s)
     r, d, _ = curve.jet(s)
-    nu_s, dnu = nu(s), nu.d(s)
+    nu_s, dnu = nu.jet(s)
     # measured on 200 draws: nu within 8.3e-14, phi within 8.5e-9 (1 + max |tau|)
     assert np.max(np.abs(grid_g.nu - nu_s)) < 1e-11
     n_prime = (-k_s * np.hypot(d[:, 0], d[:, 1]))[:, None] * tangent

@@ -13,8 +13,10 @@ relative paths ``config.json`` and ``out``, so the files and printed paths of
 two trees are comparable.  ``DEST/runs.json`` logs each run's exit code,
 standard output and standard error; an uncaught exception is logged with
 its type and message in place of the exit code, and its traceback in the
-standard error.  The script exits 1 if any run ended in one: each op ends
-in an exit code, and a traceback is a bug.
+standard error.  The script exits 1 if any run ended in one, or if a run
+that exited 0 wrote anything to standard error: each op ends in an exit
+code, a traceback is a bug, and so is a warning, such as NumPy's, that
+leaks out of a successful op.
 
 The output check of a change that should leave every output as it was:
 
@@ -91,7 +93,11 @@ def main(argv: list[str]) -> int:
     uncaught = [run for run, r in runs.items() if isinstance(r["exit"], str)]
     for run in uncaught:
         print(f"{run}: {runs[run]['exit']}", file=sys.stderr)
-    return 1 if uncaught else 0
+    noisy = [run for run, r in runs.items() if r["exit"] == 0 and r["stderr"]]
+    for run in noisy:
+        print(f"{run}: exit 0, but wrote to standard error: {runs[run]['stderr']!r}",
+              file=sys.stderr)
+    return 1 if uncaught or noisy else 0
 
 
 if __name__ == "__main__":
