@@ -236,7 +236,7 @@ def _build_mdtype(params: dict) -> ForceField:
                                      _profile(params, "h", Profile.constant(0.0)))
     # W_v = exp(-f) underflows where f is large (sin_cos of amplitude 100)
     for x, y, v in ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7)):
-        if abs(md.w_v(x, y, v)) < 1e-12:
+        if abs(md.w(x, y, v)[1]) < 1e-12:
             raise ConfigError("W_v vanishes at a probe point")
     return mdtype_field(md)
 

@@ -315,51 +315,47 @@ def covariant_from_flat(field: ForceField, metric: ConformalMetric) -> ForceFiel
 
 @dataclass(frozen=True)
 class MDTypeParams:
-    """Data of a multidimensional-type field.
+    """Data of a multidimensional-type field: W(x, y, v) and h.
 
-    W(x, y, v) must satisfy W_v != 0 on the working domain; h is a function
-    of one variable applied to W.  w, w_v and grad_w return W, W_v and
-    (W_x, W_y), the only data of W that ``mdtype_field`` reads.
+    ``w(x, y, v)`` returns (W, W_v, W_x, W_y) from one call, the only data
+    of W that ``mdtype_field`` reads; W_v must not vanish on the working
+    domain.  h is a function of one variable applied to W.
     """
 
-    w: Callable[[float, float, float], float]
-    w_v: Callable[[float, float, float], float]
-    grad_w: Callable[[float, float, float], tuple[float, float]]
+    w: Callable[[float, float, float], tuple[float, float, float, float]]
     h: Profile
 
     @staticmethod
     def from_conformal(f: ConformalMetric, h: Profile) -> "MDTypeParams":
-        """W = v exp(-f(x, y)): the metrizable sub-family."""
+        """W = v exp(-f(x, y)), the metrizable sub-family: one evaluation of
+        f and one of its partials give W and its three partials."""
 
         def w(x, y, v):
-            return v * np.exp(-f.f(x, y))
-
-        def w_v(x, y, v):
-            return np.exp(-f.f(x, y))
-
-        def grad_w(x, y, v):
-            fx, fy = f.partials(x, y)
             e = np.exp(-f.f(x, y))
-            return (-v * e * fx, -v * e * fy)
+            fx, fy = f.partials(x, y)
+            return v * e, e, -v * e * fx, -v * e * fy
 
-        return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h)
+        return MDTypeParams(w=w, h=h)
 
 
 def mdtype_field(md: MDTypeParams) -> ForceField:
-    """Multidimensional-type field F = h(W) N / W_v - |v| (2<gW,N>N - gW)/W_v."""
+    """Multidimensional-type field F = h(W) N / W_v - |v| (2<gW,N>N - gW)/W_v,
+    from one call of ``md.w`` per evaluation; a constant W_v or partial is
+    broadcast to the points."""
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
         speed = fr.speed
         x, y = r[..., 0], r[..., 1]
-        wv = elementwise(md.w_v(x, y, speed), speed)
+        w, wv, wx, wy = md.w(x, y, speed)
+        wv = elementwise(wv, speed)
         vanishing = np.abs(wv.real) < 1e-12
         if np.count_nonzero(vanishing):
             bx, by, bv = (np.broadcast_to(a.real, wv.shape)[vanishing][0] for a in (x, y, speed))
             raise InvalidParams(f"W_v vanishes at ({bx:.3g}, {by:.3g}, v={bv:.3g})")
         gw = np.empty(fr.N.shape, np.result_type(r, v))
-        gw[..., 0], gw[..., 1] = md.grad_w(x, y, speed)
-        h = md.h(md.w(x, y, speed))[..., None]
+        gw[..., 0], gw[..., 1] = wx, wy
+        h = md.h(w)[..., None]
         along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
         return (h * fr.N - speed[..., None] * along) / wv[..., None]
 

@@ -332,9 +332,9 @@ def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
     of at least _MIN_FACTOR, and _MIN_FACTOR * _MAX_FACTOR = 1, so it is no
     shorter than HNW's own step, or than a fifth of a span that clipped the
     attempt."""
-    scale = abs_tol + rel_tol * np.abs(y)
-    # a non-finite launch or probe slope is handled below, not warned about
+    # a non-finite scale, launch or probe slope is handled below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = abs_tol + rel_tol * np.abs(y)
         d0, d1 = _row_rms(y / scale, width), _row_rms(f / scale, width)
     h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6, span)
     if not h0 > 0.0:  # nan from inf / inf, or 0 from a finite / inf

@@ -105,37 +105,22 @@ def christoffel_flow_positions(field, metric, init, t_eval) -> np.ndarray:
 
 
 def perturbed_mdtype(rng) -> MDTypeParams:
-    """W = v exp(-f) + eps g(x, y) sin(v) with W_v bounded away from zero."""
+    """W = v exp(-f) + eps g(x, y) sin(v) with W_v bounded away from zero,
+    g = p sin(x) + q cos(y)."""
     m = random_metric(rng)
     eps = float(rng.uniform(0.05, 0.15))
     p, q = rng.uniform(-0.5, 0.5, 2)
     h = Profile.polynomial(rng.uniform(-0.5, 0.5, 3))
 
-    def g(x, y):
-        return p * np.sin(x) + q * np.cos(y)
-
-    def gx(x, y):
-        return p * np.cos(x)
-
-    def gy(x, y):
-        return -q * np.sin(y)
-
-    def ef(x, y):
-        return np.exp(-m.f(x, y))
-
     def w(x, y, v):
-        return v * ef(x, y) + eps * g(x, y) * np.sin(v)
+        e = np.exp(-m.f(x, y))
+        fx, fy = m.partials(x, y)
+        g = p * np.sin(x) + q * np.cos(y)
+        return (v * e + eps * g * np.sin(v), e + eps * g * np.cos(v),
+                -v * e * fx + eps * (p * np.cos(x)) * np.sin(v),
+                -v * e * fy + eps * (-q * np.sin(y)) * np.sin(v))
 
-    def w_v(x, y, v):
-        return ef(x, y) + eps * g(x, y) * np.cos(v)
-
-    def grad_w(x, y, v):
-        fx, fy = np.moveaxis(m.gradient(np.stack([x, y], axis=-1)), -1, 0)
-        e = ef(x, y)
-        return (-v * e * fx + eps * gx(x, y) * np.sin(v),
-                -v * e * fy + eps * gy(x, y) * np.sin(v))
-
-    return MDTypeParams(w=w, w_v=w_v, grad_w=grad_w, h=h)
+    return MDTypeParams(w=w, h=h)
 
 
 # fields that claim normality, with parameters that keep nu healthy on the

@@ -110,7 +110,7 @@ def test_criterion_4_mdtype_fields_at_desk_scale():
             md = perturbed_mdtype(rng)
             # the construction keeps W_v away from zero
             for x, y, v in ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7)):
-                assert abs(md.w_v(x, y, v)) > 0.1
+                assert abs(md.w(x, y, v)[1]) > 0.1
             field = mdtype_field(md)
             worst = 0.0
             for x, y, v, th in probes:

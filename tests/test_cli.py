@@ -734,6 +734,28 @@ def test_non_finite_residuals_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o" / "residual_summary.json").exists()
 
 
+def test_non_finite_residuals_exit_3_with_one_line_of_stderr(tmp_path):
+    # under Python's default warning filters: the overflowing assembly of the
+    # residuals is refused by the sweep, not warned about first
+    cfg = write_config(tmp_path, "huge.json", {
+        "field": {"catalogue": "gravity", "params": {"magnitude": 1e308}},
+        "probes": {"count": 5}})
+    done = subprocess.run([sys.executable, "-m", "normshift.cli", "check", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), done.stderr
+
+
+def test_tolerances_that_overflow_the_error_scale_run_without_a_warning(tmp_path):
+    # abs + rel |y| overflows to inf in the starting-step estimate, which is
+    # handled there; under the suite's error::RuntimeWarning a warning fails
+    cfg = write_config(tmp_path, "loose.json", {
+        **_BASE["simulate"], "tolerances": {"abs": 1e308, "rel": 1e308}})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_a_config_with_a_non_json_constant_exits_2(tmp_path, capsys, literal):
     # Python's json reads these, and the manifest would echo them back

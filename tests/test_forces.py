@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -19,7 +20,7 @@ from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, a
                               speed_profile_ansatz)
 from normshift.experiment import (CATALOGUE, ConfigError, build_ansatz, build_metric,
                                   catalogue, catalogue_listing)
-from normshift.geometry import ConformalMetric, christoffel, frame, polar_frame
+from normshift.geometry import ConformalMetric, christoffel, elementwise, frame, polar_frame
 from normshift.normality import symmetry_reduced_ansatz
 from normshift import forces, numdiff
 
@@ -247,8 +248,8 @@ def test_catalogue_mdtype_reduces_to_metrizable_and_geodesic():
     rng = np.random.default_rng(10)
     for _ in range(20):
         r, v = rng.uniform(-1, 1, 2), rng.uniform(0.5, 2, 2)
-        assert np.max(np.abs(md.force(r, v) - metr.force(r, v))) < 1e-12
-        assert np.max(np.abs(md0.force(r, v) - geo.force(r, v))) < 1e-12
+        assert np.max(np.abs(md.force(r, v) - metr.force(r, v))) < 1e-14
+        assert np.max(np.abs(md0.force(r, v) - geo.force(r, v))) < 1e-14
 
 
 def test_mdtype_ab_closed_forms():
@@ -259,11 +260,35 @@ def test_mdtype_ab_closed_forms():
         r, v = rng.uniform(-1, 1, 2), rng.uniform(0.5, 2, 2)
         fr = frame(v)
         speed = float(np.hypot(*v))
-        gw = np.array(md.grad_w(r[0], r[1], speed))
-        wv = md.w_v(r[0], r[1], speed)
+        w, wv, *gw = md.w(r[0], r[1], speed)
+        gw = np.array(gw)
         ab = ab_decompose(f, r, v)
-        assert ab.A == pytest.approx((md.h(md.w(r[0], r[1], speed)) - float(gw @ v)) / wv, abs=1e-9)
+        assert ab.A == pytest.approx((md.h(w) - float(gw @ v)) / wv, abs=1e-9)
         assert ab.B == pytest.approx(speed * float(gw @ fr.M) / wv, abs=1e-9)
+
+
+def test_an_mdtype_force_evaluates_the_metric_once():
+    # W, W_v and grad W of W = v exp(-f) come from one call of f and one of
+    # its gradient, in a real evaluation and in a complex step alike
+    assert [field.name for field in dataclasses.fields(MDTypeParams)] == ["w", "h"]
+    base = build_metric(SIN_COS)
+    calls = {"f": 0, "grad_f": 0}
+
+    def f(x, y):
+        calls["f"] += 1
+        return base.f(x, y)
+
+    def grad_f(x, y):
+        calls["grad_f"] += 1
+        return base.grad_f(x, y)
+
+    field = mdtype_field(MDTypeParams.from_conformal(ConformalMetric(f=f, grad_f=grad_f),
+                                                     Profile.polynomial([0.3, 0.2])))
+    r, v = stacked_points(5, 0)
+    field.force(r, v)
+    assert calls == {"f": 1, "grad_f": 1}
+    field.linearize(r, v)
+    assert calls == {"f": 2, "grad_f": 2}
 
 
 def test_catalogue_errors():
@@ -387,6 +412,74 @@ def test_complex_force_takes_arrays_of_points():
                                     for zk, wk in zip(z, w)]), kind
         with pytest.raises(DegenerateVelocity):
             complex_force(a, z[:2], np.array([w[0], 0j]))
+
+
+def closure_points(rng, n: int, ranges, complex_step: bool) -> list[np.ndarray]:
+    """n random points, one array per coordinate, each uniform in its
+    range; with ``complex_step`` they are moved off the real axis by
+    i H_COMPLEX along a random direction, as a force's complex step moves
+    its arguments."""
+    points = [rng.uniform(lo, hi, n) for lo, hi in ranges]
+    if complex_step:
+        points = [p + 1j * numdiff.H_COMPLEX * rng.uniform(-1.0, 1.0, n) for p in points]
+    return points
+
+
+def assert_matches_jet(got, want):
+    """A hand-written partial against the jet of its function, rel 1e-14:
+    the real parts, and the imaginary parts over H_COMPLEX (the derivative a
+    complex step reads) within 1e-14 of the largest of them, since that
+    derivative is a sum that can cancel to nothing at a point."""
+    got, want = np.broadcast_arrays(got, want)
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-14, atol=0.0)
+    step = want.imag / numdiff.H_COMPLEX
+    np.testing.assert_allclose(got.imag / numdiff.H_COMPLEX, step, rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(step), initial=0.0))
+
+
+CLOSURE_METRICS = {
+    "sin_cos": build_metric({"kind": "sin_cos", "amplitude": 0.7}),
+    "linear": build_metric({"kind": "linear", "ax": 0.6, "ay": -0.4}),
+    "euclidean": ConformalMetric.euclidean(),
+    "constant": ConformalMetric.constant(0.3),
+}
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("name", sorted(CLOSURE_METRICS))
+def test_metric_gradient_closures_match_jets(name, complex_step):
+    m = CLOSURE_METRICS[name]
+    x, y = closure_points(np.random.default_rng(7), 200, [(-2, 2)] * 2, complex_step)
+    want = numdiff.jet(lambda x, y: elementwise(m.f(x, y), x, y), (x, y),
+                       (1.0, 0.0), (0.0, 1.0))[1:3]
+    for got, jet_part in zip(m.grad_f(x, y), want):
+        assert_matches_jet(got, jet_part)
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("kind", sorted(ANSATZ_SPECS))
+def test_a_theta_closures_match_jets(kind, complex_step):
+    a = build_ansatz(ANSATZ_SPECS[kind])
+    point = closure_points(np.random.default_rng(8), 200,
+                           [(-2, 2), (-2, 2), (0.3, 3), (-3, 3)], complex_step)
+    assert_matches_jet(a.a_theta(*point), ScalarFieldA(a.fn).a_theta(*point))
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("name", sorted(CLOSURE_METRICS))
+def test_conformal_w_partials_match_jets(name, complex_step):
+    md = MDTypeParams.from_conformal(CLOSURE_METRICS[name], Profile.constant(0.0))
+    x, y, v = closure_points(np.random.default_rng(9), 200,
+                             [(-2, 2), (-2, 2), (0.3, 3)], complex_step)
+    _, w_v, w_x, w_y = md.w(x, y, v)
+
+    def w(x, y, v):
+        return md.w(x, y, v)[0]
+
+    _, jet_x, jet_y, _ = numdiff.jet(w, (x, y, v), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    jet_v = numdiff.jet(w, (x, y, v), (0.0, 0.0, 1.0), (0.0,) * 3)[1]
+    for got, want in ((w_x, jet_x), (w_y, jet_y), (w_v, jet_v)):
+        assert_matches_jet(got, want)
 
 
 def contract_fields() -> dict:

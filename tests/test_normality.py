@@ -88,8 +88,8 @@ def test_mdtype_gradient_coefficients_closed_form():
         v = rng.uniform(0.5, 2.0, 2)
         fr = frame(v)
         speed = float(np.hypot(*v))
-        gw = np.array(md.grad_w(*r, speed))
-        wv = md.w_v(*r, speed)
+        _, wv, *gw = md.w(*r, speed)
+        gw = np.array(gw)
         g = ab_gradients(field, r, v)
         # velocity-gradient frame components of A and B in terms of W
         assert g.alpha4 == pytest.approx(-float(gw @ fr.M) / wv, abs=1e-6)
