@@ -303,59 +303,40 @@ def probe_points(n: int, seed: int = 0, box: dict | None = None) -> np.ndarray:
 PROBE_BLOCK = 4096
 
 
-@dataclass
-class ResidualReport:
-    """Residual values over a probe set plus max/mean norms."""
-
-    probes: np.ndarray
-    r1: np.ndarray | None = None
-    r2: np.ndarray | None = None
-    r_reduced: np.ndarray | None = None
-    r_complex: np.ndarray | None = None
-
-    def summary(self) -> dict:
-        out = {}
-        for name in ("r1", "r2", "r_reduced", "r_complex"):
-            vals = getattr(self, name)
-            if vals is None:
-                continue
-            mags = np.abs(vals)
-            out[name] = {"max": float(mags.max()), "mean": float(mags.mean())}
-        return out
-
-
 def residual_sweep(probes: np.ndarray, *, field: ForceField | None = None,
                    ansatz: ScalarFieldA | None = None,
-                   include_complex: bool = False) -> ResidualReport:
-    """Evaluate the available residuals at every probe (rows of an (n, 4)
-    array), one call per formulation for each block of ``PROBE_BLOCK``
-    probes, so the memory a sweep holds does not grow with n.  InvalidParams
-    if a residual is not finite at a probe, which no cross-check would see."""
+                   include_complex: bool = False) -> dict[str, np.ndarray]:
+    """The residuals at every probe (rows of an (n, 4) array), as
+    {name: values} in the order r1, r2 (of ``field``), r_reduced and
+    r_complex (of ``ansatz``, the latter if ``include_complex``).  One call
+    per formulation for each block of ``PROBE_BLOCK`` probes, so the memory
+    a sweep holds does not grow with n.  InvalidParams if a residual is not
+    finite at a probe, which no cross-check would see."""
     if field is None and ansatz is None:
         raise ValueError("need a force field or a scalar generator")
     probes = np.asarray(probes, float)
     blocks = [_residuals(probes[i:i + PROBE_BLOCK], field, ansatz, include_complex)
               for i in range(0, len(probes), PROBE_BLOCK)]
-    report = ResidualReport(probes, *(None if parts[0] is None else np.concatenate(parts)
-                                      for parts in zip(*blocks)))
-    for name, stats in report.summary().items():
-        if not math.isfinite(stats["max"]):  # NaN or inf somewhere
-            bad = ~np.isfinite(getattr(report, name))
+    residuals = {name: np.concatenate([block[name] for block in blocks])
+                 for name in (blocks[0] if blocks else ())}
+    for name, vals in residuals.items():
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
             first = ", ".join(f"{p:.6g}" for p in probes[np.argmax(bad)])
             raise InvalidParams(f"the {name} residual is not finite at {np.count_nonzero(bad)} "
                                 f"of {len(probes)} probes, first (x, y, v, theta) = ({first})")
-    return report
+    return residuals
 
 
-def _residuals(probes: np.ndarray, field, ansatz, include_complex: bool) -> tuple:
-    """(r1, r2, r_reduced, r_complex) at the probes; None where not asked for."""
+def _residuals(probes: np.ndarray, field, ansatz, include_complex: bool) -> dict:
+    """``residual_sweep``'s {name: values} at the probes of one block."""
     x, y, v, th = np.moveaxis(probes, -1, 0)
     vel = np.stack([v * np.cos(th), v * np.sin(th)], axis=-1)
-    r1 = r2 = r_reduced = r_complex = None
+    out = {}
     if field is not None:
-        r1, r2 = weak_residuals(field, probes[..., :2], vel)
+        out["r1"], out["r2"] = weak_residuals(field, probes[..., :2], vel)
     if ansatz is not None:
-        r_reduced = reduced_residual(ansatz, x, y, v, th)
+        out["r_reduced"] = reduced_residual(ansatz, x, y, v, th)
         if include_complex:
-            r_complex = complex_residual(ansatz, x + 1j * y, vel[..., 0] + 1j * vel[..., 1])
-    return r1, r2, r_reduced, r_complex
+            out["r_complex"] = complex_residual(ansatz, x + 1j * y, vel[..., 0] + 1j * vel[..., 1])
+    return out

@@ -406,7 +406,8 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
     The s-nodes span the curve's ``s_range``; to shift a part of the curve,
     pass ``dataclasses.replace(curve, s_range=...)``.  ``nu`` is a speed
     profile: a ``forces.Profile``, or a NuSolution solved for the same field,
-    whose reached interval clips the grid.  Deviations use tau(0) = r'(s)
+    whose reached interval clips the grid; NuBlowup, naming the solve's stop
+    reason, if no interval of s is left.  Deviations use tau(0) = r'(s)
     and tau'(0) = nu' n + nu n', with nu and nu' from one ``nu.jet(s)`` at
     all s-nodes at once.
     All s-nodes are integrated as one stacked system; an error from it gets
@@ -417,6 +418,9 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
     if isinstance(nu, NuSolution):
         lo = max(lo, nu.s_lo)
         hi = min(hi, nu.s_hi)
+        if not lo < hi:
+            raise NuBlowup(f"nu(s) reached [{nu.s_lo:.6g}, {nu.s_hi:.6g}], which leaves no "
+                           f"interval of s to shift: {nu.stop_reason}")
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
     nu_vals, dnu = nu.jet(s_nodes)
@@ -439,38 +443,21 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
                      phi=deviation.phi, psi=deviation.psi, work=deviation.work)
 
 
-@dataclass
-class NormalityReport:
-    """Verdict and extrema of the deviation data over a shift grid."""
+def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> dict:
+    """The report that ``normality_report.json`` holds: the ``verdict``
+    ("normal" or "not normal"), ``max_abs_phi``, the worst angle between
+    dr/ds and v as ``max_angle_deviation_deg``, ``max_tau_norm``, the
+    ``phi_tol`` it was judged by and ``nu_per_s_node``.
 
-    max_abs_phi: float
-    max_angle_dev_deg: float
-    max_tau_norm: float
-    phi_tol: float
-    normal: bool
-    nu: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "normal" if self.normal else "not normal",
-            "max_abs_phi": self.max_abs_phi,
-            "max_angle_deviation_deg": self.max_angle_dev_deg,
-            "max_tau_norm": self.max_tau_norm,
-            "phi_tol": self.phi_tol,
-            "nu_per_s_node": self.nu,
-        }
-
-
-def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> NormalityReport:
-    """Summarize a shift grid: max |phi|, worst angle between dr/ds and v.
-
-    The default tolerance scales with the deviation magnitude,
-    phi_tol = 1e-6 (1 + max |tau|).  On shifts of the normality-claiming
-    catalogue fields (random splines, n_s = 32, n_t = 50, t in [0, 0.5])
-    max |phi| is 2.1e-10 to 2.4e-9, sampled from the integrator's own
-    7th-order dense output at tolerance 1e-10.  The default lies 10000x to
-    90000x above that floor, and far below the order-one phi of a shift
-    that is not normal.
+    The shift is normal where max |phi| < phi_tol.  The default tolerance
+    scales with the deviation magnitude, phi_tol = 1e-6 (1 + max |tau|).  On
+    shifts of the normality-claiming catalogue fields (random splines,
+    n_s = 32, n_t = 50, t in [0, 0.5]) max |phi| is 2.1e-10 to 2.4e-9,
+    sampled from the integrator's own 7th-order dense output at tolerance
+    1e-10.  The default lies 10000x to 90000x above that floor, and far
+    below the order-one phi of a shift that is not normal.  The angle's
+    cosine is <tau, v> / (|tau| |v|), or, where |tau| |v| overflows, the
+    product of the unit vectors.
     """
     max_tau = grid.max_tau_norm()
     tol = phi_tol if phi_tol is not None else 1e-6 * (1.0 + max_tau)
@@ -479,8 +466,15 @@ def normality_report(grid: ShiftGrid, phi_tol: float | None = None) -> Normality
     n_tau = np.hypot(grid.tau[..., 0], grid.tau[..., 1])
     n_v = np.hypot(grid.v[..., 0], grid.v[..., 1])
     kept = (n_tau >= 1e-14) & (n_v >= 1e-14)
-    cosang = np.abs(np.vecdot(grid.tau, grid.v)[kept]) / (n_tau * n_v)[kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (n_tau * n_v)[kept]
+        cosang = np.abs(np.vecdot(grid.tau, grid.v)[kept]) / norms
+    big = ~np.isfinite(norms)
+    unit_tau = grid.tau[kept][big] / n_tau[kept][big, None]
+    unit_v = grid.v[kept][big] / n_v[kept][big, None]
+    cosang[big] = np.abs(np.vecdot(unit_tau, unit_v))
     worst = float(np.degrees(np.max(np.arcsin(np.minimum(1.0, cosang)), initial=0.0)))
-    return NormalityReport(max_abs_phi=max_phi, max_angle_dev_deg=worst,
-                           max_tau_norm=max_tau, phi_tol=tol,
-                           normal=max_phi < tol, nu=[float(x) for x in grid.nu])
+    return {"verdict": "normal" if max_phi < tol else "not normal",
+            "max_abs_phi": max_phi, "max_angle_deviation_deg": worst,
+            "max_tau_norm": max_tau, "phi_tol": tol,
+            "nu_per_s_node": [float(x) for x in grid.nu]}

@@ -348,7 +348,7 @@ def test_check_under_a_metric_sweeps_the_flat_field(tmp_path, capsys):
                           field=flat_from_covariant(catalogue("anisotropic", params),
                                                     build_metric(metric)))
     table = np.loadtxt(tmp_path / "c" / "residuals.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(table[:, 4], want.r1) and np.array_equal(table[:, 5], want.r2)
+    assert np.array_equal(table[:, 4], want["r1"]) and np.array_equal(table[:, 5], want["r2"])
 
 
 def test_check_of_an_ansatz_under_a_metric_reports_only_the_weak_residuals(tmp_path, capsys):
@@ -765,6 +765,82 @@ def test_a_config_with_a_non_json_constant_exits_2(tmp_path, capsys, literal):
     assert f"config error: config is not valid JSON: {literal} is not a JSON value" in (
         capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+def strict_json(path) -> dict:
+    """The JSON in ``path``; ValueError on NaN, Infinity or -Infinity, which
+    Python's json writes but no JSON reader takes."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON value")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_a_mean_whose_sum_overflows_is_finite(tmp_path, capsys):
+    # |r2| and |r_reduced| near 1.2e307 at 50 probes: their sum overflows,
+    # and the mean once read Infinity at exit 0, after an overflow warning
+    cfg = write_config(tmp_path, "huge.json", {
+        "field": {"ansatz": {"kind": "angular_monomial", "coef": 1e153, "power": 0}},
+        "probes": {"count": 50, "box": {"x": [0, 1], "y": [0, 1], "v": [0.5, 0.6],
+                                        "theta": [3.0, 3.1]}}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "o", "--json"]) == 0
+    summary = strict_json(tmp_path / "o" / "residual_summary.json")
+    assert strict_json(tmp_path / "o" / "manifest.json")["summary"] == summary
+    assert json.loads(capsys.readouterr().out) == summary
+    table = np.loadtxt(tmp_path / "o" / "residuals.csv", delimiter=",", skiprows=1)
+    for name, column in (("r2", 5), ("r_reduced", 6)):
+        mags = np.abs(table[:, column])
+        assert summary[name]["max"] == mags.max() > 1e307
+        assert 0.5 * mags.max() < summary[name]["mean"] <= mags.max()
+        assert summary[name]["mean"] == pytest.approx(np.mean(mags / mags.max()) * mags.max(),
+                                                      rel=1e-15)
+
+
+def test_an_angle_whose_norms_overflow_is_finite(tmp_path, capsys):
+    # tau and v near 5e199: |tau| |v| overflows, and the worst angle once read
+    # NaN at exit 0, after three warnings; tau' = nu' n makes tau parallel to v
+    cfg = write_config(tmp_path, "steep.json", {
+        "field": {"catalogue": "gravity"},
+        "curve": {"kind": "segment", "p0": [0, 0], "p1": [1, 0]},
+        "nu": {"kind": "affine", "a0": 1.0, "a1": 1e200},
+        "t_span": [0, 0.5], "n_s": 4, "n_t": 3})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o", "--json"]) == 0
+    report = strict_json(tmp_path / "o" / "normality_report.json")
+    assert json.loads(capsys.readouterr().out) == report
+    assert report["max_tau_norm"] > 1e199
+    assert report["max_angle_deviation_deg"] == pytest.approx(90.0, abs=1e-6)
+
+
+def test_a_nu_solve_that_reaches_only_s0_exits_3(tmp_path, capsys):
+    # both branches stop at s0 = 0.5: the grid was once n_s copies of the
+    # column at s0, written at exit 0
+    cfg = write_config(tmp_path, "stuck.json", {
+        "field": {"catalogue": "gravity", "params": {"magnitude": 1e300}},
+        "curve": {"kind": "spline", "points": [[-1, 0], [0, 0.4], [1, -0.2]]},
+        "nu": {"kind": "solve", "s0": 0.5, "nu0": 1.0},
+        "t_span": [0, 0.5], "n_s": 8, "n_t": 10})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: NuBlowup: nu(s) reached [0.5, 0.5], ")
+    assert "on [0.5, 0], stopped at s=0.5: StepFailure: step size underflow" in err
+    assert "on [0.5, 1], stopped at s=0.5: StepFailure: step size underflow" in err
+    assert not (tmp_path / "o" / "shift_grid.csv").exists()
+
+
+def test_an_oracle_mismatch_writes_every_output_it_lists(tmp_path, capsys):
+    # the manifest of a mismatch once came from a second path, which listed
+    # trajectory.csv alone and wrote no plot file
+    cfg = write_config(tmp_path, "off.json", {
+        "field": {"catalogue": "gravity"}, "init": {"r": [0, 1], "v": [0.3, 0]},
+        "t_span": [0, 1], "n_t": 20, "oracle": {"kind": "zero_field", "tol": 1e-6}})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o", "--check-oracle",
+                "--emit-plotdata"]) == 3
+    assert capsys.readouterr().err.startswith("oracle mismatch: ")
+    manifest = strict_json(tmp_path / "o" / "manifest.json")
+    assert manifest["outputs"] == ["trajectory.csv", "plot_xy.dat", "manifest.json"]
+    assert all((tmp_path / "o" / name).is_file() for name in manifest["outputs"])
+    assert manifest["oracle"]["passed"] is False
 
 
 @pytest.mark.parametrize("command", ["simulate", "shift"])

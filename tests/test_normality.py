@@ -495,13 +495,25 @@ def test_residual_sweep_report():
     rng = np.random.default_rng(14)
     a = cos_profile_ansatz(Profile.constant(1.0))
     field = from_scalar_ansatz(a)
-    report = residual_sweep(probe_points(10, seed=15), field=field, ansatz=a,
-                            include_complex=True)
-    summary = report.summary()
-    assert summary["r1"]["max"] < 1e-6
-    assert summary["r2"]["max"] < 1e-5
-    assert summary["r_reduced"]["max"] < 1e-9
-    assert summary["r_complex"]["max"] < 1e-7
+    residuals = residual_sweep(probe_points(10, seed=15), field=field, ansatz=a,
+                               include_complex=True)
+    assert np.max(np.abs(residuals["r1"])) < 1e-6
+    assert np.max(np.abs(residuals["r2"])) < 1e-5
+    assert np.max(np.abs(residuals["r_reduced"])) < 1e-9
+    assert np.max(np.abs(residuals["r_complex"])) < 1e-7
+
+
+def test_a_sweep_maps_each_residual_it_takes_to_its_values():
+    a = cos_profile_ansatz(Profile.constant(1.0))
+    field, probes = from_scalar_ansatz(a), probe_points(7, seed=3)
+    for kwargs, names in (({"field": field}, ["r1", "r2"]),
+                          ({"ansatz": a}, ["r_reduced"]),
+                          ({"field": field, "ansatz": a}, ["r1", "r2", "r_reduced"]),
+                          ({"field": field, "ansatz": a, "include_complex": True},
+                           ["r1", "r2", "r_reduced", "r_complex"])):
+        residuals = residual_sweep(probes, **kwargs)
+        assert list(residuals) == names
+        assert all(vals.shape == (7,) for vals in residuals.values())
 
 
 # The field kinds of the benchmark's residual sweeps: four generators, and
@@ -597,12 +609,11 @@ def traced_sweep_peak(probes, field, ansatz) -> int:
     import tracemalloc
     tracemalloc.start()
     try:
-        report = residual_sweep(probes, field=field, ansatz=ansatz, include_complex=True)
+        residuals = residual_sweep(probes, field=field, ansatz=ansatz, include_complex=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - sum(getattr(report, name).nbytes
-                      for name in ("r1", "r2", "r_reduced", "r_complex"))
+    return peak - sum(vals.nbytes for vals in residuals.values())
 
 
 def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
@@ -612,13 +623,13 @@ def test_sweep_blocks_equal_one_block_and_bound_the_peak_memory():
         field, a = build_field(SWEEP_FIELDS[kind])
         # three blocks, the last one partial
         probes = probe_points(2 * block + 100, seed=4)
-        report = residual_sweep(probes, field=field, ansatz=a, include_complex=True)
+        residuals = residual_sweep(probes, field=field, ansatz=a, include_complex=True)
         x, y, v, th = probes.T
         vel = np.column_stack([v * np.cos(th), v * np.sin(th)])
         r1, r2 = weak_residuals(field, probes[:, :2], vel)
-        for got, want in ((report.r1, r1), (report.r2, r2),
-                          (report.r_reduced, reduced_residual(a, x, y, v, th)),
-                          (report.r_complex,
+        for got, want in ((residuals["r1"], r1), (residuals["r2"], r2),
+                          (residuals["r_reduced"], reduced_residual(a, x, y, v, th)),
+                          (residuals["r_complex"],
                            complex_residual(a, x + 1j * y, vel[:, 0] + 1j * vel[:, 1]))):
             assert got.tobytes() == want.tobytes()
 

@@ -17,7 +17,7 @@ from normshift.forces import (ForceField, Profile, flat_from_covariant,
                               from_scalar_ansatz)
 from normshift.geometry import PiecewiseCubic, frame
 from normshift.closedform import gravity_shift
-from normshift.shift import (Curve, circle_arc, frenet, line_segment,
+from normshift.shift import (Curve, ShiftGrid, circle_arc, frenet, line_segment,
                              normal_shift, normality_report,
                              segment_on_axis, solve_nu, spline_through, tilted_line)
 
@@ -129,7 +129,7 @@ def test_gravity_shift_constant_nu_matches_closed_form():
             assert np.max(np.abs(grid.r[i, j] - gravity_shift(s, t))) < 1e-8
     assert grid.max_abs_phi() < 1e-8
     rep = normality_report(grid)
-    assert rep.normal
+    assert rep["verdict"] == "normal"
 
 
 def test_grid_first_row_is_the_launch_data_bit_for_bit():
@@ -154,7 +154,7 @@ def test_gravity_shift_linear_nu_not_normal():
             ref = gravity_shift(s, t, "linear_nu")
             assert np.max(np.abs(grid.r[i, j] - ref)) < 1e-8
     assert np.max(np.abs(grid.phi[-1, :])) > 1e-2
-    assert not normality_report(grid).normal
+    assert normality_report(grid)["verdict"] == "not normal"
 
 
 def test_affine_nu_launches_with_its_exact_derivative(monkeypatch):
@@ -246,7 +246,7 @@ def test_mdtype_shift_is_normal_on_random_splines():
         grid = normal_shift(curve, field, nu, (0, 0.5), n_s=10, n_t=11)
         bound = 1e-6 * (1.0 + grid.max_tau_norm())
         assert grid.max_abs_phi() <= bound
-        assert normality_report(grid).normal
+        assert normality_report(grid)["verdict"] == "normal"
 
 
 CLAIMING_PARAMS = {
@@ -283,7 +283,7 @@ def test_every_normality_claiming_family_shifts_normally():
     for name, grid in claiming_shifts(n_s=8, n_t=9):
         bound = 1e-6 * (1.0 + grid.max_tau_norm())
         assert grid.max_abs_phi() <= bound, name
-        assert normality_report(grid).normal, name
+        assert normality_report(grid)["verdict"] == "normal", name
 
 
 def test_sampled_phi_of_the_claiming_fields_stays_below_1e_8():
@@ -301,7 +301,22 @@ def test_oscillator_tilted_line_never_normal():
         nu = solve_nu(tl, f, 0.0, nu0)
         grid = normal_shift(tl, f, nu, (0, 1), n_s=9, n_t=11)
         assert grid.max_abs_phi() > 1e-3
-        assert not normality_report(grid).normal
+        assert normality_report(grid)["verdict"] == "not normal"
+
+
+@pytest.mark.parametrize("tau, v, degrees", [
+    # <tau, v> is finite, |tau| |v| = 1e309 overflows: cos = 1e-9
+    ([1e200, 0.0], [1e100, 1e109], math.degrees(1e-9)),
+    # both overflow: 45 degrees between (1, 1) and (1, 0)
+    ([1e200, 1e200], [1e200, 0.0], 45.0),
+])
+def test_the_angle_of_vectors_whose_norms_overflow(tau, v, degrees):
+    one = np.ones((1, 1))
+    grid = ShiftGrid(s_nodes=one[0], t_nodes=one[0], r=np.zeros((1, 1, 2)),
+                     v=np.array([[v]]), tau=np.array([[tau]]), nu=one[0], phi=one,
+                     psi=one, work={})
+    worst = normality_report(grid)["max_angle_deviation_deg"]
+    assert worst == pytest.approx(degrees, rel=1e-12)
 
 
 def test_shift_grid_csv(tmp_path):
@@ -342,7 +357,7 @@ def test_metric_shift_matches_differenced_trajectories():
     for j, s in enumerate(grid.s_nodes):
         ref = differenced_phi(flat, seg, nu, s, grid.t_nodes, tight)
         assert np.max(np.abs(grid.phi[:, j] - ref)) < 1e-7, s
-    assert not normality_report(grid).normal
+    assert normality_report(grid)["verdict"] == "not normal"
 
 
 def test_endpoint_phi_of_plain_callable_nu():
@@ -667,8 +682,9 @@ def test_reparameterized_curve_scales_phi_by_g_prime(case, k, increasing_rate, s
     _, phi, _ = integrate_deviation(field, r, nu_s[:, None] * n, d,
                                     dnu[:, None] * n + nu_s[:, None] * n_prime, grid_g.t_nodes)
     assert np.max(np.abs(grid_g.phi - g1 * phi)) < 1e-7 * (1.0 + grid_g.max_tau_norm())
-    verdict = normality_report(normal_shift(curve, field, nu, (0, 0.5), n_s=9, n_t=6)).normal
-    assert normality_report(grid_g).normal == verdict == (case == "mdtype")
+    verdict = normality_report(normal_shift(curve, field, nu, (0, 0.5), n_s=9, n_t=6))["verdict"]
+    assert normality_report(grid_g)["verdict"] == verdict == (
+        "normal" if case == "mdtype" else "not normal")
 
 
 def test_one_jet_call_per_launch_and_per_nu_right_side():

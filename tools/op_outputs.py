@@ -13,10 +13,12 @@ relative paths ``config.json`` and ``out``, so the files and printed paths of
 two trees are comparable.  ``DEST/runs.json`` logs each run's exit code,
 standard output and standard error; an uncaught exception is logged with
 its type and message in place of the exit code, and its traceback in the
-standard error.  The script exits 1 if any run ended in one, or if a run
-that exited 0 wrote anything to standard error: each op ends in an exit
-code, a traceback is a bug, and so is a warning, such as NumPy's, that
-leaks out of a successful op.
+standard error.  The script exits 1 if any run ended in one, if a run that
+exited 0 wrote anything to standard error, or if a ``.json`` file a run
+wrote is not strict JSON (``NaN``, ``Infinity`` and ``-Infinity``, which
+Python's ``json`` writes and reads, are not JSON values): each op ends in
+an exit code, a traceback is a bug, and so is a warning, such as NumPy's,
+that leaks out of a successful op, or a number that no JSON reader takes.
 
 The output check of a change that should leave every output as it was:
 
@@ -62,6 +64,22 @@ def run_op(main, op, plot: bool, run_dir: Path) -> dict:
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def loose_json(run_dir: Path) -> list[str]:
+    """The ``.json`` files under ``run_dir`` that are not strict JSON, each
+    with the reason."""
+    loose = []
+    for path in sorted(run_dir.rglob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_not_json)
+        except ValueError as exc:
+            loose.append(f"{path.relative_to(run_dir).as_posix()}: {exc}")
+    return loose
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -77,7 +95,7 @@ def main(argv: list[str]) -> int:
     from normshift import cli
     from workloads import WORKLOADS, ops_for
 
-    runs = {}
+    runs, loose = {}, {}
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
             for op in itertools.chain.from_iterable(
@@ -85,6 +103,8 @@ def main(argv: list[str]) -> int:
                 for plot in (False, True):
                     run = Path(name, f"seed{seed}", f"op{op.index}" + ("-plot" if plot else ""))
                     runs[run.as_posix()] = run_op(cli.main, op, plot, dest / run)
+                    if found := loose_json(dest / run):
+                        loose[run.as_posix()] = found
     with open(dest / "runs.json", "w") as fh:
         json.dump(runs, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -97,7 +117,9 @@ def main(argv: list[str]) -> int:
     for run in noisy:
         print(f"{run}: exit 0, but wrote to standard error: {runs[run]['stderr']!r}",
               file=sys.stderr)
-    return 1 if uncaught or noisy else 0
+    for run, found in loose.items():
+        print(f"{run}: not strict JSON: {'; '.join(found)}", file=sys.stderr)
+    return 1 if uncaught or noisy or loose else 0
 
 
 if __name__ == "__main__":
