@@ -45,7 +45,7 @@ class PhaseState:
         r, v = np.asarray(self.r, float), np.asarray(self.v, float)
         if r.shape[-1:] != (2,) or r.shape != v.shape:
             raise ValueError(f"r and v must have one shape (..., 2), got {r.shape}, {v.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(r).all() and np.isfinite(v).all()):
             raise ValueError("phase state has non-finite coordinates")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
@@ -140,7 +140,7 @@ def integrate(field: ForceField, init: PhaseState, t_span,
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
     sol = _run(_flow_rhs(field), t0, init.packed(), t1, cfg)
-    if not np.all(np.isfinite(sol.ys)):
+    if not np.isfinite(sol.ys).all():
         raise StepFailure("trajectory left the finite domain")
     times = sol.ts if t_eval is None else np.asarray(t_eval, float)
     return Trajectory(times, sol)
@@ -150,7 +150,7 @@ def _sample(sol: odesolve.OdeSolution, times: np.ndarray) -> np.ndarray:
     """Dense output at ``times``.  A non-finite sample raises StepFailure
     naming the rows of a stacked state that have one."""
     ys = sol.sample(times)
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         rows = odesolve.nonfinite_rows(np.isfinite(ys).all(axis=0))
         raise StepFailure("solution left the finite domain", rows=rows)
     return ys
@@ -190,7 +190,7 @@ def integrate_deviation(field: ForceField, r0, v0, tau0, tau_dot0, times,
 
     y0 = np.concatenate(np.broadcast_arrays(*(np.asarray(a, float)
                                               for a in (r0, v0, tau0, tau_dot0))), axis=-1)
-    if not np.all(np.isfinite(y0)):
+    if not np.isfinite(y0).all():
         raise StepFailure("launch data has non-finite coordinates")
     sol = _run(rhs, times[0], y0, times[-1], cfg)
     ys = _sample(sol, times)

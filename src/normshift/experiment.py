@@ -26,7 +26,8 @@ from .errors import InvalidParams, SingularCurve
 from .forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, anisotropic_field,
                      cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
                      geodesic_field, gravity_field, marked_point_field, mdtype_field,
-                     metrizable_field, oscillator_field, speed_profile_ansatz)
+                     metrizable_field, oscillator_field, speed_profile_ansatz,
+                     speed_profile_field)
 from .geometry import ConformalMetric
 from .shift import (Curve, NuSolution, circle_arc, line_segment, segment_on_axis,
                     solve_nu, spline_through, tilted_line)
@@ -342,13 +343,19 @@ def build_ansatz(spec: dict) -> ScalarFieldA:
 
 
 def build_field(spec) -> tuple[ForceField, ScalarFieldA | None]:
-    """Returns (field, ansatz-or-None)."""
+    """Returns (field, ansatz-or-None).  A ``speed_profile`` ansatz's field
+    is ``speed_profile_field``; every other ansatz's is ``from_scalar_ansatz``."""
     if not isinstance(spec, dict):
         raise ConfigError("'field' must be an object")
     if "catalogue" in spec:
         return catalogue(spec["catalogue"], spec.get("params")), None
     if "ansatz" in spec:
-        a = build_ansatz(spec["ansatz"])
+        a_spec = spec["ansatz"]
+        if isinstance(a_spec, dict) and a_spec.get("kind") == "speed_profile":
+            # one Profile for A = a(v) and for its field a(|v|) N
+            profile = _profile(a_spec, "profile")
+            return speed_profile_field(profile), speed_profile_ansatz(profile)
+        a = build_ansatz(a_spec)
         return from_scalar_ansatz(a), a
     raise ConfigError("'field' needs either 'catalogue' or 'ansatz'")
 

@@ -182,6 +182,18 @@ def speed_profile_ansatz(profile: Profile) -> ScalarFieldA:
     return ScalarFieldA(lambda x, y, v, t: profile(v), a_theta=lambda x, y, v, t: 0.0)
 
 
+def speed_profile_field(profile: Profile) -> ForceField:
+    """Field F = a(|v|) N of ``speed_profile_ansatz(profile)``, evaluated in
+    the frame: equal to its ``from_scalar_ansatz`` field but for the sign of
+    a zero, without the angle, the generator or the A_theta that is zero."""
+
+    def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+        fr = frame(v)
+        return profile(fr.speed)[..., None] * fr.N
+
+    return ForceField(fn=fn)
+
+
 def cos_profile_ansatz(profile: Profile) -> ScalarFieldA:
     """Generator A = a(v) cos(theta) of the homogeneous anisotropic family."""
     return ScalarFieldA(lambda x, y, v, t: profile(v) * np.cos(t),

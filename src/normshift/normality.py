@@ -153,8 +153,10 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     av, a_t, dm_a = np.moveaxis(d, -1, 0)
     atv, att, dn_at = np.moveaxis(numdiff.complex_step(a.a_theta, at, along(c, s))[1], -1, 0)
     a0 = values[..., 0]
-    return (dm_a - dn_at + a0 * a_t / (v * v) + a_t * att / (v * v) + a_t * av / v
-            - a0 * atv / v)[()]
+    # an assembly that overflows is inf or NaN, which ``residual_sweep`` refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (dm_a - dn_at + a0 * a_t / (v * v) + a_t * att / (v * v) + a_t * av / v
+                - a0 * atv / v)[()]
 
 
 @complex_probes
@@ -189,8 +191,10 @@ def complex_residual(a: ScalarFieldA, z, w):
     dm_z_a = jet(dm_z)[1]
     dp_minus1_dm = jet(dp_w, dm_w)[3]
     dp_z_dm_w = jet(dp_z, dm_w)[3]
-    return (dm_w_a * dmdm_minus_dp - speed * dm_z_a
-            + a0 * dp_minus1_dm + speed * dp_z_dm_w)
+    # an assembly that overflows is inf or NaN, which ``residual_sweep`` refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (dm_w_a * dmdm_minus_dp - speed * dm_z_a
+                + a0 * dp_minus1_dm + speed * dp_z_dm_w)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ class OdeSolution:
         nodes = self.ts
         lo, hi = sorted((nodes[0], nodes[-1]))
         outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
-        if np.any(outside):
+        if outside.any():
             raise ValueError(f"t={t[outside][0]} outside the integrated interval [{lo}, {hi}]")
         n = len(nodes)
         if n == 1:
@@ -442,7 +442,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         with np.errstate(over="ignore", invalid="ignore"):  # as in _stage
             err5, err3 = e5 @ k[:12], e3 @ k[:12]
             norm = (_error_norm(step, err5, err3, y, y_new, abs_tol, rel_tol, width)
-                    if np.all(np.isfinite(y_new)) and np.all(np.isfinite(k[12])) else math.inf)
+                    if np.isfinite(y_new).all() and np.isfinite(k[12]).all() else math.inf)
         if not norm <= 1.0:
             if math.isfinite(norm):
                 return None, step * _factor(norm), None
@@ -670,8 +670,8 @@ def _picard(rhs, t: float, y: np.ndarray, h: float, tol: float, shape):
         # vecdot, not @: a matrix product pages in BLAS's GEMM, 0.25 MB more
         # resident memory in a run that uses no other
         new = (flat + (h / 2) * np.vecdot(integral[:, None], f.T)
-               if np.all(np.isfinite(f)) else f)
-        if not np.all(np.isfinite(new)):
+               if np.isfinite(f).all() else f)
+        if not np.isfinite(new).all():
             # a row is bad if any of its components is, at any node
             return None, nonfinite_rows(np.isfinite(new).all(axis=0).reshape(shape))
         update = float(np.max(np.abs(new - values) / (1.0 + np.abs(new))))

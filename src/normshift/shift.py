@@ -184,7 +184,7 @@ def _unit_frame(curve: Curve, s, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Unit tangent, the chosen unit normal and |r'| from r'(s) = d, row by row."""
     speed = np.hypot(d[..., 0], d[..., 1])
     low = speed < _REGULARITY_EPS
-    if np.any(low):
+    if low.any():
         raise SingularCurve(f"|r'({np.asarray(s, float)[low][0]})| = "
                             f"{np.min(speed[low]):.3e}; curve not regular")
     tangent = d / speed[..., None]
@@ -304,12 +304,12 @@ def solve_nu(curve: Curve, field: ForceField, s0: float, nu0: float) -> NuSoluti
             calls += 1
             s, nu = s0 + sigma[:, None] * width, y[..., 0]
             out = raised = None
-            if np.all(np.abs(nu) >= floor):
+            if (np.abs(nu) >= floor).all():
                 try:
                     out = (rate(s, nu) * width)[..., None]
                 except (NormShiftError, ArithmeticError) as exc:
                     raised = exc
-            if out is not None and np.all(np.isfinite(out)):
+            if out is not None and np.isfinite(out).all():
                 return out
             if len(ends) > 1:
                 raise StepFailure("a branch of the stacked nu solve stopped")

@@ -797,6 +797,21 @@ def test_a_mean_whose_sum_overflows_is_finite(tmp_path, capsys):
                                                       rel=1e-15)
 
 
+def test_residuals_that_overflow_exit_3_with_one_line(tmp_path, capsys):
+    # r2, r_reduced and r_complex overflow at every probe: the sweep refuses
+    # them, and the reduced and complex residuals once warned before it did
+    cfg = write_config(tmp_path, "overflow.json", {
+        "field": {"ansatz": {"kind": "angular_monomial", "coef": 1e154, "power": 0}},
+        "include_complex": True,
+        "probes": {"count": 50, "box": {"x": [0, 1], "y": [0, 1], "v": [0.5, 0.6],
+                                        "theta": [3.0, 3.1]}}})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: InvalidParams: the r2 residual is not finite at "
+                          "50 of 50 probes")
+    assert err.count("\n") == 1
+
+
 def test_an_angle_whose_norms_overflow_is_finite(tmp_path, capsys):
     # tau and v near 5e199: |tau| |v| overflows, and the worst angle once read
     # NaN at exit 0, after three warnings; tau' = nu' n makes tau parallel to v

@@ -17,9 +17,9 @@ from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, a
                               flat_from_covariant, from_scalar_ansatz, geodesic_field,
                               gravity_field, marked_point_field, mdtype_field,
                               metrizable_field, oscillator_field,
-                              speed_profile_ansatz)
-from normshift.experiment import (CATALOGUE, ConfigError, build_ansatz, build_metric,
-                                  catalogue, catalogue_listing)
+                              speed_profile_ansatz, speed_profile_field)
+from normshift.experiment import (CATALOGUE, ConfigError, build_ansatz, build_field,
+                                  build_metric, catalogue, catalogue_listing)
 from normshift.geometry import ConformalMetric, christoffel, elementwise, frame, polar_frame
 from normshift.normality import symmetry_reduced_ansatz
 from normshift import forces, numdiff
@@ -482,6 +482,50 @@ def test_conformal_w_partials_match_jets(name, complex_step):
         assert_matches_jet(got, want)
 
 
+SPEED_PROFILES = {
+    "zero": Profile.constant(0.0),
+    "constant": Profile.constant(-0.7),
+    "poly": Profile.polynomial(POLY["coeffs"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEED_PROFILES))
+def test_the_speed_profile_field_equals_its_scalar_ansatz_field(name):
+    # F = a(|v|) N from the frame, a second copy of the field that
+    # from_scalar_ansatz makes of speed_profile_ansatz: equal forces and
+    # complex-step derivatives but for the sign of a zero, at random points
+    # and at velocities on the axes, -0.0 components among them
+    p = SPEED_PROFILES[name]
+    fields = speed_profile_field(p), from_scalar_ansatz(speed_profile_ansatz(p))
+    rng = np.random.default_rng(11)
+    r, v = rng.uniform(-2, 2, (2, 212, 2))
+    v[200:] = rng.uniform(0.3, 3, (12, 1)) * np.array(
+        [[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -0.0], [-0.0, -1]] * 2)
+    dr, dv = rng.uniform(-1, 1, (2, 212, 2))
+    for point in ((r, v, dr, dv), (r[204], v[204], dr[0], dv[0])):
+        got, want = (field.derivative(*point) for field in fields)
+        for g, w in zip((fields[0].force(*point[:2]), *got),
+                        (fields[1].force(*point[:2]), *want)):
+            np.testing.assert_array_equal(g, w)  # -0.0 == 0.0
+    slow = v[:3].copy()
+    slow[1] = [0.5e-9, -0.5e-9]
+    for field in fields:
+        with pytest.raises(DegenerateVelocity):
+            field.force(r[:3], slow)
+        with pytest.raises(DegenerateVelocity):
+            field.derivative(r[:3], slow, dr[:3], dv[:3])
+
+
+def test_a_speed_profile_config_takes_no_angle(monkeypatch):
+    # build_field gives a speed_profile ansatz the frame field, with its
+    # generator; polar_frame is where from_scalar_ansatz takes theta
+    field, a = build_field({"ansatz": ANSATZ_SPECS["speed_profile"]})
+    monkeypatch.setattr(forces, "polar_frame", None)
+    r, v = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    f, _ = field.derivative(r, v, v, r)
+    np.testing.assert_allclose(f, a(*r, np.hypot(*v), 0.0) * frame(v).N, rtol=1e-15)
+
+
 def contract_fields() -> dict:
     """Every built-in way of making a field, one instance each."""
     metric = build_metric(SIN_COS)
@@ -496,6 +540,7 @@ def contract_fields() -> dict:
         "covariant_from_flat": covariant_from_flat(mdtype, fd_metric),
         "conformal_transport": from_scalar_ansatz(conformal_transport(
             build_ansatz(ANSATZ_SPECS["cos_profile"]), metric)),
+        "speed_profile_field": speed_profile_field(Profile.polynomial(POLY["coeffs"])),
         "symmetry_reduced_ansatz": from_scalar_ansatz(symmetry_reduced_ansatz(
             lambda v, t: 1.0 + 0.3 * v + 0.5 * v * np.cos(t))),
         "helpers/random_ansatz": from_scalar_ansatz(random_ansatz(np.random.default_rng(3))),

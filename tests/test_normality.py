@@ -686,3 +686,15 @@ def test_claiming_fields_have_zero_weak_residuals_at_random_points(name, seed):
         assert np.max(np.abs(r1)) < 1e-12 and np.max(np.abs(r2)) < 1e-12
     else:
         assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) > 1e-2
+
+
+def test_the_reduced_and_complex_residuals_overflow_without_a_warning():
+    # A = 1e154 theta: the products of its partials overflow at every probe,
+    # and the residuals are not finite; the test settings make a warning fail
+    a = ScalarFieldA(lambda x, y, v, t: 1e154 * t, a_theta=lambda x, y, v, t: 1e154)
+    x, y, v, th = np.moveaxis(probe_points(20, seed=1, box={
+        "x": (0, 1), "y": (0, 1), "v": (0.5, 0.6), "theta": (3.0, 3.1)}), -1, 0)
+    w = v * np.exp(1j * th)
+    for residual in (reduced_residual(a, x, y, v, th), complex_residual(a, x + 1j * y, w)):
+        assert residual.shape == (20,)
+        assert not np.isfinite(residual).any()
