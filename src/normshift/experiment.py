@@ -26,8 +26,7 @@ from .errors import InvalidParams, SingularCurve
 from .forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, anisotropic_field,
                      cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
                      geodesic_field, gravity_field, marked_point_field, mdtype_field,
-                     metrizable_field, oscillator_field, speed_profile_ansatz,
-                     speed_profile_field)
+                     oscillator_field, speed_profile_ansatz, speed_profile_field)
 from .geometry import ConformalMetric
 from .shift import (Curve, NuSolution, circle_arc, line_segment, segment_on_axis,
                     solve_nu, spline_through, tilted_line)
@@ -232,13 +231,20 @@ def _disc_invariant(spec: dict) -> ScalarFieldA:
                                  _profile(spec, "profile", Profile.constant(1.0)))
 
 
-def _build_mdtype(params: dict) -> ForceField:
+def _build_mdtype(params: dict, key: str) -> ForceField:
+    """The multidimensional-type field of W = v exp(-f) and the profile
+    params[key] (default 0), the one field of ``metrizable`` (key "H") and
+    ``mdtype`` (key "h").  ConfigError unless W_v is a finite number of
+    magnitude at least 1e-12 at three probe points."""
     md = MDTypeParams.from_conformal(_conformal_factor(params),
-                                     _profile(params, "h", Profile.constant(0.0)))
+                                     _profile(params, key, Profile.constant(0.0)))
     # W_v = exp(-f) underflows where f is large (sin_cos of amplitude 100)
-    for x, y, v in ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7)):
-        if abs(md.w(x, y, v)[1]) < 1e-12:
-            raise ConfigError("W_v vanishes at a probe point")
+    # and overflows where f is below about -709
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = [md.w(x, y, v)[1] for x, y, v in
+                  ((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), (-0.5, 0.5, 0.7))]
+    if not all(math.isfinite(w_v) and abs(w_v) >= 1e-12 for w_v in probes):
+        raise ConfigError("W_v vanishes or is not finite at a probe point")
     return mdtype_field(md)
 
 
@@ -276,14 +282,13 @@ CATALOGUE = {
         "description": "Geodesic flow of g = exp(-2f) delta as a flat-space field.",
     },
     "metrizable": {
-        "build": lambda params: metrizable_field(
-            _conformal_factor(params), _profile(params, "H", Profile.constant(0.0))),
+        "build": lambda params: _build_mdtype(params, "H"),
         "claims_normality": True,
         "params": {"f": "conformal factor spec", "H": "speed profile"},
         "description": "Geodesic field plus tangential drive H(|v| exp(-f)) exp(f).",
     },
     "mdtype": {
-        "build": _build_mdtype,
+        "build": lambda params: _build_mdtype(params, "h"),
         "claims_normality": True,
         "params": {"f": "conformal factor spec", "h": "profile applied to W"},
         "description": "Multidimensional-type field built from W(x,y,v) with W_v != 0.",
@@ -323,40 +328,40 @@ def catalogue_listing() -> list[dict]:
 
 
 @_config_errors
-def build_ansatz(spec: dict) -> ScalarFieldA:
+def build_ansatz(spec: dict) -> tuple[ForceField, ScalarFieldA]:
+    """(field, generator) of a 'field.ansatz' spec.  A ``speed_profile``
+    generator's field is ``speed_profile_field``, of the same Profile;
+    every other generator's is ``from_scalar_ansatz``."""
     if not isinstance(spec, dict):
         raise ConfigError("'field.ansatz' must be an object")
     kind = spec.get("kind")
     if kind == "speed_profile":
-        return speed_profile_ansatz(_profile(spec, "profile"))
+        profile = _profile(spec, "profile")
+        return speed_profile_field(profile), speed_profile_ansatz(profile)
     if kind == "cos_profile":
-        return cos_profile_ansatz(_profile(spec, "profile"))
-    if kind == "disc_invariant":
-        return _disc_invariant(spec)
-    if kind == "angular_monomial":
+        a = cos_profile_ansatz(_profile(spec, "profile"))
+    elif kind == "disc_invariant":
+        a = _disc_invariant(spec)
+    elif kind == "angular_monomial":
         # A = c v^p theta: a deliberate non-solution for residual demos
         c = number(spec, "coef", 1.0)
         p = number(spec, "power", 2.0)
-        return ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t,
-                            a_theta=lambda x, y, v, t: c * np.power(v, p))
-    raise ConfigError(f"unknown ansatz kind {kind!r}")
+        a = ScalarFieldA(lambda x, y, v, t: c * np.power(v, p) * t,
+                         a_theta=lambda x, y, v, t: c * np.power(v, p))
+    else:
+        raise ConfigError(f"unknown ansatz kind {kind!r}")
+    return from_scalar_ansatz(a), a
 
 
 def build_field(spec) -> tuple[ForceField, ScalarFieldA | None]:
-    """Returns (field, ansatz-or-None).  A ``speed_profile`` ansatz's field
-    is ``speed_profile_field``; every other ansatz's is ``from_scalar_ansatz``."""
+    """Returns (field, ansatz-or-None): a catalogue field has no generator,
+    an ansatz's pair is ``build_ansatz``'s."""
     if not isinstance(spec, dict):
         raise ConfigError("'field' must be an object")
     if "catalogue" in spec:
         return catalogue(spec["catalogue"], spec.get("params")), None
     if "ansatz" in spec:
-        a_spec = spec["ansatz"]
-        if isinstance(a_spec, dict) and a_spec.get("kind") == "speed_profile":
-            # one Profile for A = a(v) and for its field a(|v|) N
-            profile = _profile(a_spec, "profile")
-            return speed_profile_field(profile), speed_profile_ansatz(profile)
-        a = build_ansatz(a_spec)
-        return from_scalar_ansatz(a), a
+        return build_ansatz(spec["ansatz"])
     raise ConfigError("'field' needs either 'catalogue' or 'ansatz'")
 
 

@@ -209,10 +209,10 @@ def from_scalar_ansatz(a: ScalarFieldA) -> ForceField:
     """
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p, fr = polar_frame(v)
+        theta, fr = polar_frame(v)
         x, y = r[..., 0], r[..., 1]
-        a_val = a(x, y, p.v, p.theta)
-        b_val = -a.a_theta(x, y, p.v, p.theta)
+        a_val = a(x, y, fr.speed, theta)
+        b_val = -a.a_theta(x, y, fr.speed, theta)
         return a_val[..., None] * fr.N + b_val[..., None] * fr.M
 
     return ForceField(fn=fn)
@@ -299,15 +299,16 @@ def flat_from_covariant(field: ForceField, metric: ConformalMetric) -> ForceFiel
     """Euclidean-side field F' = F - Gamma v v of a covariant-side field F.
 
     The two systems (covariant dynamics of F in the metric, flat dynamics of
-    F') trace identical trajectories.  The connection term here uses the
-    closed-form conformal contraction Gamma v v = |v|^2 grad f - 2 <grad f, v> v
-    rather than the component sum, so agreement of the two integrations also
-    cross-checks the Christoffel components.
+    F') trace identical trajectories.  The connection term is the force of
+    ``geodesic_field(metric)``, the closed-form conformal contraction
+    -Gamma v v = -|v|^2 grad f + 2 <grad f, v> v, rather than the component
+    sum, so agreement of the two integrations also cross-checks the
+    Christoffel components.
     """
+    connection = geodesic_field(metric).fn
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        g = metric.gradient(r)
-        return field.force(r, v) - (dot(v, v)[..., None] * g - 2.0 * dot(g, v)[..., None] * v)
+        return field.force(r, v) + connection(r, v)
 
     return ForceField(fn=fn)
 
@@ -340,12 +341,15 @@ class MDTypeParams:
     @staticmethod
     def from_conformal(f: ConformalMetric, h: Profile) -> "MDTypeParams":
         """W = v exp(-f(x, y)), the metrizable sub-family: one evaluation of
-        f and one of its partials give W and its three partials."""
+        f and one of its partials give W and its three partials.  Its field
+        is the geodesic field of f plus the drive N h(|v| exp(-f)) exp(f)."""
 
         def w(x, y, v):
             e = np.exp(-f.f(x, y))
             fx, fy = f.partials(x, y)
-            return v * e, e, -v * e * fx, -v * e * fy
+            ve = v * e
+            minus_ve = -ve
+            return ve, e, minus_ve * fx, minus_ve * fy
 
         return MDTypeParams(w=w, h=h)
 
@@ -357,7 +361,7 @@ def mdtype_field(md: MDTypeParams) -> ForceField:
 
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         fr = frame(v)
-        speed = fr.speed
+        n, speed = fr.N, fr.speed
         x, y = r[..., 0], r[..., 1]
         w, wv, wx, wy = md.w(x, y, speed)
         wv = elementwise(wv, speed)
@@ -365,11 +369,11 @@ def mdtype_field(md: MDTypeParams) -> ForceField:
         if np.count_nonzero(vanishing):
             bx, by, bv = (np.broadcast_to(a.real, wv.shape)[vanishing][0] for a in (x, y, speed))
             raise InvalidParams(f"W_v vanishes at ({bx:.3g}, {by:.3g}, v={bv:.3g})")
-        gw = np.empty(fr.N.shape, np.result_type(r, v))
-        gw[..., 0], gw[..., 1] = wx, wy
-        h = md.h(w)[..., None]
-        along = 2.0 * dot(gw, fr.N)[..., None] * fr.N - gw
-        return (h * fr.N - speed[..., None] * along) / wv[..., None]
+        # 2 <gW, N> N - gW, without an array for gW
+        along = 2.0 * (wx * n[..., 0] + wy * n[..., 1])[..., None] * n
+        along[..., 0] -= wx
+        along[..., 1] -= wy
+        return (md.h(w)[..., None] * n - speed[..., None] * along) / wv[..., None]
 
     return ForceField(fn=fn)
 
@@ -431,24 +435,6 @@ def geodesic_field(metric: ConformalMetric) -> ForceField:
     def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = metric.gradient(r)
         return -dot(v, v)[..., None] * g + 2.0 * dot(g, v)[..., None] * v
-
-    return ForceField(fn=fn)
-
-
-def metrizable_field(metric: ConformalMetric, h: Profile) -> ForceField:
-    """Geodesic-flow field plus a speed-dependent drive along the velocity.
-
-    F = -|v|^2 grad f + 2 <grad f, v> v + (v/|v|) H(|v| exp(-f)) exp(f).
-    """
-
-    def fn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fr = frame(v)
-        g = metric.gradient(r)
-        speed = fr.speed
-        v2 = speed * speed
-        ef = np.exp(metric.value(r))
-        return (-v2[..., None] * g + 2.0 * dot(g, v)[..., None] * v
-                + fr.N * h(speed / ef)[..., None] * ef[..., None])
 
     return ForceField(fn=fn)
 

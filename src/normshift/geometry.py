@@ -128,14 +128,6 @@ class Frame:
     speed: np.ndarray
 
 
-@dataclass(frozen=True)
-class PolarVelocity:
-    """Velocity in polar form: speed v > 0 and angle theta in (-pi, pi]."""
-
-    v: float
-    theta: float
-
-
 def christoffel(metric: ConformalMetric, point) -> np.ndarray:
     """Connection components of a conformal metric, shape (..., 2, 2, 2).
 
@@ -177,12 +169,13 @@ def speed_angle(vx, vy):
     return speed, theta
 
 
-def polar_frame(v) -> tuple[PolarVelocity, Frame]:
-    """The speed and angle of each velocity (``speed_angle``) and
-    ``frame(v)``, from one speed and one rest-point check."""
+def polar_frame(v) -> tuple[np.ndarray, Frame]:
+    """The angle theta in (-pi, pi] of each velocity (``speed_angle``) and
+    ``frame(v)``, whose ``speed`` is the speed, from one speed and one
+    rest-point check."""
     v = _as_points(v)
     speed, theta = speed_angle(v[..., 0], v[..., 1])
-    return PolarVelocity(v=speed, theta=theta), _frame(v, speed)
+    return theta, _frame(v, speed)
 
 
 class PiecewiseCubic:

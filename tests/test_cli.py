@@ -748,6 +748,22 @@ def test_non_finite_residuals_exit_3_with_one_line_of_stderr(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), done.stderr
 
 
+@pytest.mark.parametrize("name", ["metrizable", "mdtype"])
+@pytest.mark.parametrize("f", [800, -800])
+def test_a_w_v_off_the_float_range_exits_2_with_one_line_of_stderr(tmp_path, name, f):
+    # under Python's default warning filters: W_v = exp(-f) underflows to 0
+    # or overflows to inf at the probe points, and both names refuse it
+    # with one line, before a step is taken
+    cfg = write_config(tmp_path, "steep.json", {
+        **_BASE["simulate"],
+        "field": {"catalogue": name, "params": {"f": {"kind": "constant", "value": f}}}})
+    done = subprocess.run([sys.executable, "-m", "normshift.cli", "simulate", "--config",
+                           str(cfg), "--out", str(tmp_path / "o")], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "config error: W_v vanishes or is not finite at a probe point\n"
+
+
 def test_tolerances_that_overflow_the_error_scale_run_without_a_warning(tmp_path):
     # abs + rel |y| overflows to inf in the starting-step estimate, which is
     # handled there; under the suite's error::RuntimeWarning a warning fails

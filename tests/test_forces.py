@@ -16,8 +16,7 @@ from normshift.forces import (ForceField, MDTypeParams, Profile, ScalarFieldA, a
                               covariant_from_flat, disc_invariant_ansatz,
                               flat_from_covariant, from_scalar_ansatz, geodesic_field,
                               gravity_field, marked_point_field, mdtype_field,
-                              metrizable_field, oscillator_field,
-                              speed_profile_ansatz, speed_profile_field)
+                              oscillator_field, speed_profile_ansatz, speed_profile_field)
 from normshift.experiment import (CATALOGUE, ConfigError, build_ansatz, build_field,
                                   build_metric, catalogue, catalogue_listing)
 from normshift.geometry import ConformalMetric, christoffel, elementwise, frame, polar_frame
@@ -75,10 +74,10 @@ def test_scalar_ansatz_projections():
         r, v = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
         if np.hypot(*v) < 0.3:
             continue
-        p = polar_frame(v)[0]
+        theta, fr = polar_frame(v)
         ab = ab_decompose(f, r, v)
-        assert ab.A == pytest.approx(a(r[0], r[1], p.v, p.theta), abs=1e-9)
-        assert ab.B == pytest.approx(-a.a_theta(r[0], r[1], p.v, p.theta), abs=1e-9)
+        assert ab.A == pytest.approx(a(r[0], r[1], fr.speed, theta), abs=1e-9)
+        assert ab.B == pytest.approx(-a.a_theta(r[0], r[1], fr.speed, theta), abs=1e-9)
 
 
 def test_speed_profile_ansatz_force_along_velocity():
@@ -148,9 +147,9 @@ def test_complex_force_rejects_small_w():
 def test_cartesian_and_polar_frame_take_one_angle_on_the_negative_axis():
     # both read theta = +pi at v_y = -0.0 (geometry.speed_angle), where
     # cartesian once took atan2's -pi and read -5.881 here
-    a = build_ansatz({"kind": "angular_monomial", "coef": 1.3, "power": 2})
-    p = polar_frame((-1.2, -0.0))[0]
-    polar = a(0.3, -0.2, p.v, p.theta)
+    a = build_ansatz({"kind": "angular_monomial", "coef": 1.3, "power": 2})[1]
+    theta, fr = polar_frame((-1.2, -0.0))
+    polar = a(0.3, -0.2, fr.speed, theta)
     assert polar == pytest.approx(1.3 * 1.2 * 1.2 * math.pi)
     assert a.cartesian(0.3, -0.2, -1.2, -0.0) == polar
     x, y, vx = (np.full(2, c) for c in (0.3, -0.2, -1.2))
@@ -228,6 +227,19 @@ def test_flat_covariant_round_trip():
         assert np.max(np.abs(g.force(r, v) - f.force(r, v))) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [{"kind": "sin_cos", "amplitude": 0.7},
+                                  {"kind": "linear", "ax": 0.6, "ay": -0.4}])
+def test_the_flat_field_of_no_force_is_the_geodesic_field(spec):
+    # flat_from_covariant adds geodesic_field's force as its connection term
+    m = build_metric(spec)
+    flat, geo = flat_from_covariant(gravity_field(0.0), m), geodesic_field(m)
+    r, v = stacked_points(64, 14)
+    dr, dv = np.random.default_rng(15).uniform(-1, 1, (2, 64, 2))
+    np.testing.assert_array_equal(flat.force(r, v), geo.force(r, v))  # -0.0 == 0.0
+    for got, want in zip(flat.derivative(r, v, dr, dv), geo.derivative(r, v, dr, dv)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_catalogue_gravity_and_oscillator():
     g = catalogue("gravity", {})
     assert np.allclose(g.force(np.array([3.0, 4.0]), np.array([1.0, 1.0])), [0, -1])
@@ -238,18 +250,40 @@ def test_catalogue_gravity_and_oscillator():
 
 
 def test_catalogue_mdtype_reduces_to_metrizable_and_geodesic():
+    # W = v exp(-f) gives the metrizable field, written out here as the
+    # geodesic field plus the drive N H(|v| exp(-f)) exp(f); with h = 0 it
+    # is the geodesic field
     m = ConformalMetric(f=lambda x, y: 0.2 * math.sin(x) + 0.1 * y,
                         grad_f=lambda x, y: (0.2 * math.cos(x), 0.1))
     h = Profile.polynomial([0.3, 0.2])
     md = mdtype_field(MDTypeParams.from_conformal(m, h))
-    metr = metrizable_field(m, h)
     geo = geodesic_field(m)
     md0 = mdtype_field(MDTypeParams.from_conformal(m, Profile.constant(0.0)))
+
+    def metrizable(r, v):
+        fr, ef = frame(v), np.exp(m.value(r))
+        return geo.force(r, v) + fr.N * h(fr.speed / ef) * ef
+
     rng = np.random.default_rng(10)
     for _ in range(20):
         r, v = rng.uniform(-1, 1, 2), rng.uniform(0.5, 2, 2)
-        assert np.max(np.abs(md.force(r, v) - metr.force(r, v))) < 1e-14
+        assert np.max(np.abs(md.force(r, v) - metrizable(r, v))) < 1e-14
         assert np.max(np.abs(md0.force(r, v) - geo.force(r, v))) < 1e-14
+
+
+@pytest.mark.parametrize("f", [{"kind": "sin_cos", "amplitude": 0.25},
+                               {"kind": "linear", "ax": 0.2, "ay": -0.3},
+                               {"kind": "constant", "value": 0.4}, None])
+def test_metrizable_and_mdtype_are_one_field(f):
+    # the catalogue's H of metrizable is the h of mdtype, bit for bit
+    p = {"kind": "poly", "coeffs": [0.4, 0.3, -0.1]}
+    metrizable = catalogue("metrizable", {"f": f, "H": p})
+    mdtype = catalogue("mdtype", {"f": f, "h": p})
+    r, v = stacked_points(64, 12)
+    dr, dv = np.random.default_rng(13).uniform(-1, 1, (2, 64, 2))
+    assert np.array_equal(metrizable.force(r, v), mdtype.force(r, v))
+    for got, want in zip(metrizable.derivative(r, v, dr, dv), mdtype.derivative(r, v, dr, dv)):
+        assert np.array_equal(got, want)
 
 
 def test_mdtype_ab_closed_forms():
@@ -296,9 +330,14 @@ def test_catalogue_errors():
         catalogue("does_not_exist")
     with pytest.raises(ConfigError):
         catalogue("oscillator", {})
-    # W_v = exp(-f) is about 2e-20 at the probe point (1, -1)
-    with pytest.raises(ConfigError, match="W_v vanishes"):
-        catalogue("mdtype", {"f": {"kind": "sin_cos", "amplitude": 100}})
+    # W_v = exp(-f) is about 2e-20 at the probe point (1, -1) of the
+    # sin_cos f, 0 at f = 800 and inf at f = -800; a NumPy warning on the
+    # way would be an error here
+    for f in ({"kind": "sin_cos", "amplitude": 100}, {"kind": "constant", "value": 800},
+              {"kind": "constant", "value": -800}):
+        for name in ("metrizable", "mdtype"):
+            with pytest.raises(ConfigError, match="W_v vanishes or is not finite"):
+                catalogue(name, {"f": f})
 
 
 def test_disc_invariant_domain_guard():
@@ -405,7 +444,7 @@ def test_complex_force_takes_arrays_of_points():
     z = rng.uniform(-1.5, 1.5, (200, 3)) @ np.array([1.0, 1j, 0.5])
     w = rng.uniform(0.4, 2.0, 200) * np.exp(1j * rng.uniform(-3.1, 3.1, 200))
     for kind, spec in ANSATZ_SPECS.items():
-        a = build_ansatz(spec)
+        a = build_ansatz(spec)[1]
         got = complex_force(a, z, w)
         assert got.shape == (200,)
         assert np.array_equal(got, [complex_force(a, complex(zk), complex(wk))
@@ -459,7 +498,7 @@ def test_metric_gradient_closures_match_jets(name, complex_step):
 @pytest.mark.parametrize("complex_step", [False, True])
 @pytest.mark.parametrize("kind", sorted(ANSATZ_SPECS))
 def test_a_theta_closures_match_jets(kind, complex_step):
-    a = build_ansatz(ANSATZ_SPECS[kind])
+    a = build_ansatz(ANSATZ_SPECS[kind])[1]
     point = closure_points(np.random.default_rng(8), 200,
                            [(-2, 2), (-2, 2), (0.3, 3), (-3, 3)], complex_step)
     assert_matches_jet(a.a_theta(*point), ScalarFieldA(a.fn).a_theta(*point))
@@ -533,13 +572,13 @@ def contract_fields() -> dict:
     mdtype = catalogue("mdtype", CATALOGUE_PARAMS["mdtype"])
     fields = {f"catalogue/{name}": catalogue(name, params)
               for name, params in CATALOGUE_PARAMS.items()}
-    fields.update({f"ansatz/{kind}": from_scalar_ansatz(build_ansatz(spec))
+    fields.update({f"ansatz/{kind}": from_scalar_ansatz(build_ansatz(spec)[1])
                    for kind, spec in ANSATZ_SPECS.items()})
     fields.update({
         "flat_from_covariant": flat_from_covariant(mdtype, metric),
         "covariant_from_flat": covariant_from_flat(mdtype, fd_metric),
         "conformal_transport": from_scalar_ansatz(conformal_transport(
-            build_ansatz(ANSATZ_SPECS["cos_profile"]), metric)),
+            build_ansatz(ANSATZ_SPECS["cos_profile"])[1], metric)),
         "speed_profile_field": speed_profile_field(Profile.polynomial(POLY["coeffs"])),
         "symmetry_reduced_ansatz": from_scalar_ansatz(symmetry_reduced_ansatz(
             lambda v, t: 1.0 + 0.3 * v + 0.5 * v * np.cos(t))),

@@ -6,8 +6,8 @@ import pytest
 from helpers import central_one_point
 
 from normshift.errors import DegenerateVelocity
-from normshift.geometry import (ConformalMetric, PolarVelocity, V_MIN,
-                                christoffel, frame, polar_frame, projector)
+from normshift.geometry import (ConformalMetric, V_MIN, christoffel, frame, polar_frame,
+                                projector)
 
 
 def test_christoffel_flat_metric_is_zero():
@@ -124,12 +124,12 @@ def test_frame_projector_identities_random_speeds():
 
 
 def test_polar_examples():
-    p = polar_frame((1, 0))[0]
-    assert p.v == pytest.approx(1) and p.theta == pytest.approx(0)
-    p = polar_frame((0, 1))[0]
-    assert p.v == pytest.approx(1) and p.theta == pytest.approx(math.pi / 2)
-    p = PolarVelocity(2, math.pi / 3)
-    assert np.allclose([p.v * math.cos(p.theta), p.v * math.sin(p.theta)], [1.0, math.sqrt(3)])
+    theta, fr = polar_frame((1, 0))
+    assert fr.speed == pytest.approx(1) and theta == pytest.approx(0)
+    theta, fr = polar_frame((0, 1))
+    assert fr.speed == pytest.approx(1) and theta == pytest.approx(math.pi / 2)
+    theta, fr = polar_frame((1.0, math.sqrt(3)))
+    assert fr.speed == pytest.approx(2) and theta == pytest.approx(math.pi / 3)
 
 
 def test_polar_round_trip_and_branch():
@@ -138,12 +138,12 @@ def test_polar_round_trip_and_branch():
         v = rng.uniform(-5, 5, 2)
         if np.hypot(*v) < 1e-6:
             continue
-        p = polar_frame(v)[0]
-        assert -math.pi < p.theta <= math.pi
-        back = np.array([p.v * math.cos(p.theta), p.v * math.sin(p.theta)])
+        theta, fr = polar_frame(v)
+        assert -math.pi < theta <= math.pi
+        back = np.array([fr.speed * math.cos(theta), fr.speed * math.sin(theta)])
         assert np.max(np.abs(back - v)) < 1e-12 * np.hypot(*v)
     # the -pi ray canonicalizes to +pi
-    assert polar_frame((-1.0, -0.0))[0].theta == pytest.approx(math.pi)
+    assert polar_frame((-1.0, -0.0))[0] == pytest.approx(math.pi)
 
 
 def test_conformal_speed():

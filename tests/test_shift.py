@@ -599,9 +599,13 @@ def reference_nu(curve, field, s0, nu0, nodes):
             start, y = s0, [nu0]
             for stop in (*knots, end):
                 # rtol just above DOP853's floor of 100 eps: at 1e-13 the
-                # reference itself missed by up to 5.7e-11
+                # reference itself missed by up to 5.7e-11.  Steps of at
+                # most 0.01: over a knot piece of length 0.25 it once took a
+                # step of 0.041, missed by 4.3e-11 at the piece's end and by
+                # 1.76e-10 at a node, where solve_nu agreed with a Chebyshev
+                # solve of 160 points within 2.7e-14
                 sol = solve_ivp(rhs, (start, stop), y, method="DOP853", rtol=2.3e-14,
-                                atol=1e-14, dense_output=True)
+                                atol=1e-14, max_step=0.01, dense_output=True)
                 piece = side & (min(start, stop) <= nodes) & (nodes <= max(start, stop))
                 if np.any(piece):
                     out[piece] = sol.sol(nodes[piece])[0]
@@ -620,6 +624,8 @@ def reference_nu(curve, field, s0, nu0, nodes):
 # the worst of 60 draws against the reference at rtol 1e-13 (7.2e-12; 1.1e-13 now)
 @example(name="metrizable", arc=False, seed=2408948, where=1e-05, nu0=0.8525726326393317,
          n_s=33)
+# a draw that failed while the reference's steps were not capped (1.76e-10)
+@example(name="metrizable", arc=False, seed=436, where=0.0, nu0=0.859375, n_s=10)
 def test_solve_nu_matches_an_independent_dop853_reference(name, arc, seed, where, nu0, n_s):
     rng = np.random.default_rng(seed)
     field = catalogue(name, NU_FIELDS[name])
