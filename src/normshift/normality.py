@@ -84,17 +84,14 @@ def weak_residuals(field: ForceField, r, v):
     FormulationMismatch unless the two agree at every point.
     """
     sample = _evaluate(field, r, v)
-    # an assembly that overflows gives inf or NaN residuals, which
-    # ``residual_sweep`` refuses; the field's own evaluation still warns
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _gradients(*sample)
-        a, b, speed = g.A, g.B, sample[-1]
-        r1 = g.alpha4 + b / speed
-        r2 = (b * a / (speed * speed) - g.beta1 - g.beta3 * a / speed
-              - g.beta4 * b / speed - g.alpha2 + g.alpha3 * b / speed)
-        c1, c2 = _weak_cartesian(*sample)
-        tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
-        bad = (np.abs(r1 - c1) > tol) | (np.abs(r2 - c2) > tol)
+    g = _gradients(*sample)
+    a, b, speed = g.A, g.B, sample[-1]
+    r1 = g.alpha4 + b / speed
+    r2 = (b * a / (speed * speed) - g.beta1 - g.beta3 * a / speed
+          - g.beta4 * b / speed - g.alpha2 + g.alpha3 * b / speed)
+    c1, c2 = _weak_cartesian(*sample)
+    tol = 1e-4 * (1.0 + np.abs(r1) + np.abs(r2))
+    bad = (np.abs(r1 - c1) > tol) | (np.abs(r2 - c2) > tol)
     if np.count_nonzero(bad):
         p1, p2, q1, q2 = (np.broadcast_to(x, bad.shape)[bad][0] for x in (r1, r2, c1, c2))
         raise FormulationMismatch(
@@ -153,10 +150,8 @@ def reduced_residual(a: ScalarFieldA, x, y, v, theta):
     av, a_t, dm_a = np.moveaxis(d, -1, 0)
     atv, att, dn_at = np.moveaxis(numdiff.complex_step(a.a_theta, at, along(c, s))[1], -1, 0)
     a0 = values[..., 0]
-    # an assembly that overflows is inf or NaN, which ``residual_sweep`` refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (dm_a - dn_at + a0 * a_t / (v * v) + a_t * att / (v * v) + a_t * av / v
-                - a0 * atv / v)[()]
+    return (dm_a - dn_at + a0 * a_t / (v * v) + a_t * att / (v * v) + a_t * av / v
+            - a0 * atv / v)[()]
 
 
 @complex_probes
@@ -191,10 +186,8 @@ def complex_residual(a: ScalarFieldA, z, w):
     dm_z_a = jet(dm_z)[1]
     dp_minus1_dm = jet(dp_w, dm_w)[3]
     dp_z_dm_w = jet(dp_z, dm_w)[3]
-    # an assembly that overflows is inf or NaN, which ``residual_sweep`` refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (dm_w_a * dmdm_minus_dp - speed * dm_z_a
-                + a0 * dp_minus1_dm + speed * dp_z_dm_w)
+    return (dm_w_a * dmdm_minus_dp - speed * dm_z_a
+            + a0 * dp_minus1_dm + speed * dp_z_dm_w)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +308,14 @@ def residual_sweep(probes: np.ndarray, *, field: ForceField | None = None,
     r_complex (of ``ansatz``, the latter if ``include_complex``).  One call
     per formulation for each block of ``PROBE_BLOCK`` probes, so the memory
     a sweep holds does not grow with n.  InvalidParams if a residual is not
-    finite at a probe, which no cross-check would see."""
+    finite at a probe, which no cross-check would see, so the blocks run
+    with NumPy's floating-point warnings off."""
     if field is None and ansatz is None:
         raise ValueError("need a force field or a scalar generator")
     probes = np.asarray(probes, float)
-    blocks = [_residuals(probes[i:i + PROBE_BLOCK], field, ansatz, include_complex)
-              for i in range(0, len(probes), PROBE_BLOCK)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blocks = [_residuals(probes[i:i + PROBE_BLOCK], field, ansatz, include_complex)
+                  for i in range(0, len(probes), PROBE_BLOCK)]
     residuals = {name: np.concatenate([block[name] for block in blocks])
                  for name in (blocks[0] if blocks else ())}
     for name, vals in residuals.items():

@@ -30,6 +30,12 @@ the last axis, then the maximum over the leading ones, so every accepted step
 passes each row's own test.  A package error raised by the right side of
 ``solve_dopri`` or ``solve_rk4`` gets a note naming the time of the stage
 that raised it and the last accepted t.
+
+A non-finite value is how a solve fails, so each solve runs with NumPy's
+floating-point warnings off, its right side included: a trial stage may
+leave the right side's domain, and an adaptive step with a non-finite value
+is rejected (RK4's callers refuse a non-finite node).  Outside a solve,
+NumPy's defaults hold.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ _MAX_FACTOR = 5.0
 _MIN_STEP = 1e-14
 # Every solver fails after this many attempted steps.
 _MAX_ATTEMPTS = 2_000_000
+# every solve's quiet region; as a decorator it enters afresh, so solves may nest
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @functools.cache
@@ -248,15 +256,6 @@ def _error_norm(h: float, err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
     return h * float(np.max(e5 / np.where(denom > 0.0, denom, 1.0)))
 
 
-# An overflow in DOP853's own arithmetic makes a state or an estimate
-# non-finite, which rejects the step, so it is not warned about; a warning
-# raised in the right side itself still surfaces.
-@np.errstate(over="ignore", invalid="ignore")
-def _stage(y: np.ndarray, hs: float, row: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """y + hs (row @ k): the state of a stage, or of the step's end."""
-    return y + hs * (row @ k)
-
-
 def nonfinite_rows(finite: np.ndarray) -> list[int]:
     """Rows of a stacked state (..., d), counted over its leading axes, that
     have a component where the mask ``finite`` of its shape is false; none
@@ -332,16 +331,14 @@ def _first_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float,
     of at least _MIN_FACTOR, and _MIN_FACTOR * _MAX_FACTOR = 1, so it is no
     shorter than HNW's own step, or than a fifth of a span that clipped the
     attempt."""
-    # a non-finite scale, launch or probe slope is handled below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = abs_tol + rel_tol * np.abs(y)
-        d0, d1 = _row_rms(y / scale, width), _row_rms(f / scale, width)
+    # a non-finite scale, launch or probe slope is handled below
+    scale = abs_tol + rel_tol * np.abs(y)
+    d0, d1 = _row_rms(y / scale, width), _row_rms(f / scale, width)
     h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6, span)
     if not h0 > 0.0:  # nan from inf / inf, or 0 from a finite / inf
         h0 = min(1e-6, span)
     f1 = rhs(t + direction * h0, y + direction * h0 * f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = _row_rms((f1 - f) / scale, width) / h0
+    d2 = _row_rms((f1 - f) / scale, width) / h0
     d = max(d1, d2)
     hnw = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
     h = min(_MAX_FACTOR * hnw, span)
@@ -401,6 +398,7 @@ def _factor(norm: float) -> float:
     return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.125))
 
 
+@_quiet
 def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0, t1: float, *,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> OdeSolution:
@@ -437,12 +435,11 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         rhs.accepted = t
         hs = direction * step
         for i in range(1, 13):  # stage 12, at y_new, is the next step's first
-            y_new = _stage(y, hs, a[i], k[:i])
+            y_new = y + hs * (a[i] @ k[:i])
             k[i] = rhs(t + c[i] * hs, y_new)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _stage
-            err5, err3 = e5 @ k[:12], e3 @ k[:12]
-            norm = (_error_norm(step, err5, err3, y, y_new, abs_tol, rel_tol, width)
-                    if np.isfinite(y_new).all() and np.isfinite(k[12]).all() else math.inf)
+        err5, err3 = e5 @ k[:12], e3 @ k[:12]
+        norm = (_error_norm(step, err5, err3, y, y_new, abs_tol, rel_tol, width)
+                if np.isfinite(y_new).all() and np.isfinite(k[12]).all() else math.inf)
         if not norm <= 1.0:
             if math.isfinite(norm):
                 return None, step * _factor(norm), None
@@ -450,10 +447,9 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
                       & np.isfinite(err5) & np.isfinite(err3))
             return None, step * 0.25, nonfinite_rows(finite.reshape(shape))
         for i in range(13, 16):
-            k[i] = rhs(t + c[i] * hs, _stage(y, hs, a[i], k[:i]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs.append([*_hermite_rows(hs, y, y_new, k[0], k[12]),
-                           *(hs * (row @ k) for row in d)])
+            k[i] = rhs(t + c[i] * hs, y + hs * (a[i] @ k[:i]))
+        coeffs.append([*_hermite_rows(hs, y, y_new, k[0], k[12]),
+                       *(hs * (row @ k) for row in d)])
         k[0] = k[12]
         factor = _factor(norm)
         if last is not None:
@@ -467,6 +463,7 @@ def solve_dopri(rhs: Callable[[float, np.ndarray], np.ndarray],
         np.array(coeffs).reshape((-1, 7) + shape)))
 
 
+@_quiet
 def solve_rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
               t0: float, y0, t1: float, *, step: float) -> OdeSolution:
     """Classic fixed-step RK4: ceil(|t1 - t0| / step) equal steps.
@@ -612,6 +609,7 @@ class ChebyshevSolution(OdeSolution):
         return out.T.reshape((len(x),) + self.ys.shape[1:])
 
 
+@_quiet
 def solve_chebyshev(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     t0: float, y0, t1: float, *, tol: float,
                     t_stops=None) -> ChebyshevSolution:

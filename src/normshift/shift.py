@@ -423,13 +423,14 @@ def normal_shift(curve: Curve, field: ForceField, nu, t_span,
                            f"interval of s to shift: {nu.stop_reason}")
     s_nodes = np.linspace(lo, hi, n_s)
     t_nodes = np.linspace(float(t_span[0]), float(t_span[1]), n_t)
-    nu_vals, dnu = nu.jet(s_nodes)
-
-    # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n'
-    r, d, dd = curve.jet(s_nodes)
-    tangent, n, speed, k = _frenet(curve, s_nodes, d, dd)
-    n_prime = (-k * speed)[:, None] * tangent
-    launch = (r, nu_vals[:, None] * n, d, dnu[:, None] * n + nu_vals[:, None] * n_prime)
+    # launch data (r, v, tau, tau') per s-node: r(s), nu n, r'(s), nu' n + nu n';
+    # integrate_deviation refuses a non-finite launch, so it is not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nu_vals, dnu = nu.jet(s_nodes)
+        r, d, dd = curve.jet(s_nodes)
+        tangent, n, speed, k = _frenet(curve, s_nodes, d, dd)
+        n_prime = (-k * speed)[:, None] * tangent
+        launch = (r, nu_vals[:, None] * n, d, dnu[:, None] * n + nu_vals[:, None] * n_prime)
     try:
         deviation = integrate_deviation(field, *launch, t_nodes, cfg)
     except Exception as exc:

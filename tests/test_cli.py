@@ -726,8 +726,7 @@ def test_non_finite_residuals_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "huge.json", {
         "field": {"catalogue": "gravity", "params": {"magnitude": 1e308}},
         "probes": {"count": 5}})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 3
     err = capsys.readouterr().err
     assert "numeric failure: InvalidParams: the r1 residual is not finite at 1 of 5 probes" in err
     assert "first (x, y, v, theta) = (" in err
@@ -746,6 +745,58 @@ def test_non_finite_residuals_exit_3_with_one_line_of_stderr(tmp_path):
     assert done.returncode == 3
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), done.stderr
+
+
+# Fields that leave the float range inside a solve or a residual sweep: the
+# metrizable run's rejected trial stages land where exp(-f) overflows, and
+# each of the others overflows wherever it is evaluated.  (command, exit code,
+# config) by name.
+_OVERFLOWING = {
+    "metrizable-simulate": ("simulate", 0, {
+        "field": {"catalogue": "metrizable",
+                  "params": {"f": {"kind": "linear", "ax": -20.0}, "H": 1.0}},
+        "init": {"r": [0.0, 0.0], "v": [-1.0, 0.3]}, "t_span": [0.0, 50.0]}),
+    "speed_profile-shift": ("shift", 3, {**_BASE["shift"], "field": {"ansatz": {
+        "kind": "speed_profile", "profile": {"kind": "poly", "coeffs": [1.0, 1e308]}}}}),
+    "anisotropic-simulate": ("simulate", 3, {**_BASE["simulate"], "field": {
+        "catalogue": "anisotropic", "params": {"profile": 1e308}}}),
+    "geodesic-simulate": ("simulate", 3, {**_BASE["simulate"], "field": {
+        "catalogue": "geodesic", "params": {"f": {"kind": "linear", "ax": 1e308}}}}),
+    "angular_monomial-check": ("check", 3, {**_BASE["check"], "field": {
+        "ansatz": {"kind": "angular_monomial", "coef": 1e308}}}),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_a_field_that_overflows_in_a_solve_or_a_sweep_does_not_warn(tmp_path, capsys, name):
+    # under the suite's error::RuntimeWarning a NumPy warning raises out of
+    # main; the non-finite values are rejected or refused instead
+    command, code, payload = _OVERFLOWING[name]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("numeric failure: "), err
+        return
+    assert err == ""
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["integrator"]["rejected_steps"] > 0  # the trial stages that overflowed
+    rows = list(csv.DictReader((tmp_path / "o" / "trajectory.csv").read_text().splitlines()))
+    assert all(math.isfinite(float(x)) for row in rows for x in row.values())
+
+
+@pytest.mark.parametrize("name, stderr", [
+    ("metrizable-simulate", ""),
+    ("geodesic-simulate", "numeric failure: StepFailure: step size underflow at t=0\n"),
+], ids=["metrizable", "geodesic"])
+def test_a_field_that_overflows_in_a_solve_prints_only_the_exit_line(tmp_path, name, stderr):
+    # under Python's default warning filters
+    command, code, payload = _OVERFLOWING[name]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    done = subprocess.run([sys.executable, "-m", "normshift.cli", command, "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (code, stderr)
 
 
 @pytest.mark.parametrize("name", ["metrizable", "mdtype"])
@@ -909,7 +960,6 @@ def test_a_span_below_the_underflow_step_is_one_step(tmp_path, command, t_span, 
     assert {key: float(value) for key, value in rows[0].items()} == launch
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy warns as nu overflows
 def test_nonfinite_launch_data_exits_3(tmp_path, capsys):
     # finite a0 and a1, but nu(1) = a0 + a1 overflows
     cfg = write_config(tmp_path, "cfg.json", {**_BASE["shift"],

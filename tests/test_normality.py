@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (perturbed_mdtype, random_ansatz, random_generator, reduced_residual_from,
                      richardson_one_point)
 
-from normshift.errors import DegenerateVelocity, SingularDenominator
+from normshift.errors import DegenerateVelocity, InvalidParams, SingularDenominator
 from normshift.experiment import CATALOGUE, build_field, catalogue
 from normshift.forces import (ForceField, Profile, ScalarFieldA, conformal_transport,
                               cos_profile_ansatz, disc_invariant_ansatz, from_scalar_ansatz,
@@ -690,11 +690,16 @@ def test_claiming_fields_have_zero_weak_residuals_at_random_points(name, seed):
 
 def test_the_reduced_and_complex_residuals_overflow_without_a_warning():
     # A = 1e154 theta: the products of its partials overflow at every probe,
-    # and the residuals are not finite; the test settings make a warning fail
+    # and the residuals are not finite.  The sweep refuses them without a
+    # warning, which the test settings would make fail; a residual called
+    # alone, outside the sweep's quiet region, still warns.
     a = ScalarFieldA(lambda x, y, v, t: 1e154 * t, a_theta=lambda x, y, v, t: 1e154)
-    x, y, v, th = np.moveaxis(probe_points(20, seed=1, box={
-        "x": (0, 1), "y": (0, 1), "v": (0.5, 0.6), "theta": (3.0, 3.1)}), -1, 0)
-    w = v * np.exp(1j * th)
-    for residual in (reduced_residual(a, x, y, v, th), complex_residual(a, x + 1j * y, w)):
-        assert residual.shape == (20,)
-        assert not np.isfinite(residual).any()
+    probes = probe_points(20, seed=1, box={
+        "x": (0, 1), "y": (0, 1), "v": (0.5, 0.6), "theta": (3.0, 3.1)})
+    with pytest.raises(InvalidParams, match="r_reduced residual is not finite at 20 of 20 "):
+        residual_sweep(probes, ansatz=a, include_complex=True)
+    x, y, v, th = np.moveaxis(probes, -1, 0)
+    with pytest.warns(RuntimeWarning):
+        reduced_residual(a, x, y, v, th)
+    with pytest.warns(RuntimeWarning):
+        complex_residual(a, x + 1j * y, v * np.exp(1j * th))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from normshift import odesolve
 from normshift.errors import StepFailure
+from normshift.forces import ForceField
 
 
 def test_spectral_matrices_are_exact_for_polynomials_of_degree_n():
@@ -133,6 +134,52 @@ def test_a_row_turning_nan_fails_with_the_accepted_prefix():
     t = np.linspace(0.0, prefix.ts[-1], 51)
     assert np.max(np.abs(prefix.sample(t)[:, :, 0]
                          - np.exp(-t)[:, None] * [1.0, 2.0, 3.0])) < 1e-9
+
+
+def steep(sign):
+    """(field, rhs): F = (sign exp(1e3 (x - 0.5)), 0), whose exp overflows
+    past x = 1.21, and its flow on a stacked (2, 4) state."""
+    field = ForceField(fn=lambda r, v: np.stack(
+        [sign * np.exp(1e3 * (r[..., 0] - 0.5)), np.zeros(r.shape[:-1])], axis=-1))
+
+    def rhs(t, y):
+        return np.concatenate([y[..., 2:], field.force(y[..., :2], y[..., 2:])], axis=-1)
+    return field, rhs
+
+
+STEEP_SOLVERS = {
+    "dopri": lambda rhs, y0: odesolve.solve_dopri(rhs, 0.0, y0, 2.0),
+    "rk4": lambda rhs, y0: odesolve.solve_rk4(rhs, 0.0, y0, 2.0, step=0.01),
+    "chebyshev": lambda rhs, y0: odesolve.solve_chebyshev(rhs, 0.0, y0, 2.0, tol=1e-10),
+}
+
+
+@pytest.mark.parametrize("solver", list(STEEP_SOLVERS))
+def test_a_field_that_overflows_past_a_line_is_solved_across_it_without_a_warning(solver):
+    # Row 0 is launched at unit speed toward x = 0.5, row 1 rests at x = -1.
+    # Every solve runs in a quiet region, so the suite's error::RuntimeWarning
+    # sees no overflow; the non-finite values end each solve as before.
+    y0 = [[0.0, 0.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+    field, pull = steep(1.0)
+    # pulled across the line, row 0 runs off to infinity near t = 0.5076
+    if solver == "rk4":
+        sol = STEEP_SOLVERS[solver](pull, y0)
+        assert odesolve.nonfinite_rows(np.isfinite(sol.ys[-1])) == [0]
+    else:
+        with pytest.raises(StepFailure, match="underflow") as info:
+            STEEP_SOLVERS[solver](pull, y0)
+        assert info.value.rows == ()
+        assert 0.5075 < info.value.solution.ts[-1] < 0.5077
+        assert np.isfinite(info.value.solution.ys).all()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        field.force(np.array([1.5, 0.0]), np.array([1.0, 0.0]))
+    # pushed back by the line, row 0 turns near x = 0.506 and leaves at its
+    # launch speed, and the trial stages that overshoot into the overflow
+    # are rejected
+    if solver != "rk4":
+        sol = STEEP_SOLVERS[solver](steep(-1.0)[1], y0)
+        assert sol.rejected_steps > 0 and np.isfinite(sol.ys).all()
+        assert np.max(np.abs(sol.ys[-1] - [[-0.9847982, 0.0, -1.0, 0.0], y0[1]])) < 1e-7
 
 
 def test_zero_span_backward_span_and_queries_outside():

@@ -487,7 +487,7 @@ def test_non_finite_columns_are_named_in_the_error_note():
     # the force is infinite right of x = 0.6, so the columns from there cannot start
     field = ForceField(fn=lambda r, v: np.where(r[..., :1] > 0.6, np.inf, 1.0) * v)
     grid_s = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(StepFailure) as info, np.errstate(invalid="ignore"):
+    with pytest.raises(StepFailure) as info:
         normal_shift(segment_on_axis(0.0, 1.0), field, Profile.constant(1.0),
                      (0, 0.5), n_s=5, n_t=3)
     assert info.value.rows == (3, 4)
