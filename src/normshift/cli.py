@@ -2,7 +2,9 @@
 
 Subcommands: simulate | shift | check | catalogue.  Every run is driven by a
 JSON config (see README) and writes CSV output plus a JSON manifest into the
-output directory.  Exit codes: 0 ok, 2 config error, 3 numeric failure.
+output directory; the commands here lay out and write every file a run
+writes.  Exit codes: 0 ok, 2 config error or an output that cannot be
+written, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -88,22 +90,24 @@ def cmd_simulate(args) -> int:
     oracle = build_oracle(cfg.get("oracle"), init) if args.check_oracle else None
     t_eval = np.linspace(t0, t1, n_t)
     traj = integrate(field, init, (t0, t1), icfg, t_eval=t_eval)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "trajectory.csv"
-    xy = traj.write_csv(csv_path)
     extra = {
         "outputs": ["trajectory.csv"],
         "integrator": _integrator(icfg, traj.work),
     }
-    if oracle is not None:
+    if oracle is not None:  # before any file, so an oracle that fails to evaluate writes none
         kind, tol, _ = oracle
         err = _oracle_error(oracle, traj)
         extra["oracle"] = {"kind": kind, "max_error": err, "tol": tol,
                            "passed": err <= tol}
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / "trajectory.csv"
+    # x and y formatted in one call, for this table and the plot file
+    x, y = formatted(traj.positions().T)
+    write_table(csv_path, [traj.times, x, y, *traj.velocities().T], header="t,x,y,vx,vy")
     if args.emit_plotdata:
-        write_table(out / "plot_xy.dat", xy, sep=" ")
+        write_table(out / "plot_xy.dat", [x, y], sep=" ")
         extra["outputs"].append("plot_xy.dat")
     extra["outputs"].append("manifest.json")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
@@ -133,7 +137,17 @@ def cmd_shift(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    xy = grid.write_csv(out / "shift_grid.csv")
+    # one row per node, t-major; the five text columns formatted in one call,
+    # and x and y repeated in the plot file
+    n_t, n_s = grid.phi.shape
+    columns = [grid.r[..., 0].ravel(), grid.r[..., 1].ravel(), grid.t_nodes, grid.s_nodes,
+               grid.nu]
+    x, y, t, s, nu_text = np.split(formatted(np.concatenate(columns)),
+                                   np.cumsum([len(c) for c in columns[:-1]]))
+    write_table(out / "shift_grid.csv", [
+        np.repeat(t, n_s), np.tile(s, n_t), x, y, *grid.v.reshape(-1, 2).T,
+        grid.phi.ravel(), grid.psi.ravel(), np.tile(nu_text, n_t)],
+        header="t,s,x,y,vx,vy,phi,psi,nu")
     extra = {"outputs": ["shift_grid.csv", "normality_report.json", "manifest.json"],
              "verdict": report["verdict"], "max_abs_phi": report["max_abs_phi"],
              "integrator": _integrator(icfg, grid.work)}
@@ -145,7 +159,7 @@ def cmd_shift(args) -> int:
         extra["nu_solve"] = nu.solution.work
     _write_json(out / "normality_report.json", report)
     if args.emit_plotdata:
-        write_table(out / "plot_fronts.dat", xy, sep=" ", block=len(grid.s_nodes))
+        write_table(out / "plot_fronts.dat", [x, y], sep=" ", block=n_s)
         extra["outputs"].append("plot_fronts.dat")
     _write_json(out / "manifest.json", _manifest(args, cfg, extra))
     if args.json:
@@ -271,6 +285,9 @@ def main(argv=None) -> int:
         notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
         print(f"numeric failure: {type(exc).__name__}: {exc}{notes}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # load_config reports its own as a ConfigError
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .errors import OutOfInterval, SingularQuadrature
 from .forces import Profile
 from .dynamics import PhaseState
 from .geometry import PiecewiseCubic
-from .tables import write_table
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -200,10 +199,6 @@ class QuadratureTable:
         heading = gamma + th
         return PhaseState(rho * np.array([math.cos(gamma), math.sin(gamma)]),
                           v * np.array([math.cos(heading), math.sin(heading)]))
-
-    def write_csv(self, path):
-        write_table(path, [self.theta, self.v, self.rho, self.t, self.gamma],
-                    header="theta,v,rho,t,gamma")
 
 
 def marked_point_quadrature(profile: Profile, init, theta_end: float,

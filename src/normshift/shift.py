@@ -36,7 +36,6 @@ from .errors import NormShiftError, NuBlowup, SingularCurve, StepFailure
 from .forces import ForceField
 from .geometry import PiecewiseCubic, checked_speed
 from .dynamics import IntegratorConfig, integrate_deviation
-from .tables import formatted, write_table
 # Never called here; perfbench/tracing.py patches these bindings by name.
 from .dynamics import integrate  # noqa: F401
 from .geometry import frame  # noqa: F401
@@ -380,22 +379,6 @@ class ShiftGrid:
 
     def max_tau_norm(self) -> float:
         return float(np.max(np.hypot(self.tau[..., 0], self.tau[..., 1])))
-
-    def write_csv(self, path):
-        """Write one row per node, t-major.  Returns the text of x and y, for
-        a plot file that repeats them."""
-        n_t, n_s = self.phi.shape
-        # one formatting call for the five text columns pays the kernel's
-        # fixed cost once
-        columns = [self.r[..., 0].ravel(), self.r[..., 1].ravel(),
-                   self.t_nodes, self.s_nodes, self.nu]
-        x, y, t, s, nu = np.split(formatted(np.concatenate(columns)),
-                                  np.cumsum([len(c) for c in columns[:-1]]))
-        write_table(path, [
-            np.repeat(t, n_s), np.tile(s, n_t), x, y, *self.v.reshape(-1, 2).T,
-            self.phi.ravel(), self.psi.ravel(), np.tile(nu, n_t)],
-            header="t,s,x,y,vx,vy,phi,psi,nu")
-        return x, y
 
 
 def normal_shift(curve: Curve, field: ForceField, nu, t_span,

@@ -392,14 +392,27 @@ def test_emit_plotdata(tmp_path):
 
 
 def test_csv_seventeen_significant_digits(tmp_path):
+    # each table has its header and one row per output time or grid node,
+    # and x = 1/3 reads back as the same double
     cfg = write_config(tmp_path, "digits.json", {
         "field": {"catalogue": "gravity"},
         "init": {"r": [1.0 / 3.0, 0.0], "v": [0.0, -1.0]},
         "t_span": [0.0, 1.0], "n_t": 3,
     })
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "d"]) == 0
-    rows = list(csv.DictReader((tmp_path / "d" / "trajectory.csv").read_text().splitlines()))
+    lines = (tmp_path / "d" / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,x,y,vx,vy"
+    assert len(lines) == 1 + 3
+    rows = list(csv.DictReader(lines))
     assert float(rows[0]["x"]) == 1.0 / 3.0
+    cfg = write_config(tmp_path, "grid.json", {
+        **_BASE["shift"], "curve": {"kind": "segment", "p0": [1 / 3, -0.5], "p1": [1 / 3, 0.5]}})
+    assert run(["shift", "--config", cfg, "--out", tmp_path / "g"]) == 0
+    lines = (tmp_path / "g" / "shift_grid.csv").read_text().splitlines()
+    assert lines[0] == "t,s,x,y,vx,vy,phi,psi,nu"
+    assert len(lines) == 1 + 3 * 4
+    rows = list(csv.DictReader(lines))
+    assert [float(row["x"]) for row in rows[:3]] == [1 / 3] * 3
 
 
 _BASE = {
@@ -923,6 +936,39 @@ def test_an_oracle_mismatch_writes_every_output_it_lists(tmp_path, capsys):
     assert manifest["outputs"] == ["trajectory.csv", "plot_xy.dat", "manifest.json"]
     assert all((tmp_path / "o" / name).is_file() for name in manifest["outputs"])
     assert manifest["oracle"]["passed"] is False
+
+
+def test_an_oracle_that_cannot_be_evaluated_writes_nothing(tmp_path, capsys):
+    # the cycloid's interval ends at t = 2.418, inside the span; the run once
+    # wrote trajectory.csv, and no manifest, before it exited 3
+    th0 = math.pi / 3
+    cfg = write_config(tmp_path, "cyc.json", {
+        "field": {"catalogue": "anisotropic",
+                  "params": {"profile": {"kind": "constant", "value": 1.0}}},
+        "init": {"r": [0.0, 0.0], "v": [math.cos(th0), math.sin(th0)]},
+        "t_span": [0.0, 5.0],
+        "oracle": {"kind": "cycloid", "x0": 0.0, "y0": 0.0, "theta0": th0,
+                   "v0": 1.0, "a0": 1.0, "tol": 1e-6}})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o", "--check-oracle"]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: OutOfInterval: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["simulate", "shift", "check"])
+def test_an_out_that_cannot_be_a_directory_exits_2_with_one_line(tmp_path, capsys, command,
+                                                                  below):
+    # --out naming a file, or a path below one, was once a traceback
+    # (FileExistsError or NotADirectoryError)
+    cfg = write_config(tmp_path, "cfg.json", _BASE[command])
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write the output: ")
+    assert err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "shift"])

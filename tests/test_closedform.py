@@ -253,15 +253,6 @@ def test_marked_point_speeds_are_brentq_roots_of_the_speed_relation(a, b, below,
     assert quadrature_error(prof, init, table, np.linspace(0, table.duration, 12)) < 1e-6
 
 
-def test_quadrature_table_csv(tmp_path):
-    table = marked_point_quadrature(Profile.constant(1.0), MP_INIT, 0.6, n_nodes=40)
-    path = tmp_path / "table.csv"
-    table.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,v,rho,t,gamma"
-    assert len(lines) == 41
-
-
 def test_quadrature_state_out_of_range():
     table = marked_point_quadrature(Profile.constant(1.0), MP_INIT, 0.6, n_nodes=40)
     with pytest.raises(OutOfInterval):

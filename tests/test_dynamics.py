@@ -505,19 +505,6 @@ def test_conformal_equivalence_of_trajectories():
         assert np.max(np.abs(back.positions() - flat.positions())) < 1e-8
 
 
-def test_trajectory_csv_format(tmp_path):
-    tr = integrate(gravity_field(), PhaseState((1 / 3, 0), (0, -1)), (0, 1),
-                   t_eval=np.linspace(0, 1, 5))
-    path = tmp_path / "traj.csv"
-    tr.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,y,vx,vy"
-    assert len(lines) == 6
-    # 17 significant digits round-trip
-    x = float(lines[1].split(",")[1])
-    assert x == 1 / 3
-
-
 def _hermite_reference(sol, t, rhs):
     """Dense output at one time, with the standard-basis cubic Hermite
     through the node values and the slopes ``rhs`` gives there, or a node's

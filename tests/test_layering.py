@@ -1,10 +1,10 @@
 """Layering rules: no module reaches into another module's private names,
-each decision (stencil steps, output digits, the metric, the config schema,
-the rest-point check) has one owner, each public function and class is used
-in the package or listed as an entry point, the layers a single point
-reaches square by multiplying, and the complex formulation takes none of the
-polar one's derivatives.  Also one hygiene rule for the tests
-themselves: every file they open is closed."""
+each decision (stencil steps, output digits, the layout of output files,
+the metric, the config schema, the rest-point check) has one owner, each
+public function and class is used in the package or listed as an entry
+point, the layers a single point reaches square by multiplying, and the
+complex formulation takes none of the polar one's derivatives.  Also one
+hygiene rule for the tests themselves: every file they open is closed."""
 
 import ast
 import collections
@@ -140,6 +140,42 @@ def test_only_the_table_writer_formats_seventeen_digits():
     # one writer owns the "17 significant digits" contract of every output file
     holders = sorted(p.name for p in SRC.glob("*.py") if ".17g" in p.read_text())
     assert holders == ["tables.py"]
+
+
+def import_lines(tree: ast.Module, module: str) -> list[int]:
+    """The lines that import the package's ``module`` or a name from it:
+    `from .m import x`, `from . import m` and their `normshift.` forms, and
+    `import normshift.m`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["normshift", node.module])) if node.level else node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if f"normshift.{module}" in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_cli_imports_the_table_writer():
+    # the cli lays out every file a run writes; a numerical result is arrays
+    importers = sorted(p.name for p in SRC.glob("*.py")
+                       if import_lines(ast.parse(p.read_text()), "tables"))
+    assert importers == ["cli.py"]
+
+
+def test_import_checker_flags_every_form():
+    tree = ast.parse("from .tables import formatted\n"
+                     "from . import odesolve, tables\n"
+                     "import normshift.tables as t\n"
+                     "from normshift import tables\n"
+                     "from normshift.tables import write_table\n"
+                     "from .geometry import tables\n"
+                     "import tables\n")
+    assert import_lines(tree, "tables") == [1, 2, 3, 4, 5]
 
 
 def called_names(tree: ast.Module) -> set[str]:

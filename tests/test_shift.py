@@ -319,17 +319,6 @@ def test_the_angle_of_vectors_whose_norms_overflow(tau, v, degrees):
     assert worst == pytest.approx(degrees, rel=1e-12)
 
 
-def test_shift_grid_csv(tmp_path):
-    seg = segment_on_axis(normal="right")
-    grid = normal_shift(seg, gravity_field(), Profile.constant(1.0), (0, 0.5),
-                        n_s=3, n_t=4)
-    path = tmp_path / "grid.csv"
-    grid.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,s,x,y,vx,vy,phi,psi,nu"
-    assert len(lines) == 1 + 3 * 4
-
-
 def differenced_phi(field, curve, nu, s, t_nodes, cfg, delta=1e-5):
     """phi at (t_nodes, s) from two trajectories launched at s +- delta."""
     trajs = []
