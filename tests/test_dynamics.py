@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import (RATE_PARAMS, christoffel_flow_positions, linear_fields, ran
                      random_metric, sympy_field)
 
 from normshift import odesolve
+from normshift.cli import main
 
 from normshift.errors import DegenerateVelocity, StepFailure
 from normshift.forces import (ForceField, Profile, ab_decompose, anisotropic_field,
@@ -503,6 +505,21 @@ def test_conformal_equivalence_of_trajectories():
         back = integrate(fp_back, init, (0, 1), t_eval=t_eval)
         assert np.max(np.abs(cov - flat.positions())) < 1e-8
         assert np.max(np.abs(back.positions() - flat.positions())) < 1e-8
+
+
+def test_trajectory_csv_format(tmp_path):
+    # the cli lays out trajectory.csv: a header, one row per output time, and
+    # 17 significant digits, so x = 1/3 reads back as the same double
+    cfg = tmp_path / "traj.json"
+    cfg.write_text(json.dumps({"field": {"catalogue": "gravity"},
+                               "init": {"r": [1 / 3, 0], "v": [0, -1]},
+                               "t_span": [0, 1], "n_t": 5}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,x,y,vx,vy"
+    assert len(lines) == 6
+    x = float(lines[1].split(",")[1])
+    assert x == 1 / 3
 
 
 def _hermite_reference(sol, t, rhs):

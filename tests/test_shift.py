@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import NU_FIELDS, RATE_PARAMS, perturbed_mdtype, random_spline_points
 
+from normshift.cli import main
 from normshift.dynamics import IntegratorConfig, PhaseState, integrate
 from normshift.errors import InvalidParams, NuBlowup, SingularCurve, StepFailure
 from normshift.experiment import CATALOGUE, build_metric, catalogue
@@ -317,6 +319,21 @@ def test_the_angle_of_vectors_whose_norms_overflow(tau, v, degrees):
                      psi=one, work={})
     worst = normality_report(grid)["max_angle_deviation_deg"]
     assert worst == pytest.approx(degrees, rel=1e-12)
+
+
+def test_shift_grid_csv(tmp_path):
+    # the cli lays out shift_grid.csv: a header and one row per node, t-major,
+    # with x = 1/3 read back as the same double at every node of the first time
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"field": {"catalogue": "gravity"},
+                               "curve": {"kind": "segment", "p0": [1 / 3, -0.5],
+                                         "p1": [1 / 3, 0.5]},
+                               "nu": 1.0, "t_span": [0, 0.5], "n_s": 3, "n_t": 4}))
+    assert main(["shift", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "shift_grid.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,s,x,y,vx,vy,phi,psi,nu"
+    assert len(lines) == 1 + 3 * 4
+    assert [float(line.split(",")[2]) for line in lines[1:4]] == [1 / 3] * 3
 
 
 def differenced_phi(field, curve, nu, s, t_nodes, cfg, delta=1e-5):
